@@ -1,10 +1,17 @@
 """Bidirectional type inference with spine-local meta-variables.
 
-Maximal term applications are processed as whole spines: the head's
-type is matched against a prototype built from the contextual type (or
-from nothing, when synthesizing), quantifiers peel off as fresh
-meta-variables, and each argument either checks against a known domain
-or synthesizes and instantiates the metas the domain still mentions.
+Maximal term applications are processed as whole spines, a head followed
+by term and type arguments, in one loop with two passes.  The first
+pass walks the items from the outermost inwards, wrapping the contextual
+prototype (or the unknown one, when synthesizing) in one pending arrow
+per term argument.  The head's synthesized type is matched against that
+prototype, which mints one meta-variable per quantifier it peels.  The
+second pass consumes the items from the innermost outwards: quantifiers
+peel off with their binder as the meta-variable, solved contextually
+when the match decorated it, and each argument either checks against a
+known domain or synthesizes and instantiates the metas the domain still
+mentions.  The synthetic instantiations reach the partial elaboration
+in one substitution once the spine is done.
 Meta-variables never leave the spine that minted them: synthesis
 demands an empty solution, and checking demands that the contextual
 type solved every meta the partial elaboration mentions.
@@ -15,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .matcher import MatchFailure, _match, match_first_order, rename_deco, subst_decorated
+from .matcher import MatchFailure, _match, match_first_order, subst_decorated
 from .syntax import (
     App,
     Arrow,
@@ -211,18 +218,6 @@ def spine_infer(ctx: Context, proto: Prototype, term: Term) -> SpineOutcome:
     return _spine(_Run(), ctx, proto, term)
 
 
-def apply_arg(
-    ctx: Context,
-    partial: Term,
-    deco: DecoratedType,
-    sol: Solution,
-    arg: Term,
-    arg_index: int,
-) -> SpineOutcome:
-    """Apply one term argument to a partially applied spine."""
-    return _apply(_Run(), ctx, partial, deco, sol, arg, arg_index)
-
-
 # ------------------------------------------------------------- inference
 
 
@@ -413,53 +408,72 @@ def _app_check(run: _Run, ctx: Context, term: App, expected: TypeExpr) -> InferO
     return InferOutcome(expected, elab)
 
 
-def _term_arg_count(t: Term) -> int:
-    n = 0
-    while isinstance(t, (App, TApp)):
-        if isinstance(t, App):
-            n += 1
-        t = t.fun
-    return n
-
-
 def _spine(run: _Run, ctx: Context, proto: Prototype, term: Term) -> SpineOutcome:
-    match term:
-        case App(fun=f, arg=a):
+    """Infer a maximal application spine: its head, then its items in order."""
+    # First pass, outermost item first: build the prototype the head meets.
+    items: list[App | TApp] = []
+    while isinstance(term, (App, TApp)):
+        if isinstance(term, App):
             run.note("spine-arg")
-            inner = _spine(run, ctx, ArrowTo(proto), f)
-            return _apply(
-                run,
-                ctx,
-                inner.partial,
-                inner.deco,
-                inner.solution,
-                a,
-                _term_arg_count(f) + 1,
-            )
-        case TApp(fun=f, targ=s):
+            proto = ArrowTo(proto)
+        else:
             run.note("spine-tyarg")
             if not isinstance(proto, ArrowTo):
                 raise EngineInvariantError("type argument reached a spine without a pending arrow")
-            if not is_well_formed(ctx, s):
+            if not is_well_formed(ctx, term.targ):
                 raise run.diag(
                     DiagnosticKind.UNBOUND_NAME,
                     span=_span(term),
                     subject=term,
-                    detail=_illformed_detail(ctx, s, "type argument"),
+                    detail=_illformed_detail(ctx, term.targ, "type argument"),
                 )
-            inner = _spine(run, ctx, proto, f)
-            return _take_type_arg(run, ctx, inner, s, term)
-        case _:
-            run.note("spine-head")
-            if not isinstance(proto, ArrowTo):
-                raise EngineInvariantError("spine heads are only matched against arrow prototypes")
-            out = _infer(run, ctx, Synthesize(), term)
-            matched = _match(frozenset(), out.ty, proto, run.supply)
-            if isinstance(matched, MatchFailure):
-                raise _head_failure(run, term, out.ty, matched)
-            if not matched.solution.is_identity:
-                raise EngineInvariantError("head match solved variables it was not given")
-            return SpineOutcome(matched.decorated, out.elaboration, Solution.identity())
+        items.append(term)
+        term = term.fun
+
+    run.note("spine-head")
+    if not isinstance(proto, ArrowTo):
+        raise EngineInvariantError("spine heads are only matched against arrow prototypes")
+    head = _infer(run, ctx, Synthesize(), term)
+    matched = _match(frozenset(), head.ty, proto, run.supply)
+    if isinstance(matched, MatchFailure):
+        raise _head_failure(run, term, head.ty, matched)
+    if not matched.solution.is_identity:
+        raise EngineInvariantError("head match solved variables it was not given")
+
+    # Second pass, innermost item first.  Each peeled quantifier's binder
+    # is the meta-variable: the matcher minted it fresh for this run.
+    deco, partial, sol = matched.decorated, head.elaboration, Solution()
+    synthetic: dict[str, TypeExpr] = {}
+    arg_index = 0
+    for item in reversed(items):
+        if isinstance(item, TApp):
+            deco = _take_type_arg(run, deco, sol, item)
+            partial = TApp(partial, item.targ, span=_span(item))
+            continue
+        arg_index += 1
+        while isinstance(deco, DForall):
+            run.note("peel")
+            meta = deco.bound
+            partial = TApp(partial, TVar(meta))
+            if deco.deco is not None:
+                origin = deco.deco_origin or Contextual(TVar(meta), deco.deco)
+                sol = compose(sol, meta, deco.deco, origin)
+            deco = deco.body
+        match deco:
+            case DArrow(dom=dom, cod=cod):
+                pass
+            case Plain(ty=Arrow(dom=dom, cod=rest)):
+                cod = Plain(rest)
+            case other:
+                raise run.diag(
+                    DiagnosticKind.APPLICAND_NOT_ARROW,
+                    span=_span(item.arg),
+                    synthesized=subst_type(sol, strip(other)),
+                    subject=item.arg,
+                )
+        deco, elab = _consume_arrow(run, ctx, dom, cod, sol, synthetic, item.arg, arg_index)
+        partial = App(partial, elab)
+    return SpineOutcome(deco, subst_type_args(synthetic, partial), sol)
 
 
 def _head_failure(run: _Run, head: Term, head_ty: TypeExpr, failure: MatchFailure) -> Diagnostic:
@@ -481,10 +495,9 @@ def _head_failure(run: _Run, head: Term, head_ty: TypeExpr, failure: MatchFailur
     )
 
 
-def _take_type_arg(
-    run: _Run, ctx: Context, inner: SpineOutcome, s: TypeExpr, term: Term
-) -> SpineOutcome:
-    match inner.deco:
+def _take_type_arg(run: _Run, deco: DecoratedType, sol: Solution, term: TApp) -> DecoratedType:
+    s = term.targ
+    match deco:
         case DForall(bound=x, deco=r, body=body, deco_origin=org):
             if r is not None and not alpha_equal(r, s):
                 raise run.diag(
@@ -504,68 +517,32 @@ def _take_type_arg(
                     subject=term,
                     detail="explicit type argument cannot reveal the arrows this spine needs",
                 )
-            return SpineOutcome(replaced, TApp(inner.partial, s, span=_span(term)), inner.solution)
+            return replaced
         case other:
             raise run.diag(
                 DiagnosticKind.APPLICAND_NOT_FORALL,
                 span=_span(term),
-                synthesized=subst_type(inner.solution, strip(other)),
-                subject=term,
-            )
-
-
-def _apply(
-    run: _Run,
-    ctx: Context,
-    partial: Term,
-    deco: DecoratedType,
-    sol: Solution,
-    arg: Term,
-    arg_index: int,
-) -> SpineOutcome:
-    match deco:
-        case DForall(bound=x, deco=r, body=body, deco_origin=org):
-            run.note("peel")
-            meta = run.supply.fresh_meta(x)
-            opened = rename_deco({x: meta}, body)
-            if r is not None:
-                if org is not None:
-                    origin = Contextual(substitute({x: TVar(meta)}, org.partial), org.against)
-                else:
-                    origin = Contextual(TVar(meta), r)
-                sol = compose(sol, meta, r, origin)
-            return _apply(
-                run,
-                ctx,
-                TApp(partial, TVar(meta)),
-                opened,
-                sol,
-                arg,
-                arg_index,
-            )
-        case DArrow(dom=dom, cod=cod):
-            return _consume_arrow(run, ctx, partial, dom, cod, sol, arg, arg_index)
-        case Plain(ty=Arrow(dom=dom, cod=cod)):
-            return _consume_arrow(run, ctx, partial, dom, Plain(cod), sol, arg, arg_index)
-        case other:
-            raise run.diag(
-                DiagnosticKind.APPLICAND_NOT_ARROW,
-                span=_span(arg),
                 synthesized=subst_type(sol, strip(other)),
-                subject=arg,
+                subject=term,
             )
 
 
 def _consume_arrow(
     run: _Run,
     ctx: Context,
-    partial: Term,
     dom: TypeExpr,
     cod: DecoratedType,
     sol: Solution,
+    synthetic: dict[str, TypeExpr],
     arg: Term,
     arg_index: int,
-) -> SpineOutcome:
+) -> tuple[DecoratedType, Term]:
+    """Check or synthesize one argument; return the codomain and its elaboration.
+
+    A synthesized argument's instantiation goes into ``synthetic`` and is
+    applied to the codomain at once; the spine applies it to the partial
+    elaboration when the spine is done.
+    """
     expected = subst_type(sol, dom)
     unsolved = meta_vars_of_type(ctx, expected)
     if not unsolved:
@@ -575,7 +552,7 @@ def _consume_arrow(
         except Diagnostic as d:
             _attach_solution_origin(run, d, ctx, dom, expected, sol, arg)
             raise
-        return SpineOutcome(cod, App(partial, out.elaboration), sol)
+        return cod, out.elaboration
 
     run.note("arg-synth")
     try:
@@ -608,8 +585,8 @@ def _consume_arrow(
             subject=arg,
             detail="the synthesized instantiation cannot reveal the arrows this spine needs",
         )
-    instantiated = subst_type_args(inst.types(), partial)
-    return SpineOutcome(replaced, App(instantiated, out.elaboration), sol)
+    synthetic.update(inst.types())
+    return replaced, out.elaboration
 
 
 def _attach_solution_origin(

@@ -137,7 +137,7 @@ def _match(
 ) -> MatchResult | MatchFailure:
     match proto:
         case Unknown():
-            return MatchResult(Solution.identity(), Plain(ty))
+            return MatchResult(Solution(), Plain(ty))
         case Exact(ty=tgt):
             sol = match_first_order(metas, ty, tgt)
             if sol is None:
@@ -176,7 +176,7 @@ def _match(
                 DForall(fresh, deco, out.decorated, deco_origin=origin),
             )
         case TVar(name=x) if x in metas:
-            return MatchResult(Solution.identity(), Stuck(x, proto))
+            return MatchResult(Solution(), Stuck(x, proto))
         case _:
             return MatchFailure(ty, proto, arity_overrun=True)
 

@@ -147,7 +147,7 @@ def verify_spec(
         return reject("claimed head elaboration differs")
 
     ty = hout.ty
-    sol = Solution.identity()
+    sol = Solution()
     replay: list[tuple[str, object]] = []
     fresh = itertools.count()
     pi = 0
@@ -372,7 +372,7 @@ def search_spec(
 
     out: list[Triple] = []
     seen: set = set()
-    for triple in walk(0, hout.ty, hout.elaboration, Solution.identity()):
+    for triple in walk(0, hout.ty, hout.elaboration, Solution()):
         key = canonical_triple_key(triple)
         if key not in seen:
             seen.add(key)
@@ -429,10 +429,6 @@ def canonical_triple_key(triple: Triple):
         canon_term(subst_type_args(rename, partial)),
         renamed_sol,
     )
-
-
-def triples_equivalent(a: Triple, b: Triple) -> bool:
-    return canonical_triple_key(a) == canonical_triple_key(b)
 
 
 # -------------------------------------------------------------- erasures

@@ -125,10 +125,6 @@ class TApp:
 Term = Union[Var, Lam, TLam, App, TApp]
 
 
-def is_application(t: Term) -> bool:
-    return isinstance(t, App)
-
-
 def spine_parts(t: Term) -> tuple[Term, list[Term | TypeExpr]]:
     """Split an application spine into its head and argument list.
 
@@ -245,11 +241,6 @@ class Context:
         return f"Context({self.entries!r}, {self.signature!r})"
 
 
-def declared_type_vars(ctx: Context) -> frozenset[str]:
-    """Type variables declared by the context, in scope for terms under it."""
-    return ctx.dtv
-
-
 # ------------------------------------------------------------ prototypes
 
 
@@ -311,12 +302,7 @@ class Synthetic:
     arg_type: TypeExpr
 
 
-@dataclass(frozen=True)
-class Explicit:
-    """Supplied directly as an explicit type argument."""
-
-
-Provenance = Union[Contextual, Synthetic, Explicit]
+Provenance = Union[Contextual, Synthetic]
 
 
 @dataclass(frozen=True)
@@ -335,10 +321,6 @@ class Solution:
 
     def __init__(self, bindings: Mapping[str, Binding] | None = None):
         self.bindings = dict(bindings) if bindings else {}
-
-    @classmethod
-    def identity(cls) -> Solution:
-        return cls()
 
     def __contains__(self, name: str) -> bool:
         return name in self.bindings
@@ -379,9 +361,6 @@ class Solution:
         rest = dict(self.bindings)
         del rest[name]
         return Solution(rest)
-
-    def restrict(self, names) -> Solution:
-        return Solution({k: v for k, v in self.bindings.items() if k in names})
 
     def equivalent(self, other: Solution) -> bool:
         """Same domain and alpha-equal solved types (provenance ignored)."""
@@ -737,23 +716,23 @@ def is_partial_elaboration(ctx: Context, t: Term) -> bool:
 # -------------------------------------------------------- canonical keys
 
 
+def _canon_ty(ty: TypeExpr, env: Mapping[str, int], depth: int) -> str:
+    match ty:
+        case TVar(name=x):
+            return f"@{env[x]}" if x in env else f"v:{x}"
+        case Arrow(dom=d, cod=c):
+            return f"({_canon_ty(d, env, depth)}->{_canon_ty(c, env, depth)})"
+        case Forall(bound=x, body=b):
+            return f"(all.{_canon_ty(b, {**env, x: depth}, depth + 1)})"
+        case Con(con=c, args=args):
+            inner = ",".join(_canon_ty(a, env, depth) for a in args)
+            return f"{c}[{inner}]"
+    raise TypeError(ty)
+
+
 def canon_type(ty: TypeExpr) -> str:
     """Serialization that identifies alpha-equivalent types."""
-
-    def go(ty, env, depth):
-        match ty:
-            case TVar(name=x):
-                return f"@{env[x]}" if x in env else f"v:{x}"
-            case Arrow(dom=d, cod=c):
-                return f"({go(d, env, depth)}->{go(c, env, depth)})"
-            case Forall(bound=x, body=b):
-                return f"(all.{go(b, {**env, x: depth}, depth + 1)})"
-            case Con(con=c, args=args):
-                inner = ",".join(go(a, env, depth) for a in args)
-                return f"{c}[{inner}]"
-        raise TypeError(ty)
-
-    return go(ty, {}, 0)
+    return _canon_ty(ty, {}, 0)
 
 
 def canon_term(t: Term) -> str:
@@ -764,30 +743,15 @@ def canon_term(t: Term) -> str:
             case Var(name=x):
                 return f"@{env[x]}" if x in env else f"v:{x}"
             case Lam(bound=x, ann=a, body=b):
-                ann = canon_in_env(a, env, depth) if a is not None else "_"
+                ann = _canon_ty(a, env, depth) if a is not None else "_"
                 return f"(lam:{ann}.{go(b, {**env, x: depth}, depth + 1)})"
             case TLam(bound=x, body=b):
                 return f"(tlam.{go(b, {**env, x: depth}, depth + 1)})"
             case App(fun=f, arg=a):
                 return f"({go(f, env, depth)} {go(a, env, depth)})"
             case TApp(fun=f, targ=s):
-                return f"({go(f, env, depth)} [{canon_in_env(s, env, depth)}])"
+                return f"({go(f, env, depth)} [{_canon_ty(s, env, depth)}])"
         raise TypeError(t)
-
-    def canon_in_env(ty, env, depth):
-        def ty_go(ty, tenv, d):
-            match ty:
-                case TVar(name=x):
-                    return f"@{tenv[x]}" if x in tenv else f"v:{x}"
-                case Arrow(dom=dm, cod=c):
-                    return f"({ty_go(dm, tenv, d)}->{ty_go(c, tenv, d)})"
-                case Forall(bound=x, body=b):
-                    return f"(all.{ty_go(b, {**tenv, x: d}, d + 1)})"
-                case Con(con=c, args=args):
-                    return f"{c}[{','.join(ty_go(a, tenv, d) for a in args)}]"
-            raise TypeError(ty)
-
-        return ty_go(ty, env, depth)
 
     return go(t, {}, 0)
 

@@ -282,7 +282,9 @@ def test_criterion_7_exhaustive_matcher_audit():
         while _proto_size(p) <= 6:
             protos.append(p)
             p = ArrowTo(p)
-    pairs = [(t, p) for t in types for p in protos if type_size(t) + _proto_size(p) <= 7]
+    type_sizes = [(t, type_size(t)) for t in types]
+    proto_sizes = [(p, _proto_size(p)) for p in protos]
+    pairs = [(t, p) for t, ts in type_sizes for p, ps in proto_sizes if ts + ps <= 7]
 
     problems = []
     matched = 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from conftest import CTX, tm, ty
@@ -17,7 +19,6 @@ from spinel import (
     Unknown,
     alpha_equal,
     alpha_equal_term,
-    apply_arg,
     infer,
     spine_infer,
     strip,
@@ -132,11 +133,19 @@ def test_nested_maximal_applications_are_independent_spines():
 def test_trace_records_the_rules_fired():
     trace: list[str] = []
     infer(CTX, Synthesize(), tm("ident suc z"), trace=trace)
-    assert trace[0] == "app-synth"
-    assert "spine-head" in trace
-    assert "peel" in trace
-    assert "arg-synth" in trace
-    assert "arg-check" in trace
+    assert trace == [
+        "app-synth", "spine-arg", "spine-arg", "spine-head", "var",
+        "peel", "arg-synth", "var", "arg-check", "var",
+    ]
+
+
+def test_trace_of_a_spine_with_an_explicit_quantified_argument():
+    trace: list[str] = []
+    infer(CTX, Synthesize(), tm("bot [forall Y. Y -> Y] z"), trace=trace)
+    assert trace == [
+        "app-synth", "spine-arg", "spine-tyarg", "spine-head", "var",
+        "peel", "arg-synth", "var",
+    ]
 
 
 def test_check_mode_requires_a_well_formed_expected_type():
@@ -283,13 +292,57 @@ def test_spine_infer_checking_keeps_contextual_bindings():
     assert Con("Nat") in vals
 
 
-def test_apply_arg_extends_a_spine_by_one_argument():
-    out = spine_infer(CTX, Unknown(), tm("pair z"))
-    step = apply_arg(CTX, out.partial, out.deco, out.solution, tm("tt"), 2)
-    assert strip(step.deco) == ty("Pair Nat B")
-    assert alpha_equal_term(step.partial, tm("pair [Nat] [B] z tt"))
+def test_spine_infer_solves_a_whole_spine_synthetically():
+    out = spine_infer(CTX, Unknown(), tm("pair z tt"))
+    assert strip(out.deco) == ty("Pair Nat B")
+    assert alpha_equal_term(out.partial, tm("pair [Nat] [B] z tt"))
 
 
 def test_engine_invariants_are_separate_from_diagnostics():
     with pytest.raises(EngineInvariantError):
         spine_infer(CTX, Exact(ty("Nat")), tm("z"))
+
+
+# ---------------------------------------------------------- operation counts
+
+
+def _count_calls(monkeypatch, name, modules):
+    """Count calls to the function ``name`` through each module binding it."""
+    calls = [0]
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for mod in modules:
+        if hasattr(mod, name):
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def _wide_spine(n):
+    xs = [f"X{i}" for i in range(1, n + 1)]
+    g = ty("".join(f"forall {x}. " for x in xs) + " -> ".join(xs + ["Nat"]))
+    ctx = CTX.with_term("g", g)
+    args = " ".join("z" if i % 2 else "tt" for i in range(1, n + 1))
+    return ctx, tm(f"g {args}", ctx)
+
+
+@pytest.mark.parametrize("mode", ["synth", "check"])
+def test_spine_work_grows_linearly_with_its_length(monkeypatch, mode):
+    infer_mod = importlib.import_module("spinel.infer")
+    matcher_mod = importlib.import_module("spinel.matcher")
+    syntax_mod = importlib.import_module("spinel.syntax")
+    renames = _count_calls(monkeypatch, "rename_deco", [matcher_mod, infer_mod])
+    substs = _count_calls(monkeypatch, "subst_type_args", [syntax_mod, infer_mod])
+    counts = {}
+    for n in (24, 48):
+        ctx, term = _wide_spine(n)
+        run_mode = Synthesize() if mode == "synth" else Check(ty("Nat", ctx))
+        substs[0] = 0
+        out = infer(ctx, run_mode, term)
+        assert out.ty == ty("Nat", ctx)
+        counts[n] = substs[0]
+    assert renames[0] == 0
+    assert counts[48] <= 2.2 * counts[24]

@@ -123,7 +123,7 @@ def test_replay_checks_the_mode_side_conditions():
 
 def test_replay_requires_an_application():
     with pytest.raises(ValueError):
-        verify_spec(CTX, None, tm("z"), (ty("Nat"), tm("z"), Solution.identity()))
+        verify_spec(CTX, None, tm("z"), (ty("Nat"), tm("z"), Solution()))
 
 
 # ----------------------------------------------------------------- search
