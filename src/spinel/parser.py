@@ -379,7 +379,7 @@ def parse_type(src: str, ctx: Context) -> TypeExpr:
 def parse_term(src: str, ctx: Context) -> Term:
     """Parse a single term in the scope of a context."""
     parser = _Parser(tokenize(src), dict(ctx.signature), ctx.names)
-    bound = frozenset(n for n in ctx.names if n not in ctx.dtv)
+    bound = ctx.names - ctx.dtv
     term = parser.term(bound, ctx.dtv)
     if parser.peek() is not None:
         raise parser.error("trailing input after term")
@@ -416,7 +416,7 @@ def parse_con_decl(src: str, ctx: Context) -> tuple[str, int]:
 def parse_goal(src: str, ctx: Context, with_type: bool) -> tuple[Term, TypeExpr | None]:
     """Parse a ``term : type`` or bare ``term`` goal."""
     parser = _Parser(tokenize(src), dict(ctx.signature), ctx.names)
-    bound = frozenset(n for n in ctx.names if n not in ctx.dtv)
+    bound = ctx.names - ctx.dtv
     term = parser.term(bound, ctx.dtv)
     expected = None
     if with_type:

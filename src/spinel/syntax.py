@@ -165,56 +165,68 @@ class Context:
     Immutable: the ``with_*`` methods return extended copies.  Declared
     names must be distinct; extension raises ValueError on shadowing or
     on binding a term to an ill-formed type.
+
+    Scope is ordered: a bound type may mention only the type variables
+    declared before it, and the constructor ``Context(entries, signature)``
+    adds its entries one at a time by the same step as ``with_*``.  An
+    extension checks only the new entry against its prefix and shares
+    the rest of the prefix's state: whatever was well-formed in the
+    prefix stays well-formed once a name or a constructor is added.
     """
 
     __slots__ = ("entries", "signature", "_dtv", "_types", "_names")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         entries: tuple[TyVarDecl | TermBind, ...] = (),
         signature: Mapping[str, int] | None = None,
-    ):
-        self.entries = entries
-        self.signature = dict(signature) if signature else {}
-        dtv: set[str] = set()
-        types: dict[str, TypeExpr] = {}
+    ) -> Context:
+        ctx = object.__new__(cls)
+        ctx.entries = ()
+        ctx.signature = dict(signature) if signature else {}
+        ctx._dtv = frozenset()
+        ctx._types = {}
+        ctx._names = frozenset()
         for entry in entries:
-            name = entry.name
-            if name in dtv or name in types:
-                raise ValueError(f"duplicate declaration of {name!r}")
-            if isinstance(entry, TyVarDecl):
-                dtv.add(name)
-            else:
-                types[name] = entry.ty
-        self._dtv = frozenset(dtv)
-        self._types = types
-        self._names = frozenset(types) | self._dtv
-        for entry in entries:
-            if isinstance(entry, TermBind) and not is_well_formed(self, entry.ty):
-                raise ValueError(f"type bound to {entry.name!r} is not well-formed")
+            ctx = ctx._extend(entry)
+        return ctx
 
     @classmethod
     def empty(cls, signature: Mapping[str, int] | None = None) -> Context:
         return cls((), signature)
 
-    def with_type_var(self, name: str) -> Context:
+    def _extend(self, entry: TyVarDecl | TermBind) -> Context:
+        """This context plus ``entry``, which is checked against it alone."""
+        name = entry.name
         if name in self._names:
             raise ValueError(f"duplicate declaration of {name!r}")
-        return Context(self.entries + (TyVarDecl(name),), self.signature)
+        is_term = isinstance(entry, TermBind)
+        if is_term and not is_well_formed(self, entry.ty):
+            raise ValueError(f"type bound to {name!r} is not well-formed")
+        ctx = object.__new__(Context)
+        ctx.entries = self.entries + (entry,)
+        ctx.signature = self.signature
+        ctx._names = self._names | {name}
+        ctx._dtv = self._dtv if is_term else self._dtv | {name}
+        ctx._types = {**self._types, name: entry.ty} if is_term else self._types
+        return ctx
+
+    def with_type_var(self, name: str) -> Context:
+        return self._extend(TyVarDecl(name))
 
     def with_term(self, name: str, ty: TypeExpr) -> Context:
-        if name in self._names:
-            raise ValueError(f"duplicate declaration of {name!r}")
-        if not is_well_formed(self, ty):
-            raise ValueError(f"type bound to {name!r} is not well-formed")
-        return Context(self.entries + (TermBind(name, ty),), self.signature)
+        return self._extend(TermBind(name, ty))
 
     def with_con(self, name: str, arity: int) -> Context:
         if name in self.signature:
             raise ValueError(f"duplicate constructor {name!r}")
-        sig = dict(self.signature)
-        sig[name] = arity
-        return Context(self.entries, sig)
+        ctx = object.__new__(Context)
+        ctx.entries = self.entries
+        ctx.signature = {**self.signature, name: arity}
+        ctx._dtv = self._dtv
+        ctx._types = self._types
+        ctx._names = self._names
+        return ctx
 
     def lookup(self, name: str) -> TypeExpr | None:
         return self._types.get(name)

@@ -6,7 +6,7 @@ import importlib
 
 import pytest
 
-from conftest import CTX, tm, ty
+from conftest import CTX, count_calls, tm, ty
 from spinel import (
     Check,
     Con,
@@ -306,21 +306,6 @@ def test_engine_invariants_are_separate_from_diagnostics():
 # ---------------------------------------------------------- operation counts
 
 
-def _count_calls(monkeypatch, name, modules):
-    """Count calls to the function ``name`` through each module binding it."""
-    calls = [0]
-    original = getattr(modules[0], name)
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    for mod in modules:
-        if hasattr(mod, name):
-            monkeypatch.setattr(mod, name, counted)
-    return calls
-
-
 def _wide_spine(n):
     xs = [f"X{i}" for i in range(1, n + 1)]
     g = ty("".join(f"forall {x}. " for x in xs) + " -> ".join(xs + ["Nat"]))
@@ -334,8 +319,8 @@ def test_spine_work_grows_linearly_with_its_length(monkeypatch, mode):
     infer_mod = importlib.import_module("spinel.infer")
     matcher_mod = importlib.import_module("spinel.matcher")
     syntax_mod = importlib.import_module("spinel.syntax")
-    renames = _count_calls(monkeypatch, "rename_deco", [matcher_mod, infer_mod])
-    substs = _count_calls(monkeypatch, "subst_type_args", [syntax_mod, infer_mod])
+    renames = count_calls(monkeypatch, "rename_deco", [matcher_mod, infer_mod])
+    substs = count_calls(monkeypatch, "subst_type_args", [syntax_mod, infer_mod])
     counts = {}
     for n in (24, 48):
         ctx, term = _wide_spine(n)
@@ -346,3 +331,19 @@ def test_spine_work_grows_linearly_with_its_length(monkeypatch, mode):
         counts[n] = substs[0]
     assert renames[0] == 0
     assert counts[48] <= 2.2 * counts[24]
+
+
+def test_binder_depth_work_grows_linearly(monkeypatch):
+    syntax_mod = importlib.import_module("spinel.syntax")
+    infer_mod = importlib.import_module("spinel.infer")
+    checks = count_calls(monkeypatch, "is_well_formed", [syntax_mod, infer_mod])
+    counts = {}
+    for n in (40, 80):
+        xs = [f"x{i}" for i in range(1, n + 1)]
+        nats = " -> ".join(["Nat"] * (n + 1))
+        term = tm("".join(f"\\{x}. " for x in xs) + "x1")
+        checks[0] = 0
+        out = infer(CTX, Check(ty(nats)), term)
+        assert out.ty == ty(nats)
+        counts[n] = checks[0]
+    assert counts[80] <= 2.2 * counts[40]

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import CTX, tm, ty
+from conftest import CTX, count_calls, tm, ty
 from spinel import (
     App,
     Arrow,
@@ -32,7 +34,7 @@ from spinel import (
     subst_type_args,
     substitute,
 )
-from spinel.syntax import Plain, deco_arity, proto_arity
+from spinel.syntax import Plain, TermBind, TyVarDecl, deco_arity, proto_arity
 
 
 def test_alpha_equal_renames_binders():
@@ -113,6 +115,39 @@ def test_context_rejects_shadowing_and_bad_bindings():
         CTX.with_type_var("pair")
     with pytest.raises(ValueError):
         CTX.with_term("loose", TVar("A"))
+
+
+def test_context_constructor_respects_ordered_scope():
+    with pytest.raises(ValueError, match="type bound to 'x' is not well-formed"):
+        Context((TermBind("x", TVar("A")), TyVarDecl("A")))
+    ctx = Context((TyVarDecl("A"), TermBind("x", TVar("A"))))
+    assert ctx.lookup("x") == TVar("A")
+    with pytest.raises(ValueError, match="duplicate declaration of 'A'"):
+        Context((TyVarDecl("A"), TermBind("A", Con("Nat"))), {"Nat": 0})
+    assert Context(CTX.entries, CTX.signature) == CTX
+
+
+def _assumptions(n):
+    ctx = CTX.with_type_var("A")
+    for i in range(n):
+        ctx = ctx.with_term(f"c{i}", Arrow(TVar("A"), Con("Nat")))
+    return ctx
+
+
+def test_context_extension_checks_only_the_new_entry(monkeypatch):
+    small, large = _assumptions(50), _assumptions(400)
+    fresh = ty("forall X. X -> Pair Nat A", small)
+    syntax_mod = importlib.import_module("spinel.syntax")
+    calls = count_calls(monkeypatch, "is_well_formed", [syntax_mod])
+    counts = {}
+    for ctx in (small, large):
+        calls[0] = 0
+        ext = ctx.with_term("fresh", fresh)
+        ext = ext.with_type_var("C")
+        ext = ext.with_con("Fresh", 1)
+        assert ext.lookup("fresh") is not None and "C" in ext.dtv and ext.arity("Fresh") == 1
+        counts[len(ctx.entries)] = calls[0]
+    assert counts[len(small.entries)] == counts[len(large.entries)]
 
 
 def test_internal_and_partial_classification():
