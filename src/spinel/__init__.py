@@ -3,172 +3,30 @@
 The engine infers omitted lambda annotations and type arguments by
 confining meta-variables to the application spine that minted them,
 and elaborates accepted terms to fully annotated System F.
+
+This module exports the entry points the README documents; everything
+else is imported from its submodule (``spinel.syntax``, ``spinel.oracle``,
+...).
 """
 
-from .infer import (
-    ArgMatch,
-    Check,
-    ContextMatch,
-    Diagnostic,
-    DiagnosticKind,
-    EngineInvariantError,
-    InferOutcome,
-    Mode,
-    SpineOutcome,
-    Synthesize,
-    infer,
-    spine_infer,
-)
-from .internal import InternalTypeError, check_internal
-from .matcher import match_first_order, match_proto, rename_deco, subst_decorated
-from .oracle import (
-    SpecVerdict,
-    check_weak_completeness_conditions,
-    enumerate_erasures,
-    search_spec,
-    standard_context,
-    verify_spec,
-)
-from .parser import (
-    Assume,
-    ConDecl,
-    Goal,
-    ParseError,
-    Program,
-    parse_assume,
-    parse_con_decl,
-    parse_goal,
-    parse_program,
-    parse_term,
-    parse_type,
-    pretty_decorated,
-    pretty_proto,
-    pretty_term,
-    pretty_type,
-)
-from .syntax import (
-    App,
-    Arrow,
-    ArrowTo,
-    Con,
-    Context,
-    Contextual,
-    DArrow,
-    DForall,
-    DecoratedType,
-    Exact,
-    Forall,
-    Lam,
-    NameSupply,
-    Plain,
-    Prototype,
-    Solution,
-    Span,
-    Stuck,
-    Synthetic,
-    TApp,
-    TLam,
-    TVar,
-    Term,
-    TypeExpr,
-    Unknown,
-    Var,
-    alpha_equal,
-    alpha_equal_deco,
-    alpha_equal_term,
-    compose,
-    free_type_vars,
-    is_internal_term,
-    is_partial_elaboration,
-    is_well_formed,
-    meta_vars_of_term,
-    meta_vars_of_type,
-    spine_parts,
-    strip,
-    subst_type,
-    subst_type_args,
-    substitute,
-)
+from .infer import Check, Diagnostic, Synthesize, infer, spine_infer
+from .internal import check_internal
+from .matcher import match_proto
+from .oracle import search_spec, verify_spec
+from .parser import parse_term, parse_type, pretty_term, pretty_type
 
 __all__ = [
-    "App",
-    "ArgMatch",
-    "Arrow",
-    "ArrowTo",
-    "Assume",
     "Check",
-    "Con",
-    "ConDecl",
-    "Context",
-    "ContextMatch",
-    "Contextual",
-    "DArrow",
-    "DForall",
-    "DecoratedType",
     "Diagnostic",
-    "DiagnosticKind",
-    "EngineInvariantError",
-    "Exact",
-    "Forall",
-    "Goal",
-    "InferOutcome",
-    "InternalTypeError",
-    "Lam",
-    "Mode",
-    "NameSupply",
-    "ParseError",
-    "Plain",
-    "Program",
-    "Prototype",
-    "Solution",
-    "Span",
-    "SpecVerdict",
-    "SpineOutcome",
-    "Stuck",
     "Synthesize",
-    "Synthetic",
-    "TApp",
-    "TLam",
-    "TVar",
-    "Term",
-    "TypeExpr",
-    "Unknown",
-    "Var",
-    "alpha_equal",
-    "alpha_equal_deco",
-    "alpha_equal_term",
     "check_internal",
-    "check_weak_completeness_conditions",
-    "compose",
-    "enumerate_erasures",
-    "free_type_vars",
     "infer",
-    "is_internal_term",
-    "is_partial_elaboration",
-    "is_well_formed",
-    "match_first_order",
     "match_proto",
-    "meta_vars_of_term",
-    "meta_vars_of_type",
-    "parse_assume",
-    "parse_con_decl",
-    "parse_goal",
-    "parse_program",
     "parse_term",
     "parse_type",
-    "pretty_decorated",
-    "pretty_proto",
     "pretty_term",
     "pretty_type",
-    "rename_deco",
     "search_spec",
     "spine_infer",
-    "spine_parts",
-    "standard_context",
-    "strip",
-    "subst_decorated",
-    "subst_type",
-    "subst_type_args",
-    "substitute",
     "verify_spec",
 ]

@@ -4,7 +4,14 @@
 human-readable reports or NDJSON (one object per goal) with ``--json``.
 ``spinel repl`` offers the same engine interactively.  Exit codes: 0
 all goals succeed, 1 some goal fails with a diagnostic, 2 the input
-does not parse, 3 an internal invariant or a declarative replay fails.
+does not parse, 3 an internal invariant or a declarative replay fails,
+or some goal hits the resource limit.
+
+Nesting depth is bounded by Python's recursion limit.  A declaration
+nested too deeply to parse is a parse error at its first token (exit 2).
+A goal nested too deeply to type-check, print or replay reports status
+``resource-limit`` (exit 3), and the goals after it still run.  The
+interactive loop prints an ``error:`` line for either and keeps going.
 """
 
 from __future__ import annotations
@@ -185,7 +192,11 @@ def diagnostic_json(d: Diagnostic) -> dict:
 
 
 def _spec_report(ctx: Context, expected: TypeExpr | None, term) -> tuple[bool, str, dict]:
-    """Replay a solved application spine against the declarative rules."""
+    """Replay the goal's outermost application spine against the declarative rules.
+
+    Only a goal whose term is itself an application is replayed; spines
+    nested in a lambda body or an argument are not.
+    """
     if not isinstance(term, App):
         return True, "spec: skipped (not an application spine)", {"skipped": True}
     proto = Unknown() if expected is None else Exact(expected)
@@ -200,6 +211,67 @@ def _spec_report(ctx: Context, expected: TypeExpr | None, term) -> tuple[bool, s
         return True, "spec: accepted (" + " ".join(verdict.trace) + ")", as_json
     as_json["reason"] = verdict.reason
     return False, f"spec: rejected: {verdict.reason}", as_json
+
+
+def _report(args, record: dict, lines: list[str]) -> str:
+    return json.dumps(record) if args.json else "\n".join(lines) + "\n"
+
+
+def _run_goal(ctx: Context, goal: Goal, count: int, args, color: bool) -> tuple[int, str]:
+    """Run one goal: its exit code and its report, NDJSON or text."""
+    term, expected = goal.term, goal.expected
+    mode = Synthesize() if expected is None else Check(expected)
+    trace: list[str] | None = [] if args.trace else None
+    record: dict = {
+        "goal": count,
+        "mode": "synth" if expected is None else "check",
+        "term": pretty_term(term),
+    }
+    if expected is not None:
+        record["expected"] = pretty_type(expected)
+    header = f"[{count}] {record['mode']} {record['term']}"
+    if expected is not None:
+        header += f" : {record['expected']}"
+    lines = [header]
+
+    try:
+        out = infer(ctx, mode, term, trace=trace)
+    except Diagnostic as d:
+        record["status"] = "error"
+        if args.json:
+            record["diagnostic"] = diagnostic_json(d)
+        else:
+            lines += ("    " + line for line in render_diagnostic(d, color).splitlines())
+        return 1, _report(args, record, lines)
+    except EngineInvariantError as exc:
+        record.update(status="internal-error", message=str(exc))
+        lines.append(f"    internal error: {exc}")
+        return 3, _report(args, record, lines)
+
+    code = 0
+    record.update(status="ok", type=pretty_type(out.ty))
+    lines.append(f"    type: {pretty_type(out.ty)}")
+    if args.elab:
+        record["elaboration"] = pretty_term(out.elaboration)
+        lines.append(f"    elaboration: {pretty_term(out.elaboration)}")
+    if trace is not None:
+        record["trace"] = list(trace)
+        lines.append("    trace: " + " ".join(trace))
+    if args.spec_verify:
+        ok, text, as_json = _spec_report(ctx, expected, term)
+        record["spec"] = as_json
+        lines.append("    " + text)
+        if not ok:
+            code = 3
+    return code, _report(args, record, lines)
+
+
+def _resource_limit(goal: Goal, count: int, args) -> tuple[int, str]:
+    """The report of a goal nested deeper than Python's recursion limit."""
+    mode = "synth" if goal.expected is None else "check"
+    message = f"goal at {goal.span.line}:{goal.span.col} is nested too deeply"
+    record = {"goal": count, "mode": mode, "status": "resource-limit", "message": message}
+    return 3, _report(args, record, [f"[{count}] {mode}", f"    resource limit: {message}"])
 
 
 def run_file(args: argparse.Namespace) -> int:
@@ -230,66 +302,13 @@ def run_file(args: argparse.Namespace) -> int:
             case Assume(name=name, ty=ty):
                 ctx = ctx.with_term(name, ty)
                 continue
-            case Goal(term=term, expected=expected):
-                count += 1
-        mode = Synthesize() if expected is None else Check(expected)
-        trace: list[str] | None = [] if args.trace else None
-        record: dict = {
-            "goal": count,
-            "mode": "synth" if expected is None else "check",
-            "term": pretty_term(term),
-        }
-        if expected is not None:
-            record["expected"] = pretty_type(expected)
-        header = f"[{count}] {record['mode']} {record['term']}"
-        if expected is not None:
-            header += f" : {record['expected']}"
-
+        count += 1
         try:
-            out = infer(ctx, mode, term, trace=trace)
-        except Diagnostic as d:
-            code = max(code, 1)
-            if args.json:
-                record.update(status="error", diagnostic=diagnostic_json(d))
-                print(json.dumps(record))
-            else:
-                print(header)
-                body = render_diagnostic(d, color)
-                print("\n".join("    " + line for line in body.splitlines()))
-                print()
-            continue
-        except EngineInvariantError as exc:
-            code = 3
-            if args.json:
-                record.update(status="internal-error", message=str(exc))
-                print(json.dumps(record))
-            else:
-                print(header)
-                print(f"    internal error: {exc}")
-                print()
-            continue
-
-        record.update(status="ok", type=pretty_type(out.ty))
-        parts = [f"    type: {pretty_type(out.ty)}"]
-        if args.elab:
-            record["elaboration"] = pretty_term(out.elaboration)
-            parts.append(f"    elaboration: {pretty_term(out.elaboration)}")
-        if trace is not None:
-            record["trace"] = list(trace)
-            parts.append("    trace: " + " ".join(trace))
-        if args.spec_verify:
-            ok, text, as_json = _spec_report(ctx, expected, term)
-            record["spec"] = as_json
-            parts.append("    " + text)
-            if not ok:
-                code = 3
-        if args.json:
-            print(json.dumps(record))
-        else:
-            print(header)
-            for part in parts:
-                print(part)
-            print()
+            goal_code, report = _run_goal(ctx, decl, count, args, color)
+        except RecursionError:
+            goal_code, report = _resource_limit(decl, count, args)
+        code = max(code, goal_code)
+        print(report)
     return code
 
 
@@ -351,6 +370,8 @@ def repl() -> int:
             print(render_diagnostic(d, color))
         except EngineInvariantError as exc:
             print(f"internal error: {exc}")
+        except RecursionError:
+            print("error: input is nested too deeply")
 
 
 # ------------------------------------------------------------- entry point
@@ -370,7 +391,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--spec-verify",
         action="store_true",
-        help="replay every solved application spine against the declarative rules",
+        help="replay the goal's outermost application spine against the declarative "
+        "rules; goals that are not an application report spec: skipped",
     )
     sub.add_parser("repl", help="interactive loop")
     return ap

@@ -325,45 +325,51 @@ class _Parser:
         raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
 
 
+def _declaration(parser: _Parser, tok: Token) -> Decl:
+    """The rest of the declaration that starts with keyword ``tok``."""
+    match tok.kind:
+        case "type":
+            name = parser.expect("ident", "a constructor name")
+            if name.text in parser.signature or name.text in parser.scope:
+                raise ParseError(f"duplicate declaration of {name.text!r}", name.line, name.col)
+            arity = 0
+            if parser.at("int"):
+                arity = int(parser.advance().text)
+            parser.signature[name.text] = arity
+            return ConDecl(name.text, arity, parser.span_from(tok))
+        case "assume":
+            name = parser.expect("ident", "a name")
+            if name.text in parser.signature or name.text in parser.scope:
+                raise ParseError(f"duplicate declaration of {name.text!r}", name.line, name.col)
+            parser.expect("colon", "':'")
+            ty = parser.type_(frozenset())
+            parser.scope = parser.scope | {name.text}
+            return Assume(name.text, ty, parser.span_from(tok))
+        case "check":
+            term = parser.term(parser.scope, frozenset())
+            parser.expect("colon", "':'")
+            ty = parser.type_(frozenset())
+            return Goal(term, ty, parser.span_from(tok))
+        case "synth":
+            term = parser.term(parser.scope, frozenset())
+            return Goal(term, None, parser.span_from(tok))
+    raise ParseError(f"expected a declaration, found {tok.text!r}", tok.line, tok.col)
+
+
 def parse_program(src: str) -> Program:
+    """Parse a whole source file.
+
+    A declaration nested deeper than the parser's recursion allows is a
+    ParseError at its first token, not a RecursionError.
+    """
     parser = _Parser(tokenize(src), {}, frozenset())
     decls: list[Decl] = []
     while parser.peek() is not None:
         tok = parser.advance()
-        match tok.kind:
-            case "type":
-                name = parser.expect("ident", "a constructor name")
-                if name.text in parser.signature or name.text in parser.scope:
-                    raise ParseError(
-                        f"duplicate declaration of {name.text!r}", name.line, name.col
-                    )
-                arity = 0
-                if parser.at("int"):
-                    arity = int(parser.advance().text)
-                parser.signature[name.text] = arity
-                decls.append(ConDecl(name.text, arity, parser.span_from(tok)))
-            case "assume":
-                name = parser.expect("ident", "a name")
-                if name.text in parser.signature or name.text in parser.scope:
-                    raise ParseError(
-                        f"duplicate declaration of {name.text!r}", name.line, name.col
-                    )
-                parser.expect("colon", "':'")
-                ty = parser.type_(frozenset())
-                parser.scope = parser.scope | {name.text}
-                decls.append(Assume(name.text, ty, parser.span_from(tok)))
-            case "check":
-                term = parser.term(parser.scope, frozenset())
-                parser.expect("colon", "':'")
-                ty = parser.type_(frozenset())
-                decls.append(Goal(term, ty, parser.span_from(tok)))
-            case "synth":
-                term = parser.term(parser.scope, frozenset())
-                decls.append(Goal(term, None, parser.span_from(tok)))
-            case _:
-                raise ParseError(
-                    f"expected a declaration, found {tok.text!r}", tok.line, tok.col
-                )
+        try:
+            decls.append(_declaration(parser, tok))
+        except RecursionError:
+            raise ParseError("declaration is nested too deeply", tok.line, tok.col) from None
     return Program(tuple(decls))
 
 

@@ -5,7 +5,8 @@ contextual types), decorated types (the shapes produced by prototype
 matching), and solutions (meta-variable instantiations tagged with the
 evidence that produced them), plus the structural operations the rest
 of the package builds on: free variables, well-formedness, alpha
-equality, capture-avoiding substitution, and meta-variable accounting.
+equality (as equality of canonical keys), capture-avoiding
+substitution, and meta-variable accounting.
 
 Meta-variables are ordinary type variables drawn from a reserved
 namespace (``?X0``, ``?X1``, ...) that the surface parser cannot
@@ -515,108 +516,6 @@ def meta_vars_of_term(ctx: Context, t: Term) -> frozenset[str]:
             return frozenset()
 
 
-# --------------------------------------------------------- alpha equality
-
-
-def _alpha_ty(
-    a: TypeExpr,
-    b: TypeExpr,
-    enva: Mapping[str, int],
-    envb: Mapping[str, int],
-    depth: int,
-) -> bool:
-    match a, b:
-        case TVar(name=x), TVar(name=y):
-            ia, ib = enva.get(x), envb.get(y)
-            if ia is None and ib is None:
-                return x == y
-            return ia == ib
-        case Arrow(dom=d1, cod=c1), Arrow(dom=d2, cod=c2):
-            return _alpha_ty(d1, d2, enva, envb, depth) and _alpha_ty(
-                c1, c2, enva, envb, depth
-            )
-        case Forall(bound=x, body=b1), Forall(bound=y, body=b2):
-            return _alpha_ty(
-                b1, b2, {**enva, x: depth}, {**envb, y: depth}, depth + 1
-            )
-        case Con(con=c1, args=a1), Con(con=c2, args=a2):
-            return (
-                c1 == c2
-                and len(a1) == len(a2)
-                and all(_alpha_ty(p, q, enva, envb, depth) for p, q in zip(a1, a2))
-            )
-    return False
-
-
-def alpha_equal(a: TypeExpr, b: TypeExpr) -> bool:
-    """Equality of types up to renaming of bound variables."""
-    return _alpha_ty(a, b, {}, {}, 0)
-
-
-def alpha_equal_term(a: Term, b: Term) -> bool:
-    """Equality of terms up to renaming of bound term and type variables."""
-
-    def go(a, b, enva, envb, depth):
-        match a, b:
-            case Var(name=x), Var(name=y):
-                ia, ib = enva.get(x), envb.get(y)
-                return x == y if ia is None and ib is None else ia == ib
-            case Lam(bound=x, ann=s1, body=b1), Lam(bound=y, ann=s2, body=b2):
-                if (s1 is None) != (s2 is None):
-                    return False
-                if s1 is not None and not _alpha_ty(s1, s2, enva, envb, depth):
-                    return False
-                return go(b1, b2, {**enva, x: depth}, {**envb, y: depth}, depth + 1)
-            case TLam(bound=x, body=b1), TLam(bound=y, body=b2):
-                return go(b1, b2, {**enva, x: depth}, {**envb, y: depth}, depth + 1)
-            case App(fun=f1, arg=a1), App(fun=f2, arg=a2):
-                return go(f1, f2, enva, envb, depth) and go(a1, a2, enva, envb, depth)
-            case TApp(fun=f1, targ=s1), TApp(fun=f2, targ=s2):
-                return go(f1, f2, enva, envb, depth) and _alpha_ty(
-                    s1, s2, enva, envb, depth
-                )
-        return False
-
-    return go(a, b, {}, {}, 0)
-
-
-def _proto_alpha(p: Prototype, q: Prototype, enva, envb, depth) -> bool:
-    match p, q:
-        case Unknown(), Unknown():
-            return True
-        case Exact(ty=s), Exact(ty=t):
-            return _alpha_ty(s, t, enva, envb, depth)
-        case ArrowTo(rest=r1), ArrowTo(rest=r2):
-            return _proto_alpha(r1, r2, enva, envb, depth)
-    return False
-
-
-def alpha_equal_deco(a: DecoratedType, b: DecoratedType) -> bool:
-    """Equality of decorated types up to renaming of quantifier binders."""
-
-    def go(a, b, enva, envb, depth):
-        match a, b:
-            case Plain(ty=s), Plain(ty=t):
-                return _alpha_ty(s, t, enva, envb, depth)
-            case DArrow(dom=d1, cod=c1), DArrow(dom=d2, cod=c2):
-                return _alpha_ty(d1, d2, enva, envb, depth) and go(
-                    c1, c2, enva, envb, depth
-                )
-            case DForall(bound=x, deco=r1, body=b1), DForall(bound=y, deco=r2, body=b2):
-                if (r1 is None) != (r2 is None):
-                    return False
-                if r1 is not None and not _alpha_ty(r1, r2, enva, envb, depth):
-                    return False
-                return go(b1, b2, {**enva, x: depth}, {**envb, y: depth}, depth + 1)
-            case Stuck(meta=m1, proto=p1), Stuck(meta=m2, proto=p2):
-                ia, ib = enva.get(m1), envb.get(m2)
-                heads = m1 == m2 if ia is None and ib is None else ia == ib
-                return heads and _proto_alpha(p1, p2, enva, envb, depth)
-        return False
-
-    return go(a, b, {}, {}, 0)
-
-
 # ----------------------------------------------------------- substitution
 
 
@@ -675,56 +574,6 @@ def subst_type_args(mapping: Mapping[str, TypeExpr], t: Term) -> Term:
             return t
 
 
-# ------------------------------------------------------ term predicates
-
-
-def is_internal_term(t: Term) -> bool:
-    """True iff every term binder carries an annotation."""
-    match t:
-        case Var():
-            return True
-        case Lam(ann=a, body=b):
-            return a is not None and is_internal_term(b)
-        case TLam(body=b):
-            return is_internal_term(b)
-        case App(fun=f, arg=a):
-            return is_internal_term(f) and is_internal_term(a)
-        case TApp(fun=f):
-            return is_internal_term(f)
-    raise TypeError(t)
-
-
-def _types_grounded(ctx: Context, t: Term) -> bool:
-    match t:
-        case Var():
-            return True
-        case Lam(bound=x, ann=a, body=b):
-            if a is None or not is_well_formed(ctx, a):
-                return False
-            return _types_grounded(ctx.with_term(x, a), b)
-        case TLam(bound=x, body=b):
-            return _types_grounded(ctx.with_type_var(x), b)
-        case App(fun=f, arg=a):
-            return _types_grounded(ctx, f) and _types_grounded(ctx, a)
-        case TApp(fun=f, targ=s):
-            return is_well_formed(ctx, s) and _types_grounded(ctx, f)
-    raise TypeError(t)
-
-
-def is_partial_elaboration(ctx: Context, t: Term) -> bool:
-    """True iff binders are annotated and meta-variables sit only in the
-    type-argument positions of the outer applicand chain."""
-    match t:
-        case App(fun=f, arg=a):
-            return is_partial_elaboration(ctx, f) and _types_grounded(ctx, a)
-        case TApp(fun=f, targ=TVar(name=x)) if x not in ctx.dtv:
-            return is_partial_elaboration(ctx, f)
-        case TApp(fun=f, targ=s):
-            return is_well_formed(ctx, s) and is_partial_elaboration(ctx, f)
-        case _:
-            return _types_grounded(ctx, t)
-
-
 # -------------------------------------------------------- canonical keys
 
 
@@ -747,25 +596,70 @@ def canon_type(ty: TypeExpr) -> str:
     return _canon_ty(ty, {}, 0)
 
 
+def _canon_tm(t: Term, env: Mapping[str, int], depth: int) -> str:
+    match t:
+        case Var(name=x):
+            return f"@{env[x]}" if x in env else f"v:{x}"
+        case Lam(bound=x, ann=a, body=b):
+            ann = _canon_ty(a, env, depth) if a is not None else "_"
+            return f"(lam:{ann}.{_canon_tm(b, {**env, x: depth}, depth + 1)})"
+        case TLam(bound=x, body=b):
+            return f"(tlam.{_canon_tm(b, {**env, x: depth}, depth + 1)})"
+        case App(fun=f, arg=a):
+            return f"({_canon_tm(f, env, depth)} {_canon_tm(a, env, depth)})"
+        case TApp(fun=f, targ=s):
+            return f"({_canon_tm(f, env, depth)} [{_canon_ty(s, env, depth)}])"
+    raise TypeError(t)
+
+
 def canon_term(t: Term) -> str:
     """Serialization that identifies alpha-equivalent terms."""
+    return _canon_tm(t, {}, 0)
 
-    def go(t, env, depth):
-        match t:
-            case Var(name=x):
-                return f"@{env[x]}" if x in env else f"v:{x}"
-            case Lam(bound=x, ann=a, body=b):
-                ann = _canon_ty(a, env, depth) if a is not None else "_"
-                return f"(lam:{ann}.{go(b, {**env, x: depth}, depth + 1)})"
-            case TLam(bound=x, body=b):
-                return f"(tlam.{go(b, {**env, x: depth}, depth + 1)})"
-            case App(fun=f, arg=a):
-                return f"({go(f, env, depth)} {go(a, env, depth)})"
-            case TApp(fun=f, targ=s):
-                return f"({go(f, env, depth)} [{_canon_ty(s, env, depth)}])"
-        raise TypeError(t)
 
-    return go(t, {}, 0)
+def _canon_proto(p: Prototype, env: Mapping[str, int], depth: int) -> str:
+    match p:
+        case Unknown():
+            return "?"
+        case Exact(ty=t):
+            return f"={_canon_ty(t, env, depth)}"
+        case ArrowTo(rest=r):
+            return f"(?->{_canon_proto(r, env, depth)})"
+    raise TypeError(p)
+
+
+def _canon_deco(w: DecoratedType, env: Mapping[str, int], depth: int) -> str:
+    """Key of a decorated type; decorations are keyed outside their binder."""
+    match w:
+        case Plain(ty=t):
+            return f"plain:{_canon_ty(t, env, depth)}"
+        case DArrow(dom=d, cod=c):
+            return f"({_canon_ty(d, env, depth)}=>{_canon_deco(c, env, depth)})"
+        case DForall(bound=x, deco=r, body=b):
+            deco = "_" if r is None else _canon_ty(r, env, depth)
+            return f"(dall:{deco}.{_canon_deco(b, {**env, x: depth}, depth + 1)})"
+        case Stuck(meta=m, proto=p):
+            head = _canon_ty(TVar(m), env, depth)
+            return f"stuck:{head}:{_canon_proto(p, env, depth)}"
+    raise TypeError(w)
+
+
+# --------------------------------------------------------- alpha equality
+
+
+def alpha_equal(a: TypeExpr, b: TypeExpr) -> bool:
+    """Equality of types up to renaming of bound variables."""
+    return canon_type(a) == canon_type(b)
+
+
+def alpha_equal_term(a: Term, b: Term) -> bool:
+    """Equality of terms up to renaming of bound term and type variables."""
+    return canon_term(a) == canon_term(b)
+
+
+def alpha_equal_deco(a: DecoratedType, b: DecoratedType) -> bool:
+    """Equality of decorated types up to renaming of quantifier binders."""
+    return _canon_deco(a, {}, 0) == _canon_deco(b, {}, 0)
 
 
 # ------------------------------------------------------------ fresh names

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from spinel import parse_term, parse_type, standard_context
+from spinel import parse_term, parse_type
+from spinel.oracle import standard_context
 
 CTX = standard_context()
 

@@ -8,37 +8,21 @@ from __future__ import annotations
 import pytest
 
 from spinel import (
-    App,
-    Arrow,
-    ArrowTo,
     Check,
-    Con,
-    Context,
-    DArrow,
-    DForall,
     Diagnostic,
-    DiagnosticKind,
-    Exact,
-    Forall,
-    NameSupply,
-    Plain,
-    Stuck,
     Synthesize,
-    TVar,
-    Unknown,
-    alpha_equal,
-    alpha_equal_deco,
-    alpha_equal_term,
     check_internal,
     infer,
     match_proto,
     pretty_term,
     pretty_type,
+    search_spec,
     spine_infer,
-    subst_decorated,
-    subst_type_args,
+    verify_spec,
 )
 from spinel.cli import render_diagnostic
+from spinel.infer import DiagnosticKind
+from spinel.matcher import subst_decorated
 from spinel.oracle import (
     DEFAULT_TYPE_POOL,
     check_weak_completeness_conditions,
@@ -46,11 +30,31 @@ from spinel.oracle import (
     enumerate_internal_terms,
     enumerate_matcher_types,
     passes_side_conditions,
-    search_spec,
     type_size,
-    verify_spec,
 )
-from spinel.syntax import deco_arity, proto_arity, strip
+from spinel.syntax import (
+    App,
+    Arrow,
+    ArrowTo,
+    Con,
+    Context,
+    DArrow,
+    DForall,
+    Exact,
+    Forall,
+    NameSupply,
+    Plain,
+    Stuck,
+    TVar,
+    Unknown,
+    alpha_equal,
+    alpha_equal_deco,
+    alpha_equal_term,
+    deco_arity,
+    proto_arity,
+    strip,
+    subst_type_args,
+)
 
 from conftest import CTX, tm, ty
 

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import spinel
-from spinel import SpecVerdict
 from spinel.cli import main
+from spinel.oracle import SpecVerdict
 
 GOOD = """\
 type Nat
@@ -165,11 +165,18 @@ def test_spec_verify_json_payload(good_file, capsys):
 
 
 def test_spec_verify_skips_non_spines(tmp_path, capsys):
+    # Only a goal that is itself an application is replayed: an atom and
+    # a lambda whose body holds a spine both report `skipped`.
     path = tmp_path / "atom.spn"
-    path.write_text("type Nat\nassume z : Nat\nsynth z\n")
+    path.write_text(
+        "type Nat\nassume z : Nat\nassume ident : forall X. X -> X\n"
+        "synth z\ncheck \\x. ident x : Nat -> Nat\n"
+    )
     code, out, _ = run_lines(capsys, "run", str(path), "--json", "--spec-verify")
     assert code == 0
-    assert json.loads(out[0])["spec"] == {"skipped": True}
+    records = [json.loads(line) for line in out]
+    assert [r["status"] for r in records] == ["ok", "ok"]
+    assert [r["spec"] for r in records] == [{"skipped": True}, {"skipped": True}]
 
 
 def test_spec_verify_rejection_exits_three(good_file, capsys, monkeypatch):
@@ -190,6 +197,68 @@ def test_color_env_switch(bad_file, capsys, monkeypatch):
     monkeypatch.setenv("SPINEL_COLOR", "never")
     _, out, _ = run_lines(capsys, "run", bad_file)
     assert not any("\x1b[" in line for line in out)
+
+
+# ----------------------------------------------------------- deep input
+
+HEAD = "type Nat\nassume z : Nat\nassume suc : Nat -> Nat\n"
+
+
+def deep_suc(n):
+    return "suc (" * n + "z" + ")" * n
+
+
+def run_child(path, *flags):
+    """`spinel run` in a fresh interpreter: its stack starts where a user's does."""
+    env = dict(os.environ, PYTHONPATH=str(Path(spinel.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from spinel.cli import main; sys.exit(main())",
+         "run", str(path), *flags],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize("json_flag", [False, True], ids=["text", "json"])
+def test_too_deep_goal_is_a_resource_limit_and_later_goals_run(tmp_path, json_flag):
+    path = tmp_path / "deep.spn"
+    path.write_text(HEAD + f"synth {deep_suc(250)}\nsynth z\n")
+    proc = run_child(path, *(["--json"] if json_flag else []))
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    message = "goal at 4:1 is nested too deeply"
+    if json_flag:
+        records = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert records[0] == {"goal": 1, "mode": "synth", "status": "resource-limit", "message": message}
+        assert records[1]["status"] == "ok" and records[1]["type"] == "Nat"
+    else:
+        assert proc.stdout.splitlines() == [
+            "[1] synth",
+            f"    resource limit: {message}",
+            "",
+            "[2] synth z",
+            "    type: Nat",
+            "",
+        ]
+
+
+def test_too_deep_declaration_is_a_parse_error_at_its_first_token(tmp_path):
+    n = 400
+    quantifiers = "".join(f"forall X{i}. " for i in range(1, n + 1))
+    arrows = " -> ".join(f"X{i}" for i in range(1, n + 1))
+    path = tmp_path / "deep.spn"
+    path.write_text(HEAD + f"assume g : {quantifiers}{arrows} -> Nat\nsynth z\n")
+    proc = run_child(path, "--json")
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == {
+        "status": "parse-error", "line": 4, "col": 1, "message": "declaration is nested too deeply"
+    }
+    proc = run_child(path)
+    assert proc.returncode == 2
+    assert proc.stderr == "parse error: 4:1: declaration is nested too deeply\n"
 
 
 # ------------------------------------------------------------ interactive
@@ -258,6 +327,18 @@ def test_repl_diagnoses_bad_goals(monkeypatch, capsys):
     )
     assert code == 0
     assert "error: type mismatch" in out
+
+
+def test_repl_reports_too_deep_input_and_keeps_going(monkeypatch, capsys):
+    code, out = feed_repl(
+        monkeypatch,
+        capsys,
+        [":type Nat", ":assume z : Nat", ":assume suc : Nat -> Nat",
+         f":synth {deep_suc(2000)}", ":synth suc z", ":q"],
+    )
+    assert code == 0
+    assert "error: input is nested too deeply" in out
+    assert "elaboration: suc z" in out
 
 
 def test_repl_exits_on_end_of_input(monkeypatch, capsys):

@@ -7,22 +7,9 @@ import importlib
 import pytest
 
 from conftest import CTX, count_calls, tm, ty
-from spinel import (
-    Check,
-    Con,
-    Diagnostic,
-    DiagnosticKind,
-    EngineInvariantError,
-    Exact,
-    Synthesize,
-    TVar,
-    Unknown,
-    alpha_equal,
-    alpha_equal_term,
-    infer,
-    spine_infer,
-    strip,
-)
+from spinel import Check, Diagnostic, Synthesize, infer, spine_infer
+from spinel.infer import DiagnosticKind, EngineInvariantError
+from spinel.syntax import Con, Exact, TVar, Unknown, alpha_equal, alpha_equal_term, strip
 
 
 def synth(src, ctx=CTX):
@@ -251,7 +238,7 @@ def test_unbound_names_are_reported_with_detail():
 
 
 def test_illformed_type_argument_is_unbound_name():
-    from spinel import TApp, Var
+    from spinel.syntax import TApp, Var
 
     d = fails(
         DiagnosticKind.UNBOUND_NAME,
@@ -274,7 +261,7 @@ def test_checking_a_quantified_type_against_arrow_fails():
 
 
 def test_spine_infer_exposes_the_partial_elaboration():
-    from spinel import Arrow, meta_vars_of_term
+    from spinel.syntax import Arrow, meta_vars_of_term
 
     out = spine_infer(CTX, Unknown(), tm("pair z"))
     got = strip(out.deco)

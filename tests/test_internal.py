@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from conftest import CTX, tm, ty
-from spinel import InternalTypeError, alpha_equal, check_internal
+from spinel import check_internal
+from spinel.internal import InternalTypeError
+from spinel.syntax import alpha_equal
 
 
 def test_checks_a_fully_annotated_application():
@@ -39,7 +41,7 @@ def test_rejects_unbound_variables():
 
 
 def test_rejects_illformed_annotations():
-    from spinel import Lam, TVar, Var
+    from spinel.syntax import Lam, TVar, Var
 
     with pytest.raises(InternalTypeError):
         check_internal(CTX, Lam("w", TVar("A"), Var("w")))

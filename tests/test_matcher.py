@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from conftest import ty
-from spinel import (
+from spinel import match_proto
+from spinel.matcher import match_first_order, rename_deco, subst_decorated
+from spinel.syntax import (
     Arrow,
     ArrowTo,
     Con,
@@ -18,13 +20,9 @@ from spinel import (
     Stuck,
     TVar,
     Unknown,
-    match_first_order,
-    match_proto,
-    rename_deco,
+    alpha_equal_deco,
     strip,
-    subst_decorated,
 )
-from spinel.syntax import alpha_equal_deco
 
 NAT = Con("Nat")
 

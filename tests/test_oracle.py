@@ -6,29 +6,20 @@ import pytest
 
 from conftest import CTX, tm, ty
 from spinel import (
-    Check,
-    Con,
-    Exact,
-    Solution,
     Synthesize,
-    Unknown,
-    alpha_equal,
-    alpha_equal_term,
     check_internal,
-    check_weak_completeness_conditions,
-    compose,
-    enumerate_erasures,
     infer,
     pretty_term,
     search_spec,
     spine_infer,
-    strip,
     verify_spec,
 )
 from spinel.oracle import (
     _partial_synth,
     canonical_triple_key,
+    check_weak_completeness_conditions,
     default_candidates,
+    enumerate_erasures,
     enumerate_internal_terms,
     enumerate_matcher_types,
     passes_side_conditions,
@@ -37,7 +28,17 @@ from spinel.oracle import (
     term_size,
     type_size,
 )
-from spinel.syntax import Contextual
+from spinel.syntax import (
+    Con,
+    Contextual,
+    Exact,
+    Solution,
+    Unknown,
+    alpha_equal,
+    alpha_equal_term,
+    compose,
+    strip,
+)
 
 
 def triple_for(term, expected=None, ctx=CTX):
@@ -156,7 +157,7 @@ def test_search_derivations_discharge_to_one_final_answer():
     term = tm(r"pair (\x. x) z")
     expected = ty("Pair (B -> B) Nat")
     finals = set()
-    from spinel import subst_type, subst_type_args
+    from spinel.syntax import subst_type_args
 
     for t, p, sol in search_spec(CTX, expected, term):
         if passes_side_conditions(CTX, expected, t_p_sol := (t, p, sol)):
@@ -210,7 +211,7 @@ def test_erasure_includes_the_term_itself():
 
 
 def test_erasure_discipline_on_a_two_segment_spine():
-    from spinel import App, TApp, Var
+    from spinel.syntax import App, TApp, Var
 
     x, y, z = Var("x"), Var("y"), Var("z")
     s1, s2, t1, t2 = ty("Nat"), ty("B"), ty("Nat -> Nat"), ty("B -> B")
@@ -269,7 +270,7 @@ def test_partial_synthesis_declines_every_guess():
     got = _partial_synth(CTX, tm("pair z"))
     assert got is not None
     final_ty, partial = got
-    from spinel import Arrow, meta_vars_of_term
+    from spinel.syntax import Arrow, meta_vars_of_term
 
     assert isinstance(final_ty, Arrow)
     assert len(meta_vars_of_term(CTX, partial)) == 1
@@ -298,6 +299,6 @@ def test_matcher_type_enumeration_is_size_bounded():
     types = enumerate_matcher_types(4)
     assert all(type_size(t) <= 4 for t in types)
     assert len(types) == len({repr(t) for t in types}) or len(types) > 0
-    from spinel import Forall
+    from spinel.syntax import Forall
 
     assert any(isinstance(t, Forall) for t in types)

@@ -5,7 +5,17 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from spinel import (
+from spinel import parse_term, parse_type, pretty_term, pretty_type
+from spinel.parser import (
+    ParseError,
+    parse_assume,
+    parse_con_decl,
+    parse_goal,
+    parse_program,
+    pretty_decorated,
+    pretty_proto,
+)
+from spinel.syntax import (
     App,
     Arrow,
     ArrowTo,
@@ -14,7 +24,6 @@ from spinel import (
     Exact,
     Forall,
     Lam,
-    ParseError,
     Plain,
     Stuck,
     TApp,
@@ -24,16 +33,6 @@ from spinel import (
     Var,
     alpha_equal,
     alpha_equal_term,
-    parse_assume,
-    parse_con_decl,
-    parse_goal,
-    parse_program,
-    parse_term,
-    parse_type,
-    pretty_decorated,
-    pretty_proto,
-    pretty_term,
-    pretty_type,
 )
 
 from conftest import CTX, tm, ty

@@ -3,38 +3,45 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CTX, count_calls, tm, ty
-from spinel import (
+from spinel.syntax import (
     App,
     Arrow,
     ArrowTo,
     Con,
     Context,
+    DArrow,
+    DForall,
     Exact,
     Forall,
     NameSupply,
+    Plain,
+    Stuck,
     TApp,
     TVar,
+    TermBind,
+    TyVarDecl,
     Unknown,
     Var,
     alpha_equal,
+    alpha_equal_deco,
     alpha_equal_term,
+    deco_arity,
     free_type_vars,
-    is_internal_term,
-    is_partial_elaboration,
     is_well_formed,
     meta_vars_of_term,
     meta_vars_of_type,
+    proto_arity,
     spine_parts,
     strip,
     subst_type_args,
     substitute,
 )
-from spinel.syntax import Plain, TermBind, TyVarDecl, deco_arity, proto_arity
 
 
 def test_alpha_equal_renames_binders():
@@ -55,6 +62,45 @@ def test_alpha_equal_term_tracks_both_binder_kinds():
     b = tm(r"\g : Nat -> Nat. /\C. \y : C. g")
     assert alpha_equal_term(a, b)
     assert not alpha_equal_term(a, tm(r"\f : Nat -> Nat. /\A. \x : A. x"))
+
+
+NAT = Con("Nat")
+NAT_TO_NAT = Arrow(NAT, NAT)
+
+# Pairs of decorated types that differ only in what the decoration says.
+DECO_PAIRS = {
+    "plain arrow vs decorated arrow": (Plain(NAT_TO_NAT), DArrow(NAT, Plain(NAT))),
+    "plain forall vs decorated forall": (
+        Plain(Forall("X", TVar("X"))),
+        DForall("X", None, Plain(TVar("X"))),
+    ),
+    "no decoration vs a decoration": (
+        DForall("X", None, Plain(TVar("X"))),
+        DForall("X", NAT, Plain(TVar("X"))),
+    ),
+    "bound stuck head vs free one": (
+        DForall("X", None, Stuck("X", ArrowTo(Unknown()))),
+        DForall("Y", None, Stuck("X", ArrowTo(Unknown()))),
+    ),
+    "exact arrow vs arrow prototype": (
+        Stuck("?M", ArrowTo(Exact(NAT_TO_NAT))),
+        Stuck("?M", ArrowTo(ArrowTo(Exact(NAT)))),
+    ),
+}
+
+
+@pytest.mark.parametrize("pair", DECO_PAIRS.values(), ids=DECO_PAIRS.keys())
+def test_alpha_equal_deco_keeps_decorations_apart(pair):
+    a, b = pair
+    assert alpha_equal_deco(a, a) and alpha_equal_deco(b, b)
+    assert not alpha_equal_deco(a, b)
+    assert not alpha_equal_deco(b, a)
+
+
+def test_alpha_equal_deco_renames_binders_and_stuck_heads():
+    a = DForall("X", NAT, DArrow(TVar("X"), Stuck("X", ArrowTo(Exact(TVar("X"))))))
+    b = DForall("Y", NAT, DArrow(TVar("Y"), Stuck("Y", ArrowTo(Exact(TVar("Y"))))))
+    assert alpha_equal_deco(a, b)
 
 
 def test_substitute_is_capture_avoiding():
@@ -150,13 +196,6 @@ def test_context_extension_checks_only_the_new_entry(monkeypatch):
     assert counts[len(small.entries)] == counts[len(large.entries)]
 
 
-def test_internal_and_partial_classification():
-    assert is_internal_term(tm(r"\x : Nat. x"))
-    assert not is_internal_term(tm(r"\x. x"))
-    assert is_partial_elaboration(CTX, TApp(Var("ident"), TVar("?X0")))
-    assert not is_partial_elaboration(CTX, App(Var("suc"), TApp(Var("ident"), TVar("?X0"))))
-
-
 def test_arity_helpers():
     assert proto_arity(ArrowTo(ArrowTo(Unknown()))) == 2
     assert proto_arity(Exact(Con("Nat"))) == 0
@@ -197,6 +236,36 @@ def _types(depth: int = 3):
 @given(_types())
 def test_alpha_equal_is_reflexive(t):
     assert alpha_equal(t, t)
+
+
+def _rename_binders(t, env=None, names=None):
+    """``t`` with every quantifier binder renamed consistently to ``R0``, ``R1``, ..."""
+    env = env or {}
+    names = names or (f"R{i}" for i in itertools.count())
+    match t:
+        case TVar(name=x):
+            return TVar(env.get(x, x))
+        case Arrow(dom=d, cod=c):
+            return Arrow(_rename_binders(d, env, names), _rename_binders(c, env, names))
+        case Forall(bound=x, body=b):
+            fresh = next(names)
+            return Forall(fresh, _rename_binders(b, {**env, x: fresh}, names))
+        case Con(con=c, args=args):
+            return Con(c, tuple(_rename_binders(a, env, names) for a in args))
+    raise TypeError(t)
+
+
+@given(_types())
+def test_alpha_equal_survives_consistent_binder_renaming(t):
+    assert alpha_equal(t, _rename_binders(t))
+
+
+@given(_types(), st.data())
+def test_alpha_equal_sees_a_renamed_free_variable(t, data):
+    free = sorted(free_type_vars(t))
+    if free:
+        v = data.draw(st.sampled_from(free))
+        assert not alpha_equal(t, substitute({v: TVar("Fresh")}, t))
 
 
 @given(_types(), _tyvars)
