@@ -37,9 +37,7 @@ from .parser import (
     ConDecl,
     Goal,
     ParseError,
-    parse_assume,
-    parse_con_decl,
-    parse_goal,
+    parse_declaration,
     parse_program,
     pretty_term,
     pretty_type,
@@ -342,24 +340,22 @@ def repl() -> int:
                     return 0
                 case ":help":
                     print(_REPL_HELP)
-                case ":type":
-                    name, arity = parse_con_decl(rest, ctx)
-                    ctx = ctx.with_con(name, arity)
-                    print(f"type {name}" + (f" {arity}" if arity else ""))
-                case ":assume":
-                    name, ty = parse_assume(rest, ctx)
-                    ctx = ctx.with_term(name, ty)
-                    print(f"{name} : {pretty_type(ty)}")
-                case ":check":
-                    term, expected = parse_goal(rest, ctx, with_type=True)
-                    out = infer(ctx, Check(expected), term)
-                    print(f"ok: {pretty_type(out.ty)}")
-                    print(f"elaboration: {pretty_term(out.elaboration)}")
-                case ":synth":
-                    term, _ = parse_goal(rest, ctx, with_type=False)
-                    out = infer(ctx, Synthesize(), term)
-                    print(f"type: {pretty_type(out.ty)}")
-                    print(f"elaboration: {pretty_term(out.elaboration)}")
+                case ":type" | ":assume" | ":check" | ":synth":
+                    match parse_declaration(cmd[1:], rest, ctx):
+                        case ConDecl(name=name, arity=arity):
+                            ctx = ctx.with_con(name, arity)
+                            print(f"type {name}" + (f" {arity}" if arity else ""))
+                        case Assume(name=name, ty=ty):
+                            ctx = ctx.with_term(name, ty)
+                            print(f"{name} : {pretty_type(ty)}")
+                        case Goal(term=term, expected=None):
+                            out = infer(ctx, Synthesize(), term)
+                            print(f"type: {pretty_type(out.ty)}")
+                            print(f"elaboration: {pretty_term(out.elaboration)}")
+                        case Goal(term=term, expected=expected):
+                            out = infer(ctx, Check(expected), term)
+                            print(f"ok: {pretty_type(out.ty)}")
+                            print(f"elaboration: {pretty_term(out.elaboration)}")
                 case _:
                     print(f"unknown command {cmd!r}; :help lists commands")
         except ParseError as exc:

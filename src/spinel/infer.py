@@ -574,7 +574,8 @@ def _consume_arrow(
             synthetic_match=ArgMatch(expected, out.ty, arg_index),
             subject=arg,
         )
-    replaced = subst_decorated(inst, cod, run.supply)
+    solved = inst.types()
+    replaced = subst_decorated(solved, cod, run.supply)
     if replaced is None:
         raise run.diag(
             DiagnosticKind.SOLUTION_CONFLICT,
@@ -585,7 +586,7 @@ def _consume_arrow(
             subject=arg,
             detail="the synthesized instantiation cannot reveal the arrows this spine needs",
         )
-    synthetic.update(inst.types())
+    synthetic.update(solved)
     return replaced, out.elaboration
 
 

@@ -5,8 +5,11 @@ solvable variables that makes a pattern type equal to a target type.
 ``match_proto`` aligns a type against a prototype, peeling quantifiers
 into decorations and getting stuck (rather than failing) when a
 meta-variable must reveal arrows it does not yet have.
-``subst_decorated`` applies a solution to a decorated type, re-matching
-stuck decorations against their pending prototypes.
+``subst_decorated`` applies a substitution to a decorated type,
+re-matching stuck decorations against their pending prototypes.  It
+renames no binder: every ``DForall`` binder the engine builds is a
+meta-variable minted by the run's supply, and no type it substitutes
+mentions a meta-variable, so nothing can be captured.
 """
 
 from __future__ import annotations
@@ -198,47 +201,22 @@ def match_proto(
     return out if isinstance(out, MatchResult) else None
 
 
-def rename_deco(mapping: Mapping[str, str], w: DecoratedType) -> DecoratedType:
-    """Rename free variables of a decorated type, stuck heads included."""
-    if not mapping:
-        return w
-    tymap = {k: TVar(v) for k, v in mapping.items()}
-
-    def go(w):
-        match w:
-            case Plain(ty=t):
-                return Plain(substitute(tymap, t))
-            case DArrow(dom=d, cod=c):
-                return DArrow(substitute(tymap, d), go(c))
-            case DForall(bound=x, deco=r, body=b, deco_origin=org):
-                # the binder rebinds x for its body and its own origin
-                inner = {k: v for k, v in mapping.items() if k != x}
-                deco = substitute(tymap, r) if r is not None else None
-                new_org = org
-                if org is not None and inner:
-                    imap = {k: TVar(v) for k, v in inner.items()}
-                    new_org = Contextual(substitute(imap, org.partial), org.against)
-                return DForall(x, deco, rename_deco(inner, b), deco_origin=new_org)
-            case Stuck(meta=m, proto=p):
-                return Stuck(mapping.get(m, m), p)
-        raise TypeError(w)
-
-    return go(w)
-
-
 def subst_decorated(
-    sol: Solution | Mapping[str, TypeExpr],
+    mapping: Mapping[str, TypeExpr],
     w: DecoratedType,
     supply: NameSupply | None = None,
 ) -> DecoratedType | None:
-    """Apply a solution to a decorated type.
+    """Apply a substitution to a decorated type.
 
     A stuck decoration whose meta-variable is being solved is
     re-matched against its pending prototype; if the solved type cannot
     supply the demanded arrows the substitution is undefined and None
     is returned (a solution conflict for callers to report).
+
+    Precondition: no value of ``mapping`` mentions a meta-variable, and
+    every ``DForall`` binder in ``w`` is one.  No binder can then
+    capture a substituted type, so none is renamed.
     """
-    mapping = sol.types() if isinstance(sol, Solution) else dict(sol)
     if not mapping:
         return w
     match w:
@@ -251,13 +229,6 @@ def subst_decorated(
             return DArrow(substitute(mapping, d), cod)
         case DForall(bound=x, deco=r, body=b, deco_origin=org):
             inner = {k: v for k, v in mapping.items() if k != x}
-            clash = set()
-            for v in inner.values():
-                clash |= free_type_vars(v)
-            if x in clash:
-                fresh = supply.fresh_meta(x) if supply else _fresh_against(x, clash | set(inner))
-                b = rename_deco({x: fresh}, b)
-                x = fresh
             body = subst_decorated(inner, b, supply)
             if body is None:
                 return None

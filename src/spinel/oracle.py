@@ -7,7 +7,11 @@ decline at each quantifier).  ``search_spec`` enumerates derivations
 outright over a finite candidate pool.  Both type sub-terms with the
 bidirectional rules but keep their own spine bookkeeping and their own
 instantiation solver, so they stay an independent route from the
-prototype-matching engine they audit.
+prototype-matching engine they audit.  ``search_spec`` and the
+completeness conditions share one spine walk, ``_derivations`` (the
+conditions take its single derivation over an empty pool, every guess
+declined); ``verify_spec`` keeps its own, because it follows a claim
+rather than enumerating.
 
 The module also hosts the erasure enumerator, the conditions under
 which synthesis is complete for an erasure, and the deterministic
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .infer import Check, Diagnostic, Synthesize, infer, spine_infer
 from .syntax import (
@@ -297,26 +301,16 @@ def default_candidates(ctx: Context, ctx_ty: TypeExpr | None, term: Term) -> lis
     return out
 
 
-def search_spec(
-    ctx: Context,
-    ctx_ty: TypeExpr | None,
-    term: Term,
-    candidates: list[TypeExpr] | None = None,
-) -> list[Triple]:
-    """Enumerate every declarative spine derivation over the guess pool.
-
-    Returns raw derivation triples, before the shim and mode side
-    conditions; ``passes_side_conditions`` filters them.
-    """
-    if not isinstance(term, App):
-        raise ValueError("only term applications have spine derivations")
-    if candidates is None:
-        candidates = default_candidates(ctx, ctx_ty, term)
+def _derivations(
+    ctx: Context, term: Term, candidates: Sequence[TypeExpr]
+) -> Iterator[Triple]:
+    """Every declarative spine derivation for ``term`` over the guess pool,
+    declining each guess before trying the candidates in order."""
     head, items = spine_parts(term)
     try:
         hout = infer(ctx, Synthesize(), head)
     except Diagnostic:
-        return []
+        return
     fresh = itertools.count()
 
     def walk(i: int, ty, partial, sol) -> Iterator[Triple]:
@@ -370,9 +364,27 @@ def search_spec(
                 sol,
             )
 
+    yield from walk(0, hout.ty, hout.elaboration, Solution())
+
+
+def search_spec(
+    ctx: Context,
+    ctx_ty: TypeExpr | None,
+    term: Term,
+    candidates: list[TypeExpr] | None = None,
+) -> list[Triple]:
+    """Enumerate every declarative spine derivation over the guess pool.
+
+    Returns raw derivation triples, before the shim and mode side
+    conditions; ``passes_side_conditions`` filters them.
+    """
+    if not isinstance(term, App):
+        raise ValueError("only term applications have spine derivations")
+    if candidates is None:
+        candidates = default_candidates(ctx, ctx_ty, term)
     out: list[Triple] = []
     seen: set = set()
-    for triple in walk(0, hout.ty, hout.elaboration, Solution()):
+    for triple in _derivations(ctx, term, candidates):
         key = canonical_triple_key(triple)
         if key not in seen:
             seen.add(key)
@@ -483,45 +495,9 @@ def enumerate_erasures(term: Term) -> list[Term]:
 
 def _partial_synth(ctx: Context, term: Term) -> tuple[TypeExpr, Term] | None:
     """Declarative spine synthesis with every guess declined."""
-    head, items = spine_parts(term)
-    try:
-        hout = infer(ctx, Synthesize(), head)
-    except Diagnostic:
-        return None
-    ty, partial = hout.ty, hout.elaboration
-    fresh = itertools.count()
-    for item in items:
-        if _is_type(item):
-            if not isinstance(ty, Forall) or not is_well_formed(ctx, item):
-                return None
-            ty = substitute({ty.bound: item}, ty.body)
-            partial = TApp(partial, item)
-            continue
-        while isinstance(ty, Forall):
-            meta = f"?p{next(fresh)}"
-            ty = substitute({ty.bound: TVar(meta)}, ty.body)
-            partial = TApp(partial, TVar(meta))
-        if not isinstance(ty, Arrow):
-            return None
-        unsolved = meta_vars_of_type(ctx, ty.dom)
-        if not unsolved:
-            try:
-                aout = infer(ctx, Check(ty.dom), item)
-            except Diagnostic:
-                return None
-            partial = App(partial, aout.elaboration)
-            ty = ty.cod
-        else:
-            try:
-                aout = infer(ctx, Synthesize(), item)
-            except Diagnostic:
-                return None
-            inst = _solve_instantiation(unsolved, ty.dom, aout.ty)
-            if inst is None:
-                return None
-            partial = App(subst_type_args(inst, partial), aout.elaboration)
-            ty = substitute(inst, ty.cod)
-    return ty, partial
+    for ty, partial, _ in _derivations(ctx, term, ()):
+        return ty, partial
+    return None
 
 
 def _reveals_arrow_under_quantifiers(ty: TypeExpr) -> bool:

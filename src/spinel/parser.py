@@ -19,25 +19,16 @@ from dataclasses import dataclass
 from .syntax import (
     App,
     Arrow,
-    ArrowTo,
     Con,
     Context,
-    DArrow,
-    DForall,
-    DecoratedType,
-    Exact,
     Forall,
     Lam,
-    Plain,
-    Prototype,
     Span,
-    Stuck,
     TApp,
     TLam,
     TVar,
     Term,
     TypeExpr,
-    Unknown,
     Var,
 )
 
@@ -392,45 +383,19 @@ def parse_term(src: str, ctx: Context) -> Term:
     return term
 
 
-def parse_assume(src: str, ctx: Context) -> tuple[str, TypeExpr]:
-    """Parse a ``name : type`` binding in the scope of a context."""
-    parser = _Parser(tokenize(src), dict(ctx.signature), ctx.names)
-    name = parser.expect("ident", "a name")
-    if name.text in ctx.names or name.text in ctx.signature:
-        raise ParseError(f"duplicate declaration of {name.text!r}", name.line, name.col)
-    parser.expect("colon", "':'")
-    ty = parser.type_(ctx.dtv)
-    if parser.peek() is not None:
-        raise parser.error("trailing input after type")
-    return name.text, ty
+def parse_declaration(keyword: str, src: str, ctx: Context) -> Decl:
+    """Parse one declaration in the scope of a context, its keyword given apart.
 
-
-def parse_con_decl(src: str, ctx: Context) -> tuple[str, int]:
-    """Parse a ``Name`` or ``Name arity`` constructor declaration."""
+    ``parse_declaration("assume", "f : Nat -> Nat", ctx)`` reads what
+    ``assume f : Nat -> Nat`` declares in a source file: like a source
+    file's top level, ``ctx`` has no type variables in scope.  Positions
+    are those within ``src``.
+    """
     parser = _Parser(tokenize(src), dict(ctx.signature), ctx.names)
-    name = parser.expect("ident", "a constructor name")
-    if name.text in ctx.names or name.text in ctx.signature:
-        raise ParseError(f"duplicate declaration of {name.text!r}", name.line, name.col)
-    arity = 0
-    if parser.at("int"):
-        arity = int(parser.advance().text)
+    decl = _declaration(parser, Token(keyword, keyword, 1, 1))
     if parser.peek() is not None:
         raise parser.error("trailing input after declaration")
-    return name.text, arity
-
-
-def parse_goal(src: str, ctx: Context, with_type: bool) -> tuple[Term, TypeExpr | None]:
-    """Parse a ``term : type`` or bare ``term`` goal."""
-    parser = _Parser(tokenize(src), dict(ctx.signature), ctx.names)
-    bound = ctx.names - ctx.dtv
-    term = parser.term(bound, ctx.dtv)
-    expected = None
-    if with_type:
-        parser.expect("colon", "':'")
-        expected = parser.type_(ctx.dtv)
-    if parser.peek() is not None:
-        raise parser.error("trailing input after goal")
-    return term, expected
+    return decl
 
 
 # ------------------------------------------------------- pretty-printing
@@ -485,41 +450,4 @@ def pretty_term(t: Term, rename: _Rename = None, prec: int = 0) -> str:
             level = 1
         case _:
             raise TypeError(t)
-    return f"({body})" if level < prec else body
-
-
-def pretty_proto(p: Prototype, rename: _Rename = None) -> str:
-    match p:
-        case Unknown():
-            return "?"
-        case Exact(ty=ty):
-            return pretty_type(ty, rename, 1)
-        case ArrowTo(rest=r):
-            return "? -> " + pretty_proto(r, rename)
-    raise TypeError(p)
-
-
-def pretty_decorated(w: DecoratedType, rename: _Rename = None, prec: int = 0) -> str:
-    """Render a decorated type, showing quantifier decorations inline."""
-    match w:
-        case Plain(ty=ty):
-            return pretty_type(ty, rename, prec)
-        case DArrow(dom=d, cod=c):
-            body = pretty_type(d, rename, 2) + " -> " + pretty_decorated(c, rename, 1)
-            level = 1
-        case DForall(bound=x, deco=None, body=b):
-            body = f"forall {_nm(x, rename)}. " + pretty_decorated(b, rename, 0)
-            level = 0
-        case DForall(bound=x, deco=r, body=b):
-            body = (
-                f"forall {_nm(x, rename)} = "
-                + pretty_type(r, rename, 2)
-                + ". "
-                + pretty_decorated(b, rename, 0)
-            )
-            level = 0
-        case Stuck(meta=m, proto=p):
-            return f"({_nm(m, rename)}, {pretty_proto(p, rename)})"
-        case _:
-            raise TypeError(w)
     return f"({body})" if level < prec else body

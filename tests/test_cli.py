@@ -346,6 +346,56 @@ def test_repl_exits_on_end_of_input(monkeypatch, capsys):
     assert code == 0
 
 
+REPL_PRELUDE = [":type Nat", ":type B", ":assume z : Nat", ":assume ident : forall X. X -> X"]
+
+# A malformed command and the parse error the REPL prints for it.  Columns
+# count from the first character after the command word.
+REPL_PARSE_ERRORS = [
+    (":type Nat", "1:1: duplicate declaration of 'Nat'"),
+    (":type z", "1:1: duplicate declaration of 'z'"),
+    (":type", "1:1: expected a constructor name"),
+    (":assume z : B", "1:1: duplicate declaration of 'z'"),
+    (":assume Nat : B", "1:1: duplicate declaration of 'Nat'"),
+    (":assume w : Undeclared", "1:5: unbound type variable 'Undeclared'"),
+    (":assume w Nat", "1:3: expected ':', found 'Nat'"),
+    (":assume", "1:1: expected a name"),
+    (":check \\z. z : Nat -> Nat", "1:2: 'z' shadows an existing binding"),
+    (":check z : Undeclared", "1:5: unbound type variable 'Undeclared'"),
+    (":check ident z", "1:8: expected ':'"),
+    (":check", "1:1: expected a term"),
+    (":synth \\z : Nat. z", "1:2: 'z' shadows an existing binding"),
+    (":synth \\x : Undeclared. x", "1:6: unbound type variable 'Undeclared'"),
+    (":synth ident [Undeclared] z", "1:8: unbound type variable 'Undeclared'"),
+    (":synth", "1:1: expected a term"),
+]
+
+
+@pytest.mark.parametrize("line, error", REPL_PARSE_ERRORS, ids=[line for line, _ in REPL_PARSE_ERRORS])
+def test_repl_parse_error_message_and_position(monkeypatch, capsys, line, error):
+    code, out = feed_repl(monkeypatch, capsys, REPL_PRELUDE + [line, ":q"])
+    assert code == 0
+    assert out.splitlines()[-1] == f"parse error: {error}"
+
+
+# Trailing input is pinned by position only.  Its wording is the one
+# thing allowed to differ between commands' earlier parsers and the
+# shared one: every command now says "trailing input after declaration"
+# (tests/test_parser.py pins that).
+REPL_TRAILING_INPUT = [
+    (":type Tree 2 3", "1:8"),
+    (":assume w : Nat B", "1:9"),
+    (":check z : Nat B", "1:9"),
+    (":synth z : Nat", "1:3"),
+]
+
+
+@pytest.mark.parametrize("line, where", REPL_TRAILING_INPUT, ids=[line for line, _ in REPL_TRAILING_INPUT])
+def test_repl_trailing_input_position(monkeypatch, capsys, line, where):
+    code, out = feed_repl(monkeypatch, capsys, REPL_PRELUDE + [line, ":q"])
+    assert code == 0
+    assert out.splitlines()[-1].startswith(f"parse error: {where}: trailing input after ")
+
+
 # ------------------------------------------------------------ entry point
 
 

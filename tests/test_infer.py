@@ -9,7 +9,21 @@ import pytest
 from conftest import CTX, count_calls, tm, ty
 from spinel import Check, Diagnostic, Synthesize, infer, spine_infer
 from spinel.infer import DiagnosticKind, EngineInvariantError
-from spinel.syntax import Con, Exact, TVar, Unknown, alpha_equal, alpha_equal_term, strip
+from spinel.oracle import enumerate_erasures, enumerate_internal_terms, standard_context
+from spinel.syntax import (
+    Con,
+    DArrow,
+    DForall,
+    Exact,
+    Solution,
+    TVar,
+    Unknown,
+    alpha_equal,
+    alpha_equal_term,
+    free_type_vars,
+    is_meta_name,
+    strip,
+)
 
 
 def synth(src, ctx=CTX):
@@ -304,9 +318,7 @@ def _wide_spine(n):
 @pytest.mark.parametrize("mode", ["synth", "check"])
 def test_spine_work_grows_linearly_with_its_length(monkeypatch, mode):
     infer_mod = importlib.import_module("spinel.infer")
-    matcher_mod = importlib.import_module("spinel.matcher")
     syntax_mod = importlib.import_module("spinel.syntax")
-    renames = count_calls(monkeypatch, "rename_deco", [matcher_mod, infer_mod])
     substs = count_calls(monkeypatch, "subst_type_args", [syntax_mod, infer_mod])
     counts = {}
     for n in (24, 48):
@@ -316,7 +328,6 @@ def test_spine_work_grows_linearly_with_its_length(monkeypatch, mode):
         out = infer(ctx, run_mode, term)
         assert out.ty == ty("Nat", ctx)
         counts[n] = substs[0]
-    assert renames[0] == 0
     assert counts[48] <= 2.2 * counts[24]
 
 
@@ -334,3 +345,56 @@ def test_binder_depth_work_grows_linearly(monkeypatch):
         assert out.ty == ty(nats)
         counts[n] = checks[0]
     assert counts[80] <= 2.2 * counts[40]
+
+
+# ------------------------------------------- decorated substitution invariant
+
+
+def _deco_binders(w):
+    while isinstance(w, (DArrow, DForall)):
+        if isinstance(w, DForall):
+            yield w.bound
+        w = w.body if isinstance(w, DForall) else w.cod
+
+
+def test_decorated_substitution_never_needs_capture_avoidance(monkeypatch):
+    """``subst_decorated`` renames no binder, so the engine must only ever
+    substitute meta-free types under meta-variable binders."""
+    infer_mod = importlib.import_module("spinel.infer")
+    matcher_mod = importlib.import_module("spinel.matcher")
+    original = matcher_mod.subst_decorated
+    calls, binders = [0], [0]
+
+    def checked(mapping, w, *rest):
+        calls[0] += 1
+        # a Solution is read as its types, so the check holds for either argument
+        values = (mapping.types() if isinstance(mapping, Solution) else mapping).values()
+        for value in values:
+            assert not any(is_meta_name(v) for v in free_type_vars(value)), mapping
+        for bound in _deco_binders(w):
+            binders[0] += 1
+            assert is_meta_name(bound), w
+        return original(mapping, w, *rest)
+
+    for mod in (matcher_mod, infer_mod):
+        monkeypatch.setattr(mod, "subst_decorated", checked)
+    ctx = standard_context()
+    for internal, internal_ty in enumerate_internal_terms(ctx, 5):
+        for erased in enumerate_erasures(internal):
+            for mode in (Check(internal_ty), Synthesize()):
+                try:
+                    infer(ctx, mode, erased)
+                except Diagnostic:
+                    pass
+    for n in (1, 2, 4, 8, 16):
+        wide_ctx, term = _wide_spine(n)
+        infer(wide_ctx, Synthesize(), term)
+        infer(wide_ctx, Check(ty("Nat", wide_ctx)), term)
+    # Quantifiers left under an arrow or after an explicit type argument
+    # reach the substitution still bound.
+    inner_ctx = ctx.with_term("h", ty("forall X. X -> forall Y. Y -> Pair X Y"))
+    for src in ("h z tt", "h [Nat] z [B] tt", "h z [B] tt", "pair [Nat] z tt"):
+        term = tm(src, inner_ctx)
+        infer(inner_ctx, Synthesize(), term)
+        infer(inner_ctx, Check(ty("Pair Nat B", inner_ctx)), term)
+    assert calls[0] > 100 and binders[0] > 0

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import ty
 from spinel import match_proto
-from spinel.matcher import match_first_order, rename_deco, subst_decorated
+from spinel.matcher import match_first_order, subst_decorated
 from spinel.syntax import (
     Arrow,
     ArrowTo,
@@ -107,25 +107,6 @@ def test_subst_decorated_leaves_quantifier_decorations_alone():
     w = DForall("Y", TVar("M"), Plain(Arrow(TVar("M"), TVar("Y"))))
     got = subst_decorated({"M": NAT}, w)
     assert got == DForall("Y", TVar("M"), Plain(Arrow(NAT, TVar("Y"))))
-
-
-def test_subst_decorated_avoids_capturing_the_binder():
-    w = DForall("Y", None, Plain(Arrow(TVar("M"), TVar("Y"))))
-    got = subst_decorated({"M": TVar("Y")}, w)
-    assert isinstance(got, DForall)
-    assert got.bound != "Y"
-    assert alpha_equal_deco(got, DForall("Z", None, Plain(Arrow(TVar("Y"), TVar("Z")))))
-
-
-def test_rename_deco_renames_stuck_heads():
-    w = DArrow(TVar("X"), Stuck("X", ArrowTo(Unknown())))
-    got = rename_deco({"X": "?X1"}, w)
-    assert got == DArrow(TVar("?X1"), Stuck("?X1", ArrowTo(Unknown())))
-
-
-def test_rename_deco_respects_quantifier_scope():
-    w = DForall("X", None, Plain(TVar("X")))
-    assert rename_deco({"X": "?X1"}, w) == w
 
 
 def test_first_order_match_solves_uniquely():

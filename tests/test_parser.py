@@ -7,29 +7,21 @@ from hypothesis import given, strategies as st
 
 from spinel import parse_term, parse_type, pretty_term, pretty_type
 from spinel.parser import (
+    Assume,
+    ConDecl,
     ParseError,
-    parse_assume,
-    parse_con_decl,
-    parse_goal,
+    parse_declaration,
     parse_program,
-    pretty_decorated,
-    pretty_proto,
 )
 from spinel.syntax import (
     App,
     Arrow,
-    ArrowTo,
     Con,
-    DForall,
-    Exact,
     Forall,
     Lam,
-    Plain,
-    Stuck,
     TApp,
     TLam,
     TVar,
-    Unknown,
     Var,
     alpha_equal,
     alpha_equal_term,
@@ -177,7 +169,7 @@ def test_parse_error_at_end_of_input():
 
 def test_goal_requires_a_colon_when_checking():
     with pytest.raises(ParseError, match="':'"):
-        parse_goal("suc z", CTX, with_type=True)
+        parse_declaration("check", "suc z", CTX)
 
 
 # ------------------------------------------------------------ programs
@@ -218,12 +210,22 @@ def test_parse_program_rejects_stray_tokens():
 
 
 def test_parse_assume_and_con_decl_helpers():
-    name, got = parse_assume("w : Pair Nat B", CTX)
-    assert name == "w"
-    assert alpha_equal(got, ty("Pair Nat B"))
-    assert parse_con_decl("Tree 2", CTX) == ("Tree", 2)
+    got = parse_declaration("assume", "w : Pair Nat B", CTX)
+    assert isinstance(got, Assume) and got.name == "w"
+    assert alpha_equal(got.ty, ty("Pair Nat B"))
+    got = parse_declaration("type", "Tree 2", CTX)
+    assert isinstance(got, ConDecl) and (got.name, got.arity) == ("Tree", 2)
     with pytest.raises(ParseError, match="duplicate"):
-        parse_assume("z : Nat", CTX)
+        parse_declaration("assume", "z : Nat", CTX)
+
+
+@pytest.mark.parametrize(
+    "keyword, src, col", [("type", "Tree 2 3", 8), ("assume", "w : Nat B", 9), ("synth", "z : Nat", 3)]
+)
+def test_parse_declaration_rejects_trailing_input(keyword, src, col):
+    with pytest.raises(ParseError, match="trailing input after declaration") as exc:
+        parse_declaration(keyword, src, CTX)
+    assert (exc.value.line, exc.value.col) == (1, col)
 
 
 # ------------------------------------------------------------ printing
@@ -257,20 +259,6 @@ def test_pretty_term_goldens():
 def test_pretty_term_round_trips():
     for src in ["pair [B] [Nat] tt z", "\\f : Nat -> Nat. f z", "rapp z (\\y. y)"]:
         assert alpha_equal_term(tm(pretty_term(tm(src))), tm(src))
-
-
-def test_pretty_proto_goldens():
-    assert pretty_proto(Unknown()) == "?"
-    assert pretty_proto(Exact(ty("Nat -> Nat"))) == "Nat -> Nat"
-    assert pretty_proto(ArrowTo(Unknown())) == "? -> ?"
-    assert pretty_proto(ArrowTo(ArrowTo(Exact(Con("Nat"))))) == "? -> ? -> Nat"
-
-
-def test_pretty_decorated_goldens():
-    deco = DForall("X", Con("Nat"), Plain(Arrow(TVar("X"), TVar("X"))))
-    assert pretty_decorated(deco) == "forall X = Nat. X -> X"
-    stuck = Stuck("?M", ArrowTo(Unknown()))
-    assert pretty_decorated(stuck) == "(?M, ? -> ?)"
 
 
 # ------------------------------------------------------------ properties
