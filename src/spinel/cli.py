@@ -30,7 +30,6 @@ from .infer import (
     infer,
     spine_infer,
 )
-from .matcher import match_first_order
 from .oracle import verify_spec
 from .parser import (
     Assume,
@@ -89,33 +88,6 @@ def _field_labels(kind: DiagnosticKind) -> tuple[str, str]:
     return "expected type", "synthesized type"
 
 
-def _meta_solutions(d: Diagnostic) -> list[tuple[str, TypeExpr]]:
-    """Recover the individual meta-variable bindings behind a diagnostic
-    by replaying its recorded matches."""
-    if d.expected is None:
-        return []
-    relevant = {v for v in free_type_vars(d.expected) if is_meta_name(v)}
-    pairs: list[tuple[str, TypeExpr]] = []
-    seen: set[str] = set()
-    for m in (d.contextual_match, d.synthetic_match):
-        if m is None:
-            continue
-        metas = frozenset(v for v in free_type_vars(m.partial) if is_meta_name(v))
-        if not metas:
-            continue
-        try:
-            got = match_first_order(metas, m.partial, m.against)
-        except ValueError:
-            got = None
-        if got is None:
-            continue
-        for name in sorted(got.domain()):
-            if name in relevant and name not in seen:
-                seen.add(name)
-                pairs.append((name, got.type_of(name)))
-    return pairs
-
-
 def render_diagnostic(d: Diagnostic, color: bool = False) -> str:
     rn = d.display
     where = f" at {d.span.line}:{d.span.col}" if d.span is not None else ""
@@ -129,13 +101,10 @@ def render_diagnostic(d: Diagnostic, color: bool = False) -> str:
         shown = f"{_BOLD}{label}:{_RESET}" if color else f"{label}:"
         lines.append(f"  {shown} {text}")
 
-    pairs = _meta_solutions(d)
     if d.expected is not None:
         emit(expected_label, pretty_type(d.expected, rn))
-        for name, val in pairs:
-            lines.append(f"    {rn.get(name, name)} := {pretty_type(val, rn)}")
-        if d.resolved is not None and not pairs:
-            emit("resolved expected type", pretty_type(d.resolved, rn))
+        for name in sorted(d.bindings):
+            lines.append(f"    {rn.get(name, name)} := {pretty_type(d.bindings[name], rn)}")
     if d.synthesized is not None:
         emit(synthesized_label, pretty_type(d.synthesized, rn))
         if d.kind is DiagnosticKind.UNSOLVED_META_VARIABLES:

@@ -106,29 +106,15 @@ class DiagnosticKind(Enum):
     UNBOUND_NAME = "unbound-name"
 
 
-@dataclass(frozen=True)
-class ContextMatch:
-    """The contextual match that produced the expected type's solution."""
-
-    partial: TypeExpr
-    against: TypeExpr
-
-
-@dataclass(frozen=True)
-class ArgMatch:
-    """The synthetic match against an argument's synthesized type."""
-
-    partial: TypeExpr
-    against: TypeExpr
-    arg_index: int
-
-
 class Diagnostic(Exception):
     """A user-facing inference failure.
 
-    ``expected`` may mention meta-variables; when the ambient solution
-    resolves them, ``resolved`` holds the instantiated form.  ``display``
-    maps reserved meta-variable names to their source-keyed rendering.
+    ``expected`` may mention meta-variables; ``bindings`` holds the type
+    the diagnostic's match fixed for each of them it solved, and
+    ``resolved`` the expected type with those applied.  The match itself
+    is the engine's record of it: ``contextual_match`` or
+    ``synthetic_match``.  ``display`` maps reserved meta-variable names to
+    their source-keyed rendering.
     """
 
     def __init__(
@@ -138,10 +124,10 @@ class Diagnostic(Exception):
         span: Span | None = None,
         expected: TypeExpr | None = None,
         resolved: TypeExpr | None = None,
+        bindings: dict[str, TypeExpr] | None = None,
         synthesized: TypeExpr | None = None,
-        contextual_match: ContextMatch | None = None,
-        synthetic_match: ArgMatch | None = None,
-        display: dict[str, str] | None = None,
+        contextual_match: Contextual | None = None,
+        synthetic_match: Synthetic | None = None,
         subject: Term | None = None,
         detail: str | None = None,
     ):
@@ -150,10 +136,11 @@ class Diagnostic(Exception):
         self.span = span
         self.expected = expected
         self.resolved = resolved
+        self.bindings = bindings or {}
         self.synthesized = synthesized
         self.contextual_match = contextual_match
         self.synthetic_match = synthetic_match
-        self.display = display or {}
+        self.display: dict[str, str] = {}
         self.subject = subject
         self.detail = detail
 
@@ -456,22 +443,16 @@ def _spine(run: _Run, ctx: Context, proto: Prototype, term: Term) -> SpineOutcom
             meta = deco.bound
             partial = TApp(partial, TVar(meta))
             if deco.deco is not None:
-                origin = deco.deco_origin or Contextual(TVar(meta), deco.deco)
-                sol = compose(sol, meta, deco.deco, origin)
+                sol = compose(sol, meta, deco.deco, deco.deco_origin)
             deco = deco.body
-        match deco:
-            case DArrow(dom=dom, cod=cod):
-                pass
-            case Plain(ty=Arrow(dom=dom, cod=rest)):
-                cod = Plain(rest)
-            case other:
-                raise run.diag(
-                    DiagnosticKind.APPLICAND_NOT_ARROW,
-                    span=_span(item.arg),
-                    synthesized=subst_type(sol, strip(other)),
-                    subject=item.arg,
-                )
-        deco, elab = _consume_arrow(run, ctx, dom, cod, sol, synthetic, item.arg, arg_index)
+        if not isinstance(deco, DArrow):
+            raise run.diag(
+                DiagnosticKind.APPLICAND_NOT_ARROW,
+                span=_span(item.arg),
+                synthesized=subst_type(sol, strip(deco)),
+                subject=item.arg,
+            )
+        deco, elab = _consume_arrow(run, ctx, deco.dom, deco.cod, sol, synthetic, item.arg, arg_index)
         partial = App(partial, elab)
     return SpineOutcome(deco, subst_type_args(synthetic, partial), sol)
 
@@ -490,7 +471,7 @@ def _head_failure(run: _Run, head: Term, head_ty: TypeExpr, failure: MatchFailur
         span=_span(head),
         expected=against,
         synthesized=failure.ty,
-        contextual_match=ContextMatch(failure.ty, against) if against is not None else None,
+        contextual_match=Contextual(failure.ty, against) if against is not None else None,
         subject=head,
     )
 
@@ -505,7 +486,7 @@ def _take_type_arg(run: _Run, deco: DecoratedType, sol: Solution, term: TApp) ->
                     span=_span(term),
                     expected=r,
                     synthesized=s,
-                    contextual_match=ContextMatch(org.partial, org.against) if org else None,
+                    contextual_match=org,
                     subject=term,
                 )
             replaced = subst_decorated({x: s}, body, run.supply)
@@ -550,7 +531,7 @@ def _consume_arrow(
         try:
             out = _infer(run, ctx, Check(expected), arg)
         except Diagnostic as d:
-            _attach_solution_origin(run, d, ctx, dom, expected, sol, arg)
+            _attach_solution_origin(run, d, dom, expected, sol, arg)
             raise
         return cod, out.elaboration
 
@@ -562,16 +543,14 @@ def _consume_arrow(
             d.expected = expected
             run.refresh_display(d)
         raise
-    inst = match_first_order(
-        unsolved, expected, out.ty, origin=Synthetic(arg_index, out.ty)
-    )
+    inst = match_first_order(unsolved, expected, out.ty)
     if inst is None:
         raise run.diag(
             DiagnosticKind.TYPE_MISMATCH,
             span=_span(arg),
             expected=expected,
             synthesized=out.ty,
-            synthetic_match=ArgMatch(expected, out.ty, arg_index),
+            synthetic_match=Synthetic(expected, out.ty, arg_index),
             subject=arg,
         )
     solved = inst.types()
@@ -581,8 +560,9 @@ def _consume_arrow(
             DiagnosticKind.SOLUTION_CONFLICT,
             span=_span(arg),
             expected=expected,
+            bindings=solved,
             synthesized=out.ty,
-            synthetic_match=ArgMatch(expected, out.ty, arg_index),
+            synthetic_match=Synthetic(expected, out.ty, arg_index),
             subject=arg,
             detail="the synthesized instantiation cannot reveal the arrows this spine needs",
         )
@@ -593,24 +573,24 @@ def _consume_arrow(
 def _attach_solution_origin(
     run: _Run,
     d: Diagnostic,
-    ctx: Context,
     dom: TypeExpr,
     expected: TypeExpr,
     sol: Solution,
     arg: Term,
 ) -> None:
-    """Point a failed argument check back at the match that fixed its domain."""
+    """Point a failed argument check back at the match that fixed its domain.
+
+    The meta-variables a checked domain mentions were all solved by one
+    contextual match, so any one of their origins names it.
+    """
     if d.subject is not arg:
         return
-    solved = [v for v in free_type_vars(dom) if v in sol]
+    solved = {v: sol.type_of(v) for v in free_type_vars(dom) if v in sol}
     if not solved:
         return
     d.expected = dom
     d.resolved = expected
-    for v in solved:
-        origin = sol.binding(v).origin
-        if isinstance(origin, Contextual) and d.contextual_match is None:
-            d.contextual_match = ContextMatch(origin.partial, origin.against)
-        elif isinstance(origin, Synthetic) and d.synthetic_match is None:
-            d.synthetic_match = ArgMatch(dom, origin.arg_type, origin.arg_index)
+    d.bindings = solved
+    if d.contextual_match is None:
+        d.contextual_match = sol.binding(next(iter(solved))).origin
     run.refresh_display(d)

@@ -31,7 +31,6 @@ from .syntax import (
     NameSupply,
     Plain,
     Prototype,
-    Provenance,
     Solution,
     Stuck,
     TVar,
@@ -69,12 +68,12 @@ def match_first_order(
     metas: frozenset[str] | set[str],
     pattern: TypeExpr,
     target: TypeExpr,
-    origin: Provenance | None = None,
 ) -> Solution | None:
     """Solve ``pattern := target`` for the variables in ``metas``.
 
-    Returns the unique solution, or None when none exists: a solvable
-    variable matched against two non-alpha-equal types, a bound
+    Returns the unique solution, every binding tagged with the match
+    ``Contextual(pattern, target)``, or None when none exists: a
+    solvable variable matched against two non-alpha-equal types, a bound
     variable of the target escaping its scope, or any structural
     disagreement.  The target must not mention the solvable variables.
     """
@@ -128,7 +127,7 @@ def match_first_order(
 
     if not go(pattern, target, {}, {}, 0):
         return None
-    tag = origin if origin is not None else Contextual(pattern, target)
+    tag = Contextual(pattern, target)
     return Solution({name: Binding(ty, tag) for name, ty in store.items()})
 
 
@@ -172,8 +171,6 @@ def _match(
             binding = out.solution.binding(fresh)
             deco = binding.ty if binding else None
             origin = binding.origin if binding else None
-            if origin is not None and not isinstance(origin, Contextual):
-                origin = None
             return MatchResult(
                 out.solution.without(fresh),
                 DForall(fresh, deco, out.decorated, deco_origin=origin),

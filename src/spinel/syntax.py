@@ -309,10 +309,12 @@ class Contextual:
 
 @dataclass(frozen=True)
 class Synthetic:
-    """Solved against the synthesized type of argument ``arg_index`` (1-based)."""
+    """Solved by matching ``partial`` against ``against``, the synthesized
+    type of argument ``arg_index`` (1-based)."""
 
+    partial: TypeExpr
+    against: TypeExpr
     arg_index: int
-    arg_type: TypeExpr
 
 
 Provenance = Union[Contextual, Synthetic]

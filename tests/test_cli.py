@@ -199,6 +199,222 @@ def test_color_env_switch(bad_file, capsys, monkeypatch):
     assert not any("\x1b[" in line for line in out)
 
 
+# ---------------------------------------------------- golden diagnostics
+
+# One goal per way a spine fails: a contextual solution that its argument
+# contradicts, a failed synthetic match, a synthetic instantiation that
+# cannot reveal the arrows the spine needs, an explicit type argument that
+# contradicts a contextual one or hides those arrows, and a head that is
+# not a function or not polymorphic.
+GOLDEN = """\
+type Nat
+type B
+type Pair 2
+assume z : Nat
+assume tt : B
+assume suc : Nat -> Nat
+assume ident : forall X. X -> X
+assume pair : forall X. forall Y. X -> Y -> Pair X Y
+assume rapp : forall X. forall Y. X -> (X -> Y) -> Y
+assume f : forall X. Pair X X -> Nat
+
+check pair (\\x : B. x) z : Pair (Nat -> Nat) Nat
+check pair tt z : Pair Nat Nat
+synth rapp z tt
+synth f (pair z tt)
+synth rapp z suc tt
+check pair [Nat] tt z : Pair B Nat
+synth ident [Nat] suc z
+synth suc z z
+synth suc [Nat] z
+"""
+
+GOLDEN_TEXT = """\
+[1] check pair (\\x : B. x) z : Pair (Nat -> Nat) Nat
+    error: type mismatch at 12:13
+      expected type: ?X
+        ?X := Nat -> Nat
+      synthesized type: B -> B
+      contextual match: Pair ?X ?Y := Pair (Nat -> Nat) Nat
+
+[2] check pair tt z : Pair Nat Nat
+    error: type mismatch at 13:12
+      expected type: ?X
+        ?X := Nat
+      synthesized type: B
+      contextual match: Pair ?X ?Y := Pair Nat Nat
+
+[3] synth rapp z tt
+    error: type mismatch at 14:14
+      expected type: Nat -> ?Y
+      synthesized type: B
+      synthetic match (argument 2): Nat -> ?Y := B
+
+[4] synth f (pair z tt)
+    error: type mismatch at 15:10
+      expected type: Pair ?X ?X
+      synthesized type: Pair Nat B
+      synthetic match (argument 1): Pair ?X ?X := Pair Nat B
+
+[5] synth rapp z suc tt
+    error: conflicting requirements on a type argument at 16:14
+      expected type: Nat -> ?Y
+        ?Y := Nat
+      synthesized type: Nat -> Nat
+      synthetic match (argument 2): Nat -> ?Y := Nat -> Nat
+      note: the synthesized instantiation cannot reveal the arrows this spine needs
+
+[6] check pair [Nat] tt z : Pair B Nat
+    error: explicit type argument conflicts with an inferred one at 17:7
+      inferred type argument: B
+      explicit type argument: Nat
+      contextual match: Pair ?X ?Y := Pair B Nat
+
+[7] synth ident [Nat] suc z
+    error: conflicting requirements on a type argument at 18:7
+      synthesized type: Nat
+      note: explicit type argument cannot reveal the arrows this spine needs
+
+[8] synth suc z z
+    error: applicand is not a function at 19:7
+      applicand type: Nat -> Nat
+
+[9] synth suc [Nat] z
+    error: applicand is not polymorphic at 20:7
+      applicand type: Nat -> Nat
+
+"""
+
+
+def span(line, col, end_col):
+    return {"line": line, "col": col, "end_line": line, "end_col": end_col}
+
+
+GOLDEN_JSON = [
+    {
+        "kind": "type-mismatch",
+        "message": "type mismatch",
+        "span": span(12, 13, 22),
+        "expected": "?X",
+        "resolved": "Nat -> Nat",
+        "synthesized": "B -> B",
+        "contextual_match": {"partial": "Pair ?X ?Y", "against": "Pair (Nat -> Nat) Nat"},
+    },
+    {
+        "kind": "type-mismatch",
+        "message": "type mismatch",
+        "span": span(13, 12, 14),
+        "expected": "?X",
+        "resolved": "Nat",
+        "synthesized": "B",
+        "contextual_match": {"partial": "Pair ?X ?Y", "against": "Pair Nat Nat"},
+    },
+    {
+        "kind": "type-mismatch",
+        "message": "type mismatch",
+        "span": span(14, 14, 16),
+        "expected": "Nat -> ?Y",
+        "synthesized": "B",
+        "synthetic_match": {"partial": "Nat -> ?Y", "against": "B", "arg_index": 2},
+    },
+    {
+        "kind": "type-mismatch",
+        "message": "type mismatch",
+        "span": span(15, 10, 19),
+        "expected": "Pair ?X ?X",
+        "synthesized": "Pair Nat B",
+        "synthetic_match": {"partial": "Pair ?X ?X", "against": "Pair Nat B", "arg_index": 1},
+    },
+    {
+        "kind": "solution-conflict",
+        "message": "conflicting requirements on a type argument",
+        "span": span(16, 14, 17),
+        "expected": "Nat -> ?Y",
+        "synthesized": "Nat -> Nat",
+        "synthetic_match": {"partial": "Nat -> ?Y", "against": "Nat -> Nat", "arg_index": 2},
+        "detail": "the synthesized instantiation cannot reveal the arrows this spine needs",
+    },
+    {
+        "kind": "explicit-arg-conflict",
+        "message": "explicit type argument conflicts with an inferred one",
+        "span": span(17, 7, 17),
+        "expected": "B",
+        "synthesized": "Nat",
+        "contextual_match": {"partial": "Pair ?X ?Y", "against": "Pair B Nat"},
+    },
+    {
+        "kind": "solution-conflict",
+        "message": "conflicting requirements on a type argument",
+        "span": span(18, 7, 18),
+        "synthesized": "Nat",
+        "detail": "explicit type argument cannot reveal the arrows this spine needs",
+    },
+    {
+        "kind": "applicand-not-arrow",
+        "message": "applicand is not a function",
+        "span": span(19, 7, 10),
+        "synthesized": "Nat -> Nat",
+    },
+    {
+        "kind": "applicand-not-forall",
+        "message": "applicand is not polymorphic",
+        "span": span(20, 7, 16),
+        "synthesized": "Nat -> Nat",
+    },
+]
+
+
+@pytest.fixture
+def golden_file(tmp_path):
+    path = tmp_path / "golden.spn"
+    path.write_text(GOLDEN)
+    return str(path)
+
+
+def test_golden_diagnostics_text(golden_file, capsys, monkeypatch):
+    monkeypatch.setenv("SPINEL_COLOR", "never")
+    code = main(["run", golden_file])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert captured.out == GOLDEN_TEXT
+
+
+def test_golden_diagnostics_json(golden_file, capsys):
+    code, out, err = run_lines(capsys, "run", golden_file, "--json")
+    assert code == 1
+    assert err == ""
+    records = [json.loads(line) for line in out]
+    assert [r["goal"] for r in records] == list(range(1, 10))
+    assert all(r["status"] == "error" for r in records)
+    for record, diagnostic in zip(records, GOLDEN_JSON):
+        assert record["diagnostic"] == diagnostic
+
+
+def readme_blocks():
+    """The fenced code blocks of README.md, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split("```")[1::2]
+
+
+def test_readme_demo_prints_what_the_readme_shows(tmp_path, capsys, monkeypatch):
+    # README's demo source, the `--elab` output it shows for the accepted
+    # goals, and the diagnostics it shows for the rejected ones.
+    blocks = readme_blocks()
+    demo = next(b for b in blocks if "-- a small demo signature" in b)
+    shown = [b.strip("\n") for b in blocks if b.lstrip("\n").startswith("[")]
+    path = tmp_path / "demo.spn"
+    path.write_text(demo.lstrip("\n"))
+    monkeypatch.setenv("SPINEL_COLOR", "never")
+    assert main(["run", str(path), "--elab"]) == 1
+    printed = capsys.readouterr().out.rstrip("\n")
+    assert len(shown) == 2
+    assert [b for b in shown if b not in printed] == []
+    # The README explains diagnostics with the first golden goal's report.
+    golden_first = GOLDEN_TEXT.split("\n\n")[0].split("\n", 1)[1]
+    assert golden_first in printed
+
+
 # ----------------------------------------------------------- deep input
 
 HEAD = "type Nat\nassume z : Nat\nassume suc : Nat -> Nat\n"

@@ -12,10 +12,12 @@ from spinel.infer import DiagnosticKind, EngineInvariantError
 from spinel.oracle import enumerate_erasures, enumerate_internal_terms, standard_context
 from spinel.syntax import (
     Con,
+    Contextual,
     DArrow,
     DForall,
     Exact,
     Solution,
+    Synthetic,
     TVar,
     Unknown,
     alpha_equal,
@@ -182,7 +184,7 @@ def test_mismatched_lambda_annotation_carries_the_contextual_match():
         DiagnosticKind.TYPE_MISMATCH,
         lambda: check(r"pair (\x : B. x) z", "Pair (Nat -> Nat) Nat"),
     )
-    assert d.contextual_match is not None
+    assert isinstance(d.contextual_match, Contextual)
     disp = d.display
     from spinel import pretty_type
 
@@ -190,6 +192,9 @@ def test_mismatched_lambda_annotation_carries_the_contextual_match():
     assert d.contextual_match.against == ty("Pair (Nat -> Nat) Nat")
     assert d.resolved == ty("Nat -> Nat")
     assert d.synthesized == ty("B -> B")
+    # The binding the contextual match fixed for the expected type's meta.
+    assert pretty_type(d.expected, disp) == "?X"
+    assert d.bindings == {d.expected.name: ty("Nat -> Nat")}
 
 
 def test_contextual_type_mismatch_at_the_tail():
@@ -225,7 +230,17 @@ def test_solution_conflict_when_a_stuck_meta_cannot_reveal_arrows():
 
 def test_solution_conflict_from_a_synthesized_instantiation():
     d = fails(DiagnosticKind.SOLUTION_CONFLICT, lambda: synth("rapp z suc tt"))
-    assert d.synthetic_match is not None
+    from spinel import pretty_type
+
+    assert isinstance(d.synthetic_match, Synthetic)
+    assert pretty_type(d.synthetic_match.partial, d.display) == "Nat -> ?Y"
+    assert d.synthetic_match.against == ty("Nat -> Nat")
+    assert d.synthetic_match.arg_index == 2
+    # The instantiation that argument 2 fixed, though the spine could not use it.
+    (meta,) = d.bindings
+    assert d.display[meta] == "?Y"
+    assert d.bindings[meta] == ty("Nat")
+    assert d.resolved is None
 
 
 def test_explicit_argument_conflicts_with_the_contextual_solution():
@@ -236,6 +251,7 @@ def test_explicit_argument_conflicts_with_the_contextual_solution():
     assert d.expected == ty("B")
     assert d.synthesized == ty("Nat")
     assert d.contextual_match is not None
+    assert d.bindings == {}
 
 
 def test_type_application_of_a_monomorphic_spine_segment():

@@ -11,6 +11,7 @@ from spinel.syntax import (
     Arrow,
     ArrowTo,
     Con,
+    Contextual,
     DArrow,
     DForall,
     Exact,
@@ -110,8 +111,10 @@ def test_subst_decorated_leaves_quantifier_decorations_alone():
 
 
 def test_first_order_match_solves_uniquely():
-    got = match_first_order({"M"}, Con("Pair", (TVar("M"), TVar("M"))), ty("Pair Nat Nat"))
+    pattern = Con("Pair", (TVar("M"), TVar("M")))
+    got = match_first_order({"M"}, pattern, ty("Pair Nat Nat"))
     assert got.types() == {"M": NAT}
+    assert got.binding("M").origin == Contextual(pattern, ty("Pair Nat Nat"))
 
 
 def test_first_order_match_rejects_conflicts():
