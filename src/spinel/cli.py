@@ -137,6 +137,10 @@ def diagnostic_json(d: Diagnostic) -> dict:
         out["expected"] = pretty_type(d.expected, rn)
     if d.resolved is not None:
         out["resolved"] = pretty_type(d.resolved, rn)
+    if d.bindings:
+        out["bindings"] = {
+            rn.get(name, name): pretty_type(d.bindings[name], rn) for name in sorted(d.bindings)
+        }
     if d.synthesized is not None:
         out["synthesized"] = pretty_type(d.synthesized, rn)
     if d.contextual_match is not None:

@@ -10,8 +10,19 @@ second pass consumes the items from the innermost outwards: quantifiers
 peel off with their binder as the meta-variable, solved contextually
 when the match decorated it, and each argument either checks against a
 known domain or synthesizes and instantiates the metas the domain still
-mentions.  The synthetic instantiations reach the partial elaboration
-in one substitution once the spine is done.
+mentions.
+Solutions found along the spine are not substituted into the rest of
+its decorated type one by one.  The synthetic instantiations and the
+explicit type arguments wait in one pending map, applied to each domain
+as it is consumed and to each peeled quantifier's origin, and to the
+whole remainder only when a solution reaches its stuck leaf (which is
+re-matched then, at the argument that solved it), when the last
+argument is reached, and at the end.  The synthetic instantiations
+reach the partial elaboration in one substitution once the spine is
+done.
+Chains of lambdas and type lambdas, and chains of type applications
+outside a spine, are likewise walked in one loop each, with one
+accumulated renaming or instantiation applied where a type is used.
 Meta-variables never leave the spine that minted them: synthesis
 demands an empty solution, and checking demands that the contextual
 type solved every meta the partial elaboration mentions.
@@ -40,6 +51,7 @@ from .syntax import (
     Prototype,
     Solution,
     Span,
+    Stuck,
     Synthetic,
     TApp,
     TLam,
@@ -222,96 +234,11 @@ def _infer(run: _Run, ctx: Context, mode: Mode, term: Term) -> InferOutcome:
                 )
             return _conclude(run, ctx, mode, term, ty, term)
 
-        case Lam(bound=x, ann=None, body=body):
-            match mode:
-                case Check(expected=Arrow(dom=dom, cod=cod)):
-                    run.note("lam-bare")
-                    out = _infer(run, ctx.with_term(x, dom), Check(cod), body)
-                    return InferOutcome(
-                        Arrow(dom, out.ty), Lam(x, dom, out.elaboration, span=_span(term))
-                    )
-                case Check(expected=other):
-                    raise run.diag(
-                        DiagnosticKind.TYPE_MISMATCH,
-                        span=_span(term),
-                        expected=other,
-                        subject=term,
-                        detail="an unannotated function only checks against an arrow type",
-                    )
-                case _:
-                    raise run.diag(
-                        DiagnosticKind.UNANNOTATED_LAMBDA,
-                        span=_span(term),
-                        subject=term,
-                        detail=f"no contextual type here, so binder {x!r} needs an annotation",
-                    )
+        case Lam() | TLam():
+            return _binder_chain(run, ctx, mode, term)
 
-        case Lam(bound=x, ann=ann, body=body):
-            run.note("lam")
-            if not is_well_formed(ctx, ann):
-                raise run.diag(
-                    DiagnosticKind.UNBOUND_NAME,
-                    span=_span(term),
-                    subject=term,
-                    detail=_illformed_detail(ctx, ann, f"annotation on {x!r}"),
-                )
-            match mode:
-                case Check(expected=Arrow(dom=dom, cod=cod)) if alpha_equal(dom, ann):
-                    out = _infer(run, ctx.with_term(x, ann), Check(cod), body)
-                    ty = Arrow(ann, out.ty)
-                case Check(expected=other):
-                    raise run.diag(
-                        DiagnosticKind.TYPE_MISMATCH,
-                        span=_span(term),
-                        expected=other,
-                        synthesized=_try_synthesize(ctx, term),
-                        subject=term,
-                    )
-                case _:
-                    out = _infer(run, ctx.with_term(x, ann), Synthesize(), body)
-                    ty = Arrow(ann, out.ty)
-            return InferOutcome(ty, Lam(x, ann, out.elaboration, span=_span(term)))
-
-        case TLam(bound=x, body=body):
-            run.note("tylam")
-            match mode:
-                case Check(expected=Forall(bound=y, body=ebody)):
-                    inner = Check(substitute({y: TVar(x)}, ebody))
-                    out = _infer(run, ctx.with_type_var(x), inner, body)
-                case Check(expected=other):
-                    raise run.diag(
-                        DiagnosticKind.TYPE_MISMATCH,
-                        span=_span(term),
-                        expected=other,
-                        synthesized=_try_synthesize(ctx, term),
-                        subject=term,
-                    )
-                case _:
-                    out = _infer(run, ctx.with_type_var(x), Synthesize(), body)
-            return InferOutcome(
-                Forall(x, out.ty), TLam(x, out.elaboration, span=_span(term))
-            )
-
-        case TApp(fun=f, targ=s):
-            run.note("tyapp")
-            if not is_well_formed(ctx, s):
-                raise run.diag(
-                    DiagnosticKind.UNBOUND_NAME,
-                    span=_span(term),
-                    subject=term,
-                    detail=_illformed_detail(ctx, s, "type argument"),
-                )
-            fout = _infer(run, ctx, Synthesize(), f)
-            if not isinstance(fout.ty, Forall):
-                raise run.diag(
-                    DiagnosticKind.APPLICAND_NOT_FORALL,
-                    span=_span(term),
-                    synthesized=fout.ty,
-                    subject=term,
-                )
-            ty = substitute({fout.ty.bound: s}, fout.ty.body)
-            elab = TApp(fout.elaboration, s, span=_span(term))
-            return _conclude(run, ctx, mode, term, ty, elab)
+        case TApp():
+            return _type_applications(run, ctx, mode, term)
 
         case App():
             match mode:
@@ -321,6 +248,117 @@ def _infer(run: _Run, ctx: Context, mode: Mode, term: Term) -> InferOutcome:
                     return _app_check(run, ctx, term, expected)
 
     raise TypeError(term)
+
+
+def _binder_chain(run: _Run, ctx: Context, mode: Mode, term: Lam | TLam) -> InferOutcome:
+    """Check or synthesize a maximal chain of lambdas and type lambdas in one loop.
+
+    In check mode the expected quantifier and arrow chain is walked
+    unsubstituted.  ``renaming`` maps each expected quantifier's binder
+    to its type lambda's variable (a later binder of the same name
+    overwrites an earlier one) and is applied only where a type is used:
+    to a domain, to a mismatched expected type, and once to the expected
+    type of the chain's body.
+    """
+    expected = mode.expected if isinstance(mode, Check) else None
+    renaming: dict[str, TypeExpr] = {}
+    layers: list[tuple[Lam | TLam, TypeExpr | None]] = []  # each with its domain
+    while True:
+        match term:
+            case TLam(bound=x):
+                run.note("tylam")
+                dom, fits = None, isinstance(expected, Forall)
+            case Lam(bound=x, ann=None):
+                if expected is None:
+                    raise run.diag(
+                        DiagnosticKind.UNANNOTATED_LAMBDA,
+                        span=_span(term),
+                        subject=term,
+                        detail=f"no contextual type here, so binder {x!r} needs an annotation",
+                    )
+                if not isinstance(expected, Arrow):
+                    raise run.diag(
+                        DiagnosticKind.TYPE_MISMATCH,
+                        span=_span(term),
+                        expected=substitute(renaming, expected),
+                        subject=term,
+                        detail="an unannotated function only checks against an arrow type",
+                    )
+                run.note("lam-bare")
+                dom, fits = substitute(renaming, expected.dom), True
+            case Lam(bound=x, ann=dom):
+                run.note("lam")
+                if not is_well_formed(ctx, dom):
+                    raise run.diag(
+                        DiagnosticKind.UNBOUND_NAME,
+                        span=_span(term),
+                        subject=term,
+                        detail=_illformed_detail(ctx, dom, f"annotation on {x!r}"),
+                    )
+                fits = isinstance(expected, Arrow) and alpha_equal(substitute(renaming, expected.dom), dom)
+            case _:
+                break
+        if expected is not None:
+            if not fits:
+                raise run.diag(
+                    DiagnosticKind.TYPE_MISMATCH,
+                    span=_span(term),
+                    expected=substitute(renaming, expected),
+                    synthesized=_try_synthesize(ctx, term),
+                    subject=term,
+                )
+            if dom is None:
+                renaming[expected.bound] = TVar(x)
+                expected = expected.body
+            else:
+                expected = expected.cod
+        ctx = ctx.with_type_var(x) if dom is None else ctx.with_term(x, dom)
+        layers.append((term, dom))
+        term = term.body
+
+    body_mode = Synthesize() if expected is None else Check(substitute(renaming, expected))
+    out = _infer(run, ctx, body_mode, term)
+    ty, elab = out.ty, out.elaboration
+    for layer, dom in reversed(layers):
+        if dom is None:
+            ty, elab = Forall(layer.bound, ty), TLam(layer.bound, elab, span=_span(layer))
+        else:
+            ty, elab = Arrow(dom, ty), Lam(layer.bound, dom, elab, span=_span(layer))
+    return InferOutcome(ty, elab)
+
+
+def _type_applications(run: _Run, ctx: Context, mode: Mode, term: TApp) -> InferOutcome:
+    """Infer a maximal chain of type applications outside a spine.
+
+    The applicand's quantifiers are walked unsubstituted; ``inst`` maps
+    each one's binder to its type argument and is applied once to the
+    result, or early where the walk must see through a variable it binds
+    to the quantifier that variable stands for.
+    """
+    outer = term
+    chain: list[TApp] = []
+    while isinstance(term, TApp):
+        run.note("tyapp")
+        _check_type_arg(run, ctx, term)
+        chain.append(term)
+        term = term.fun
+    fout = _infer(run, ctx, Synthesize(), term)
+    ty, elab = fout.ty, fout.elaboration
+    inst: dict[str, TypeExpr] = {}
+    for app in reversed(chain):
+        if not isinstance(ty, Forall):
+            ty, inst = substitute(inst, ty), {}
+            if not isinstance(ty, Forall):
+                raise run.diag(
+                    DiagnosticKind.APPLICAND_NOT_FORALL,
+                    span=_span(app),
+                    synthesized=ty,
+                    subject=app,
+                )
+        inst[ty.bound] = app.targ
+        ty = ty.body
+        elab = TApp(elab, app.targ, span=_span(app))
+    return _conclude(run, ctx, mode, outer, substitute(inst, ty), elab)
 
 
 def _conclude(
@@ -342,6 +380,16 @@ def _try_synthesize(ctx: Context, term: Term) -> TypeExpr | None:
         return _infer(_Run(), ctx, Synthesize(), term).ty
     except Diagnostic:
         return None
+
+
+def _check_type_arg(run: _Run, ctx: Context, term: TApp) -> None:
+    if not is_well_formed(ctx, term.targ):
+        raise run.diag(
+            DiagnosticKind.UNBOUND_NAME,
+            span=_span(term),
+            subject=term,
+            detail=_illformed_detail(ctx, term.targ, "type argument"),
+        )
 
 
 def _illformed_detail(ctx: Context, ty: TypeExpr, what: str) -> str:
@@ -407,13 +455,7 @@ def _spine(run: _Run, ctx: Context, proto: Prototype, term: Term) -> SpineOutcom
             run.note("spine-tyarg")
             if not isinstance(proto, ArrowTo):
                 raise EngineInvariantError("type argument reached a spine without a pending arrow")
-            if not is_well_formed(ctx, term.targ):
-                raise run.diag(
-                    DiagnosticKind.UNBOUND_NAME,
-                    span=_span(term),
-                    subject=term,
-                    detail=_illformed_detail(ctx, term.targ, "type argument"),
-                )
+            _check_type_arg(run, ctx, term)
         items.append(term)
         term = term.fun
 
@@ -429,32 +471,95 @@ def _spine(run: _Run, ctx: Context, proto: Prototype, term: Term) -> SpineOutcom
 
     # Second pass, innermost item first.  Each peeled quantifier's binder
     # is the meta-variable: the matcher minted it fresh for this run.
-    deco, partial, sol = matched.decorated, head.elaboration, Solution()
+    rest = _Remaining(matched.decorated, run.supply)
+    partial, sol = head.elaboration, Solution()
     synthetic: dict[str, TypeExpr] = {}
     arg_index = 0
     for item in reversed(items):
         if isinstance(item, TApp):
-            deco = _take_type_arg(run, deco, sol, item)
+            _take_type_arg(run, rest, sol, item)
             partial = TApp(partial, item.targ, span=_span(item))
             continue
         arg_index += 1
-        while isinstance(deco, DForall):
+        if item is items[0] and not rest.settle():
+            raise EngineInvariantError("a settled solution reached the stuck leaf again")
+        while isinstance(rest.deco, DForall):
             run.note("peel")
-            meta = deco.bound
-            partial = TApp(partial, TVar(meta))
-            if deco.deco is not None:
-                sol = compose(sol, meta, deco.deco, deco.deco_origin)
-            deco = deco.body
-        if not isinstance(deco, DArrow):
+            quant = rest.deco
+            partial = TApp(partial, TVar(quant.bound))
+            if quant.deco is not None:
+                sol = compose(sol, quant.bound, quant.deco, rest.origin(quant.deco_origin))
+            rest.deco = quant.body
+        if not isinstance(rest.deco, DArrow):
             raise run.diag(
                 DiagnosticKind.APPLICAND_NOT_ARROW,
                 span=_span(item.arg),
-                synthesized=subst_type(sol, strip(deco)),
+                synthesized=subst_type(sol, rest.apply(strip(rest.deco))),
                 subject=item.arg,
             )
-        deco, elab = _consume_arrow(run, ctx, deco.dom, deco.cod, sol, synthetic, item.arg, arg_index)
+        elab = _consume_arrow(run, ctx, rest, sol, synthetic, item.arg, arg_index)
         partial = App(partial, elab)
-    return SpineOutcome(deco, subst_type_args(synthetic, partial), sol)
+    if not rest.settle():
+        raise EngineInvariantError("a settled solution reached the stuck leaf again")
+    return SpineOutcome(rest.deco, subst_type_args(synthetic, partial), sol)
+
+
+class _Remaining:
+    """The rest of a spine's decorated type, under a delayed substitution.
+
+    ``pending`` holds the solutions not yet applied to ``deco``: the
+    synthetic instantiations and the explicit type arguments.  ``apply``
+    brings one domain or origin up to date as the spine reaches it.
+    ``settle`` applies the whole map to ``deco`` in one
+    ``subst_decorated``, which re-matches a stuck leaf whose meta-variable
+    it solves.  The spine settles when a solution reaches the stuck leaf,
+    so that a conflict is reported at the argument that solved it; when
+    it reaches its last argument, whose quantifiers, domain and result
+    are then all that remain; and at the end.  Every pending value is
+    well-formed in the spine's context, so none mentions a meta-variable,
+    as ``subst_decorated`` requires.
+    """
+
+    def __init__(self, deco: DecoratedType, supply: NameSupply):
+        self.deco = deco
+        self.supply = supply
+        self.pending: dict[str, TypeExpr] = {}
+        self.stuck = _stuck_meta(deco)
+
+    def apply(self, ty: TypeExpr) -> TypeExpr:
+        return substitute(self.pending, ty)
+
+    def origin(self, org: Contextual | None) -> Contextual | None:
+        if org is None or not self.pending:
+            return org
+        return Contextual(self.apply(org.partial), org.against)
+
+    def solve(self, solved: dict[str, TypeExpr]) -> bool:
+        """Delay ``solved``; False if it solves the stuck leaf's
+        meta-variable with a type that cannot reveal the arrows it owes."""
+        self.pending.update(solved)
+        return self.stuck not in solved or self.settle()
+
+    def settle(self) -> bool:
+        deco = subst_decorated(self.pending, self.deco, self.supply)
+        if deco is None:
+            return False
+        self.deco, self.pending, self.stuck = deco, {}, _stuck_meta(deco)
+        return True
+
+
+def _stuck_meta(w: DecoratedType) -> str | None:
+    """The meta-variable of the stuck leaf that ends ``w``, if it has one."""
+    while True:
+        match w:
+            case DArrow(cod=c):
+                w = c
+            case DForall(body=b):
+                w = b
+            case Stuck(meta=m):
+                return m
+            case _:
+                return None
 
 
 def _head_failure(run: _Run, head: Term, head_ty: TypeExpr, failure: MatchFailure) -> Diagnostic:
@@ -476,9 +581,9 @@ def _head_failure(run: _Run, head: Term, head_ty: TypeExpr, failure: MatchFailur
     )
 
 
-def _take_type_arg(run: _Run, deco: DecoratedType, sol: Solution, term: TApp) -> DecoratedType:
+def _take_type_arg(run: _Run, rest: _Remaining, sol: Solution, term: TApp) -> None:
     s = term.targ
-    match deco:
+    match rest.deco:
         case DForall(bound=x, deco=r, body=body, deco_origin=org):
             if r is not None and not alpha_equal(r, s):
                 raise run.diag(
@@ -486,11 +591,11 @@ def _take_type_arg(run: _Run, deco: DecoratedType, sol: Solution, term: TApp) ->
                     span=_span(term),
                     expected=r,
                     synthesized=s,
-                    contextual_match=org,
+                    contextual_match=rest.origin(org),
                     subject=term,
                 )
-            replaced = subst_decorated({x: s}, body, run.supply)
-            if replaced is None:
+            rest.deco = body
+            if not rest.solve({x: s}):
                 raise run.diag(
                     DiagnosticKind.SOLUTION_CONFLICT,
                     span=_span(term),
@@ -498,12 +603,11 @@ def _take_type_arg(run: _Run, deco: DecoratedType, sol: Solution, term: TApp) ->
                     subject=term,
                     detail="explicit type argument cannot reveal the arrows this spine needs",
                 )
-            return replaced
         case other:
             raise run.diag(
                 DiagnosticKind.APPLICAND_NOT_FORALL,
                 span=_span(term),
-                synthesized=subst_type(sol, strip(other)),
+                synthesized=subst_type(sol, rest.apply(strip(other))),
                 subject=term,
             )
 
@@ -511,19 +615,22 @@ def _take_type_arg(run: _Run, deco: DecoratedType, sol: Solution, term: TApp) ->
 def _consume_arrow(
     run: _Run,
     ctx: Context,
-    dom: TypeExpr,
-    cod: DecoratedType,
+    rest: _Remaining,
     sol: Solution,
     synthetic: dict[str, TypeExpr],
     arg: Term,
     arg_index: int,
-) -> tuple[DecoratedType, Term]:
-    """Check or synthesize one argument; return the codomain and its elaboration.
+) -> Term:
+    """Check or synthesize one argument against the next domain; return its elaboration.
 
-    A synthesized argument's instantiation goes into ``synthetic`` and is
-    applied to the codomain at once; the spine applies it to the partial
-    elaboration when the spine is done.
+    The domain receives the pending map of ``rest`` as it is consumed,
+    then the contextual solution.  A synthesized argument's
+    instantiation joins ``synthetic``, which the spine applies to the
+    partial elaboration when it is done, and the pending map, which
+    re-matches the stuck leaf at once if the instantiation solves it.
     """
+    dom = rest.apply(rest.deco.dom)
+    rest.deco = rest.deco.cod
     expected = subst_type(sol, dom)
     unsolved = meta_vars_of_type(ctx, expected)
     if not unsolved:
@@ -533,7 +640,7 @@ def _consume_arrow(
         except Diagnostic as d:
             _attach_solution_origin(run, d, dom, expected, sol, arg)
             raise
-        return cod, out.elaboration
+        return out.elaboration
 
     run.note("arg-synth")
     try:
@@ -554,8 +661,7 @@ def _consume_arrow(
             subject=arg,
         )
     solved = inst.types()
-    replaced = subst_decorated(solved, cod, run.supply)
-    if replaced is None:
+    if not rest.solve(solved):
         raise run.diag(
             DiagnosticKind.SOLUTION_CONFLICT,
             span=_span(arg),
@@ -567,7 +673,7 @@ def _consume_arrow(
             detail="the synthesized instantiation cannot reveal the arrows this spine needs",
         )
     synthetic.update(solved)
-    return replaced, out.elaboration
+    return out.elaboration
 
 
 def _attach_solution_origin(

@@ -2,9 +2,12 @@
 
 ``match_first_order`` finds the unique substitution for a set of
 solvable variables that makes a pattern type equal to a target type.
-``match_proto`` aligns a type against a prototype, peeling quantifiers
-into decorations and getting stuck (rather than failing) when a
-meta-variable must reveal arrows it does not yet have.
+``match_proto`` aligns a type against a prototype in one pass down its
+arrow and quantifier chain, peeling quantifiers into decorations and
+getting stuck (rather than failing) when a meta-variable must reveal
+arrows it does not yet have.  The binders it peels are renamed by one
+environment applied where a type is used, not substituted into the
+rest of the chain one binder at a time.
 ``subst_decorated`` applies a substitution to a decorated type,
 re-matching stuck decorations against their pending prototypes.  It
 renames no binder: every ``DForall`` binder the engine builds is a
@@ -137,48 +140,66 @@ def _match(
     proto: Prototype,
     supply: NameSupply | None,
 ) -> MatchResult | MatchFailure:
-    match proto:
-        case Unknown():
-            return MatchResult(Solution(), Plain(ty))
-        case Exact(ty=tgt):
-            sol = match_first_order(metas, ty, tgt)
-            if sol is None:
-                return MatchFailure(ty, proto, arity_overrun=False)
-            return MatchResult(sol, Plain(ty))
-        case ArrowTo():
-            pass
-        case _:
-            raise TypeError(proto)
+    # One pass down the arrow and quantifier chain.  ``env`` renames each
+    # peeled binder to its meta-variable (a later binder of the same name
+    # overwrites an earlier one) and is applied only where a type is
+    # used: to each domain, to the residual type at the leaf, and to a
+    # type variable before the stuck test.  ``frames`` holds, outermost
+    # first, a peeled meta-variable (str) or a renamed domain (a type).
+    solvable = set(metas)
+    env: dict[str, TypeExpr] = {}
+    frames: list[str | TypeExpr] = []
+    while True:
+        match proto:
+            case Unknown():
+                solution, deco = Solution(), Plain(substitute(env, ty))
+                break
+            case Exact(ty=target):
+                residual = substitute(env, ty)
+                found = match_first_order(solvable, residual, target)
+                if found is None:
+                    return MatchFailure(residual, proto, arity_overrun=False)
+                solution, deco = found, Plain(residual)
+                break
+            case ArrowTo():
+                pass
+            case _:
+                raise TypeError(proto)
+        match ty:
+            case Arrow(dom=d, cod=c):
+                frames.append(substitute(env, d))
+                ty, proto = c, proto.rest
+            case Forall(bound=x, body=b):
+                if supply is not None:
+                    fresh = supply.fresh_meta(x)
+                else:
+                    renamed = {env[v].name if v in env else v for v in free_type_vars(b)}
+                    fresh = _fresh_against(x, solvable | renamed | proto_free_vars(proto))
+                env[x] = TVar(fresh)
+                solvable.add(fresh)
+                frames.append(fresh)
+                ty = b
+            case TVar() if env.get(ty.name, ty).name in solvable:
+                solution, deco = Solution(), Stuck(env.get(ty.name, ty).name, proto)
+                break
+            case _:
+                return MatchFailure(substitute(env, ty), proto, arity_overrun=True)
 
-    match ty:
-        case Arrow(dom=d, cod=c):
-            out = _match(metas, c, proto.rest, supply)
-            if isinstance(out, MatchFailure):
-                return out
-            return MatchResult(out.solution, DArrow(d, out.decorated))
-        case Forall(bound=x, body=b):
-            if supply is not None:
-                fresh = supply.fresh_meta(x)
-            else:
-                fresh = _fresh_against(
-                    x, set(metas) | free_type_vars(b) | proto_free_vars(proto)
+    for frame in reversed(frames):
+        match frame:
+            case str():
+                binding = solution.binding(frame)
+                deco = DForall(
+                    frame,
+                    binding.ty if binding else None,
+                    deco,
+                    deco_origin=binding.origin if binding else None,
                 )
-            if fresh != x:
-                b = substitute({x: TVar(fresh)}, b)
-            out = _match(metas | {fresh}, b, proto, supply)
-            if isinstance(out, MatchFailure):
-                return out
-            binding = out.solution.binding(fresh)
-            deco = binding.ty if binding else None
-            origin = binding.origin if binding else None
-            return MatchResult(
-                out.solution.without(fresh),
-                DForall(fresh, deco, out.decorated, deco_origin=origin),
-            )
-        case TVar(name=x) if x in metas:
-            return MatchResult(Solution(), Stuck(x, proto))
-        case _:
-            return MatchFailure(ty, proto, arity_overrun=True)
+            case _:
+                deco = DArrow(frame, deco)
+    if not solution.domain() <= metas:
+        solution = Solution({m: b for m, b in solution.bindings.items() if m in metas})
+    return MatchResult(solution, deco)
 
 
 def match_proto(
@@ -191,8 +212,13 @@ def match_proto(
 
     On success the solution instantiates a subset of ``metas`` and the
     decorated type records, per leading quantifier, what the exact part
-    of the prototype determined for it.  Quantifier binders are
-    freshened (via ``supply`` when given) before becoming solvable.
+    of the prototype determined for it.  Each peeled quantifier becomes
+    a solvable variable with a fresh name: minted by ``supply`` when
+    given, else the binder's name primed until it clashes with no
+    solvable variable, no free variable of the quantifier's (renamed)
+    body and no variable of the prototype.  The renaming from binders
+    to those names is carried along the chain and applied only to the
+    types the result holds.
     """
     out = _match(frozenset(metas), ty, proto, supply)
     return out if isinstance(out, MatchResult) else None

@@ -370,13 +370,6 @@ class Solution:
     def types(self) -> dict[str, TypeExpr]:
         return {k: v.ty for k, v in self.bindings.items()}
 
-    def without(self, name: str) -> Solution:
-        if name not in self.bindings:
-            return self
-        rest = dict(self.bindings)
-        del rest[name]
-        return Solution(rest)
-
     def equivalent(self, other: Solution) -> bool:
         """Same domain and alpha-equal solved types (provenance ignored)."""
         if self.domain() != other.domain():

@@ -297,6 +297,7 @@ GOLDEN_JSON = [
         "span": span(12, 13, 22),
         "expected": "?X",
         "resolved": "Nat -> Nat",
+        "bindings": {"?X": "Nat -> Nat"},
         "synthesized": "B -> B",
         "contextual_match": {"partial": "Pair ?X ?Y", "against": "Pair (Nat -> Nat) Nat"},
     },
@@ -306,6 +307,7 @@ GOLDEN_JSON = [
         "span": span(13, 12, 14),
         "expected": "?X",
         "resolved": "Nat",
+        "bindings": {"?X": "Nat"},
         "synthesized": "B",
         "contextual_match": {"partial": "Pair ?X ?Y", "against": "Pair Nat Nat"},
     },
@@ -330,6 +332,7 @@ GOLDEN_JSON = [
         "message": "conflicting requirements on a type argument",
         "span": span(16, 14, 17),
         "expected": "Nat -> ?Y",
+        "bindings": {"?Y": "Nat"},
         "synthesized": "Nat -> Nat",
         "synthetic_match": {"partial": "Nat -> ?Y", "against": "Nat -> Nat", "arg_index": 2},
         "detail": "the synthesized instantiation cannot reveal the arrows this spine needs",
@@ -389,6 +392,150 @@ def test_golden_diagnostics_json(golden_file, capsys):
     assert all(r["status"] == "error" for r in records)
     for record, diagnostic in zip(records, GOLDEN_JSON):
         assert record["diagnostic"] == diagnostic
+
+
+# ----------------------------------------------------- golden binder chains
+
+# Type-lambda and lambda chains checked against quantifier and arrow
+# chains: a long one, a mixed one, binders whose names cross the expected
+# ones, a capture case, chains that run out of quantifiers or meet a wrong
+# annotation, synthesized chains, and spines and type applications that
+# mix explicit type arguments with inferred ones.
+BINDER_GOLDEN = r"""type Nat
+type B
+type Pair 2
+assume z : Nat
+assume tt : B
+assume pair : forall X. forall Y. X -> Y -> Pair X Y
+assume h : forall X. X -> forall Y. Y -> Pair X Y
+assume bot : forall X. X
+
+check /\A. /\C. /\D. /\E. /\F. /\G. \x. x : forall X1. forall X2. forall X3. forall X4. forall X5. forall X6. X6 -> X6
+check /\X. \x. /\Y. \y. x : forall A. A -> forall C. C -> A
+check /\Y. /\X. \x. \y. x : forall X. forall Y. Y -> X -> Y
+check /\X. /\Z. \y. \w. w : forall Y. forall X. Y -> X -> X
+check /\X. /\Y. \x : Y. x : forall A. A -> A
+check /\X. \x : Nat. x : forall A. A -> A
+synth /\X. \x : X. /\Y. \y : Y. x
+synth /\X. \x. x
+synth h z [B] tt
+synth pair [Nat] z tt
+synth h tt [B] z
+check h z [B] tt : Pair Nat B
+synth bot [forall Y. Y -> Y] [Nat] z
+synth bot [forall Y. forall Z. Y -> Z -> Y] [Nat] [B]
+"""
+
+BINDER_GOLDEN_TEXT = r"""[1] check /\A. /\C. /\D. /\E. /\F. /\G. \x. x : forall X1. forall X2. forall X3. forall X4. forall X5. forall X6. X6 -> X6
+    type: forall A. forall C. forall D. forall E. forall F. forall G. G -> G
+    elaboration: /\A. /\C. /\D. /\E. /\F. /\G. \x : G. x
+    trace: tylam tylam tylam tylam tylam tylam lam-bare var
+
+[2] check /\X. \x. /\Y. \y. x : forall A. A -> (forall C. C -> A)
+    type: forall X. X -> (forall Y. Y -> X)
+    elaboration: /\X. \x : X. /\Y. \y : Y. x
+    trace: tylam lam-bare tylam lam-bare var
+
+[3] check /\Y. /\X. \x. \y. x : forall X. forall Y. Y -> X -> Y
+    type: forall Y. forall X. X -> Y -> X
+    elaboration: /\Y. /\X. \x : X. \y : Y. x
+    trace: tylam tylam lam-bare lam-bare var
+
+[4] check /\X. /\Z. \y. \w. w : forall Y. forall X. Y -> X -> X
+    type: forall X. forall Z. X -> Z -> Z
+    elaboration: /\X. /\Z. \y : X. \w : Z. w
+    trace: tylam tylam lam-bare lam-bare var
+
+[5] check /\X. /\Y. \x : Y. x : forall A. A -> A
+    error: type mismatch at 14:12
+      expected type: X -> X
+      synthesized type: forall Y. Y -> Y
+
+[6] check /\X. \x : Nat. x : forall A. A -> A
+    error: type mismatch at 15:12
+      expected type: X -> X
+      synthesized type: Nat -> Nat
+
+[7] synth /\X. \x : X. /\Y. \y : Y. x
+    type: forall X. X -> (forall Y. Y -> X)
+    elaboration: /\X. \x : X. /\Y. \y : Y. x
+    trace: tylam lam tylam lam var
+
+[8] synth /\X. \x. x
+    error: cannot synthesize a type for an unannotated function at 17:12
+      note: no contextual type here, so binder 'x' needs an annotation
+
+[9] synth h z [B] tt
+    type: Pair Nat B
+    elaboration: h [Nat] z [B] tt
+    trace: app-synth spine-arg spine-tyarg spine-arg spine-head var peel arg-synth var arg-check var
+
+[10] synth pair [Nat] z tt
+    type: Pair Nat B
+    elaboration: pair [Nat] [B] z tt
+    trace: app-synth spine-arg spine-arg spine-tyarg spine-head var peel arg-check var arg-synth var
+
+[11] synth h tt [B] z
+    error: type mismatch at 20:16
+      expected type: B
+      synthesized type: Nat
+
+[12] check h z [B] tt : Pair Nat B
+    type: Pair Nat B
+    elaboration: h [Nat] z [B] tt
+    trace: app-check spine-arg spine-tyarg spine-arg spine-head var peel arg-check var arg-check var
+
+[13] synth bot [forall Y. Y -> Y] [Nat] z
+    type: Nat
+    elaboration: bot [forall Y. Y -> Y] [Nat] z
+    trace: app-synth spine-arg spine-tyarg spine-tyarg spine-head var arg-check var
+
+[14] synth bot [forall Y. forall Z. Y -> Z -> Y] [Nat] [B]
+    type: Nat -> B -> Nat
+    elaboration: bot [forall Y. forall Z. Y -> Z -> Y] [Nat] [B]
+    trace: tyapp tyapp tyapp var
+
+"""
+
+BINDER_GOLDEN_NDJSON = r"""{"goal": 1, "mode": "check", "term": "/\\A. /\\C. /\\D. /\\E. /\\F. /\\G. \\x. x", "expected": "forall X1. forall X2. forall X3. forall X4. forall X5. forall X6. X6 -> X6", "status": "ok", "type": "forall A. forall C. forall D. forall E. forall F. forall G. G -> G", "elaboration": "/\\A. /\\C. /\\D. /\\E. /\\F. /\\G. \\x : G. x", "trace": ["tylam", "tylam", "tylam", "tylam", "tylam", "tylam", "lam-bare", "var"]}
+{"goal": 2, "mode": "check", "term": "/\\X. \\x. /\\Y. \\y. x", "expected": "forall A. A -> (forall C. C -> A)", "status": "ok", "type": "forall X. X -> (forall Y. Y -> X)", "elaboration": "/\\X. \\x : X. /\\Y. \\y : Y. x", "trace": ["tylam", "lam-bare", "tylam", "lam-bare", "var"]}
+{"goal": 3, "mode": "check", "term": "/\\Y. /\\X. \\x. \\y. x", "expected": "forall X. forall Y. Y -> X -> Y", "status": "ok", "type": "forall Y. forall X. X -> Y -> X", "elaboration": "/\\Y. /\\X. \\x : X. \\y : Y. x", "trace": ["tylam", "tylam", "lam-bare", "lam-bare", "var"]}
+{"goal": 4, "mode": "check", "term": "/\\X. /\\Z. \\y. \\w. w", "expected": "forall Y. forall X. Y -> X -> X", "status": "ok", "type": "forall X. forall Z. X -> Z -> Z", "elaboration": "/\\X. /\\Z. \\y : X. \\w : Z. w", "trace": ["tylam", "tylam", "lam-bare", "lam-bare", "var"]}
+{"goal": 5, "mode": "check", "term": "/\\X. /\\Y. \\x : Y. x", "expected": "forall A. A -> A", "status": "error", "diagnostic": {"kind": "type-mismatch", "message": "type mismatch", "span": {"line": 14, "col": 12, "end_line": 14, "end_col": 26}, "expected": "X -> X", "synthesized": "forall Y. Y -> Y"}}
+{"goal": 6, "mode": "check", "term": "/\\X. \\x : Nat. x", "expected": "forall A. A -> A", "status": "error", "diagnostic": {"kind": "type-mismatch", "message": "type mismatch", "span": {"line": 15, "col": 12, "end_line": 15, "end_col": 23}, "expected": "X -> X", "synthesized": "Nat -> Nat"}}
+{"goal": 7, "mode": "synth", "term": "/\\X. \\x : X. /\\Y. \\y : Y. x", "status": "ok", "type": "forall X. X -> (forall Y. Y -> X)", "elaboration": "/\\X. \\x : X. /\\Y. \\y : Y. x", "trace": ["tylam", "lam", "tylam", "lam", "var"]}
+{"goal": 8, "mode": "synth", "term": "/\\X. \\x. x", "status": "error", "diagnostic": {"kind": "unannotated-lambda", "message": "cannot synthesize a type for an unannotated function", "span": {"line": 17, "col": 12, "end_line": 17, "end_col": 17}, "detail": "no contextual type here, so binder 'x' needs an annotation"}}
+{"goal": 9, "mode": "synth", "term": "h z [B] tt", "status": "ok", "type": "Pair Nat B", "elaboration": "h [Nat] z [B] tt", "trace": ["app-synth", "spine-arg", "spine-tyarg", "spine-arg", "spine-head", "var", "peel", "arg-synth", "var", "arg-check", "var"]}
+{"goal": 10, "mode": "synth", "term": "pair [Nat] z tt", "status": "ok", "type": "Pair Nat B", "elaboration": "pair [Nat] [B] z tt", "trace": ["app-synth", "spine-arg", "spine-arg", "spine-tyarg", "spine-head", "var", "peel", "arg-check", "var", "arg-synth", "var"]}
+{"goal": 11, "mode": "synth", "term": "h tt [B] z", "status": "error", "diagnostic": {"kind": "type-mismatch", "message": "type mismatch", "span": {"line": 20, "col": 16, "end_line": 20, "end_col": 17}, "expected": "B", "synthesized": "Nat"}}
+{"goal": 12, "mode": "check", "term": "h z [B] tt", "expected": "Pair Nat B", "status": "ok", "type": "Pair Nat B", "elaboration": "h [Nat] z [B] tt", "trace": ["app-check", "spine-arg", "spine-tyarg", "spine-arg", "spine-head", "var", "peel", "arg-check", "var", "arg-check", "var"]}
+{"goal": 13, "mode": "synth", "term": "bot [forall Y. Y -> Y] [Nat] z", "status": "ok", "type": "Nat", "elaboration": "bot [forall Y. Y -> Y] [Nat] z", "trace": ["app-synth", "spine-arg", "spine-tyarg", "spine-tyarg", "spine-head", "var", "arg-check", "var"]}
+{"goal": 14, "mode": "synth", "term": "bot [forall Y. forall Z. Y -> Z -> Y] [Nat] [B]", "status": "ok", "type": "Nat -> B -> Nat", "elaboration": "bot [forall Y. forall Z. Y -> Z -> Y] [Nat] [B]", "trace": ["tyapp", "tyapp", "tyapp", "var"]}
+"""
+
+
+@pytest.fixture
+def binder_file(tmp_path):
+    path = tmp_path / "binders.spn"
+    path.write_text(BINDER_GOLDEN)
+    return str(path)
+
+
+def test_golden_binder_chains_text(binder_file, capsys, monkeypatch):
+    monkeypatch.setenv("SPINEL_COLOR", "never")
+    code = main(["run", binder_file, "--elab", "--trace"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert captured.out == BINDER_GOLDEN_TEXT
+
+
+def test_golden_binder_chains_ndjson(binder_file, capsys):
+    code = main(["run", binder_file, "--json", "--elab", "--trace"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert captured.out == BINDER_GOLDEN_NDJSON
 
 
 def readme_blocks():

@@ -151,6 +151,26 @@ def test_trace_of_a_spine_with_an_explicit_quantified_argument():
     ]
 
 
+def test_type_lambdas_check_against_shadowed_quantifiers():
+    # The parser rejects a shadowing binder, so the expected type is built directly.
+    from spinel.syntax import Arrow, Forall
+
+    inner = Forall("Y", Arrow(TVar("Y"), TVar("Y")))
+    trace: list[str] = []
+    out = infer(CTX, Check(Forall("Y", inner)), tm(r"/\A. /\C. \x. x"), trace=trace)
+    assert out.ty == ty("forall A. forall C. C -> C")
+    assert alpha_equal_term(out.elaboration, tm(r"/\A. /\C. \x : C. x"))
+    assert trace == ["tylam", "tylam", "lam-bare", "var"]
+    mixed = Forall("Y", Arrow(TVar("Y"), inner))
+    out = infer(CTX, Check(mixed), tm(r"/\A. \a. /\C. \x. x"))
+    assert out.ty == ty("forall A. A -> forall C. C -> C")
+    d = fails(
+        DiagnosticKind.TYPE_MISMATCH,
+        lambda: infer(CTX, Check(mixed), tm(r"/\A. \a. /\C. \x. a")),
+    )
+    assert (d.expected, d.synthesized) == (TVar("C"), TVar("A"))
+
+
 def test_check_mode_requires_a_well_formed_expected_type():
     with pytest.raises(ValueError):
         infer(CTX, Check(TVar("A")), tm("z"))
@@ -361,6 +381,52 @@ def test_binder_depth_work_grows_linearly(monkeypatch):
         assert out.ty == ty(nats)
         counts[n] = checks[0]
     assert counts[80] <= 2.2 * counts[40]
+
+
+def _count_growth(monkeypatch, counted, sizes, run):
+    """Calls to ``counted`` (``module.function``) that ``run(n)`` makes, per size ``n``."""
+    home, name = counted.split(".")
+    modules = [importlib.import_module(f"spinel.{m}") for m in (home, "syntax", "matcher", "infer")]
+    calls = count_calls(monkeypatch, name, modules)
+    counts = {}
+    for n in sizes:
+        calls[0] = 0
+        run(n)
+        counts[n] = calls[0]
+    return counts
+
+
+@pytest.mark.parametrize("mode", ["synth", "check"])
+@pytest.mark.parametrize("counted", ["syntax.substitute", "matcher.subst_decorated"])
+def test_spine_substitutions_grow_linearly_with_its_length(monkeypatch, counted, mode):
+    def run(n):
+        ctx, term = _wide_spine(n)
+        infer(ctx, Synthesize() if mode == "synth" else Check(ty("Nat", ctx)), term)
+
+    counts = _count_growth(monkeypatch, counted, (24, 48), run)
+    assert counts[48] <= 2.2 * counts[24], counts
+
+
+def test_type_lambda_substitutions_grow_linearly_with_the_chain(monkeypatch):
+    def run(n):
+        lams = "".join(f"/\\X{i}. " for i in range(1, n + 1))
+        expected = ty("".join(f"forall Y{i}. " for i in range(1, n + 1)) + f"Y{n} -> Y{n}")
+        out = infer(CTX, Check(expected), tm(lams + "\\x. x"))
+        assert alpha_equal(out.ty, expected)
+
+    counts = _count_growth(monkeypatch, "syntax.substitute", (40, 80), run)
+    assert counts[80] <= 2.2 * counts[40], counts
+
+
+def test_type_application_substitutions_grow_linearly_with_the_chain(monkeypatch):
+    def run(n):
+        ctx, _ = _wide_spine(n)
+        targs = " ".join("[Nat]" if i % 2 else "[B]" for i in range(1, n + 1))
+        out = infer(ctx, Synthesize(), tm(f"g {targs}", ctx))
+        assert out.ty == ty(" -> ".join(["Nat" if i % 2 else "B" for i in range(1, n + 1)] + ["Nat"]), ctx)
+
+    counts = _count_growth(monkeypatch, "syntax.substitute", (40, 80), run)
+    assert counts[80] <= 2.2 * counts[40], counts
 
 
 # ------------------------------------------- decorated substitution invariant
