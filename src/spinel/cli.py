@@ -88,6 +88,14 @@ def _field_labels(kind: DiagnosticKind) -> tuple[str, str]:
     return "expected type", "synthesized type"
 
 
+def _unsolved(d: Diagnostic) -> list[str]:
+    """Display names of the metas an unsolved-meta-variables diagnostic's
+    synthesized type still mentions, in name order."""
+    if d.kind is not DiagnosticKind.UNSOLVED_META_VARIABLES or d.synthesized is None:
+        return []
+    return [d.display.get(m, m) for m in sorted(v for v in free_type_vars(d.synthesized) if is_meta_name(v))]
+
+
 def render_diagnostic(d: Diagnostic, color: bool = False) -> str:
     rn = d.display
     where = f" at {d.span.line}:{d.span.col}" if d.span is not None else ""
@@ -107,10 +115,9 @@ def render_diagnostic(d: Diagnostic, color: bool = False) -> str:
             lines.append(f"    {rn.get(name, name)} := {pretty_type(d.bindings[name], rn)}")
     if d.synthesized is not None:
         emit(synthesized_label, pretty_type(d.synthesized, rn))
-        if d.kind is DiagnosticKind.UNSOLVED_META_VARIABLES:
-            metas = sorted(v for v in free_type_vars(d.synthesized) if is_meta_name(v))
-            if metas:
-                emit("unsolved", ", ".join(rn.get(m, m) for m in metas))
+        unsolved = _unsolved(d)
+        if unsolved:
+            emit("unsolved", ", ".join(unsolved))
     if d.contextual_match is not None:
         m = d.contextual_match
         emit(
@@ -143,6 +150,9 @@ def diagnostic_json(d: Diagnostic) -> dict:
         }
     if d.synthesized is not None:
         out["synthesized"] = pretty_type(d.synthesized, rn)
+    unsolved = _unsolved(d)
+    if unsolved:
+        out["unsolved"] = unsolved
     if d.contextual_match is not None:
         out["contextual_match"] = {
             "partial": pretty_type(d.contextual_match.partial, rn),

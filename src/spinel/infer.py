@@ -17,9 +17,8 @@ explicit type arguments wait in one pending map, applied to each domain
 as it is consumed and to each peeled quantifier's origin, and to the
 whole remainder only when a solution reaches its stuck leaf (which is
 re-matched then, at the argument that solved it), when the last
-argument is reached, and at the end.  The synthetic instantiations
-reach the partial elaboration in one substitution once the spine is
-done.
+argument is reached, and at the end.  The same map reaches the
+partial elaboration in one substitution once the spine is done.
 Chains of lambdas and type lambdas, and chains of type applications
 outside a spine, are likewise walked in one loop each, with one
 accumulated renaming or instantiation applied where a type is used.
@@ -60,6 +59,7 @@ from .syntax import (
     TypeExpr,
     Unknown,
     Var,
+    _fresh_against,
     alpha_equal,
     compose,
     free_type_vars,
@@ -126,7 +126,8 @@ class Diagnostic(Exception):
     ``resolved`` the expected type with those applied.  The match itself
     is the engine's record of it: ``contextual_match`` or
     ``synthetic_match``.  ``display`` maps reserved meta-variable names to
-    their source-keyed rendering.
+    their source-keyed rendering; it is filled in once, as the diagnostic
+    leaves ``infer`` or ``spine_infer``.
     """
 
     def __init__(
@@ -173,12 +174,12 @@ class _Run:
         if self.trace is not None:
             self.trace.append(rule)
 
-    def diag(self, kind: DiagnosticKind, **fields) -> Diagnostic:
-        d = Diagnostic(kind, **fields)
-        self.refresh_display(d)
-        return d
 
-    def refresh_display(self, d: Diagnostic) -> None:
+def _named(run: _Run, step, *args):
+    """Run ``step``; a diagnostic that leaves it gets its display names here."""
+    try:
+        return step(run, *args)
+    except Diagnostic as d:
         metas: set[str] = set()
         for ty in (
             d.expected,
@@ -189,11 +190,8 @@ class _Run:
         ):
             if ty is not None:
                 metas |= {v for v in free_type_vars(ty) if is_meta_name(v)}
-        d.display = self.supply.display_names(metas)
-
-
-def _span(t: Term) -> Span | None:
-    return getattr(t, "span", None)
+        d.display = run.supply.display_names(metas)
+        raise
 
 
 # ---------------------------------------------------------- entry points
@@ -209,12 +207,12 @@ def infer(
     """
     if isinstance(mode, Check) and not is_well_formed(ctx, mode.expected):
         raise ValueError("contextual type is not well-formed")
-    return _infer(_Run(trace), ctx, mode, term)
+    return _named(_Run(trace), _infer, ctx, mode, term)
 
 
 def spine_infer(ctx: Context, proto: Prototype, term: Term) -> SpineOutcome:
     """Run the spine judgment directly (mainly for tests and audits)."""
-    return _spine(_Run(), ctx, proto, term)
+    return _named(_Run(), _spine, ctx, proto, term)
 
 
 # ------------------------------------------------------------- inference
@@ -226,13 +224,13 @@ def _infer(run: _Run, ctx: Context, mode: Mode, term: Term) -> InferOutcome:
             run.note("var")
             ty = ctx.lookup(x)
             if ty is None:
-                raise run.diag(
+                raise Diagnostic(
                     DiagnosticKind.UNBOUND_NAME,
-                    span=_span(term),
+                    span=term.span,
                     subject=term,
                     detail=f"unbound name {x!r}",
                 )
-            return _conclude(run, ctx, mode, term, ty, term)
+            return _conclude(mode, term, ty, term)
 
         case Lam() | TLam():
             return _binder_chain(run, ctx, mode, term)
@@ -270,16 +268,16 @@ def _binder_chain(run: _Run, ctx: Context, mode: Mode, term: Lam | TLam) -> Infe
                 dom, fits = None, isinstance(expected, Forall)
             case Lam(bound=x, ann=None):
                 if expected is None:
-                    raise run.diag(
+                    raise Diagnostic(
                         DiagnosticKind.UNANNOTATED_LAMBDA,
-                        span=_span(term),
+                        span=term.span,
                         subject=term,
                         detail=f"no contextual type here, so binder {x!r} needs an annotation",
                     )
                 if not isinstance(expected, Arrow):
-                    raise run.diag(
+                    raise Diagnostic(
                         DiagnosticKind.TYPE_MISMATCH,
-                        span=_span(term),
+                        span=term.span,
                         expected=substitute(renaming, expected),
                         subject=term,
                         detail="an unannotated function only checks against an arrow type",
@@ -289,9 +287,9 @@ def _binder_chain(run: _Run, ctx: Context, mode: Mode, term: Lam | TLam) -> Infe
             case Lam(bound=x, ann=dom):
                 run.note("lam")
                 if not is_well_formed(ctx, dom):
-                    raise run.diag(
+                    raise Diagnostic(
                         DiagnosticKind.UNBOUND_NAME,
-                        span=_span(term),
+                        span=term.span,
                         subject=term,
                         detail=_illformed_detail(ctx, dom, f"annotation on {x!r}"),
                     )
@@ -300,9 +298,9 @@ def _binder_chain(run: _Run, ctx: Context, mode: Mode, term: Lam | TLam) -> Infe
                 break
         if expected is not None:
             if not fits:
-                raise run.diag(
+                raise Diagnostic(
                     DiagnosticKind.TYPE_MISMATCH,
-                    span=_span(term),
+                    span=term.span,
                     expected=substitute(renaming, expected),
                     synthesized=_try_synthesize(ctx, term),
                     subject=term,
@@ -321,9 +319,9 @@ def _binder_chain(run: _Run, ctx: Context, mode: Mode, term: Lam | TLam) -> Infe
     ty, elab = out.ty, out.elaboration
     for layer, dom in reversed(layers):
         if dom is None:
-            ty, elab = Forall(layer.bound, ty), TLam(layer.bound, elab, span=_span(layer))
+            ty, elab = Forall(layer.bound, ty), TLam(layer.bound, elab, span=layer.span)
         else:
-            ty, elab = Arrow(dom, ty), Lam(layer.bound, dom, elab, span=_span(layer))
+            ty, elab = Arrow(dom, ty), Lam(layer.bound, dom, elab, span=layer.span)
     return InferOutcome(ty, elab)
 
 
@@ -339,7 +337,7 @@ def _type_applications(run: _Run, ctx: Context, mode: Mode, term: TApp) -> Infer
     chain: list[TApp] = []
     while isinstance(term, TApp):
         run.note("tyapp")
-        _check_type_arg(run, ctx, term)
+        _check_type_arg(ctx, term)
         chain.append(term)
         term = term.fun
     fout = _infer(run, ctx, Synthesize(), term)
@@ -349,25 +347,23 @@ def _type_applications(run: _Run, ctx: Context, mode: Mode, term: TApp) -> Infer
         if not isinstance(ty, Forall):
             ty, inst = substitute(inst, ty), {}
             if not isinstance(ty, Forall):
-                raise run.diag(
+                raise Diagnostic(
                     DiagnosticKind.APPLICAND_NOT_FORALL,
-                    span=_span(app),
+                    span=app.span,
                     synthesized=ty,
                     subject=app,
                 )
         inst[ty.bound] = app.targ
         ty = ty.body
-        elab = TApp(elab, app.targ, span=_span(app))
-    return _conclude(run, ctx, mode, outer, substitute(inst, ty), elab)
+        elab = TApp(elab, app.targ, span=app.span)
+    return _conclude(mode, outer, substitute(inst, ty), elab)
 
 
-def _conclude(
-    run: _Run, ctx: Context, mode: Mode, term: Term, ty: TypeExpr, elab: Term
-) -> InferOutcome:
+def _conclude(mode: Mode, term: Term, ty: TypeExpr, elab: Term) -> InferOutcome:
     if isinstance(mode, Check) and not alpha_equal(ty, mode.expected):
-        raise run.diag(
+        raise Diagnostic(
             DiagnosticKind.TYPE_MISMATCH,
-            span=_span(term),
+            span=term.span,
             expected=mode.expected,
             synthesized=ty,
             subject=term,
@@ -382,11 +378,11 @@ def _try_synthesize(ctx: Context, term: Term) -> TypeExpr | None:
         return None
 
 
-def _check_type_arg(run: _Run, ctx: Context, term: TApp) -> None:
+def _check_type_arg(ctx: Context, term: TApp) -> None:
     if not is_well_formed(ctx, term.targ):
-        raise run.diag(
+        raise Diagnostic(
             DiagnosticKind.UNBOUND_NAME,
-            span=_span(term),
+            span=term.span,
             subject=term,
             detail=_illformed_detail(ctx, term.targ, "type argument"),
         )
@@ -411,9 +407,9 @@ def _app_synthesize(run: _Run, ctx: Context, term: App) -> InferOutcome:
     if not out.solution.is_identity:
         raise EngineInvariantError("synthesis produced contextual bindings")
     if meta_vars_of_term(ctx, out.partial):
-        raise run.diag(
+        raise Diagnostic(
             DiagnosticKind.UNSOLVED_META_VARIABLES,
-            span=_span(term),
+            span=term.span,
             synthesized=ty,
             subject=term,
         )
@@ -427,9 +423,9 @@ def _app_check(run: _Run, ctx: Context, term: App, expected: TypeExpr) -> InferO
     out = _spine(run, ctx, Exact(expected), term)
     mv_partial = meta_vars_of_term(ctx, out.partial)
     if mv_partial != out.solution.domain():
-        raise run.diag(
+        raise Diagnostic(
             DiagnosticKind.UNSOLVED_META_VARIABLES,
-            span=_span(term),
+            span=term.span,
             expected=expected,
             synthesized=subst_type(out.solution, strip(out.deco)),
             subject=term,
@@ -455,7 +451,7 @@ def _spine(run: _Run, ctx: Context, proto: Prototype, term: Term) -> SpineOutcom
             run.note("spine-tyarg")
             if not isinstance(proto, ArrowTo):
                 raise EngineInvariantError("type argument reached a spine without a pending arrow")
-            _check_type_arg(run, ctx, term)
+            _check_type_arg(ctx, term)
         items.append(term)
         term = term.fun
 
@@ -465,7 +461,7 @@ def _spine(run: _Run, ctx: Context, proto: Prototype, term: Term) -> SpineOutcom
     head = _infer(run, ctx, Synthesize(), term)
     matched = _match(frozenset(), head.ty, proto, run.supply)
     if isinstance(matched, MatchFailure):
-        raise _head_failure(run, term, head.ty, matched)
+        raise _head_failure(term, head.ty, matched)
     if not matched.solution.is_identity:
         raise EngineInvariantError("head match solved variables it was not given")
 
@@ -473,12 +469,11 @@ def _spine(run: _Run, ctx: Context, proto: Prototype, term: Term) -> SpineOutcom
     # is the meta-variable: the matcher minted it fresh for this run.
     rest = _Remaining(matched.decorated, run.supply)
     partial, sol = head.elaboration, Solution()
-    synthetic: dict[str, TypeExpr] = {}
     arg_index = 0
     for item in reversed(items):
         if isinstance(item, TApp):
-            _take_type_arg(run, rest, sol, item)
-            partial = TApp(partial, item.targ, span=_span(item))
+            _take_type_arg(rest, sol, item)
+            partial = TApp(partial, item.targ, span=item.span)
             continue
         arg_index += 1
         if item is items[0] and not rest.settle():
@@ -491,23 +486,23 @@ def _spine(run: _Run, ctx: Context, proto: Prototype, term: Term) -> SpineOutcom
                 sol = compose(sol, quant.bound, quant.deco, rest.origin(quant.deco_origin))
             rest.deco = quant.body
         if not isinstance(rest.deco, DArrow):
-            raise run.diag(
+            raise Diagnostic(
                 DiagnosticKind.APPLICAND_NOT_ARROW,
-                span=_span(item.arg),
-                synthesized=subst_type(sol, rest.apply(strip(rest.deco))),
+                span=item.arg.span,
+                synthesized=rest.shown(sol),
                 subject=item.arg,
             )
-        elab = _consume_arrow(run, ctx, rest, sol, synthetic, item.arg, arg_index)
+        elab = _consume_arrow(run, ctx, rest, sol, item.arg, arg_index)
         partial = App(partial, elab)
     if not rest.settle():
         raise EngineInvariantError("a settled solution reached the stuck leaf again")
-    return SpineOutcome(rest.deco, subst_type_args(synthetic, partial), sol)
+    return SpineOutcome(rest.deco, subst_type_args(rest.pending, partial), sol)
 
 
 class _Remaining:
     """The rest of a spine's decorated type, under a delayed substitution.
 
-    ``pending`` holds the solutions not yet applied to ``deco``: the
+    ``pending`` is the spine's one map of solutions found along it: the
     synthetic instantiations and the explicit type arguments.  ``apply``
     brings one domain or origin up to date as the spine reaches it.
     ``settle`` applies the whole map to ``deco`` in one
@@ -515,9 +510,13 @@ class _Remaining:
     it solves.  The spine settles when a solution reaches the stuck leaf,
     so that a conflict is reported at the argument that solved it; when
     it reaches its last argument, whose quantifiers, domain and result
-    are then all that remain; and at the end.  Every pending value is
-    well-formed in the spine's context, so none mentions a meta-variable,
-    as ``subst_decorated`` requires.
+    are then all that remain; and at the end, when the same map reaches
+    the partial elaboration.  Every pending value is well-formed in the
+    spine's context, so none mentions a meta-variable, as
+    ``subst_decorated`` requires; re-applying a key that a settle has
+    already substituted away therefore changes nothing, and the map is
+    never cleared.  ``shown`` is the remaining type as a diagnostic
+    prints it.
     """
 
     def __init__(self, deco: DecoratedType, supply: NameSupply):
@@ -544,8 +543,28 @@ class _Remaining:
         deco = subst_decorated(self.pending, self.deco, self.supply)
         if deco is None:
             return False
-        self.deco, self.pending, self.stuck = deco, {}, _stuck_meta(deco)
+        self.deco, self.stuck = deco, _stuck_meta(deco)
         return True
+
+    def shown(self, sol: Solution) -> TypeExpr:
+        """The remaining type with ``pending`` and ``sol`` applied.
+
+        Each quantifier the spine has not reached is named after its
+        source binder again, primed only where that name is free below
+        the quantifier.
+        """
+
+        def walk(w: DecoratedType) -> TypeExpr:
+            match w:
+                case DArrow(dom=d, cod=c):
+                    return Arrow(subst_type(sol, self.apply(d)), walk(c))
+                case DForall(bound=m, body=b):
+                    body = walk(b)
+                    x = _fresh_against(self.supply.source_of(m), free_type_vars(body))
+                    return Forall(x, substitute({m: TVar(x)}, body))
+            return subst_type(sol, self.apply(strip(w)))
+
+        return walk(self.deco)
 
 
 def _stuck_meta(w: DecoratedType) -> str | None:
@@ -562,18 +581,18 @@ def _stuck_meta(w: DecoratedType) -> str | None:
                 return None
 
 
-def _head_failure(run: _Run, head: Term, head_ty: TypeExpr, failure: MatchFailure) -> Diagnostic:
+def _head_failure(head: Term, head_ty: TypeExpr, failure: MatchFailure) -> Diagnostic:
     if failure.arity_overrun:
-        return run.diag(
+        return Diagnostic(
             DiagnosticKind.APPLICAND_NOT_ARROW,
-            span=_span(head),
+            span=head.span,
             synthesized=head_ty,
             subject=head,
         )
     against = failure.proto.ty if isinstance(failure.proto, Exact) else None
-    return run.diag(
+    return Diagnostic(
         DiagnosticKind.TYPE_MISMATCH,
-        span=_span(head),
+        span=head.span,
         expected=against,
         synthesized=failure.ty,
         contextual_match=Contextual(failure.ty, against) if against is not None else None,
@@ -581,14 +600,14 @@ def _head_failure(run: _Run, head: Term, head_ty: TypeExpr, failure: MatchFailur
     )
 
 
-def _take_type_arg(run: _Run, rest: _Remaining, sol: Solution, term: TApp) -> None:
+def _take_type_arg(rest: _Remaining, sol: Solution, term: TApp) -> None:
     s = term.targ
     match rest.deco:
         case DForall(bound=x, deco=r, body=body, deco_origin=org):
             if r is not None and not alpha_equal(r, s):
-                raise run.diag(
+                raise Diagnostic(
                     DiagnosticKind.EXPLICIT_ARG_CONFLICT,
-                    span=_span(term),
+                    span=term.span,
                     expected=r,
                     synthesized=s,
                     contextual_match=rest.origin(org),
@@ -596,18 +615,18 @@ def _take_type_arg(run: _Run, rest: _Remaining, sol: Solution, term: TApp) -> No
                 )
             rest.deco = body
             if not rest.solve({x: s}):
-                raise run.diag(
+                raise Diagnostic(
                     DiagnosticKind.SOLUTION_CONFLICT,
-                    span=_span(term),
+                    span=term.span,
                     synthesized=s,
                     subject=term,
                     detail="explicit type argument cannot reveal the arrows this spine needs",
                 )
-        case other:
-            raise run.diag(
+        case _:
+            raise Diagnostic(
                 DiagnosticKind.APPLICAND_NOT_FORALL,
-                span=_span(term),
-                synthesized=subst_type(sol, rest.apply(strip(other))),
+                span=term.span,
+                synthesized=rest.shown(sol),
                 subject=term,
             )
 
@@ -617,7 +636,6 @@ def _consume_arrow(
     ctx: Context,
     rest: _Remaining,
     sol: Solution,
-    synthetic: dict[str, TypeExpr],
     arg: Term,
     arg_index: int,
 ) -> Term:
@@ -625,9 +643,9 @@ def _consume_arrow(
 
     The domain receives the pending map of ``rest`` as it is consumed,
     then the contextual solution.  A synthesized argument's
-    instantiation joins ``synthetic``, which the spine applies to the
-    partial elaboration when it is done, and the pending map, which
-    re-matches the stuck leaf at once if the instantiation solves it.
+    instantiation joins the pending map, which re-matches the stuck leaf
+    at once if the instantiation solves it and reaches the partial
+    elaboration when the spine is done.
     """
     dom = rest.apply(rest.deco.dom)
     rest.deco = rest.deco.cod
@@ -638,7 +656,7 @@ def _consume_arrow(
         try:
             out = _infer(run, ctx, Check(expected), arg)
         except Diagnostic as d:
-            _attach_solution_origin(run, d, dom, expected, sol, arg)
+            _attach_solution_origin(d, dom, expected, sol, arg)
             raise
         return out.elaboration
 
@@ -648,13 +666,12 @@ def _consume_arrow(
     except Diagnostic as d:
         if d.subject is arg and d.expected is None:
             d.expected = expected
-            run.refresh_display(d)
         raise
     inst = match_first_order(unsolved, expected, out.ty)
     if inst is None:
-        raise run.diag(
+        raise Diagnostic(
             DiagnosticKind.TYPE_MISMATCH,
-            span=_span(arg),
+            span=arg.span,
             expected=expected,
             synthesized=out.ty,
             synthetic_match=Synthetic(expected, out.ty, arg_index),
@@ -662,9 +679,9 @@ def _consume_arrow(
         )
     solved = inst.types()
     if not rest.solve(solved):
-        raise run.diag(
+        raise Diagnostic(
             DiagnosticKind.SOLUTION_CONFLICT,
-            span=_span(arg),
+            span=arg.span,
             expected=expected,
             bindings=solved,
             synthesized=out.ty,
@@ -672,12 +689,10 @@ def _consume_arrow(
             subject=arg,
             detail="the synthesized instantiation cannot reveal the arrows this spine needs",
         )
-    synthetic.update(solved)
     return out.elaboration
 
 
 def _attach_solution_origin(
-    run: _Run,
     d: Diagnostic,
     dom: TypeExpr,
     expected: TypeExpr,
@@ -699,4 +714,3 @@ def _attach_solution_origin(
     d.bindings = solved
     if d.contextual_match is None:
         d.contextual_match = sol.binding(next(iter(solved))).origin
-    run.refresh_display(d)

@@ -5,8 +5,9 @@ solvable variables that makes a pattern type equal to a target type.
 ``match_proto`` aligns a type against a prototype in one pass down its
 arrow and quantifier chain, peeling quantifiers into decorations and
 getting stuck (rather than failing) when a meta-variable must reveal
-arrows it does not yet have.  The binders it peels are renamed by one
-environment applied where a type is used, not substituted into the
+arrows it does not yet have.  Each binder it peels is named by one
+path, the ``NameSupply`` of the run (or a fresh one), and renamed by
+one environment applied where a type is used, not substituted into the
 rest of the chain one binder at a time.
 ``subst_decorated`` applies a substitution to a decorated type,
 re-matching stuck decorations against their pending prototypes.  It
@@ -39,10 +40,8 @@ from .syntax import (
     TVar,
     TypeExpr,
     Unknown,
-    _fresh_against,
     alpha_equal,
     free_type_vars,
-    proto_free_vars,
     substitute,
 )
 
@@ -138,7 +137,7 @@ def _match(
     metas: frozenset[str],
     ty: TypeExpr,
     proto: Prototype,
-    supply: NameSupply | None,
+    supply: NameSupply,
 ) -> MatchResult | MatchFailure:
     # One pass down the arrow and quantifier chain.  ``env`` renames each
     # peeled binder to its meta-variable (a later binder of the same name
@@ -170,11 +169,7 @@ def _match(
                 frames.append(substitute(env, d))
                 ty, proto = c, proto.rest
             case Forall(bound=x, body=b):
-                if supply is not None:
-                    fresh = supply.fresh_meta(x)
-                else:
-                    renamed = {env[v].name if v in env else v for v in free_type_vars(b)}
-                    fresh = _fresh_against(x, solvable | renamed | proto_free_vars(proto))
+                fresh = supply.fresh_meta(x)
                 env[x] = TVar(fresh)
                 solvable.add(fresh)
                 frames.append(fresh)
@@ -213,14 +208,13 @@ def match_proto(
     On success the solution instantiates a subset of ``metas`` and the
     decorated type records, per leading quantifier, what the exact part
     of the prototype determined for it.  Each peeled quantifier becomes
-    a solvable variable with a fresh name: minted by ``supply`` when
-    given, else the binder's name primed until it clashes with no
-    solvable variable, no free variable of the quantifier's (renamed)
-    body and no variable of the prototype.  The renaming from binders
-    to those names is carried along the chain and applied only to the
-    types the result holds.
+    a solvable variable named by ``supply.fresh_meta``, a reserved
+    ``?`` name; without a ``supply`` a fresh ``NameSupply`` mints them,
+    so such a caller's own ``metas`` must not be reserved ``?`` names.
+    The renaming from binders to those names is carried along the chain
+    and applied only to the types the result holds.
     """
-    out = _match(frozenset(metas), ty, proto, supply)
+    out = _match(frozenset(metas), ty, proto, supply if supply is not None else NameSupply())
     return out if isinstance(out, MatchResult) else None
 
 
@@ -234,7 +228,9 @@ def subst_decorated(
     A stuck decoration whose meta-variable is being solved is
     re-matched against its pending prototype; if the solved type cannot
     supply the demanded arrows the substitution is undefined and None
-    is returned (a solution conflict for callers to report).
+    is returned (a solution conflict for callers to report).  The
+    re-match names the quantifiers it peels with ``supply``, or with a
+    fresh ``NameSupply`` when none is given, as ``match_proto`` does.
 
     Precondition: no value of ``mapping`` mentions a meta-variable, and
     every ``DForall`` binder in ``w`` is one.  No binder can then
@@ -261,7 +257,7 @@ def subst_decorated(
         case Stuck(meta=m, proto=p):
             if m not in mapping:
                 return w
-            out = _match(frozenset(), mapping[m], p, supply)
+            out = _match(frozenset(), mapping[m], p, supply if supply is not None else NameSupply())
             if isinstance(out, MatchFailure):
                 return None
             return out.decorated

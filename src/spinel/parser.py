@@ -128,14 +128,6 @@ class Goal:
 Decl = ConDecl | Assume | Goal
 
 
-@dataclass(frozen=True)
-class Program:
-    decls: tuple[Decl, ...]
-
-    def __iter__(self):
-        return iter(self.decls)
-
-
 _ATOM_STARTERS = frozenset({"ident", "lparen"})
 
 
@@ -347,8 +339,8 @@ def _declaration(parser: _Parser, tok: Token) -> Decl:
     raise ParseError(f"expected a declaration, found {tok.text!r}", tok.line, tok.col)
 
 
-def parse_program(src: str) -> Program:
-    """Parse a whole source file.
+def parse_program(src: str) -> tuple[Decl, ...]:
+    """Parse a whole source file into its declarations, in order.
 
     A declaration nested deeper than the parser's recursion allows is a
     ParseError at its first token, not a RecursionError.
@@ -361,7 +353,7 @@ def parse_program(src: str) -> Program:
             decls.append(_declaration(parser, tok))
         except RecursionError:
             raise ParseError("declaration is nested too deeply", tok.line, tok.col) from None
-    return Program(tuple(decls))
+    return tuple(decls)
 
 
 def parse_type(src: str, ctx: Context) -> TypeExpr:

@@ -16,7 +16,6 @@ declared in the ambient context.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Union
 
@@ -175,7 +174,7 @@ class Context:
     prefix stays well-formed once a name or a constructor is added.
     """
 
-    __slots__ = ("entries", "signature", "_dtv", "_types", "_names")
+    __slots__ = ("entries", "signature", "_dtv", "_types")
 
     def __new__(
         cls,
@@ -187,7 +186,6 @@ class Context:
         ctx.signature = dict(signature) if signature else {}
         ctx._dtv = frozenset()
         ctx._types = {}
-        ctx._names = frozenset()
         for entry in entries:
             ctx = ctx._extend(entry)
         return ctx
@@ -199,7 +197,7 @@ class Context:
     def _extend(self, entry: TyVarDecl | TermBind) -> Context:
         """This context plus ``entry``, which is checked against it alone."""
         name = entry.name
-        if name in self._names:
+        if name in self._dtv or name in self._types:
             raise ValueError(f"duplicate declaration of {name!r}")
         is_term = isinstance(entry, TermBind)
         if is_term and not is_well_formed(self, entry.ty):
@@ -207,7 +205,6 @@ class Context:
         ctx = object.__new__(Context)
         ctx.entries = self.entries + (entry,)
         ctx.signature = self.signature
-        ctx._names = self._names | {name}
         ctx._dtv = self._dtv if is_term else self._dtv | {name}
         ctx._types = {**self._types, name: entry.ty} if is_term else self._types
         return ctx
@@ -226,7 +223,6 @@ class Context:
         ctx.signature = {**self.signature, name: arity}
         ctx._dtv = self._dtv
         ctx._types = self._types
-        ctx._names = self._names
         return ctx
 
     def lookup(self, name: str) -> TypeExpr | None:
@@ -241,7 +237,7 @@ class Context:
 
     @property
     def names(self) -> frozenset[str]:
-        return self._names
+        return self._dtv.union(self._types)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -283,17 +279,6 @@ def proto_arity(p: Prototype) -> int:
         n += 1
         p = p.rest
     return n
-
-
-def proto_free_vars(p: Prototype) -> frozenset[str]:
-    match p:
-        case Unknown():
-            return frozenset()
-        case Exact(ty=t):
-            return free_type_vars(t)
-        case ArrowTo(rest=r):
-            return proto_free_vars(r)
-    raise TypeError(p)
 
 
 # ------------------------------------------------------------ provenance
@@ -659,8 +644,6 @@ def alpha_equal_deco(a: DecoratedType, b: DecoratedType) -> bool:
 
 # ------------------------------------------------------------ fresh names
 
-_META_RE = re.compile(r"\?(.+?)\d*$")
-
 
 def is_meta_name(name: str) -> bool:
     return name.startswith("?")
@@ -669,9 +652,11 @@ def is_meta_name(name: str) -> bool:
 class NameSupply:
     """Monotone source of reserved meta-variable names for one run.
 
-    Remembers the source binder each name was minted for, so that
-    diagnostics can show ``?X`` for a meta that instantiates a
-    quantifier named ``X``.
+    Every meta-variable the engine works with is minted here, as
+    ``?`` + source binder + counter.  The supply remembers the source
+    binder of each name it minted, so that diagnostics can show ``?X``
+    for a meta that instantiates a quantifier named ``X``; any other
+    name (a binder) is its own source.
     """
 
     def __init__(self) -> None:
@@ -686,10 +671,7 @@ class NameSupply:
         return name
 
     def source_of(self, name: str) -> str:
-        if name in self._source:
-            return self._source[name]
-        m = _META_RE.match(name)
-        return m.group(1) if m else name
+        return self._source.get(name, name)
 
     def display_names(self, names) -> dict[str, str]:
         """Shortest unambiguous ``?source`` rendering for each meta name."""

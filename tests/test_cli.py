@@ -562,6 +562,87 @@ def test_readme_demo_prints_what_the_readme_shows(tmp_path, capsys, monkeypatch)
     assert golden_first in printed
 
 
+# ------------------------------------------ golden quantifier names, unsolved
+
+# Quantifiers a spine never reached, shown in an applicand type under
+# their source binders (primed where that name is free below them), and
+# the metas an unsolved-meta-variables diagnostic leaves open, in text
+# and as the NDJSON ``unsolved`` list.
+NAMES_GOLDEN = r"""type Nat
+type B
+type Sum 2
+assume z : Nat
+assume tt : B
+assume g2 : forall X. Nat -> forall Y. Y -> Y
+assume g3 : forall X. Nat -> forall Y. Y -> X
+assume h : forall X. X -> forall Y. Y -> Y
+assume k : forall F. F -> Nat -> F
+assume right : forall X. forall Y. Y -> Sum X Y
+assume both : forall X. forall Y. Nat -> Sum X Y
+
+synth g2 [Nat] [B] z tt
+synth k h [B] z tt
+synth /\Y. g3 [Y] [B] z tt
+synth right z
+synth both z
+"""
+
+NAMES_GOLDEN_TEXT = r"""[1] synth g2 [Nat] [B] z tt
+    error: applicand is not polymorphic at 13:7
+      applicand type: Nat -> (forall Y. Y -> Y)
+
+[2] synth k h [B] z tt
+    error: applicand is not polymorphic at 14:7
+      applicand type: Nat -> (forall X. X -> (forall Y. Y -> Y))
+
+[3] synth /\Y. g3 [Y] [B] z tt
+    error: applicand is not polymorphic at 15:12
+      applicand type: Nat -> (forall Y'. Y' -> Y)
+
+[4] synth right z
+    error: cannot determine all type arguments at 16:7
+      synthesized type: Sum ?X Nat
+      unsolved: ?X
+
+[5] synth both z
+    error: cannot determine all type arguments at 17:7
+      synthesized type: Sum ?X ?Y
+      unsolved: ?X, ?Y
+
+"""
+
+NAMES_GOLDEN_NDJSON = r"""{"goal": 1, "mode": "synth", "term": "g2 [Nat] [B] z tt", "status": "error", "diagnostic": {"kind": "applicand-not-forall", "message": "applicand is not polymorphic", "span": {"line": 13, "col": 7, "end_line": 13, "end_col": 19}, "synthesized": "Nat -> (forall Y. Y -> Y)"}}
+{"goal": 2, "mode": "synth", "term": "k h [B] z tt", "status": "error", "diagnostic": {"kind": "applicand-not-forall", "message": "applicand is not polymorphic", "span": {"line": 14, "col": 7, "end_line": 14, "end_col": 14}, "synthesized": "Nat -> (forall X. X -> (forall Y. Y -> Y))"}}
+{"goal": 3, "mode": "synth", "term": "/\\Y. g3 [Y] [B] z tt", "status": "error", "diagnostic": {"kind": "applicand-not-forall", "message": "applicand is not polymorphic", "span": {"line": 15, "col": 12, "end_line": 15, "end_col": 22}, "synthesized": "Nat -> (forall Y'. Y' -> Y)"}}
+{"goal": 4, "mode": "synth", "term": "right z", "status": "error", "diagnostic": {"kind": "unsolved-meta-variables", "message": "cannot determine all type arguments", "span": {"line": 16, "col": 7, "end_line": 16, "end_col": 14}, "synthesized": "Sum ?X Nat", "unsolved": ["?X"]}}
+{"goal": 5, "mode": "synth", "term": "both z", "status": "error", "diagnostic": {"kind": "unsolved-meta-variables", "message": "cannot determine all type arguments", "span": {"line": 17, "col": 7, "end_line": 17, "end_col": 13}, "synthesized": "Sum ?X ?Y", "unsolved": ["?X", "?Y"]}}
+"""
+
+
+@pytest.fixture
+def names_file(tmp_path):
+    path = tmp_path / "names.spn"
+    path.write_text(NAMES_GOLDEN)
+    return str(path)
+
+
+def test_golden_quantifier_names_and_unsolved_text(names_file, capsys, monkeypatch):
+    monkeypatch.setenv("SPINEL_COLOR", "never")
+    code = main(["run", names_file])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert captured.out == NAMES_GOLDEN_TEXT
+
+
+def test_golden_quantifier_names_and_unsolved_ndjson(names_file, capsys):
+    code = main(["run", names_file, "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert captured.out == NAMES_GOLDEN_NDJSON
+
+
 # ----------------------------------------------------------- deep input
 
 HEAD = "type Nat\nassume z : Nat\nassume suc : Nat -> Nat\n"

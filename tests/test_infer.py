@@ -217,6 +217,28 @@ def test_mismatched_lambda_annotation_carries_the_contextual_match():
     assert d.bindings == {d.expected.name: ty("Nat -> Nat")}
 
 
+def test_display_names_are_computed_once_per_diagnostic(monkeypatch):
+    # The argument check's diagnostic is edited on its way out of the
+    # spine (it gains the contextual match's bindings), and named only as
+    # it leaves ``infer``.
+    from spinel.syntax import NameSupply
+
+    original = NameSupply.display_names
+    calls = [0]
+
+    def counted(self, names):
+        calls[0] += 1
+        return original(self, names)
+
+    monkeypatch.setattr(NameSupply, "display_names", counted)
+    d = fails(
+        DiagnosticKind.TYPE_MISMATCH,
+        lambda: check(r"pair (\x : B. x) z", "Pair (Nat -> Nat) Nat"),
+    )
+    assert calls[0] == 1
+    assert set(d.display.values()) == {"?X", "?Y"}
+
+
 def test_contextual_type_mismatch_at_the_tail():
     d = fails(DiagnosticKind.TYPE_MISMATCH, lambda: check("suc z", "B"))
     assert d.synthesized == ty("Nat")

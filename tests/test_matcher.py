@@ -22,6 +22,7 @@ from spinel.syntax import (
     TVar,
     Unknown,
     alpha_equal_deco,
+    is_meta_name,
     strip,
 )
 
@@ -78,7 +79,7 @@ def test_meta_head_gets_stuck_instead_of_failing():
 def test_arity_overrun_is_reported_as_such():
     from spinel.matcher import MatchFailure, _match
 
-    out = _match(frozenset(), NAT, ArrowTo(Unknown()), None)
+    out = _match(frozenset(), NAT, ArrowTo(Unknown()), NameSupply())
     assert isinstance(out, MatchFailure)
     assert out.arity_overrun
 
@@ -86,7 +87,7 @@ def test_arity_overrun_is_reported_as_such():
 def test_exact_disagreement_is_not_an_arity_overrun():
     from spinel.matcher import MatchFailure, _match
 
-    out = _match(frozenset(), Arrow(NAT, NAT), ArrowTo(Exact(Con("B"))), None)
+    out = _match(frozenset(), Arrow(NAT, NAT), ArrowTo(Exact(Con("B"))), NameSupply())
     assert isinstance(out, MatchFailure)
     assert not out.arity_overrun
     assert out.ty == NAT
@@ -151,3 +152,23 @@ def test_supply_backed_binders_are_run_unique_metas():
     assert outer.bound.startswith("?X")
     assert isinstance(outer.body, DForall)
     assert outer.body.bound.startswith("?Y")
+
+
+def test_without_a_supply_every_peeled_binder_is_a_reserved_meta():
+    # One naming path: a fresh supply mints the names, even where the
+    # binder's own name clashes with nothing.
+    got = match_proto(
+        frozenset({"M"}), ty("forall X. forall Y. X -> Y -> Pair X Y"), arrow_to(1, 2)
+    )
+    outer = got.decorated
+    inner = outer.body
+    assert is_meta_name(outer.bound) and outer.bound.startswith("?X")
+    assert is_meta_name(inner.bound) and inner.bound.startswith("?Y")
+    assert outer.bound != inner.bound
+    assert strip(got.decorated) == Forall(
+        outer.bound,
+        Forall(
+            inner.bound,
+            Arrow(TVar(outer.bound), Arrow(TVar(inner.bound), Con("Pair", (TVar(outer.bound), TVar(inner.bound))))),
+        ),
+    )

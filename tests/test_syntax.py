@@ -168,6 +168,7 @@ def test_context_constructor_respects_ordered_scope():
         Context((TermBind("x", TVar("A")), TyVarDecl("A")))
     ctx = Context((TyVarDecl("A"), TermBind("x", TVar("A"))))
     assert ctx.lookup("x") == TVar("A")
+    assert ctx.names == frozenset({"A", "x"}) and ctx.dtv == frozenset({"A"})
     with pytest.raises(ValueError, match="duplicate declaration of 'A'"):
         Context((TyVarDecl("A"), TermBind("A", Con("Nat"))), {"Nat": 0})
     assert Context(CTX.entries, CTX.signature) == CTX
