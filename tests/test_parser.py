@@ -172,6 +172,105 @@ def test_goal_requires_a_colon_when_checking():
         parse_declaration("check", "suc z", CTX)
 
 
+# Every malformed source's exact message and position, pinned from the
+# parser as it stood before tokens became tuples and chains loops.
+# Entries: a whole program, or one type or term in the standard context.
+P = "type Nat\nassume z : Nat\n"
+MALFORMED = [
+    ('program', 'type Nat\nassume z : Nat$', "unexpected character '$'", 2, 15),
+    ('program', 'type Nat -- a comment ? here\nassume z @ Nat', "unexpected character '@'", 2, 10),
+    ('program', 'type Nat\r\nassume z : Nat\r\n#', "unexpected character '#'", 3, 1),
+    ('program', 'type Nat\r%', "unexpected character '%'", 1, 10),
+    ('program', 'type Nat\t~', "unexpected character '~'", 1, 10),
+    ('program', P + 'synth z - z', "unexpected character '-'", 3, 9),
+    ('program', P + 'synth z / z', "unexpected character '/'", 3, 9),
+    ('program', P + 'synth \\x. x \xe9', "unexpected character '\xe9'", 3, 13),
+    ('program', 'type Nat\n\n  -- only a comment\n   !', "unexpected character '!'", 4, 4),
+    ('program', 'type', 'expected a constructor name', 1, 5),
+    ('program', 'assume', 'expected a name', 1, 7),
+    ('program', P + 'assume w', "expected ':'", 3, 9),
+    ('program', P + 'assume w :', 'expected a type', 3, 11),
+    ('program', P + 'check', 'expected a term', 3, 6),
+    ('program', P + 'check z', "expected ':'", 3, 8),
+    ('program', P + 'check z :', 'expected a type', 3, 10),
+    ('program', P + 'synth', 'expected a term', 3, 6),
+    ('program', P + 'assume w : forall', 'expected a type variable', 3, 18),
+    ('program', P + 'assume w : forall X', "expected '.'", 3, 20),
+    ('program', P + 'assume w : forall X.', 'expected a type', 3, 21),
+    ('program', P + 'assume w : Nat ->', 'expected a type', 3, 18),
+    ('program', P + 'assume w : (Nat -> Nat', "expected ')'", 3, 23),
+    ('program', P + 'synth (z', "expected ')'", 3, 9),
+    ('program', P + 'synth (z -- unclosed\n', "expected ')'", 3, 9),
+    ('program', P + 'synth \\', 'expected a variable', 3, 8),
+    ('program', P + 'synth \\x', "expected '.'", 3, 9),
+    ('program', P + 'synth \\x :', 'expected a type', 3, 11),
+    ('program', P + 'synth \\x : Nat', "expected '.'", 3, 15),
+    ('program', P + 'synth \\x : Nat.', 'expected a term', 3, 16),
+    ('program', P + 'synth /\\', 'expected a type variable', 3, 9),
+    ('program', P + 'synth /\\X', "expected '.'", 3, 10),
+    ('program', P + 'synth /\\X.', 'expected a term', 3, 11),
+    ('program', P + 'synth z [', 'expected a type', 3, 10),
+    ('program', P + 'synth z [Nat', "expected ']'", 3, 13),
+    ('program', P + 'synth z -- then\n  \\x', "expected '.'", 4, 5),
+    ('program', P + 'assume w : -> Nat', "expected a type, found '->'", 3, 12),
+    ('program', P + 'synth )', "expected a term, found ')'", 3, 7),
+    ('program', P + 'synth 3', "expected a term, found '3'", 3, 7),
+    ('program', P + 'synth \\x Nat', "expected '.', found 'Nat'", 3, 10),
+    ('program', P + 'synth z [Nat)', "expected ']', found ')'", 3, 13),
+    ('program', P + 'synth \\z. z', "'z' shadows an existing binding", 3, 8),
+    ('program', P + 'synth \\x. \\x. x', "'x' shadows an existing binding", 3, 12),
+    ('program', P + 'synth /\\X. \\X. z', "'X' shadows an existing binding", 3, 13),
+    ('program', P + 'assume w : forall X. forall X. X', "'X' shadows an existing binding", 3, 29),
+    ('program', P + 'synth \\Nat. z', "'Nat' is already a constructor", 3, 8),
+    ('program', P + 'assume w : forall Nat. Nat', "'Nat' is already a constructor", 3, 19),
+    ('program', P + 'assume w : X -> X', "unbound type variable 'X'", 3, 12),
+    ('program', P + 'synth \\x : Y. x', "unbound type variable 'Y'", 3, 12),
+    ('program', P + 'synth z [Y]', "unbound type variable 'Y'", 3, 10),
+    ('program', P + 'synth /\\X. z [Y]', "unbound type variable 'Y'", 3, 15),
+    ('program', 'type Nat\ntype Pair 2\nassume p : Pair Nat', 'expected a type', 3, 20),
+    ('program', 'type Nat\ntype Pair 2\nassume p : Pair -> Nat', "expected a type, found '->'", 3, 17),
+    ('program', 'type Nat\ntype Pair 2\nassume p : Pair Pair Nat Nat', "constructor 'Pair' expects 2 argument(s)", 3, 17),
+    ('program', 'type Nat\ntype Pair 2\nassume p : Nat -> Pair', 'expected a type', 3, 23),
+    ('program', 'type Nat\ntype Nat', "duplicate declaration of 'Nat'", 2, 6),
+    ('program', P + 'assume z : Nat', "duplicate declaration of 'z'", 3, 8),
+    ('program', P + 'assume Nat : Nat', "duplicate declaration of 'Nat'", 3, 8),
+    ('program', P + 'type z', "duplicate declaration of 'z'", 3, 6),
+    ('program', 'type Nat 2 3', "expected a declaration, found '3'", 1, 12),
+    ('program', P + 'check z : Nat Nat', "expected a declaration, found 'Nat'", 3, 15),
+    ('program', P + 'check z : Nat )', "expected a declaration, found ')'", 3, 15),
+    ('program', 'typo Nat', "expected a declaration, found 'typo'", 1, 1),
+    ('type', '', 'expected a type', 1, 1),
+    ('type', 'Nat ->', 'expected a type', 1, 7),
+    ('type', '(Nat', "expected ')'", 1, 5),
+    ('type', 'Pair Nat', 'expected a type', 1, 9),
+    ('type', 'forall X. Y', "unbound type variable 'Y'", 1, 11),
+    ('type', 'Nat Nat', 'trailing input after type', 1, 5),
+    ('type', 'Nat -> Nat )', 'trailing input after type', 1, 12),
+    ('type', 'forall X X', "expected '.', found 'X'", 1, 10),
+    ('term', '', 'expected a term', 1, 1),
+    ('term', '\\x. (x', "expected ')'", 1, 7),
+    ('term', 'ident [Nat', "expected ']'", 1, 11),
+    ('term', 'z z )', 'trailing input after term', 1, 5),
+    ('term', '\\z. z', "'z' shadows an existing binding", 1, 2),
+    ('term', 'ident [X] z', "unbound type variable 'X'", 1, 8),
+    ('term', 'z : Nat', 'trailing input after term', 1, 3),
+    ('term', '\\x : Nat -> . x', "expected a type, found '.'", 1, 13),
+]
+
+_PARSE = {
+    "program": parse_program,
+    "type": lambda src: parse_type(src, CTX),
+    "term": lambda src: parse_term(src, CTX),
+}
+
+
+@pytest.mark.parametrize("entry, src, message, line, col", MALFORMED)
+def test_malformed_source_error_and_position(entry, src, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        _PARSE[entry](src)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+
 # ------------------------------------------------------------ programs
 
 
