@@ -7,11 +7,13 @@ all goals succeed, 1 some goal fails with a diagnostic, 2 the input
 does not parse, 3 an internal invariant or a declarative replay fails,
 or some goal hits the resource limit.
 
-Nesting depth is bounded by Python's recursion limit.  A declaration
+Chains of any length parse and print; only argument and parenthesis
+nesting is bounded by Python's recursion limit there.  A declaration
 nested too deeply to parse is a parse error at its first token (exit 2).
-A goal nested too deeply to type-check, print or replay reports status
-``resource-limit`` (exit 3), and the goals after it still run.  The
-interactive loop prints an ``error:`` line for either and keeps going.
+A goal nested or chained too deeply to type-check, print or replay
+reports status ``resource-limit`` (exit 3), and the goals after it still
+run.  The interactive loop prints an ``error:`` line for either and
+keeps going.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ from .syntax import (
     Exact,
     TypeExpr,
     Unknown,
-    free_type_vars,
-    is_meta_name,
     strip,
 )
 
@@ -89,11 +89,9 @@ def _field_labels(kind: DiagnosticKind) -> tuple[str, str]:
 
 
 def _unsolved(d: Diagnostic) -> list[str]:
-    """Display names of the metas an unsolved-meta-variables diagnostic's
-    synthesized type still mentions, in name order."""
-    if d.kind is not DiagnosticKind.UNSOLVED_META_VARIABLES or d.synthesized is None:
-        return []
-    return [d.display.get(m, m) for m in sorted(v for v in free_type_vars(d.synthesized) if is_meta_name(v))]
+    """Display names of the metas an unsolved-meta-variables diagnostic
+    leaves open in the elaboration, in name order."""
+    return [d.display.get(m, m) for m in sorted(d.unsolved)]
 
 
 def render_diagnostic(d: Diagnostic, color: bool = False) -> str:

@@ -125,9 +125,11 @@ class Diagnostic(Exception):
     the diagnostic's match fixed for each of them it solved, and
     ``resolved`` the expected type with those applied.  The match itself
     is the engine's record of it: ``contextual_match`` or
-    ``synthetic_match``.  ``display`` maps reserved meta-variable names to
-    their source-keyed rendering; it is filled in once, as the diagnostic
-    leaves ``infer`` or ``spine_infer``.
+    ``synthetic_match``.  ``unsolved`` holds the metas an
+    unsolved-meta-variables diagnostic leaves open in the elaboration,
+    whether or not its synthesized type mentions them.  ``display`` maps
+    reserved meta-variable names to their source-keyed rendering; it is
+    filled in once, as the diagnostic leaves ``infer`` or ``spine_infer``.
     """
 
     def __init__(
@@ -141,6 +143,7 @@ class Diagnostic(Exception):
         synthesized: TypeExpr | None = None,
         contextual_match: Contextual | None = None,
         synthetic_match: Synthetic | None = None,
+        unsolved: frozenset[str] = frozenset(),
         subject: Term | None = None,
         detail: str | None = None,
     ):
@@ -153,6 +156,7 @@ class Diagnostic(Exception):
         self.synthesized = synthesized
         self.contextual_match = contextual_match
         self.synthetic_match = synthetic_match
+        self.unsolved = unsolved
         self.display: dict[str, str] = {}
         self.subject = subject
         self.detail = detail
@@ -180,7 +184,7 @@ def _named(run: _Run, step, *args):
     try:
         return step(run, *args)
     except Diagnostic as d:
-        metas: set[str] = set()
+        metas = set(d.unsolved)
         for ty in (
             d.expected,
             d.resolved,
@@ -406,11 +410,13 @@ def _app_synthesize(run: _Run, ctx: Context, term: App) -> InferOutcome:
         raise EngineInvariantError("spine type mentions metas the elaboration lost")
     if not out.solution.is_identity:
         raise EngineInvariantError("synthesis produced contextual bindings")
-    if meta_vars_of_term(ctx, out.partial):
+    unsolved = meta_vars_of_term(ctx, out.partial)
+    if unsolved:
         raise Diagnostic(
             DiagnosticKind.UNSOLVED_META_VARIABLES,
             span=term.span,
             synthesized=ty,
+            unsolved=unsolved,
             subject=term,
         )
     if not isinstance(out.deco, Plain):
@@ -428,6 +434,7 @@ def _app_check(run: _Run, ctx: Context, term: App, expected: TypeExpr) -> InferO
             span=term.span,
             expected=expected,
             synthesized=subst_type(out.solution, strip(out.deco)),
+            unsolved=mv_partial - out.solution.domain(),
             subject=term,
         )
     final = subst_type(out.solution, strip(out.deco))

@@ -43,23 +43,14 @@ class ParseError(Exception):
 
 # ---------------------------------------------------------------- lexing
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-    @property
-    def end_col(self) -> int:
-        return self.col + len(self.text)
-
+# A token is a plain tuple (kind, text, line, col), with 1-based line
+# and column.  Whitespace and comments match the unnamed alternatives,
+# so their ``lastgroup`` is None; ``bad`` catches any other character.
+_Token = tuple[str, str, int, int]
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r]+)
-      | (?P<comment>--[^\n]*)
-      | (?P<nl>\n)
+    r"""[ \t\r]+
+      | --[^\n]*
       | (?P<tylam>/\\)
       | (?P<arrow>->)
       | (?P<lam>\\)
@@ -71,6 +62,7 @@ _TOKEN_RE = re.compile(
       | (?P<rbrack>\])
       | (?P<int>\d+)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -78,26 +70,27 @@ _TOKEN_RE = re.compile(
 KEYWORDS = frozenset({"type", "assume", "check", "synth", "forall"})
 
 
-def tokenize(src: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
-        kind = m.lastgroup
-        text = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(text)
-        else:
-            if kind == "ident" and text in KEYWORDS:
-                kind = text
-            tokens.append(Token(kind, text, line, col))
-            col += len(text)
-        pos = m.end()
+def tokenize(src: str) -> list[_Token]:
+    """Split source text into ``(kind, text, line, col)`` tuples, one per token.
+
+    A keyword's kind is the keyword itself.  A character no token can
+    start with is a ParseError at its position.  Each line is one scan
+    of ``_TOKEN_RE``, so the lexer never recurses.
+    """
+    tokens = []
+    append = tokens.append
+    for line, text in enumerate(src.split("\n"), 1):
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind is None:
+                continue
+            word = m.group()
+            if kind == "ident":
+                if word in KEYWORDS:
+                    kind = word
+            elif kind == "bad":
+                raise ParseError(f"unexpected character {word!r}", line, m.start() + 1)
+            append((kind, word, line, m.start() + 1))
     return tokens
 
 
@@ -128,206 +121,228 @@ class Goal:
 Decl = ConDecl | Assume | Goal
 
 
-_ATOM_STARTERS = frozenset({"ident", "lparen"})
+_NO_NAMES: frozenset[str] = frozenset()
+
+
+def _expected(tok: _Token, what: str) -> ParseError:
+    if tok[0] == "eof":
+        return ParseError(f"expected {what}", tok[2], tok[3])
+    return ParseError(f"expected {what}, found {tok[1]!r}", tok[2], tok[3])
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], signature: dict[str, int], scope: frozenset[str]):
-        self.tokens = tokens
+    """Recursive descent over a token list; chains of links are loops.
+
+    Only parentheses, brackets and constructor arguments recurse, so a
+    chain of any length parses at any recursion limit.
+    """
+
+    __slots__ = ("tokens", "pos", "signature", "scope")
+
+    def __init__(self, tokens: list[_Token], signature: dict[str, int], scope: frozenset[str]):
+        # An "eof" token ends the list where end-of-input errors point:
+        # just past the last token, or at 1:1 in an empty source.
+        if tokens:
+            _, text, line, col = tokens[-1]
+            self.tokens = [*tokens, ("eof", "", line, col + len(text))]
+        else:
+            self.tokens = [("eof", "", 1, 1)]
         self.pos = 0
         self.signature = signature
         self.scope = scope
 
     # --- token plumbing
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
-    def at(self, kind: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == kind
-
-    def advance(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise self.eof_error("unexpected end of input")
+    def advance(self) -> _Token:
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise self.eof_error(f"expected {what}")
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.text!r}", tok.line, tok.col)
+    def expect(self, kind: str, what: str) -> _Token:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise _expected(tok, what)
         self.pos += 1
         return tok
 
-    def eof_error(self, message: str) -> ParseError:
-        if self.tokens:
-            last = self.tokens[-1]
-            return ParseError(message, last.line, last.end_col)
-        return ParseError(message, 1, 1)
+    def finish(self, what: str) -> None:
+        _, _, line, col = tok = self.tokens[self.pos]
+        if tok[0] != "eof":
+            raise ParseError(f"trailing input after {what}", line, col)
 
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        if tok is None:
-            return self.eof_error(message)
-        return ParseError(message, tok.line, tok.col)
+    def span_from(self, start: _Token) -> Span:
+        _, text, line, col = self.tokens[self.pos - 1]
+        return Span(start[2], start[3], line, col + len(text))
 
-    def span_from(self, start: Token) -> Span:
-        last = self.tokens[self.pos - 1]
-        return Span(start.line, start.col, last.line, last.end_col)
+    def close(self, links: list[tuple], last):
+        """Build a run's nodes bottom-up around its ``last`` tree.
 
-    def fresh_binder(self, tok: Token, tyvars: frozenset[str]) -> None:
-        name = tok.text
+        A link is (its first token, its node class, the node's fields
+        before the body); every node spans to the run's last token.
+        """
+        _, text, line, end_col = self.tokens[self.pos - 1]
+        end_col += len(text)
+        for start, node, *fields in reversed(links):
+            last = node(*fields, last, span=Span(start[2], start[3], line, end_col))
+        return last
+
+    def fresh_binder(self, tok: _Token, tyvars: frozenset[str], bound: frozenset[str] = _NO_NAMES) -> None:
+        name = tok[1]
         if name in self.signature:
-            raise ParseError(f"{name!r} is already a constructor", tok.line, tok.col)
-        if name in self.scope or name in tyvars:
-            raise ParseError(f"{name!r} shadows an existing binding", tok.line, tok.col)
+            raise ParseError(f"{name!r} is already a constructor", tok[2], tok[3])
+        if name in self.scope or name in tyvars or name in bound:
+            raise ParseError(f"{name!r} shadows an existing binding", tok[2], tok[3])
 
     # --- types
 
     def type_(self, tyvars: frozenset[str]) -> TypeExpr:
-        start = self.peek()
-        if start is not None and start.kind == "forall":
-            self.advance()
-            name = self.expect("ident", "a type variable")
-            self.fresh_binder(name, tyvars)
-            self.expect("dot", "'.'")
-            body = self.type_(tyvars | {name.text})
-            return Forall(name.text, body, span=self.span_from(start))
-        return self.arrow(tyvars)
+        """A run of ``forall X.`` and ``T ->`` links, then the last type.
 
-    def arrow(self, tyvars: frozenset[str]) -> TypeExpr:
-        start = self.peek()
-        left = self.ty_app(tyvars)
-        if self.at("arrow"):
-            self.advance()
-            right = self.type_(tyvars)
-            return Arrow(left, right, span=self.span_from(start))
-        return left
+        The nodes are built bottom-up once the run ends; each spans from
+        its own first token to the last token of the whole run.
+        """
+        toks = self.tokens
+        links: list[tuple] = []
+        while True:
+            start = toks[self.pos]
+            if start[0] == "forall":
+                self.pos += 1
+                name = self.expect("ident", "a type variable")
+                self.fresh_binder(name, tyvars)
+                self.expect("dot", "'.'")
+                tyvars = tyvars | {name[1]}
+                links.append((start, Forall, name[1]))
+                continue
+            ty = self.ty_app(tyvars)
+            if toks[self.pos][0] != "arrow":
+                break
+            self.pos += 1
+            links.append((start, Arrow, ty))
+        return self.close(links, ty)
 
     def ty_app(self, tyvars: frozenset[str]) -> TypeExpr:
-        tok = self.peek()
-        if (
-            tok is not None
-            and tok.kind == "ident"
-            and tok.text not in tyvars
-            and self.signature.get(tok.text, 0) > 0
-        ):
-            self.advance()
-            arity = self.signature[tok.text]
+        tok = self.tokens[self.pos]
+        if tok[0] == "ident" and tok[1] not in tyvars and self.signature.get(tok[1], 0) > 0:
+            self.pos += 1
+            arity = self.signature[tok[1]]
             args = tuple(self.ty_atom(tyvars) for _ in range(arity))
-            return Con(tok.text, args, span=self.span_from(tok))
+            return Con(tok[1], args, span=self.span_from(tok))
         return self.ty_atom(tyvars)
 
     def ty_atom(self, tyvars: frozenset[str]) -> TypeExpr:
-        tok = self.peek()
-        if tok is None:
-            raise self.eof_error("expected a type")
-        if tok.kind == "lparen":
-            self.advance()
-            ty = self.type_(tyvars)
-            self.expect("rparen", "')'")
-            return ty
-        if tok.kind == "ident":
-            self.advance()
-            name = tok.text
-            span = Span(tok.line, tok.col, tok.line, tok.end_col)
+        kind, name, line, col = tok = self.tokens[self.pos]
+        if kind == "ident":
+            self.pos += 1
+            span = Span(line, col, line, col + len(name))
             if name in tyvars:
                 return TVar(name, span=span)
             arity = self.signature.get(name)
             if arity == 0:
                 return Con(name, span=span)
             if arity is not None:
-                raise ParseError(
-                    f"constructor {name!r} expects {arity} argument(s)", tok.line, tok.col
-                )
-            raise ParseError(f"unbound type variable {name!r}", tok.line, tok.col)
-        raise ParseError(f"expected a type, found {tok.text!r}", tok.line, tok.col)
+                raise ParseError(f"constructor {name!r} expects {arity} argument(s)", line, col)
+            raise ParseError(f"unbound type variable {name!r}", line, col)
+        if kind == "lparen":
+            self.pos += 1
+            ty = self.type_(tyvars)
+            self.expect("rparen", "')'")
+            return ty
+        raise _expected(tok, "a type")
 
     # --- terms
 
     def term(self, bound: frozenset[str], tyvars: frozenset[str]) -> Term:
-        tok = self.peek()
-        if tok is not None and tok.kind == "lam":
-            self.advance()
-            name = self.expect("ident", "a variable")
-            self.fresh_binder(name, tyvars | bound)
-            ann = None
-            if self.at("colon"):
-                self.advance()
-                ann = self.type_(tyvars)
-            self.expect("dot", "'.'")
-            body = self.term(bound | {name.text}, tyvars)
-            return Lam(name.text, ann, body, span=self.span_from(tok))
-        if tok is not None and tok.kind == "tylam":
-            self.advance()
-            name = self.expect("ident", "a type variable")
-            self.fresh_binder(name, tyvars | bound)
-            self.expect("dot", "'.'")
-            body = self.term(bound | {name.text}, tyvars | {name.text})
-            return TLam(name.text, body, span=self.span_from(tok))
-        return self.app(bound, tyvars)
+        """A run of ``\\x.``, ``\\x : T.`` and ``/\\X.`` links, then an application.
+
+        An application followed by a lambda takes that lambda, and with
+        it the rest of the term, as its last argument: one more link.
+        The nodes are built bottom-up once the run ends, like types'.
+        """
+        toks = self.tokens
+        links: list[tuple] = []
+        while True:
+            tok = toks[self.pos]
+            kind = tok[0]
+            if kind == "lam":
+                self.pos += 1
+                name = self.expect("ident", "a variable")
+                self.fresh_binder(name, tyvars, bound)
+                ann = None
+                if toks[self.pos][0] == "colon":
+                    self.pos += 1
+                    ann = self.type_(tyvars)
+                self.expect("dot", "'.'")
+                bound = bound | {name[1]}
+                links.append((tok, Lam, name[1], ann))
+            elif kind == "tylam":
+                self.pos += 1
+                name = self.expect("ident", "a type variable")
+                self.fresh_binder(name, tyvars, bound)
+                self.expect("dot", "'.'")
+                bound = bound | {name[1]}
+                tyvars = tyvars | {name[1]}
+                links.append((tok, TLam, name[1]))
+            else:
+                t = self.app(bound, tyvars)
+                if toks[self.pos][0] not in ("lam", "tylam"):
+                    break
+                links.append((tok, App, t))
+        return self.close(links, t)
 
     def app(self, bound: frozenset[str], tyvars: frozenset[str]) -> Term:
-        start = self.peek()
+        """An atom applied to atoms and ``[T]`` type arguments, left to right."""
+        toks = self.tokens
+        start = toks[self.pos]
         t = self.atom(bound, tyvars)
         while True:
-            tok = self.peek()
-            if tok is None:
-                return t
-            if tok.kind == "lbrack":
-                self.advance()
+            kind = toks[self.pos][0]
+            if kind == "ident" or kind == "lparen":
+                arg = self.atom(bound, tyvars)
+                t = App(t, arg, span=self.span_from(start))
+            elif kind == "lbrack":
+                self.pos += 1
                 targ = self.type_(tyvars)
                 self.expect("rbrack", "']'")
                 t = TApp(t, targ, span=self.span_from(start))
-            elif tok.kind in _ATOM_STARTERS or tok.kind in ("lam", "tylam"):
-                arg = (
-                    self.term(bound, tyvars)
-                    if tok.kind in ("lam", "tylam")
-                    else self.atom(bound, tyvars)
-                )
-                t = App(t, arg, span=self.span_from(start))
             else:
                 return t
 
     def atom(self, bound: frozenset[str], tyvars: frozenset[str]) -> Term:
-        tok = self.peek()
-        if tok is None:
-            raise self.eof_error("expected a term")
-        if tok.kind == "lparen":
-            self.advance()
+        kind, name, line, col = tok = self.tokens[self.pos]
+        if kind == "ident":
+            self.pos += 1
+            return Var(name, span=Span(line, col, line, col + len(name)))
+        if kind == "lparen":
+            self.pos += 1
             t = self.term(bound, tyvars)
             self.expect("rparen", "')'")
             return t
-        if tok.kind == "ident":
-            self.advance()
-            return Var(tok.text, span=Span(tok.line, tok.col, tok.line, tok.end_col))
-        raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
+        raise _expected(tok, "a term")
 
 
-def _declaration(parser: _Parser, tok: Token) -> Decl:
+def _declaration(parser: _Parser, tok: _Token) -> Decl:
     """The rest of the declaration that starts with keyword ``tok``."""
-    match tok.kind:
+    match tok[0]:
         case "type":
-            name = parser.expect("ident", "a constructor name")
-            if name.text in parser.signature or name.text in parser.scope:
-                raise ParseError(f"duplicate declaration of {name.text!r}", name.line, name.col)
+            _, name, line, col = parser.expect("ident", "a constructor name")
+            if name in parser.signature or name in parser.scope:
+                raise ParseError(f"duplicate declaration of {name!r}", line, col)
             arity = 0
-            if parser.at("int"):
-                arity = int(parser.advance().text)
-            parser.signature[name.text] = arity
-            return ConDecl(name.text, arity, parser.span_from(tok))
+            if parser.peek()[0] == "int":
+                arity = int(parser.advance()[1])
+            parser.signature[name] = arity
+            return ConDecl(name, arity, parser.span_from(tok))
         case "assume":
-            name = parser.expect("ident", "a name")
-            if name.text in parser.signature or name.text in parser.scope:
-                raise ParseError(f"duplicate declaration of {name.text!r}", name.line, name.col)
+            _, name, line, col = parser.expect("ident", "a name")
+            if name in parser.signature or name in parser.scope:
+                raise ParseError(f"duplicate declaration of {name!r}", line, col)
             parser.expect("colon", "':'")
             ty = parser.type_(frozenset())
-            parser.scope = parser.scope | {name.text}
-            return Assume(name.text, ty, parser.span_from(tok))
+            parser.scope = parser.scope | {name}
+            return Assume(name, ty, parser.span_from(tok))
         case "check":
             term = parser.term(parser.scope, frozenset())
             parser.expect("colon", "':'")
@@ -336,23 +351,26 @@ def _declaration(parser: _Parser, tok: Token) -> Decl:
         case "synth":
             term = parser.term(parser.scope, frozenset())
             return Goal(term, None, parser.span_from(tok))
-    raise ParseError(f"expected a declaration, found {tok.text!r}", tok.line, tok.col)
+    raise ParseError(f"expected a declaration, found {tok[1]!r}", tok[2], tok[3])
 
 
 def parse_program(src: str) -> tuple[Decl, ...]:
     """Parse a whole source file into its declarations, in order.
 
-    A declaration nested deeper than the parser's recursion allows is a
-    ParseError at its first token, not a RecursionError.
+    Chains of any length parse: arrows, ``forall``s, lambdas, type
+    lambdas and applications are loops.  Only parentheses, brackets and
+    constructor arguments nest by recursion, and a declaration nested
+    deeper than the recursion limit allows is a ParseError at its first
+    token, not a RecursionError.
     """
     parser = _Parser(tokenize(src), {}, frozenset())
     decls: list[Decl] = []
-    while parser.peek() is not None:
+    while parser.peek()[0] != "eof":
         tok = parser.advance()
         try:
             decls.append(_declaration(parser, tok))
         except RecursionError:
-            raise ParseError("declaration is nested too deeply", tok.line, tok.col) from None
+            raise ParseError("declaration is nested too deeply", tok[2], tok[3]) from None
     return tuple(decls)
 
 
@@ -360,8 +378,7 @@ def parse_type(src: str, ctx: Context) -> TypeExpr:
     """Parse a single type in the scope of a context."""
     parser = _Parser(tokenize(src), dict(ctx.signature), ctx.names)
     ty = parser.type_(ctx.dtv)
-    if parser.peek() is not None:
-        raise parser.error("trailing input after type")
+    parser.finish("type")
     return ty
 
 
@@ -370,8 +387,7 @@ def parse_term(src: str, ctx: Context) -> Term:
     parser = _Parser(tokenize(src), dict(ctx.signature), ctx.names)
     bound = ctx.names - ctx.dtv
     term = parser.term(bound, ctx.dtv)
-    if parser.peek() is not None:
-        raise parser.error("trailing input after term")
+    parser.finish("term")
     return term
 
 
@@ -384,9 +400,8 @@ def parse_declaration(keyword: str, src: str, ctx: Context) -> Decl:
     are those within ``src``.
     """
     parser = _Parser(tokenize(src), dict(ctx.signature), ctx.names)
-    decl = _declaration(parser, Token(keyword, keyword, 1, 1))
-    if parser.peek() is not None:
-        raise parser.error("trailing input after declaration")
+    decl = _declaration(parser, (keyword, keyword, 1, 1))
+    parser.finish("declaration")
     return decl
 
 
@@ -400,46 +415,87 @@ def _nm(name: str, rename: _Rename) -> str:
 
 
 def pretty_type(ty: TypeExpr, rename: _Rename = None, prec: int = 0) -> str:
-    """Render a type; precedence levels are forall(0) < arrow(1) < app(2)."""
-    match ty:
-        case TVar(name=n):
-            return _nm(n, rename)
-        case Con(con=c, args=()):
-            return c
-        case Con(con=c, args=args):
-            body = c + " " + " ".join(pretty_type(a, rename, 3) for a in args)
-            level = 2
-        case Arrow(dom=d, cod=c):
-            body = pretty_type(d, rename, 2) + " -> " + pretty_type(c, rename, 1)
-            level = 1
-        case Forall(bound=x, body=b):
-            body = f"forall {_nm(x, rename)}. " + pretty_type(b, rename, 0)
-            level = 0
-        case _:
-            raise TypeError(ty)
-    return f"({body})" if level < prec else body
+    """Render a type; precedence levels are forall(0) < arrow(1) < app(2).
+
+    A chain of arrows and ``forall``s is printed by one loop: each link
+    that needs parentheses opens one, and all of them close at the end,
+    where the chain's last type ends.
+    """
+    parts: list[str] = []
+    opened = 0
+    while True:
+        match ty:
+            case Arrow(dom=d, cod=c):
+                if prec > 1:
+                    parts.append("(")
+                    opened += 1
+                parts.append(pretty_type(d, rename, 2) + " -> ")
+                ty, prec = c, 1
+            case Forall(bound=x, body=b):
+                if prec > 0:
+                    parts.append("(")
+                    opened += 1
+                parts.append(f"forall {_nm(x, rename)}. ")
+                ty, prec = b, 0
+            case TVar(name=n):
+                parts.append(_nm(n, rename))
+                break
+            case Con(con=c, args=()):
+                parts.append(c)
+                break
+            case Con(con=c, args=args):
+                body = c + " " + " ".join(pretty_type(a, rename, 3) for a in args)
+                parts.append(f"({body})" if prec > 2 else body)
+                break
+            case _:
+                raise TypeError(ty)
+    return "".join(parts) + ")" * opened
 
 
 def pretty_term(t: Term, rename: _Rename = None, prec: int = 0) -> str:
-    """Render a term; lambdas bind loosest, application tightest."""
-    match t:
-        case Var(name=n):
-            return n
-        case Lam(bound=x, ann=None, body=b):
-            body = f"\\{x}. " + pretty_term(b, rename, 0)
-            level = 0
-        case Lam(bound=x, ann=ann, body=b):
-            body = f"\\{x} : " + pretty_type(ann, rename, 1) + ". " + pretty_term(b, rename, 0)
-            level = 0
-        case TLam(bound=x, body=b):
-            body = f"/\\{_nm(x, rename)}. " + pretty_term(b, rename, 0)
-            level = 0
-        case App(fun=f, arg=a):
-            body = pretty_term(f, rename, 1) + " " + pretty_term(a, rename, 2)
-            level = 1
-        case TApp(fun=f, targ=s):
-            body = pretty_term(f, rename, 1) + " [" + pretty_type(s, rename, 0) + "]"
-            level = 1
-        case _:
-            raise TypeError(t)
-    return f"({body})" if level < prec else body
+    """Render a term; lambdas bind loosest, application tightest.
+
+    A chain of lambdas and type lambdas is printed by one loop, like a
+    type's arrows, and so is an application's spine of arguments.
+    """
+    parts: list[str] = []
+    opened = 0
+    while True:
+        match t:
+            case Lam(bound=x, ann=ann, body=b):
+                if prec > 0:
+                    parts.append("(")
+                    opened += 1
+                if ann is None:
+                    parts.append(f"\\{x}. ")
+                else:
+                    parts.append(f"\\{x} : " + pretty_type(ann, rename, 1) + ". ")
+                t, prec = b, 0
+            case TLam(bound=x, body=b):
+                if prec > 0:
+                    parts.append("(")
+                    opened += 1
+                parts.append(f"/\\{_nm(x, rename)}. ")
+                t, prec = b, 0
+            case App() | TApp():
+                args: list[str] = []
+                while True:
+                    match t:
+                        case App(fun=f, arg=a):
+                            args.append(pretty_term(a, rename, 2))
+                        case TApp(fun=f, targ=s):
+                            args.append("[" + pretty_type(s, rename, 0) + "]")
+                        case _:
+                            break
+                    t = f
+                args.append(pretty_term(t, rename, 1))
+                args.reverse()
+                body = " ".join(args)
+                parts.append(f"({body})" if prec > 1 else body)
+                break
+            case Var(name=n):
+                parts.append(n)
+                break
+            case _:
+                raise TypeError(t)
+    return "".join(parts) + ")" * opened

@@ -457,19 +457,28 @@ def free_type_vars(ty: TypeExpr) -> frozenset[str]:
 
 
 def is_well_formed(ctx: Context, ty: TypeExpr, extra: frozenset[str] = frozenset()) -> bool:
-    """True iff every variable is declared and constructor arities match."""
-    match ty:
-        case TVar(name=x):
-            return x in ctx.dtv or x in extra
-        case Arrow(dom=d, cod=c):
-            return is_well_formed(ctx, d, extra) and is_well_formed(ctx, c, extra)
-        case Forall(bound=x, body=b):
-            return is_well_formed(ctx, b, extra | {x})
-        case Con(con=c, args=args):
-            if ctx.arity(c) != len(args):
-                return False
-            return all(is_well_formed(ctx, a, extra) for a in args)
-    raise TypeError(ty)
+    """True iff every variable is declared and constructor arities match.
+
+    Arrow codomains and quantifier bodies are followed by a loop, so a
+    chain of any length is checked at any recursion limit.
+    """
+    while True:
+        match ty:
+            case TVar(name=x):
+                return x in ctx.dtv or x in extra
+            case Arrow(dom=d, cod=c):
+                if not is_well_formed(ctx, d, extra):
+                    return False
+                ty = c
+            case Forall(bound=x, body=b):
+                extra = extra | {x}
+                ty = b
+            case Con(con=c, args=args):
+                if ctx.arity(c) != len(args):
+                    return False
+                return all(is_well_formed(ctx, a, extra) for a in args)
+            case _:
+                raise TypeError(ty)
 
 
 def meta_vars_of_type(ctx: Context, ty: TypeExpr) -> frozenset[str]:

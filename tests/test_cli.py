@@ -643,6 +643,72 @@ def test_golden_quantifier_names_and_unsolved_ndjson(names_file, capsys):
     assert captured.out == NAMES_GOLDEN_NDJSON
 
 
+# Metas an unsolved spine leaves only in its elaboration: `g2 z`
+# elaborates to `g2 [?X] z` although its type no longer mentions ?X.
+UNSOLVED_GOLDEN = r"""type Nat
+type Sum 2
+assume z : Nat
+assume g2 : forall X. Nat -> forall Y. Y -> Y
+assume const : forall X. Nat -> Nat
+assume mix : forall X. forall Y. Nat -> Sum Y Y
+
+synth g2 z
+check g2 z : forall Y. Y -> Y
+synth const z
+check const z : Nat
+synth mix z
+"""
+
+UNSOLVED_GOLDEN_TEXT = r"""[1] synth g2 z
+    error: cannot determine all type arguments at 8:7
+      synthesized type: forall Y. Y -> Y
+      unsolved: ?X
+
+[2] check g2 z : forall Y. Y -> Y
+    error: cannot determine all type arguments at 9:7
+      expected type: forall Y. Y -> Y
+      synthesized type: forall Y. Y -> Y
+      unsolved: ?X
+
+[3] synth const z
+    error: cannot determine all type arguments at 10:7
+      synthesized type: Nat
+      unsolved: ?X
+
+[4] check const z : Nat
+    error: cannot determine all type arguments at 11:7
+      expected type: Nat
+      synthesized type: Nat
+      unsolved: ?X
+
+[5] synth mix z
+    error: cannot determine all type arguments at 12:7
+      synthesized type: Sum ?Y ?Y
+      unsolved: ?X, ?Y
+
+"""
+
+UNSOLVED_GOLDEN_NDJSON = r"""{"goal": 1, "mode": "synth", "term": "g2 z", "status": "error", "diagnostic": {"kind": "unsolved-meta-variables", "message": "cannot determine all type arguments", "span": {"line": 8, "col": 7, "end_line": 8, "end_col": 11}, "synthesized": "forall Y. Y -> Y", "unsolved": ["?X"]}}
+{"goal": 2, "mode": "check", "term": "g2 z", "expected": "forall Y. Y -> Y", "status": "error", "diagnostic": {"kind": "unsolved-meta-variables", "message": "cannot determine all type arguments", "span": {"line": 9, "col": 7, "end_line": 9, "end_col": 11}, "expected": "forall Y. Y -> Y", "synthesized": "forall Y. Y -> Y", "unsolved": ["?X"]}}
+{"goal": 3, "mode": "synth", "term": "const z", "status": "error", "diagnostic": {"kind": "unsolved-meta-variables", "message": "cannot determine all type arguments", "span": {"line": 10, "col": 7, "end_line": 10, "end_col": 14}, "synthesized": "Nat", "unsolved": ["?X"]}}
+{"goal": 4, "mode": "check", "term": "const z", "expected": "Nat", "status": "error", "diagnostic": {"kind": "unsolved-meta-variables", "message": "cannot determine all type arguments", "span": {"line": 11, "col": 7, "end_line": 11, "end_col": 14}, "expected": "Nat", "synthesized": "Nat", "unsolved": ["?X"]}}
+{"goal": 5, "mode": "synth", "term": "mix z", "status": "error", "diagnostic": {"kind": "unsolved-meta-variables", "message": "cannot determine all type arguments", "span": {"line": 12, "col": 7, "end_line": 12, "end_col": 12}, "synthesized": "Sum ?Y ?Y", "unsolved": ["?X", "?Y"]}}
+"""
+
+
+@pytest.mark.parametrize("flags, golden", [([], UNSOLVED_GOLDEN_TEXT), (["--json"], UNSOLVED_GOLDEN_NDJSON)],
+                         ids=["text", "ndjson"])
+def test_golden_unsolved_names_metas_only_in_the_elaboration(tmp_path, capsys, monkeypatch, flags, golden):
+    monkeypatch.setenv("SPINEL_COLOR", "never")
+    path = tmp_path / "unsolved.spn"
+    path.write_text(UNSOLVED_GOLDEN)
+    code = main(["run", str(path), *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert captured.out == golden
+
+
 # ----------------------------------------------------------- deep input
 
 HEAD = "type Nat\nassume z : Nat\nassume suc : Nat -> Nat\n"
@@ -689,11 +755,10 @@ def test_too_deep_goal_is_a_resource_limit_and_later_goals_run(tmp_path, json_fl
 
 
 def test_too_deep_declaration_is_a_parse_error_at_its_first_token(tmp_path):
-    n = 400
-    quantifiers = "".join(f"forall X{i}. " for i in range(1, n + 1))
-    arrows = " -> ".join(f"X{i}" for i in range(1, n + 1))
+    # Chains parse by loops at any length; parentheses still nest by recursion.
+    n = 2000
     path = tmp_path / "deep.spn"
-    path.write_text(HEAD + f"assume g : {quantifiers}{arrows} -> Nat\nsynth z\n")
+    path.write_text(HEAD + f"assume g : {'(' * n}Nat{')' * n}\nsynth z\n")
     proc = run_child(path, "--json")
     assert proc.returncode == 2
     assert proc.stderr == ""
@@ -703,6 +768,24 @@ def test_too_deep_declaration_is_a_parse_error_at_its_first_token(tmp_path):
     proc = run_child(path)
     assert proc.returncode == 2
     assert proc.stderr == "parse error: 4:1: declaration is nested too deeply\n"
+
+
+def test_long_chain_declaration_is_checked_and_its_goals_end_in_an_outcome(tmp_path):
+    # A 2,000-link quantifier and arrow chain parses and enters the
+    # context; a goal using it answers or reports a resource limit, never
+    # a traceback, and the goals after it still run.
+    n = 2000
+    quantifiers = "".join(f"forall X{i}. " for i in range(1, n + 1))
+    arrows = " -> ".join(f"X{i}" for i in range(1, n + 1))
+    path = tmp_path / "long.spn"
+    path.write_text(HEAD + f"assume g : {quantifiers}{arrows} -> Nat\nsynth g{' z' * n}\nsynth z\n")
+    proc = run_child(path, "--json")
+    assert proc.stderr == ""
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["goal"] for r in records] == [1, 2]
+    assert records[0]["status"] in ("ok", "resource-limit")
+    assert records[1]["status"] == "ok" and records[1]["type"] == "Nat"
+    assert proc.returncode == (0 if records[0]["status"] == "ok" else 3)
 
 
 # ------------------------------------------------------------ interactive

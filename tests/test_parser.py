@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -358,6 +361,58 @@ def test_pretty_term_goldens():
 def test_pretty_term_round_trips():
     for src in ["pair [B] [Nat] tt z", "\\f : Nat -> Nat. f z", "rapp z (\\y. y)"]:
         assert alpha_equal_term(tm(pretty_term(tm(src))), tm(src))
+
+
+# ------------------------------------------------------------ long chains
+
+
+CHAIN = 2000
+CHAIN_HEAD = "type Nat\nassume z : Nat\nassume f : Nat\n"
+# Each kind of chain, as the declaration that holds it and its text.
+CHAINS = {
+    "arrow": ("assume g : ", " -> ".join(["Nat"] * (CHAIN + 1))),
+    "forall": ("assume g : ", "".join(f"forall X{i}. " for i in range(CHAIN)) + "X0"),
+    "lambda": ("synth ", "".join(f"\\x{i}. " for i in range(CHAIN)) + "x0"),
+    "annotated lambda": ("synth ", "".join(f"\\x{i} : Nat. " for i in range(CHAIN)) + "x0"),
+    "type lambda": ("synth ", "".join(f"/\\X{i}. " for i in range(CHAIN)) + "z"),
+    "application": ("synth ", "f" + " z" * CHAIN),
+    "type application": ("synth ", "f" + " [Nat]" * CHAIN),
+}
+
+
+def _chain_tree(decl_src):
+    decl = parse_program(CHAIN_HEAD + decl_src)[-1]
+    return decl.ty if isinstance(decl, Assume) else decl.term
+
+
+def _same_tree(a, b):
+    """Dataclass equality (spans ignored), by a loop instead of recursion."""
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if dataclasses.is_dataclass(a):
+            if type(a) is not type(b):
+                return False
+            pairs += [(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a) if f.compare]
+        elif isinstance(a, tuple):
+            if not isinstance(b, tuple) or len(a) != len(b):
+                return False
+            pairs += zip(a, b)
+        elif a != b:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("kind", CHAINS)
+def test_long_chains_parse_print_and_reparse(kind):
+    # Every link of a chain is a loop iteration, not a Python frame, so
+    # a chain longer than the recursion limit parses and prints.
+    assert CHAIN > sys.getrecursionlimit()
+    keyword, text = CHAINS[kind]
+    tree = _chain_tree(keyword + text)
+    printed = pretty_type(tree) if keyword.startswith("assume") else pretty_term(tree)
+    assert printed == text
+    assert _same_tree(_chain_tree(keyword + printed), tree)
 
 
 # ------------------------------------------------------------ properties
