@@ -192,12 +192,26 @@ def _spec_report(ctx: Context, expected: TypeExpr | None, term) -> tuple[bool, s
     return False, f"spec: rejected: {verdict.reason}", as_json
 
 
-def _report(args, record: dict, lines: list[str]) -> str:
-    return json.dumps(record) if args.json else "\n".join(lines) + "\n"
+def _report(args, record: dict, lines) -> str:
+    """The one report that is printed: ``record`` as NDJSON under
+    ``--json``, otherwise a header line built from it and then ``lines``."""
+    if args.json:
+        return json.dumps(record)
+    header = f"[{record['goal']}] {record['mode']}"
+    if "term" in record:
+        header += f" {record['term']}"
+    if "expected" in record:
+        header += f" : {record['expected']}"
+    return "\n".join([header, *lines]) + "\n"
 
 
 def _run_goal(ctx: Context, goal: Goal, count: int, args, color: bool) -> tuple[int, str]:
-    """Run one goal: its exit code and its report, NDJSON or text."""
+    """Run one goal: its exit code and its report, NDJSON or text.
+
+    Each part of the report is rendered once, into ``record``; only the
+    form that is printed is assembled from it, and a text line or a JSON
+    field that the other form alone shows is not rendered at all.
+    """
     term, expected = goal.term, goal.expected
     mode = Synthesize() if expected is None else Check(expected)
     trace: list[str] | None = [] if args.trace else None
@@ -208,10 +222,6 @@ def _run_goal(ctx: Context, goal: Goal, count: int, args, color: bool) -> tuple[
     }
     if expected is not None:
         record["expected"] = pretty_type(expected)
-    header = f"[{count}] {record['mode']} {record['term']}"
-    if expected is not None:
-        header += f" : {record['expected']}"
-    lines = [header]
 
     try:
         out = infer(ctx, mode, term, trace=trace)
@@ -219,29 +229,32 @@ def _run_goal(ctx: Context, goal: Goal, count: int, args, color: bool) -> tuple[
         record["status"] = "error"
         if args.json:
             record["diagnostic"] = diagnostic_json(d)
-        else:
-            lines += ("    " + line for line in render_diagnostic(d, color).splitlines())
-        return 1, _report(args, record, lines)
+            return 1, _report(args, record, ())
+        return 1, _report(args, record, ("    " + line for line in render_diagnostic(d, color).splitlines()))
     except EngineInvariantError as exc:
         record.update(status="internal-error", message=str(exc))
-        lines.append(f"    internal error: {exc}")
-        return 3, _report(args, record, lines)
+        return 3, _report(args, record, [f"    internal error: {exc}"])
 
     code = 0
     record.update(status="ok", type=pretty_type(out.ty))
-    lines.append(f"    type: {pretty_type(out.ty)}")
     if args.elab:
         record["elaboration"] = pretty_term(out.elaboration)
-        lines.append(f"    elaboration: {pretty_term(out.elaboration)}")
     if trace is not None:
-        record["trace"] = list(trace)
-        lines.append("    trace: " + " ".join(trace))
+        record["trace"] = trace
+    spec_text = None
     if args.spec_verify:
-        ok, text, as_json = _spec_report(ctx, expected, term)
-        record["spec"] = as_json
-        lines.append("    " + text)
+        ok, spec_text, record["spec"] = _spec_report(ctx, expected, term)
         if not ok:
             code = 3
+    if args.json:
+        return code, _report(args, record, ())
+    lines = [f"    type: {record['type']}"]
+    if args.elab:
+        lines.append(f"    elaboration: {record['elaboration']}")
+    if trace is not None:
+        lines.append("    trace: " + " ".join(trace))
+    if spec_text is not None:
+        lines.append("    " + spec_text)
     return code, _report(args, record, lines)
 
 
@@ -250,7 +263,7 @@ def _resource_limit(goal: Goal, count: int, args) -> tuple[int, str]:
     mode = "synth" if goal.expected is None else "check"
     message = f"goal at {goal.span.line}:{goal.span.col} is nested too deeply"
     record = {"goal": count, "mode": mode, "status": "resource-limit", "message": message}
-    return 3, _report(args, record, [f"[{count}] {mode}", f"    resource limit: {message}"])
+    return 3, _report(args, record, [f"    resource limit: {message}"])
 
 
 def run_file(args: argparse.Namespace) -> int:

@@ -53,9 +53,11 @@ from .syntax import (
     Stuck,
     Synthetic,
     TApp,
+    TermBind,
     TLam,
     TVar,
     Term,
+    TyVarDecl,
     TypeExpr,
     Unknown,
     Var,
@@ -314,7 +316,9 @@ def _binder_chain(run: _Run, ctx: Context, mode: Mode, term: Lam | TLam) -> Infe
                 expected = expected.body
             else:
                 expected = expected.cod
-        ctx = ctx.with_type_var(x) if dom is None else ctx.with_term(x, dom)
+        # ``dom`` is well-formed here: an annotation was checked above, and
+        # a bare binder's domain comes from the well-formed expected type.
+        ctx = ctx._extend_unchecked(TyVarDecl(x) if dom is None else TermBind(x, dom))
         layers.append((term, dom))
         term = term.body
 

@@ -17,15 +17,19 @@ declared in the ambient context.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 
 # ---------------------------------------------------------------- spans
 
 
-@dataclass(frozen=True)
-class Span:
-    """Source extent as 1-based (line, col) .. (end_line, end_col)."""
+class Span(NamedTuple):
+    """Source extent as 1-based (line, col) .. (end_line, end_col).
+
+    A named tuple, so that the one the parser builds per node costs no
+    per-field ``__setattr__``.  It is immutable and hashable, its fields
+    read by name, and it takes no part in comparing nodes.
+    """
 
     line: int
     col: int
@@ -164,7 +168,9 @@ class Context:
 
     Immutable: the ``with_*`` methods return extended copies.  Declared
     names must be distinct; extension raises ValueError on shadowing or
-    on binding a term to an ill-formed type.
+    on binding a term to an ill-formed type.  The private
+    ``_extend_unchecked`` rejects shadowing only; the engine's binder
+    chains use it for a binder whose type they have already checked.
 
     Scope is ordered: a bound type may mention only the type variables
     declared before it, and the constructor ``Context(entries, signature)``
@@ -196,12 +202,22 @@ class Context:
 
     def _extend(self, entry: TyVarDecl | TermBind) -> Context:
         """This context plus ``entry``, which is checked against it alone."""
+        ctx = self._extend_unchecked(entry)
+        if isinstance(entry, TermBind) and not is_well_formed(self, entry.ty):
+            raise ValueError(f"type bound to {entry.name!r} is not well-formed")
+        return ctx
+
+    def _extend_unchecked(self, entry: TyVarDecl | TermBind) -> Context:
+        """This context plus ``entry``, whose type is not checked.
+
+        Only a duplicate name is rejected.  For a caller that has just
+        checked the type against this context, or drew it from a type
+        already well-formed here.
+        """
         name = entry.name
         if name in self._dtv or name in self._types:
             raise ValueError(f"duplicate declaration of {name!r}")
         is_term = isinstance(entry, TermBind)
-        if is_term and not is_well_formed(self, entry.ty):
-            raise ValueError(f"type bound to {name!r} is not well-formed")
         ctx = object.__new__(Context)
         ctx.entries = self.entries + (entry,)
         ctx.signature = self.signature
@@ -490,19 +506,24 @@ def meta_vars_of_term(ctx: Context, t: Term) -> frozenset[str]:
     """Meta-variables of a partial elaboration.
 
     Only type-argument positions along the applicand chain may hold
-    meta-variables; anything else there must be well-formed.
+    meta-variables; anything else there must be well-formed.  The chain
+    is walked by a loop, so a spine of any length is read at any
+    recursion limit.
     """
-    match t:
-        case App(fun=f):
-            return meta_vars_of_term(ctx, f)
-        case TApp(fun=f, targ=TVar(name=x)) if x not in ctx.dtv:
-            return meta_vars_of_term(ctx, f) | {x}
-        case TApp(fun=f, targ=s):
-            if not is_well_formed(ctx, s):
-                raise ValueError("type argument is neither a meta-variable nor well-formed")
-            return meta_vars_of_term(ctx, f)
-        case _:
-            return frozenset()
+    metas: set[str] = set()
+    while True:
+        match t:
+            case App(fun=f):
+                t = f
+            case TApp(fun=f, targ=TVar(name=x)) if x not in ctx.dtv:
+                metas.add(x)
+                t = f
+            case TApp(fun=f, targ=s):
+                if not is_well_formed(ctx, s):
+                    raise ValueError("type argument is neither a meta-variable nor well-formed")
+                t = f
+            case _:
+                return frozenset(metas)
 
 
 # ----------------------------------------------------------- substitution
@@ -550,17 +571,22 @@ def subst_type_args(mapping: Mapping[str, TypeExpr], t: Term) -> Term:
     """Substitute into the type-argument positions of an applicand chain.
 
     Partial elaborations keep their meta-variables only there, so this
-    is the whole of applying a solution to a term.
+    is the whole of applying a solution to a term.  The chain is walked
+    down and rebuilt by loops, so a spine of any length is substituted
+    at any recursion limit.
     """
     if not mapping:
         return t
-    match t:
-        case App(fun=f, arg=a, span=sp):
-            return App(subst_type_args(mapping, f), a, span=sp)
-        case TApp(fun=f, targ=s, span=sp):
-            return TApp(subst_type_args(mapping, f), substitute(mapping, s), span=sp)
-        case _:
-            return t
+    chain: list[App | TApp] = []
+    while isinstance(t, (App, TApp)):
+        chain.append(t)
+        t = t.fun
+    for node in reversed(chain):
+        if isinstance(node, App):
+            t = App(t, node.arg, span=node.span)
+        else:
+            t = TApp(t, substitute(mapping, node.targ), span=node.span)
+    return t
 
 
 # -------------------------------------------------------- canonical keys

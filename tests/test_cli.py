@@ -788,6 +788,88 @@ def test_long_chain_declaration_is_checked_and_its_goals_end_in_an_outcome(tmp_p
     assert proc.returncode == (0 if records[0]["status"] == "ok" else 3)
 
 
+def _long_spine_file(tmp_path, n):
+    """``g : forall X1..Xn. X1 -> ... -> Xn -> Nat`` applied to n arguments,
+    synthesized and checked, then one more goal."""
+    qs = "".join(f"forall X{i}. " for i in range(1, n + 1))
+    arrows = " -> ".join(f"X{i}" for i in range(1, n + 1))
+    args = " ".join("z" if i % 2 else "tt" for i in range(1, n + 1))
+    path = tmp_path / "spine.spn"
+    path.write_text(
+        HEAD + f"type B\nassume tt : B\nassume g : {qs}{arrows} -> Nat\n"
+        f"synth g {args}\ncheck g {args} : Nat\nsynth z\n"
+    )
+    targs = " ".join("[Nat]" if i % 2 else "[B]" for i in range(1, n + 1))
+    return path, f"g {targs} {args}"
+
+
+def test_long_polymorphic_spine_answers_and_later_goals_run(tmp_path):
+    # The spine and its elaboration are walked by loops, so 1,000 inferred
+    # type arguments answer at the default recursion limit.
+    path, elaboration = _long_spine_file(tmp_path, 1000)
+    proc = run_child(path, "--json", "--elab")
+    assert proc.stderr == ""
+    assert proc.returncode == 0
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(r["goal"], r["status"], r["type"]) for r in records] == [
+        (1, "ok", "Nat"), (2, "ok", "Nat"), (3, "ok", "Nat")
+    ]
+    assert records[0]["elaboration"] == records[1]["elaboration"] == elaboration
+
+
+def test_long_polymorphic_spine_replay_is_a_resource_limit(tmp_path):
+    # The declarative replay still recurses along the spine: a documented
+    # outcome, and the goal after it still runs.
+    path, _ = _long_spine_file(tmp_path, 1000)
+    proc = run_child(path, "--spec-verify")
+    assert proc.stderr == ""
+    assert proc.returncode == 3
+    assert proc.stdout.splitlines() == [
+        "[1] synth",
+        "    resource limit: goal at 7:1 is nested too deeply",
+        "",
+        "[2] check",
+        "    resource limit: goal at 8:1 is nested too deeply",
+        "",
+        "[3] synth z",
+        "    type: Nat",
+        "    spec: skipped (not an application spine)",
+        "",
+    ]
+
+
+@pytest.mark.parametrize("flags", [["--json", "--elab"], ["--elab"]], ids=["json", "text"])
+def test_an_accepted_goal_renders_its_type_and_elaboration_once(tmp_path, capsys, monkeypatch, flags):
+    import spinel.cli as cli
+
+    infer = cli.infer
+    outcomes, rendered = [], []
+
+    def recorded_infer(ctx, mode, term, **kwargs):
+        out = infer(ctx, mode, term, **kwargs)
+        outcomes.append((getattr(mode, "expected", None), out))
+        return out
+
+    def counted(render):
+        def wrapper(x, *rest):
+            rendered.append(x)
+            return render(x, *rest)
+        return wrapper
+
+    monkeypatch.setattr(cli, "infer", recorded_infer)
+    monkeypatch.setattr(cli, "pretty_type", counted(cli.pretty_type))
+    monkeypatch.setattr(cli, "pretty_term", counted(cli.pretty_term))
+    path = tmp_path / "once.spn"
+    path.write_text(GOOD + "synth pair z (\\x : Nat. suc x)\ncheck \\x. suc x : Nat -> Nat\n")
+    assert main(["run", str(path), *flags]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(outcomes) == 4
+    for expected, out in outcomes:
+        # a checked goal's type may be its expected type, which the header shows
+        assert sum(x is out.ty for x in rendered) == 1 + (out.ty is expected)
+        assert sum(x is out.elaboration for x in rendered) == 1
+
+
 # ------------------------------------------------------------ interactive
 
 

@@ -12,18 +12,24 @@ from spinel.infer import DiagnosticKind, EngineInvariantError
 from spinel.oracle import enumerate_erasures, enumerate_internal_terms, standard_context
 from spinel.syntax import (
     Con,
+    Context,
     Contextual,
     DArrow,
     DForall,
     Exact,
+    Lam,
     Solution,
     Synthetic,
+    TermBind,
+    TLam,
     TVar,
     Unknown,
+    Var,
     alpha_equal,
     alpha_equal_term,
     free_type_vars,
     is_meta_name,
+    is_well_formed,
     strip,
 )
 
@@ -449,6 +455,68 @@ def test_type_application_substitutions_grow_linearly_with_the_chain(monkeypatch
 
     counts = _count_growth(monkeypatch, "syntax.substitute", (40, 80), run)
     assert counts[80] <= 2.2 * counts[40], counts
+
+
+# ------------------------------------------------ unchecked binder extension
+
+
+def test_binder_chains_extend_the_context_only_with_well_formed_types(monkeypatch):
+    """A binder chain skips the extension's well-formedness check, so every
+    type it binds must already be well-formed where it is bound."""
+    original = Context._extend_unchecked
+    bound = [0]
+
+    def checked(self, entry):
+        if isinstance(entry, TermBind):
+            bound[0] += 1
+            assert is_well_formed(self, entry.ty), entry
+        return original(self, entry)
+
+    monkeypatch.setattr(Context, "_extend_unchecked", checked)
+    ctx = standard_context()
+    for internal, internal_ty in enumerate_internal_terms(ctx, 7):
+        for erased in enumerate_erasures(internal):
+            for mode in (Check(internal_ty), Synthesize()):
+                try:
+                    infer(ctx, mode, erased)
+                except Diagnostic:
+                    pass
+    # bare binders under type lambdas that rename the expected quantifiers
+    check(r"/\A. \x. x", "forall X. X -> X")
+    check(r"/\A. /\C. \f. \x. f x", "forall X. forall Y. (X -> Y) -> X -> Y")
+    check(r"/\Y. /\X. \x. \y. pair [Y] [X] x y", "forall X. forall Y. X -> Y -> Pair X Y")
+    assert bound[0] > 1000
+
+
+@pytest.mark.parametrize(
+    "ann, detail",
+    [
+        (TVar("A"), "annotation on 'y' mentions unbound type variable 'A'"),
+        (Con("Pair", (Con("Nat"),)), "annotation on 'y' uses a constructor at the wrong arity"),
+    ],
+    ids=["unbound", "arity"],
+)
+def test_an_illformed_annotation_is_reported_before_its_binder_is_bound(ann, detail):
+    # Only library-built terms can carry one: the parser scopes annotations.
+    term = Lam("x", Con("Nat"), Lam("y", ann, Var("x")))
+    d = fails(DiagnosticKind.UNBOUND_NAME, lambda: infer(CTX, Synthesize(), term))
+    assert d.detail == detail and d.subject is term.body
+
+
+@pytest.mark.parametrize(
+    "mode, term, name",
+    [
+        (Synthesize(), Lam("z", Con("Nat"), Var("z")), "z"),
+        (Check(ty("Nat -> Nat")), Lam("z", None, Var("z")), "z"),
+        (Check(ty("Nat -> Nat -> Nat")), Lam("x", None, Lam("z", None, Var("x"))), "z"),
+        (Check(ty("forall X. X -> X")), TLam("X", Lam("X", None, Var("X"))), "X"),
+    ],
+    ids=["annotated", "bare", "second-link", "after-a-type-lambda"],
+)
+def test_a_binder_that_shadows_a_declared_name_is_still_rejected(mode, term, name):
+    # Library-built terms may reuse a declared name; the parser never does.
+    with pytest.raises(ValueError, match=f"duplicate declaration of '{name}'"):
+        infer(CTX, mode, term)
 
 
 # ------------------------------------------- decorated substitution invariant

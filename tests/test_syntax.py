@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,10 +21,13 @@ from spinel.syntax import (
     DForall,
     Exact,
     Forall,
+    Lam,
     NameSupply,
     Plain,
+    Span,
     Stuck,
     TApp,
+    TLam,
     TVar,
     TermBind,
     TyVarDecl,
@@ -42,6 +47,38 @@ from spinel.syntax import (
     subst_type_args,
     substitute,
 )
+
+
+# ---------------------------------------------------------------- spans
+
+
+def test_span_is_immutable_hashable_and_reads_by_name():
+    sp = Span(1, 2, 3, 4)
+    assert (sp.line, sp.col, sp.end_line, sp.end_col) == (1, 2, 3, 4)
+    assert repr(sp) == "Span(line=1, col=2, end_line=3, end_col=4)"
+    with pytest.raises(AttributeError):
+        sp.line = 5
+    assert sp == Span(1, 2, 3, 4) and hash(sp) == hash(Span(1, 2, 3, 4))
+    assert {sp: "here"}[Span(1, 2, 3, 4)] == "here"
+
+
+def test_span_to_json_keeps_its_keys_and_order():
+    assert list(Span(1, 2, 3, 4).to_json().items()) == [
+        ("line", 1), ("col", 2), ("end_line", 3), ("end_col", 4)
+    ]
+
+
+@pytest.mark.parametrize("node", [TVar, Arrow, Forall, Con, Var, Lam, TLam, App, TApp])
+def test_node_spans_take_no_part_in_comparison(node):
+    assert dataclasses.is_dataclass(node) and node.__dataclass_params__.frozen
+    span = next(f for f in dataclasses.fields(node) if f.name == "span")
+    assert not span.compare and not span.repr
+
+
+def test_trees_that_differ_only_in_spans_compare_equal():
+    a, b = tm(r"/\X. \x : X. pair [X] x z"), tm(r"/\X.   \x : X.  pair  [X]  x  z")
+    assert a.span != b.span and a.body.body.span != b.body.body.span
+    assert a == b and hash(a) == hash(b)
 
 
 def test_alpha_equal_renames_binders():
@@ -129,6 +166,26 @@ def test_subst_type_args_only_touches_spine_type_arguments():
     assert out == TApp(App(Var("f"), Var("x")), Con("Nat"))
     lam = tm(r"\x : Nat. x")
     assert subst_type_args({"Nat": Con("B")}, lam) == lam
+
+
+def test_applicand_chains_are_walked_by_loops():
+    # 5,000 type and term arguments, read at Python's default recursion limit
+    n = 2500
+    t = Var("g")
+    for i in range(n):
+        t = App(TApp(t, TVar(f"?X{i}") if i % 2 else Con("Nat")), Var("z"))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        metas = meta_vars_of_term(CTX, t)
+        solved = subst_type_args({m: Con("B") for m in metas}, t)
+        assert meta_vars_of_term(CTX, solved) == frozenset()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert metas == {f"?X{i}" for i in range(1, n, 2)}
+    head, items = spine_parts(solved)
+    assert head == Var("g") and len(items) == 2 * n
+    assert items[:4] == [Con("Nat"), Var("z"), Con("B"), Var("z")]
 
 
 def test_meta_vars_of_type_excludes_declared_vars():
