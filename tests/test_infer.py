@@ -569,4 +569,16 @@ def test_decorated_substitution_never_needs_capture_avoidance(monkeypatch):
         term = tm(src, inner_ctx)
         infer(inner_ctx, Synthesize(), term)
         infer(inner_ctx, Check(ty("Pair Nat B", inner_ctx)), term)
+    # An argument that solves a stuck leaf past a quantifier re-matches the
+    # leaf while that quantifier is still bound: here `suc` solves G, the
+    # leaf that owes the arrow `forall H. H -> G`.
+    stuck_ctx = ctx.with_term("k3", ty("forall G. G -> forall H. H -> G"))
+    for src, result in (
+        ("k3 suc tt z", "Nat"),
+        ("k3 suc tt", "Nat -> Nat"),
+        (r"k3 (\x : B. \y : Nat. pair x y) tt tt z", "Pair B Nat"),
+    ):
+        term = tm(src, stuck_ctx)
+        assert alpha_equal(infer(stuck_ctx, Synthesize(), term).ty, ty(result, stuck_ctx))
+        infer(stuck_ctx, Check(ty(result, stuck_ctx)), term)
     assert calls[0] > 100 and binders[0] > 0

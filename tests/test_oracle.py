@@ -14,8 +14,10 @@ from spinel import (
     spine_infer,
     verify_spec,
 )
+from spinel.matcher import match_first_order
 from spinel.oracle import (
     _partial_synth,
+    _solve_instantiation,
     canonical_triple_key,
     check_weak_completeness_conditions,
     default_candidates,
@@ -29,14 +31,19 @@ from spinel.oracle import (
     type_size,
 )
 from spinel.syntax import (
+    App,
     Con,
     Contextual,
     Exact,
     Solution,
+    TApp,
+    TVar,
     Unknown,
+    Var,
     alpha_equal,
     alpha_equal_term,
     compose,
+    free_type_vars,
     strip,
 )
 
@@ -125,6 +132,92 @@ def test_replay_checks_the_mode_side_conditions():
 def test_replay_requires_an_application():
     with pytest.raises(ValueError):
         verify_spec(CTX, None, tm("z"), (ty("Nat"), tm("z"), Solution()))
+
+
+G2_CTX = CTX.with_term("g2", ty("forall X. Nat -> forall Y. Y -> Y"))
+
+
+def claimed_partial(src, ctx=CTX):
+    """A claim of type Nat, no solution, and ``src`` as its partial elaboration."""
+    return ty("Nat", ctx), tm(src, ctx), Solution()
+
+
+def reused_meta_claim():
+    # `pair [?A] [?A] z z`, guessing one meta-variable for both quantifiers
+    meta = TVar("?A")
+    partial = App(App(TApp(TApp(Var("pair"), meta), meta), tm("z")), tm("z"))
+    sol = compose(Solution(), "?A", Con("Nat"), Contextual(TVar("?A"), Con("Nat")))
+    return ty("Pair Nat Nat"), partial, sol
+
+
+REJECTIONS = [
+    # terms that fail on their own
+    (CTX, r"(\x. x) z", None, lambda: claimed_partial("z"),
+     "head does not synthesize: unannotated-lambda", ()),
+    (CTX, "z z", None, lambda: claimed_partial("z z"),
+     "argument applied but the type reveals no arrow", ("PHead", "PApp")),
+    (CTX, "suc tt", None, lambda: claimed_partial("suc tt"),
+     "argument does not check: type-mismatch", ("PHead", "PApp", "PChk")),
+    (CTX, r"ident (\x. x)", None, lambda: claimed_partial(r"ident [Nat] (\x. x)"),
+     "argument does not synthesize: unannotated-lambda", ("PHead", "PApp", "PForall", "PSyn")),
+    (CTX, "rapp z tt", None, lambda: claimed_partial("rapp [Nat] [B] z tt"),
+     "argument type is not an instance of the expected domain",
+     ("PHead", "PApp", "PForall", "PForall", "PSyn", "PApp", "PSyn")),
+    (CTX, "suc [Nat] z", None, lambda: claimed_partial("suc [Nat] z"),
+     "explicit type argument but no quantifier to consume", ("PHead", "PTApp")),
+    # tampered claims
+    (CTX, "suc z", None, lambda: triple_for(tm("ident z")),
+     "claimed head elaboration differs", ("PHead",)),
+    (CTX, "ident [Nat] z", None, lambda: claimed_partial("ident [B] z"),
+     "claimed elaboration drops or alters an explicit type argument", ("PHead", "PTApp")),
+    (CTX, "ident z", None, lambda: claimed_partial("ident z"),
+     "claimed elaboration is missing an inserted type argument", ("PHead", "PApp", "PForall")),
+    (CTX, "suc z", None, lambda: claimed_partial("suc"),
+     "claimed elaboration is missing a term argument", ("PHead", "PApp", "PChk")),
+    (CTX, "suc z", None, lambda: claimed_partial("suc (suc z)"),
+     "claimed argument elaboration differs", ("PHead", "PApp", "PChk")),
+    (CTX, "suc z", None, lambda: claimed_partial("suc z z"),
+     "claimed elaboration has extra spine entries", ("PHead", "PApp", "PChk")),
+    (CTX, "pair z z", None, reused_meta_claim,
+     "claimed solution reuses a meta-variable name", ("PHead", "PApp", "PForall", "PForall")),
+    # side conditions of the mode
+    (CTX, r"pair (\x. x) z", None, lambda: triple_for(tm(r"pair (\x. x) z"), ty("Pair (B -> B) Nat")),
+     "synthesis must not keep contextual bindings",
+     ("PHead", "PApp", "PForall", "PForall", "PChk", "PApp", "PChk", "shim")),
+    (G2_CTX, "g2 z", None, lambda: triple_for(tm("g2 z", G2_CTX), ctx=G2_CTX),
+     "synthesis left unsolved meta-variables in the elaboration", ("PHead", "PApp", "PForall", "PChk", "shim")),
+    (G2_CTX, "g2 z", "forall Y. Y -> Y",
+     lambda: triple_for(tm("g2 z", G2_CTX), ty("forall Y. Y -> Y", G2_CTX), G2_CTX),
+     "checking left meta-variables the solution does not cover", ("PHead", "PApp", "PForall", "PChk", "shim")),
+]
+
+
+@pytest.mark.parametrize(
+    "ctx, src, expected, claim, reason, trace", REJECTIONS, ids=[row[4] for row in REJECTIONS]
+)
+def test_replay_names_each_rejection_reason(ctx, src, expected, claim, reason, trace):
+    ctx_ty = None if expected is None else ty(expected, ctx)
+    verdict = verify_spec(ctx, ctx_ty, tm(src, ctx), claim())
+    assert (verdict.accepted, verdict.reason, verdict.trace) == (False, reason, trace)
+
+
+def test_the_oracle_solver_agrees_with_the_matcher_on_every_small_pair():
+    # The two solvers stay separate (the oracle must not lean on what it
+    # audits); they must still agree, on every pattern and meta-free target.
+    metas = frozenset({"M", "N"})
+    types = enumerate_matcher_types(4, ("M", "N"))
+    targets = [t for t in types if not free_type_vars(t) & metas]
+    solved = 0
+    for pattern in types:
+        for target in targets:
+            ours = _solve_instantiation(metas, pattern, target)
+            theirs = match_first_order(metas, pattern, target)
+            assert (ours is None) == (theirs is None), (pattern, target)
+            if ours is not None:
+                solved += 1
+                assert set(ours) == theirs.domain(), (pattern, target)
+                assert all(alpha_equal(ours[m], theirs.type_of(m)) for m in ours), (pattern, target)
+    assert solved > 0
 
 
 # ----------------------------------------------------------------- search
