@@ -28,9 +28,9 @@ from .infer import (
     Diagnostic,
     DiagnosticKind,
     EngineInvariantError,
+    InferOutcome,
     Synthesize,
     infer,
-    spine_infer,
 )
 from .oracle import verify_spec
 from .parser import (
@@ -44,11 +44,8 @@ from .parser import (
     pretty_type,
 )
 from .syntax import (
-    App,
     Context,
-    Exact,
     TypeExpr,
-    Unknown,
     strip,
 )
 
@@ -88,16 +85,13 @@ def _field_labels(kind: DiagnosticKind) -> tuple[str, str]:
     return "expected type", "synthesized type"
 
 
-def _unsolved(d: Diagnostic) -> list[str]:
-    """Display names of the metas an unsolved-meta-variables diagnostic
-    leaves open in the elaboration, in name order."""
-    return [d.display.get(m, m) for m in sorted(d.unsolved)]
-
-
 def render_diagnostic(d: Diagnostic, color: bool = False) -> str:
-    rn = d.display
-    where = f" at {d.span.line}:{d.span.col}" if d.span is not None else ""
-    head = f"error: {_HEADLINES[d.kind]}{where}"
+    """The text form of ``diagnostic_json(d)``, built from that record and
+    labelled by ``_field_labels``; ``resolved`` is shown in NDJSON only."""
+    record = diagnostic_json(d)
+    span = record.get("span")
+    where = f" at {span['line']}:{span['col']}" if span is not None else ""
+    head = f"error: {record['message']}{where}"
     if color:
         head = f"{_RED}{head}{_RESET}"
     lines = [head]
@@ -107,33 +101,29 @@ def render_diagnostic(d: Diagnostic, color: bool = False) -> str:
         shown = f"{_BOLD}{label}:{_RESET}" if color else f"{label}:"
         lines.append(f"  {shown} {text}")
 
-    if d.expected is not None:
-        emit(expected_label, pretty_type(d.expected, rn))
-        for name in sorted(d.bindings):
-            lines.append(f"    {rn.get(name, name)} := {pretty_type(d.bindings[name], rn)}")
-    if d.synthesized is not None:
-        emit(synthesized_label, pretty_type(d.synthesized, rn))
-        unsolved = _unsolved(d)
-        if unsolved:
-            emit("unsolved", ", ".join(unsolved))
-    if d.contextual_match is not None:
-        m = d.contextual_match
-        emit(
-            "contextual match",
-            f"{pretty_type(m.partial, rn)} := {pretty_type(m.against, rn)}",
-        )
-    if d.synthetic_match is not None:
-        m = d.synthetic_match
-        emit(
-            f"synthetic match (argument {m.arg_index})",
-            f"{pretty_type(m.partial, rn)} := {pretty_type(m.against, rn)}",
-        )
-    if d.detail is not None:
-        emit("note", d.detail)
+    if "expected" in record:
+        emit(expected_label, record["expected"])
+        for name, ty in record.get("bindings", {}).items():
+            lines.append(f"    {name} := {ty}")
+    if "synthesized" in record:
+        emit(synthesized_label, record["synthesized"])
+        if "unsolved" in record:
+            emit("unsolved", ", ".join(record["unsolved"]))
+    if "contextual_match" in record:
+        m = record["contextual_match"]
+        emit("contextual match", f"{m['partial']} := {m['against']}")
+    if "synthetic_match" in record:
+        m = record["synthetic_match"]
+        emit(f"synthetic match (argument {m['arg_index']})", f"{m['partial']} := {m['against']}")
+    if "detail" in record:
+        emit("note", record["detail"])
     return "\n".join(lines)
 
 
 def diagnostic_json(d: Diagnostic) -> dict:
+    """The one record of a diagnostic, its types rendered with its display
+    names; ``unsolved`` lists the metas an unsolved-meta-variables
+    diagnostic leaves open in the elaboration, in name order."""
     rn = d.display
     out: dict = {"kind": d.kind.value, "message": _HEADLINES[d.kind]}
     if d.span is not None:
@@ -148,9 +138,8 @@ def diagnostic_json(d: Diagnostic) -> dict:
         }
     if d.synthesized is not None:
         out["synthesized"] = pretty_type(d.synthesized, rn)
-    unsolved = _unsolved(d)
-    if unsolved:
-        out["unsolved"] = unsolved
+    if d.unsolved:
+        out["unsolved"] = [rn.get(m, m) for m in sorted(d.unsolved)]
     if d.contextual_match is not None:
         out["contextual_match"] = {
             "partial": pretty_type(d.contextual_match.partial, rn),
@@ -170,26 +159,30 @@ def diagnostic_json(d: Diagnostic) -> dict:
 # ------------------------------------------------------------ batch mode
 
 
-def _spec_report(ctx: Context, expected: TypeExpr | None, term) -> tuple[bool, str, dict]:
-    """Replay the goal's outermost application spine against the declarative rules.
+def _spec_report(ctx: Context, expected: TypeExpr | None, term, out: InferOutcome) -> dict:
+    """The goal's ``spec`` record: the triple its own run produced for its
+    outermost application spine, replayed against the declarative rules.
 
-    Only a goal whose term is itself an application is replayed; spines
-    nested in a lambda body or an argument are not.
+    Any other goal reports ``skipped``; spines nested in a lambda body or
+    an argument are not replayed.
     """
-    if not isinstance(term, App):
-        return True, "spec: skipped (not an application spine)", {"skipped": True}
-    proto = Unknown() if expected is None else Exact(expected)
-    try:
-        out = spine_infer(ctx, proto, term)
-    except (Diagnostic, EngineInvariantError) as exc:
-        return False, f"spec: rejected: spine replay failed ({exc})", {"accepted": False}
-    triple = (strip(out.deco), out.partial, out.solution)
+    if out.spine is None:
+        return {"skipped": True}
+    triple = (strip(out.spine.deco), out.spine.partial, out.spine.solution)
     verdict = verify_spec(ctx, expected, term, triple)
-    as_json = {"accepted": verdict.accepted, "trace": list(verdict.trace)}
-    if verdict.accepted:
-        return True, "spec: accepted (" + " ".join(verdict.trace) + ")", as_json
-    as_json["reason"] = verdict.reason
-    return False, f"spec: rejected: {verdict.reason}", as_json
+    record = {"accepted": verdict.accepted, "trace": list(verdict.trace)}
+    if not verdict.accepted:
+        record["reason"] = verdict.reason
+    return record
+
+
+def _spec_line(spec: dict) -> str:
+    """The text ``spec:`` line of a ``spec`` record."""
+    if "skipped" in spec:
+        return "spec: skipped (not an application spine)"
+    if spec["accepted"]:
+        return "spec: accepted (" + " ".join(spec["trace"]) + ")"
+    return f"spec: rejected: {spec['reason']}"
 
 
 def _report(args, record: dict, lines) -> str:
@@ -241,10 +234,9 @@ def _run_goal(ctx: Context, goal: Goal, count: int, args, color: bool) -> tuple[
         record["elaboration"] = pretty_term(out.elaboration)
     if trace is not None:
         record["trace"] = trace
-    spec_text = None
     if args.spec_verify:
-        ok, spec_text, record["spec"] = _spec_report(ctx, expected, term)
-        if not ok:
+        record["spec"] = _spec_report(ctx, expected, term, out)
+        if record["spec"].get("accepted") is False:
             code = 3
     if args.json:
         return code, _report(args, record, ())
@@ -253,8 +245,8 @@ def _run_goal(ctx: Context, goal: Goal, count: int, args, color: bool) -> tuple[
         lines.append(f"    elaboration: {record['elaboration']}")
     if trace is not None:
         lines.append("    trace: " + " ".join(trace))
-    if spec_text is not None:
-        lines.append("    " + spec_text)
+    if args.spec_verify:
+        lines.append("    " + _spec_line(record["spec"]))
     return code, _report(args, record, lines)
 
 

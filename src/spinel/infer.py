@@ -16,9 +16,9 @@ its decorated type one by one.  The synthetic instantiations and the
 explicit type arguments wait in one pending map, applied to each domain
 as it is consumed and to each peeled quantifier's origin, and to the
 whole remainder only when a solution reaches its stuck leaf (which is
-re-matched then, at the argument that solved it), when the last
-argument is reached, and at the end.  The same map reaches the
-partial elaboration in one substitution once the spine is done.
+re-matched then, at the argument that solved it) and once at the end.
+The same map reaches the partial elaboration in one substitution once
+the spine is done.
 Chains of lambdas and type lambdas, and chains of type applications
 outside a spine, are likewise walked in one loop each, with one
 accumulated renaming or instantiation applied where a type is used.
@@ -29,7 +29,7 @@ type solved every meta the partial elaboration mentions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .matcher import MatchFailure, _match, match_first_order, subst_decorated
@@ -94,16 +94,21 @@ Mode = Synthesize | Check
 
 
 @dataclass(frozen=True)
-class InferOutcome:
-    ty: TypeExpr
-    elaboration: Term
-
-
-@dataclass(frozen=True)
 class SpineOutcome:
     deco: DecoratedType
     partial: Term
     solution: Solution
+
+
+@dataclass(frozen=True)
+class InferOutcome:
+    """A term's type and elaboration.  ``spine`` is the outcome of the
+    term's own application spine, kept for a declarative replay: set
+    exactly when the term is an application, and never compared."""
+
+    ty: TypeExpr
+    elaboration: Term
+    spine: SpineOutcome | None = field(default=None, compare=False, repr=False)
 
 
 # ------------------------------------------------------------ diagnostics
@@ -425,7 +430,7 @@ def _app_synthesize(run: _Run, ctx: Context, term: App) -> InferOutcome:
         )
     if not isinstance(out.deco, Plain):
         raise EngineInvariantError("synthesis finished on a decorated result")
-    return InferOutcome(ty, out.partial)
+    return InferOutcome(ty, out.partial, out)
 
 
 def _app_check(run: _Run, ctx: Context, term: App, expected: TypeExpr) -> InferOutcome:
@@ -447,7 +452,7 @@ def _app_check(run: _Run, ctx: Context, term: App, expected: TypeExpr) -> InferO
     elab = subst_type_args(out.solution.types(), out.partial)
     if __debug__ and meta_vars_of_term(ctx, elab):
         raise EngineInvariantError("checked elaboration still mentions meta-variables")
-    return InferOutcome(expected, elab)
+    return InferOutcome(expected, elab, out)
 
 
 def _spine(run: _Run, ctx: Context, proto: Prototype, term: Term) -> SpineOutcome:
@@ -487,8 +492,6 @@ def _spine(run: _Run, ctx: Context, proto: Prototype, term: Term) -> SpineOutcom
             partial = TApp(partial, item.targ, span=item.span)
             continue
         arg_index += 1
-        if item is items[0] and not rest.settle():
-            raise EngineInvariantError("a settled solution reached the stuck leaf again")
         while isinstance(rest.deco, DForall):
             run.note("peel")
             quant = rest.deco
@@ -518,16 +521,16 @@ class _Remaining:
     brings one domain or origin up to date as the spine reaches it.
     ``settle`` applies the whole map to ``deco`` in one
     ``subst_decorated``, which re-matches a stuck leaf whose meta-variable
-    it solves.  The spine settles when a solution reaches the stuck leaf,
-    so that a conflict is reported at the argument that solved it; when
-    it reaches its last argument, whose quantifiers, domain and result
-    are then all that remain; and at the end, when the same map reaches
-    the partial elaboration.  Every pending value is well-formed in the
-    spine's context, so none mentions a meta-variable, as
-    ``subst_decorated`` requires; re-applying a key that a settle has
-    already substituted away therefore changes nothing, and the map is
-    never cleared.  ``shown`` is the remaining type as a diagnostic
-    prints it.
+    it solves.  The spine settles only when a solution reaches the stuck
+    leaf, so that a conflict is reported at the argument that solved it,
+    and once at the end, when the same map reaches the partial
+    elaboration; in between, each domain is brought up to date where it
+    is read, and a diagnostic shows the rest through ``shown``.  Every
+    pending value is well-formed in the spine's context, so none
+    mentions a meta-variable, as ``subst_decorated`` requires;
+    re-applying a key that a settle has already substituted away
+    therefore changes nothing, and the map is never cleared.  ``shown``
+    is the remaining type as a diagnostic prints it.
     """
 
     def __init__(self, deco: DecoratedType, supply: NameSupply):

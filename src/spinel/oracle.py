@@ -152,7 +152,8 @@ def verify_spec(
 
     ty = hout.ty
     sol = Solution()
-    replay: list[tuple[str, object]] = []
+    rebuilt: Term = hout.elaboration
+    synthesized: dict[str, TypeExpr] = {}  # every synthesizing argument's instantiation
     fresh = itertools.count()
     pi = 0
 
@@ -173,7 +174,7 @@ def verify_spec(
             if got is None or not alpha_equal(got, item):
                 return reject("claimed elaboration drops or alters an explicit type argument")
             ty = substitute({ty.bound: item}, ty.body)
-            replay.append(("ty", item))
+            rebuilt = TApp(rebuilt, item)
             continue
 
         trace.append("PApp")
@@ -191,9 +192,11 @@ def verify_spec(
                         return reject("claimed solution reuses a meta-variable name")
                 # an unbound meta-variable stands for declining the guess
             else:
-                meta = f"?v{next(fresh)}"  # solved later by a synthesizing argument
+                # solved later by a synthesizing argument; no run mints a
+                # name with a digit after the "?", so it cannot meet a claimed one
+                meta = f"?{next(fresh)}"
             ty = substitute({ty.bound: TVar(meta)}, ty.body)
-            replay.append(("ty", TVar(meta)))
+            rebuilt = TApp(rebuilt, TVar(meta))
         if not isinstance(ty, Arrow):
             return reject("argument applied but the type reveals no arrow")
 
@@ -216,44 +219,32 @@ def verify_spec(
             if inst is None:
                 return reject("argument type is not an instance of the expected domain")
             ty = substitute(inst, ty.cod)
-            replay = [
-                ("ty", substitute(inst, entry)) if tag == "ty" else (tag, entry)
-                for tag, entry in replay
-            ]
+            synthesized.update(inst)
         if pi >= len(pitems) or _is_type(pitems[pi]):
             return reject("claimed elaboration is missing a term argument")
         if not alpha_equal_term(pitems[pi], aout.elaboration):
             return reject("claimed argument elaboration differs")
-        replay.append(("tm", aout.elaboration))
+        rebuilt = App(rebuilt, aout.elaboration)
         pi += 1
 
     if pi != len(pitems):
         return reject("claimed elaboration has extra spine entries")
 
-    rebuilt: Term = hout.elaboration
-    for tag, entry in replay:
-        rebuilt = TApp(rebuilt, entry) if tag == "ty" else App(rebuilt, entry)
+    # A meta an instantiation solves is gone from the rest of the type, so
+    # one substitution at the end rebuilds what solving each type argument
+    # as it was found would (a claim that reuses its name differs anyway).
+    rebuilt = subst_type_args(synthesized, rebuilt)
 
     trace.append("shim")
-    if meta_vars_of_type(ctx, ty) != sol.domain():
-        return reject("type meta-variables do not line up with the solution domain")
     if not alpha_equal(ty, claimed_ty):
         return reject("claimed type differs from the replayed type")
     if not alpha_equal_term(rebuilt, claimed_partial):
         return reject("claimed partial elaboration differs from the replayed one")
     if not sol.equivalent(claimed_sol):
         return reject("claimed solution differs from the replayed one")
-
-    if ctx_ty is None:
-        if not sol.is_identity:
-            return reject("synthesis must not keep contextual bindings")
-        if meta_vars_of_term(ctx, rebuilt):
-            return reject("synthesis left unsolved meta-variables in the elaboration")
-    else:
-        if meta_vars_of_term(ctx, rebuilt) != sol.domain():
-            return reject("checking left meta-variables the solution does not cover")
-        if not alpha_equal(subst_type(sol, ty), ctx_ty):
-            return reject("solved type does not restore the contextual type")
+    failure = _side_condition_failure(ctx, ctx_ty, (ty, rebuilt, sol))
+    if failure is not None:
+        return reject(failure)
     return SpecVerdict(True, tuple(trace))
 
 
@@ -392,16 +383,29 @@ def search_spec(
     return out
 
 
-def passes_side_conditions(ctx: Context, ctx_ty: TypeExpr | None, triple: Triple) -> bool:
-    """The shim plus the synthesis/checking discharge conditions."""
+def _side_condition_failure(ctx: Context, ctx_ty: TypeExpr | None, triple: Triple) -> str | None:
+    """The first of the shim and the mode's discharge conditions that
+    ``triple`` fails, as a rejection reason; None if it passes them all."""
     ty, partial, sol = triple
     if meta_vars_of_type(ctx, ty) != sol.domain():
-        return False
+        return "type meta-variables do not line up with the solution domain"
     if ctx_ty is None:
-        return sol.is_identity and not meta_vars_of_term(ctx, partial)
-    return meta_vars_of_term(ctx, partial) == sol.domain() and alpha_equal(
-        subst_type(sol, ty), ctx_ty
-    )
+        if not sol.is_identity:
+            return "synthesis must not keep contextual bindings"
+        if meta_vars_of_term(ctx, partial):
+            return "synthesis left unsolved meta-variables in the elaboration"
+    else:
+        if meta_vars_of_term(ctx, partial) != sol.domain():
+            return "checking left meta-variables the solution does not cover"
+        if not alpha_equal(subst_type(sol, ty), ctx_ty):
+            return "solved type does not restore the contextual type"
+    return None
+
+
+def passes_side_conditions(ctx: Context, ctx_ty: TypeExpr | None, triple: Triple) -> bool:
+    """The shim plus the synthesis/checking discharge conditions: the
+    same checks ``verify_spec`` makes once a claim is replayed."""
+    return _side_condition_failure(ctx, ctx_ty, triple) is None
 
 
 def canonical_triple_key(triple: Triple):
@@ -413,18 +417,10 @@ def canonical_triple_key(triple: Triple):
         if name.startswith("?") and name not in order:
             order.append(name)
 
-    def scan_term(t: Term) -> None:
-        match t:
-            case App(fun=f):
-                scan_term(f)
-            case TApp(fun=f, targ=s):
-                scan_term(f)
-                for v in sorted(free_type_vars(s)):
-                    note(v)
-            case _:
-                pass
-
-    scan_term(partial)
+    for item in spine_parts(partial)[1]:
+        if _is_type(item):
+            for v in sorted(free_type_vars(item)):
+                note(v)
     for v in sorted(free_type_vars(ty)):
         note(v)
     for v in sorted(sol.domain()):

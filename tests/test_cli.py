@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import shutil
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import spinel
+from conftest import count_calls
 from spinel.cli import main
 from spinel.oracle import SpecVerdict
 
@@ -188,6 +190,25 @@ def test_spec_verify_rejection_exits_three(good_file, capsys, monkeypatch):
     code, out, _ = run_lines(capsys, "run", good_file, "--spec-verify")
     assert code == 3
     assert any("spec: rejected: forced" in line for line in out)
+
+
+def test_spec_verify_replays_the_spine_the_goal_already_ran(tmp_path, capsys, monkeypatch):
+    # The replay reads the triple the goal's own run produced, so the flag
+    # runs no spine a second time.  (The replay's own rules infer each
+    # argument; these arguments hold no spine.)
+    path = tmp_path / "spines.spn"
+    path.write_text(
+        "type Nat\ntype Pair 2\nassume z : Nat\nassume suc : Nat -> Nat\n"
+        "assume ident : forall X. X -> X\nassume pair : forall X. forall Y. X -> Y -> Pair X Y\n"
+        "check pair (\\x. x) z : Pair (Nat -> Nat) Nat\nsynth ident suc z\n"
+        "check \\x. pair x x : Nat -> Pair Nat Nat\nsynth z\n"
+    )
+    calls = count_calls(monkeypatch, "_spine", [importlib.import_module("spinel.infer")])
+    assert main(["run", str(path)]) == 0
+    plain = calls[0]
+    assert main(["run", str(path), "--spec-verify"]) == 0
+    assert capsys.readouterr().out.count("spec: accepted") == 2
+    assert calls[0] - plain == plain == 3
 
 
 def test_color_env_switch(bad_file, capsys, monkeypatch):

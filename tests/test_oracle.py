@@ -129,6 +129,16 @@ def test_replay_checks_the_mode_side_conditions():
     assert not verify_spec(CTX, ty("Sum Nat Nat"), term, triple).accepted
 
 
+def test_replay_names_its_own_metas_apart_from_the_claimed_ones():
+    # The run names the meta of binder `v` `?v0`; the replay's own meta, for
+    # the quantifier a synthesizing argument solves, must not meet it.
+    ctx = CTX.with_term("f2", ty("forall v. forall u. u -> v"))
+    term, expected = tm("f2 z", ctx), ty("Nat", ctx)
+    triple = triple_for(term, expected, ctx)
+    assert "?v0" in pretty_term(triple[1])
+    assert verify_spec(ctx, expected, term, triple).accepted
+
+
 def test_replay_requires_an_application():
     with pytest.raises(ValueError):
         verify_spec(CTX, None, tm("z"), (ty("Nat"), tm("z"), Solution()))
