@@ -457,19 +457,32 @@ def deco_arity(w: DecoratedType) -> int:
 
 
 def free_type_vars(ty: TypeExpr) -> frozenset[str]:
-    match ty:
-        case TVar(name=x):
-            return frozenset((x,))
-        case Arrow(dom=d, cod=c):
-            return free_type_vars(d) | free_type_vars(c)
-        case Forall(bound=x, body=b):
-            return free_type_vars(b) - {x}
-        case Con(args=args):
-            out: frozenset[str] = frozenset()
-            for a in args:
-                out |= free_type_vars(a)
-            return out
-    raise TypeError(ty)
+    """The type variables of ``ty`` that no quantifier in it binds.
+
+    Arrow codomains and quantifier bodies are followed by a loop, so a
+    chain of any length is read at any recursion limit; a binder hides
+    its name from every link below it.
+    """
+    found: set[str] = set()
+    bound: set[str] = set()
+    while True:
+        match ty:
+            case TVar(name=x):
+                if x not in bound:
+                    found.add(x)
+                return frozenset(found)
+            case Arrow(dom=d, cod=c):
+                found.update(free_type_vars(d).difference(bound))
+                ty = c
+            case Forall(bound=x, body=b):
+                bound.add(x)
+                ty = b
+            case Con(args=args):
+                for a in args:
+                    found.update(free_type_vars(a).difference(bound))
+                return frozenset(found)
+            case _:
+                raise TypeError(ty)
 
 
 def is_well_formed(ctx: Context, ty: TypeExpr, extra: frozenset[str] = frozenset()) -> bool:
@@ -537,29 +550,46 @@ def _fresh_against(base: str, avoid: set[str] | frozenset[str]) -> str:
 
 
 def substitute(mapping: Mapping[str, TypeExpr], ty: TypeExpr) -> TypeExpr:
-    """Simultaneous capture-avoiding substitution of types for variables."""
+    """Simultaneous capture-avoiding substitution of types for variables.
+
+    Arrow codomains and quantifier bodies are followed by a loop, and the
+    chain's nodes are rebuilt bottom-up once it ends, so a chain of any
+    length is substituted at any recursion limit.  A quantifier that
+    shadows every key is kept as it is.
+    """
     if not mapping:
         return ty
-    match ty:
-        case TVar(name=x):
-            return mapping.get(x, ty)
-        case Arrow(dom=d, cod=c):
-            return Arrow(substitute(mapping, d), substitute(mapping, c))
-        case Con(con=c, args=args):
-            return Con(c, tuple(substitute(mapping, a) for a in args))
-        case Forall(bound=x, body=b):
-            inner = {k: v for k, v in mapping.items() if k != x}
-            if not inner:
-                return ty
-            clash = set()
-            for v in inner.values():
-                clash |= free_type_vars(v)
-            if x in clash:
-                fresh = _fresh_against(x, clash | free_type_vars(b) | set(inner))
-                b = substitute({x: TVar(fresh)}, b)
-                x = fresh
-            return Forall(x, substitute(inner, b))
-    raise TypeError(ty)
+    links: list[tuple[type, object]] = []  # each link's node class and first field
+    while True:
+        match ty:
+            case TVar(name=x):
+                ty = mapping.get(x, ty)
+                break
+            case Arrow(dom=d, cod=c):
+                links.append((Arrow, substitute(mapping, d)))
+                ty = c
+            case Con(con=c, args=args):
+                ty = Con(c, tuple(substitute(mapping, a) for a in args))
+                break
+            case Forall(bound=x, body=b):
+                inner = {k: v for k, v in mapping.items() if k != x}
+                if not inner:
+                    break
+                clash = set()
+                for v in inner.values():
+                    clash |= free_type_vars(v)
+                if x in clash:
+                    fresh = _fresh_against(x, clash | free_type_vars(b) | set(inner))
+                    b = substitute({x: TVar(fresh)}, b)
+                    x = fresh
+                links.append((Forall, x))
+                mapping, ty = inner, b
+            case _:
+                raise TypeError(ty)
+    while links:
+        node, first = links.pop()
+        ty = node(first, ty)
+    return ty
 
 
 def subst_type(sol: Solution, ty: TypeExpr) -> TypeExpr:
@@ -593,17 +623,39 @@ def subst_type_args(mapping: Mapping[str, TypeExpr], t: Term) -> Term:
 
 
 def _canon_ty(ty: TypeExpr, env: Mapping[str, int], depth: int) -> str:
-    match ty:
-        case TVar(name=x):
-            return f"@{env[x]}" if x in env else f"v:{x}"
-        case Arrow(dom=d, cod=c):
-            return f"({_canon_ty(d, env, depth)}->{_canon_ty(c, env, depth)})"
-        case Forall(bound=x, body=b):
-            return f"(all.{_canon_ty(b, {**env, x: depth}, depth + 1)})"
-        case Con(con=c, args=args):
-            inner = ",".join(_canon_ty(a, env, depth) for a in args)
-            return f"{c}[{inner}]"
-    raise TypeError(ty)
+    """Key of a type under ``env``, which numbers the binders in scope.
+
+    Arrow codomains and quantifier bodies are followed by a loop, and
+    every parenthesis the chain opens closes at its end, so a chain of
+    any length is keyed at any recursion limit.  The loop never returns
+    to a link it has left, so its binders extend one private copy of
+    ``env``.
+    """
+    opened: list[str] = []
+    own = False
+    while True:
+        match ty:
+            case TVar(name=x):
+                last = f"@{env[x]}" if x in env else f"v:{x}"
+                break
+            case Arrow(dom=d, cod=c):
+                opened.append(f"({_canon_ty(d, env, depth)}->")
+                ty = c
+            case Forall(bound=x, body=b):
+                opened.append("(all.")
+                if not own:
+                    env, own = dict(env), True
+                env[x] = depth
+                depth += 1
+                ty = b
+            case Con(con=c, args=args):
+                last = f"{c}[" + ",".join(_canon_ty(a, env, depth) for a in args) + "]"
+                break
+            case _:
+                raise TypeError(ty)
+    if not opened:
+        return last
+    return "".join(opened) + last + ")" * len(opened)
 
 
 def canon_type(ty: TypeExpr) -> str:

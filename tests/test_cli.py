@@ -838,6 +838,28 @@ def test_long_polymorphic_spine_answers_and_later_goals_run(tmp_path):
     assert records[0]["elaboration"] == records[1]["elaboration"] == elaboration
 
 
+def test_long_type_application_chain_answers_and_later_goals_run(tmp_path):
+    # Substitution and canonical keys follow arrow chains by loops, so 2,000
+    # explicit type arguments answer at the default recursion limit.
+    n = 2000
+    qs = "".join(f"forall X{i}. " for i in range(1, n + 1))
+    arrows = " -> ".join(f"X{i}" for i in range(1, n + 1))
+    targs = " ".join("[Nat]" if i % 2 else "[B]" for i in range(1, n + 1))
+    instance = " -> ".join("Nat" if i % 2 else "B" for i in range(1, n + 1)) + " -> Nat"
+    path = tmp_path / "tyapps.spn"
+    path.write_text(
+        HEAD + f"type B\nassume g : {qs}{arrows} -> Nat\n"
+        f"synth g {targs}\ncheck g {targs} : {instance}\nsynth z\n"
+    )
+    proc = run_child(path, "--json")
+    assert proc.stderr == ""
+    assert proc.returncode == 0
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(r["goal"], r["status"], r["type"]) for r in records] == [
+        (1, "ok", instance), (2, "ok", instance), (3, "ok", "Nat")
+    ]
+
+
 def test_long_polymorphic_spine_replay_is_a_resource_limit(tmp_path):
     # The declarative replay still recurses along the spine: a documented
     # outcome, and the goal after it still runs.

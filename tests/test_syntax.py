@@ -36,6 +36,7 @@ from spinel.syntax import (
     alpha_equal,
     alpha_equal_deco,
     alpha_equal_term,
+    canon_type,
     deco_arity,
     free_type_vars,
     is_well_formed,
@@ -336,3 +337,71 @@ def test_substituting_a_fresh_var_changes_nothing(t, v):
 def test_substitution_removes_the_free_variable(t, v):
     out = substitute({v: Con("Nat")}, t)
     assert v not in free_type_vars(out)
+
+
+def _recursive_substitute(mapping, t):
+    """The one-node-per-frame substitution that ``substitute`` unrolls."""
+    if not mapping:
+        return t
+    match t:
+        case TVar(name=x):
+            return mapping.get(x, t)
+        case Arrow(dom=d, cod=c):
+            return Arrow(_recursive_substitute(mapping, d), _recursive_substitute(mapping, c))
+        case Con(con=c, args=args):
+            return Con(c, tuple(_recursive_substitute(mapping, a) for a in args))
+        case Forall(bound=x, body=b):
+            inner = {k: v for k, v in mapping.items() if k != x}
+            if not inner:
+                return t
+            clash = set().union(*(free_type_vars(v) for v in inner.values()))
+            if x in clash:
+                fresh = x
+                while fresh in clash | free_type_vars(b) | set(inner):
+                    fresh += "'"
+                b, x = _recursive_substitute({x: TVar(fresh)}, b), fresh
+            return Forall(x, _recursive_substitute(inner, b))
+    raise TypeError(t)
+
+
+def _recursive_key(t, env=None, depth=0):
+    """The one-node-per-frame canonical key that ``canon_type`` unrolls."""
+    env = env or {}
+    match t:
+        case TVar(name=x):
+            return f"@{env[x]}" if x in env else f"v:{x}"
+        case Arrow(dom=d, cod=c):
+            return f"({_recursive_key(d, env, depth)}->{_recursive_key(c, env, depth)})"
+        case Forall(bound=x, body=b):
+            return f"(all.{_recursive_key(b, {**env, x: depth}, depth + 1)})"
+        case Con(con=c, args=args):
+            return f"{c}[{','.join(_recursive_key(a, env, depth) for a in args)}]"
+    raise TypeError(t)
+
+
+@given(st.dictionaries(_tyvars, _types(), max_size=3), _types())
+def test_substitution_and_keys_are_those_of_the_recursive_definitions(mapping, t):
+    out = substitute(mapping, t)
+    assert out == _recursive_substitute(mapping, t)
+    assert canon_type(out) == _recursive_key(out)
+    assert canon_type(t) == _recursive_key(t)
+
+
+def test_type_chains_are_substituted_and_keyed_by_loops():
+    # 5,000 quantifier and arrow links, at Python's default recursion limit;
+    # substituting for the free A renames the binder it would capture.
+    n = 2500
+    t = TVar("A")
+    for i in reversed(range(n)):
+        t = Forall(f"X{i}", Arrow(TVar(f"X{i}"), t))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        out = substitute({"A": TVar("X7")}, t)
+        key = canon_type(out)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert key == "".join(f"(all.(@{i}->" for i in range(n)) + "v:X7" + "))" * n
+    for _ in range(7):
+        out = out.body.cod
+    assert out.bound == "X7'" and out.body.dom == TVar("X7'")
