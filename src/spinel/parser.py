@@ -121,9 +121,6 @@ class Goal:
 Decl = ConDecl | Assume | Goal
 
 
-_NO_NAMES: frozenset[str] = frozenset()
-
-
 def _expected(tok: _Token, what: str) -> ParseError:
     if tok[0] == "eof":
         return ParseError(f"expected {what}", tok[2], tok[3])
@@ -135,11 +132,25 @@ class _Parser:
 
     Only parentheses, brackets and constructor arguments recurse, so a
     chain of any length parses at any recursion limit.
+
+    ``scope`` holds the declared names.  The binders open at the current
+    token are kept in two mutable sets: ``tyvars``, the type variables
+    (of ``forall``s and type lambdas), and ``bound``, the names of
+    lambdas and type lambdas.  Each ``type_`` or ``term`` run adds its
+    own binders as it reads them and removes them when it closes.  A
+    binder may shadow nothing it is checked against, so every name added
+    is new, and removing it restores the scope exactly.
     """
 
-    __slots__ = ("tokens", "pos", "signature", "scope")
+    __slots__ = ("tokens", "pos", "signature", "scope", "tyvars", "bound")
 
-    def __init__(self, tokens: list[_Token], signature: dict[str, int], scope: frozenset[str]):
+    def __init__(
+        self,
+        tokens: list[_Token],
+        signature: dict[str, int],
+        scope: frozenset[str],
+        tyvars: frozenset[str] = frozenset(),
+    ):
         # An "eof" token ends the list where end-of-input errors point:
         # just past the last token, or at 1:1 in an empty source.
         if tokens:
@@ -150,6 +161,8 @@ class _Parser:
         self.pos = 0
         self.signature = signature
         self.scope = scope
+        self.tyvars = set(tyvars)
+        self.bound: set[str] = set()
 
     # --- token plumbing
 
@@ -189,55 +202,63 @@ class _Parser:
             last = node(*fields, last, span=Span(start[2], start[3], line, end_col))
         return last
 
-    def fresh_binder(self, tok: _Token, tyvars: frozenset[str], bound: frozenset[str] = _NO_NAMES) -> None:
+    def fresh_binder(self, tok: _Token, term_level: bool) -> str:
+        """The binder ``tok`` names, checked against the constructors, the
+        declared names and the type variables in scope; a lambda's or
+        type lambda's also against the names ``bound`` holds.  A
+        ``forall`` may reuse a lambda-bound name."""
         name = tok[1]
         if name in self.signature:
             raise ParseError(f"{name!r} is already a constructor", tok[2], tok[3])
-        if name in self.scope or name in tyvars or name in bound:
+        if name in self.scope or name in self.tyvars or (term_level and name in self.bound):
             raise ParseError(f"{name!r} shadows an existing binding", tok[2], tok[3])
+        return name
 
     # --- types
 
-    def type_(self, tyvars: frozenset[str]) -> TypeExpr:
+    def type_(self) -> TypeExpr:
         """A run of ``forall X.`` and ``T ->`` links, then the last type.
 
         The nodes are built bottom-up once the run ends; each spans from
-        its own first token to the last token of the whole run.
+        its own first token to the last token of the whole run.  Each
+        ``forall`` binder is in scope until the run ends.
         """
         toks = self.tokens
         links: list[tuple] = []
+        opened: list[str] = []
         while True:
             start = toks[self.pos]
             if start[0] == "forall":
                 self.pos += 1
-                name = self.expect("ident", "a type variable")
-                self.fresh_binder(name, tyvars)
+                name = self.fresh_binder(self.expect("ident", "a type variable"), False)
                 self.expect("dot", "'.'")
-                tyvars = tyvars | {name[1]}
-                links.append((start, Forall, name[1]))
+                self.tyvars.add(name)
+                opened.append(name)
+                links.append((start, Forall, name))
                 continue
-            ty = self.ty_app(tyvars)
+            ty = self.ty_app()
             if toks[self.pos][0] != "arrow":
                 break
             self.pos += 1
             links.append((start, Arrow, ty))
+        self.tyvars.difference_update(opened)
         return self.close(links, ty)
 
-    def ty_app(self, tyvars: frozenset[str]) -> TypeExpr:
+    def ty_app(self) -> TypeExpr:
         tok = self.tokens[self.pos]
-        if tok[0] == "ident" and tok[1] not in tyvars and self.signature.get(tok[1], 0) > 0:
+        if tok[0] == "ident" and tok[1] not in self.tyvars and self.signature.get(tok[1], 0) > 0:
             self.pos += 1
             arity = self.signature[tok[1]]
-            args = tuple(self.ty_atom(tyvars) for _ in range(arity))
+            args = tuple(self.ty_atom() for _ in range(arity))
             return Con(tok[1], args, span=self.span_from(tok))
-        return self.ty_atom(tyvars)
+        return self.ty_atom()
 
-    def ty_atom(self, tyvars: frozenset[str]) -> TypeExpr:
+    def ty_atom(self) -> TypeExpr:
         kind, name, line, col = tok = self.tokens[self.pos]
         if kind == "ident":
             self.pos += 1
             span = Span(line, col, line, col + len(name))
-            if name in tyvars:
+            if name in self.tyvars:
                 return TVar(name, span=span)
             arity = self.signature.get(name)
             if arity == 0:
@@ -247,77 +268,81 @@ class _Parser:
             raise ParseError(f"unbound type variable {name!r}", line, col)
         if kind == "lparen":
             self.pos += 1
-            ty = self.type_(tyvars)
+            ty = self.type_()
             self.expect("rparen", "')'")
             return ty
         raise _expected(tok, "a type")
 
     # --- terms
 
-    def term(self, bound: frozenset[str], tyvars: frozenset[str]) -> Term:
+    def term(self) -> Term:
         """A run of ``\\x.``, ``\\x : T.`` and ``/\\X.`` links, then an application.
 
         An application followed by a lambda takes that lambda, and with
         it the rest of the term, as its last argument: one more link.
         The nodes are built bottom-up once the run ends, like types'.
+        Each binder is in scope until the run ends.
         """
         toks = self.tokens
         links: list[tuple] = []
+        opened: list[str] = []
         while True:
             tok = toks[self.pos]
             kind = tok[0]
             if kind == "lam":
                 self.pos += 1
-                name = self.expect("ident", "a variable")
-                self.fresh_binder(name, tyvars, bound)
+                name = self.fresh_binder(self.expect("ident", "a variable"), True)
                 ann = None
                 if toks[self.pos][0] == "colon":
                     self.pos += 1
-                    ann = self.type_(tyvars)
+                    ann = self.type_()
                 self.expect("dot", "'.'")
-                bound = bound | {name[1]}
-                links.append((tok, Lam, name[1], ann))
+                self.bound.add(name)
+                opened.append(name)
+                links.append((tok, Lam, name, ann))
             elif kind == "tylam":
                 self.pos += 1
-                name = self.expect("ident", "a type variable")
-                self.fresh_binder(name, tyvars, bound)
+                name = self.fresh_binder(self.expect("ident", "a type variable"), True)
                 self.expect("dot", "'.'")
-                bound = bound | {name[1]}
-                tyvars = tyvars | {name[1]}
-                links.append((tok, TLam, name[1]))
+                self.bound.add(name)
+                self.tyvars.add(name)
+                opened.append(name)
+                links.append((tok, TLam, name))
             else:
-                t = self.app(bound, tyvars)
+                t = self.app()
                 if toks[self.pos][0] not in ("lam", "tylam"):
                     break
                 links.append((tok, App, t))
+        self.bound.difference_update(opened)
+        self.tyvars.difference_update(opened)
         return self.close(links, t)
 
-    def app(self, bound: frozenset[str], tyvars: frozenset[str]) -> Term:
+    def app(self) -> Term:
         """An atom applied to atoms and ``[T]`` type arguments, left to right."""
         toks = self.tokens
         start = toks[self.pos]
-        t = self.atom(bound, tyvars)
+        t = self.atom()
         while True:
             kind = toks[self.pos][0]
             if kind == "ident" or kind == "lparen":
-                arg = self.atom(bound, tyvars)
+                arg = self.atom()
                 t = App(t, arg, span=self.span_from(start))
             elif kind == "lbrack":
                 self.pos += 1
-                targ = self.type_(tyvars)
+                targ = self.type_()
                 self.expect("rbrack", "']'")
                 t = TApp(t, targ, span=self.span_from(start))
             else:
                 return t
 
-    def atom(self, bound: frozenset[str], tyvars: frozenset[str]) -> Term:
+    def atom(self) -> Term:
         kind, name, line, col = tok = self.tokens[self.pos]
         if kind == "ident":
             self.pos += 1
             return Var(name, span=Span(line, col, line, col + len(name)))
         if kind == "lparen":
             self.pos += 1
-            t = self.term(bound, tyvars)
+            t = self.term()
             self.expect("rparen", "')'")
             return t
         raise _expected(tok, "a term")
@@ -340,16 +365,16 @@ def _declaration(parser: _Parser, tok: _Token) -> Decl:
             if name in parser.signature or name in parser.scope:
                 raise ParseError(f"duplicate declaration of {name!r}", line, col)
             parser.expect("colon", "':'")
-            ty = parser.type_(frozenset())
+            ty = parser.type_()
             parser.scope = parser.scope | {name}
             return Assume(name, ty, parser.span_from(tok))
         case "check":
-            term = parser.term(parser.scope, frozenset())
+            term = parser.term()
             parser.expect("colon", "':'")
-            ty = parser.type_(frozenset())
+            ty = parser.type_()
             return Goal(term, ty, parser.span_from(tok))
         case "synth":
-            term = parser.term(parser.scope, frozenset())
+            term = parser.term()
             return Goal(term, None, parser.span_from(tok))
     raise ParseError(f"expected a declaration, found {tok[1]!r}", tok[2], tok[3])
 
@@ -376,17 +401,16 @@ def parse_program(src: str) -> tuple[Decl, ...]:
 
 def parse_type(src: str, ctx: Context) -> TypeExpr:
     """Parse a single type in the scope of a context."""
-    parser = _Parser(tokenize(src), dict(ctx.signature), ctx.names)
-    ty = parser.type_(ctx.dtv)
+    parser = _Parser(tokenize(src), dict(ctx.signature), ctx.names, ctx.dtv)
+    ty = parser.type_()
     parser.finish("type")
     return ty
 
 
 def parse_term(src: str, ctx: Context) -> Term:
     """Parse a single term in the scope of a context."""
-    parser = _Parser(tokenize(src), dict(ctx.signature), ctx.names)
-    bound = ctx.names - ctx.dtv
-    term = parser.term(bound, ctx.dtv)
+    parser = _Parser(tokenize(src), dict(ctx.signature), ctx.names, ctx.dtv)
+    term = parser.term()
     parser.finish("term")
     return term
 

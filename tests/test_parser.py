@@ -438,3 +438,44 @@ def test_parsing_inverts_printing(t):
     closed = Forall("A", t)
     ctx = CTX
     assert alpha_equal(parse_type(pretty_type(closed), ctx), closed)
+
+
+# ------------------------------------------------------------------ scopes
+
+
+def test_a_forall_may_reuse_a_lambda_bound_name_but_not_a_declared_one():
+    # A forall binder is checked against constructors, declared names and
+    # type variables, not against the names lambdas bind.
+    (goal,) = parse_program(r"synth \x. \y : forall x. x -> x. y")
+    assert goal.term.body.ann == Forall("x", Arrow(TVar("x"), TVar("x")))
+    with pytest.raises(ParseError) as info:
+        parse_program(P + "assume x : Nat\n" + r"synth \y : forall x. x -> x. y")
+    assert (info.value.message, info.value.line, info.value.col) == ("'x' shadows an existing binding", 4, 19)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        r"synth (\x. x) (\x. x)",
+        r"synth (/\X. \y : X. y) (/\X. \y : X. y)",
+        r"synth \x. (\y. y) (\y : forall y. y. x)",
+        "assume f : (forall X. X -> X) -> (forall X. X)",
+    ],
+)
+def test_binders_leave_scope_when_their_run_closes(src):
+    # Each name can be bound again once the run that bound it has closed.
+    parse_program(P + src)
+
+
+@pytest.mark.parametrize(
+    "src, name, col",
+    [
+        ("assume f : (forall X. X) -> X", "X", 29),
+        (r"synth (/\X. z) [X]", "X", 17),
+        (r"synth (\x : Nat. /\X. x) [X]", "X", 27),
+    ],
+)
+def test_a_closed_binder_is_out_of_scope(src, name, col):
+    with pytest.raises(ParseError) as info:
+        parse_program(P + src)
+    assert (info.value.message, info.value.line, info.value.col) == (f"unbound type variable {name!r}", 3, col)
