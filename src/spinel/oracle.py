@@ -131,6 +131,12 @@ def verify_spec(
     argument: a meta-variable bound by the claimed solution means
     "guess that binding", an unbound meta-variable means "decline", and
     a concrete type means "decline now, solve it from a later argument".
+
+    The head's type is walked unsubstituted.  ``opened`` maps each
+    quantifier passed to its type argument and ``solved`` each meta an
+    argument's instantiation solved; both reach a part of the type only
+    where it is read, so a spine is replayed in time linear in its
+    length.
     """
     if not isinstance(term, App):
         raise ValueError("only term applications have spine derivations")
@@ -151,11 +157,23 @@ def verify_spec(
         return reject("claimed head elaboration differs")
 
     ty = hout.ty
+    opened: dict[str, TypeExpr] = {}
+    solved: dict[str, TypeExpr] = {}
     sol = Solution()
     rebuilt: Term = hout.elaboration
     synthesized: dict[str, TypeExpr] = {}  # every synthesizing argument's instantiation
     fresh = itertools.count()
     pi = 0
+
+    def read(t: TypeExpr) -> TypeExpr:
+        return substitute(solved, substitute(opened, t))
+
+    def reveal() -> None:
+        """Resolve a variable at the root of ``ty``, which may stand for a
+        quantifier or an arrow; the result needs neither map any more."""
+        nonlocal ty, opened, solved
+        if isinstance(ty, TVar):
+            ty, opened, solved = read(ty), {}, {}
 
     def take_claimed_type() -> TypeExpr | None:
         nonlocal pi
@@ -168,16 +186,19 @@ def verify_spec(
     for item in items:
         if _is_type(item):
             trace.append("PTApp")
+            reveal()
             if not isinstance(ty, Forall):
                 return reject("explicit type argument but no quantifier to consume")
             got = take_claimed_type()
             if got is None or not alpha_equal(got, item):
                 return reject("claimed elaboration drops or alters an explicit type argument")
-            ty = substitute({ty.bound: item}, ty.body)
+            opened[ty.bound] = item
+            ty = ty.body
             rebuilt = TApp(rebuilt, item)
             continue
 
         trace.append("PApp")
+        reveal()
         while isinstance(ty, Forall):
             trace.append("PForall")
             got = take_claimed_type()
@@ -195,12 +216,15 @@ def verify_spec(
                 # solved later by a synthesizing argument; no run mints a
                 # name with a digit after the "?", so it cannot meet a claimed one
                 meta = f"?{next(fresh)}"
-            ty = substitute({ty.bound: TVar(meta)}, ty.body)
+            opened[ty.bound] = TVar(meta)
+            ty = ty.body
             rebuilt = TApp(rebuilt, TVar(meta))
+            reveal()
         if not isinstance(ty, Arrow):
             return reject("argument applied but the type reveals no arrow")
 
-        dom = subst_type(sol, ty.dom)
+        dom = subst_type(sol, read(ty.dom))
+        ty = ty.cod
         unsolved = meta_vars_of_type(ctx, dom)
         if not unsolved:
             trace.append("PChk")
@@ -208,7 +232,6 @@ def verify_spec(
                 aout = infer(ctx, Check(dom), item)
             except Diagnostic as d:
                 return reject(f"argument does not check: {d.kind.value}")
-            ty = ty.cod
         else:
             trace.append("PSyn")
             try:
@@ -218,7 +241,7 @@ def verify_spec(
             inst = _solve_instantiation(unsolved, dom, aout.ty)
             if inst is None:
                 return reject("argument type is not an instance of the expected domain")
-            ty = substitute(inst, ty.cod)
+            solved.update(inst)
             synthesized.update(inst)
         if pi >= len(pitems) or _is_type(pitems[pi]):
             return reject("claimed elaboration is missing a term argument")
@@ -234,6 +257,7 @@ def verify_spec(
     # one substitution at the end rebuilds what solving each type argument
     # as it was found would (a claim that reuses its name differs anyway).
     rebuilt = subst_type_args(synthesized, rebuilt)
+    ty = read(ty)
 
     trace.append("shim")
     if not alpha_equal(ty, claimed_ty):

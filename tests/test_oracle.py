@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
-from conftest import CTX, tm, ty
+from conftest import CTX, count_calls, tm, ty
 from spinel import (
     Synthesize,
     check_internal,
@@ -137,6 +139,26 @@ def test_replay_names_its_own_metas_apart_from_the_claimed_ones():
     triple = triple_for(term, expected, ctx)
     assert "?v0" in pretty_term(triple[1])
     assert verify_spec(ctx, expected, term, triple).accepted
+
+
+@pytest.mark.parametrize("checked", [False, True], ids=["synth", "check"])
+def test_replay_work_grows_linearly_with_the_spine(monkeypatch, checked):
+    # Each quantifier's type argument reaches the rest of the head's type
+    # only where it is read, not by a substitution into all of it.
+    syntax_mod = importlib.import_module("spinel.syntax")
+    oracle_mod = importlib.import_module("spinel.oracle")
+    counts = {}
+    for n in (24, 48):
+        xs = [f"X{i}" for i in range(1, n + 1)]
+        ctx = CTX.with_term("g", ty("".join(f"forall {x}. " for x in xs) + " -> ".join(xs + ["Nat"])))
+        term = tm("g " + " ".join("z" if i % 2 else "tt" for i in range(1, n + 1)), ctx)
+        expected = ty("Nat", ctx) if checked else None
+        triple = triple_for(term, expected, ctx)
+        with monkeypatch.context() as patch:
+            calls = count_calls(patch, "substitute", [syntax_mod, oracle_mod])
+            assert verify_spec(ctx, expected, term, triple).accepted
+        counts[n] = calls[0]
+    assert counts[48] <= 2.2 * counts[24]
 
 
 def test_replay_requires_an_application():
