@@ -135,8 +135,9 @@ def verify_spec(
     The head's type is walked unsubstituted.  ``opened`` maps each
     quantifier passed to its type argument and ``solved`` each meta an
     argument's instantiation solved; both reach a part of the type only
-    where it is read, so a spine is replayed in time linear in its
-    length.
+    where it is read, not the whole rest of it at every quantifier and
+    argument, so the replay's work grows linearly with the spine.  The
+    shim and the mode's side conditions are ``passes_side_conditions``'s.
     """
     if not isinstance(term, App):
         raise ValueError("only term applications have spine derivations")

@@ -133,24 +133,16 @@ class _Parser:
     Only parentheses, brackets and constructor arguments recurse, so a
     chain of any length parses at any recursion limit.
 
-    ``scope`` holds the declared names.  The binders open at the current
-    token are kept in two mutable sets: ``tyvars``, the type variables
-    (of ``forall``s and type lambdas), and ``bound``, the names of
-    lambdas and type lambdas.  Each ``type_`` or ``term`` run adds its
-    own binders as it reads them and removes them when it closes.  A
-    binder may shadow nothing it is checked against, so every name added
-    is new, and removing it restores the scope exactly.
+    ``scope`` holds the declared names, and two mutable sets the binders
+    open at the current token: ``tyvars`` the type variables, ``bound``
+    the names of lambdas and type lambdas.  Each ``type_`` or ``term``
+    run adds its binders as it reads them and removes them when it
+    closes; no binder shadows a name, so that restores the scope exactly.
     """
 
     __slots__ = ("tokens", "pos", "signature", "scope", "tyvars", "bound")
 
-    def __init__(
-        self,
-        tokens: list[_Token],
-        signature: dict[str, int],
-        scope: frozenset[str],
-        tyvars: frozenset[str] = frozenset(),
-    ):
+    def __init__(self, tokens: list[_Token], signature: dict[str, int], scope: frozenset[str]):
         # An "eof" token ends the list where end-of-input errors point:
         # just past the last token, or at 1:1 in an empty source.
         if tokens:
@@ -161,7 +153,7 @@ class _Parser:
         self.pos = 0
         self.signature = signature
         self.scope = scope
-        self.tyvars = set(tyvars)
+        self.tyvars: set[str] = set()
         self.bound: set[str] = set()
 
     # --- token plumbing
@@ -225,7 +217,6 @@ class _Parser:
         """
         toks = self.tokens
         links: list[tuple] = []
-        opened: list[str] = []
         while True:
             start = toks[self.pos]
             if start[0] == "forall":
@@ -233,7 +224,6 @@ class _Parser:
                 name = self.fresh_binder(self.expect("ident", "a type variable"), False)
                 self.expect("dot", "'.'")
                 self.tyvars.add(name)
-                opened.append(name)
                 links.append((start, Forall, name))
                 continue
             ty = self.ty_app()
@@ -241,7 +231,7 @@ class _Parser:
                 break
             self.pos += 1
             links.append((start, Arrow, ty))
-        self.tyvars.difference_update(opened)
+        self.tyvars.difference_update(link[2] for link in links if link[1] is Forall)
         return self.close(links, ty)
 
     def ty_app(self) -> TypeExpr:
@@ -285,7 +275,6 @@ class _Parser:
         """
         toks = self.tokens
         links: list[tuple] = []
-        opened: list[str] = []
         while True:
             tok = toks[self.pos]
             kind = tok[0]
@@ -298,7 +287,6 @@ class _Parser:
                     ann = self.type_()
                 self.expect("dot", "'.'")
                 self.bound.add(name)
-                opened.append(name)
                 links.append((tok, Lam, name, ann))
             elif kind == "tylam":
                 self.pos += 1
@@ -306,15 +294,14 @@ class _Parser:
                 self.expect("dot", "'.'")
                 self.bound.add(name)
                 self.tyvars.add(name)
-                opened.append(name)
                 links.append((tok, TLam, name))
             else:
                 t = self.app()
                 if toks[self.pos][0] not in ("lam", "tylam"):
                     break
                 links.append((tok, App, t))
-        self.bound.difference_update(opened)
-        self.tyvars.difference_update(opened)
+        self.bound.difference_update(link[2] for link in links if link[1] is not App)
+        self.tyvars.difference_update(link[2] for link in links if link[1] is TLam)
         return self.close(links, t)
 
     def app(self) -> Term:
@@ -401,7 +388,8 @@ def parse_program(src: str) -> tuple[Decl, ...]:
 
 def parse_type(src: str, ctx: Context) -> TypeExpr:
     """Parse a single type in the scope of a context."""
-    parser = _Parser(tokenize(src), dict(ctx.signature), ctx.names, ctx.dtv)
+    parser = _Parser(tokenize(src), dict(ctx.signature), ctx.names)
+    parser.tyvars.update(ctx.dtv)
     ty = parser.type_()
     parser.finish("type")
     return ty
@@ -409,7 +397,8 @@ def parse_type(src: str, ctx: Context) -> TypeExpr:
 
 def parse_term(src: str, ctx: Context) -> Term:
     """Parse a single term in the scope of a context."""
-    parser = _Parser(tokenize(src), dict(ctx.signature), ctx.names, ctx.dtv)
+    parser = _Parser(tokenize(src), dict(ctx.signature), ctx.names)
+    parser.tyvars.update(ctx.dtv)
     term = parser.term()
     parser.finish("term")
     return term
