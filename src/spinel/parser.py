@@ -217,6 +217,7 @@ class _Parser:
         """
         toks = self.tokens
         links: list[tuple] = []
+        opened: list[str] = []
         while True:
             start = toks[self.pos]
             if start[0] == "forall":
@@ -224,6 +225,7 @@ class _Parser:
                 name = self.fresh_binder(self.expect("ident", "a type variable"), False)
                 self.expect("dot", "'.'")
                 self.tyvars.add(name)
+                opened.append(name)
                 links.append((start, Forall, name))
                 continue
             ty = self.ty_app()
@@ -231,7 +233,7 @@ class _Parser:
                 break
             self.pos += 1
             links.append((start, Arrow, ty))
-        self.tyvars.difference_update(link[2] for link in links if link[1] is Forall)
+        self.tyvars.difference_update(opened)
         return self.close(links, ty)
 
     def ty_app(self) -> TypeExpr:
@@ -275,6 +277,7 @@ class _Parser:
         """
         toks = self.tokens
         links: list[tuple] = []
+        opened: list[str] = []
         while True:
             tok = toks[self.pos]
             kind = tok[0]
@@ -287,6 +290,7 @@ class _Parser:
                     ann = self.type_()
                 self.expect("dot", "'.'")
                 self.bound.add(name)
+                opened.append(name)
                 links.append((tok, Lam, name, ann))
             elif kind == "tylam":
                 self.pos += 1
@@ -294,14 +298,16 @@ class _Parser:
                 self.expect("dot", "'.'")
                 self.bound.add(name)
                 self.tyvars.add(name)
+                opened.append(name)
                 links.append((tok, TLam, name))
             else:
                 t = self.app()
                 if toks[self.pos][0] not in ("lam", "tylam"):
                     break
                 links.append((tok, App, t))
-        self.bound.difference_update(link[2] for link in links if link[1] is not App)
-        self.tyvars.difference_update(link[2] for link in links if link[1] is TLam)
+        # a lambda's name was never a type variable, so removing it is harmless
+        self.bound.difference_update(opened)
+        self.tyvars.difference_update(opened)
         return self.close(links, t)
 
     def app(self) -> Term:
