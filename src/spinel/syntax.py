@@ -457,12 +457,9 @@ def deco_arity(w: DecoratedType) -> int:
 
 
 def free_type_vars(ty: TypeExpr) -> frozenset[str]:
-    """The type variables of ``ty`` that no quantifier in it binds.
-
-    Arrow codomains and quantifier bodies are followed by a loop, so a
-    chain of any length is read at any recursion limit; a binder hides
-    its name from every link below it.
-    """
+    """The type variables of ``ty`` that no quantifier in it binds.  Arrow
+    codomains and quantifier bodies are followed by a loop, so a chain of
+    any length is read at any recursion limit."""
     found: set[str] = set()
     bound: set[str] = set()
     while True:
@@ -554,8 +551,7 @@ def substitute(mapping: Mapping[str, TypeExpr], ty: TypeExpr) -> TypeExpr:
 
     Arrow codomains and quantifier bodies are followed by a loop, and the
     chain's nodes are rebuilt bottom-up once it ends, so a chain of any
-    length is substituted at any recursion limit.  A quantifier that
-    shadows every key is kept as it is.
+    length is substituted at any recursion limit.
     """
     if not mapping:
         return ty
@@ -625,11 +621,9 @@ def subst_type_args(mapping: Mapping[str, TypeExpr], t: Term) -> Term:
 def _canon_ty(ty: TypeExpr, env: Mapping[str, int], depth: int) -> str:
     """Key of a type under ``env``, which numbers the binders in scope.
 
-    Arrow codomains and quantifier bodies are followed by a loop, and
-    every parenthesis the chain opens closes at its end, so a chain of
-    any length is keyed at any recursion limit.  The loop never returns
-    to a link it has left, so its binders extend one private copy of
-    ``env``.
+    Arrow codomains and quantifier bodies are followed by a loop, so a
+    chain of any length is keyed at any recursion limit; the loop never
+    returns to a link it has left, so its binders extend one copy of ``env``.
     """
     opened: list[str] = []
     own = False
