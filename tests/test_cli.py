@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import os
@@ -728,6 +729,56 @@ def test_golden_unsolved_names_metas_only_in_the_elaboration(tmp_path, capsys, m
     assert code == 1
     assert captured.err == ""
     assert captured.out == golden
+
+
+# ------------------------------------------------------- pinned output bytes
+
+
+def _erasure_file(path, size):
+    """The standard context, then every erasure of every internal term up to
+    ``size`` as ``check`` against its type, as ``synth``, and as ``check``
+    against the first type of the sorted pool that is not alpha-equal to it."""
+    from spinel.oracle import enumerate_erasures, enumerate_internal_terms, standard_context
+    from spinel.parser import pretty_term, pretty_type
+    from spinel.syntax import TermBind, alpha_equal
+
+    ctx = standard_context()
+    lines = [f"type {c} {a}" if a else f"type {c}" for c, a in ctx.signature.items()]
+    lines += [f"assume {e.name} : {pretty_type(e.ty)}" for e in ctx.entries if isinstance(e, TermBind)]
+    terms = enumerate_internal_terms(ctx, size)
+    pool = sorted({pretty_type(ty): ty for _, ty in terms}.items())
+    erasures = 0
+    for internal, ty in terms:
+        expected = pretty_type(ty)
+        wrong = next(text for text, other in pool if not alpha_equal(other, ty))
+        for erased in enumerate_erasures(internal):
+            text = pretty_term(erased)
+            lines += [f"check {text} : {expected}", f"synth {text}", f"check {text} : {wrong}"]
+            erasures += 1
+    path.write_text("\n".join(lines) + "\n")
+    return erasures
+
+
+# Exit code and SHA-256 of stdout of `spinel run` on the size-6 erasure file.
+PINNED_OUTPUT = {
+    ("--json", "--elab", "--trace", "--spec-verify"):
+        (1, "463a44e4968350e06b84f428cb4c20b7b3ba24c200a1ad83dc3e29c67b661286"),
+    ("--elab", "--trace"):
+        (1, "76df3ca367070c09b1d324ec234f729c80f5ec42825fa1bc3e1b7e4e5eb7aa70"),
+}
+
+
+def test_erasure_corpus_output_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    # Every accepted and rejected goal's type, elaboration, trace, diagnostic
+    # and replay verdict, held byte for byte: a change that means to make the
+    # program faster, not different, must leave both digests as they are.
+    monkeypatch.delenv("SPINEL_COLOR", raising=False)
+    path = tmp_path / "erasures.spn"
+    assert _erasure_file(path, 6) == 1757
+    for flags, pinned in PINNED_OUTPUT.items():
+        code = main(["run", str(path), *flags])
+        out = capsys.readouterr().out
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == pinned, flags
 
 
 # ----------------------------------------------------------- deep input

@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spinel import parse_term, parse_type, pretty_term, pretty_type
 from spinel.parser import (
+    KEYWORDS,
     Assume,
     ConDecl,
     ParseError,
     parse_declaration,
     parse_program,
+    tokenize,
 )
 from spinel.syntax import (
     App,
@@ -272,6 +275,87 @@ def test_malformed_source_error_and_position(entry, src, message, line, col):
     with pytest.raises(ParseError) as exc:
         _PARSE[entry](src)
     assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+
+# ------------------------------------------------------------ lexing
+
+# The lexer as it stood before it scanned each line into pieces: one
+# ``finditer`` over named alternatives, whitespace and comments unnamed.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""[ \t\r]+
+      | --[^\n]*
+      | (?P<tylam>/\\)
+      | (?P<arrow>->)
+      | (?P<lam>\\)
+      | (?P<dot>\.)
+      | (?P<colon>:)
+      | (?P<lparen>\()
+      | (?P<rparen>\))
+      | (?P<lbrack>\[)
+      | (?P<rbrack>\])
+      | (?P<int>\d+)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_tokenize(src):
+    tokens = []
+    for line, text in enumerate(src.split("\n"), 1):
+        for m in _REFERENCE_TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind is None:
+                continue
+            word = m.group()
+            if kind == "ident":
+                if word in KEYWORDS:
+                    kind = word
+            elif kind == "bad":
+                raise ParseError(f"unexpected character {word!r}", line, m.start() + 1)
+            tokens.append((kind, word, line, m.start() + 1))
+    return tokens
+
+
+# Fragments a source is drawn from: every token's characters, each kind of
+# whitespace (``\f`` is none of them), lone ``-`` and ``/``, comments,
+# keywords, and non-ASCII digits and letters.
+_FRAGMENTS = st.one_of(
+    st.sampled_from([
+        "/\\", "->", "\\", ".", ":", "(", ")", "[", "]", "-", "/", "--", "-- x -> y",
+        " ", "  ", "\t", "\r", "\f", "\n", "'", "_", "x", "X1", "x'", "Nat",
+        "0", "42", "٣", "é", "$", *sorted(KEYWORDS),
+    ]),
+    st.text(alphabet="ab_'09٣é -/\\>.", max_size=4),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(_FRAGMENTS, max_size=24).map("".join))
+def test_the_lexer_agrees_with_the_reference_lexer(src):
+    try:
+        expected = _reference_tokenize(src)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            tokenize(src)
+        assert (got.value.message, got.value.line, got.value.col) == (exc.message, exc.line, exc.col)
+    else:
+        assert tokenize(src) == expected
+
+
+def test_the_lexer_reads_every_kind_of_piece():
+    src = "type N 2 -- c\n\tassume f : forall X. X->N\r\n check /\\Y. \\y : Y. f [Y] (y) ٣"
+    assert tokenize(src) == _reference_tokenize(src)
+    assert [t[0] for t in tokenize(src)] == [
+        "type", "ident", "int", "assume", "ident", "colon", "forall", "ident", "dot",
+        "ident", "arrow", "ident", "check", "tylam", "ident", "dot", "lam", "ident",
+        "colon", "ident", "dot", "ident", "lbrack", "ident", "rbrack", "lparen", "ident",
+        "rparen", "int",
+    ]
+    with pytest.raises(ParseError) as exc:
+        tokenize("a -b")
+    assert (exc.value.message, exc.value.line, exc.value.col) == ("unexpected character '-'", 1, 3)
 
 
 # ------------------------------------------------------------ programs
