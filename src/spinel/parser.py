@@ -14,6 +14,7 @@ everything downstream works with well-scoped trees.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 
 from .syntax import (
@@ -44,53 +45,64 @@ class ParseError(Exception):
 # ---------------------------------------------------------------- lexing
 
 # A token is a plain tuple (kind, text, line, col), with 1-based line
-# and column.  Whitespace and comments match the unnamed alternatives,
-# so their ``lastgroup`` is None; ``bad`` catches any other character.
+# and column.  Each line is cut into pieces whose alternatives tile it,
+# so a piece's column is the running sum of the lengths before it:
+# an identifier, a run of whitespace, ``/\``, ``->``, a ``--`` comment,
+# digits, or any other single character.
 _Token = tuple[str, str, int, int]
 
-_TOKEN_RE = re.compile(
-    r"""[ \t\r]+
-      | --[^\n]*
-      | (?P<tylam>/\\)
-      | (?P<arrow>->)
-      | (?P<lam>\\)
-      | (?P<dot>\.)
-      | (?P<colon>:)
-      | (?P<lparen>\()
-      | (?P<rparen>\))
-      | (?P<lbrack>\[)
-      | (?P<rbrack>\])
-      | (?P<int>\d+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-      | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
+_PIECE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|[ \t\r]+|/\\|->|--.*|\d+|.")
 
 KEYWORDS = frozenset({"type", "assume", "check", "synth", "forall"})
+
+# The kind of each piece that is always the same token: punctuation and keywords.
+_FIXED = {
+    "/\\": "tylam",
+    "->": "arrow",
+    "\\": "lam",
+    ".": "dot",
+    ":": "colon",
+    "(": "lparen",
+    ")": "rparen",
+    "[": "lbrack",
+    "]": "rbrack",
+    **{word: word for word in KEYWORDS},
+}
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_BLANK = frozenset(" \t\r")
 
 
 def tokenize(src: str) -> list[_Token]:
     """Split source text into ``(kind, text, line, col)`` tuples, one per token.
 
-    A keyword's kind is the keyword itself.  A character no token can
-    start with is a ParseError at its position.  Each line is one scan
-    of ``_TOKEN_RE``, so the lexer never recurses.
+    A keyword's kind is the keyword itself.  Each line is one ``findall``
+    of ``_PIECE_RE``; a punctuation or keyword piece takes its kind from
+    ``_FIXED``, and any other piece is classified by its first character:
+    an identifier, whitespace or a comment (skipped), an integer, or a
+    character no token can start with, which is a ParseError at its
+    position.  The lexer never recurses.
     """
     tokens = []
     append = tokens.append
+    fixed = _FIXED.get
+    findall = _PIECE_RE.findall
     for line, text in enumerate(src.split("\n"), 1):
-        for m in _TOKEN_RE.finditer(text):
-            kind = m.lastgroup
+        col = 1
+        for piece in findall(text):
+            kind = fixed(piece)
             if kind is None:
-                continue
-            word = m.group()
-            if kind == "ident":
-                if word in KEYWORDS:
-                    kind = word
-            elif kind == "bad":
-                raise ParseError(f"unexpected character {word!r}", line, m.start() + 1)
-            append((kind, word, line, m.start() + 1))
+                lead = piece[0]
+                if lead in _IDENT_START:
+                    kind = "ident"
+                elif lead in _BLANK or piece[:2] == "--":
+                    col += len(piece)
+                    continue
+                elif lead.isdecimal():  # the digits ``\d`` matches
+                    kind = "int"
+                else:
+                    raise ParseError(f"unexpected character {piece!r}", line, col)
+            append((kind, piece, line, col))
+            col += len(piece)
     return tokens
 
 
