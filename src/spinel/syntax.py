@@ -16,7 +16,7 @@ declared in the ambient context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterator, Mapping, NamedTuple, Union
 
 
@@ -49,10 +49,42 @@ def _span_field():
     return field(default=None, compare=False, repr=False)
 
 
+def _node(cls):
+    """``cls`` as a frozen, slotted dataclass with a cheaper constructor.
+
+    Syntax nodes are built by the hundred thousand per run.  Slots make
+    each one smaller than a ``__dict__`` instance, and the constructor
+    stores each field through its slot's descriptor (``Arrow.dom.__set__``)
+    rather than through ``object.__setattr__``, which the frozen
+    dataclass's own constructor calls and which looks the descriptor up
+    anew per field.  The signature is the dataclass's: every field
+    positional or by keyword, in order, with its default.  Equality,
+    hashing, ``repr``, ``__match_args__`` and the ``FrozenInstanceError``
+    on assignment are the dataclass's too.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    env = {}
+    params, body = [], []
+    for f in fields(cls):
+        env[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            env[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        body.append(f"\n    _set_{f.name}(self, {f.name})")
+    exec(f"def __init__(self, {', '.join(params)}):{''.join(body)}", env)
+    init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
+
+
 # ---------------------------------------------------------------- types
 
 
-@dataclass(frozen=True)
+@_node
 class TVar:
     """Type variable reference (possibly a meta-variable)."""
 
@@ -60,21 +92,21 @@ class TVar:
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Arrow:
     dom: TypeExpr
     cod: TypeExpr
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Forall:
     bound: str
     body: TypeExpr
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Con:
     """Saturated application of a declared type constructor."""
 
@@ -89,13 +121,13 @@ TypeExpr = Union[TVar, Arrow, Forall, Con]
 # ---------------------------------------------------------------- terms
 
 
-@dataclass(frozen=True)
+@_node
 class Var:
     name: str
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Lam:
     """Term abstraction; ``ann`` is None for a bare (unannotated) binder."""
 
@@ -105,21 +137,21 @@ class Lam:
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class TLam:
     bound: str
     body: Term
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class App:
     fun: Term
     arg: Term
     span: Span | None = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class TApp:
     fun: Term
     targ: TypeExpr
@@ -152,12 +184,12 @@ def spine_parts(t: Term) -> tuple[Term, list[Term | TypeExpr]]:
 # ------------------------------------------------------------- contexts
 
 
-@dataclass(frozen=True)
+@_node
 class TyVarDecl:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class TermBind:
     name: str
     ty: TypeExpr
@@ -274,12 +306,12 @@ class Unknown:
     """No contextual information: the fully unknown prototype."""
 
 
-@dataclass(frozen=True)
+@_node
 class Exact:
     ty: TypeExpr
 
 
-@dataclass(frozen=True)
+@_node
 class ArrowTo:
     """An arrow with unknown domain whose codomain is ``rest``."""
 
@@ -392,20 +424,20 @@ def compose(sol: Solution, name: str, ty: TypeExpr, origin: Provenance) -> Solut
 # -------------------------------------------------------- decorated types
 
 
-@dataclass(frozen=True)
+@_node
 class Plain:
     """An undecorated type: no contextual information was usable."""
 
     ty: TypeExpr
 
 
-@dataclass(frozen=True)
+@_node
 class DArrow:
     dom: TypeExpr
     cod: DecoratedType
 
 
-@dataclass(frozen=True)
+@_node
 class DForall:
     """Quantifier with an optional contextual instantiation recorded for it.
 
@@ -419,7 +451,7 @@ class DForall:
     deco_origin: Contextual | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Stuck:
     """A meta-variable that must later reveal the arrows ``proto`` demands."""
 
