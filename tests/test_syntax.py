@@ -17,6 +17,7 @@ from spinel.syntax import (
     ArrowTo,
     Con,
     Context,
+    Contextual,
     DArrow,
     DForall,
     Exact,
@@ -74,6 +75,56 @@ def test_node_spans_take_no_part_in_comparison(node):
     assert dataclasses.is_dataclass(node) and node.__dataclass_params__.frozen
     span = next(f for f in dataclasses.fields(node) if f.name == "span")
     assert not span.compare and not span.repr
+
+
+# Each slotted node class with the values of its fields, metadata left out.
+NODE_FIELDS = {
+    TVar: ("X",),
+    Arrow: (TVar("X"), Con("Nat")),
+    Forall: ("X", TVar("X")),
+    Con: ("Pair", (Con("Nat"), TVar("X"))),
+    Var: ("x",),
+    Lam: ("x", Con("Nat"), Var("x")),
+    TLam: ("X", Var("x")),
+    App: (Var("f"), Var("x")),
+    TApp: (Var("f"), Con("Nat")),
+    TyVarDecl: ("X",),
+    TermBind: ("x", Con("Nat")),
+    Exact: (Con("Nat"),),
+    ArrowTo: (Unknown(),),
+    Plain: (Con("Nat"),),
+    DArrow: (Con("Nat"), Plain(Con("B"))),
+    DForall: ("X", Con("Nat"), Plain(TVar("X"))),
+    Stuck: ("?X0", ArrowTo(Unknown())),
+}
+METADATA = {"span": Span(1, 2, 3, 4), "deco_origin": Contextual(TVar("?X0"), Con("Nat"))}
+
+
+@pytest.mark.parametrize("node", list(NODE_FIELDS), ids=lambda node: node.__name__)
+def test_node_contract(node):
+    values = NODE_FIELDS[node]
+    assert dataclasses.is_dataclass(node) and node.__dataclass_params__.frozen
+    names = tuple(f.name for f in dataclasses.fields(node))
+    assert node.__match_args__ == names
+    meta = {name: METADATA[name] for name in names if name in METADATA}
+    assert names[len(values):] == tuple(meta)
+
+    a = node(*values)
+    b = node(**dict(zip(names, values)))
+    assert not hasattr(a, "__dict__")
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(a, names[0], values[0])
+
+    # metadata, given by keyword or in position, is kept but neither compared nor shown
+    for c in (node(*values, **meta), node(*values, *meta.values())):
+        assert all(getattr(c, name) == value for name, value in meta.items())
+        assert c == a and hash(c) == hash(a) and repr(c) == repr(a)
+
+
+def test_node_defaults():
+    assert Con("Nat") == Con("Nat", ()) and Con("Nat").args == () and Con("Nat").span is None
+    assert DForall("X", None, Plain(TVar("X"))).deco_origin is None
 
 
 def test_trees_that_differ_only_in_spans_compare_equal():
