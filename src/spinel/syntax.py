@@ -690,19 +690,37 @@ def canon_type(ty: TypeExpr) -> str:
 
 
 def _canon_tm(t: Term, env: Mapping[str, int], depth: int) -> str:
-    match t:
-        case Var(name=x):
-            return f"@{env[x]}" if x in env else f"v:{x}"
-        case Lam(bound=x, ann=a, body=b):
-            ann = _canon_ty(a, env, depth) if a is not None else "_"
-            return f"(lam:{ann}.{_canon_tm(b, {**env, x: depth}, depth + 1)})"
-        case TLam(bound=x, body=b):
-            return f"(tlam.{_canon_tm(b, {**env, x: depth}, depth + 1)})"
-        case App(fun=f, arg=a):
-            return f"({_canon_tm(f, env, depth)} {_canon_tm(a, env, depth)})"
-        case TApp(fun=f, targ=s):
-            return f"({_canon_tm(f, env, depth)} [{_canon_ty(s, env, depth)}])"
-    raise TypeError(t)
+    """Key of a term under ``env``, which numbers the binders in scope.
+
+    The applicand chain is followed by a loop, so a spine of any length
+    is keyed at any recursion limit: the key of a head applied to k
+    arguments is ``"(" * k`` and the head's key, then each argument's.
+    """
+    args: list[str] = []  # each argument's key, last argument first
+    while True:
+        match t:
+            case App(fun=f, arg=a):
+                args.append(f" {_canon_tm(a, env, depth)})")
+                t = f
+            case TApp(fun=f, targ=s):
+                args.append(f" [{_canon_ty(s, env, depth)}])")
+                t = f
+            case Var(name=x):
+                head = f"@{env[x]}" if x in env else f"v:{x}"
+                break
+            case Lam(bound=x, ann=a, body=b):
+                ann = _canon_ty(a, env, depth) if a is not None else "_"
+                head = f"(lam:{ann}.{_canon_tm(b, {**env, x: depth}, depth + 1)})"
+                break
+            case TLam(bound=x, body=b):
+                head = f"(tlam.{_canon_tm(b, {**env, x: depth}, depth + 1)})"
+                break
+            case _:
+                raise TypeError(t)
+    if not args:
+        return head
+    args.reverse()
+    return "(" * len(args) + head + "".join(args)
 
 
 def canon_term(t: Term) -> str:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CTX, count_calls, tm, ty
+from spinel.oracle import enumerate_erasures, enumerate_internal_terms
 from spinel.syntax import (
     App,
     Arrow,
@@ -37,6 +38,7 @@ from spinel.syntax import (
     alpha_equal,
     alpha_equal_deco,
     alpha_equal_term,
+    canon_term,
     canon_type,
     deco_arity,
     free_type_vars,
@@ -232,9 +234,14 @@ def test_applicand_chains_are_walked_by_loops():
         metas = meta_vars_of_term(CTX, t)
         solved = subst_type_args({m: Con("B") for m in metas}, t)
         assert meta_vars_of_term(CTX, solved) == frozenset()
+        key = canon_term(solved)
+        assert alpha_equal_term(solved, solved)
     finally:
         sys.setrecursionlimit(limit)
     assert metas == {f"?X{i}" for i in range(1, n, 2)}
+    assert key == "(" * 2 * n + "v:g" + "".join(
+        f" [{'B[]' if i % 2 else 'Nat[]'}]) v:z)" for i in range(n)
+    )
     head, items = spine_parts(solved)
     assert head == Var("g") and len(items) == 2 * n
     assert items[:4] == [Con("Nat"), Var("z"), Con("B"), Var("z")]
@@ -428,6 +435,32 @@ def _recursive_key(t, env=None, depth=0):
         case Con(con=c, args=args):
             return f"{c}[{','.join(_recursive_key(a, env, depth) for a in args)}]"
     raise TypeError(t)
+
+
+def _recursive_term_key(t, env=None, depth=0):
+    """The one-node-per-frame canonical key that ``canon_term`` unrolls."""
+    env = env or {}
+    match t:
+        case Var(name=x):
+            return f"@{env[x]}" if x in env else f"v:{x}"
+        case Lam(bound=x, ann=a, body=b):
+            ann = "_" if a is None else _recursive_key(a, env, depth)
+            return f"(lam:{ann}.{_recursive_term_key(b, {**env, x: depth}, depth + 1)})"
+        case TLam(bound=x, body=b):
+            return f"(tlam.{_recursive_term_key(b, {**env, x: depth}, depth + 1)})"
+        case App(fun=f, arg=a):
+            return f"({_recursive_term_key(f, env, depth)} {_recursive_term_key(a, env, depth)})"
+        case TApp(fun=f, targ=s):
+            return f"({_recursive_term_key(f, env, depth)} [{_recursive_key(s, env, depth)}])"
+    raise TypeError(t)
+
+
+def test_term_keys_are_those_of_the_recursive_definition():
+    # every internal term up to size 6 and every erasure of each
+    terms = [t for internal, _ in enumerate_internal_terms(CTX, 6) for t in enumerate_erasures(internal)]
+    assert len(terms) == 1757
+    for t in terms:
+        assert canon_term(t) == _recursive_term_key(t)
 
 
 @given(st.dictionaries(_tyvars, _types(), max_size=3), _types())
