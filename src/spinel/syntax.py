@@ -8,6 +8,10 @@ of the package builds on: free variables, well-formedness, alpha
 equality (as equality of canonical keys), capture-avoiding
 substitution, and meta-variable accounting.
 
+Every syntax node is a frozen dataclass with slots, made by ``_node``:
+a run builds them by the hundred thousand, so they are kept small and
+their constructors cheap.
+
 Meta-variables are ordinary type variables drawn from a reserved
 namespace (``?X0``, ``?X1``, ...) that the surface parser cannot
 produce, so a type variable is a meta-variable exactly when it is not
@@ -26,9 +30,10 @@ from typing import Iterator, Mapping, NamedTuple, Union
 class Span(NamedTuple):
     """Source extent as 1-based (line, col) .. (end_line, end_col).
 
-    A named tuple, so that the one the parser builds per node costs no
-    per-field ``__setattr__``.  It is immutable and hashable, its fields
-    read by name, and it takes no part in comparing nodes.
+    A named tuple, so that the one the parser builds per node is made in
+    one step, with no per-field store.  It is immutable and hashable and
+    its fields read by name.  A node keeps its span in a slot of its own
+    that takes no part in comparing, hashing or printing nodes.
     """
 
     line: int
@@ -49,35 +54,32 @@ def _span_field():
     return field(default=None, compare=False, repr=False)
 
 
+# ---------------------------------------------------------------- nodes
+
+
 def _node(cls):
     """``cls`` as a frozen, slotted dataclass with a cheaper constructor.
 
-    Syntax nodes are built by the hundred thousand per run.  Slots make
-    each one smaller than a ``__dict__`` instance, and the constructor
-    stores each field through its slot's descriptor (``Arrow.dom.__set__``)
-    rather than through ``object.__setattr__``, which the frozen
-    dataclass's own constructor calls and which looks the descriptor up
-    anew per field.  The signature is the dataclass's: every field
-    positional or by keyword, in order, with its default.  Equality,
-    hashing, ``repr``, ``__match_args__`` and the ``FrozenInstanceError``
-    on assignment are the dataclass's too.
+    Slots make each node smaller than a ``__dict__`` instance.  The
+    constructor stores each field through its slot's descriptor
+    (``Arrow.dom.__set__``), not through ``object.__setattr__`` as the
+    frozen dataclass's own constructor does, which finds that descriptor
+    again by name for every field.  Its signature is the dataclass's:
+    every field positional or by keyword, in order, with its default.
+    Equality, hashing, ``repr``, ``__match_args__`` and the
+    ``FrozenInstanceError`` on assignment are the dataclass's too.
     """
     cls = dataclass(frozen=True, slots=True)(cls)
-    env = {}
-    params, body = [], []
+    env, params, stores = {}, [], []
     for f in fields(cls):
-        env[f"_set_{f.name}"] = getattr(cls, f.name).__set__
-        if f.default is MISSING:
-            params.append(f.name)
-        else:
-            env[f"_default_{f.name}"] = f.default
-            params.append(f"{f.name}=_default_{f.name}")
-        body.append(f"\n    _set_{f.name}(self, {f.name})")
-    exec(f"def __init__(self, {', '.join(params)}):{''.join(body)}", env)
-    init = env["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__module__ = cls.__module__
-    cls.__init__ = init
+        env[f"set_{f.name}"] = getattr(cls, f.name).__set__
+        env[f"default_{f.name}"] = f.default
+        params.append(f.name if f.default is MISSING else f"{f.name}=default_{f.name}")
+        stores.append(f"set_{f.name}(self, {f.name})")
+    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(stores), env)
+    cls.__init__ = env["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__.__module__ = cls.__module__
     return cls
 
 
