@@ -78,8 +78,6 @@ def _node(cls):
         stores.append(f"set_{f.name}(self, {f.name})")
     exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(stores), env)
     cls.__init__ = env["__init__"]
-    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__.__module__ = cls.__module__
     return cls
 
 
@@ -719,8 +717,6 @@ def _canon_tm(t: Term, env: Mapping[str, int], depth: int) -> str:
                 break
             case _:
                 raise TypeError(t)
-    if not args:
-        return head
     args.reverse()
     return "(" * len(args) + head + "".join(args)
 
