@@ -489,3 +489,176 @@ def test_type_chains_are_substituted_and_keyed_by_loops():
     for _ in range(7):
         out = out.body.cod
     assert out.bound == "X7'" and out.body.dom == TVar("X7'")
+
+
+# ------------------------------------------------- walks against references
+
+# A scope with one declared type variable, so that ``A`` is in scope and
+# ``B1`` and ``C`` are not, and constructors of arity 0 and 2.
+_SCOPE = Context.empty({"Nat": 0, "Pair": 2}).with_type_var("A")
+
+
+def _scoped_types():
+    """Types over binders and free variables drawn from one pool, with
+    repeated binders and, now and then, a constructor of the wrong arity."""
+    base = st.one_of(_tyvars.map(TVar), st.just(Con("Nat")))
+    return st.recursive(
+        base,
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda p: Arrow(*p)),
+            st.tuples(_tyvars, inner).map(lambda p: Forall(*p)),
+            st.tuples(inner, inner).map(lambda p: Con("Pair", p)),
+            inner.map(lambda a: Con("Pair", (a,))),
+        ),
+        max_leaves=10,
+    )
+
+
+def _reference_well_formed(ctx, t, scope):
+    match t:
+        case TVar(name=x):
+            return x in ctx.dtv or x in scope
+        case Arrow(dom=d, cod=c):
+            return _reference_well_formed(ctx, d, scope) and _reference_well_formed(ctx, c, scope)
+        case Forall(bound=x, body=b):
+            return _reference_well_formed(ctx, b, scope | {x})
+        case Con(con=c, args=args):
+            return ctx.arity(c) == len(args) and all(_reference_well_formed(ctx, a, scope) for a in args)
+    raise TypeError(t)
+
+
+def _reference_free(t):
+    match t:
+        case TVar(name=x):
+            return frozenset({x})
+        case Arrow(dom=d, cod=c):
+            return _reference_free(d) | _reference_free(c)
+        case Forall(bound=x, body=b):
+            return _reference_free(b) - {x}
+        case Con(args=args):
+            return frozenset().union(*map(_reference_free, args))
+    raise TypeError(t)
+
+
+def _tvar_count(t):
+    match t:
+        case TVar():
+            return 1
+        case Arrow(dom=d, cod=c):
+            return _tvar_count(d) + _tvar_count(c)
+        case Forall(body=b):
+            return _tvar_count(b)
+        case Con(args=args):
+            return sum(map(_tvar_count, args))
+    raise TypeError(t)
+
+
+def _rename_occurrence(t, k, name):
+    """``t`` with its ``k``-th variable occurrence (left to right) renamed to ``name``."""
+    def go(t):
+        nonlocal k
+        match t:
+            case TVar():
+                k -= 1
+                return TVar(name) if k == -1 else t
+            case Arrow(dom=d, cod=c):
+                return Arrow(go(d), go(c))
+            case Forall(bound=x, body=b):
+                return Forall(x, go(b))
+            case Con(con=c, args=args):
+                return Con(c, tuple(go(a) for a in args))
+        raise TypeError(t)
+    return go(t)
+
+
+def _agrees_with_keys(a, b):
+    return alpha_equal(a, b) == (canon_type(a) == canon_type(b))
+
+
+@given(_scoped_types(), _scoped_types())
+def test_alpha_equal_agrees_with_keys_on_random_pairs(a, b):
+    assert _agrees_with_keys(a, b)
+
+
+@given(_scoped_types())
+def test_alpha_equal_agrees_with_keys_on_renamed_pairs(t):
+    renamed = _rename_binders(t)
+    assert _agrees_with_keys(t, renamed) and alpha_equal(t, renamed)
+    assert _agrees_with_keys(renamed, t) and alpha_equal(renamed, t)
+
+
+@given(_scoped_types(), st.data())
+def test_alpha_equal_agrees_with_keys_when_one_variable_changes(t, data):
+    if not _tvar_count(t):
+        return
+    k = data.draw(st.integers(0, _tvar_count(t) - 1))
+    changed = _rename_occurrence(t, k, data.draw(st.sampled_from(["A", "B1", "C", "D"])))
+    assert _agrees_with_keys(t, changed) and _agrees_with_keys(_rename_binders(t), changed)
+
+
+@given(_scoped_types(), st.lists(_tyvars, max_size=3), st.lists(_tyvars, max_size=3))
+def test_alpha_equal_agrees_with_keys_on_one_body_under_two_binder_lists(body, xs, ys):
+    # the same body object under each list of binders, so both walks meet it
+    a, b = body, body
+    for x in reversed(xs):
+        a = Forall(x, a)
+    for y in reversed(ys):
+        b = Forall(y, b)
+    assert _agrees_with_keys(a, b)
+    assert _agrees_with_keys(Arrow(a, body), Arrow(b, body))
+    assert _agrees_with_keys(Con("Pair", (a, body)), Con("Pair", (b, body)))
+
+
+@pytest.mark.parametrize("a, b", [
+    (TVar("A"), 5),
+    (5, TVar("A")),
+    ("A", "A"),
+    (Arrow(TVar("A"), "A"), Arrow(TVar("A"), "A")),
+])
+def test_alpha_equal_rejects_a_non_type(a, b):
+    with pytest.raises(TypeError):
+        alpha_equal(a, b)
+
+
+@given(_scoped_types(), st.frozensets(_tyvars))
+def test_well_formedness_is_that_of_the_recursive_definition(t, extra):
+    assert is_well_formed(_SCOPE, t, extra) == _reference_well_formed(_SCOPE, t, extra)
+    assert is_well_formed(_SCOPE, t) == _reference_well_formed(_SCOPE, t, frozenset())
+
+
+@given(_scoped_types())
+def test_free_type_vars_are_those_of_the_recursive_definition(t):
+    assert free_type_vars(t) == _reference_free(t)
+    assert type(free_type_vars(t)) is frozenset
+
+
+def test_a_repeated_binder_stays_in_scope_until_its_outer_quantifier_closes():
+    inner = Forall("B1", TVar("B1"))
+    assert is_well_formed(_SCOPE, Forall("B1", Arrow(inner, TVar("B1"))))
+    assert not is_well_formed(_SCOPE, Arrow(inner, TVar("B1")))
+    assert not is_well_formed(_SCOPE, Con("Pair", (inner, TVar("B1"))))
+    assert is_well_formed(_SCOPE, Arrow(inner, TVar("B1")), frozenset({"B1"}))
+    assert free_type_vars(Arrow(Forall("C", Arrow(inner, TVar("C"))), TVar("B1"))) == {"B1"}
+
+
+def test_type_walks_follow_a_chain_of_20000_links_by_loops():
+    # 10,000 quantifiers, each over an arrow; the binder names repeat every
+    # seven links, and the copy renames each binder apart.
+    n = 10_000
+    t, renamed, other = TVar("A"), TVar("A"), TVar("B1")
+    for i in reversed(range(n)):
+        t = Forall(f"X{i % 7}", Arrow(TVar(f"X{i % 7}"), t))
+        renamed = Forall(f"Y{i}", Arrow(TVar(f"Y{i}"), renamed))
+        other = Forall(f"Y{i}", Arrow(TVar(f"Y{i}"), other))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert not is_well_formed(_SCOPE.with_type_var("X3"), Forall("A", TVar("B1")))
+        assert is_well_formed(_SCOPE, t)
+        assert not is_well_formed(CTX, t)
+        assert is_well_formed(CTX, t, frozenset({"A"}))
+        assert free_type_vars(t) == {"A"}
+        assert alpha_equal(t, renamed) and alpha_equal(renamed, t)
+        assert not alpha_equal(t, other)
+    finally:
+        sys.setrecursionlimit(limit)
