@@ -12,6 +12,14 @@ Every syntax node is a frozen dataclass with slots, made by ``_node``:
 a run builds them by the hundred thousand, so they are kept small and
 their constructors cheap.
 
+The walks over types run under every layer, so they copy nothing per
+node.  They dispatch on ``type(node) is X``, since nodes are never
+subclassed, and follow arrow codomains and quantifier bodies by a loop.
+A scope walk (free variables, well-formedness) keeps one mutable set of
+open binders; alpha equality walks both types at once and stops at their
+first difference; substitution returns, shared, every node beneath which
+it changes nothing.
+
 Meta-variables are ordinary type variables drawn from a reserved
 namespace (``?X0``, ``?X1``, ...) that the surface parser cannot
 produce, so a type variable is a meta-variable exactly when it is not
@@ -21,6 +29,7 @@ declared in the ambient context.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
+from operator import is_not
 from typing import Iterator, Mapping, NamedTuple, Union
 
 
@@ -493,50 +502,91 @@ def free_type_vars(ty: TypeExpr) -> frozenset[str]:
     codomains and quantifier bodies are followed by a loop, so a chain of
     any length is read at any recursion limit."""
     found: set[str] = set()
-    bound: set[str] = set()
+    _collect_free(ty, set(), found)
+    return frozenset(found)
+
+
+def _collect_free(ty: TypeExpr, bound: set[str], found: set[str]) -> None:
+    """Add to ``found`` the variables of ``ty`` that neither ``bound``, the
+    binders open around it, nor a quantifier in it binds.
+
+    A chain adds to ``bound`` only the binders it does not find there and
+    removes exactly those when it ends, since a type may repeat a name.
+    """
+    opened: list[str] = []
     while True:
-        match ty:
-            case TVar(name=x):
-                if x not in bound:
-                    found.add(x)
-                return frozenset(found)
-            case Arrow(dom=d, cod=c):
-                found.update(free_type_vars(d).difference(bound))
-                ty = c
-            case Forall(bound=x, body=b):
-                bound.add(x)
-                ty = b
-            case Con(args=args):
-                for a in args:
-                    found.update(free_type_vars(a).difference(bound))
-                return frozenset(found)
-            case _:
-                raise TypeError(ty)
+        kind = type(ty)
+        if kind is TVar:
+            if ty.name not in bound:
+                found.add(ty.name)
+            break
+        if kind is Arrow:
+            _collect_free(ty.dom, bound, found)
+            ty = ty.cod
+        elif kind is Forall:
+            if ty.bound not in bound:
+                bound.add(ty.bound)
+                opened.append(ty.bound)
+            ty = ty.body
+        elif kind is Con:
+            for a in ty.args:
+                _collect_free(a, bound, found)
+            break
+        else:
+            raise TypeError(ty)
+    bound.difference_update(opened)
 
 
 def is_well_formed(ctx: Context, ty: TypeExpr, extra: frozenset[str] = frozenset()) -> bool:
     """True iff every variable is declared and constructor arities match.
 
-    Arrow codomains and quantifier bodies are followed by a loop, so a
-    chain of any length is checked at any recursion limit.
+    ``extra`` holds type variables in scope besides those ``ctx``
+    declares.  Arrow codomains and quantifier bodies are followed by a
+    loop, so a chain of any length is checked at any recursion limit.
     """
+    kind = type(ty)
+    if kind is Con and not ty.args:  # half of all calls: a leaf needs no scope
+        return ctx.signature.get(ty.con) == 0
+    if kind is TVar:
+        return ty.name in ctx._dtv or ty.name in extra
+    return _well_formed(ctx._dtv, ctx.signature, ty, set(extra))
+
+
+def _well_formed(dtv: frozenset[str], signature: Mapping[str, int], ty: TypeExpr, scope: set[str]) -> bool:
+    """``is_well_formed`` with ``scope``, the binders open around ``ty``.
+
+    A chain adds to ``scope`` only the binders it does not find there and,
+    once it is well-formed, removes exactly those; a False answer is final,
+    so the scope it leaves behind is never read again.
+    """
+    opened: list[str] = []
     while True:
-        match ty:
-            case TVar(name=x):
-                return x in ctx.dtv or x in extra
-            case Arrow(dom=d, cod=c):
-                if not is_well_formed(ctx, d, extra):
+        kind = type(ty)
+        if kind is TVar:
+            if ty.name not in dtv and ty.name not in scope:
+                return False
+            break
+        if kind is Arrow:
+            if not _well_formed(dtv, signature, ty.dom, scope):
+                return False
+            ty = ty.cod
+        elif kind is Forall:
+            if ty.bound not in scope:
+                scope.add(ty.bound)
+                opened.append(ty.bound)
+            ty = ty.body
+        elif kind is Con:
+            args = ty.args
+            if signature.get(ty.con) != len(args):
+                return False
+            for a in args:
+                if not _well_formed(dtv, signature, a, scope):
                     return False
-                ty = c
-            case Forall(bound=x, body=b):
-                extra = extra | {x}
-                ty = b
-            case Con(con=c, args=args):
-                if ctx.arity(c) != len(args):
-                    return False
-                return all(is_well_formed(ctx, a, extra) for a in args)
-            case _:
-                raise TypeError(ty)
+            break
+        else:
+            raise TypeError(ty)
+    scope.difference_update(opened)
+    return True
 
 
 def meta_vars_of_type(ctx: Context, ty: TypeExpr) -> frozenset[str]:
@@ -581,42 +631,70 @@ def _fresh_against(base: str, avoid: set[str] | frozenset[str]) -> str:
 def substitute(mapping: Mapping[str, TypeExpr], ty: TypeExpr) -> TypeExpr:
     """Simultaneous capture-avoiding substitution of types for variables.
 
-    Arrow codomains and quantifier bodies are followed by a loop, and the
-    chain's nodes are rebuilt bottom-up once it ends, so a chain of any
-    length is substituted at any recursion limit.
+    Every node beneath which the mapping changes nothing is returned as
+    it is, shared and with its span, so ``substitute(m, t) is t`` when no
+    free variable of ``t`` is in ``m`` and no binder of ``t`` is free in
+    one of ``m``'s values (such a binder is renamed, as in any other
+    substitution under it); spans take no part in comparing nodes.  The
+    nodes that do change are built anew, without spans.  Arrow codomains
+    and quantifier bodies are followed by a loop, and the chain's nodes
+    are rebuilt bottom-up once it ends, so a chain of any length is
+    substituted at any recursion limit.
     """
     if not mapping:
         return ty
-    links: list[tuple[type, object]] = []  # each link's node class and first field
+    return _substitute(mapping, ty, None)
+
+
+def _substitute(mapping: Mapping[str, TypeExpr], ty: TypeExpr, clash: set[str] | None) -> TypeExpr:
+    """``substitute`` of a non-empty ``mapping``.  ``clash`` holds the free
+    variables of its values, or is None until a quantifier needs them."""
+    links: list[tuple[TypeExpr, object]] = []  # each link's node and its new first field
     while True:
-        match ty:
-            case TVar(name=x):
-                ty = mapping.get(x, ty)
-                break
-            case Arrow(dom=d, cod=c):
-                links.append((Arrow, substitute(mapping, d)))
-                ty = c
-            case Con(con=c, args=args):
-                ty = Con(c, tuple(substitute(mapping, a) for a in args))
-                break
-            case Forall(bound=x, body=b):
-                inner = {k: v for k, v in mapping.items() if k != x}
-                if not inner:
+        kind = type(ty)
+        if kind is TVar:
+            ty = mapping.get(ty.name, ty)
+            break
+        if kind is Arrow:
+            links.append((ty, _substitute(mapping, ty.dom, clash)))
+            ty = ty.cod
+        elif kind is Con:
+            args = ty.args
+            if args:
+                new = tuple([_substitute(mapping, a, clash) for a in args])
+                if any(map(is_not, new, args)):
+                    ty = Con(ty.con, new)
+            break
+        elif kind is Forall:
+            x, b = ty.bound, ty.body
+            if x in mapping:
+                mapping = {k: v for k, v in mapping.items() if k != x}
+                if not mapping:
                     break
+                clash = None
+            if clash is None:
                 clash = set()
-                for v in inner.values():
-                    clash |= free_type_vars(v)
-                if x in clash:
-                    fresh = _fresh_against(x, clash | free_type_vars(b) | set(inner))
-                    b = substitute({x: TVar(fresh)}, b)
-                    x = fresh
-                links.append((Forall, x))
-                mapping, ty = inner, b
-            case _:
-                raise TypeError(ty)
+                for v in mapping.values():
+                    _collect_free(v, set(), clash)
+            if x in clash:
+                fresh = _fresh_against(x, clash | free_type_vars(b) | set(mapping))
+                b = substitute({x: TVar(fresh)}, b)
+                x = fresh
+            links.append((ty, x))
+            ty = b
+        else:
+            raise TypeError(ty)
     while links:
         node, first = links.pop()
-        ty = node(first, ty)
+        if type(node) is Arrow:
+            if first is not node.dom or ty is not node.cod:
+                ty = Arrow(first, ty)
+            else:
+                ty = node
+        elif first is not node.bound or ty is not node.body:
+            ty = Forall(first, ty)
+        else:
+            ty = node
     return ty
 
 
@@ -660,25 +738,26 @@ def _canon_ty(ty: TypeExpr, env: Mapping[str, int], depth: int) -> str:
     opened: list[str] = []
     own = False
     while True:
-        match ty:
-            case TVar(name=x):
-                last = f"@{env[x]}" if x in env else f"v:{x}"
-                break
-            case Arrow(dom=d, cod=c):
-                opened.append(f"({_canon_ty(d, env, depth)}->")
-                ty = c
-            case Forall(bound=x, body=b):
-                opened.append("(all.")
-                if not own:
-                    env, own = dict(env), True
-                env[x] = depth
-                depth += 1
-                ty = b
-            case Con(con=c, args=args):
-                last = f"{c}[" + ",".join(_canon_ty(a, env, depth) for a in args) + "]"
-                break
-            case _:
-                raise TypeError(ty)
+        kind = type(ty)
+        if kind is TVar:
+            x = ty.name
+            last = f"@{env[x]}" if x in env else f"v:{x}"
+            break
+        if kind is Arrow:
+            opened.append(f"({_canon_ty(ty.dom, env, depth)}->")
+            ty = ty.cod
+        elif kind is Forall:
+            opened.append("(all.")
+            if not own:
+                env, own = dict(env), True
+            env[ty.bound] = depth
+            depth += 1
+            ty = ty.body
+        elif kind is Con:
+            last = f"{ty.con}[" + ",".join([_canon_ty(a, env, depth) for a in ty.args]) + "]"
+            break
+        else:
+            raise TypeError(ty)
     if not opened:
         return last
     return "".join(opened) + last + ")" * len(opened)
@@ -757,8 +836,68 @@ def _canon_deco(w: DecoratedType, env: Mapping[str, int], depth: int) -> str:
 
 
 def alpha_equal(a: TypeExpr, b: TypeExpr) -> bool:
-    """Equality of types up to renaming of bound variables."""
-    return canon_type(a) == canon_type(b)
+    """Equality of types up to renaming of bound variables: the equality
+    of their canonical keys, decided by one walk over both types that
+    stops at their first difference."""
+    return _alpha_ty(a, b, _NO_BINDERS, _NO_BINDERS, 0)
+
+
+_NO_BINDERS: Mapping[str, int] = {}
+_TYPE_NODES = frozenset({TVar, Arrow, Forall, Con})
+
+
+def _alpha_ty(a: TypeExpr, b: TypeExpr, ea: Mapping[str, int], eb: Mapping[str, int], depth: int) -> bool:
+    """Whether ``a`` under ``ea`` and ``b`` under ``eb`` have one key.
+
+    As in ``_canon_ty``, ``ea`` and ``eb`` number the binders in scope on
+    each side, and a chain's binders extend one copy of each.  While both
+    sides have opened the same names the two are one dict, and there a
+    node met on both sides is equal to itself without a walk.
+    """
+    own = False
+    while True:
+        kind = type(a)
+        if kind is not type(b):
+            if kind not in _TYPE_NODES:
+                raise TypeError(a)
+            if type(b) not in _TYPE_NODES:
+                raise TypeError(b)
+            return False
+        if a is b and ea is eb:
+            if kind not in _TYPE_NODES:
+                raise TypeError(a)
+            return True
+        if kind is TVar:
+            x, y = a.name, b.name
+            i, j = ea.get(x), eb.get(y)
+            return i == j and (i is not None or x == y)
+        if kind is Arrow:
+            if not _alpha_ty(a.dom, b.dom, ea, eb, depth):
+                return False
+            a, b = a.cod, b.cod
+        elif kind is Forall:
+            x, y = a.bound, b.bound
+            if not own:
+                if ea is eb and x == y:
+                    ea = eb = dict(ea)
+                else:
+                    ea, eb = dict(ea), dict(eb)
+                own = True
+            elif ea is eb and x != y:
+                eb = dict(eb)
+            ea[x] = depth
+            eb[y] = depth
+            depth += 1
+            a, b = a.body, b.body
+        elif kind is Con:
+            if a.con != b.con or len(a.args) != len(b.args):
+                return False
+            for p, q in zip(a.args, b.args):
+                if not _alpha_ty(p, q, ea, eb, depth):
+                    return False
+            return True
+        else:
+            raise TypeError(a)
 
 
 def alpha_equal_term(a: Term, b: Term) -> bool:

@@ -662,3 +662,47 @@ def test_type_walks_follow_a_chain_of_20000_links_by_loops():
         assert not alpha_equal(t, other)
     finally:
         sys.setrecursionlimit(limit)
+
+
+def _binders(t):
+    match t:
+        case TVar():
+            return set()
+        case Arrow(dom=d, cod=c):
+            return _binders(d) | _binders(c)
+        case Forall(bound=x, body=b):
+            return {x} | _binders(b)
+        case Con(args=args):
+            return set().union(*map(_binders, args))
+    raise TypeError(t)
+
+
+@given(_scoped_types(), st.dictionaries(st.sampled_from(["A", "B1", "C", "D"]), _scoped_types(), max_size=3))
+def test_substitute_returns_the_input_where_it_changes_nothing(t, mapping):
+    # a binder free in a value is renamed as in any substitution under it,
+    # so only mappings whose values mention no binder of ``t`` leave it whole
+    if free_type_vars(t).isdisjoint(mapping) and _binders(t).isdisjoint(
+        free_type_vars(Con("Pair", tuple(mapping.values())))
+    ):
+        assert substitute(mapping, t) is t
+
+
+@given(_scoped_types(), _scoped_types(), _tyvars)
+def test_substitute_shares_the_untouched_side_of_an_arrow(dom, cod, v):
+    out = substitute({v: Con("Nat")}, Arrow(dom, cod))
+    assert out == _recursive_substitute({v: Con("Nat")}, Arrow(dom, cod))
+    assert (out.dom is dom) == (v not in free_type_vars(dom))
+    assert (out.cod is cod) == (v not in free_type_vars(cod))
+    assert (out is not Arrow(dom, cod)) or v not in free_type_vars(Arrow(dom, cod))
+
+
+def test_substitute_keeps_the_spans_of_the_nodes_it_shares():
+    scope = CTX.with_type_var("Y")
+    t = ty("forall X. (Nat -> X) -> Pair Nat Y", scope)
+    out = substitute({"Y": Con("Nat")}, Arrow(ty("B -> B"), t))
+    assert out.dom.span is not None and out.cod.body.dom is t.body.dom
+    assert out.cod.span is None and out.cod == ty("forall X. (Nat -> X) -> Pair Nat Nat")
+    inner = ty("(Nat -> Nat) -> Pair Nat Y", scope)
+    out = substitute({"Y": Con("Nat")}, inner)
+    assert out.dom is inner.dom and out.cod.args[0] is inner.cod.args[0]
+    assert out.span is None and out == ty("(Nat -> Nat) -> Pair Nat Nat")
