@@ -48,10 +48,10 @@ class ParseError(Exception):
 # and column.  Each line is cut into pieces whose alternatives tile it,
 # so a piece's column is the running sum of the lengths before it:
 # an identifier, a run of whitespace, ``/\``, ``->``, a ``--`` comment,
-# digits, or any other single character.
+# ASCII digits, or any other single character.
 _Token = tuple[str, str, int, int]
 
-_PIECE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|[ \t\r]+|/\\|->|--.*|\d+|.")
+_PIECE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|[ \t\r]+|/\\|->|--.*|[0-9]+|.")
 
 KEYWORDS = frozenset({"type", "assume", "check", "synth", "forall"})
 
@@ -70,6 +70,7 @@ _FIXED = {
 }
 _IDENT_START = frozenset(string.ascii_letters + "_")
 _BLANK = frozenset(" \t\r")
+_DIGITS = frozenset(string.digits)
 
 
 def tokenize(src: str) -> list[_Token]:
@@ -78,9 +79,9 @@ def tokenize(src: str) -> list[_Token]:
     A keyword's kind is the keyword itself.  Each line is one ``findall``
     of ``_PIECE_RE``; a punctuation or keyword piece takes its kind from
     ``_FIXED``, and any other piece is classified by its first character:
-    an identifier, whitespace or a comment (skipped), an integer, or a
-    character no token can start with, which is a ParseError at its
-    position.  The lexer never recurses.
+    an identifier, whitespace or a comment (skipped), an integer (ASCII
+    digits only), or a character no token can start with, which is a
+    ParseError at its position.  The lexer never recurses.
     """
     tokens = []
     append = tokens.append
@@ -97,7 +98,7 @@ def tokenize(src: str) -> list[_Token]:
                 elif lead in _BLANK or piece[:2] == "--":
                     col += len(piece)
                     continue
-                elif lead.isdecimal():  # the digits ``\d`` matches
+                elif lead in _DIGITS:
                     kind = "int"
                 else:
                     raise ParseError(f"unexpected character {piece!r}", line, col)

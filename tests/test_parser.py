@@ -293,7 +293,7 @@ _REFERENCE_TOKEN_RE = re.compile(
       | (?P<rparen>\))
       | (?P<lbrack>\[)
       | (?P<rbrack>\])
-      | (?P<int>\d+)
+      | (?P<int>[0-9]+)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
       | (?P<bad>.)
     """,
@@ -346,6 +346,18 @@ def test_the_lexer_agrees_with_the_reference_lexer(src):
         assert (got.value.message, got.value.line, got.value.col) == (exc.message, exc.line, exc.col)
     else:
         assert tokenize(src) == expected
+
+
+@pytest.mark.parametrize("src, char, col", [
+    ("type Pair \u0662", "\u0662", 11),  # ARABIC-INDIC DIGIT TWO
+    ("type Pair 1\u0663", "\u0663", 12),
+    ("type Pair \uff12", "\uff12", 11),  # FULLWIDTH DIGIT TWO
+])
+def test_an_integer_is_ascii_digits_only(src, char, col):
+    with pytest.raises(ParseError) as exc:
+        parse_program(src)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (f"unexpected character {char!r}", 1, col)
+    assert [(d.name, d.arity) for d in parse_program("type Pair 12")] == [("Pair", 12)]
 
 
 # ------------------------------------------------------------ programs
