@@ -4,8 +4,9 @@
 human-readable reports or NDJSON (one object per goal) with ``--json``.
 ``spinel repl`` offers the same engine interactively.  Exit codes: 0
 all goals succeed, 1 some goal fails with a diagnostic, 2 the input
-does not parse, 3 an internal invariant or a declarative replay fails,
-or some goal hits the resource limit.
+cannot be read or does not parse, or standard output was closed before
+the report was written, 3 an internal invariant or a declarative replay
+fails, or some goal hits the resource limit.
 
 Chains of any length parse and print; only argument and parenthesis
 nesting is bounded by Python's recursion limit there.  A declaration
@@ -382,9 +383,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    if args.command == "run":
-        return run_file(args)
-    return repl()
+    try:
+        code = run_file(args) if args.command == "run" else repl()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output, as ``spinel run f | head -1``
+        # does.  Point it at devnull, as the Python docs advise, so that the
+        # interpreter's last flush finds no broken pipe, and exit as for an
+        # unreadable file.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
 
 
 if __name__ == "__main__":

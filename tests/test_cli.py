@@ -1146,3 +1146,26 @@ def test_installed_console_script_smoke(good_file, tmp_path):
         timeout=60,
     )
     assert_runs_good_file(proc)
+
+
+@pytest.mark.parametrize("json_flag", [False, True], ids=["text", "json"])
+def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path, json_flag):
+    # Far more output than a pipe holds, so the child is still writing
+    # when the reader closes its end after one line, as `| head -1` does.
+    path = tmp_path / "big.spn"
+    path.write_text(HEAD + "synth suc z\n" * 20_000)
+    env = dict(os.environ, PYTHONPATH=str(Path(spinel.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from spinel.cli import main; sys.exit(main())",
+         "run", str(path), *(["--json"] if json_flag else [])],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert stderr == ""
+    assert (json.loads(first)["goal"] == 1) if json_flag else (first == "[1] synth suc z\n")
