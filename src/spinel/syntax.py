@@ -545,7 +545,7 @@ def is_well_formed(ctx: Context, ty: TypeExpr, extra: frozenset[str] = frozenset
     loop, so a chain of any length is checked at any recursion limit.
     """
     kind = type(ty)
-    if kind is Con and not ty.args:  # half of all calls: a leaf needs no scope
+    if kind is Con and not ty.args:  # the commonest argument; a leaf needs no scope
         return ctx.signature.get(ty.con) == 0
     if kind is TVar:
         return ty.name in ctx._dtv or ty.name in extra
@@ -631,15 +631,15 @@ def _fresh_against(base: str, avoid: set[str] | frozenset[str]) -> str:
 def substitute(mapping: Mapping[str, TypeExpr], ty: TypeExpr) -> TypeExpr:
     """Simultaneous capture-avoiding substitution of types for variables.
 
-    Every node beneath which the mapping changes nothing is returned as
-    it is, shared and with its span, so ``substitute(m, t) is t`` when no
-    free variable of ``t`` is in ``m`` and no binder of ``t`` is free in
-    one of ``m``'s values (such a binder is renamed, as in any other
-    substitution under it); spans take no part in comparing nodes.  The
-    nodes that do change are built anew, without spans.  Arrow codomains
-    and quantifier bodies are followed by a loop, and the chain's nodes
-    are rebuilt bottom-up once it ends, so a chain of any length is
-    substituted at any recursion limit.
+    A node beneath which the mapping changes nothing is returned itself,
+    span and all; spans take no part in comparing nodes.  So
+    ``substitute(m, t) is t`` when no free variable of ``t`` is in ``m``,
+    unless a binder of ``t`` is free in a value of ``m``: such a binder is
+    renamed apart whether or not anything beneath it changes.  Changed
+    nodes are built anew, without spans.  Arrow codomains and quantifier
+    bodies are followed by a loop, and the chain's nodes are rebuilt
+    bottom-up once it ends, so a chain of any length is substituted at
+    any recursion limit.
     """
     if not mapping:
         return ty
