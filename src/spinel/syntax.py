@@ -544,11 +544,6 @@ def is_well_formed(ctx: Context, ty: TypeExpr, extra: frozenset[str] = frozenset
     declares.  Arrow codomains and quantifier bodies are followed by a
     loop, so a chain of any length is checked at any recursion limit.
     """
-    kind = type(ty)
-    if kind is Con and not ty.args:  # the commonest argument; a leaf needs no scope
-        return ctx.signature.get(ty.con) == 0
-    if kind is TVar:
-        return ty.name in ctx._dtv or ty.name in extra
     return _well_formed(ctx._dtv, ctx.signature, ty, set(extra))
 
 
@@ -643,12 +638,6 @@ def substitute(mapping: Mapping[str, TypeExpr], ty: TypeExpr) -> TypeExpr:
     """
     if not mapping:
         return ty
-    return _substitute(mapping, ty, None)
-
-
-def _substitute(mapping: Mapping[str, TypeExpr], ty: TypeExpr, clash: set[str] | None) -> TypeExpr:
-    """``substitute`` of a non-empty ``mapping``.  ``clash`` holds the free
-    variables of its values, or is None until a quantifier needs them."""
     links: list[tuple[TypeExpr, object]] = []  # each link's node and its new first field
     while True:
         kind = type(ty)
@@ -656,12 +645,12 @@ def _substitute(mapping: Mapping[str, TypeExpr], ty: TypeExpr, clash: set[str] |
             ty = mapping.get(ty.name, ty)
             break
         if kind is Arrow:
-            links.append((ty, _substitute(mapping, ty.dom, clash)))
+            links.append((ty, substitute(mapping, ty.dom)))
             ty = ty.cod
         elif kind is Con:
             args = ty.args
             if args:
-                new = tuple([_substitute(mapping, a, clash) for a in args])
+                new = tuple([substitute(mapping, a) for a in args])
                 if any(map(is_not, new, args)):
                     ty = Con(ty.con, new)
             break
@@ -671,11 +660,9 @@ def _substitute(mapping: Mapping[str, TypeExpr], ty: TypeExpr, clash: set[str] |
                 mapping = {k: v for k, v in mapping.items() if k != x}
                 if not mapping:
                     break
-                clash = None
-            if clash is None:
-                clash = set()
-                for v in mapping.values():
-                    _collect_free(v, set(), clash)
+            clash: set[str] = set()
+            for v in mapping.values():
+                _collect_free(v, set(), clash)
             if x in clash:
                 fresh = _fresh_against(x, clash | free_type_vars(b) | set(mapping))
                 b = substitute({x: TVar(fresh)}, b)
@@ -838,7 +825,11 @@ def _canon_deco(w: DecoratedType, env: Mapping[str, int], depth: int) -> str:
 def alpha_equal(a: TypeExpr, b: TypeExpr) -> bool:
     """Equality of types up to renaming of bound variables: the equality
     of their canonical keys, decided by one walk over both types that
-    stops at their first difference."""
+    stops at their first difference.
+
+    A non-type that the walk reaches raises ``TypeError``.  One past the
+    first difference is never reached, so there the answer is False.
+    """
     return _alpha_ty(a, b, _NO_BINDERS, _NO_BINDERS, 0)
 
 
