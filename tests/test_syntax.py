@@ -620,6 +620,15 @@ def test_alpha_equal_rejects_a_non_type(a, b):
         alpha_equal(a, b)
 
 
+@pytest.mark.parametrize("a, b", [
+    (Arrow(TVar("A"), "x"), Arrow(TVar("B"), "x")),
+    (Con("Pair", (TVar("A"), 5)), Con("Pair", (TVar("B"), 5))),
+    (Con("Pair", (5, 5)), Con("List", (5,))),
+])
+def test_alpha_equal_stops_before_a_non_type_past_the_first_difference(a, b):
+    assert alpha_equal(a, b) is False
+
+
 @given(_scoped_types(), st.frozensets(_tyvars))
 def test_well_formedness_is_that_of_the_recursive_definition(t, extra):
     assert is_well_formed(_SCOPE, t, extra) == _reference_well_formed(_SCOPE, t, extra)
