@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import CTX, count_calls, tm, ty
 from spinel import (
@@ -34,9 +35,11 @@ from spinel.oracle import (
 )
 from spinel.syntax import (
     App,
+    Arrow,
     Con,
     Contextual,
     Exact,
+    Forall,
     Solution,
     TApp,
     TVar,
@@ -47,6 +50,7 @@ from spinel.syntax import (
     compose,
     free_type_vars,
     strip,
+    substitute,
 )
 
 
@@ -233,23 +237,85 @@ def test_replay_names_each_rejection_reason(ctx, src, expected, claim, reason, t
     assert (verdict.accepted, verdict.reason, verdict.trace) == (False, reason, trace)
 
 
+def _solvers_agree(metas, pattern, target):
+    """Both solvers answer None, or both solve the same metas with
+    alpha-equal types; True if they solved."""
+    ours = _solve_instantiation(metas, pattern, target)
+    theirs = match_first_order(metas, pattern, target)
+    assert (ours is None) == (theirs is None), (pattern, target)
+    if ours is None:
+        return False
+    assert set(ours) == theirs.domain(), (pattern, target)
+    assert all(alpha_equal(ours[m], theirs.type_of(m)) for m in ours), (pattern, target)
+    return True
+
+
 def test_the_oracle_solver_agrees_with_the_matcher_on_every_small_pair():
     # The two solvers stay separate (the oracle must not lean on what it
     # audits); they must still agree, on every pattern and meta-free target.
     metas = frozenset({"M", "N"})
     types = enumerate_matcher_types(4, ("M", "N"))
     targets = [t for t in types if not free_type_vars(t) & metas]
-    solved = 0
-    for pattern in types:
-        for target in targets:
-            ours = _solve_instantiation(metas, pattern, target)
-            theirs = match_first_order(metas, pattern, target)
-            assert (ours is None) == (theirs is None), (pattern, target)
-            if ours is not None:
-                solved += 1
-                assert set(ours) == theirs.domain(), (pattern, target)
-                assert all(alpha_equal(ours[m], theirs.type_of(m)) for m in ours), (pattern, target)
+    solved = sum(_solvers_agree(metas, pattern, target) for pattern in types for target in targets)
     assert solved > 0
+
+
+_BINDERS = st.sampled_from(["A", "B1", "C"])
+
+
+def _random_types(names):
+    """Types over the variables ``names`` and ``Nat``, with binders drawn
+    from ``A``, ``B1`` and ``C``, so that binder names repeat."""
+    base = st.one_of(st.sampled_from(names).map(TVar), st.just(Con("Nat")))
+    return st.recursive(
+        base,
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda p: Arrow(*p)),
+            st.tuples(_BINDERS, inner).map(lambda p: Forall(*p)),
+            st.tuples(inner, inner).map(lambda p: Con("Pair", p)),
+        ),
+        max_leaves=8,
+    )
+
+
+_PATTERNS = _random_types(["M", "N", "A", "B1", "C"])
+_TARGETS = _random_types(["A", "B1", "C"])
+
+
+def _under(binders, t):
+    for x in reversed(binders):
+        t = Forall(x, t)
+    return t
+
+
+@given(_PATTERNS, _TARGETS, _TARGETS, _TARGETS, st.lists(_BINDERS, max_size=3))
+def test_the_oracle_solver_agrees_with_the_matcher_on_random_pairs(pattern, target, s, t, xs):
+    metas = frozenset({"M", "N"})
+    _solvers_agree(metas, pattern, target)
+    # an instance of the pattern, which both solve unless a binder escapes
+    _solvers_agree(metas, pattern, substitute({"M": s, "N": t}, pattern))
+    # pattern and target share the subtree ``t``, under the same binders
+    _solvers_agree(metas, _under(xs, Arrow(TVar("M"), t)), _under(xs, Arrow(s, t)))
+    _solvers_agree(metas, _under(xs, Arrow(pattern, t)), _under(xs, Arrow(s, t)))
+    _solvers_agree(metas, _under(xs, Con("Pair", (t, pattern))), _under(xs, Con("Pair", (t, target))))
+
+
+@given(_TARGETS, _TARGETS, _TARGETS, st.lists(_BINDERS, max_size=3), st.lists(_BINDERS, max_size=3))
+def test_matching_with_no_solvable_variables_is_alpha_equality(a, b, t, xs, ys):
+    pairs = [
+        (a, b),
+        (a, a),
+        (Arrow(a, t), Arrow(b, t)),
+        (_under(xs, Arrow(a, t)), _under(xs, Arrow(a, t))),
+        (_under(xs, t), _under(ys, t)),
+        (_under(xs, Con("Pair", (t, a))), _under(ys, Con("Pair", (t, b)))),
+    ]
+    if "C" not in free_type_vars(a):
+        pairs.append((Forall("A", a), Forall("C", substitute({"A": TVar("C")}, a))))
+    for p, q in pairs:
+        found = match_first_order(frozenset(), p, q)
+        assert (found is not None) == alpha_equal(p, q), (p, q)
+        assert found is None or found.is_identity, (p, q)
 
 
 # ----------------------------------------------------------------- search
