@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .matcher import MatchFailure, _match, match_first_order, subst_decorated
+from .matcher import MatchFailure, _match, subst_decorated
 from .syntax import (
     App,
     Arrow,
@@ -67,6 +67,7 @@ from .syntax import (
     free_type_vars,
     is_meta_name,
     is_well_formed,
+    match_type,
     meta_vars_of_term,
     meta_vars_of_type,
     strip,
@@ -681,8 +682,8 @@ def _consume_arrow(
         if d.subject is arg and d.expected is None:
             d.expected = expected
         raise
-    inst = match_first_order(unsolved, expected, out.ty)
-    if inst is None:
+    solved = match_type(unsolved, expected, out.ty)
+    if solved is None:
         raise Diagnostic(
             DiagnosticKind.TYPE_MISMATCH,
             span=arg.span,
@@ -691,7 +692,6 @@ def _consume_arrow(
             synthetic_match=Synthetic(expected, out.ty, arg_index),
             subject=arg,
         )
-    solved = inst.types()
     if not rest.solve(solved):
         raise Diagnostic(
             DiagnosticKind.SOLUTION_CONFLICT,

@@ -1,7 +1,10 @@
 """First-order matching and prototype matching.
 
 ``match_first_order`` finds the unique substitution for a set of
-solvable variables that makes a pattern type equal to a target type.
+solvable variables that makes a pattern type equal to a target type,
+and tags it with the contextual match that found it.  Matching is
+alpha-equality with holes: it is the one walk of ``syntax.alpha_equal``,
+run by ``syntax.match_type`` with the solvable variables as holes.
 ``match_proto`` aligns a type against a prototype in one pass down its
 arrow and quantifier chain, peeling quantifiers into decorations and
 getting stuck (rather than failing) when a meta-variable must reveal
@@ -25,7 +28,6 @@ from .syntax import (
     Arrow,
     ArrowTo,
     Binding,
-    Con,
     Contextual,
     DArrow,
     DForall,
@@ -40,8 +42,8 @@ from .syntax import (
     TVar,
     TypeExpr,
     Unknown,
-    alpha_equal,
     free_type_vars,
+    match_type,
     substitute,
 )
 
@@ -77,60 +79,18 @@ def match_first_order(
     ``Contextual(pattern, target)``, or None when none exists: a
     solvable variable matched against two non-alpha-equal types, a bound
     variable of the target escaping its scope, or any structural
-    disagreement.  The target must not mention the solvable variables.
+    disagreement.  The walk is ``syntax.match_type``, the walk of
+    ``alpha_equal`` with the solvable variables as holes.  Raises
+    ``ValueError`` here if the target mentions a solvable variable, and
+    in the walk when it enters a pattern quantifier that binds one.
     """
     if free_type_vars(target) & set(metas):
         raise ValueError("target type mentions solvable variables")
-    store: dict[str, TypeExpr] = {}
-
-    def go(pat, tgt, envp: Mapping[str, int], envt: Mapping[str, int], depth: int) -> bool:
-        match pat:
-            case TVar(name=x):
-                if x in envp:
-                    return isinstance(tgt, TVar) and envt.get(tgt.name) == envp[x]
-                if x in metas:
-                    if any(v in envt for v in free_type_vars(tgt)):
-                        return False  # solution would escape a binder
-                    if x in store:
-                        return alpha_equal(store[x], tgt)
-                    store[x] = tgt
-                    return True
-                return (
-                    isinstance(tgt, TVar) and tgt.name == x and tgt.name not in envt
-                )
-            case Arrow(dom=d, cod=c):
-                return (
-                    isinstance(tgt, Arrow)
-                    and go(d, tgt.dom, envp, envt, depth)
-                    and go(c, tgt.cod, envp, envt, depth)
-                )
-            case Forall(bound=x, body=b):
-                if x in metas:
-                    raise ValueError("solvable variable is bound inside the pattern")
-                if not isinstance(tgt, Forall):
-                    return False
-                return go(
-                    b,
-                    tgt.body,
-                    {**envp, x: depth},
-                    {**envt, tgt.bound: depth},
-                    depth + 1,
-                )
-            case Con(con=c, args=args):
-                return (
-                    isinstance(tgt, Con)
-                    and tgt.con == c
-                    and len(tgt.args) == len(args)
-                    and all(
-                        go(p, q, envp, envt, depth) for p, q in zip(args, tgt.args)
-                    )
-                )
-        raise TypeError(pat)
-
-    if not go(pattern, target, {}, {}, 0):
+    found = match_type(metas, pattern, target)
+    if found is None:
         return None
     tag = Contextual(pattern, target)
-    return Solution({name: Binding(ty, tag) for name, ty in store.items()})
+    return Solution({name: Binding(ty, tag) for name, ty in found.items()})
 
 
 def _match(

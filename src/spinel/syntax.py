@@ -5,8 +5,8 @@ contextual types), decorated types (the shapes produced by prototype
 matching), and solutions (meta-variable instantiations tagged with the
 evidence that produced them), plus the structural operations the rest
 of the package builds on: free variables, well-formedness, alpha
-equality (as equality of canonical keys), capture-avoiding
-substitution, and meta-variable accounting.
+equality (as equality of canonical keys) and first-order matching,
+capture-avoiding substitution, and meta-variable accounting.
 
 Every syntax node is a frozen dataclass with slots, made by ``_node``:
 a run builds them by the hundred thousand, so they are kept small and
@@ -17,8 +17,8 @@ node.  They dispatch on ``type(node) is X``, since nodes are never
 subclassed, and follow arrow codomains and quantifier bodies by a loop.
 A scope walk (free variables, well-formedness) keeps one mutable set of
 open binders; alpha equality walks both types at once and stops at their
-first difference; substitution returns, shared, every node beneath which
-it changes nothing.
+first difference, and first-order matching is that one walk with holes;
+substitution returns, shared, every node beneath which it changes nothing.
 
 Meta-variables are ordinary type variables drawn from a reserved
 namespace (``?X0``, ``?X1``, ...) that the surface parser cannot
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
 from operator import is_not
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Container, Iterator, Mapping, NamedTuple, Union
 
 
 # ---------------------------------------------------------------- spans
@@ -830,15 +830,35 @@ def alpha_equal(a: TypeExpr, b: TypeExpr) -> bool:
     A non-type that the walk reaches raises ``TypeError``.  One past the
     first difference is never reached, so there the answer is False.
     """
-    return _alpha_ty(a, b, _NO_BINDERS, _NO_BINDERS, 0)
+    return _alpha_ty(a, b, _NO_BINDERS, _NO_BINDERS, 0, (), None)
+
+
+def match_type(metas: Container[str], pattern: TypeExpr, target: TypeExpr) -> dict[str, TypeExpr] | None:
+    """First-order matching: the types for the solvable variables ``metas``
+    that make ``pattern`` alpha-equal to ``target``, or None.
+
+    It is the walk of ``alpha_equal`` with holes.  A solvable variable binds
+    the first target type it meets, which must mention no binder open on the
+    target side, and then must be alpha-equal to every other one it meets.
+    A pattern quantifier that binds a solvable variable raises ``ValueError``
+    when the walk enters it.  The target must not mention a solvable
+    variable; so a subtree both sides share under the same binders matches.
+    """
+    store: dict[str, TypeExpr] = {}
+    return store if _alpha_ty(pattern, target, _NO_BINDERS, _NO_BINDERS, 0, metas, store) else None
 
 
 _NO_BINDERS: Mapping[str, int] = {}
 _TYPE_NODES = frozenset({TVar, Arrow, Forall, Con})
 
 
-def _alpha_ty(a: TypeExpr, b: TypeExpr, ea: Mapping[str, int], eb: Mapping[str, int], depth: int) -> bool:
-    """Whether ``a`` under ``ea`` and ``b`` under ``eb`` have one key.
+def _alpha_ty(
+    a: TypeExpr, b: TypeExpr, ea: Mapping[str, int], eb: Mapping[str, int], depth: int,
+    metas: Container[str], store: dict[str, TypeExpr] | None,
+) -> bool:
+    """Whether ``a`` under ``ea`` and ``b`` under ``eb`` have one key once
+    each solvable variable of ``metas`` in ``a`` is read as its type in
+    ``store``.
 
     As in ``_canon_ty``, ``ea`` and ``eb`` number the binders in scope on
     each side, and a chain's binders extend one copy of each.  While both
@@ -848,6 +868,11 @@ def _alpha_ty(a: TypeExpr, b: TypeExpr, ea: Mapping[str, int], eb: Mapping[str, 
     own = False
     while True:
         kind = type(a)
+        if kind is TVar and a.name in metas:
+            if eb and any(v in eb for v in free_type_vars(b)):
+                return False  # the solution would escape a target binder
+            bound = store.setdefault(a.name, b)
+            return bound is b or alpha_equal(bound, b)
         if kind is not type(b):
             if kind not in _TYPE_NODES:
                 raise TypeError(a)
@@ -863,11 +888,13 @@ def _alpha_ty(a: TypeExpr, b: TypeExpr, ea: Mapping[str, int], eb: Mapping[str, 
             i, j = ea.get(x), eb.get(y)
             return i == j and (i is not None or x == y)
         if kind is Arrow:
-            if not _alpha_ty(a.dom, b.dom, ea, eb, depth):
+            if not _alpha_ty(a.dom, b.dom, ea, eb, depth, metas, store):
                 return False
             a, b = a.cod, b.cod
         elif kind is Forall:
             x, y = a.bound, b.bound
+            if x in metas:
+                raise ValueError("solvable variable is bound inside the pattern")
             if not own:
                 if ea is eb and x == y:
                     ea = eb = dict(ea)
@@ -884,7 +911,7 @@ def _alpha_ty(a: TypeExpr, b: TypeExpr, ea: Mapping[str, int], eb: Mapping[str, 
             if a.con != b.con or len(a.args) != len(b.args):
                 return False
             for p, q in zip(a.args, b.args):
-                if not _alpha_ty(p, q, ea, eb, depth):
+                if not _alpha_ty(p, q, ea, eb, depth, metas, store):
                     return False
             return True
         else:
