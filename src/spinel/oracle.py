@@ -85,36 +85,42 @@ def _solve_instantiation(
     out: dict[str, TypeExpr] = {}
 
     def go(p, t, envp, envt, depth) -> bool:
-        match p:
-            case TVar(name=x):
-                if x in envp:
-                    return isinstance(t, TVar) and envt.get(t.name) == envp[x]
-                if x in metas:
-                    if free_type_vars(t) & set(envt):
+        # Arrow codomains and quantifier bodies are followed by a loop; a
+        # chain's quantifiers extend one copy of each binder map.
+        own = False
+        while True:
+            match p:
+                case TVar(name=x):
+                    if x in envp:
+                        return isinstance(t, TVar) and envt.get(t.name) == envp[x]
+                    if x in metas:
+                        if free_type_vars(t) & set(envt):
+                            return False
+                        if x in out:
+                            return alpha_equal(out[x], t)
+                        out[x] = t
+                        return True
+                    return isinstance(t, TVar) and t.name == x and t.name not in envt
+                case Arrow(dom=d, cod=c):
+                    if not (isinstance(t, Arrow) and go(d, t.dom, envp, envt, depth)):
                         return False
-                    if x in out:
-                        return alpha_equal(out[x], t)
-                    out[x] = t
-                    return True
-                return isinstance(t, TVar) and t.name == x and t.name not in envt
-            case Arrow(dom=d, cod=c):
-                return (
-                    isinstance(t, Arrow)
-                    and go(d, t.dom, envp, envt, depth)
-                    and go(c, t.cod, envp, envt, depth)
-                )
-            case Forall(bound=x, body=b):
-                return isinstance(t, Forall) and go(
-                    b, t.body, {**envp, x: depth}, {**envt, t.bound: depth}, depth + 1
-                )
-            case Con(con=c, args=args):
-                return (
-                    isinstance(t, Con)
-                    and t.con == c
-                    and len(t.args) == len(args)
-                    and all(go(a, b, envp, envt, depth) for a, b in zip(args, t.args))
-                )
-        raise TypeError(p)
+                    p, t = c, t.cod
+                case Forall(bound=x, body=b):
+                    if not isinstance(t, Forall):
+                        return False
+                    if not own:
+                        envp, envt, own = dict(envp), dict(envt), True
+                    envp[x] = envt[t.bound] = depth
+                    p, t, depth = b, t.body, depth + 1
+                case Con(con=c, args=args):
+                    return (
+                        isinstance(t, Con)
+                        and t.con == c
+                        and len(t.args) == len(args)
+                        and all(go(a, b, envp, envt, depth) for a, b in zip(args, t.args))
+                    )
+                case _:
+                    raise TypeError(p)
 
     return out if go(pattern, target, {}, {}, 0) else None
 
