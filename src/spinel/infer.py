@@ -566,20 +566,24 @@ class _Remaining:
 
         Each quantifier the spine has not reached is named after its
         source binder again, primed only where that name is free below
-        the quantifier.
+        the quantifier.  The chain is walked down and rebuilt by loops,
+        so a remaining type of any length is shown at any recursion
+        limit.
         """
-
-        def walk(w: DecoratedType) -> TypeExpr:
-            match w:
-                case DArrow(dom=d, cod=c):
-                    return Arrow(subst_type(sol, self.apply(d)), walk(c))
-                case DForall(bound=m, body=b):
-                    body = walk(b)
-                    x = _fresh_against(self.supply.source_of(m), free_type_vars(body))
-                    return Forall(x, substitute({m: TVar(x)}, body))
-            return subst_type(sol, self.apply(strip(w)))
-
-        return walk(self.deco)
+        solved = sol.types()
+        links: list[DArrow | DForall] = []
+        w = self.deco
+        while isinstance(w, (DArrow, DForall)):
+            links.append(w)
+            w = w.cod if isinstance(w, DArrow) else w.body
+        ty = substitute(solved, self.apply(strip(w)))
+        for w in reversed(links):
+            if isinstance(w, DArrow):
+                ty = Arrow(substitute(solved, self.apply(w.dom)), ty)
+            else:
+                x = _fresh_against(self.supply.source_of(w.bound), free_type_vars(ty))
+                ty = Forall(x, substitute({w.bound: TVar(x)}, ty))
+        return ty
 
 
 def _stuck_meta(w: DecoratedType) -> str | None:
