@@ -16,6 +16,7 @@ from .syntax import (
     TApp,
     TLam,
     Term,
+    TermBind,
     TypeExpr,
     Var,
     alpha_equal,
@@ -41,7 +42,7 @@ def check_internal(ctx: Context, term: Term) -> TypeExpr:
                 raise InternalTypeError(f"binder {x!r} lacks an annotation")
             if not is_well_formed(ctx, ann):
                 raise InternalTypeError(f"annotation on {x!r} is not well-formed")
-            cod = check_internal(ctx.with_term(x, ann), body)
+            cod = check_internal(ctx._extend_unchecked(TermBind(x, ann)), body)
             return Arrow(ann, cod)
         case TLam(bound=x, body=body):
             inner = check_internal(ctx.with_type_var(x), body)
