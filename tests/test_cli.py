@@ -927,6 +927,48 @@ def test_long_polymorphic_spine_replay_is_accepted_and_later_goals_run(tmp_path)
     assert records[2]["spec"] == {"skipped": True}
 
 
+def _nat_chain(n):
+    return " -> ".join(["Nat"] * n)
+
+
+def test_long_checked_spine_and_synthetic_match_answer_and_replay(tmp_path):
+    # First-order matching and the replay's instantiation solver follow
+    # arrow chains by loops, so a checked spine and a synthetic match
+    # against 8,000-link chains answer at the default recursion limit, and
+    # their replays are accepted.
+    n = 8000
+    chain = _nat_chain(n)
+    dom = " -> ".join(["Nat"] * (n - 1) + ["X"])
+    path = tmp_path / "chains.spn"
+    path.write_text(
+        HEAD + f"assume f : {chain}\nassume g : forall X. X -> {chain}\n"
+        f"assume h : forall X. ({dom}) -> X\ncheck g z : {chain}\nsynth h f\nsynth z\n"
+    )
+    proc = run_child(path, "--json", "--spec-verify")
+    assert proc.stderr == ""
+    assert proc.returncode == 0
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(r["goal"], r["status"], r["type"]) for r in records] == [
+        (1, "ok", chain), (2, "ok", "Nat"), (3, "ok", "Nat")
+    ]
+    assert [r["spec"].get("accepted") for r in records[:2]] == [True, True]
+    assert records[2]["spec"] == {"skipped": True}
+
+
+def test_a_misplaced_type_argument_on_a_long_spine_is_diagnosed(tmp_path):
+    # The diagnostic shows the rest of the spine's type, walked by a loop.
+    n = 2000
+    path = tmp_path / "misplaced.spn"
+    path.write_text(HEAD + f"assume g : forall X. X -> {_nat_chain(n)}\nsynth g [Nat] [Nat]{' z' * n}\nsynth z\n")
+    proc = run_child(path, "--json")
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(r["goal"], r["status"]) for r in records] == [(1, "error"), (2, "ok")]
+    assert records[0]["diagnostic"]["kind"] == "applicand-not-forall"
+    assert records[0]["diagnostic"]["synthesized"] == _nat_chain(n + 1)
+
+
 @pytest.mark.parametrize("flags", [["--json", "--elab"], ["--elab"]], ids=["json", "text"])
 def test_an_accepted_goal_renders_its_type_and_elaboration_once(tmp_path, capsys, monkeypatch, flags):
     import spinel.cli as cli
