@@ -3,8 +3,8 @@
 ``match_first_order`` finds the unique substitution for a set of
 solvable variables that makes a pattern type equal to a target type,
 and tags it with the contextual match that found it.  Matching is
-alpha-equality with holes: it is the one walk of ``syntax.alpha_equal``,
-run by ``syntax.match_type`` with the solvable variables as holes.
+alpha-equality with holes: ``syntax.match_type`` runs the one walk of
+``syntax.alpha_equal`` with the solvable variables as holes.
 ``match_proto`` aligns a type against a prototype in one pass down its
 arrow and quantifier chain, peeling quantifiers into decorations and
 getting stuck (rather than failing) when a meta-variable must reveal

@@ -842,7 +842,8 @@ def match_type(metas: Container[str], pattern: TypeExpr, target: TypeExpr) -> di
     target side, and then must be alpha-equal to every other one it meets.
     A pattern quantifier that binds a solvable variable raises ``ValueError``
     when the walk enters it.  The target must not mention a solvable
-    variable; so a subtree both sides share under the same binders matches.
+    variable, so a subtree both sides share under the same binders matches
+    at once, as in ``alpha_equal``.
     """
     store: dict[str, TypeExpr] = {}
     return store if _alpha_ty(pattern, target, _NO_BINDERS, _NO_BINDERS, 0, metas, store) else None

@@ -142,6 +142,11 @@ def test_first_order_match_precondition_on_target():
         match_first_order({"M"}, TVar("M"), TVar("M"))
 
 
+def test_first_order_match_rejects_a_pattern_quantifier_binding_a_solvable_variable():
+    with pytest.raises(ValueError, match="solvable variable is bound inside the pattern"):
+        match_first_order({"M"}, Arrow(NAT, Forall("M", TVar("M"))), ty("Nat -> forall A. A"))
+
+
 def test_supply_backed_binders_are_run_unique_metas():
     supply = NameSupply()
     got = match_proto(
