@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import CTX, tm, ty
+from conftest import CTX, count_calls, tm, ty
 from spinel import check_internal
 from spinel.internal import InternalTypeError
 from spinel.syntax import alpha_equal
@@ -50,3 +50,12 @@ def test_rejects_illformed_annotations():
 def test_alpha_renamed_annotations_are_accepted():
     t = tm(r"(\f : forall C. C -> C. f [Nat] z) (/\D. \x : D. x)")
     assert check_internal(CTX, t) == ty("Nat")
+
+
+def test_each_lambda_annotation_is_checked_once(monkeypatch):
+    import spinel.internal as internal_mod
+    import spinel.syntax as syntax_mod
+
+    calls = count_calls(monkeypatch, "is_well_formed", [syntax_mod, internal_mod])
+    check_internal(CTX, tm(r"\x : Nat. \y : B -> B. y"))
+    assert calls[0] == 2
