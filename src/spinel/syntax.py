@@ -39,10 +39,11 @@ from typing import Container, Iterator, Mapping, NamedTuple, Union
 class Span(NamedTuple):
     """Source extent as 1-based (line, col) .. (end_line, end_col).
 
-    A named tuple, so that the one the parser builds per node is made in
-    one step, with no per-field store.  It is immutable and hashable and
-    its fields read by name.  A node keeps its span in a slot of its own
-    that takes no part in comparing, hashing or printing nodes.
+    A named tuple, so that the parser makes the one per node by a single
+    ``tuple.__new__`` call, with no per-field store.  It is immutable and
+    hashable and its fields read by name.  A node keeps its span in a
+    slot of its own that takes no part in comparing, hashing or printing
+    nodes.
     """
 
     line: int

@@ -392,6 +392,23 @@ def test_parse_program_rejects_duplicate_declarations():
         parse_program("type Nat\nassume z : Nat\nassume z : Nat")
 
 
+def test_a_file_of_many_assumes_parses():
+    # Each assume adds its name to one scope set, so the file parses in
+    # linear time; at Python's default recursion limit, since nothing nests.
+    n = 20_000
+    src = "type Nat\n" + "".join(f"assume a{i} : Nat -> Nat\n" for i in range(n)) + f"synth a{n - 1} a0\n"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        decls = parse_program(src)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(decls) == n + 2
+    assert (decls[-2].name, decls[-2].ty) == (f"a{n - 1}", Arrow(Con("Nat"), Con("Nat")))
+    assert decls[-1].term == App(Var(f"a{n - 1}"), Var("a0")) and decls[-1].expected is None
+    assert (decls[-1].span.line, decls[-1].span.end_col) == (n + 2, len(f"synth a{n - 1} a0") + 1)
+
+
 def test_parse_program_rejects_stray_tokens():
     with pytest.raises(ParseError, match="expected a declaration"):
         parse_program("typo Nat")
@@ -524,6 +541,144 @@ def test_parsing_inverts_printing(t):
     closed = Forall("A", t)
     ctx = CTX
     assert alpha_equal(parse_type(pretty_type(closed), ctx), closed)
+
+
+# ------------------------------------------------------ reference printers
+
+
+def _nm(name, rename):
+    return rename.get(name, name) if rename else name
+
+
+def _reference_pretty_type(ty, rename=None, prec=0):
+    """The type printer as it was before the one-list writers: a ``match``
+    per node and a join per subtree."""
+    parts = []
+    opened = 0
+    while True:
+        match ty:
+            case Arrow(dom=d, cod=c):
+                if prec > 1:
+                    parts.append("(")
+                    opened += 1
+                parts.append(_reference_pretty_type(d, rename, 2) + " -> ")
+                ty, prec = c, 1
+            case Forall(bound=x, body=b):
+                if prec > 0:
+                    parts.append("(")
+                    opened += 1
+                parts.append(f"forall {_nm(x, rename)}. ")
+                ty, prec = b, 0
+            case TVar(name=n):
+                parts.append(_nm(n, rename))
+                break
+            case Con(con=c, args=()):
+                parts.append(c)
+                break
+            case Con(con=c, args=args):
+                body = c + " " + " ".join(_reference_pretty_type(a, rename, 3) for a in args)
+                parts.append(f"({body})" if prec > 2 else body)
+                break
+            case _:
+                raise TypeError(ty)
+    return "".join(parts) + ")" * opened
+
+
+def _reference_pretty_term(t, rename=None, prec=0):
+    """The term printer as it was before the one-list writers."""
+    parts = []
+    opened = 0
+    while True:
+        match t:
+            case Lam(bound=x, ann=ann, body=b):
+                if prec > 0:
+                    parts.append("(")
+                    opened += 1
+                if ann is None:
+                    parts.append(f"\\{x}. ")
+                else:
+                    parts.append(f"\\{x} : " + _reference_pretty_type(ann, rename, 1) + ". ")
+                t, prec = b, 0
+            case TLam(bound=x, body=b):
+                if prec > 0:
+                    parts.append("(")
+                    opened += 1
+                parts.append(f"/\\{_nm(x, rename)}. ")
+                t, prec = b, 0
+            case App() | TApp():
+                args = []
+                while True:
+                    match t:
+                        case App(fun=f, arg=a):
+                            args.append(_reference_pretty_term(a, rename, 2))
+                        case TApp(fun=f, targ=s):
+                            args.append("[" + _reference_pretty_type(s, rename, 0) + "]")
+                        case _:
+                            break
+                    t = f
+                args.append(_reference_pretty_term(t, rename, 1))
+                args.reverse()
+                body = " ".join(args)
+                parts.append(f"({body})" if prec > 1 else body)
+                break
+            case Var(name=n):
+                parts.append(n)
+                break
+            case _:
+                raise TypeError(t)
+    return "".join(parts) + ")" * opened
+
+
+# Names shared by type variables, binders of both levels and term
+# variables, so that a renaming reaches each kind of name.
+_NAMES = st.sampled_from(["X", "Y", "x", "f"])
+_RENAMES = st.none() | st.dictionaries(_NAMES, st.sampled_from(["A", "B'", "X"]), min_size=1)
+_TYPES = st.recursive(
+    st.one_of(_NAMES.map(TVar), st.sampled_from([Con("Nat"), Con("B")])),
+    lambda sub: st.one_of(
+        st.builds(Arrow, sub, sub),
+        st.builds(Forall, _NAMES, sub),
+        st.builds(lambda a: Con("List", (a,)), sub),
+        st.builds(lambda a, b: Con("Pair", (a, b)), sub, sub),
+    ),
+    max_leaves=10,
+)
+_TERMS = st.recursive(
+    _NAMES.map(Var),
+    lambda sub: st.one_of(
+        st.builds(App, sub, sub),
+        st.builds(TApp, sub, _TYPES),
+        st.builds(Lam, _NAMES, st.none() | _TYPES, sub),
+        st.builds(TLam, _NAMES, sub),
+    ),
+    max_leaves=10,
+)
+_X, _Y, _NAT = TVar("X"), TVar("Y"), Con("Nat")
+
+
+@settings(max_examples=300)
+@given(_TYPES, _RENAMES, st.integers(0, 3))
+@example(Arrow(Forall("X", Arrow(_X, _X)), _NAT), {"X": "A"}, 0)
+@example(Con("List", (Forall("X", _X),)), None, 3)
+@example(Con("Pair", (Arrow(_X, _NAT), Arrow(_NAT, _Y))), {"Y": "B'"}, 2)
+@example(Arrow(Arrow(_X, _Y), Forall("Y", Con("Pair", (_X, _Y)))), None, 1)
+def test_the_type_printer_agrees_with_the_reference_printer(t, rename, prec):
+    assert pretty_type(t, rename, prec) == _reference_pretty_type(t, rename, prec)
+
+
+@settings(max_examples=300)
+@given(_TERMS, _RENAMES, st.integers(0, 3))
+@example(App(Lam("x", _X, Var("x")), TLam("X", Var("f"))), {"X": "A", "x": "B'"}, 0)
+@example(App(Var("f"), TApp(TLam("X", Lam("x", None, Var("x"))), Forall("Y", _Y))), None, 2)
+@example(TApp(App(Var("f"), TApp(Var("f"), Arrow(_X, _NAT))), _X), {"X": "A"}, 1)
+@example(Lam("x", Arrow(Forall("X", _X), _NAT), App(Var("f"), Lam("f", None, Var("x")))), None, 3)
+def test_the_term_printer_agrees_with_the_reference_printer(t, rename, prec):
+    assert pretty_term(t, rename, prec) == _reference_pretty_term(t, rename, prec)
+
+
+def test_a_renaming_reaches_type_variables_and_type_lambda_binders_only():
+    t = Lam("x", _X, TLam("X", TApp(Var("x"), Forall("X", _X))))
+    assert pretty_term(t, {"x": "y", "X": "A"}) == "\\x : A. /\\A. x [forall A. A]"
 
 
 # ------------------------------------------------------------------ scopes
