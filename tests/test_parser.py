@@ -551,8 +551,7 @@ def _nm(name, rename):
 
 
 def _reference_pretty_type(ty, rename=None, prec=0):
-    """The type printer as it was before the one-list writers: a ``match``
-    per node and a join per subtree."""
+    """Reference type printer: a ``match`` per node and a join per subtree."""
     parts = []
     opened = 0
     while True:
@@ -585,7 +584,7 @@ def _reference_pretty_type(ty, rename=None, prec=0):
 
 
 def _reference_pretty_term(t, rename=None, prec=0):
-    """The term printer as it was before the one-list writers."""
+    """Reference term printer, written like ``_reference_pretty_type``."""
     parts = []
     opened = 0
     while True:
