@@ -44,11 +44,7 @@ from .parser import (
     pretty_term,
     pretty_type,
 )
-from .syntax import (
-    Context,
-    TypeExpr,
-    strip,
-)
+from .syntax import Context, TermBind, TypeExpr, strip
 
 _HEADLINES = {
     DiagnosticKind.UNANNOTATED_LAMBDA: "cannot synthesize a type for an unannotated function",
@@ -277,6 +273,7 @@ def run_file(args: argparse.Namespace) -> int:
 
     color = _use_color() and not args.json
     ctx = Context.empty()
+    assumed: list[TermBind] = []  # the run of assumes since the last goal
     code = 0
     count = 0
     for decl in program:
@@ -285,8 +282,10 @@ def run_file(args: argparse.Namespace) -> int:
                 ctx = ctx.with_con(name, arity)
                 continue
             case Assume(name=name, ty=ty):
-                ctx = ctx.with_term(name, ty)
+                assumed.append(TermBind(name, ty))
                 continue
+        if assumed:
+            ctx, assumed = ctx._extend(assumed), []
         count += 1
         try:
             goal_code, report = _run_goal(ctx, decl, count, args, color)

@@ -62,6 +62,7 @@ from .syntax import (
     Unknown,
     Var,
     _fresh_against,
+    _well_formed,
     alpha_equal,
     compose,
     free_type_vars,
@@ -268,16 +269,22 @@ def _binder_chain(run: _Run, ctx: Context, mode: Mode, term: Lam | TLam) -> Infe
     to its type lambda's variable (a later binder of the same name
     overwrites an earlier one) and is applied only where a type is used:
     to a domain, to a mismatched expected type, and once to the expected
-    type of the chain's body.
+    type of the chain's body.  Annotations are checked against ``ctx``
+    plus ``tvs``, one set of the chain's type variables that no link
+    copies.  The whole chain enters the context in one checked extension
+    before its body is inferred; a diagnostic builds its link's context.
     """
     expected = mode.expected if isinstance(mode, Check) else None
     renaming: dict[str, TypeExpr] = {}
-    layers: list[tuple[Lam | TLam, TypeExpr | None]] = []  # each with its domain
+    tvs: set[str] = set()
+    layers: list[Lam | TLam] = []
+    binds: list[TyVarDecl | TermBind] = []  # one per layer
     while True:
         match term:
             case TLam(bound=x):
                 run.note("tylam")
-                dom, fits = None, isinstance(expected, Forall)
+                tvs.add(x)
+                bind, fits = TyVarDecl(x), isinstance(expected, Forall)
             case Lam(bound=x, ann=None):
                 if expected is None:
                     raise Diagnostic(
@@ -295,16 +302,17 @@ def _binder_chain(run: _Run, ctx: Context, mode: Mode, term: Lam | TLam) -> Infe
                         detail="an unannotated function only checks against an arrow type",
                     )
                 run.note("lam-bare")
-                dom, fits = substitute(renaming, expected.dom), True
+                bind, fits = TermBind(x, substitute(renaming, expected.dom)), True
             case Lam(bound=x, ann=dom):
                 run.note("lam")
-                if not is_well_formed(ctx, dom):
+                if not _well_formed(ctx.dtv, ctx.signature, dom, tvs):
                     raise Diagnostic(
                         DiagnosticKind.UNBOUND_NAME,
                         span=term.span,
                         subject=term,
-                        detail=_illformed_detail(ctx, dom, f"annotation on {x!r}"),
+                        detail=_illformed_detail(ctx._extend(binds), dom, f"annotation on {x!r}"),
                     )
+                bind = TermBind(x, dom)
                 fits = isinstance(expected, Arrow) and alpha_equal(substitute(renaming, expected.dom), dom)
             case _:
                 break
@@ -314,28 +322,26 @@ def _binder_chain(run: _Run, ctx: Context, mode: Mode, term: Lam | TLam) -> Infe
                     DiagnosticKind.TYPE_MISMATCH,
                     span=term.span,
                     expected=substitute(renaming, expected),
-                    synthesized=_try_synthesize(ctx, term),
+                    synthesized=_try_synthesize(ctx._extend(binds), term),
                     subject=term,
                 )
-            if dom is None:
+            if type(term) is TLam:
                 renaming[expected.bound] = TVar(x)
                 expected = expected.body
             else:
                 expected = expected.cod
-        # ``dom`` is well-formed here: an annotation was checked above, and
-        # a bare binder's domain comes from the well-formed expected type.
-        ctx = ctx._extend_unchecked(TyVarDecl(x) if dom is None else TermBind(x, dom))
-        layers.append((term, dom))
+        layers.append(term)
+        binds.append(bind)
         term = term.body
 
     body_mode = Synthesize() if expected is None else Check(substitute(renaming, expected))
-    out = _infer(run, ctx, body_mode, term)
+    out = _infer(run, ctx._extend(binds), body_mode, term)
     ty, elab = out.ty, out.elaboration
-    for layer, dom in reversed(layers):
-        if dom is None:
+    for layer, bind in zip(reversed(layers), reversed(binds)):
+        if type(layer) is TLam:
             ty, elab = Forall(layer.bound, ty), TLam(layer.bound, elab, span=layer.span)
         else:
-            ty, elab = Arrow(dom, ty), Lam(layer.bound, dom, elab, span=layer.span)
+            ty, elab = Arrow(bind.ty, ty), Lam(layer.bound, bind.ty, elab, span=layer.span)
     return InferOutcome(ty, elab)
 
 

@@ -17,6 +17,7 @@ from .syntax import (
     TLam,
     Term,
     TermBind,
+    TyVarDecl,
     TypeExpr,
     Var,
     alpha_equal,
@@ -37,16 +38,29 @@ def check_internal(ctx: Context, term: Term) -> TypeExpr:
             if ty is None:
                 raise InternalTypeError(f"unbound variable {x!r}")
             return ty
-        case Lam(bound=x, ann=ann, body=body):
-            if ann is None:
-                raise InternalTypeError(f"binder {x!r} lacks an annotation")
-            if not is_well_formed(ctx, ann):
-                raise InternalTypeError(f"annotation on {x!r} is not well-formed")
-            cod = check_internal(ctx._extend_unchecked(TermBind(x, ann)), body)
-            return Arrow(ann, cod)
-        case TLam(bound=x, body=body):
-            inner = check_internal(ctx.with_type_var(x), body)
-            return Forall(x, inner)
+        case Lam() | TLam():
+            # One loop per binder chain, and one checked extension, which
+            # walks each annotation once.
+            binds: list[TyVarDecl | TermBind] = []
+            while True:
+                match term:
+                    case TLam(bound=x):
+                        binds.append(TyVarDecl(x))
+                    case Lam(bound=x, ann=None):
+                        raise InternalTypeError(f"binder {x!r} lacks an annotation")
+                    case Lam(bound=x, ann=ann):
+                        binds.append(TermBind(x, ann))
+                    case _:
+                        break
+                term = term.body
+            try:
+                ctx = ctx._extend(binds)
+            except ValueError as err:
+                raise InternalTypeError(str(err)) from None
+            ty = check_internal(ctx, term)
+            for bind in reversed(binds):
+                ty = Arrow(bind.ty, ty) if type(bind) is TermBind else Forall(bind.name, ty)
+            return ty
         case App(fun=f, arg=a):
             fty = check_internal(ctx, f)
             if not isinstance(fty, Arrow):

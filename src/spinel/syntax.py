@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
 from operator import is_not
-from typing import Container, Iterator, Mapping, NamedTuple, Union
+from typing import Container, Iterator, Mapping, NamedTuple, Sequence, Union
 
 
 # ---------------------------------------------------------------- spans
@@ -210,16 +210,17 @@ class Context:
 
     Immutable: the ``with_*`` methods return extended copies.  Declared
     names must be distinct; extension raises ValueError on shadowing or
-    on binding a term to an ill-formed type.  The private
-    ``_extend_unchecked`` rejects shadowing only; the engine's binder
-    chains use it for a binder whose type they have already checked.
+    on binding a term to an ill-formed type.
 
     Scope is ordered: a bound type may mention only the type variables
-    declared before it, and the constructor ``Context(entries, signature)``
-    adds its entries one at a time by the same step as ``with_*``.  An
-    extension checks only the new entry against its prefix and shares
-    the rest of the prefix's state: whatever was well-formed in the
-    prefix stays well-formed once a name or a constructor is added.
+    declared before it.  Every extension is one step, ``_extend``, which
+    takes a batch of entries: ``with_*`` pass one, the constructor
+    ``Context(entries, signature)`` passes its entries, and the engine
+    passes a whole binder chain or a run of ``assume``s.  It checks only
+    the new entries, each against the prefix and the batch's earlier
+    type variables, and copies the prefix's state once per batch, not
+    once per entry: whatever was well-formed in the prefix stays
+    well-formed once a name or a constructor is added.
     """
 
     __slots__ = ("entries", "signature", "_dtv", "_types")
@@ -230,48 +231,41 @@ class Context:
         signature: Mapping[str, int] | None = None,
     ) -> Context:
         ctx = object.__new__(cls)
-        ctx.entries = ()
+        ctx.entries, ctx._dtv, ctx._types = (), frozenset(), {}
         ctx.signature = dict(signature) if signature else {}
-        ctx._dtv = frozenset()
-        ctx._types = {}
-        for entry in entries:
-            ctx = ctx._extend(entry)
-        return ctx
+        return ctx._extend(entries)
 
     @classmethod
     def empty(cls, signature: Mapping[str, int] | None = None) -> Context:
         return cls((), signature)
 
-    def _extend(self, entry: TyVarDecl | TermBind) -> Context:
-        """This context plus ``entry``, which is checked against it alone."""
-        ctx = self._extend_unchecked(entry)
-        if isinstance(entry, TermBind) and not is_well_formed(self, entry.ty):
-            raise ValueError(f"type bound to {entry.name!r} is not well-formed")
-        return ctx
-
-    def _extend_unchecked(self, entry: TyVarDecl | TermBind) -> Context:
-        """This context plus ``entry``, whose type is not checked.
-
-        Only a duplicate name is rejected.  For a caller that has just
-        checked the type against this context, or drew it from a type
-        already well-formed here.
-        """
-        name = entry.name
-        if name in self._dtv or name in self._types:
-            raise ValueError(f"duplicate declaration of {name!r}")
-        is_term = isinstance(entry, TermBind)
+    def _extend(self, entries: Sequence[TyVarDecl | TermBind]) -> Context:
+        """This context plus ``entries``, each checked against those before it."""
+        dtv, types, signature = self._dtv, self._types, self.signature
+        tvs: set[str] = set()
+        binds: dict[str, TypeExpr] = {}
+        for entry in entries:
+            name = entry.name
+            if name in dtv or name in types or name in tvs or name in binds:
+                raise ValueError(f"duplicate declaration of {name!r}")
+            if type(entry) is TermBind:
+                if not _well_formed(dtv, signature, entry.ty, tvs):
+                    raise ValueError(f"type bound to {name!r} is not well-formed")
+                binds[name] = entry.ty
+            else:
+                tvs.add(name)
         ctx = object.__new__(Context)
-        ctx.entries = self.entries + (entry,)
-        ctx.signature = self.signature
-        ctx._dtv = self._dtv if is_term else self._dtv | {name}
-        ctx._types = {**self._types, name: entry.ty} if is_term else self._types
+        ctx.entries = self.entries + tuple(entries)
+        ctx.signature = signature
+        ctx._dtv = dtv | tvs if tvs else dtv
+        ctx._types = {**types, **binds} if binds else types
         return ctx
 
     def with_type_var(self, name: str) -> Context:
-        return self._extend(TyVarDecl(name))
+        return self._extend((TyVarDecl(name),))
 
     def with_term(self, name: str, ty: TypeExpr) -> Context:
-        return self._extend(TermBind(name, ty))
+        return self._extend((TermBind(name, ty),))
 
     def with_con(self, name: str, arity: int) -> Context:
         if name in self.signature:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 from spinel import parse_term, parse_type
 from spinel.oracle import standard_context
 
@@ -31,3 +33,36 @@ def count_calls(monkeypatch, name, modules):
         if hasattr(mod, name):
             monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def count_well_formed_walks(monkeypatch):
+    """Count well-formedness walks, and the type variables copied into them.
+
+    ``walks`` counts the outermost calls of ``syntax._well_formed``, one
+    per type checked, whichever function or method starts it.  A scope set
+    that a walk is the first to receive was made for it, as
+    ``is_well_formed`` makes one from its ``extra``; ``copied`` adds up the
+    variables already in each such set when it first arrives.
+    """
+    modules = [importlib.import_module(f"spinel.{m}") for m in ("syntax", "infer", "internal")]
+    original = modules[0]._well_formed
+    counts = {"walks": 0, "copied": 0}
+    depth = [0]
+    seen = {}  # id -> scope, kept alive so that no id is reused
+
+    def counted(dtv, signature, ty, scope):
+        if depth[0] == 0:
+            counts["walks"] += 1
+            if id(scope) not in seen:
+                seen[id(scope)] = scope
+                counts["copied"] += len(scope)
+        depth[0] += 1
+        try:
+            return original(dtv, signature, ty, scope)
+        finally:
+            depth[0] -= 1
+
+    for mod in modules:
+        if hasattr(mod, "_well_formed"):
+            monkeypatch.setattr(mod, "_well_formed", counted)
+    return counts

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import importlib
+import sys
 
 import pytest
 
-from conftest import CTX, count_calls, tm, ty
-from spinel import Check, Diagnostic, Synthesize, infer, spine_infer
+from conftest import CTX, count_calls, count_well_formed_walks, tm, ty
+from spinel import Check, Diagnostic, Synthesize, check_internal, infer, spine_infer
+from spinel.cli import main as cli_main
 from spinel.infer import DiagnosticKind, EngineInvariantError
 from spinel.oracle import enumerate_erasures, enumerate_internal_terms, standard_context
+from spinel.parser import Assume, ConDecl, Goal, parse_program, parse_term, pretty_term, pretty_type
 from spinel.syntax import (
     Con,
     Context,
@@ -17,19 +20,20 @@ from spinel.syntax import (
     DArrow,
     DForall,
     Exact,
+    Forall,
     Lam,
     Solution,
     Synthetic,
     TermBind,
     TLam,
     TVar,
+    TyVarDecl,
     Unknown,
     Var,
     alpha_equal,
     alpha_equal_term,
     free_type_vars,
     is_meta_name,
-    is_well_formed,
     strip,
 )
 
@@ -396,18 +400,16 @@ def test_spine_work_grows_linearly_with_its_length(monkeypatch, mode):
 
 
 def test_binder_depth_work_grows_linearly(monkeypatch):
-    syntax_mod = importlib.import_module("spinel.syntax")
-    infer_mod = importlib.import_module("spinel.infer")
-    checks = count_calls(monkeypatch, "is_well_formed", [syntax_mod, infer_mod])
+    walks = count_well_formed_walks(monkeypatch)
     counts = {}
     for n in (40, 80):
         xs = [f"x{i}" for i in range(1, n + 1)]
         nats = " -> ".join(["Nat"] * (n + 1))
         term = tm("".join(f"\\{x}. " for x in xs) + "x1")
-        checks[0] = 0
+        walks["walks"] = 0
         out = infer(CTX, Check(ty(nats)), term)
         assert out.ty == ty(nats)
-        counts[n] = checks[0]
+        counts[n] = walks["walks"]
     assert counts[80] <= 2.2 * counts[40]
 
 
@@ -457,35 +459,127 @@ def test_type_application_substitutions_grow_linearly_with_the_chain(monkeypatch
     assert counts[80] <= 2.2 * counts[40], counts
 
 
-# ------------------------------------------------ unchecked binder extension
+# ------------------------------------------- one extension per binder chain
 
 
-def test_binder_chains_extend_the_context_only_with_well_formed_types(monkeypatch):
-    """A binder chain skips the extension's well-formedness check, so every
-    type it binds must already be well-formed where it is bound."""
-    original = Context._extend_unchecked
-    bound = [0]
+def _lambda_chain(n):
+    term = Var("x0")
+    for i in reversed(range(n)):
+        term = Lam(f"x{i}", None, term)
+    return Check(ty(" -> ".join(["Nat"] * (n + 1)))), term
 
-    def checked(self, entry):
-        if isinstance(entry, TermBind):
-            bound[0] += 1
-            assert is_well_formed(self, entry.ty), entry
-        return original(self, entry)
 
-    monkeypatch.setattr(Context, "_extend_unchecked", checked)
-    ctx = standard_context()
-    for internal, internal_ty in enumerate_internal_terms(ctx, 7):
-        for erased in enumerate_erasures(internal):
-            for mode in (Check(internal_ty), Synthesize()):
-                try:
-                    infer(ctx, mode, erased)
-                except Diagnostic:
-                    pass
-    # bare binders under type lambdas that rename the expected quantifiers
-    check(r"/\A. \x. x", "forall X. X -> X")
-    check(r"/\A. /\C. \f. \x. f x", "forall X. forall Y. (X -> Y) -> X -> Y")
-    check(r"/\Y. /\X. \x. \y. pair [Y] [X] x y", "forall X. forall Y. X -> Y -> Pair X Y")
-    assert bound[0] > 1000
+def _type_lambda_chain(n):
+    term, expected = Var("z"), Con("Nat")
+    for i in reversed(range(n)):
+        term, expected = TLam(f"X{i}", term), Forall(f"Y{i}", expected)
+    return Check(expected), term
+
+
+def _alternating_chain(n):
+    term = Var("z")
+    for i in reversed(range(n)):
+        term = TLam(f"X{i}", Lam(f"x{i}", TVar(f"X{i}"), term))
+    return Synthesize(), term
+
+
+def _chain_goal(chain):
+    def run(n):
+        mode, term = chain(n)
+        out = infer(CTX, mode, term)
+        assert alpha_equal(check_internal(CTX, out.elaboration), out.ty)
+        return 2  # one extension in ``infer``, one in ``check_internal``
+
+    return run
+
+
+def _context_of(n):
+    Context(tuple(e for i in range(n) for e in (TyVarDecl(f"A{i}"), TermBind(f"a{i}", TVar(f"A{i}")))))
+    return 1
+
+
+def _run_assumes(tmp_path, capsys):
+    def run(n):
+        path = tmp_path / f"assumes{n}.spn"
+        lines = ["type Nat", "assume z : Nat", *(f"assume a{i} : Nat -> Nat" for i in range(n))]
+        path.write_text("\n".join([*lines, f"synth a{n - 1} z"]) + "\n")
+        assert cli_main(["run", str(path), "--json"]) == 0
+        assert '"status": "ok"' in capsys.readouterr().out
+        return 2  # ``Context.empty()``, then the run of ``assume``s
+
+    return run
+
+
+@pytest.mark.parametrize("case", ["lambda", "type-lambda", "alternating", "context", "assumes"])
+def test_context_extension_work_grows_linearly(monkeypatch, tmp_path, capsys, case):
+    """Each binder chain, and each run of ``assume``s, enters the context in
+    one extension; what the extensions copy grows linearly with its length.
+    ``copied`` counts the entries each call copies; ``walks["copied"]`` the
+    type variables copied into well-formedness walks, which a per-link copy
+    of a chain's type variables would make quadratic."""
+    run = {
+        "lambda": _chain_goal(_lambda_chain),
+        "type-lambda": _chain_goal(_type_lambda_chain),
+        "alternating": _chain_goal(_alternating_chain),
+        "context": _context_of,
+        "assumes": _run_assumes(tmp_path, capsys),
+    }[case]
+    original = Context._extend
+    spy = {"calls": 0, "copied": 0}
+
+    def counted(self, entries):
+        spy["calls"] += 1
+        spy["copied"] += len(self.entries) + len(entries)
+        return original(self, entries)
+
+    monkeypatch.setattr(Context, "_extend", counted)
+    walks = count_well_formed_walks(monkeypatch)
+    copied, tvs = {}, {}
+    for n in (2_000, 4_000):
+        spy.update(calls=0, copied=0)
+        walks["copied"] = 0
+        calls = run(n)
+        assert spy["calls"] == calls, (n, spy)
+        copied[n], tvs[n] = spy["copied"], walks["copied"]
+    assert copied[4_000] <= 2.2 * copied[2_000], copied
+    assert tvs[4_000] <= 2.2 * tvs[2_000], tvs
+
+
+LONG = 20_000
+
+
+def _long_check(binder, body, link, result):
+    """A ``check`` goal: LONG binders, then ``body``, against LONG links, then
+    ``result``; each binder and link is formatted with its index."""
+    binders = "".join(binder.format(i) for i in range(LONG))
+    links = "".join(link.format(i) for i in range(LONG))
+    return f"check {binders}{body} : {links}{result}"
+
+
+LONG_GOALS = {
+    "lambda": _long_check("\\x{}. ", "x0", "Nat -> ", "Nat"),
+    "type-lambda": _long_check("/\\X{}. ", "z", "forall Y{}. ", "Nat"),
+    "alternating": _long_check("/\\X{0}. \\x{0} : X{0}. ", "z", "forall Y{0}. Y{0} -> ", "Nat"),
+    "quantifier": _long_check("/\\X{}. ", "\\x. x", "forall Y{}. ", f"Y{LONG - 1} -> Y{LONG - 1}"),
+    "assumes": "".join(f"assume a{i} : Nat -> Nat\n" for i in range(LONG)) + f"synth a{LONG - 1} z",
+}
+
+
+@pytest.mark.parametrize("kind", LONG_GOALS)
+def test_long_inputs_check_print_and_recheck_at_the_default_recursion_limit(kind):
+    assert LONG > sys.getrecursionlimit()
+    program = parse_program("type Nat\nassume z : Nat\n" + LONG_GOALS[kind] + "\n")
+    ctx = Context(
+        tuple(TermBind(d.name, d.ty) for d in program if isinstance(d, Assume)),
+        {d.name: d.arity for d in program if isinstance(d, ConDecl)},
+    )
+    (goal,) = [d for d in program if isinstance(d, Goal)]
+    out = infer(ctx, Synthesize() if goal.expected is None else Check(goal.expected), goal.term)
+    internal_ty = check_internal(ctx, out.elaboration)
+    assert alpha_equal(internal_ty, out.ty)
+    assert pretty_type(internal_ty) == pretty_type(out.ty)
+    printed = pretty_term(out.elaboration)
+    assert pretty_term(parse_term(printed, ctx)) == printed
 
 
 @pytest.mark.parametrize(

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import CTX, count_calls, tm, ty
+from conftest import CTX, count_well_formed_walks, tm, ty
 from spinel import check_internal
 from spinel.internal import InternalTypeError
-from spinel.syntax import alpha_equal
+from spinel.syntax import Con, Lam, TLam, TVar, Var, alpha_equal
 
 
 def test_checks_a_fully_annotated_application():
@@ -41,10 +41,19 @@ def test_rejects_unbound_variables():
 
 
 def test_rejects_illformed_annotations():
-    from spinel.syntax import Lam, TVar, Var
-
     with pytest.raises(InternalTypeError):
         check_internal(CTX, Lam("w", TVar("A"), Var("w")))
+
+
+@pytest.mark.parametrize(
+    "term",
+    [Lam("z", Con("Nat"), Var("z")), TLam("X", Lam("x", TVar("X"), TLam("X", Var("x"))))],
+    ids=["declared-name", "within-the-chain"],
+)
+def test_a_binder_that_shadows_a_declared_name_is_an_internal_type_error(term):
+    # Library-built terms may reuse a declared name; the parser never does.
+    with pytest.raises(InternalTypeError, match="duplicate declaration"):
+        check_internal(CTX, term)
 
 
 def test_alpha_renamed_annotations_are_accepted():
@@ -53,9 +62,6 @@ def test_alpha_renamed_annotations_are_accepted():
 
 
 def test_each_lambda_annotation_is_checked_once(monkeypatch):
-    import spinel.internal as internal_mod
-    import spinel.syntax as syntax_mod
-
-    calls = count_calls(monkeypatch, "is_well_formed", [syntax_mod, internal_mod])
+    counts = count_well_formed_walks(monkeypatch)
     check_internal(CTX, tm(r"\x : Nat. \y : B -> B. y"))
-    assert calls[0] == 2
+    assert counts["walks"] == 2

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib
 import itertools
 import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import CTX, count_calls, tm, ty
+from conftest import CTX, count_well_formed_walks, tm, ty
 from spinel.oracle import enumerate_erasures, enumerate_internal_terms
 from spinel.syntax import (
     App,
@@ -300,17 +299,16 @@ def _assumptions(n):
 def test_context_extension_checks_only_the_new_entry(monkeypatch):
     small, large = _assumptions(50), _assumptions(400)
     fresh = ty("forall X. X -> Pair Nat A", small)
-    syntax_mod = importlib.import_module("spinel.syntax")
-    calls = count_calls(monkeypatch, "is_well_formed", [syntax_mod])
+    walks = count_well_formed_walks(monkeypatch)
     counts = {}
     for ctx in (small, large):
-        calls[0] = 0
+        walks["walks"] = 0
         ext = ctx.with_term("fresh", fresh)
         ext = ext.with_type_var("C")
         ext = ext.with_con("Fresh", 1)
         assert ext.lookup("fresh") is not None and "C" in ext.dtv and ext.arity("Fresh") == 1
-        counts[len(ctx.entries)] = calls[0]
-    assert counts[len(small.entries)] == counts[len(large.entries)]
+        counts[len(ctx.entries)] = walks["walks"]
+    assert counts[len(small.entries)] == counts[len(large.entries)] == 1
 
 
 def test_arity_helpers():
