@@ -17,6 +17,7 @@ from .syntax import (
     TLam,
     Term,
     TermBind,
+    TVar,
     TyVarDecl,
     TypeExpr,
     Var,
@@ -61,19 +62,38 @@ def check_internal(ctx: Context, term: Term) -> TypeExpr:
             for bind in reversed(binds):
                 ty = Arrow(bind.ty, ty) if type(bind) is TermBind else Forall(bind.name, ty)
             return ty
-        case App(fun=f, arg=a):
-            fty = check_internal(ctx, f)
-            if not isinstance(fty, Arrow):
-                raise InternalTypeError("applicand is not a function")
-            aty = check_internal(ctx, a)
-            if not alpha_equal(fty.dom, aty):
-                raise InternalTypeError("argument type does not match the domain")
-            return fty.cod
-        case TApp(fun=f, targ=s):
-            if not is_well_formed(ctx, s):
-                raise InternalTypeError("type argument is not well-formed")
-            fty = check_internal(ctx, f)
-            if not isinstance(fty, Forall):
-                raise InternalTypeError("applicand is not a quantified type")
-            return substitute({fty.bound: s}, fty.body)
+        case App() | TApp():
+            # One loop per applicand chain.  Going down, each type argument
+            # is checked, outermost first, as the recursive checker did.
+            # Coming back up, the quantifiers the type arguments instantiate
+            # are peeled into one pending instantiation, applied to each
+            # domain met and, once, to the result.
+            spine: list[App | TApp] = []
+            while True:
+                kind = type(term)
+                if kind is TApp:
+                    if not is_well_formed(ctx, term.targ):
+                        raise InternalTypeError("type argument is not well-formed")
+                elif kind is not App:
+                    break
+                spine.append(term)
+                term = term.fun
+            ty = check_internal(ctx, term)
+            inst: dict[str, TypeExpr] = {}
+            for node in reversed(spine):
+                if inst and type(ty) is TVar and ty.name in inst:
+                    ty, inst = inst[ty.name], {}  # a type of the context, which inst never touches
+                if type(node) is App:
+                    if type(ty) is not Arrow:
+                        raise InternalTypeError("applicand is not a function")
+                    aty = check_internal(ctx, node.arg)
+                    if not alpha_equal(substitute(inst, ty.dom) if inst else ty.dom, aty):
+                        raise InternalTypeError("argument type does not match the domain")
+                    ty = ty.cod
+                else:
+                    if type(ty) is not Forall:
+                        raise InternalTypeError("applicand is not a quantified type")
+                    inst[ty.bound] = node.targ  # a later binder of the same name shadows this one
+                    ty = ty.body
+            return substitute(inst, ty) if inst else ty
     raise TypeError(term)

@@ -8,15 +8,17 @@ and ``t [T]`` for type application; ``--`` starts a line comment.
 
 The parser is scope-aware: unbound type variables, binder shadowing,
 and constructor arity violations are rejected here with positions, so
-everything downstream works with well-scoped trees.  The printers
-append each piece of text to one list and join it once per call.
+everything downstream works with well-scoped trees.  A source file is
+lexed and parsed one declaration's tokens at a time, so the tokens of
+at most one declaration are alive at once, and every copy of an
+identifier in the trees is one shared string.  The printers append
+each piece of text to one list and join it once per call.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
 
 from .syntax import (
     App,
@@ -32,6 +34,7 @@ from .syntax import (
     Term,
     TypeExpr,
     Var,
+    _node,
 )
 
 
@@ -69,6 +72,7 @@ _FIXED = {
     "]": "rbrack",
     **{word: word for word in KEYWORDS},
 }
+_DECLARES = frozenset({"type", "assume", "check", "synth"})
 _IDENT_START = frozenset(string.ascii_letters + "_")
 _BLANK = frozenset(" \t\r")
 _DIGITS = frozenset(string.digits)
@@ -111,24 +115,77 @@ def tokenize(src: str) -> list[_Token]:
     return tokens
 
 
+def _runs(src: str):
+    """Yield the tokens of ``src`` one run at a time, each as a list.
+
+    A run starts at a ``type``, ``assume``, ``check`` or ``synth``
+    keyword (the first run at the first token) and ends before the
+    next one.  Its last token is the next run's keyword, or the "eof"
+    token, so a parse of the run sees the same next token as a parse of
+    the whole file.  The tokens are ``tokenize``'s, lexed the same way,
+    except that every copy of an identifier is one string, shared
+    through one dict per call.  ``tokenize`` stays a loop of its own,
+    so that the one-line parses of the REPL pay for neither the runs
+    nor the sharing.
+    """
+    shared = {}.setdefault
+    run: list[_Token] = []
+    append = run.append
+    fixed = _FIXED.get
+    findall = _PIECE_RE.findall
+    for line, text in enumerate(src.split("\n"), 1):
+        col = 1
+        for piece in findall(text):
+            kind = fixed(piece)
+            if kind is None:
+                lead = piece[0]
+                if lead in _IDENT_START:
+                    kind = "ident"
+                    piece = shared(piece, piece)
+                elif lead in _BLANK or piece[:2] == "--":
+                    col += len(piece)
+                    continue
+                elif lead in _DIGITS:
+                    kind = "int"
+                else:
+                    raise ParseError(f"unexpected character {piece!r}", line, col)
+            elif kind in _DECLARES and run:
+                append((kind, piece, line, col))  # the run's last token
+                yield run
+                run = []
+                append = run.append
+            append((kind, piece, line, col))
+            col += len(piece)
+    append(_eof(run))
+    yield run
+
+
+def _eof(tokens: list[_Token]) -> _Token:
+    """The "eof" token after ``tokens``: just past the last one, or at 1:1."""
+    if not tokens:
+        return ("eof", "", 1, 1)
+    _, text, line, col = tokens[-1]
+    return ("eof", "", line, col + len(text))
+
+
 # --------------------------------------------------------------- parsing
 
 
-@dataclass(frozen=True)
+@_node
 class ConDecl:
     name: str
     arity: int
     span: Span
 
 
-@dataclass(frozen=True)
+@_node
 class Assume:
     name: str
     ty: TypeExpr
     span: Span
 
 
-@dataclass(frozen=True)
+@_node
 class Goal:
     term: Term
     expected: TypeExpr | None
@@ -150,6 +207,9 @@ def _expected(tok: _Token, what: str) -> ParseError:
 class _Parser:
     """Recursive descent over a token list; chains of links are loops.
 
+    The list ends with the token after the text it covers: "eof", or,
+    for one run of a source file, the next run's keyword, which no rule
+    consumes.  ``parse_program`` hands the one parser each run in turn.
     Only parentheses, brackets and constructor arguments recurse, so a
     chain of any length parses at any recursion limit.
 
@@ -165,13 +225,7 @@ class _Parser:
     __slots__ = ("tokens", "pos", "signature", "scope", "tyvars", "bound")
 
     def __init__(self, tokens: list[_Token], signature: dict[str, int], scope: frozenset[str]):
-        # An "eof" token ends the list where end-of-input errors point:
-        # just past the last token, or at 1:1 in an empty source.
-        if tokens:
-            _, text, line, col = tokens[-1]
-            self.tokens = [*tokens, ("eof", "", line, col + len(text))]
-        else:
-            self.tokens = [("eof", "", 1, 1)]
+        self.tokens = tokens
         self.pos = 0
         self.signature = signature
         self.scope = set(scope)
@@ -399,26 +453,47 @@ def _declaration(parser: _Parser, tok: _Token) -> Decl:
 def parse_program(src: str) -> tuple[Decl, ...]:
     """Parse a whole source file into its declarations, in order.
 
+    The source is lexed and parsed one run of ``_runs`` at a time.  The
+    lexer's error comes first, as if the whole file were lexed before
+    any of it is parsed: after a ParseError, the rest of the source is
+    lexed, and an unexpected character there is the error raised.
+
     Chains of any length parse: arrows, ``forall``s, lambdas, type
     lambdas and applications are loops.  Only parentheses, brackets and
     constructor arguments nest by recursion, and a declaration nested
     deeper than the recursion limit allows is a ParseError at its first
     token, not a RecursionError.
     """
-    parser = _Parser(tokenize(src), {}, frozenset())
+    parser = _Parser([], {}, frozenset())
     decls: list[Decl] = []
-    while parser.peek()[0] != "eof":
-        tok = parser.advance()
-        try:
-            decls.append(_declaration(parser, tok))
-        except RecursionError:
-            raise ParseError("declaration is nested too deeply", tok[2], tok[3]) from None
+    runs = _runs(src)
+    try:
+        for run in runs:
+            parser.tokens, parser.pos = run, 0
+            last = len(run) - 1
+            while parser.pos < last:
+                tok = parser.advance()
+                try:
+                    decls.append(_declaration(parser, tok))
+                except RecursionError:
+                    raise ParseError("declaration is nested too deeply", tok[2], tok[3]) from None
+    except ParseError:
+        for _ in runs:
+            pass
+        raise
     return tuple(decls)
+
+
+def _in_scope(src: str, ctx: Context) -> _Parser:
+    """A parser over every token of ``src`` and "eof", in the scope of ``ctx``."""
+    tokens = tokenize(src)
+    tokens.append(_eof(tokens))
+    return _Parser(tokens, dict(ctx.signature), ctx.names)
 
 
 def parse_type(src: str, ctx: Context) -> TypeExpr:
     """Parse a single type in the scope of a context."""
-    parser = _Parser(tokenize(src), dict(ctx.signature), ctx.names)
+    parser = _in_scope(src, ctx)
     parser.tyvars.update(ctx.dtv)
     ty = parser.type_()
     parser.finish("type")
@@ -427,7 +502,7 @@ def parse_type(src: str, ctx: Context) -> TypeExpr:
 
 def parse_term(src: str, ctx: Context) -> Term:
     """Parse a single term in the scope of a context."""
-    parser = _Parser(tokenize(src), dict(ctx.signature), ctx.names)
+    parser = _in_scope(src, ctx)
     parser.tyvars.update(ctx.dtv)
     term = parser.term()
     parser.finish("term")
@@ -442,7 +517,7 @@ def parse_declaration(keyword: str, src: str, ctx: Context) -> Decl:
     file's top level, ``ctx`` has no type variables in scope.  Positions
     are those within ``src``.
     """
-    parser = _Parser(tokenize(src), dict(ctx.signature), ctx.names)
+    parser = _in_scope(src, ctx)
     decl = _declaration(parser, (keyword, keyword, 1, 1))
     parser.finish("declaration")
     return decl

@@ -753,33 +753,44 @@ def canon_type(ty: TypeExpr) -> str:
 def _canon_tm(t: Term, env: Mapping[str, int], depth: int) -> str:
     """Key of a term under ``env``, which numbers the binders in scope.
 
-    The applicand chain is followed by a loop, so a spine of any length
-    is keyed at any recursion limit: the key of a head applied to k
-    arguments is ``"(" * k`` and the head's key, then each argument's.
+    Applicand chains and lambda and type-lambda bodies are followed by
+    one loop, so a spine or a binder chain of any length is keyed at any
+    recursion limit; as in ``_canon_ty``, its binders extend one copy of
+    ``env``.  The key of a head applied to k arguments is ``"(" * k`` and
+    the head's key, then each argument's; a lambda's key wraps its body's.
     """
-    args: list[str] = []  # each argument's key, last argument first
+    opened: list[str] = []  # the key's text before the innermost head, in order
+    closed: list[str] = []  # the key's text after it, in reverse
+    own = False
     while True:
-        match t:
-            case App(fun=f, arg=a):
-                args.append(f" {_canon_tm(a, env, depth)})")
-                t = f
-            case TApp(fun=f, targ=s):
-                args.append(f" [{_canon_ty(s, env, depth)}])")
-                t = f
-            case Var(name=x):
-                head = f"@{env[x]}" if x in env else f"v:{x}"
-                break
-            case Lam(bound=x, ann=a, body=b):
-                ann = _canon_ty(a, env, depth) if a is not None else "_"
-                head = f"(lam:{ann}.{_canon_tm(b, {**env, x: depth}, depth + 1)})"
-                break
-            case TLam(bound=x, body=b):
-                head = f"(tlam.{_canon_tm(b, {**env, x: depth}, depth + 1)})"
-                break
-            case _:
-                raise TypeError(t)
-    args.reverse()
-    return "(" * len(args) + head + "".join(args)
+        kind = type(t)
+        if kind is App:
+            opened.append("(")
+            closed.append(f" {_canon_tm(t.arg, env, depth)})")
+            t = t.fun
+        elif kind is TApp:
+            opened.append("(")
+            closed.append(f" [{_canon_ty(t.targ, env, depth)}])")
+            t = t.fun
+        elif kind is Var:
+            x = t.name
+            opened.append(f"@{env[x]}" if x in env else f"v:{x}")
+            break
+        elif kind is Lam or kind is TLam:
+            if kind is TLam:
+                opened.append("(tlam.")
+            else:
+                opened.append(f"(lam:{'_' if t.ann is None else _canon_ty(t.ann, env, depth)}.")
+            closed.append(")")
+            if not own:
+                env, own = dict(env), True
+            env[t.bound] = depth
+            depth += 1
+            t = t.body
+        else:
+            raise TypeError(t)
+    closed.reverse()
+    return "".join(opened) + "".join(closed)
 
 
 def canon_term(t: Term) -> str:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from conftest import CTX, count_well_formed_walks, tm, ty
 from spinel import check_internal
+from spinel.infer import Synthesize, infer
 from spinel.internal import InternalTypeError
 from spinel.syntax import Con, Lam, TLam, TVar, Var, alpha_equal
 
@@ -65,3 +68,17 @@ def test_each_lambda_annotation_is_checked_once(monkeypatch):
     counts = count_well_formed_walks(monkeypatch)
     check_internal(CTX, tm(r"\x : Nat. \y : B -> B. y"))
     assert counts["walks"] == 2
+
+
+def test_a_long_polymorphic_spine_rechecks_at_the_default_recursion_limit():
+    # the elaboration of g z ... z: 4,000 type arguments, then 4,000 arguments
+    n = 4000
+    ctx = CTX.with_term("g", ty("".join(f"forall X{i}. " for i in range(n)) + "".join(f"X{i} -> " for i in range(n)) + "Nat"))
+    elaborated = infer(ctx, Synthesize(), tm("g" + " z" * n, ctx))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        internal_ty = check_internal(ctx, elaborated.elaboration)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert alpha_equal(internal_ty, elaborated.ty) and internal_ty == Con("Nat")

@@ -5,16 +5,19 @@ from __future__ import annotations
 import dataclasses
 import re
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spinel import parse_term, parse_type, pretty_term, pretty_type
+from spinel.oracle import enumerate_erasures, enumerate_internal_terms
 from spinel.parser import (
     KEYWORDS,
     Assume,
     ConDecl,
     ParseError,
+    _runs,
     parse_declaration,
     parse_program,
     tokenize,
@@ -27,6 +30,7 @@ from spinel.syntax import (
     Lam,
     TApp,
     TLam,
+    TermBind,
     TVar,
     Var,
     alpha_equal,
@@ -245,6 +249,17 @@ MALFORMED = [
     ('program', P + 'check z : Nat Nat', "expected a declaration, found 'Nat'", 3, 15),
     ('program', P + 'check z : Nat )', "expected a declaration, found ')'", 3, 15),
     ('program', 'typo Nat', "expected a declaration, found 'typo'", 1, 1),
+    # Where a declaration's tokens end, pinned from the parser as it stood
+    # before it parsed one declaration's tokens at a time: an unexpected
+    # character anywhere comes before any parse error, an error at the next
+    # declaration's keyword is found there, and one at the end of the file
+    # is just past its last token.
+    ('program', P + 'check z :\nsynth z\nsynth z $', "unexpected character '$'", 5, 9),
+    ('program', P + 'check z :\nsynth z\n', "expected a type, found 'synth'", 4, 1),
+    ('program', P + 'assume w : Nat -> \nassume v : Nat\n', "expected a type, found 'assume'", 4, 1),
+    ('program', P + 'check z\ntype B', "expected ':', found 'type'", 4, 1),
+    ('program', P + 'synth z\ncheck z : Nat Nat\nsynth z', "expected a declaration, found 'Nat'", 4, 15),
+    ('program', P + 'synth z\nassume w : Nat ->  -- to the end\n\n', 'expected a type', 4, 18),
     ('type', '', 'expected a type', 1, 1),
     ('type', 'Nat ->', 'expected a type', 1, 7),
     ('type', '(Nat', "expected ')'", 1, 5),
@@ -337,15 +352,25 @@ _FRAGMENTS = st.one_of(
 @example("check /\\Y. \\y : Y. f [Y] (y) x'")
 @example("synth a -b")
 @example("type N ²")
+@example("type N assume f : N\ncheck f synth f")
 def test_the_lexer_agrees_with_the_reference_lexer(src):
+    # and so does the run lexer behind parse_program, run by run
     try:
         expected = _reference_tokenize(src)
     except ParseError as exc:
-        with pytest.raises(ParseError) as got:
-            tokenize(src)
-        assert (got.value.message, got.value.line, got.value.col) == (exc.message, exc.line, exc.col)
+        for lex in (tokenize, lambda src: list(_runs(src))):
+            with pytest.raises(ParseError) as got:
+                lex(src)
+            assert (got.value.message, got.value.line, got.value.col) == (exc.message, exc.line, exc.col)
     else:
         assert tokenize(src) == expected
+        runs = list(_runs(src))
+        assert [tok for run in runs for tok in run[:-1]] == expected
+        assert [run[-1] for run in runs[:-1]] == [run[0] for run in runs[1:]]
+        declares = {"type", "assume", "check", "synth"}
+        assert all(run[0][0] in declares for run in runs[1:])
+        assert not any(tok[0] in declares for run in runs for tok in run[1:-1])
+        assert runs[-1][-1][0] == "eof"
 
 
 @pytest.mark.parametrize("src, char, col", [
@@ -407,6 +432,37 @@ def test_a_file_of_many_assumes_parses():
     assert (decls[-2].name, decls[-2].ty) == (f"a{n - 1}", Arrow(Con("Nat"), Con("Nat")))
     assert decls[-1].term == App(Var(f"a{n - 1}"), Var("a0")) and decls[-1].expected is None
     assert (decls[-1].span.line, decls[-1].span.end_col) == (n + 2, len(f"synth a{n - 1} a0") + 1)
+
+
+def test_parsing_holds_one_declarations_tokens_at_a_time():
+    # 2,000 declarations like the erasure corpus's, measured by tracemalloc,
+    # which counts deterministically: at its peak, the parse holds at most a
+    # quarter of the trees it returns on top of them.  Lexing the whole file
+    # before parsing it held about 0.9 of them, in the token list.
+    header = [f"type {c} {a}" if a else f"type {c}" for c, a in CTX.signature.items()]
+    header += [f"assume {e.name} : {pretty_type(e.ty)}" for e in CTX.entries if isinstance(e, TermBind)]
+    goals = []
+    for internal, t in enumerate_internal_terms(CTX, 6):
+        for erased in enumerate_erasures(internal):
+            goals += [f"check {pretty_term(erased)} : {pretty_type(t)}", f"synth {pretty_term(erased)}"]
+    src = "\n".join(header + goals[:2000]) + "\n"
+    parse_program(src)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        decls = parse_program(src)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(decls) == len(header) + 2000
+    tree = kept - before
+    assert peak - kept <= 0.25 * tree, (peak - kept) / tree
+
+
+def test_every_copy_of_an_identifier_is_one_string():
+    nat, suc, goal = parse_program("type Nat\nassume suc : Nat -> Nat\nsynth suc suc\n")
+    assert nat.name is suc.ty.dom.con is suc.ty.cod.con
+    assert suc.name is goal.term.fun.name is goal.term.arg.name
 
 
 def test_parse_program_rejects_stray_tokens():

@@ -461,6 +461,51 @@ def test_term_keys_are_those_of_the_recursive_definition():
         assert canon_term(t) == _recursive_term_key(t)
 
 
+# Terms over binders and variables drawn from one pool of names, so that
+# binders shadow each other and the applicand of a spine may be a lambda.
+_tmvars = st.sampled_from(["x", "y", "A"])
+_terms = st.recursive(
+    _tmvars.map(Var),
+    lambda inner: st.one_of(
+        st.tuples(_tmvars, st.none() | _types(), inner).map(lambda p: Lam(*p)),
+        st.tuples(_tyvars, inner).map(lambda p: TLam(*p)),
+        st.tuples(inner, inner).map(lambda p: App(*p)),
+        st.tuples(inner, _types()).map(lambda p: TApp(*p)),
+    ),
+    max_leaves=8,
+)
+
+
+@given(_terms)
+def test_random_term_keys_are_those_of_the_recursive_definition(t):
+    assert canon_term(t) == _recursive_term_key(t)
+
+
+@pytest.mark.parametrize("kind", ["lambda", "type-lambda"])
+def test_binder_chains_are_keyed_by_a_loop(kind):
+    # 20,000 binders, compared at Python's default recursion limit
+    n = 20_000
+
+    def chain(prefix):
+        t = App(Var(f"{prefix}0"), Var("z")) if kind == "lambda" else TApp(Var("g"), TVar(f"{prefix}0"))
+        for i in reversed(range(n)):
+            t = Lam(f"{prefix}{i}", None, t) if kind == "lambda" else TLam(f"{prefix}{i}", t)
+        return t
+
+    a, b = chain("v"), chain("w")
+    other = Lam("u", None, b) if kind == "lambda" else TLam("u", b)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        same, differ = alpha_equal_term(a, b), alpha_equal_term(a, other)
+        key = canon_term(a)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert same and not differ
+    link, last = ("(lam:_.", "(@0 v:z)") if kind == "lambda" else ("(tlam.", "(v:g [@0])")
+    assert key == link * n + last + ")" * n
+
+
 @given(st.dictionaries(_tyvars, _types(), max_size=3), _types())
 def test_substitution_and_keys_are_those_of_the_recursive_definitions(mapping, t):
     out = substitute(mapping, t)
