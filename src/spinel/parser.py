@@ -88,49 +88,19 @@ def tokenize(src: str) -> list[_Token]:
     digits only), or a character no token can start with, which is a
     ParseError at its position.  The lexer never recurses.
     """
+    return list(_lex(src))
+
+
+def _lex(src: str):
+    """Yield ``tokenize``'s tokens one at a time.
+
+    Every copy of an identifier is one string, shared through one dict
+    per call, so the trees parsed from the tokens hold each name once.
+    """
     # Per line, not one findall over the whole source: that held every
     # piece of the file at once, raising the corpus benchmark's peak RSS
     # by 11%, and lexed no faster.
-    tokens = []
-    append = tokens.append
-    fixed = _FIXED.get
-    findall = _PIECE_RE.findall
-    for line, text in enumerate(src.split("\n"), 1):
-        col = 1
-        for piece in findall(text):
-            kind = fixed(piece)
-            if kind is None:
-                lead = piece[0]
-                if lead in _IDENT_START:
-                    kind = "ident"
-                elif lead in _BLANK or piece[:2] == "--":
-                    col += len(piece)
-                    continue
-                elif lead in _DIGITS:
-                    kind = "int"
-                else:
-                    raise ParseError(f"unexpected character {piece!r}", line, col)
-            append((kind, piece, line, col))
-            col += len(piece)
-    return tokens
-
-
-def _runs(src: str):
-    """Yield the tokens of ``src`` one run at a time, each as a list.
-
-    A run starts at a ``type``, ``assume``, ``check`` or ``synth``
-    keyword (the first run at the first token) and ends before the
-    next one.  Its last token is the next run's keyword, or the "eof"
-    token, so a parse of the run sees the same next token as a parse of
-    the whole file.  The tokens are ``tokenize``'s, lexed the same way,
-    except that every copy of an identifier is one string, shared
-    through one dict per call.  ``tokenize`` stays a loop of its own,
-    so that the one-line parses of the REPL pay for neither the runs
-    nor the sharing.
-    """
     shared = {}.setdefault
-    run: list[_Token] = []
-    append = run.append
     fixed = _FIXED.get
     findall = _PIECE_RE.findall
     for line, text in enumerate(src.split("\n"), 1):
@@ -149,14 +119,27 @@ def _runs(src: str):
                     kind = "int"
                 else:
                     raise ParseError(f"unexpected character {piece!r}", line, col)
-            elif kind in _DECLARES and run:
-                append((kind, piece, line, col))  # the run's last token
-                yield run
-                run = []
-                append = run.append
-            append((kind, piece, line, col))
+            yield (kind, piece, line, col)
             col += len(piece)
-    append(_eof(run))
+
+
+def _runs(src: str):
+    """Yield the tokens of ``src`` one run at a time, each as a list.
+
+    A run starts at a ``type``, ``assume``, ``check`` or ``synth``
+    keyword (the first run at the first token) and ends before the
+    next one.  Its last token is the next run's keyword, or the "eof"
+    token, so a parse of the run sees the same next token as a parse of
+    the whole file.
+    """
+    run: list[_Token] = []
+    for tok in _lex(src):
+        if tok[0] in _DECLARES and run:
+            run.append(tok)  # the run's last token
+            yield run
+            run = []
+        run.append(tok)
+    run.append(_eof(run))
     yield run
 
 
