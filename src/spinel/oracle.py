@@ -4,7 +4,9 @@
 against a claimed (type, partial elaboration, solution) triple, using
 the solution to resolve the one nondeterministic choice (guess or
 decline at each quantifier).  ``search_spec`` enumerates derivations
-outright over a finite candidate pool.  Both type sub-terms with the
+outright over a finite candidate pool, whose context part (the
+well-formed sub-types of the context's bindings) is computed once per
+``Context`` object and kept for the next call.  Both type sub-terms with the
 bidirectional rules but keep their own spine bookkeeping and their own
 instantiation solver, so they stay an independent route from the
 prototype-matching engine they audit.  ``search_spec`` and the
@@ -283,44 +285,69 @@ def verify_spec(
 
 
 def subtypes(ty: TypeExpr) -> Iterator[TypeExpr]:
-    yield ty
-    match ty:
-        case Arrow(dom=d, cod=c):
-            yield from subtypes(d)
-            yield from subtypes(c)
-        case Forall(body=b):
-            yield from subtypes(b)
-        case Con(args=args):
-            for a in args:
-                yield from subtypes(a)
+    """Every sub-type of ``ty``, itself first, in pre-order."""
+    stack = [ty]
+    while stack:
+        ty = stack.pop()
+        yield ty
+        match ty:
+            case Arrow(dom=d, cod=c):
+                stack += (c, d)
+            case Forall(body=b):
+                stack.append(b)
+            case Con(args=args):
+                stack.extend(reversed(args))
+
+
+def _new_keyed(ctx: Context, types, seen: set[str]) -> Iterator[tuple[TypeExpr, str]]:
+    """Each well-formed type whose canonical key is not in ``seen`` yet,
+    with that key, which is added to ``seen``."""
+    for ty in types:
+        if is_well_formed(ctx, ty):
+            key = canon_type(ty)
+            if key not in seen:
+                seen.add(key)
+                yield ty, key
+
+
+# The context's part of the guess pool for the last context seen: that
+# context, held so that its identity cannot be reused, and its bindings'
+# well-formed sub-types with their keys.
+_context_pool: tuple[Context | None, tuple[tuple[TypeExpr, str], ...]] = (None, ())
+
+
+def _context_part(ctx: Context) -> tuple[tuple[TypeExpr, str], ...]:
+    global _context_pool
+    held, part = _context_pool
+    if held is not ctx:
+        bound = (ty for e in ctx.entries if isinstance(e, TermBind) for ty in subtypes(e.ty))
+        part = tuple(_new_keyed(ctx, bound, set()))
+        _context_pool = (ctx, part)
+    return part
 
 
 def default_candidates(ctx: Context, ctx_ty: TypeExpr | None, term: Term) -> list[TypeExpr]:
     """Finite guess pool: sub-types of the contextual type, of context
-    bindings, and of whatever the spine's arguments synthesize."""
-    pool: list[TypeExpr] = []
-    if ctx_ty is not None:
-        pool.extend(subtypes(ctx_ty))
-    for entry in ctx.entries:
-        if isinstance(entry, TermBind):
-            pool.extend(subtypes(entry.ty))
+    bindings, and of whatever the spine's arguments synthesize.
+
+    The context's part is computed once per ``Context`` object; only the
+    contextual type and the arguments are walked on every call.
+    """
+    seen: set[str] = set()
+    pool = [] if ctx_ty is None else [ty for ty, _ in _new_keyed(ctx, subtypes(ctx_ty), seen)]
+    for ty, key in _context_part(ctx):
+        if key not in seen:
+            seen.add(key)
+            pool.append(ty)
     _, items = spine_parts(term)
     for item in items:
         if not _is_type(item):
             try:
-                pool.extend(subtypes(infer(ctx, Synthesize(), item).ty))
+                synthesized = infer(ctx, Synthesize(), item).ty
             except Diagnostic:
-                pass
-    out: list[TypeExpr] = []
-    seen: set[str] = set()
-    for ty in pool:
-        if not is_well_formed(ctx, ty):
-            continue
-        key = canon_type(ty)
-        if key not in seen:
-            seen.add(key)
-            out.append(ty)
-    return out
+                continue
+            pool.extend(ty for ty, _ in _new_keyed(ctx, subtypes(synthesized), seen))
+    return pool
 
 
 def _derivations(

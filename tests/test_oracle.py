@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import importlib
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CTX, count_calls, tm, ty
 from spinel import (
+    Diagnostic,
     Synthesize,
     check_internal,
     infer,
@@ -37,18 +39,23 @@ from spinel.syntax import (
     App,
     Arrow,
     Con,
+    Context,
     Contextual,
     Exact,
     Forall,
     Solution,
     TApp,
+    TermBind,
     TVar,
     Unknown,
     Var,
     alpha_equal,
     alpha_equal_term,
+    canon_type,
     compose,
     free_type_vars,
+    is_well_formed,
+    spine_parts,
     strip,
     substitute,
 )
@@ -370,6 +377,100 @@ def test_subtypes_enumerates_all_subterms():
     assert Con("Nat") in got
     assert ty("B -> B") in got
     assert Con("B") in got
+    for src in ("Pair Nat (B -> B)", "forall X. (X -> Nat) -> Sum X (Pair B X)", "Nat"):
+        assert list(subtypes(ty(src))) == list(_reference_subtypes(ty(src)))
+
+
+def _reference_subtypes(ty_):
+    """Reference sub-type walk: recursive, in pre-order."""
+    yield ty_
+    match ty_:
+        case Arrow(dom=d, cod=c):
+            yield from _reference_subtypes(d)
+            yield from _reference_subtypes(c)
+        case Forall(body=b):
+            yield from _reference_subtypes(b)
+        case Con(args=args):
+            for a in args:
+                yield from _reference_subtypes(a)
+
+
+def _reference_default_candidates(ctx, ctx_ty, term):
+    """Reference guess pool: every part walked and filtered on each call."""
+    pool = []
+    if ctx_ty is not None:
+        pool.extend(_reference_subtypes(ctx_ty))
+    for entry in ctx.entries:
+        if isinstance(entry, TermBind):
+            pool.extend(_reference_subtypes(entry.ty))
+    _, items = spine_parts(term)
+    for item in items:
+        if not isinstance(item, (TVar, Arrow, Forall, Con)):
+            try:
+                pool.extend(_reference_subtypes(infer(ctx, Synthesize(), item).ty))
+            except Diagnostic:
+                pass
+    out = []
+    seen = set()
+    for ty_ in pool:
+        if not is_well_formed(ctx, ty_):
+            continue
+        key = canon_type(ty_)
+        if key not in seen:
+            seen.add(key)
+            out.append(ty_)
+    return out
+
+
+def test_default_candidates_agree_with_the_reference_across_contexts():
+    # A pool kept for a stale context would miss the new binding's sub-types.
+    bound = ty("forall X. (Nat -> B) -> X -> Pair X (Nat -> B)")
+    wider = CTX.with_term("kk", bound)
+    goals = [
+        (erased, expected)
+        for internal, ity in enumerate_internal_terms(CTX, 6)
+        for erased in enumerate_erasures(internal)
+        if isinstance(erased, App)
+        for expected in (ity, None)
+    ]
+    assert goals
+    for i, (term, expected) in enumerate(goals):
+        ctx = wider if i % 2 else CTX
+        got = [canon_type(t) for t in default_candidates(ctx, expected, term)]
+        assert got == [canon_type(t) for t in _reference_default_candidates(ctx, expected, term)]
+        if ctx is wider:
+            assert canon_type(bound) in got and canon_type(ty("Nat -> B")) in got
+
+
+def test_the_context_part_of_the_pool_is_checked_once_per_context(monkeypatch):
+    oracle = importlib.import_module("spinel.oracle")
+    ctx = Context(CTX.entries, CTX.signature)  # equal to CTX, but a new object
+    sub_types = sum(len(list(subtypes(e.ty))) for e in ctx.entries if isinstance(e, TermBind))
+    calls = count_calls(monkeypatch, "is_well_formed", [oracle])
+    first = default_candidates(ctx, None, Var("z"))
+    assert calls[0] == sub_types
+    second = default_candidates(ctx, None, Var("z"))
+    assert calls[0] == sub_types
+    assert [canon_type(t) for t in first] == [canon_type(t) for t in second]
+
+
+def test_a_long_arrow_binding_answers_at_the_default_recursion_limit():
+    n = 1200
+    long = Con("Nat")
+    for _ in range(n):
+        long = Arrow(Con("Nat"), long)
+    ctx = CTX.with_term("f", long)
+    base = len(default_candidates(CTX, None, Var("z")))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        pool = default_candidates(ctx, None, Var("z"))
+        found = search_spec(ctx, None, App(Var("f"), Var("z")))
+    finally:
+        sys.setrecursionlimit(limit)
+    # every arrow of two links or more is new; Nat -> Nat is suc's type
+    assert len(pool) == base + n - 1 and any(t is long for t in pool)
+    assert len(found) == 1 and found[0][0] is long.cod
 
 
 # --------------------------------------------------------------- erasures
