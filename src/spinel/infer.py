@@ -11,14 +11,17 @@ peel off with their binder as the meta-variable, solved contextually
 when the match decorated it, and each argument either checks against a
 known domain or synthesizes and instantiates the metas the domain still
 mentions.
-Solutions found along the spine are not substituted into the rest of
-its decorated type one by one.  The synthetic instantiations and the
-explicit type arguments wait in one pending map, applied to each domain
-as it is consumed and to each peeled quantifier's origin, and to the
-whole remainder only when a solution reaches its stuck leaf (which is
-re-matched then, at the argument that solved it) and once at the end.
-The same map reaches the partial elaboration in one substitution once
-the spine is done.
+The match's decorated type is unfolded once into the list of its arrows
+and quantifiers, which the second pass reads in order, and the leaf that
+ends them.  Solutions found along the spine are not substituted into the
+rest of it.  The synthetic instantiations and the explicit type
+arguments wait in one pending map, applied to each domain and each
+peeled quantifier's origin as it is read, and to the leaf at the end.
+When a solution reaches a stuck leaf, that leaf alone is re-matched, at
+the argument that solved it, and the links it reveals join the list.
+The contextual solutions grow one map in place, and each domain receives
+only those of the metas it mentions.  The pending map reaches the
+partial elaboration in one substitution once the spine is done.
 Chains of lambdas and type lambdas, and chains of type applications
 outside a spine, are likewise walked in one loop each, with one
 accumulated renaming or instantiation applied where a type is used.
@@ -37,6 +40,7 @@ from .syntax import (
     App,
     Arrow,
     ArrowTo,
+    Binding,
     Context,
     Contextual,
     DArrow,
@@ -64,7 +68,6 @@ from .syntax import (
     _fresh_against,
     _well_formed,
     alpha_equal,
-    compose,
     free_type_vars,
     is_meta_name,
     is_well_formed,
@@ -491,60 +494,69 @@ def _spine(run: _Run, ctx: Context, proto: Prototype, term: Term) -> SpineOutcom
     # Second pass, innermost item first.  Each peeled quantifier's binder
     # is the meta-variable: the matcher minted it fresh for this run.
     rest = _Remaining(matched.decorated, run.supply)
-    partial, sol = head.elaboration, Solution()
+    partial, contextual = head.elaboration, {}
     arg_index = 0
     for item in reversed(items):
         if isinstance(item, TApp):
-            _take_type_arg(rest, sol, item)
+            _take_type_arg(rest, contextual, item)
             partial = TApp(partial, item.targ, span=item.span)
             continue
         arg_index += 1
-        while isinstance(rest.deco, DForall):
+        while isinstance(quant := rest.next(), DForall):
             run.note("peel")
-            quant = rest.deco
+            rest.at += 1
             partial = TApp(partial, TVar(quant.bound))
             if quant.deco is not None:
-                sol = compose(sol, quant.bound, quant.deco, rest.origin(quant.deco_origin))
-            rest.deco = quant.body
-        if not isinstance(rest.deco, DArrow):
+                contextual[quant.bound] = Binding(quant.deco, rest.origin(quant.deco_origin))
+        if not isinstance(rest.next(), DArrow):
             raise Diagnostic(
                 DiagnosticKind.APPLICAND_NOT_ARROW,
                 span=item.arg.span,
-                synthesized=rest.shown(sol),
+                synthesized=rest.shown(contextual),
                 subject=item.arg,
             )
-        elab = _consume_arrow(run, ctx, rest, sol, item.arg, arg_index)
+        elab = _consume_arrow(run, ctx, rest, contextual, item.arg, arg_index)
         partial = App(partial, elab)
-    if not rest.settle():
-        raise EngineInvariantError("a settled solution reached the stuck leaf again")
-    return SpineOutcome(rest.deco, subst_type_args(rest.pending, partial), sol)
+    if not isinstance(rest.next(), Plain):
+        raise EngineInvariantError("a spine ended before its decorated type")
+    deco = Plain(rest.apply(rest.leaf.ty))
+    return SpineOutcome(deco, subst_type_args(rest.pending, partial), Solution(contextual))
 
 
 class _Remaining:
     """The rest of a spine's decorated type, under a delayed substitution.
 
-    ``pending`` is the spine's one map of solutions found along it: the
-    synthetic instantiations and the explicit type arguments.  ``apply``
-    brings one domain or origin up to date as the spine reaches it.
-    ``settle`` applies the whole map to ``deco`` in one
-    ``subst_decorated``, which re-matches a stuck leaf whose meta-variable
-    it solves.  The spine settles only when a solution reaches the stuck
-    leaf, so that a conflict is reported at the argument that solved it,
-    and once at the end, when the same map reaches the partial
-    elaboration; in between, each domain is brought up to date where it
-    is read, and a diagnostic shows the rest through ``shown``.  Every
-    pending value is well-formed in the spine's context, so none
-    mentions a meta-variable, as ``subst_decorated`` requires;
-    re-applying a key that a settle has already substituted away
-    therefore changes nothing, and the map is never cleared.  ``shown``
-    is the remaining type as a diagnostic prints it.
+    ``links`` holds the type's arrows and quantifiers, outermost first,
+    and ``leaf`` the ``Plain`` or ``Stuck`` type that ends them; ``at``
+    is the next link the spine reads.  ``pending`` is the spine's one map
+    of solutions found along it: the synthetic instantiations and the
+    explicit type arguments.  ``apply`` brings a domain or an origin up
+    to date as the spine reads it, so nothing is substituted twice.
+    When a solution reaches the stuck leaf's meta-variable, ``solve``
+    re-matches that leaf alone through ``subst_decorated`` and appends
+    the links it reveals, so a conflict is reported at the argument that
+    solved it.  Every pending value is well-formed in the spine's
+    context, so none mentions a meta-variable, as ``subst_decorated``
+    requires.  ``shown`` is the unread type as a diagnostic prints it.
     """
 
     def __init__(self, deco: DecoratedType, supply: NameSupply):
-        self.deco = deco
+        self.links: list[DArrow | DForall] = []
+        self.at = 0
+        self.leaf = self._unfold(deco)
         self.supply = supply
         self.pending: dict[str, TypeExpr] = {}
-        self.stuck = _stuck_meta(deco)
+
+    def _unfold(self, w: DecoratedType) -> Plain | Stuck:
+        """Append the links of ``w`` and return its leaf."""
+        while isinstance(w, (DArrow, DForall)):
+            self.links.append(w)
+            w = w.cod if isinstance(w, DArrow) else w.body
+        return w
+
+    def next(self) -> DecoratedType:
+        """The next unread link, or the leaf once every link is read."""
+        return self.links[self.at] if self.at < len(self.links) else self.leaf
 
     def apply(self, ty: TypeExpr) -> TypeExpr:
         return substitute(self.pending, ty)
@@ -558,52 +570,31 @@ class _Remaining:
         """Delay ``solved``; False if it solves the stuck leaf's
         meta-variable with a type that cannot reveal the arrows it owes."""
         self.pending.update(solved)
-        return self.stuck not in solved or self.settle()
-
-    def settle(self) -> bool:
-        deco = subst_decorated(self.pending, self.deco, self.supply)
+        if not isinstance(self.leaf, Stuck) or self.leaf.meta not in solved:
+            return True
+        deco = subst_decorated(self.pending, self.leaf, self.supply)
         if deco is None:
             return False
-        self.deco, self.stuck = deco, _stuck_meta(deco)
+        self.leaf = self._unfold(deco)
         return True
 
-    def shown(self, sol: Solution) -> TypeExpr:
-        """The remaining type with ``pending`` and ``sol`` applied.
+    def shown(self, contextual: dict[str, Binding]) -> TypeExpr:
+        """The unread type with ``pending`` and the ``contextual`` solutions applied.
 
         Each quantifier the spine has not reached is named after its
         source binder again, primed only where that name is free below
-        the quantifier.  The chain is walked down and rebuilt by loops,
-        so a remaining type of any length is shown at any recursion
-        limit.
+        the quantifier.  The links are rebuilt by a loop, so an unread
+        type of any length is shown at any recursion limit.
         """
-        solved = sol.types()
-        links: list[DArrow | DForall] = []
-        w = self.deco
-        while isinstance(w, (DArrow, DForall)):
-            links.append(w)
-            w = w.cod if isinstance(w, DArrow) else w.body
-        ty = substitute(solved, self.apply(strip(w)))
-        for w in reversed(links):
+        types = {m: b.ty for m, b in contextual.items()}
+        ty = substitute(types, self.apply(strip(self.leaf)))
+        for w in reversed(self.links[self.at :]):
             if isinstance(w, DArrow):
-                ty = Arrow(substitute(solved, self.apply(w.dom)), ty)
+                ty = Arrow(substitute(types, self.apply(w.dom)), ty)
             else:
                 x = _fresh_against(self.supply.source_of(w.bound), free_type_vars(ty))
                 ty = Forall(x, substitute({w.bound: TVar(x)}, ty))
         return ty
-
-
-def _stuck_meta(w: DecoratedType) -> str | None:
-    """The meta-variable of the stuck leaf that ends ``w``, if it has one."""
-    while True:
-        match w:
-            case DArrow(cod=c):
-                w = c
-            case DForall(body=b):
-                w = b
-            case Stuck(meta=m):
-                return m
-            case _:
-                return None
 
 
 def _head_failure(head: Term, head_ty: TypeExpr, failure: MatchFailure) -> Diagnostic:
@@ -625,63 +616,63 @@ def _head_failure(head: Term, head_ty: TypeExpr, failure: MatchFailure) -> Diagn
     )
 
 
-def _take_type_arg(rest: _Remaining, sol: Solution, term: TApp) -> None:
+def _take_type_arg(rest: _Remaining, contextual: dict[str, Binding], term: TApp) -> None:
     s = term.targ
-    match rest.deco:
-        case DForall(bound=x, deco=r, body=body, deco_origin=org):
-            if r is not None and not alpha_equal(r, s):
-                raise Diagnostic(
-                    DiagnosticKind.EXPLICIT_ARG_CONFLICT,
-                    span=term.span,
-                    expected=r,
-                    synthesized=s,
-                    contextual_match=rest.origin(org),
-                    subject=term,
-                )
-            rest.deco = body
-            if not rest.solve({x: s}):
-                raise Diagnostic(
-                    DiagnosticKind.SOLUTION_CONFLICT,
-                    span=term.span,
-                    synthesized=s,
-                    subject=term,
-                    detail="explicit type argument cannot reveal the arrows this spine needs",
-                )
-        case _:
-            raise Diagnostic(
-                DiagnosticKind.APPLICAND_NOT_FORALL,
-                span=term.span,
-                synthesized=rest.shown(sol),
-                subject=term,
-            )
+    quant = rest.next()
+    if not isinstance(quant, DForall):
+        raise Diagnostic(
+            DiagnosticKind.APPLICAND_NOT_FORALL,
+            span=term.span,
+            synthesized=rest.shown(contextual),
+            subject=term,
+        )
+    if quant.deco is not None and not alpha_equal(quant.deco, s):
+        raise Diagnostic(
+            DiagnosticKind.EXPLICIT_ARG_CONFLICT,
+            span=term.span,
+            expected=quant.deco,
+            synthesized=s,
+            contextual_match=rest.origin(quant.deco_origin),
+            subject=term,
+        )
+    rest.at += 1
+    if not rest.solve({quant.bound: s}):
+        raise Diagnostic(
+            DiagnosticKind.SOLUTION_CONFLICT,
+            span=term.span,
+            synthesized=s,
+            subject=term,
+            detail="explicit type argument cannot reveal the arrows this spine needs",
+        )
 
 
 def _consume_arrow(
     run: _Run,
     ctx: Context,
     rest: _Remaining,
-    sol: Solution,
+    contextual: dict[str, Binding],
     arg: Term,
     arg_index: int,
 ) -> Term:
     """Check or synthesize one argument against the next domain; return its elaboration.
 
-    The domain receives the pending map of ``rest`` as it is consumed,
-    then the contextual solution.  A synthesized argument's
-    instantiation joins the pending map, which re-matches the stuck leaf
-    at once if the instantiation solves it and reaches the partial
-    elaboration when the spine is done.
+    The domain receives the pending map of ``rest`` as it is read, then
+    the contextual solutions of the metas it mentions.  A synthesized
+    argument's instantiation joins the pending map, which re-matches the
+    stuck leaf at once if the instantiation solves it and reaches the
+    partial elaboration when the spine is done.
     """
-    dom = rest.apply(rest.deco.dom)
-    rest.deco = rest.deco.cod
-    expected = subst_type(sol, dom)
+    dom = rest.apply(rest.next().dom)
+    rest.at += 1
+    fixed = {v: contextual[v] for v in free_type_vars(dom) if v in contextual} if contextual else {}
+    expected = substitute({v: b.ty for v, b in fixed.items()}, dom)
     unsolved = meta_vars_of_type(ctx, expected)
     if not unsolved:
         run.note("arg-check")
         try:
             out = _infer(run, ctx, Check(expected), arg)
         except Diagnostic as d:
-            _attach_solution_origin(d, dom, expected, sol, arg)
+            _attach_solution_origin(d, dom, expected, fixed, arg)
             raise
         return out.elaboration
 
@@ -692,8 +683,8 @@ def _consume_arrow(
         if d.subject is arg and d.expected is None:
             d.expected = expected
         raise
-    solved = match_type(unsolved, expected, out.ty)
-    if solved is None:
+    found = match_type(unsolved, expected, out.ty)
+    if found is None:
         raise Diagnostic(
             DiagnosticKind.TYPE_MISMATCH,
             span=arg.span,
@@ -702,12 +693,12 @@ def _consume_arrow(
             synthetic_match=Synthetic(expected, out.ty, arg_index),
             subject=arg,
         )
-    if not rest.solve(solved):
+    if not rest.solve(found):
         raise Diagnostic(
             DiagnosticKind.SOLUTION_CONFLICT,
             span=arg.span,
             expected=expected,
-            bindings=solved,
+            bindings=found,
             synthesized=out.ty,
             synthetic_match=Synthetic(expected, out.ty, arg_index),
             subject=arg,
@@ -720,21 +711,19 @@ def _attach_solution_origin(
     d: Diagnostic,
     dom: TypeExpr,
     expected: TypeExpr,
-    sol: Solution,
+    fixed: dict[str, Binding],
     arg: Term,
 ) -> None:
     """Point a failed argument check back at the match that fixed its domain.
 
-    The meta-variables a checked domain mentions were all solved by one
-    contextual match, so any one of their origins names it.
+    ``fixed`` holds the contextual solutions of the metas the domain
+    mentions.  They were all found by one contextual match, so any one of
+    their origins names it.
     """
-    if d.subject is not arg:
-        return
-    solved = {v: sol.type_of(v) for v in free_type_vars(dom) if v in sol}
-    if not solved:
+    if d.subject is not arg or not fixed:
         return
     d.expected = dom
     d.resolved = expected
-    d.bindings = solved
+    d.bindings = {v: b.ty for v, b in fixed.items()}
     if d.contextual_match is None:
-        d.contextual_match = sol.binding(next(iter(solved))).origin
+        d.contextual_match = next(iter(fixed.values())).origin

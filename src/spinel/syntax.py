@@ -532,14 +532,13 @@ def _collect_free(ty: TypeExpr, bound: set[str], found: set[str]) -> None:
     bound.difference_update(opened)
 
 
-def is_well_formed(ctx: Context, ty: TypeExpr, extra: frozenset[str] = frozenset()) -> bool:
+def is_well_formed(ctx: Context, ty: TypeExpr) -> bool:
     """True iff every variable is declared and constructor arities match.
 
-    ``extra`` holds type variables in scope besides those ``ctx``
-    declares.  Arrow codomains and quantifier bodies are followed by a
-    loop, so a chain of any length is checked at any recursion limit.
+    Arrow codomains and quantifier bodies are followed by a loop, so a
+    chain of any length is checked at any recursion limit.
     """
-    return _well_formed(ctx._dtv, ctx.signature, ty, set(extra))
+    return _well_formed(ctx._dtv, ctx.signature, ty, set())
 
 
 def _well_formed(dtv: frozenset[str], signature: Mapping[str, int], ty: TypeExpr, scope: set[str]) -> bool:

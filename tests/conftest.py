@@ -40,9 +40,9 @@ def count_well_formed_walks(monkeypatch):
 
     ``walks`` counts the outermost calls of ``syntax._well_formed``, one
     per type checked, whichever function or method starts it.  A scope set
-    that a walk is the first to receive was made for it, as
-    ``is_well_formed`` makes one from its ``extra``; ``copied`` adds up the
-    variables already in each such set when it first arrives.
+    that a walk is the first to receive was made for it, as the empty one
+    ``is_well_formed`` makes; ``copied`` adds up the variables already in
+    each such set when it first arrives.
     """
     modules = [importlib.import_module(f"spinel.{m}") for m in ("syntax", "infer", "internal")]
     original = modules[0]._well_formed

@@ -889,6 +889,29 @@ def test_long_polymorphic_spine_answers_and_later_goals_run(tmp_path):
     assert records[0]["elaboration"] == records[1]["elaboration"] == elaboration
 
 
+def test_long_spine_past_a_solved_stuck_leaf_answers_and_replays(tmp_path):
+    # `suc` solves X, the leaf that owes the last arrow.  The spine
+    # re-matches that leaf alone, not the 4,000 links before it, so the
+    # goals answer at the default recursion limit and their replays are
+    # accepted.
+    n = 4000
+    args = "suc" + " z" * (n + 1)
+    path = tmp_path / "stuck.spn"
+    path.write_text(
+        HEAD + f"assume h : forall X. X -> {_nat_chain(n)} -> X\n"
+        f"synth h {args}\ncheck h {args} : Nat\nsynth z\n"
+    )
+    proc = run_child(path, "--json", "--elab", "--spec-verify")
+    assert proc.stderr == ""
+    assert proc.returncode == 0
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(r["goal"], r["status"], r["type"]) for r in records] == [
+        (1, "ok", "Nat"), (2, "ok", "Nat"), (3, "ok", "Nat")
+    ]
+    assert records[0]["elaboration"] == records[1]["elaboration"] == f"h [Nat -> Nat] {args}"
+    assert [r["spec"].get("accepted") for r in records[:2]] == [True, True]
+
+
 def test_long_type_application_chain_answers_and_later_goals_run(tmp_path):
     # Substitution and canonical keys follow arrow chains by loops, so 2,000
     # explicit type arguments answer at the default recursion limit.

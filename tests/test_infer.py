@@ -17,12 +17,11 @@ from spinel.syntax import (
     Con,
     Context,
     Contextual,
-    DArrow,
-    DForall,
     Exact,
     Forall,
     Lam,
-    Solution,
+    Plain,
+    Stuck,
     Synthetic,
     TermBind,
     TLam,
@@ -225,6 +224,18 @@ def test_mismatched_lambda_annotation_carries_the_contextual_match():
     # The binding the contextual match fixed for the expected type's meta.
     assert pretty_type(d.expected, disp) == "?X"
     assert d.bindings == {d.expected.name: ty("Nat -> Nat")}
+
+
+def test_a_domain_receives_only_the_solutions_of_the_metas_it_mentions():
+    # X is solved to the type variable A, which the second domain's binder
+    # also names.  That domain does not mention X, so its binder keeps its
+    # declared name, in the diagnostic and in a lambda's annotation.
+    f_ctx = CTX.with_term("f", ty("forall X. X -> (forall A. A -> A) -> X"))
+    d = fails(DiagnosticKind.TYPE_MISMATCH, lambda: check(r"/\A. \a : A. f a z", "forall A. A -> A", f_ctx))
+    assert d.expected == ty("forall A. A -> A")
+    g_ctx = CTX.with_term("g", ty("forall X. X -> ((forall A. A -> A) -> Nat) -> X"))
+    out = check(r"/\A. \a : A. g a (\h. h [Nat] z)", "forall A. A -> A", g_ctx)
+    assert pretty_term(out.elaboration) == r"/\A. \a : A. g [A] a (\h : (forall A. A -> A). h [Nat] z)"
 
 
 def test_display_names_are_computed_once_per_diagnostic(monkeypatch):
@@ -437,6 +448,47 @@ def test_spine_substitutions_grow_linearly_with_its_length(monkeypatch, counted,
     assert counts[48] <= 2.2 * counts[24], counts
 
 
+def _contextual_spine(n):
+    """``g : forall X1..Xn. X1 -> ... -> Xn -> Nat -> (X1 -> ... -> Xn -> Nat)``
+    applied to n arguments and checked, so the head match solves every Xi
+    contextually and each argument is checked against a solved domain."""
+    xs = [f"X{i}" for i in range(1, n + 1)]
+    quantifiers = "".join(f"forall {x}. " for x in xs)
+    ctx = CTX.with_term("g", ty(f"{quantifiers}{' -> '.join(xs)} -> Nat -> ({' -> '.join(xs + ['Nat'])})"))
+    return ctx, tm("g" + " z" * n, ctx), ty(" -> ".join(["Nat"] * (n + 2)))
+
+
+def test_contextual_solutions_grow_linearly_with_the_spine(monkeypatch):
+    # Entries copied into new solutions and solved-type maps.  The spine
+    # extends one map in place and substitutes into each domain only the
+    # solutions of the metas it mentions.
+    syntax_mod = importlib.import_module("spinel.syntax")
+    copied = [0]
+    compose, types = syntax_mod.compose, syntax_mod.Solution.types
+
+    def counted_compose(sol, *rest):
+        out = compose(sol, *rest)
+        copied[0] += len(out)
+        return out
+
+    def counted_types(sol):
+        copied[0] += len(sol)
+        return types(sol)
+
+    for mod in (syntax_mod, importlib.import_module("spinel.infer")):
+        if hasattr(mod, "compose"):
+            monkeypatch.setattr(mod, "compose", counted_compose)
+    monkeypatch.setattr(syntax_mod.Solution, "types", counted_types)
+    counts = {}
+    for n in (24, 48):
+        ctx, term, expected = _contextual_spine(n)
+        copied[0] = 0
+        out = infer(ctx, Check(expected), term)
+        assert out.ty == expected
+        counts[n] = copied[0]
+    assert counts[48] <= 2.2 * counts[24], counts
+
+
 def test_type_lambda_substitutions_grow_linearly_with_the_chain(monkeypatch):
     def run(n):
         lams = "".join(f"/\\X{i}. " for i in range(1, n + 1))
@@ -616,34 +668,23 @@ def test_a_binder_that_shadows_a_declared_name_is_still_rejected(mode, term, nam
 # ------------------------------------------- decorated substitution invariant
 
 
-def _deco_binders(w):
-    while isinstance(w, (DArrow, DForall)):
-        if isinstance(w, DForall):
-            yield w.bound
-        w = w.body if isinstance(w, DForall) else w.cod
-
-
 def test_decorated_substitution_never_needs_capture_avoidance(monkeypatch):
-    """``subst_decorated`` renames no binder, so the engine must only ever
-    substitute meta-free types under meta-variable binders."""
+    """The spine reads its decorated type link by link and hands
+    ``subst_decorated`` only the leaf it re-matches, under a map of
+    meta-free types, so no binder of a decorated type is ever crossed."""
     infer_mod = importlib.import_module("spinel.infer")
     matcher_mod = importlib.import_module("spinel.matcher")
     original = matcher_mod.subst_decorated
-    calls, binders = [0], [0]
+    calls = [0]
 
     def checked(mapping, w, *rest):
         calls[0] += 1
-        # a Solution is read as its types, so the check holds for either argument
-        values = (mapping.types() if isinstance(mapping, Solution) else mapping).values()
-        for value in values:
+        assert isinstance(w, (Plain, Stuck)), w
+        for value in mapping.values():
             assert not any(is_meta_name(v) for v in free_type_vars(value)), mapping
-        for bound in _deco_binders(w):
-            binders[0] += 1
-            assert is_meta_name(bound), w
         return original(mapping, w, *rest)
 
-    for mod in (matcher_mod, infer_mod):
-        monkeypatch.setattr(mod, "subst_decorated", checked)
+    monkeypatch.setattr(infer_mod, "subst_decorated", checked)
     ctx = standard_context()
     for internal, internal_ty in enumerate_internal_terms(ctx, 5):
         for erased in enumerate_erasures(internal):
@@ -657,22 +698,27 @@ def test_decorated_substitution_never_needs_capture_avoidance(monkeypatch):
         infer(wide_ctx, Synthesize(), term)
         infer(wide_ctx, Check(ty("Nat", wide_ctx)), term)
     # Quantifiers left under an arrow or after an explicit type argument
-    # reach the substitution still bound.
+    # are links the spine reads; none reaches the substitution.
     inner_ctx = ctx.with_term("h", ty("forall X. X -> forall Y. Y -> Pair X Y"))
     for src in ("h z tt", "h [Nat] z [B] tt", "h z [B] tt", "pair [Nat] z tt"):
         term = tm(src, inner_ctx)
         infer(inner_ctx, Synthesize(), term)
         infer(inner_ctx, Check(ty("Pair Nat B", inner_ctx)), term)
-    # An argument that solves a stuck leaf past a quantifier re-matches the
-    # leaf while that quantifier is still bound: here `suc` solves G, the
-    # leaf that owes the arrow `forall H. H -> G`.
+    # A stuck leaf solved by a synthesized argument, past a quantifier
+    # (`k3` owes the arrow `forall H. H -> G`), and by an explicit type
+    # argument; and one whose solution cannot reveal the arrow it owes.
     stuck_ctx = ctx.with_term("k3", ty("forall G. G -> forall H. H -> G"))
     for src, result in (
         ("k3 suc tt z", "Nat"),
         ("k3 suc tt", "Nat -> Nat"),
         (r"k3 (\x : B. \y : Nat. pair x y) tt tt z", "Pair B Nat"),
+        ("ident suc z", "Nat"),
+        ("bot [Nat -> Nat] z", "Nat"),
     ):
         term = tm(src, stuck_ctx)
         assert alpha_equal(infer(stuck_ctx, Synthesize(), term).ty, ty(result, stuck_ctx))
         infer(stuck_ctx, Check(ty(result, stuck_ctx)), term)
-    assert calls[0] > 100 and binders[0] > 0
+    with pytest.raises(Diagnostic) as err:
+        infer(stuck_ctx, Synthesize(), tm("ident z z", stuck_ctx))
+    assert err.value.kind is DiagnosticKind.SOLUTION_CONFLICT
+    assert calls[0] == 9, calls

@@ -34,6 +34,7 @@ from spinel.syntax import (
     TyVarDecl,
     Unknown,
     Var,
+    _well_formed,
     alpha_equal,
     alpha_equal_deco,
     alpha_equal_term,
@@ -674,7 +675,7 @@ def test_alpha_equal_stops_before_a_non_type_past_the_first_difference(a, b):
 
 @given(_scoped_types(), st.frozensets(_tyvars))
 def test_well_formedness_is_that_of_the_recursive_definition(t, extra):
-    assert is_well_formed(_SCOPE, t, extra) == _reference_well_formed(_SCOPE, t, extra)
+    assert _well_formed(_SCOPE._dtv, _SCOPE.signature, t, set(extra)) == _reference_well_formed(_SCOPE, t, extra)
     assert is_well_formed(_SCOPE, t) == _reference_well_formed(_SCOPE, t, frozenset())
 
 
@@ -689,7 +690,7 @@ def test_a_repeated_binder_stays_in_scope_until_its_outer_quantifier_closes():
     assert is_well_formed(_SCOPE, Forall("B1", Arrow(inner, TVar("B1"))))
     assert not is_well_formed(_SCOPE, Arrow(inner, TVar("B1")))
     assert not is_well_formed(_SCOPE, Con("Pair", (inner, TVar("B1"))))
-    assert is_well_formed(_SCOPE, Arrow(inner, TVar("B1")), frozenset({"B1"}))
+    assert _well_formed(_SCOPE._dtv, _SCOPE.signature, Arrow(inner, TVar("B1")), {"B1"})
     assert free_type_vars(Arrow(Forall("C", Arrow(inner, TVar("C"))), TVar("B1"))) == {"B1"}
 
 
@@ -708,7 +709,7 @@ def test_type_walks_follow_a_chain_of_20000_links_by_loops():
         assert not is_well_formed(_SCOPE.with_type_var("X3"), Forall("A", TVar("B1")))
         assert is_well_formed(_SCOPE, t)
         assert not is_well_formed(CTX, t)
-        assert is_well_formed(CTX, t, frozenset({"A"}))
+        assert _well_formed(CTX._dtv, CTX.signature, t, {"A"})
         assert free_type_vars(t) == {"A"}
         assert alpha_equal(t, renamed) and alpha_equal(renamed, t)
         assert not alpha_equal(t, other)
