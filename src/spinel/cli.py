@@ -20,6 +20,7 @@ keeps going.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -380,8 +381,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built once per process: building costs several times what one parse does
+_arg_parser = functools.cache(build_arg_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     try:
         code = run_file(args) if args.command == "run" else repl()
         sys.stdout.flush()

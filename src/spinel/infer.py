@@ -28,12 +28,16 @@ accumulated renaming or instantiation applied where a type is used.
 Meta-variables never leave the spine that minted them: synthesis
 demands an empty solution, and checking demands that the contextual
 type solved every meta the partial elaboration mentions.
+Terms, modes, prototypes and decorated types are never subclassed, so
+the engine dispatches on ``type(x) is X``, as the walks of ``syntax``
+do, and its records are ``syntax._node``s, cheap to build at every node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
+from functools import cached_property
 
 from .matcher import MatchFailure, _match, subst_decorated
 from .syntax import (
@@ -66,6 +70,7 @@ from .syntax import (
     Unknown,
     Var,
     _fresh_against,
+    _node,
     _well_formed,
     alpha_equal,
     free_type_vars,
@@ -83,12 +88,12 @@ from .syntax import (
 # ------------------------------------------------------------------ modes
 
 
-@dataclass(frozen=True)
+@_node
 class Synthesize:
     """Infer a type with no contextual information."""
 
 
-@dataclass(frozen=True)
+@_node
 class Check:
     """Check against a known, well-formed contextual type."""
 
@@ -96,16 +101,17 @@ class Check:
 
 
 Mode = Synthesize | Check
+_SYNTHESIZE = Synthesize()  # the one the engine passes itself
 
 
-@dataclass(frozen=True)
+@_node
 class SpineOutcome:
     deco: DecoratedType
     partial: Term
     solution: Solution
 
 
-@dataclass(frozen=True)
+@_node
 class InferOutcome:
     """A term's type and elaboration.  ``spine`` is the outcome of the
     term's own application spine, kept for a declarative replay: set
@@ -182,9 +188,14 @@ class EngineInvariantError(Exception):
 
 
 class _Run:
+    """One call's trace, and its name supply, made when a spine first reads it."""
+
     def __init__(self, trace: list[str] | None = None):
-        self.supply = NameSupply()
         self.trace = trace
+
+    @cached_property
+    def supply(self) -> NameSupply:
+        return NameSupply()
 
     def note(self, rule: str) -> None:
         if self.trace is not None:
@@ -206,7 +217,8 @@ def _named(run: _Run, step, *args):
         ):
             if ty is not None:
                 metas |= {v for v in free_type_vars(ty) if is_meta_name(v)}
-        d.display = run.supply.display_names(metas)
+        if metas:
+            d.display = run.supply.display_names(metas)
         raise
 
 
@@ -221,7 +233,7 @@ def infer(
     Raises Diagnostic on user-level failure and EngineInvariantError if
     an internal consistency check trips.
     """
-    if isinstance(mode, Check) and not is_well_formed(ctx, mode.expected):
+    if type(mode) is Check and not is_well_formed(ctx, mode.expected):
         raise ValueError("contextual type is not well-formed")
     return _named(_Run(trace), _infer, ctx, mode, term)
 
@@ -235,32 +247,27 @@ def spine_infer(ctx: Context, proto: Prototype, term: Term) -> SpineOutcome:
 
 
 def _infer(run: _Run, ctx: Context, mode: Mode, term: Term) -> InferOutcome:
-    match term:
-        case Var(name=x):
-            run.note("var")
-            ty = ctx.lookup(x)
-            if ty is None:
-                raise Diagnostic(
-                    DiagnosticKind.UNBOUND_NAME,
-                    span=term.span,
-                    subject=term,
-                    detail=f"unbound name {x!r}",
-                )
-            return _conclude(mode, term, ty, term)
-
-        case Lam() | TLam():
-            return _binder_chain(run, ctx, mode, term)
-
-        case TApp():
-            return _type_applications(run, ctx, mode, term)
-
-        case App():
-            match mode:
-                case Synthesize():
-                    return _app_synthesize(run, ctx, term)
-                case Check(expected=expected):
-                    return _app_check(run, ctx, term, expected)
-
+    kind = type(term)
+    if kind is Var:
+        run.note("var")
+        ty = ctx.lookup(term.name)
+        if ty is None:
+            raise Diagnostic(
+                DiagnosticKind.UNBOUND_NAME,
+                span=term.span,
+                subject=term,
+                detail=f"unbound name {term.name!r}",
+            )
+        return _conclude(mode, term, ty, term)
+    if kind is App:
+        if type(mode) is Check:
+            return _app_check(run, ctx, term, mode.expected)
+        if type(mode) is Synthesize:
+            return _app_synthesize(run, ctx, term)
+    elif kind is Lam or kind is TLam:
+        return _binder_chain(run, ctx, mode, term)
+    elif kind is TApp:
+        return _type_applications(run, ctx, mode, term)
     raise TypeError(term)
 
 
@@ -277,48 +284,47 @@ def _binder_chain(run: _Run, ctx: Context, mode: Mode, term: Lam | TLam) -> Infe
     copies.  The whole chain enters the context in one checked extension
     before its body is inferred; a diagnostic builds its link's context.
     """
-    expected = mode.expected if isinstance(mode, Check) else None
+    expected = mode.expected if type(mode) is Check else None
     renaming: dict[str, TypeExpr] = {}
     tvs: set[str] = set()
     layers: list[Lam | TLam] = []
     binds: list[TyVarDecl | TermBind] = []  # one per layer
-    while True:
-        match term:
-            case TLam(bound=x):
-                run.note("tylam")
-                tvs.add(x)
-                bind, fits = TyVarDecl(x), isinstance(expected, Forall)
-            case Lam(bound=x, ann=None):
-                if expected is None:
-                    raise Diagnostic(
-                        DiagnosticKind.UNANNOTATED_LAMBDA,
-                        span=term.span,
-                        subject=term,
-                        detail=f"no contextual type here, so binder {x!r} needs an annotation",
-                    )
-                if not isinstance(expected, Arrow):
-                    raise Diagnostic(
-                        DiagnosticKind.TYPE_MISMATCH,
-                        span=term.span,
-                        expected=substitute(renaming, expected),
-                        subject=term,
-                        detail="an unannotated function only checks against an arrow type",
-                    )
-                run.note("lam-bare")
-                bind, fits = TermBind(x, substitute(renaming, expected.dom)), True
-            case Lam(bound=x, ann=dom):
-                run.note("lam")
-                if not _well_formed(ctx.dtv, ctx.signature, dom, tvs):
-                    raise Diagnostic(
-                        DiagnosticKind.UNBOUND_NAME,
-                        span=term.span,
-                        subject=term,
-                        detail=_illformed_detail(ctx._extend(binds), dom, f"annotation on {x!r}"),
-                    )
-                bind = TermBind(x, dom)
-                fits = isinstance(expected, Arrow) and alpha_equal(substitute(renaming, expected.dom), dom)
-            case _:
-                break
+    while (kind := type(term)) is TLam or kind is Lam:
+        x = term.bound
+        if kind is TLam:
+            run.note("tylam")
+            tvs.add(x)
+            bind, fits = TyVarDecl(x), type(expected) is Forall
+        elif term.ann is None:
+            if expected is None:
+                raise Diagnostic(
+                    DiagnosticKind.UNANNOTATED_LAMBDA,
+                    span=term.span,
+                    subject=term,
+                    detail=f"no contextual type here, so binder {x!r} needs an annotation",
+                )
+            if type(expected) is not Arrow:
+                raise Diagnostic(
+                    DiagnosticKind.TYPE_MISMATCH,
+                    span=term.span,
+                    expected=substitute(renaming, expected),
+                    subject=term,
+                    detail="an unannotated function only checks against an arrow type",
+                )
+            run.note("lam-bare")
+            bind, fits = TermBind(x, substitute(renaming, expected.dom)), True
+        else:
+            dom = term.ann
+            run.note("lam")
+            if not _well_formed(ctx.dtv, ctx.signature, dom, tvs):
+                raise Diagnostic(
+                    DiagnosticKind.UNBOUND_NAME,
+                    span=term.span,
+                    subject=term,
+                    detail=_illformed_detail(ctx._extend(binds), dom, f"annotation on {x!r}"),
+                )
+            bind = TermBind(x, dom)
+            fits = type(expected) is Arrow and alpha_equal(substitute(renaming, expected.dom), dom)
         if expected is not None:
             if not fits:
                 raise Diagnostic(
@@ -328,7 +334,7 @@ def _binder_chain(run: _Run, ctx: Context, mode: Mode, term: Lam | TLam) -> Infe
                     synthesized=_try_synthesize(ctx._extend(binds), term),
                     subject=term,
                 )
-            if type(term) is TLam:
+            if kind is TLam:
                 renaming[expected.bound] = TVar(x)
                 expected = expected.body
             else:
@@ -337,7 +343,7 @@ def _binder_chain(run: _Run, ctx: Context, mode: Mode, term: Lam | TLam) -> Infe
         binds.append(bind)
         term = term.body
 
-    body_mode = Synthesize() if expected is None else Check(substitute(renaming, expected))
+    body_mode = _SYNTHESIZE if expected is None else Check(substitute(renaming, expected))
     out = _infer(run, ctx._extend(binds), body_mode, term)
     ty, elab = out.ty, out.elaboration
     for layer, bind in zip(reversed(layers), reversed(binds)):
@@ -358,18 +364,18 @@ def _type_applications(run: _Run, ctx: Context, mode: Mode, term: TApp) -> Infer
     """
     outer = term
     chain: list[TApp] = []
-    while isinstance(term, TApp):
+    while type(term) is TApp:
         run.note("tyapp")
         _check_type_arg(ctx, term)
         chain.append(term)
         term = term.fun
-    fout = _infer(run, ctx, Synthesize(), term)
+    fout = _infer(run, ctx, _SYNTHESIZE, term)
     ty, elab = fout.ty, fout.elaboration
     inst: dict[str, TypeExpr] = {}
     for app in reversed(chain):
-        if not isinstance(ty, Forall):
+        if type(ty) is not Forall:
             ty, inst = substitute(inst, ty), {}
-            if not isinstance(ty, Forall):
+            if type(ty) is not Forall:
                 raise Diagnostic(
                     DiagnosticKind.APPLICAND_NOT_FORALL,
                     span=app.span,
@@ -383,7 +389,7 @@ def _type_applications(run: _Run, ctx: Context, mode: Mode, term: TApp) -> Infer
 
 
 def _conclude(mode: Mode, term: Term, ty: TypeExpr, elab: Term) -> InferOutcome:
-    if isinstance(mode, Check) and not alpha_equal(ty, mode.expected):
+    if type(mode) is Check and not alpha_equal(ty, mode.expected):
         raise Diagnostic(
             DiagnosticKind.TYPE_MISMATCH,
             span=term.span,
@@ -396,7 +402,7 @@ def _conclude(mode: Mode, term: Term, ty: TypeExpr, elab: Term) -> InferOutcome:
 
 def _try_synthesize(ctx: Context, term: Term) -> TypeExpr | None:
     try:
-        return _infer(_Run(), ctx, Synthesize(), term).ty
+        return _infer(_Run(), ctx, _SYNTHESIZE, term).ty
     except Diagnostic:
         return None
 
@@ -438,7 +444,7 @@ def _app_synthesize(run: _Run, ctx: Context, term: App) -> InferOutcome:
             unsolved=unsolved,
             subject=term,
         )
-    if not isinstance(out.deco, Plain):
+    if type(out.deco) is not Plain:
         raise EngineInvariantError("synthesis finished on a decorated result")
     return InferOutcome(ty, out.partial, out)
 
@@ -469,24 +475,24 @@ def _spine(run: _Run, ctx: Context, proto: Prototype, term: Term) -> SpineOutcom
     """Infer a maximal application spine: its head, then its items in order."""
     # First pass, outermost item first: build the prototype the head meets.
     items: list[App | TApp] = []
-    while isinstance(term, (App, TApp)):
-        if isinstance(term, App):
+    while (kind := type(term)) is App or kind is TApp:
+        if kind is App:
             run.note("spine-arg")
             proto = ArrowTo(proto)
         else:
             run.note("spine-tyarg")
-            if not isinstance(proto, ArrowTo):
+            if type(proto) is not ArrowTo:
                 raise EngineInvariantError("type argument reached a spine without a pending arrow")
             _check_type_arg(ctx, term)
         items.append(term)
         term = term.fun
 
     run.note("spine-head")
-    if not isinstance(proto, ArrowTo):
+    if type(proto) is not ArrowTo:
         raise EngineInvariantError("spine heads are only matched against arrow prototypes")
-    head = _infer(run, ctx, Synthesize(), term)
+    head = _infer(run, ctx, _SYNTHESIZE, term)
     matched = _match(frozenset(), head.ty, proto, run.supply)
-    if isinstance(matched, MatchFailure):
+    if type(matched) is MatchFailure:
         raise _head_failure(term, head.ty, matched)
     if not matched.solution.is_identity:
         raise EngineInvariantError("head match solved variables it was not given")
@@ -497,18 +503,18 @@ def _spine(run: _Run, ctx: Context, proto: Prototype, term: Term) -> SpineOutcom
     partial, contextual = head.elaboration, {}
     arg_index = 0
     for item in reversed(items):
-        if isinstance(item, TApp):
+        if type(item) is TApp:
             _take_type_arg(rest, contextual, item)
             partial = TApp(partial, item.targ, span=item.span)
             continue
         arg_index += 1
-        while isinstance(quant := rest.next(), DForall):
+        while type(quant := rest.next()) is DForall:
             run.note("peel")
             rest.at += 1
             partial = TApp(partial, TVar(quant.bound))
             if quant.deco is not None:
                 contextual[quant.bound] = Binding(quant.deco, rest.origin(quant.deco_origin))
-        if not isinstance(rest.next(), DArrow):
+        if type(rest.next()) is not DArrow:
             raise Diagnostic(
                 DiagnosticKind.APPLICAND_NOT_ARROW,
                 span=item.arg.span,
@@ -517,7 +523,7 @@ def _spine(run: _Run, ctx: Context, proto: Prototype, term: Term) -> SpineOutcom
             )
         elab = _consume_arrow(run, ctx, rest, contextual, item.arg, arg_index)
         partial = App(partial, elab)
-    if not isinstance(rest.next(), Plain):
+    if type(rest.next()) is not Plain:
         raise EngineInvariantError("a spine ended before its decorated type")
     deco = Plain(rest.apply(rest.leaf.ty))
     return SpineOutcome(deco, subst_type_args(rest.pending, partial), Solution(contextual))
@@ -549,9 +555,9 @@ class _Remaining:
 
     def _unfold(self, w: DecoratedType) -> Plain | Stuck:
         """Append the links of ``w`` and return its leaf."""
-        while isinstance(w, (DArrow, DForall)):
+        while type(w) is DArrow or type(w) is DForall:
             self.links.append(w)
-            w = w.cod if isinstance(w, DArrow) else w.body
+            w = w.cod if type(w) is DArrow else w.body
         return w
 
     def next(self) -> DecoratedType:
@@ -570,7 +576,7 @@ class _Remaining:
         """Delay ``solved``; False if it solves the stuck leaf's
         meta-variable with a type that cannot reveal the arrows it owes."""
         self.pending.update(solved)
-        if not isinstance(self.leaf, Stuck) or self.leaf.meta not in solved:
+        if type(self.leaf) is not Stuck or self.leaf.meta not in solved:
             return True
         deco = subst_decorated(self.pending, self.leaf, self.supply)
         if deco is None:
@@ -589,7 +595,7 @@ class _Remaining:
         types = {m: b.ty for m, b in contextual.items()}
         ty = substitute(types, self.apply(strip(self.leaf)))
         for w in reversed(self.links[self.at :]):
-            if isinstance(w, DArrow):
+            if type(w) is DArrow:
                 ty = Arrow(substitute(types, self.apply(w.dom)), ty)
             else:
                 x = _fresh_against(self.supply.source_of(w.bound), free_type_vars(ty))
@@ -605,7 +611,7 @@ def _head_failure(head: Term, head_ty: TypeExpr, failure: MatchFailure) -> Diagn
             synthesized=head_ty,
             subject=head,
         )
-    against = failure.proto.ty if isinstance(failure.proto, Exact) else None
+    against = failure.proto.ty if type(failure.proto) is Exact else None
     return Diagnostic(
         DiagnosticKind.TYPE_MISMATCH,
         span=head.span,
@@ -619,7 +625,7 @@ def _head_failure(head: Term, head_ty: TypeExpr, failure: MatchFailure) -> Diagn
 def _take_type_arg(rest: _Remaining, contextual: dict[str, Binding], term: TApp) -> None:
     s = term.targ
     quant = rest.next()
-    if not isinstance(quant, DForall):
+    if type(quant) is not DForall:
         raise Diagnostic(
             DiagnosticKind.APPLICAND_NOT_FORALL,
             span=term.span,
@@ -678,7 +684,7 @@ def _consume_arrow(
 
     run.note("arg-synth")
     try:
-        out = _infer(run, ctx, Synthesize(), arg)
+        out = _infer(run, ctx, _SYNTHESIZE, arg)
     except Diagnostic as d:
         if d.subject is arg and d.expected is None:
             d.expected = expected

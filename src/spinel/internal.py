@@ -2,7 +2,8 @@
 
 This is the ground truth the inference engine is audited against.  It
 never consults prototypes, decorations, or solutions, and it must stay
-independent of the inference modules.
+independent of the inference modules.  Terms and types are never
+subclassed, so it dispatches on ``type(node) is X``, as ``syntax`` does.
 """
 
 from __future__ import annotations
@@ -33,67 +34,64 @@ class InternalTypeError(Exception):
 
 def check_internal(ctx: Context, term: Term) -> TypeExpr:
     """Synthesize the type of an internal term, or raise InternalTypeError."""
-    match term:
-        case Var(name=x):
-            ty = ctx.lookup(x)
-            if ty is None:
-                raise InternalTypeError(f"unbound variable {x!r}")
-            return ty
-        case Lam() | TLam():
-            # One loop per binder chain, and one checked extension, which
-            # walks each annotation once.
-            binds: list[TyVarDecl | TermBind] = []
-            while True:
-                match term:
-                    case TLam(bound=x):
-                        binds.append(TyVarDecl(x))
-                    case Lam(bound=x, ann=None):
-                        raise InternalTypeError(f"binder {x!r} lacks an annotation")
-                    case Lam(bound=x, ann=ann):
-                        binds.append(TermBind(x, ann))
-                    case _:
-                        break
-                term = term.body
-            try:
-                ctx = ctx._extend(binds)
-            except ValueError as err:
-                raise InternalTypeError(str(err)) from None
-            ty = check_internal(ctx, term)
-            for bind in reversed(binds):
-                ty = Arrow(bind.ty, ty) if type(bind) is TermBind else Forall(bind.name, ty)
-            return ty
-        case App() | TApp():
-            # One loop per applicand chain.  Going down, each type argument
-            # is checked, outermost first, as the recursive checker did.
-            # Coming back up, the quantifiers the type arguments instantiate
-            # are peeled into one pending instantiation, applied to each
-            # domain met and, once, to the result.
-            spine: list[App | TApp] = []
-            while True:
-                kind = type(term)
-                if kind is TApp:
-                    if not is_well_formed(ctx, term.targ):
-                        raise InternalTypeError("type argument is not well-formed")
-                elif kind is not App:
-                    break
-                spine.append(term)
-                term = term.fun
-            ty = check_internal(ctx, term)
-            inst: dict[str, TypeExpr] = {}
-            for node in reversed(spine):
-                if inst and type(ty) is TVar and ty.name in inst:
-                    ty, inst = inst[ty.name], {}  # a type of the context, which inst never touches
-                if type(node) is App:
-                    if type(ty) is not Arrow:
-                        raise InternalTypeError("applicand is not a function")
-                    aty = check_internal(ctx, node.arg)
-                    if not alpha_equal(substitute(inst, ty.dom) if inst else ty.dom, aty):
-                        raise InternalTypeError("argument type does not match the domain")
-                    ty = ty.cod
-                else:
-                    if type(ty) is not Forall:
-                        raise InternalTypeError("applicand is not a quantified type")
-                    inst[ty.bound] = node.targ  # a later binder of the same name shadows this one
-                    ty = ty.body
-            return substitute(inst, ty) if inst else ty
+    kind = type(term)
+    if kind is Var:
+        ty = ctx.lookup(term.name)
+        if ty is None:
+            raise InternalTypeError(f"unbound variable {term.name!r}")
+        return ty
+    if kind is Lam or kind is TLam:
+        # One loop per binder chain, and one checked extension, which
+        # walks each annotation once.
+        binds: list[TyVarDecl | TermBind] = []
+        while (kind := type(term)) is TLam or kind is Lam:
+            if kind is TLam:
+                binds.append(TyVarDecl(term.bound))
+            elif term.ann is None:
+                raise InternalTypeError(f"binder {term.bound!r} lacks an annotation")
+            else:
+                binds.append(TermBind(term.bound, term.ann))
+            term = term.body
+        try:
+            ctx = ctx._extend(binds)
+        except ValueError as err:
+            raise InternalTypeError(str(err)) from None
+        ty = check_internal(ctx, term)
+        for bind in reversed(binds):
+            ty = Arrow(bind.ty, ty) if type(bind) is TermBind else Forall(bind.name, ty)
+        return ty
+    if kind is App or kind is TApp:
+        # One loop per applicand chain.  Going down, each type argument
+        # is checked, outermost first, as the recursive checker did.
+        # Coming back up, the quantifiers the type arguments instantiate
+        # are peeled into one pending instantiation, applied to each
+        # domain met and, once, to the result.
+        spine: list[App | TApp] = []
+        while True:
+            kind = type(term)
+            if kind is TApp:
+                if not is_well_formed(ctx, term.targ):
+                    raise InternalTypeError("type argument is not well-formed")
+            elif kind is not App:
+                break
+            spine.append(term)
+            term = term.fun
+        ty = check_internal(ctx, term)
+        inst: dict[str, TypeExpr] = {}
+        for node in reversed(spine):
+            if inst and type(ty) is TVar and ty.name in inst:
+                ty, inst = inst[ty.name], {}  # a type of the context, which inst never touches
+            if type(node) is App:
+                if type(ty) is not Arrow:
+                    raise InternalTypeError("applicand is not a function")
+                aty = check_internal(ctx, node.arg)
+                if not alpha_equal(substitute(inst, ty.dom) if inst else ty.dom, aty):
+                    raise InternalTypeError("argument type does not match the domain")
+                ty = ty.cod
+            else:
+                if type(ty) is not Forall:
+                    raise InternalTypeError("applicand is not a quantified type")
+                inst[ty.bound] = node.targ  # a later binder of the same name shadows this one
+                ty = ty.body
+        return substitute(inst, ty) if inst else ty
     raise TypeError(term)

@@ -17,11 +17,12 @@ re-matching stuck decorations against their pending prototypes.  It
 renames no binder: every ``DForall`` binder the engine builds is a
 meta-variable minted by the run's supply, and no type it substitutes
 mentions a meta-variable, so nothing can be captured.
+Types, prototypes and decorated types are never subclassed, so both walks
+dispatch on ``type(x) is X``, as ``syntax`` does; results are ``_node``s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .syntax import (
@@ -42,19 +43,20 @@ from .syntax import (
     TVar,
     TypeExpr,
     Unknown,
+    _node,
     free_type_vars,
     match_type,
     substitute,
 )
 
 
-@dataclass(frozen=True)
+@_node
 class MatchResult:
     solution: Solution
     decorated: DecoratedType
 
 
-@dataclass(frozen=True)
+@_node
 class MatchFailure:
     """Where a prototype match gave up.
 
@@ -109,49 +111,46 @@ def _match(
     env: dict[str, TypeExpr] = {}
     frames: list[str | TypeExpr] = []
     while True:
-        match proto:
-            case Unknown():
-                solution, deco = Solution(), Plain(substitute(env, ty))
-                break
-            case Exact(ty=target):
-                residual = substitute(env, ty)
-                found = match_first_order(solvable, residual, target)
-                if found is None:
-                    return MatchFailure(residual, proto, arity_overrun=False)
-                solution, deco = found, Plain(residual)
-                break
-            case ArrowTo():
-                pass
-            case _:
-                raise TypeError(proto)
-        match ty:
-            case Arrow(dom=d, cod=c):
-                frames.append(substitute(env, d))
-                ty, proto = c, proto.rest
-            case Forall(bound=x, body=b):
-                fresh = supply.fresh_meta(x)
-                env[x] = TVar(fresh)
-                solvable.add(fresh)
-                frames.append(fresh)
-                ty = b
-            case TVar() if env.get(ty.name, ty).name in solvable:
-                solution, deco = Solution(), Stuck(env.get(ty.name, ty).name, proto)
-                break
-            case _:
-                return MatchFailure(substitute(env, ty), proto, arity_overrun=True)
+        kind = type(proto)
+        if kind is Unknown:
+            solution, deco = Solution(), Plain(substitute(env, ty))
+            break
+        if kind is Exact:
+            residual = substitute(env, ty)
+            found = match_first_order(solvable, residual, proto.ty)
+            if found is None:
+                return MatchFailure(residual, proto, arity_overrun=False)
+            solution, deco = found, Plain(residual)
+            break
+        if kind is not ArrowTo:
+            raise TypeError(proto)
+        kind = type(ty)
+        if kind is Arrow:
+            frames.append(substitute(env, ty.dom))
+            ty, proto = ty.cod, proto.rest
+        elif kind is Forall:
+            fresh = supply.fresh_meta(ty.bound)
+            env[ty.bound] = TVar(fresh)
+            solvable.add(fresh)
+            frames.append(fresh)
+            ty = ty.body
+        elif kind is TVar and env.get(ty.name, ty).name in solvable:
+            solution, deco = Solution(), Stuck(env.get(ty.name, ty).name, proto)
+            break
+        else:
+            return MatchFailure(substitute(env, ty), proto, arity_overrun=True)
 
     for frame in reversed(frames):
-        match frame:
-            case str():
-                binding = solution.binding(frame)
-                deco = DForall(
-                    frame,
-                    binding.ty if binding else None,
-                    deco,
-                    deco_origin=binding.origin if binding else None,
-                )
-            case _:
-                deco = DArrow(frame, deco)
+        if type(frame) is str:
+            binding = solution.binding(frame)
+            deco = DForall(
+                frame,
+                binding.ty if binding else None,
+                deco,
+                deco_origin=binding.origin if binding else None,
+            )
+        else:
+            deco = DArrow(frame, deco)
     if not solution.domain() <= metas:
         solution = Solution({m: b for m, b in solution.bindings.items() if m in metas})
     return MatchResult(solution, deco)
@@ -175,7 +174,7 @@ def match_proto(
     and applied only to the types the result holds.
     """
     out = _match(frozenset(metas), ty, proto, supply if supply is not None else NameSupply())
-    return out if isinstance(out, MatchResult) else None
+    return out if type(out) is MatchResult else None
 
 
 def subst_decorated(
@@ -198,27 +197,28 @@ def subst_decorated(
     """
     if not mapping:
         return w
-    match w:
-        case Plain(ty=t):
-            return Plain(substitute(mapping, t))
-        case DArrow(dom=d, cod=c):
-            cod = subst_decorated(mapping, c, supply)
-            if cod is None:
-                return None
-            return DArrow(substitute(mapping, d), cod)
-        case DForall(bound=x, deco=r, body=b, deco_origin=org):
-            inner = {k: v for k, v in mapping.items() if k != x}
-            body = subst_decorated(inner, b, supply)
-            if body is None:
-                return None
-            if org is not None and inner:
-                org = Contextual(substitute(inner, org.partial), org.against)
-            return DForall(x, r, body, deco_origin=org)
-        case Stuck(meta=m, proto=p):
-            if m not in mapping:
-                return w
-            out = _match(frozenset(), mapping[m], p, supply if supply is not None else NameSupply())
-            if isinstance(out, MatchFailure):
-                return None
-            return out.decorated
+    kind = type(w)
+    if kind is Plain:
+        return Plain(substitute(mapping, w.ty))
+    if kind is DArrow:
+        cod = subst_decorated(mapping, w.cod, supply)
+        if cod is None:
+            return None
+        return DArrow(substitute(mapping, w.dom), cod)
+    if kind is DForall:
+        x, org = w.bound, w.deco_origin
+        inner = {k: v for k, v in mapping.items() if k != x}
+        body = subst_decorated(inner, w.body, supply)
+        if body is None:
+            return None
+        if org is not None and inner:
+            org = Contextual(substitute(inner, org.partial), org.against)
+        return DForall(x, w.deco, body, deco_origin=org)
+    if kind is Stuck:
+        if w.meta not in mapping:
+            return w
+        out = _match(frozenset(), mapping[w.meta], w.proto, supply if supply is not None else NameSupply())
+        if type(out) is MatchFailure:
+            return None
+        return out.decorated
     raise TypeError(w)

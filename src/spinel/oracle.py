@@ -44,6 +44,7 @@ from .syntax import (
     TypeExpr,
     Unknown,
     Var,
+    _TYPE_NODES,
     alpha_equal,
     alpha_equal_term,
     canon_term,
@@ -70,7 +71,7 @@ class SpecVerdict:
 
 
 def _is_type(item) -> bool:
-    return isinstance(item, (TVar, Arrow, Forall, Con))
+    return type(item) in _TYPE_NODES
 
 
 # ------------------------------------------------- instantiation solving
@@ -91,38 +92,39 @@ def _solve_instantiation(
         # chain's quantifiers extend one copy of each binder map.
         own = False
         while True:
-            match p:
-                case TVar(name=x):
-                    if x in envp:
-                        return isinstance(t, TVar) and envt.get(t.name) == envp[x]
-                    if x in metas:
-                        if free_type_vars(t) & set(envt):
-                            return False
-                        if x in out:
-                            return alpha_equal(out[x], t)
-                        out[x] = t
-                        return True
-                    return isinstance(t, TVar) and t.name == x and t.name not in envt
-                case Arrow(dom=d, cod=c):
-                    if not (isinstance(t, Arrow) and go(d, t.dom, envp, envt, depth)):
+            kind = type(p)
+            if kind is TVar:
+                x = p.name
+                if x in envp:
+                    return type(t) is TVar and envt.get(t.name) == envp[x]
+                if x in metas:
+                    if free_type_vars(t) & set(envt):
                         return False
-                    p, t = c, t.cod
-                case Forall(bound=x, body=b):
-                    if not isinstance(t, Forall):
-                        return False
-                    if not own:
-                        envp, envt, own = dict(envp), dict(envt), True
-                    envp[x] = envt[t.bound] = depth
-                    p, t, depth = b, t.body, depth + 1
-                case Con(con=c, args=args):
-                    return (
-                        isinstance(t, Con)
-                        and t.con == c
-                        and len(t.args) == len(args)
-                        and all(go(a, b, envp, envt, depth) for a, b in zip(args, t.args))
-                    )
-                case _:
-                    raise TypeError(p)
+                    if x in out:
+                        return alpha_equal(out[x], t)
+                    out[x] = t
+                    return True
+                return type(t) is TVar and t.name == x and t.name not in envt
+            if kind is Arrow:
+                if not (type(t) is Arrow and go(p.dom, t.dom, envp, envt, depth)):
+                    return False
+                p, t = p.cod, t.cod
+            elif kind is Forall:
+                if type(t) is not Forall:
+                    return False
+                if not own:
+                    envp, envt, own = dict(envp), dict(envt), True
+                envp[p.bound] = envt[t.bound] = depth
+                p, t, depth = p.body, t.body, depth + 1
+            elif kind is Con:
+                return (
+                    type(t) is Con
+                    and t.con == p.con
+                    and len(t.args) == len(p.args)
+                    and all(go(a, b, envp, envt, depth) for a, b in zip(p.args, t.args))
+                )
+            else:
+                raise TypeError(p)
 
     return out if go(pattern, target, {}, {}, 0) else None
 
@@ -290,13 +292,13 @@ def subtypes(ty: TypeExpr) -> Iterator[TypeExpr]:
     while stack:
         ty = stack.pop()
         yield ty
-        match ty:
-            case Arrow(dom=d, cod=c):
-                stack += (c, d)
-            case Forall(body=b):
-                stack.append(b)
-            case Con(args=args):
-                stack.extend(reversed(args))
+        kind = type(ty)
+        if kind is Arrow:
+            stack += (ty.cod, ty.dom)
+        elif kind is Forall:
+            stack.append(ty.body)
+        elif kind is Con:
+            stack.extend(reversed(ty.args))
 
 
 def _new_keyed(ctx: Context, types, seen: set[str]) -> Iterator[tuple[TypeExpr, str]]:
@@ -333,6 +335,23 @@ def default_candidates(ctx: Context, ctx_ty: TypeExpr | None, term: Term) -> lis
     The context's part is computed once per ``Context`` object; only the
     contextual type and the arguments are walked on every call.
     """
+    return _candidates(ctx, ctx_ty, term, {})
+
+
+def _typed(ctx: Context, typed: dict, index: int, arg: Term, expected: TypeExpr | None):
+    """``infer`` on spine item ``index``, checked against ``expected`` or synthesized
+    if it is None, and None on a diagnostic; ``typed`` keeps it for one search."""
+    key = (index, None if expected is None else canon_type(expected))
+    if key not in typed:
+        try:
+            typed[key] = infer(ctx, Synthesize() if expected is None else Check(expected), arg)
+        except Diagnostic:
+            typed[key] = None
+    return typed[key]
+
+
+def _candidates(ctx: Context, ctx_ty: TypeExpr | None, term: Term, typed: dict) -> list[TypeExpr]:
+    """``default_candidates``, typing the arguments through ``typed``."""
     seen: set[str] = set()
     pool = [] if ctx_ty is None else [ty for ty, _ in _new_keyed(ctx, subtypes(ctx_ty), seen)]
     for ty, key in _context_part(ctx):
@@ -340,21 +359,20 @@ def default_candidates(ctx: Context, ctx_ty: TypeExpr | None, term: Term) -> lis
             seen.add(key)
             pool.append(ty)
     _, items = spine_parts(term)
-    for item in items:
+    for i, item in enumerate(items):
         if not _is_type(item):
-            try:
-                synthesized = infer(ctx, Synthesize(), item).ty
-            except Diagnostic:
-                continue
-            pool.extend(ty for ty, _ in _new_keyed(ctx, subtypes(synthesized), seen))
+            out = _typed(ctx, typed, i, item, None)
+            if out is not None:
+                pool.extend(ty for ty, _ in _new_keyed(ctx, subtypes(out.ty), seen))
     return pool
 
 
 def _derivations(
-    ctx: Context, term: Term, candidates: Sequence[TypeExpr]
+    ctx: Context, term: Term, candidates: Sequence[TypeExpr], typed: dict
 ) -> Iterator[Triple]:
     """Every declarative spine derivation for ``term`` over the guess pool,
-    declining each guess before trying the candidates in order."""
+    declining each guess before trying the candidates in order.  Each
+    argument is typed through ``typed``, as in ``_typed``."""
     head, items = spine_parts(term)
     try:
         hout = infer(ctx, Synthesize(), head)
@@ -392,17 +410,12 @@ def _derivations(
             return
         dom = subst_type(sol, ty.dom)
         unsolved = meta_vars_of_type(ctx, dom)
+        aout = _typed(ctx, typed, i, arg, None if unsolved else dom)
+        if aout is None:
+            return
         if not unsolved:
-            try:
-                aout = infer(ctx, Check(dom), arg)
-            except Diagnostic:
-                return
             yield from walk(i + 1, ty.cod, App(partial, aout.elaboration), sol)
         else:
-            try:
-                aout = infer(ctx, Synthesize(), arg)
-            except Diagnostic:
-                return
             inst = _solve_instantiation(unsolved, dom, aout.ty)
             if inst is None:
                 return
@@ -429,11 +442,12 @@ def search_spec(
     """
     if not isinstance(term, App):
         raise ValueError("only term applications have spine derivations")
+    typed: dict = {}  # each argument's typings, shared with the guess pool
     if candidates is None:
-        candidates = default_candidates(ctx, ctx_ty, term)
+        candidates = _candidates(ctx, ctx_ty, term, typed)
     out: list[Triple] = []
     seen: set = set()
-    for triple in _derivations(ctx, term, candidates):
+    for triple in _derivations(ctx, term, candidates, typed):
         key = canonical_triple_key(triple)
         if key not in seen:
             seen.add(key)
@@ -549,7 +563,7 @@ def enumerate_erasures(term: Term) -> list[Term]:
 
 def _partial_synth(ctx: Context, term: Term) -> tuple[TypeExpr, Term] | None:
     """Declarative spine synthesis with every guess declined."""
-    for ty, partial, _ in _derivations(ctx, term, ()):
+    for ty, partial, _ in _derivations(ctx, term, (), {}):
         return ty, partial
     return None
 

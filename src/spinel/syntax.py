@@ -10,7 +10,7 @@ capture-avoiding substitution, and meta-variable accounting.
 
 Every syntax node is a frozen dataclass with slots, made by ``_node``:
 a run builds them by the hundred thousand, so they are kept small and
-their constructors cheap.
+their constructors cheap.  The engine's records are ``_node``s too.
 
 The walks over types run under every layer, so they copy nothing per
 node.  They dispatch on ``type(node) is X``, since nodes are never
@@ -28,7 +28,7 @@ declared in the ambient context.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from operator import is_not
 from typing import Container, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -67,6 +67,12 @@ def _span_field():
 # ---------------------------------------------------------------- nodes
 
 
+def _frozen(self, name, *value):
+    # the frozen dataclass's own methods name the class that slots replaced,
+    # so on any name but a field's they raise TypeError, not this
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 def _node(cls):
     """``cls`` as a frozen, slotted dataclass with a cheaper constructor.
 
@@ -76,17 +82,19 @@ def _node(cls):
     frozen dataclass's own constructor does, which finds that descriptor
     again by name for every field.  Its signature is the dataclass's:
     every field positional or by keyword, in order, with its default.
-    Equality, hashing, ``repr``, ``__match_args__`` and the
-    ``FrozenInstanceError`` on assignment are the dataclass's too.
+    Equality, hashing, ``repr`` and ``__match_args__`` are the dataclass's
+    too, and assigning any attribute raises ``FrozenInstanceError``.  A
+    class with no fields gets a constructor that takes no argument.
     """
     cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = cls.__delattr__ = _frozen
     env, params, stores = {}, [], []
     for f in fields(cls):
         env[f"set_{f.name}"] = getattr(cls, f.name).__set__
         env[f"default_{f.name}"] = f.default
         params.append(f.name if f.default is MISSING else f"{f.name}=default_{f.name}")
         stores.append(f"set_{f.name}(self, {f.name})")
-    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(stores), env)
+    exec(f"def __init__(self, {', '.join(params)}):\n    " + ("\n    ".join(stores) or "pass"), env)
     cls.__init__ = env["__init__"]
     return cls
 
@@ -179,16 +187,15 @@ def spine_parts(t: Term) -> tuple[Term, list[Term | TypeExpr]]:
     """
     items: list[Term | TypeExpr] = []
     while True:
-        match t:
-            case App(fun=f, arg=a):
-                items.append(a)
-                t = f
-            case TApp(fun=f, targ=s):
-                items.append(s)
-                t = f
-            case _:
-                items.reverse()
-                return t, items
+        kind = type(t)
+        if kind is App:
+            items.append(t.arg)
+        elif kind is TApp:
+            items.append(t.targ)
+        else:
+            items.reverse()
+            return t, items
+        t = t.fun
 
 
 # ------------------------------------------------------------- contexts
@@ -305,7 +312,7 @@ class Context:
 # ------------------------------------------------------------ prototypes
 
 
-@dataclass(frozen=True)
+@_node
 class Unknown:
     """No contextual information: the fully unknown prototype."""
 
@@ -336,7 +343,7 @@ def proto_arity(p: Prototype) -> int:
 # ------------------------------------------------------------ provenance
 
 
-@dataclass(frozen=True)
+@_node
 class Contextual:
     """Solved by matching ``partial`` against the contextual type ``against``."""
 
@@ -344,7 +351,7 @@ class Contextual:
     against: TypeExpr
 
 
-@dataclass(frozen=True)
+@_node
 class Synthetic:
     """Solved by matching ``partial`` against ``against``, the synthesized
     type of argument ``arg_index`` (1-based)."""
@@ -357,7 +364,7 @@ class Synthetic:
 Provenance = Union[Contextual, Synthetic]
 
 
-@dataclass(frozen=True)
+@_node
 class Binding:
     ty: TypeExpr
     origin: Provenance
@@ -467,17 +474,19 @@ DecoratedType = Union[Plain, DArrow, DForall, Stuck]
 
 
 def strip(w: DecoratedType) -> TypeExpr:
-    """Forget decorations, recovering the underlying (partial) type."""
-    match w:
-        case Plain(ty=t):
-            return t
-        case DArrow(dom=d, cod=c):
-            return Arrow(d, strip(c))
-        case DForall(bound=x, body=b):
-            return Forall(x, strip(b))
-        case Stuck(meta=m):
-            return TVar(m)
-    raise TypeError(w)
+    """Forget decorations, recovering the underlying (partial) type.  The
+    chain is walked and rebuilt by loops, so any length strips at any
+    recursion limit."""
+    links: list[DArrow | DForall] = []
+    while type(w) is DArrow or type(w) is DForall:
+        links.append(w)
+        w = w.cod if type(w) is DArrow else w.body
+    if type(w) is not Plain and type(w) is not Stuck:
+        raise TypeError(w)
+    ty = w.ty if type(w) is Plain else TVar(w.meta)
+    for w in reversed(links):
+        ty = Arrow(w.dom, ty) if type(w) is DArrow else Forall(w.bound, ty)
+    return ty
 
 
 def deco_arity(w: DecoratedType) -> int:
@@ -593,18 +602,16 @@ def meta_vars_of_term(ctx: Context, t: Term) -> frozenset[str]:
     """
     metas: set[str] = set()
     while True:
-        match t:
-            case App(fun=f):
-                t = f
-            case TApp(fun=f, targ=TVar(name=x)) if x not in ctx.dtv:
-                metas.add(x)
-                t = f
-            case TApp(fun=f, targ=s):
-                if not is_well_formed(ctx, s):
-                    raise ValueError("type argument is neither a meta-variable nor well-formed")
-                t = f
-            case _:
-                return frozenset(metas)
+        kind = type(t)
+        if kind is TApp:
+            s = t.targ
+            if type(s) is TVar and s.name not in ctx.dtv:
+                metas.add(s.name)
+            elif not is_well_formed(ctx, s):
+                raise ValueError("type argument is neither a meta-variable nor well-formed")
+        elif kind is not App:
+            return frozenset(metas)
+        t = t.fun
 
 
 # ----------------------------------------------------------- substitution

@@ -96,6 +96,16 @@ def test_run_json_emits_one_record_per_goal(good_file, capsys):
     assert "expected" not in records[1]
 
 
+def test_successive_main_calls_each_print_their_own_format(good_file, capsys):
+    # ``main`` builds its argument parser once per process; each call's
+    # flags still hold for that call alone.
+    _, json_out, _ = run_lines(capsys, "run", good_file, "--json")
+    _, text_out, _ = run_lines(capsys, "run", good_file)
+    assert [json.loads(line)["goal"] for line in json_out] == [1, 2]
+    assert text_out[0] == "[1] check pair (\\x. x) z : Pair (Nat -> Nat) Nat"
+    assert not any(line.startswith("{") for line in text_out)
+
+
 def test_run_failing_goal_exits_one(bad_file, capsys):
     code, out, _ = run_lines(capsys, "run", bad_file)
     assert code == 1

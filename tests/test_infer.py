@@ -260,6 +260,25 @@ def test_display_names_are_computed_once_per_diagnostic(monkeypatch):
     assert set(d.display.values()) == {"?X", "?Y"}
 
 
+def test_a_goal_with_no_spine_makes_no_name_supply(monkeypatch):
+    # the run's supply is made the first time a spine's match reads it
+    infer_mod = importlib.import_module("spinel.infer")
+    made = []
+
+    class Counted(infer_mod.NameSupply):
+        def __init__(self):
+            made.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(infer_mod, "NameSupply", Counted)
+    check(r"\x : Nat. x", "Nat -> Nat")
+    check(r"/\A. \a : A. a", "forall A. A -> A")
+    fails(DiagnosticKind.TYPE_MISMATCH, lambda: check(r"\x : Nat. x", "B -> Nat"))
+    assert made == []
+    synth("ident z")
+    assert len(made) == 1
+
+
 def test_contextual_type_mismatch_at_the_tail():
     d = fails(DiagnosticKind.TYPE_MISMATCH, lambda: check("suc z", "B"))
     assert d.synthesized == ty("Nat")

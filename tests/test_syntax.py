@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CTX, count_well_formed_walks, tm, ty
+from spinel.infer import Check, InferOutcome, SpineOutcome, Synthesize
+from spinel.matcher import MatchFailure, MatchResult, match_proto
 from spinel.oracle import enumerate_erasures, enumerate_internal_terms
 from spinel.syntax import (
     App,
     Arrow,
     ArrowTo,
+    Binding,
     Con,
     Context,
     Contextual,
@@ -25,8 +28,10 @@ from spinel.syntax import (
     Lam,
     NameSupply,
     Plain,
+    Solution,
     Span,
     Stuck,
+    Synthetic,
     TApp,
     TLam,
     TVar,
@@ -79,7 +84,8 @@ def test_node_spans_take_no_part_in_comparison(node):
     assert not span.compare and not span.repr
 
 
-# Each slotted node class with the values of its fields, metadata left out.
+# Each slotted node class, and each engine record made the same way, with
+# the values of its fields, metadata left out.
 NODE_FIELDS = {
     TVar: ("X",),
     Arrow: (TVar("X"), Con("Nat")),
@@ -98,8 +104,30 @@ NODE_FIELDS = {
     DArrow: (Con("Nat"), Plain(Con("B"))),
     DForall: ("X", Con("Nat"), Plain(TVar("X"))),
     Stuck: ("?X0", ArrowTo(Unknown())),
+    Unknown: (),
+    Contextual: (TVar("?X0"), Con("Nat")),
+    Synthetic: (TVar("?X0"), Con("Nat"), 1),
+    Binding: (Con("Nat"), Contextual(TVar("?X0"), Con("Nat"))),
+    Synthesize: (),
+    Check: (Con("Nat"),),
+    SpineOutcome: (Plain(Con("Nat")), Var("z"), Solution()),
+    InferOutcome: (Con("Nat"), Var("z")),
+    MatchResult: (Solution(), Plain(Con("Nat"))),
+    MatchFailure: (Con("Nat"), ArrowTo(Unknown()), True),
 }
-METADATA = {"span": Span(1, 2, 3, 4), "deco_origin": Contextual(TVar("?X0"), Con("Nat"))}
+METADATA = {
+    "span": Span(1, 2, 3, 4),
+    "deco_origin": Contextual(TVar("?X0"), Con("Nat")),
+    "spine": SpineOutcome(Plain(Con("Nat")), Var("z"), Solution()),
+}
+
+
+def _hash(x):
+    """The hash of ``x``, or ``TypeError`` when a field (a ``Solution``) has none."""
+    try:
+        return hash(x)
+    except TypeError:
+        return TypeError
 
 
 @pytest.mark.parametrize("node", list(NODE_FIELDS), ids=lambda node: node.__name__)
@@ -114,14 +142,31 @@ def test_node_contract(node):
     a = node(*values)
     b = node(**dict(zip(names, values)))
     assert not hasattr(a, "__dict__")
-    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(a, names[0], values[0])
+    assert a == b and _hash(a) == _hash(b) and repr(a) == repr(b)
+    assert a != node(*values[:-1], TVar("?other")) if values else a == node()
+    for name in (*names[:1], "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, name, None)
+
+    # equality, hashing and repr are those of a plain frozen dataclass
+    plain = dataclasses.make_dataclass(node.__name__, [
+        (f.name, f.type, dataclasses.field(default=f.default, compare=f.compare, repr=f.repr))
+        for f in dataclasses.fields(node)
+    ], frozen=True)(*values)
+    assert repr(a) == repr(plain) and _hash(a) == _hash(plain)
 
     # metadata, given by keyword or in position, is kept but neither compared nor shown
     for c in (node(*values, **meta), node(*values, *meta.values())):
         assert all(getattr(c, name) == value for name, value in meta.items())
-        assert c == a and hash(c) == hash(a) and repr(c) == repr(a)
+        assert c == a and _hash(c) == _hash(a) and repr(c) == repr(a)
+
+
+def test_records_match_by_class_pattern():
+    match InferOutcome(Con("Nat"), Var("z")), Check(Con("B")):
+        case InferOutcome(ty, elab), Check(expected=e):
+            assert (ty, elab, e) == (Con("Nat"), Var("z"), Con("B"))
+        case _:
+            pytest.fail("records no longer match their class patterns")
 
 
 def test_node_defaults():
@@ -320,6 +365,24 @@ def test_arity_helpers():
 
 def test_strip_restores_plain_types():
     assert strip(Plain(ty("Nat -> Nat"))) == ty("Nat -> Nat")
+
+
+def test_strip_walks_a_long_decorated_type_by_a_loop():
+    # a 3,000-arrow chain matched against a 3,000-deep prototype, under
+    # Python's default recursion limit
+    n = 3000
+    chain, proto = Con("Nat"), Exact(Con("Nat"))
+    for i in range(n):
+        chain = Arrow(Con("B") if i % 2 else Con("Nat"), chain)
+        proto = ArrowTo(proto)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        out = strip(match_proto(frozenset(), chain, proto).decorated)
+        assert alpha_equal(out, chain)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert strip(DForall("?X0", None, Stuck("?X0", ArrowTo(Unknown())))) == Forall("?X0", TVar("?X0"))
 
 
 def test_name_supply_display_names():
