@@ -11,12 +11,13 @@ peel off with their binder as the meta-variable, solved contextually
 when the match decorated it, and each argument either checks against a
 known domain or synthesizes and instantiates the metas the domain still
 mentions.
-The match's decorated type is unfolded once into the list of its arrows
-and quantifiers, which the second pass reads in order, and the leaf that
-ends them.  Solutions found along the spine are not substituted into the
-rest of it.  The synthetic instantiations and the explicit type
-arguments wait in one pending map, applied to each domain and each
-peeled quantifier's origin as it is read, and to the leaf at the end.
+The match hands over its arrows and quantifiers as one list of links,
+which the second pass reads in order, the leaf that ends them, and the
+decorations its solution found for the quantifiers.  Solutions found
+along the spine are not substituted into the rest of it.  The synthetic
+instantiations and the explicit type arguments wait in one pending map,
+applied to each domain and each peeled quantifier's origin as it is
+read, and to the leaf at the end.
 When a solution reaches a stuck leaf, that leaf alone is re-matched, at
 the argument that solved it, and the links it reveals join the list.
 The contextual solutions grow one map in place, and each domain receives
@@ -39,7 +40,7 @@ from dataclasses import field
 from enum import Enum
 from functools import cached_property
 
-from .matcher import MatchFailure, _match, subst_decorated
+from .matcher import MatchFailure, _match
 from .syntax import (
     App,
     Arrow,
@@ -47,8 +48,6 @@ from .syntax import (
     Binding,
     Context,
     Contextual,
-    DArrow,
-    DForall,
     DecoratedType,
     Exact,
     Forall,
@@ -494,12 +493,10 @@ def _spine(run: _Run, ctx: Context, proto: Prototype, term: Term) -> SpineOutcom
     matched = _match(frozenset(), head.ty, proto, run.supply)
     if type(matched) is MatchFailure:
         raise _head_failure(term, head.ty, matched)
-    if not matched.solution.is_identity:
-        raise EngineInvariantError("head match solved variables it was not given")
 
-    # Second pass, innermost item first.  Each peeled quantifier's binder
-    # is the meta-variable: the matcher minted it fresh for this run.
-    rest = _Remaining(matched.decorated, run.supply)
+    # Second pass, innermost item first.  Each quantifier link is the
+    # meta-variable: the matcher minted it fresh for this run.
+    rest = _Remaining(*matched, run.supply)
     partial, contextual = head.elaboration, {}
     arg_index = 0
     for item in reversed(items):
@@ -508,13 +505,14 @@ def _spine(run: _Run, ctx: Context, proto: Prototype, term: Term) -> SpineOutcom
             partial = TApp(partial, item.targ, span=item.span)
             continue
         arg_index += 1
-        while type(quant := rest.next()) is DForall:
+        while type(link := rest.next()) is str:
             run.note("peel")
             rest.at += 1
-            partial = TApp(partial, TVar(quant.bound))
-            if quant.deco is not None:
-                contextual[quant.bound] = Binding(quant.deco, rest.origin(quant.deco_origin))
-        if type(rest.next()) is not DArrow:
+            partial = TApp(partial, TVar(link))
+            binding = rest.decos.get(link)
+            if binding is not None:
+                contextual[link] = Binding(binding.ty, rest.origin(binding.origin))
+        if link is None:
             raise Diagnostic(
                 DiagnosticKind.APPLICAND_NOT_ARROW,
                 span=item.arg.span,
@@ -523,46 +521,46 @@ def _spine(run: _Run, ctx: Context, proto: Prototype, term: Term) -> SpineOutcom
             )
         elab = _consume_arrow(run, ctx, rest, contextual, item.arg, arg_index)
         partial = App(partial, elab)
-    if type(rest.next()) is not Plain:
+    if rest.next() is not None or type(rest.leaf) is not Plain:
         raise EngineInvariantError("a spine ended before its decorated type")
     deco = Plain(rest.apply(rest.leaf.ty))
     return SpineOutcome(deco, subst_type_args(rest.pending, partial), Solution(contextual))
 
 
 class _Remaining:
-    """The rest of a spine's decorated type, under a delayed substitution.
+    """The rest of a spine's head type, under a delayed substitution.
 
-    ``links`` holds the type's arrows and quantifiers, outermost first,
-    and ``leaf`` the ``Plain`` or ``Stuck`` type that ends them; ``at``
-    is the next link the spine reads.  ``pending`` is the spine's one map
-    of solutions found along it: the synthetic instantiations and the
-    explicit type arguments.  ``apply`` brings a domain or an origin up
-    to date as the spine reads it, so nothing is substituted twice.
-    When a solution reaches the stuck leaf's meta-variable, ``solve``
-    re-matches that leaf alone through ``subst_decorated`` and appends
-    the links it reveals, so a conflict is reported at the argument that
+    ``links`` holds the links the matcher handed over, outermost first:
+    a quantifier as its meta-variable (a ``str``), an arrow as its
+    domain (a type).  ``leaf`` is the ``Plain`` or ``Stuck`` type that
+    ends them, and ``at`` the next link the spine reads.  ``decos``
+    holds the matches' solutions, the contextual decoration of each
+    quantifier they solved, by meta-variable.  ``pending`` is the
+    spine's one map of solutions found along it: the synthetic
+    instantiations and the explicit type arguments.  ``apply`` brings a
+    domain or an origin up to date as the spine reads it, so nothing is
+    substituted twice.  When a solution reaches the stuck leaf's
+    meta-variable, ``solve`` re-matches that leaf alone, its solved type
+    against its pending prototype, and appends the links and decorations
+    that match reveals, so a conflict is reported at the argument that
     solved it.  Every pending value is well-formed in the spine's
-    context, so none mentions a meta-variable, as ``subst_decorated``
-    requires.  ``shown`` is the unread type as a diagnostic prints it.
+    context, so none mentions a meta-variable and no link's binder can
+    capture one.  ``shown`` is the unread type as a diagnostic prints it.
     """
 
-    def __init__(self, deco: DecoratedType, supply: NameSupply):
-        self.links: list[DArrow | DForall] = []
+    def __init__(
+        self, links: list[str | TypeExpr], leaf: Plain | Stuck, decos: Solution, supply: NameSupply
+    ):
+        self.links = links
         self.at = 0
-        self.leaf = self._unfold(deco)
+        self.leaf = leaf
+        self.decos = decos.bindings
         self.supply = supply
         self.pending: dict[str, TypeExpr] = {}
 
-    def _unfold(self, w: DecoratedType) -> Plain | Stuck:
-        """Append the links of ``w`` and return its leaf."""
-        while type(w) is DArrow or type(w) is DForall:
-            self.links.append(w)
-            w = w.cod if type(w) is DArrow else w.body
-        return w
-
-    def next(self) -> DecoratedType:
-        """The next unread link, or the leaf once every link is read."""
-        return self.links[self.at] if self.at < len(self.links) else self.leaf
+    def next(self) -> str | TypeExpr | None:
+        """The next unread link, or None once every link is read."""
+        return self.links[self.at] if self.at < len(self.links) else None
 
     def apply(self, ty: TypeExpr) -> TypeExpr:
         return substitute(self.pending, ty)
@@ -578,10 +576,12 @@ class _Remaining:
         self.pending.update(solved)
         if type(self.leaf) is not Stuck or self.leaf.meta not in solved:
             return True
-        deco = subst_decorated(self.pending, self.leaf, self.supply)
-        if deco is None:
+        out = _match(frozenset(), self.pending[self.leaf.meta], self.leaf.proto, self.supply)
+        if type(out) is MatchFailure:
             return False
-        self.leaf = self._unfold(deco)
+        links, self.leaf, decos = out
+        self.links += links
+        self.decos.update(decos.bindings)
         return True
 
     def shown(self, contextual: dict[str, Binding]) -> TypeExpr:
@@ -594,12 +594,12 @@ class _Remaining:
         """
         types = {m: b.ty for m, b in contextual.items()}
         ty = substitute(types, self.apply(strip(self.leaf)))
-        for w in reversed(self.links[self.at :]):
-            if type(w) is DArrow:
-                ty = Arrow(substitute(types, self.apply(w.dom)), ty)
+        for link in reversed(self.links[self.at :]):
+            if type(link) is str:
+                x = _fresh_against(self.supply.source_of(link), free_type_vars(ty))
+                ty = Forall(x, substitute({link: TVar(x)}, ty))
             else:
-                x = _fresh_against(self.supply.source_of(w.bound), free_type_vars(ty))
-                ty = Forall(x, substitute({w.bound: TVar(x)}, ty))
+                ty = Arrow(substitute(types, self.apply(link)), ty)
         return ty
 
 
@@ -624,25 +624,26 @@ def _head_failure(head: Term, head_ty: TypeExpr, failure: MatchFailure) -> Diagn
 
 def _take_type_arg(rest: _Remaining, contextual: dict[str, Binding], term: TApp) -> None:
     s = term.targ
-    quant = rest.next()
-    if type(quant) is not DForall:
+    meta = rest.next()
+    if type(meta) is not str:
         raise Diagnostic(
             DiagnosticKind.APPLICAND_NOT_FORALL,
             span=term.span,
             synthesized=rest.shown(contextual),
             subject=term,
         )
-    if quant.deco is not None and not alpha_equal(quant.deco, s):
+    binding = rest.decos.get(meta)
+    if binding is not None and not alpha_equal(binding.ty, s):
         raise Diagnostic(
             DiagnosticKind.EXPLICIT_ARG_CONFLICT,
             span=term.span,
-            expected=quant.deco,
+            expected=binding.ty,
             synthesized=s,
-            contextual_match=rest.origin(quant.deco_origin),
+            contextual_match=rest.origin(binding.origin),
             subject=term,
         )
     rest.at += 1
-    if not rest.solve({quant.bound: s}):
+    if not rest.solve({meta: s}):
         raise Diagnostic(
             DiagnosticKind.SOLUTION_CONFLICT,
             span=term.span,
@@ -668,7 +669,7 @@ def _consume_arrow(
     stuck leaf at once if the instantiation solves it and reaches the
     partial elaboration when the spine is done.
     """
-    dom = rest.apply(rest.next().dom)
+    dom = rest.apply(rest.next())
     rest.at += 1
     fixed = {v: contextual[v] for v in free_type_vars(dom) if v in contextual} if contextual else {}
     expected = substitute({v: b.ty for v, b in fixed.items()}, dom)

@@ -332,14 +332,6 @@ class ArrowTo:
 Prototype = Union[Unknown, Exact, ArrowTo]
 
 
-def proto_arity(p: Prototype) -> int:
-    n = 0
-    while isinstance(p, ArrowTo):
-        n += 1
-        p = p.rest
-    return n
-
-
 # ------------------------------------------------------------ provenance
 
 
@@ -487,15 +479,6 @@ def strip(w: DecoratedType) -> TypeExpr:
     for w in reversed(links):
         ty = Arrow(w.dom, ty) if type(w) is DArrow else Forall(w.bound, ty)
     return ty
-
-
-def deco_arity(w: DecoratedType) -> int:
-    """Number of argument positions the decoration spells out."""
-    n = 0
-    while isinstance(w, DArrow):
-        n += 1
-        w = w.cod
-    return n
 
 
 # ------------------------------------------------------- free variables
@@ -804,33 +787,6 @@ def canon_term(t: Term) -> str:
     return _canon_tm(t, {}, 0)
 
 
-def _canon_proto(p: Prototype, env: Mapping[str, int], depth: int) -> str:
-    match p:
-        case Unknown():
-            return "?"
-        case Exact(ty=t):
-            return f"={_canon_ty(t, env, depth)}"
-        case ArrowTo(rest=r):
-            return f"(?->{_canon_proto(r, env, depth)})"
-    raise TypeError(p)
-
-
-def _canon_deco(w: DecoratedType, env: Mapping[str, int], depth: int) -> str:
-    """Key of a decorated type; decorations are keyed outside their binder."""
-    match w:
-        case Plain(ty=t):
-            return f"plain:{_canon_ty(t, env, depth)}"
-        case DArrow(dom=d, cod=c):
-            return f"({_canon_ty(d, env, depth)}=>{_canon_deco(c, env, depth)})"
-        case DForall(bound=x, deco=r, body=b):
-            deco = "_" if r is None else _canon_ty(r, env, depth)
-            return f"(dall:{deco}.{_canon_deco(b, {**env, x: depth}, depth + 1)})"
-        case Stuck(meta=m, proto=p):
-            head = _canon_ty(TVar(m), env, depth)
-            return f"stuck:{head}:{_canon_proto(p, env, depth)}"
-    raise TypeError(w)
-
-
 # --------------------------------------------------------- alpha equality
 
 
@@ -934,11 +890,6 @@ def _alpha_ty(
 def alpha_equal_term(a: Term, b: Term) -> bool:
     """Equality of terms up to renaming of bound term and type variables."""
     return canon_term(a) == canon_term(b)
-
-
-def alpha_equal_deco(a: DecoratedType, b: DecoratedType) -> bool:
-    """Equality of decorated types up to renaming of quantifier binders."""
-    return _canon_deco(a, {}, 0) == _canon_deco(b, {}, 0)
 
 
 # ------------------------------------------------------------ fresh names

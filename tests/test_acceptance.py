@@ -22,7 +22,7 @@ from spinel import (
 )
 from spinel.cli import render_diagnostic
 from spinel.infer import DiagnosticKind
-from spinel.matcher import subst_decorated
+from spinel.matcher import MatchFailure, _match
 from spinel.oracle import (
     DEFAULT_TYPE_POOL,
     check_weak_completeness_conditions,
@@ -48,10 +48,7 @@ from spinel.syntax import (
     TVar,
     Unknown,
     alpha_equal,
-    alpha_equal_deco,
     alpha_equal_term,
-    deco_arity,
-    proto_arity,
     strip,
     subst_type_args,
 )
@@ -160,6 +157,8 @@ def test_criterion_3_mixed_contextual_and_synthetic_golden():
 def test_criterion_4_matcher_goldens():
     problems = []
     x, y, nat = TVar("X"), TVar("Y"), Con("Nat")
+    # A fresh supply names the peeled quantifiers ``?X0``, ``?Y1``, ...
+    mx, my = TVar("?X0"), TVar("?Y1")
 
     got = match_proto(
         frozenset(),
@@ -168,9 +167,9 @@ def test_criterion_4_matcher_goldens():
         NameSupply(),
     )
     want = DForall(
-        "X", nat, DForall("Y", None, DArrow(x, DArrow(y, Plain(x))))
+        "?X0", nat, DForall("?Y1", None, DArrow(mx, DArrow(my, Plain(mx))))
     )
-    if got is None or not alpha_equal_deco(got.decorated, want):
+    if got is None or got.decorated != want:
         problems.append("two-quantifier decoration")
     elif got.solution.domain():
         problems.append("solution is not the identity")
@@ -178,20 +177,19 @@ def test_criterion_4_matcher_goldens():
     got = match_proto(
         frozenset(), Forall("X", Arrow(x, x)), ArrowTo(ArrowTo(Exact(nat))), NameSupply()
     )
-    bound = got.decorated.bound if got is not None else "X"
-    stuck = DForall(
-        bound,
-        None,
-        DArrow(TVar(bound), Stuck(bound, ArrowTo(Exact(nat)))),
-    )
-    if got is None or not alpha_equal_deco(got.decorated, stuck):
+    stuck = DForall("?X0", None, DArrow(mx, Stuck("?X0", ArrowTo(Exact(nat)))))
+    if got is None or got.decorated != stuck:
         problems.append("over-applied quantifier sticks")
 
-    deco = DArrow(x, Stuck("X", ArrowTo(Exact(nat))))
-    solved = subst_decorated({"X": ty("Nat -> Nat")}, deco)
-    if solved is None or not alpha_equal(strip(solved), ty("(Nat -> Nat) -> Nat -> Nat")):
+    # ``X -> X`` stuck on ``X``: the spine solves ``X`` and re-matches the
+    # leaf, its solved type against its pending prototype.  ``Nat -> Nat``
+    # reveals the one arrow it owes, so the spine reads
+    # ``(Nat -> Nat) -> Nat -> Nat``; ``Nat`` reveals none.
+    leaf = Stuck("X", ArrowTo(Exact(nat)))
+    solved = _match(frozenset(), ty("Nat -> Nat"), leaf.proto, NameSupply())
+    if type(solved) is MatchFailure or solved[:2] != ([nat], Plain(nat)):
         problems.append("solving a stuck decoration with an arrow")
-    if subst_decorated({"X": nat}, deco) is not None:
+    if type(_match(frozenset(), nat, leaf.proto, NameSupply())) is not MatchFailure:
         problems.append("solving a stuck decoration with a non-arrow")
 
     ok = not problems
@@ -306,12 +304,19 @@ def test_criterion_7_exhaustive_matcher_audit():
         matched += 1
         if not rules:
             problems.append(f"match succeeded with no applicable rule on {pretty_type(t)}")
-        if deco_arity(first.decorated) > proto_arity(p):
+        arrows, w = 0, first.decorated
+        while type(w) is DArrow or type(w) is DForall:
+            arrows += type(w) is DArrow
+            w = w.cod if type(w) is DArrow else w.body
+        arity, q = 0, p
+        while type(q) is ArrowTo:
+            arity, q = arity + 1, q.rest
+        if arrows > arity:
             problems.append(f"decoration arity overrun on {pretty_type(t)}")
         if not first.solution.domain() <= metas:
             problems.append(f"solution escapes the meta set on {pretty_type(t)}")
         if not (
-            alpha_equal_deco(first.decorated, second.decorated)
+            first.decorated == second.decorated
             and first.solution.equivalent(second.solution)
         ):
             problems.append(f"nondeterministic result on {pretty_type(t)}")

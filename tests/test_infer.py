@@ -14,14 +14,13 @@ from spinel.infer import DiagnosticKind, EngineInvariantError
 from spinel.oracle import enumerate_erasures, enumerate_internal_terms, standard_context
 from spinel.parser import Assume, ConDecl, Goal, parse_program, parse_term, pretty_term, pretty_type
 from spinel.syntax import (
+    ArrowTo,
     Con,
     Context,
     Contextual,
     Exact,
     Forall,
     Lam,
-    Plain,
-    Stuck,
     Synthetic,
     TermBind,
     TLam,
@@ -457,7 +456,7 @@ def _count_growth(monkeypatch, counted, sizes, run):
 
 
 @pytest.mark.parametrize("mode", ["synth", "check"])
-@pytest.mark.parametrize("counted", ["syntax.substitute", "matcher.subst_decorated"])
+@pytest.mark.parametrize("counted", ["syntax.substitute", "matcher._match"])
 def test_spine_substitutions_grow_linearly_with_its_length(monkeypatch, counted, mode):
     def run(n):
         ctx, term = _wide_spine(n)
@@ -688,22 +687,21 @@ def test_a_binder_that_shadows_a_declared_name_is_still_rejected(mode, term, nam
 
 
 def test_decorated_substitution_never_needs_capture_avoidance(monkeypatch):
-    """The spine reads its decorated type link by link and hands
-    ``subst_decorated`` only the leaf it re-matches, under a map of
-    meta-free types, so no binder of a decorated type is ever crossed."""
+    """The spine reads its head's type link by link and re-matches only a
+    solved stuck leaf: the leaf's meta-free solution against its pending
+    prototype, so no binder of a decorated type is ever crossed."""
     infer_mod = importlib.import_module("spinel.infer")
-    matcher_mod = importlib.import_module("spinel.matcher")
-    original = matcher_mod.subst_decorated
+    original, solve = infer_mod._match, infer_mod._Remaining.solve.__code__
     calls = [0]
 
-    def checked(mapping, w, *rest):
-        calls[0] += 1
-        assert isinstance(w, (Plain, Stuck)), w
-        for value in mapping.values():
-            assert not any(is_meta_name(v) for v in free_type_vars(value)), mapping
-        return original(mapping, w, *rest)
+    def checked(metas, ty, proto, supply):
+        if sys._getframe(1).f_code is solve:  # a re-match, not a head match
+            calls[0] += 1
+            assert not metas and type(proto) is ArrowTo, (metas, proto)
+            assert not any(is_meta_name(v) for v in free_type_vars(ty)), ty
+        return original(metas, ty, proto, supply)
 
-    monkeypatch.setattr(infer_mod, "subst_decorated", checked)
+    monkeypatch.setattr(infer_mod, "_match", checked)
     ctx = standard_context()
     for internal, internal_ty in enumerate_internal_terms(ctx, 5):
         for erased in enumerate_erasures(internal):
@@ -741,3 +739,31 @@ def test_decorated_substitution_never_needs_capture_avoidance(monkeypatch):
         infer(stuck_ctx, Synthesize(), tm("ident z z", stuck_ctx))
     assert err.value.kind is DiagnosticKind.SOLUTION_CONFLICT
     assert calls[0] == 9, calls
+
+
+def test_the_engine_builds_no_nested_decorated_type(monkeypatch):
+    # The matcher hands the spine its links; only ``match_proto`` nests them.
+    matcher_mod = importlib.import_module("spinel.matcher")
+    built = [0]
+    for name in ("DArrow", "DForall"):
+        node = getattr(matcher_mod, name)
+
+        def counted(*args, node=node, **kwargs):
+            built[0] += 1
+            return node(*args, **kwargs)
+
+        monkeypatch.setattr(matcher_mod, name, counted)
+    ctx = standard_context()
+    for internal, internal_ty in enumerate_internal_terms(ctx, 5):
+        for erased in enumerate_erasures(internal):
+            for mode in (Check(internal_ty), Synthesize()):
+                try:
+                    infer(ctx, mode, erased)
+                except Diagnostic:
+                    pass
+    wide_ctx, term = _wide_spine(16)
+    infer(wide_ctx, Synthesize(), term)
+    infer(wide_ctx, Check(ty("Nat", wide_ctx)), term)
+    contextual_ctx, term, expected = _contextual_spine(48)
+    assert infer(contextual_ctx, Check(expected), term).ty == expected
+    assert built[0] == 0

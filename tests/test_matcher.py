@@ -1,4 +1,4 @@
-"""Prototype matching, first-order matching, decorated substitution."""
+"""Prototype matching, first-order matching, re-matching a stuck leaf."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from conftest import ty
 from spinel import match_proto
-from spinel.matcher import match_first_order, subst_decorated
+from spinel.matcher import MatchFailure, _match
 from spinel.syntax import (
     Arrow,
     ArrowTo,
@@ -18,10 +18,10 @@ from spinel.syntax import (
     Forall,
     NameSupply,
     Plain,
+    Solution,
     Stuck,
     TVar,
     Unknown,
-    alpha_equal_deco,
     is_meta_name,
     strip,
 )
@@ -59,68 +59,88 @@ def test_contextual_solution_lands_in_the_decoration():
         arrow_to(1, 2, tail=Exact(NAT)),
     )
     assert got.solution.is_identity
-    expected = DForall(
-        "X",
-        NAT,
-        DForall(
-            "Y", None, DArrow(TVar("X"), DArrow(TVar("Y"), Plain(TVar("X"))))
-        ),
-    )
-    assert alpha_equal_deco(got.decorated, expected)
+    x, y = TVar("?X0"), TVar("?Y1")
+    expected = DForall("?X0", NAT, DForall("?Y1", None, DArrow(x, DArrow(y, Plain(x)))))
+    assert got.decorated == expected
+    assert got.decorated.deco_origin == Contextual(x, NAT)
 
 
 def test_meta_head_gets_stuck_instead_of_failing():
     got = match_proto(frozenset(), ty("forall X. X -> X"), arrow_to(1, 2, tail=Exact(NAT)))
     assert got.solution.is_identity
-    expected = DForall("X", None, DArrow(TVar("X"), Stuck("X", ArrowTo(Exact(NAT)))))
-    assert alpha_equal_deco(got.decorated, expected)
+    expected = DForall("?X0", None, DArrow(TVar("?X0"), Stuck("?X0", ArrowTo(Exact(NAT)))))
+    assert got.decorated == expected
 
 
 def test_arity_overrun_is_reported_as_such():
-    from spinel.matcher import MatchFailure, _match
-
     out = _match(frozenset(), NAT, ArrowTo(Unknown()), NameSupply())
     assert isinstance(out, MatchFailure)
     assert out.arity_overrun
 
 
 def test_exact_disagreement_is_not_an_arity_overrun():
-    from spinel.matcher import MatchFailure, _match
-
     out = _match(frozenset(), Arrow(NAT, NAT), ArrowTo(Exact(Con("B"))), NameSupply())
     assert isinstance(out, MatchFailure)
     assert not out.arity_overrun
     assert out.ty == NAT
 
 
-def test_subst_decorated_rematches_stuck_decorations():
-    w = DArrow(TVar("X"), Stuck("X", ArrowTo(Exact(NAT))))
-    got = subst_decorated({"X": ty("Nat -> Nat")}, w)
-    assert got == DArrow(ty("Nat -> Nat"), DArrow(NAT, Plain(NAT)))
-    assert strip(got) == ty("(Nat -> Nat) -> Nat -> Nat")
+def test_a_solved_stuck_leaf_rematches_against_its_pending_prototype():
+    # The spine's re-match: the leaf's solved type against its prototype.
+    leaf = Stuck("X", ArrowTo(Exact(NAT)))
+    links, rest, solution = _match(frozenset(), ty("Nat -> Nat"), leaf.proto, NameSupply())
+    assert (links, rest, solution) == ([NAT], Plain(NAT), Solution())
 
 
-def test_subst_decorated_is_undefined_on_arity_conflicts():
-    w = DArrow(TVar("X"), Stuck("X", ArrowTo(Exact(NAT))))
-    assert subst_decorated({"X": NAT}, w) is None
+def test_a_solved_stuck_leaf_fails_on_arity_conflicts():
+    leaf = Stuck("X", ArrowTo(Exact(NAT)))
+    out = _match(frozenset(), NAT, leaf.proto, NameSupply())
+    assert isinstance(out, MatchFailure) and out.arity_overrun
 
 
-def test_subst_decorated_leaves_quantifier_decorations_alone():
-    w = DForall("Y", TVar("M"), Plain(Arrow(TVar("M"), TVar("Y"))))
-    got = subst_decorated({"M": NAT}, w)
-    assert got == DForall("Y", TVar("M"), Plain(Arrow(NAT, TVar("Y"))))
+def test_a_rematch_hands_over_its_links_and_decorations():
+    # Links come out as they are read: a quantifier as its meta-variable,
+    # an arrow as its renamed domain; the solution decorates the peeled
+    # metas, unrestricted.
+    links, leaf, solution = _match(
+        frozenset(), ty("forall X. forall Y. Y -> X"), ArrowTo(Exact(NAT)), NameSupply()
+    )
+    assert links == ["?X0", "?Y1", TVar("?Y1")]
+    assert leaf == Plain(TVar("?X0"))
+    assert solution.types() == {"?X0": NAT}
+
+
+def test_a_match_reads_one_link_per_demanded_arrow_and_peeled_quantifier():
+    # The arity a prototype demands is the number of domain links read.
+    links, leaf, _ = _match(
+        frozenset(), ty("forall X. X -> Nat -> X"), arrow_to(1, 2), NameSupply()
+    )
+    assert links == ["?X0", TVar("?X0"), NAT]
+    assert sum(type(link) is not str for link in links) == 2
+    assert leaf == Plain(TVar("?X0"))
+    assert _match(frozenset(), NAT, Exact(NAT), NameSupply()) == ([], Plain(NAT), Solution())
+
+
+def test_a_fresh_supply_makes_decorated_types_comparable_with_eq():
+    # Goldens compare with ``==``: two matches from fresh supplies mint
+    # the same names, so equal inputs give equal decorated types.
+    t, p = ty("forall X. forall Y. X -> Y -> X"), arrow_to(1, 2, tail=Exact(NAT))
+    first, second = match_proto(frozenset(), t, p), match_proto(frozenset(), t, p)
+    assert first.decorated == second.decorated
+    assert first.solution.types() == second.solution.types() == {}
 
 
 def test_first_order_match_solves_uniquely():
     pattern = Con("Pair", (TVar("M"), TVar("M")))
-    got = match_first_order({"M"}, pattern, ty("Pair Nat Nat"))
-    assert got.types() == {"M": NAT}
-    assert got.binding("M").origin == Contextual(pattern, ty("Pair Nat Nat"))
+    got = match_proto({"M"}, pattern, Exact(ty("Pair Nat Nat")))
+    assert got.solution.types() == {"M": NAT}
+    assert got.solution.binding("M").origin == Contextual(pattern, ty("Pair Nat Nat"))
+    assert got.decorated == Plain(pattern)
 
 
 def test_first_order_match_rejects_conflicts():
     assert (
-        match_first_order({"M"}, Con("Pair", (TVar("M"), TVar("M"))), ty("Pair Nat B"))
+        match_proto({"M"}, Con("Pair", (TVar("M"), TVar("M"))), Exact(ty("Pair Nat B")))
         is None
     )
 
@@ -128,23 +148,23 @@ def test_first_order_match_rejects_conflicts():
 def test_first_order_match_rejects_scope_escape():
     pat = Forall("Y", Arrow(TVar("M"), TVar("Y")))
     tgt = ty("forall Y. Y -> Y")
-    assert match_first_order({"M"}, pat, tgt) is None
+    assert match_proto({"M"}, pat, Exact(tgt)) is None
 
 
 def test_first_order_match_handles_quantified_patterns():
     pat = Forall("Y", Arrow(TVar("Y"), TVar("M")))
-    got = match_first_order({"M"}, pat, ty("forall C. C -> Nat"))
-    assert got.types() == {"M": NAT}
+    got = match_proto({"M"}, pat, Exact(ty("forall C. C -> Nat")))
+    assert got.solution.types() == {"M": NAT}
 
 
 def test_first_order_match_precondition_on_target():
     with pytest.raises(ValueError):
-        match_first_order({"M"}, TVar("M"), TVar("M"))
+        match_proto({"M"}, TVar("M"), Exact(TVar("M")))
 
 
 def test_first_order_match_rejects_a_pattern_quantifier_binding_a_solvable_variable():
     with pytest.raises(ValueError, match="solvable variable is bound inside the pattern"):
-        match_first_order({"M"}, Arrow(NAT, Forall("M", TVar("M"))), ty("Nat -> forall A. A"))
+        match_proto({"M"}, Arrow(NAT, Forall("M", TVar("M"))), Exact(ty("Nat -> forall A. A")))
 
 
 def test_supply_backed_binders_are_run_unique_metas():

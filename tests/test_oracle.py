@@ -20,7 +20,6 @@ from spinel import (
     spine_infer,
     verify_spec,
 )
-from spinel.matcher import match_first_order
 from spinel.oracle import (
     _partial_synth,
     _solve_instantiation,
@@ -57,6 +56,7 @@ from spinel.syntax import (
     compose,
     free_type_vars,
     is_well_formed,
+    match_type,
     spine_parts,
     strip,
     substitute,
@@ -250,12 +250,12 @@ def _solvers_agree(metas, pattern, target):
     """Both solvers answer None, or both solve the same metas with
     alpha-equal types; True if they solved."""
     ours = _solve_instantiation(metas, pattern, target)
-    theirs = match_first_order(metas, pattern, target)
+    theirs = match_type(metas, pattern, target)
     assert (ours is None) == (theirs is None), (pattern, target)
     if ours is None:
         return False
-    assert set(ours) == theirs.domain(), (pattern, target)
-    assert all(alpha_equal(ours[m], theirs.type_of(m)) for m in ours), (pattern, target)
+    assert set(ours) == set(theirs), (pattern, target)
+    assert all(alpha_equal(ours[m], theirs[m]) for m in ours), (pattern, target)
     return True
 
 
@@ -322,9 +322,9 @@ def test_matching_with_no_solvable_variables_is_alpha_equality(a, b, t, xs, ys):
     if "C" not in free_type_vars(a):
         pairs.append((Forall("A", a), Forall("C", substitute({"A": TVar("C")}, a))))
     for p, q in pairs:
-        found = match_first_order(frozenset(), p, q)
+        found = match_type(frozenset(), p, q)
         assert (found is not None) == alpha_equal(p, q), (p, q)
-        assert found is None or found.is_identity, (p, q)
+        assert found is None or found == {}, (p, q)
 
 
 # ----------------------------------------------------------------- search

@@ -41,16 +41,13 @@ from spinel.syntax import (
     Var,
     _well_formed,
     alpha_equal,
-    alpha_equal_deco,
     alpha_equal_term,
     canon_term,
     canon_type,
-    deco_arity,
     free_type_vars,
     is_well_formed,
     meta_vars_of_term,
     meta_vars_of_type,
-    proto_arity,
     spine_parts,
     strip,
     subst_type_args,
@@ -226,17 +223,21 @@ DECO_PAIRS = {
 
 
 @pytest.mark.parametrize("pair", DECO_PAIRS.values(), ids=DECO_PAIRS.keys())
-def test_alpha_equal_deco_keeps_decorations_apart(pair):
+def test_decorated_equality_keeps_decorations_apart(pair):
+    # Goldens compare decorated types with ``==``; it must see every
+    # difference in the decoration, not only in the stripped type.
     a, b = pair
-    assert alpha_equal_deco(a, a) and alpha_equal_deco(b, b)
-    assert not alpha_equal_deco(a, b)
-    assert not alpha_equal_deco(b, a)
+    assert a == dataclasses.replace(a) and b == dataclasses.replace(b)
+    assert a != b and b != a
 
 
-def test_alpha_equal_deco_renames_binders_and_stuck_heads():
+def test_decorated_equality_is_strict_on_binder_names():
+    # ``==`` is at least as strict as alpha equality: renamed binders and
+    # stuck heads differ, though the stripped types are alpha-equal.
     a = DForall("X", NAT, DArrow(TVar("X"), Stuck("X", ArrowTo(Exact(TVar("X"))))))
     b = DForall("Y", NAT, DArrow(TVar("Y"), Stuck("Y", ArrowTo(Exact(TVar("Y"))))))
-    assert alpha_equal_deco(a, b)
+    assert a != b
+    assert alpha_equal(strip(a), strip(b))
 
 
 def test_substitute_is_capture_avoiding():
@@ -355,12 +356,6 @@ def test_context_extension_checks_only_the_new_entry(monkeypatch):
         assert ext.lookup("fresh") is not None and "C" in ext.dtv and ext.arity("Fresh") == 1
         counts[len(ctx.entries)] = walks["walks"]
     assert counts[len(small.entries)] == counts[len(large.entries)] == 1
-
-
-def test_arity_helpers():
-    assert proto_arity(ArrowTo(ArrowTo(Unknown()))) == 2
-    assert proto_arity(Exact(Con("Nat"))) == 0
-    assert deco_arity(Plain(Con("Nat"))) == 0
 
 
 def test_strip_restores_plain_types():
