@@ -79,7 +79,6 @@ from .syntax import (
     meta_vars_of_term,
     meta_vars_of_type,
     strip,
-    subst_type,
     subst_type_args,
     substitute,
 )
@@ -452,19 +451,20 @@ def _app_check(run: _Run, ctx: Context, term: App, expected: TypeExpr) -> InferO
     run.note("app-check")
     out = _spine(run, ctx, Exact(expected), term)
     mv_partial = meta_vars_of_term(ctx, out.partial)
-    if mv_partial != out.solution.domain():
+    solved = out.solution.types()
+    final = substitute(solved, strip(out.deco))
+    if mv_partial != solved.keys():
         raise Diagnostic(
             DiagnosticKind.UNSOLVED_META_VARIABLES,
             span=term.span,
             expected=expected,
-            synthesized=subst_type(out.solution, strip(out.deco)),
+            synthesized=final,
             unsolved=mv_partial - out.solution.domain(),
             subject=term,
         )
-    final = subst_type(out.solution, strip(out.deco))
     if not alpha_equal(final, expected):
         raise EngineInvariantError("checked spine type does not restore the contextual type")
-    elab = subst_type_args(out.solution.types(), out.partial)
+    elab = subst_type_args(solved, out.partial)
     if __debug__ and meta_vars_of_term(ctx, elab):
         raise EngineInvariantError("checked elaboration still mentions meta-variables")
     return InferOutcome(expected, elab, out)

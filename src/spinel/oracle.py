@@ -30,6 +30,7 @@ from .infer import Check, Diagnostic, Synthesize, infer, spine_infer
 from .syntax import (
     App,
     Arrow,
+    Binding,
     Con,
     Context,
     Contextual,
@@ -49,13 +50,11 @@ from .syntax import (
     alpha_equal_term,
     canon_term,
     canon_type,
-    compose,
     free_type_vars,
     is_well_formed,
     meta_vars_of_term,
     meta_vars_of_type,
     spine_parts,
-    subst_type,
     subst_type_args,
     substitute,
 )
@@ -143,10 +142,12 @@ def verify_spec(
     a concrete type means "decline now, solve it from a later argument".
 
     The head's type is walked unsubstituted.  ``opened`` maps each
-    quantifier passed to its type argument and ``solved`` each meta an
-    argument's instantiation solved; both reach a part of the type only
-    where it is read, not the whole rest of it at every quantifier and
-    argument, so the replay's work grows linearly with the spine.  The
+    quantifier passed to its type argument, ``solved`` each meta an
+    argument's instantiation solved, and ``guessed`` each meta guessed
+    to its claimed type; they reach a part of the type only where it is
+    read, not the whole rest of it at every quantifier and argument.
+    ``guessed`` grows in place and becomes the replayed solution once,
+    at the shim, so the replay's work grows linearly with the spine.  The
     shim and the mode's side conditions are ``passes_side_conditions``'s.
     """
     if not isinstance(term, App):
@@ -170,7 +171,7 @@ def verify_spec(
     ty = hout.ty
     opened: dict[str, TypeExpr] = {}
     solved: dict[str, TypeExpr] = {}
-    sol = Solution()
+    guessed: dict[str, TypeExpr] = {}
     rebuilt: Term = hout.elaboration
     synthesized: dict[str, TypeExpr] = {}  # every synthesizing argument's instantiation
     fresh = itertools.count()
@@ -218,10 +219,9 @@ def verify_spec(
             if isinstance(got, TVar) and got.name not in ctx.dtv:
                 meta = got.name
                 if meta in claimed_sol:
-                    try:
-                        sol = compose(sol, meta, claimed_sol.type_of(meta), claimed_sol.binding(meta).origin)
-                    except ValueError:
+                    if meta in guessed:
                         return reject("claimed solution reuses a meta-variable name")
+                    guessed[meta] = claimed_sol.bindings[meta].ty
                 # an unbound meta-variable stands for declining the guess
             else:
                 # solved later by a synthesizing argument; no run mints a
@@ -234,7 +234,7 @@ def verify_spec(
         if not isinstance(ty, Arrow):
             return reject("argument applied but the type reveals no arrow")
 
-        dom = subst_type(sol, read(ty.dom))
+        dom = substitute(guessed, read(ty.dom))
         ty = ty.cod
         unsolved = meta_vars_of_type(ctx, dom)
         if not unsolved:
@@ -271,6 +271,7 @@ def verify_spec(
     ty = read(ty)
 
     trace.append("shim")
+    sol = Solution({meta: claimed_sol.bindings[meta] for meta in guessed})
     if not alpha_equal(ty, claimed_ty):
         return reject("claimed type differs from the replayed type")
     if not alpha_equal_term(rebuilt, claimed_partial):
@@ -380,9 +381,11 @@ def _derivations(
         return
     fresh = itertools.count()
 
-    def walk(i: int, ty, partial, sol) -> Iterator[Triple]:
+    def walk(i: int, ty, partial, guesses) -> Iterator[Triple]:
         if i == len(items):
-            yield ty, partial, sol
+            yield ty, partial, Solution(
+                {meta: Binding(cand, Contextual(TVar(meta), cand)) for meta, cand in guesses.items()}
+            )
             return
         item = items[i]
         if _is_type(item):
@@ -391,30 +394,29 @@ def _derivations(
                     i + 1,
                     substitute({ty.bound: item}, ty.body),
                     TApp(partial, item),
-                    sol,
+                    guesses,
                 )
             return
-        yield from apply(i, ty, partial, sol, item)
+        yield from apply(i, ty, partial, guesses, item)
 
-    def apply(i: int, ty, partial, sol, arg) -> Iterator[Triple]:
+    def apply(i: int, ty, partial, guesses, arg) -> Iterator[Triple]:
         if isinstance(ty, Forall):
             meta = f"?g{next(fresh)}"
             opened = substitute({ty.bound: TVar(meta)}, ty.body)
             applied = TApp(partial, TVar(meta))
-            yield from apply(i, opened, applied, sol, arg)
+            yield from apply(i, opened, applied, guesses, arg)
             for cand in candidates:
-                guessed = compose(sol, meta, cand, Contextual(TVar(meta), cand))
-                yield from apply(i, opened, applied, guessed, arg)
+                yield from apply(i, opened, applied, {**guesses, meta: cand}, arg)
             return
         if not isinstance(ty, Arrow):
             return
-        dom = subst_type(sol, ty.dom)
+        dom = substitute(guesses, ty.dom)
         unsolved = meta_vars_of_type(ctx, dom)
         aout = _typed(ctx, typed, i, arg, None if unsolved else dom)
         if aout is None:
             return
         if not unsolved:
-            yield from walk(i + 1, ty.cod, App(partial, aout.elaboration), sol)
+            yield from walk(i + 1, ty.cod, App(partial, aout.elaboration), guesses)
         else:
             inst = _solve_instantiation(unsolved, dom, aout.ty)
             if inst is None:
@@ -423,10 +425,10 @@ def _derivations(
                 i + 1,
                 substitute(inst, ty.cod),
                 App(subst_type_args(inst, partial), aout.elaboration),
-                sol,
+                guesses,
             )
 
-    yield from walk(0, hout.ty, hout.elaboration, Solution())
+    yield from walk(0, hout.ty, hout.elaboration, {})
 
 
 def search_spec(
@@ -469,7 +471,7 @@ def _side_condition_failure(ctx: Context, ctx_ty: TypeExpr | None, triple: Tripl
     else:
         if meta_vars_of_term(ctx, partial) != sol.domain():
             return "checking left meta-variables the solution does not cover"
-        if not alpha_equal(subst_type(sol, ty), ctx_ty):
+        if not alpha_equal(substitute(sol.types(), ty), ctx_ty):
             return "solved type does not restore the contextual type"
     return None
 

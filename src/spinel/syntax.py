@@ -365,7 +365,9 @@ class Binding:
 class Solution:
     """Finite map from meta-variable names to bindings.
 
-    Immutable by discipline; ``compose`` returns an extended copy.
+    Immutable by discipline.  Constructing one copies its bindings, so a
+    spine or a replay grows a plain dict in place and wraps it once, when
+    it is done.
     """
 
     __slots__ = ("bindings",)
@@ -396,10 +398,6 @@ class Solution:
     def domain(self) -> frozenset[str]:
         return frozenset(self.bindings)
 
-    def type_of(self, name: str) -> TypeExpr | None:
-        b = self.bindings.get(name)
-        return b.ty if b else None
-
     def binding(self, name: str) -> Binding | None:
         return self.bindings.get(name)
 
@@ -413,15 +411,6 @@ class Solution:
         return all(
             alpha_equal(b.ty, other.bindings[k].ty) for k, b in self.bindings.items()
         )
-
-
-def compose(sol: Solution, name: str, ty: TypeExpr, origin: Provenance) -> Solution:
-    """Extend a solution with one more binding; the name must be new."""
-    if name in sol:
-        raise ValueError(f"solution already binds {name!r}")
-    merged = dict(sol.bindings)
-    merged[name] = Binding(ty, origin)
-    return Solution(merged)
 
 
 # -------------------------------------------------------- decorated types
@@ -667,11 +656,6 @@ def substitute(mapping: Mapping[str, TypeExpr], ty: TypeExpr) -> TypeExpr:
         else:
             ty = node
     return ty
-
-
-def subst_type(sol: Solution, ty: TypeExpr) -> TypeExpr:
-    """Apply a solution to a type."""
-    return substitute(sol.types(), ty)
 
 
 def subst_type_args(mapping: Mapping[str, TypeExpr], t: Term) -> Term:

@@ -1,4 +1,5 @@
-"""Shared test helpers: a standard context, parser-backed builders and a call counter."""
+"""Shared test helpers: a standard context, parser-backed builders, a long
+contextually solved spine and work counters."""
 
 from __future__ import annotations
 
@@ -18,6 +19,16 @@ def ty(src, ctx=None):
 def tm(src, ctx=None):
     """Parse a term in the standard context."""
     return parse_term(src, ctx if ctx is not None else CTX)
+
+
+def contextual_spine(n):
+    """``g : forall X1..Xn. X1 -> ... -> Xn -> Nat -> (X1 -> ... -> Xn -> Nat)``
+    applied to n arguments and checked, so the head match solves every Xi
+    contextually and each argument is checked against a solved domain."""
+    xs = [f"X{i}" for i in range(1, n + 1)]
+    quantifiers = "".join(f"forall {x}. " for x in xs)
+    ctx = CTX.with_term("g", ty(f"{quantifiers}{' -> '.join(xs)} -> Nat -> ({' -> '.join(xs + ['Nat'])})"))
+    return ctx, tm("g" + " z" * n, ctx), ty(" -> ".join(["Nat"] * (n + 2)))
 
 
 def count_calls(monkeypatch, name, modules):
@@ -66,3 +77,23 @@ def count_well_formed_walks(monkeypatch):
         if hasattr(mod, "_well_formed"):
             monkeypatch.setattr(mod, "_well_formed", counted)
     return counts
+
+
+def count_solution_copies(monkeypatch):
+    """Count the entries copied into new solutions (``Solution.__init__``)
+    and into solved-type maps (``Solution.types``)."""
+    solution = importlib.import_module("spinel.syntax").Solution
+    init, types = solution.__init__, solution.types
+    copied = [0]
+
+    def counted_init(sol, bindings=None):
+        copied[0] += len(bindings) if bindings else 0
+        init(sol, bindings)
+
+    def counted_types(sol):
+        copied[0] += len(sol)
+        return types(sol)
+
+    monkeypatch.setattr(solution, "__init__", counted_init)
+    monkeypatch.setattr(solution, "types", counted_types)
+    return copied

@@ -7,7 +7,15 @@ import sys
 
 import pytest
 
-from conftest import CTX, count_calls, count_well_formed_walks, tm, ty
+from conftest import (
+    CTX,
+    contextual_spine,
+    count_calls,
+    count_solution_copies,
+    count_well_formed_walks,
+    tm,
+    ty,
+)
 from spinel import Check, Diagnostic, Synthesize, check_internal, infer, spine_infer
 from spinel.cli import main as cli_main
 from spinel.infer import DiagnosticKind, EngineInvariantError
@@ -466,40 +474,14 @@ def test_spine_substitutions_grow_linearly_with_its_length(monkeypatch, counted,
     assert counts[48] <= 2.2 * counts[24], counts
 
 
-def _contextual_spine(n):
-    """``g : forall X1..Xn. X1 -> ... -> Xn -> Nat -> (X1 -> ... -> Xn -> Nat)``
-    applied to n arguments and checked, so the head match solves every Xi
-    contextually and each argument is checked against a solved domain."""
-    xs = [f"X{i}" for i in range(1, n + 1)]
-    quantifiers = "".join(f"forall {x}. " for x in xs)
-    ctx = CTX.with_term("g", ty(f"{quantifiers}{' -> '.join(xs)} -> Nat -> ({' -> '.join(xs + ['Nat'])})"))
-    return ctx, tm("g" + " z" * n, ctx), ty(" -> ".join(["Nat"] * (n + 2)))
-
-
 def test_contextual_solutions_grow_linearly_with_the_spine(monkeypatch):
     # Entries copied into new solutions and solved-type maps.  The spine
     # extends one map in place and substitutes into each domain only the
     # solutions of the metas it mentions.
-    syntax_mod = importlib.import_module("spinel.syntax")
-    copied = [0]
-    compose, types = syntax_mod.compose, syntax_mod.Solution.types
-
-    def counted_compose(sol, *rest):
-        out = compose(sol, *rest)
-        copied[0] += len(out)
-        return out
-
-    def counted_types(sol):
-        copied[0] += len(sol)
-        return types(sol)
-
-    for mod in (syntax_mod, importlib.import_module("spinel.infer")):
-        if hasattr(mod, "compose"):
-            monkeypatch.setattr(mod, "compose", counted_compose)
-    monkeypatch.setattr(syntax_mod.Solution, "types", counted_types)
+    copied = count_solution_copies(monkeypatch)
     counts = {}
     for n in (24, 48):
-        ctx, term, expected = _contextual_spine(n)
+        ctx, term, expected = contextual_spine(n)
         copied[0] = 0
         out = infer(ctx, Check(expected), term)
         assert out.ty == expected
@@ -764,6 +746,6 @@ def test_the_engine_builds_no_nested_decorated_type(monkeypatch):
     wide_ctx, term = _wide_spine(16)
     infer(wide_ctx, Synthesize(), term)
     infer(wide_ctx, Check(ty("Nat", wide_ctx)), term)
-    contextual_ctx, term, expected = _contextual_spine(48)
+    contextual_ctx, term, expected = contextual_spine(48)
     assert infer(contextual_ctx, Check(expected), term).ty == expected
     assert built[0] == 0

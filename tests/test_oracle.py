@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import CTX, count_calls, tm, ty
+from conftest import CTX, contextual_spine, count_calls, count_solution_copies, tm, ty
 from spinel import (
     Check,
     Diagnostic,
@@ -38,6 +38,7 @@ from spinel.oracle import (
 from spinel.syntax import (
     App,
     Arrow,
+    Binding,
     Con,
     Context,
     Contextual,
@@ -53,7 +54,6 @@ from spinel.syntax import (
     alpha_equal_term,
     canon_term,
     canon_type,
-    compose,
     free_type_vars,
     is_well_formed,
     match_type,
@@ -115,7 +115,7 @@ def test_replay_rejects_padding_in_the_solution():
     term = tm(r"pair (\x. x) z")
     expected = ty("Pair (B -> B) Nat")
     t, p, sol = triple_for(term, expected)
-    padded = compose(sol, "?Z9", Con("Nat"), Contextual(Con("Nat"), Con("Nat")))
+    padded = Solution({**sol.bindings, "?Z9": Binding(Con("Nat"), Contextual(Con("Nat"), Con("Nat")))})
     verdict = verify_spec(CTX, expected, term, (t, p, padded))
     assert not verdict.accepted
 
@@ -124,7 +124,7 @@ def test_replay_rejects_junk_guesses_through_the_shim():
     term = tm("suc z")
     t, p, sol = triple_for(term)
     assert verify_spec(CTX, None, term, (t, p, sol)).accepted
-    junk = compose(sol, "?J0", Con("B"), Contextual(Con("B"), Con("B")))
+    junk = Solution({**sol.bindings, "?J0": Binding(Con("B"), Contextual(Con("B"), Con("B")))})
     assert not verify_spec(CTX, None, term, (t, p, junk)).accepted
 
 
@@ -174,6 +174,21 @@ def test_replay_work_grows_linearly_with_the_spine(monkeypatch, checked):
     assert counts[48] <= 2.2 * counts[24]
 
 
+def test_replay_of_contextual_solutions_grows_linearly_with_the_spine(monkeypatch):
+    # Entries copied into new solutions and solved-type maps while the
+    # replay follows a checked spine whose every quantifier is guessed: it
+    # grows one map of guesses in place and wraps it once, at the shim.
+    counts = {}
+    for n in (24, 48):
+        ctx, term, expected = contextual_spine(n)
+        triple = triple_for(term, expected, ctx)
+        with monkeypatch.context() as patch:
+            copied = count_solution_copies(patch)
+            assert verify_spec(ctx, expected, term, triple).accepted
+        counts[n] = copied[0]
+    assert counts[48] <= 2.2 * counts[24], counts
+
+
 def test_replay_requires_an_application():
     with pytest.raises(ValueError):
         verify_spec(CTX, None, tm("z"), (ty("Nat"), tm("z"), Solution()))
@@ -191,7 +206,7 @@ def reused_meta_claim():
     # `pair [?A] [?A] z z`, guessing one meta-variable for both quantifiers
     meta = TVar("?A")
     partial = App(App(TApp(TApp(Var("pair"), meta), meta), tm("z")), tm("z"))
-    sol = compose(Solution(), "?A", Con("Nat"), Contextual(TVar("?A"), Con("Nat")))
+    sol = Solution({"?A": Binding(Con("Nat"), Contextual(TVar("?A"), Con("Nat")))})
     return ty("Pair Nat Nat"), partial, sol
 
 
