@@ -260,7 +260,7 @@ def run_file(args: argparse.Namespace) -> int:
     try:
         with open(args.file, encoding="utf-8") as handle:
             src = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -85,47 +85,49 @@ def _solve_instantiation(
     lean on the machinery it is auditing.
     """
     out: dict[str, TypeExpr] = {}
+    return out if _solve_into(metas, out, pattern, target, {}, {}, 0) else None
 
-    def go(p, t, envp, envt, depth) -> bool:
-        # Arrow codomains and quantifier bodies are followed by a loop; a
-        # chain's quantifiers extend one copy of each binder map.
-        own = False
-        while True:
-            kind = type(p)
-            if kind is TVar:
-                x = p.name
-                if x in envp:
-                    return type(t) is TVar and envt.get(t.name) == envp[x]
-                if x in metas:
-                    if free_type_vars(t) & set(envt):
-                        return False
-                    if x in out:
-                        return alpha_equal(out[x], t)
-                    out[x] = t
-                    return True
-                return type(t) is TVar and t.name == x and t.name not in envt
-            if kind is Arrow:
-                if not (type(t) is Arrow and go(p.dom, t.dom, envp, envt, depth)):
-                    return False
-                p, t = p.cod, t.cod
-            elif kind is Forall:
-                if type(t) is not Forall:
-                    return False
-                if not own:
-                    envp, envt, own = dict(envp), dict(envt), True
-                envp[p.bound] = envt[t.bound] = depth
-                p, t, depth = p.body, t.body, depth + 1
-            elif kind is Con:
-                return (
-                    type(t) is Con
-                    and t.con == p.con
-                    and len(t.args) == len(p.args)
-                    and all(go(a, b, envp, envt, depth) for a, b in zip(p.args, t.args))
-                )
-            else:
-                raise TypeError(p)
 
-    return out if go(pattern, target, {}, {}, 0) else None
+def _solve_into(metas, out: dict[str, TypeExpr], p, t, envp, envt, depth) -> bool:
+    """Equate ``p`` with ``t`` under the binder depths ``envp`` and ``envt``,
+    adding each meta's solution to ``out``; False if they cannot be equal."""
+    # Arrow codomains and quantifier bodies are followed by a loop; a
+    # chain's quantifiers extend one copy of each binder map.
+    own = False
+    while True:
+        kind = type(p)
+        if kind is TVar:
+            x = p.name
+            if x in envp:
+                return type(t) is TVar and envt.get(t.name) == envp[x]
+            if x in metas:
+                if free_type_vars(t) & set(envt):
+                    return False
+                if x in out:
+                    return alpha_equal(out[x], t)
+                out[x] = t
+                return True
+            return type(t) is TVar and t.name == x and t.name not in envt
+        if kind is Arrow:
+            if not (type(t) is Arrow and _solve_into(metas, out, p.dom, t.dom, envp, envt, depth)):
+                return False
+            p, t = p.cod, t.cod
+        elif kind is Forall:
+            if type(t) is not Forall:
+                return False
+            if not own:
+                envp, envt, own = dict(envp), dict(envt), True
+            envp[p.bound] = envt[t.bound] = depth
+            p, t, depth = p.body, t.body, depth + 1
+        elif kind is Con:
+            return (
+                type(t) is Con
+                and t.con == p.con
+                and len(t.args) == len(p.args)
+                and all(_solve_into(metas, out, a, b, envp, envt, depth) for a, b in zip(p.args, t.args))
+            )
+        else:
+            raise TypeError(p)
 
 
 # ---------------------------------------------------------- verification
@@ -368,6 +370,18 @@ def _candidates(ctx: Context, ctx_ty: TypeExpr | None, term: Term, typed: dict) 
     return pool
 
 
+@dataclass(frozen=True, slots=True)
+class _Search:
+    """What one ``_derivations`` walk reads at every step: the spine's
+    items, the guess pool, the argument typings and the meta names."""
+
+    ctx: Context
+    items: list
+    candidates: Sequence[TypeExpr]
+    typed: dict
+    fresh: Iterator[int]
+
+
 def _derivations(
     ctx: Context, term: Term, candidates: Sequence[TypeExpr], typed: dict
 ) -> Iterator[Triple]:
@@ -379,56 +393,63 @@ def _derivations(
         hout = infer(ctx, Synthesize(), head)
     except Diagnostic:
         return
-    fresh = itertools.count()
+    search = _Search(ctx, items, candidates, typed, itertools.count())
+    yield from _walk(search, 0, hout.ty, hout.elaboration, {})
 
-    def walk(i: int, ty, partial, guesses) -> Iterator[Triple]:
-        if i == len(items):
-            yield ty, partial, Solution(
-                {meta: Binding(cand, Contextual(TVar(meta), cand)) for meta, cand in guesses.items()}
-            )
-            return
-        item = items[i]
-        if _is_type(item):
-            if isinstance(ty, Forall) and is_well_formed(ctx, item):
-                yield from walk(
-                    i + 1,
-                    substitute({ty.bound: item}, ty.body),
-                    TApp(partial, item),
-                    guesses,
-                )
-            return
-        yield from apply(i, ty, partial, guesses, item)
 
-    def apply(i: int, ty, partial, guesses, arg) -> Iterator[Triple]:
-        if isinstance(ty, Forall):
-            meta = f"?g{next(fresh)}"
-            opened = substitute({ty.bound: TVar(meta)}, ty.body)
-            applied = TApp(partial, TVar(meta))
-            yield from apply(i, opened, applied, guesses, arg)
-            for cand in candidates:
-                yield from apply(i, opened, applied, {**guesses, meta: cand}, arg)
-            return
-        if not isinstance(ty, Arrow):
-            return
-        dom = substitute(guesses, ty.dom)
-        unsolved = meta_vars_of_type(ctx, dom)
-        aout = _typed(ctx, typed, i, arg, None if unsolved else dom)
-        if aout is None:
-            return
-        if not unsolved:
-            yield from walk(i + 1, ty.cod, App(partial, aout.elaboration), guesses)
-        else:
-            inst = _solve_instantiation(unsolved, dom, aout.ty)
-            if inst is None:
-                return
-            yield from walk(
+def _walk(search: _Search, i: int, ty, partial, guesses) -> Iterator[Triple]:
+    """The derivations from spine item ``i`` on, at head type ``ty``."""
+    if i == len(search.items):
+        yield ty, partial, Solution(
+            {meta: Binding(cand, Contextual(TVar(meta), cand)) for meta, cand in guesses.items()}
+        )
+        return
+    item = search.items[i]
+    if _is_type(item):
+        if isinstance(ty, Forall) and is_well_formed(search.ctx, item):
+            yield from _walk(
+                search,
                 i + 1,
-                substitute(inst, ty.cod),
-                App(subst_type_args(inst, partial), aout.elaboration),
+                substitute({ty.bound: item}, ty.body),
+                TApp(partial, item),
                 guesses,
             )
+        return
+    yield from _apply(search, i, ty, partial, guesses, item)
 
-    yield from walk(0, hout.ty, hout.elaboration, {})
+
+def _apply(search: _Search, i: int, ty, partial, guesses, arg) -> Iterator[Triple]:
+    """The derivations that apply ``ty`` to term argument ``arg``, item ``i``:
+    at each quantifier first declined, then guessed as each candidate."""
+    if isinstance(ty, Forall):
+        meta = f"?g{next(search.fresh)}"
+        opened = substitute({ty.bound: TVar(meta)}, ty.body)
+        applied = TApp(partial, TVar(meta))
+        yield from _apply(search, i, opened, applied, guesses, arg)
+        for cand in search.candidates:
+            yield from _apply(search, i, opened, applied, {**guesses, meta: cand}, arg)
+        return
+    if not isinstance(ty, Arrow):
+        return
+    ctx = search.ctx
+    dom = substitute(guesses, ty.dom)
+    unsolved = meta_vars_of_type(ctx, dom)
+    aout = _typed(ctx, search.typed, i, arg, None if unsolved else dom)
+    if aout is None:
+        return
+    if not unsolved:
+        yield from _walk(search, i + 1, ty.cod, App(partial, aout.elaboration), guesses)
+    else:
+        inst = _solve_instantiation(unsolved, dom, aout.ty)
+        if inst is None:
+            return
+        yield from _walk(
+            search,
+            i + 1,
+            substitute(inst, ty.cod),
+            App(subst_type_args(inst, partial), aout.elaboration),
+            guesses,
+        )
 
 
 def search_spec(

@@ -8,11 +8,13 @@ and ``t [T]`` for type application; ``--`` starts a line comment.
 
 The parser is scope-aware: unbound type variables, binder shadowing,
 and constructor arity violations are rejected here with positions, so
-everything downstream works with well-scoped trees.  A source file is
-lexed and parsed one declaration's tokens at a time, so the tokens of
-at most one declaration are alive at once, and every copy of an
-identifier in the trees is one shared string.  The printers append
-each piece of text to one list and join it once per call.
+everything downstream works with well-scoped trees.  One lexer loop,
+``_runs``, reads every source: one pattern match per token, blanks
+included, and it hands the parser one declaration's tokens at a time,
+so the tokens of at most one declaration are alive at once, and every
+copy of an identifier in the trees is one shared string.  A type or
+term with no chain builds no link list.  The printers append each
+piece of text to one list and join it once per call.
 """
 
 from __future__ import annotations
@@ -49,17 +51,20 @@ class ParseError(Exception):
 # ---------------------------------------------------------------- lexing
 
 # A token is a plain tuple (kind, text, line, col), with 1-based line
-# and column.  Each line is cut into pieces whose alternatives tile it,
-# so a piece's column is the running sum of the lengths before it:
-# an identifier, a run of whitespace, ``/\``, ``->``, a ``--`` comment,
-# ASCII digits, or any other single character.
+# and column.  Each line is one ``findall`` of ``_TOKEN_RE``, whose
+# items are (blanks, token) pairs: the run of blanks before a token,
+# then the token, so that a token's column is the running sum of the
+# lengths before it and a blank costs no loop iteration.  A token is an
+# identifier, ``/\``, ``->``, a ``--`` comment, ASCII digits, or any
+# other single character but a blank; blanks that end a line pair with
+# no token and are never read.
 _Token = tuple[str, str, int, int]
 
-_PIECE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|[ \t\r]+|/\\|->|--.*|[0-9]+|.")
+_TOKEN_RE = re.compile(r"([ \t\r]*)([A-Za-z_][A-Za-z0-9_']*|/\\|->|--.*|[0-9]+|[^ \t\r])")
 
 KEYWORDS = frozenset({"type", "assume", "check", "synth", "forall"})
 
-# The kind of each piece that is always the same token: punctuation and keywords.
+# The kind of each token text that is always the same: punctuation and keywords.
 _FIXED = {
     "/\\": "tylam",
     "->": "arrow",
@@ -74,53 +79,21 @@ _FIXED = {
 }
 _DECLARES = frozenset({"type", "assume", "check", "synth"})
 _IDENT_START = frozenset(string.ascii_letters + "_")
-_BLANK = frozenset(" \t\r")
 _DIGITS = frozenset(string.digits)
 
 
 def tokenize(src: str) -> list[_Token]:
     """Split source text into ``(kind, text, line, col)`` tuples, one per token.
 
-    A keyword's kind is the keyword itself.  Each line is one ``findall``
-    of ``_PIECE_RE``; a punctuation or keyword piece takes its kind from
-    ``_FIXED``, and any other piece is classified by its first character:
-    an identifier, whitespace or a comment (skipped), an integer (ASCII
-    digits only), or a character no token can start with, which is a
-    ParseError at its position.  The lexer never recurses.
+    A keyword's kind is the keyword itself.  The tokens are those of
+    ``_runs``, the one lexer, each run's without its last token: the
+    next run's keyword, or "eof".
     """
-    return list(_lex(src))
-
-
-def _lex(src: str):
-    """Yield ``tokenize``'s tokens one at a time.
-
-    Every copy of an identifier is one string, shared through one dict
-    per call, so the trees parsed from the tokens hold each name once.
-    """
-    # Per line, not one findall over the whole source: that held every
-    # piece of the file at once, raising the corpus benchmark's peak RSS
-    # by 11%, and lexed no faster.
-    shared = {}.setdefault
-    fixed = _FIXED.get
-    findall = _PIECE_RE.findall
-    for line, text in enumerate(src.split("\n"), 1):
-        col = 1
-        for piece in findall(text):
-            kind = fixed(piece)
-            if kind is None:
-                lead = piece[0]
-                if lead in _IDENT_START:
-                    kind = "ident"
-                    piece = shared(piece, piece)
-                elif lead in _BLANK or piece[:2] == "--":
-                    col += len(piece)
-                    continue
-                elif lead in _DIGITS:
-                    kind = "int"
-                else:
-                    raise ParseError(f"unexpected character {piece!r}", line, col)
-            yield (kind, piece, line, col)
-            col += len(piece)
+    tokens: list[_Token] = []
+    for run in _runs(src):
+        tokens += run
+        tokens.pop()
+    return tokens
 
 
 def _runs(src: str):
@@ -131,14 +104,44 @@ def _runs(src: str):
     next one.  Its last token is the next run's keyword, or the "eof"
     token, so a parse of the run sees the same next token as a parse of
     the whole file.
+
+    A punctuation or keyword token takes its kind from ``_FIXED``, and
+    any other is classified by its first character: an identifier, an
+    integer (ASCII digits only), a comment (skipped with the rest of its
+    line), or a character no token can start with, which is a ParseError
+    at its position.  Every copy of an identifier is one string, shared
+    through one dict per call, so the trees parsed from the tokens hold
+    each name once.
     """
+    # Per line, not one findall over the whole source: that held every
+    # token of the file at once, raising the corpus benchmark's peak RSS
+    # by 11%, and lexed no faster.
+    shared = {}.setdefault
+    fixed = _FIXED.get
+    findall = _TOKEN_RE.findall
     run: list[_Token] = []
-    for tok in _lex(src):
-        if tok[0] in _DECLARES and run:
-            run.append(tok)  # the run's last token
-            yield run
-            run = []
-        run.append(tok)
+    for line, text in enumerate(src.split("\n"), 1):
+        col = 1
+        for blanks, piece in findall(text):
+            col += len(blanks)
+            kind = fixed(piece)
+            if kind is None:
+                lead = piece[0]
+                if lead in _IDENT_START:
+                    kind = "ident"
+                    piece = shared(piece, piece)
+                elif lead in _DIGITS:
+                    kind = "int"
+                elif piece[:2] == "--":
+                    break
+                else:
+                    raise ParseError(f"unexpected character {piece!r}", line, col)
+            elif kind in _DECLARES and run:
+                run.append((kind, piece, line, col))  # the run's last token
+                yield run
+                run = []
+            run.append((kind, piece, line, col))
+            col += len(piece)
     run.append(_eof(run))
     yield run
 
@@ -245,14 +248,18 @@ class _Parser:
         """Build a run's nodes bottom-up around its ``last`` tree.
 
         A link is (its first token, its node class, the node's fields
-        before the body); every node spans to the run's last token.
+        before the body): one field, or a lambda's two.  Every node
+        spans to the run's last token.
         """
-        if not links:
-            return last
         _, text, line, end_col = self.tokens[self.pos - 1]
         end_col += len(text)
-        for start, node, *fields in reversed(links):
-            last = node(*fields, last, span=_span(Span, (start[2], start[3], line, end_col)))
+        for link in reversed(links):
+            start = link[0]
+            span = _span(Span, (start[2], start[3], line, end_col))
+            if len(link) == 3:
+                last = link[1](link[2], last, span)
+            else:
+                last = link[1](link[2], link[3], last, span)
         return last
 
     def fresh_binder(self, tok: _Token, term_level: bool) -> str:
@@ -274,10 +281,19 @@ class _Parser:
 
         The nodes are built bottom-up once the run ends; each spans from
         its own first token to the last token of the whole run.  Each
-        ``forall`` binder is in scope until the run ends.
+        ``forall`` binder is in scope until the run ends.  A run with no
+        link, the common case, returns its one type at once.
         """
         toks = self.tokens
-        links: list[tuple] = []
+        start = toks[self.pos]
+        if start[0] == "forall":
+            links: list[tuple] = []
+        else:
+            ty = self.ty_app()
+            if toks[self.pos][0] != "arrow":
+                return ty
+            self.pos += 1
+            links = [(start, Arrow, ty)]
         opened: list[str] = []
         while True:
             start = toks[self.pos]
@@ -294,7 +310,8 @@ class _Parser:
                 break
             self.pos += 1
             links.append((start, Arrow, ty))
-        self.tyvars.difference_update(opened)
+        if opened:
+            self.tyvars.difference_update(opened)
         return self.close(links, ty)
 
     def ty_app(self) -> TypeExpr:
@@ -334,10 +351,18 @@ class _Parser:
         An application followed by a lambda takes that lambda, and with
         it the rest of the term, as its last argument: one more link.
         The nodes are built bottom-up once the run ends, like types'.
-        Each binder is in scope until the run ends.
+        Each binder is in scope until the run ends.  A run with no link,
+        an application that no lambda follows, returns it at once.
         """
         toks = self.tokens
-        links: list[tuple] = []
+        tok = toks[self.pos]
+        if tok[0] in ("lam", "tylam"):
+            links: list[tuple] = []
+        else:
+            t = self.app()
+            if toks[self.pos][0] not in ("lam", "tylam"):
+                return t
+            links = [(tok, App, t)]
         opened: list[str] = []
         while True:
             tok = toks[self.pos]
@@ -366,9 +391,10 @@ class _Parser:
                 if toks[self.pos][0] not in ("lam", "tylam"):
                     break
                 links.append((tok, App, t))
-        # a lambda's name was never a type variable, so removing it is harmless
-        self.bound.difference_update(opened)
-        self.tyvars.difference_update(opened)
+        if opened:
+            # a lambda's name was never a type variable, so removing it is harmless
+            self.bound.difference_update(opened)
+            self.tyvars.difference_update(opened)
         return self.close(links, t)
 
     def app(self) -> Term:

@@ -160,6 +160,16 @@ def test_run_missing_file_exits_two(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_run_undecodable_file_exits_two(tmp_path):
+    path = tmp_path / "latin1.spn"
+    path.write_bytes(b"type Nat\nsynth z -- caf\xe9\n")
+    proc = run_child(path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_spec_verify_accepts_solved_spines(good_file, capsys):
     code, out, _ = run_lines(capsys, "run", good_file, "--spec-verify")
     assert code == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import importlib
 import sys
 
@@ -394,6 +395,30 @@ def test_search_types_each_argument_once_per_mode_and_expected_type(monkeypatch)
     monkeypatch.setattr(oracle, "infer", counted)
     search_spec(CTX, None, tm("pair z tt"))
     assert len(calls) == len(set(calls)) == 19
+
+
+def test_the_oracle_leaves_no_reference_cycles():
+    # A nested function that calls itself through its closure cell makes a
+    # cycle per call that only the garbage collector frees.
+    goals = []
+    for internal, ity in enumerate_internal_terms(CTX, 6):
+        for term in enumerate_erasures(internal):
+            if isinstance(term, App):
+                for expected in (ity, None):
+                    try:
+                        goals.append((term, expected, triple_for(term, expected)))
+                    except Diagnostic:
+                        pass
+    assert goals
+    gc.collect()
+    gc.disable()
+    try:
+        for term, expected, triple in goals:
+            verify_spec(CTX, expected, term, triple)
+            search_spec(CTX, expected, term)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_default_candidates_cover_context_and_arguments():

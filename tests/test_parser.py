@@ -353,6 +353,10 @@ _FRAGMENTS = st.one_of(
 @example("synth a -b")
 @example("type N ²")
 @example("type N assume f : N\ncheck f synth f")
+@example("type N  \t\r\nassume n : N \r")  # blanks and \r at a line's end
+@example("type N\n \t \r\n\nassume n : N")  # a line of blanks only
+@example("assume f : N\t-> N\t->\tN")  # a tab before ->
+@example("synth x   -- c -> $\nsynth x--c\nsynth x\t--")  # comments after blanks and after a token
 def test_the_lexer_agrees_with_the_reference_lexer(src):
     # and parse_program's runs cut the same tokens at each declaration
     try:
