@@ -229,7 +229,8 @@ def _run_goal(ctx: Context, goal: Goal, count: int, args, color: bool) -> tuple[
     code = 0
     record.update(status="ok", type=pretty_type(out.ty))
     if args.elab:
-        record["elaboration"] = pretty_term(out.elaboration)
+        # an elaboration that is its term's own tree has its text already
+        record["elaboration"] = record["term"] if out.elaboration is term else pretty_term(out.elaboration)
     if trace is not None:
         record["trace"] = trace
     if args.spec_verify:

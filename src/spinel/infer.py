@@ -32,6 +32,8 @@ type solved every meta the partial elaboration mentions.
 Terms, modes, prototypes and decorated types are never subclassed, so
 the engine dispatches on ``type(x) is X``, as the walks of ``syntax``
 do, and its records are ``syntax._node``s, cheap to build at every node.
+An elaboration shares every node of its term beneath which inference
+changes nothing, so an elaboration equal to its term is that term.
 """
 
 from __future__ import annotations
@@ -201,10 +203,14 @@ class _Run:
 
 
 def _named(run: _Run, step, *args):
-    """Run ``step``; a diagnostic that leaves it gets its display names here."""
+    """Run ``step``; a diagnostic that leaves it gets its display names here.
+    Only the run's supply mints metas, and ``_try_synthesize`` returns no
+    type that holds one, so a run that made no supply has none to name."""
     try:
         return step(run, *args)
     except Diagnostic as d:
+        if "supply" not in vars(run):
+            raise
         metas = set(d.unsolved)
         for ty in (
             d.expected,
@@ -346,9 +352,11 @@ def _binder_chain(run: _Run, ctx: Context, mode: Mode, term: Lam | TLam) -> Infe
     ty, elab = out.ty, out.elaboration
     for layer, bind in zip(reversed(layers), reversed(binds)):
         if type(layer) is TLam:
-            ty, elab = Forall(layer.bound, ty), TLam(layer.bound, elab, span=layer.span)
+            ty = Forall(layer.bound, ty)
+            elab = layer if elab is layer.body else TLam(layer.bound, elab, layer.span)
         else:
-            ty, elab = Arrow(bind.ty, ty), Lam(layer.bound, bind.ty, elab, span=layer.span)
+            ty, same = Arrow(bind.ty, ty), elab is layer.body and bind.ty is layer.ann
+            elab = layer if same else Lam(layer.bound, bind.ty, elab, layer.span)
     return InferOutcome(ty, elab)
 
 
@@ -382,7 +390,7 @@ def _type_applications(run: _Run, ctx: Context, mode: Mode, term: TApp) -> Infer
                 )
         inst[ty.bound] = app.targ
         ty = ty.body
-        elab = TApp(elab, app.targ, span=app.span)
+        elab = app if elab is app.fun else TApp(elab, app.targ, app.span)
     return _conclude(mode, outer, substitute(inst, ty), elab)
 
 
@@ -502,7 +510,7 @@ def _spine(run: _Run, ctx: Context, proto: Prototype, term: Term) -> SpineOutcom
     for item in reversed(items):
         if type(item) is TApp:
             _take_type_arg(rest, contextual, item)
-            partial = TApp(partial, item.targ, span=item.span)
+            partial = item if partial is item.fun else TApp(partial, item.targ, item.span)
             continue
         arg_index += 1
         while type(link := rest.next()) is str:
@@ -520,7 +528,7 @@ def _spine(run: _Run, ctx: Context, proto: Prototype, term: Term) -> SpineOutcom
                 subject=item.arg,
             )
         elab = _consume_arrow(run, ctx, rest, contextual, item.arg, arg_index)
-        partial = App(partial, elab)
+        partial = item if partial is item.fun and elab is item.arg else App(partial, elab, item.span)
     if rest.next() is not None or type(rest.leaf) is not Plain:
         raise EngineInvariantError("a spine ended before its decorated type")
     deco = Plain(rest.apply(rest.leaf.ty))

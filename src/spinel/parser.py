@@ -12,9 +12,10 @@ everything downstream works with well-scoped trees.  One lexer loop,
 ``_runs``, reads every source: one pattern match per token, blanks
 included, and it hands the parser one declaration's tokens at a time,
 so the tokens of at most one declaration are alive at once, and every
-copy of an identifier in the trees is one shared string.  A type or
-term with no chain builds no link list.  The printers append each
-piece of text to one list and join it once per call.
+copy of an identifier in the trees is one shared string.  Each parse
+step reads its token once, and each node gets its span positionally.
+A type or term with no chain builds no link list.  The printers append
+each piece of text to one list and join it once per call.
 """
 
 from __future__ import annotations
@@ -220,14 +221,6 @@ class _Parser:
 
     # --- token plumbing
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.tokens[self.pos]
         if tok[0] != kind:
@@ -262,16 +255,20 @@ class _Parser:
                 last = link[1](link[2], link[3], last, span)
         return last
 
-    def fresh_binder(self, tok: _Token, term_level: bool) -> str:
-        """The binder ``tok`` names, checked against the constructors, the
-        declared names and the type variables in scope; a lambda's or
-        type lambda's also against the names ``bound`` holds.  A
-        ``forall`` may reuse a lambda-bound name."""
-        name = tok[1]
+    def binder(self, what: str, term_level: bool) -> str:
+        """Read the identifier a binder names, ``what`` in the error if the
+        token is none, checked against the constructors, the declared
+        names and the type variables in scope; a lambda's or type
+        lambda's also against the names ``bound`` holds.  A ``forall``
+        may reuse a lambda-bound name."""
+        kind, name, line, col = tok = self.tokens[self.pos]
+        if kind != "ident":
+            raise _expected(tok, what)
         if name in self.signature:
-            raise ParseError(f"{name!r} is already a constructor", tok[2], tok[3])
+            raise ParseError(f"{name!r} is already a constructor", line, col)
         if name in self.scope or name in self.tyvars or (term_level and name in self.bound):
-            raise ParseError(f"{name!r} shadows an existing binding", tok[2], tok[3])
+            raise ParseError(f"{name!r} shadows an existing binding", line, col)
+        self.pos += 1
         return name
 
     # --- types
@@ -299,8 +296,10 @@ class _Parser:
             start = toks[self.pos]
             if start[0] == "forall":
                 self.pos += 1
-                name = self.fresh_binder(self.expect("ident", "a type variable"), False)
-                self.expect("dot", "'.'")
+                name = self.binder("a type variable", False)
+                if toks[self.pos][0] != "dot":
+                    raise _expected(toks[self.pos], "'.'")
+                self.pos += 1
                 self.tyvars.add(name)
                 opened.append(name)
                 links.append((start, Forall, name))
@@ -314,28 +313,24 @@ class _Parser:
             self.tyvars.difference_update(opened)
         return self.close(links, ty)
 
-    def ty_app(self) -> TypeExpr:
-        tok = self.tokens[self.pos]
-        if tok[0] == "ident" and tok[1] not in self.tyvars and self.signature.get(tok[1], 0) > 0:
-            self.pos += 1
-            arity = self.signature[tok[1]]
-            args = tuple(self.ty_atom() for _ in range(arity))
-            return Con(tok[1], args, span=self.span_from(tok))
-        return self.ty_atom()
-
-    def ty_atom(self) -> TypeExpr:
+    def ty_app(self, arg: bool = False) -> TypeExpr:
+        """A type variable, a constructor and its arguments, or a
+        parenthesized type: one read of the token decides which.  As a
+        constructor's ``arg``, a constructor that takes arguments is an error."""
         kind, name, line, col = tok = self.tokens[self.pos]
         if kind == "ident":
             self.pos += 1
-            span = _span(Span, (line, col, line, col + len(name)))
             if name in self.tyvars:
-                return TVar(name, span=span)
+                return TVar(name, _span(Span, (line, col, line, col + len(name))))
             arity = self.signature.get(name)
             if arity == 0:
-                return Con(name, span=span)
-            if arity is not None:
+                return Con(name, (), _span(Span, (line, col, line, col + len(name))))
+            if arity is None:
+                raise ParseError(f"unbound type variable {name!r}", line, col)
+            if arg:
                 raise ParseError(f"constructor {name!r} expects {arity} argument(s)", line, col)
-            raise ParseError(f"unbound type variable {name!r}", line, col)
+            args = tuple([self.ty_app(True) for _ in range(arity)])
+            return Con(name, args, self.span_from(tok))
         if kind == "lparen":
             self.pos += 1
             ty = self.type_()
@@ -369,19 +364,23 @@ class _Parser:
             kind = tok[0]
             if kind == "lam":
                 self.pos += 1
-                name = self.fresh_binder(self.expect("ident", "a variable"), True)
+                name = self.binder("a variable", True)
                 ann = None
                 if toks[self.pos][0] == "colon":
                     self.pos += 1
                     ann = self.type_()
-                self.expect("dot", "'.'")
+                if toks[self.pos][0] != "dot":
+                    raise _expected(toks[self.pos], "'.'")
+                self.pos += 1
                 self.bound.add(name)
                 opened.append(name)
                 links.append((tok, Lam, name, ann))
             elif kind == "tylam":
                 self.pos += 1
-                name = self.fresh_binder(self.expect("ident", "a type variable"), True)
-                self.expect("dot", "'.'")
+                name = self.binder("a type variable", True)
+                if toks[self.pos][0] != "dot":
+                    raise _expected(toks[self.pos], "'.'")
+                self.pos += 1
                 self.bound.add(name)
                 self.tyvars.add(name)
                 opened.append(name)
@@ -403,15 +402,20 @@ class _Parser:
         start = toks[self.pos]
         t = self.atom()
         while True:
-            kind = toks[self.pos][0]
-            if kind == "ident" or kind == "lparen":
+            kind, name, line, col = toks[self.pos]
+            if kind == "ident":  # its Var is read here, not by ``atom``
+                self.pos += 1
+                end = col + len(name)
+                arg = Var(name, _span(Span, (line, col, line, end)))
+                t = App(t, arg, _span(Span, (start[2], start[3], line, end)))
+            elif kind == "lparen":
                 arg = self.atom()
-                t = App(t, arg, span=self.span_from(start))
+                t = App(t, arg, self.span_from(start))
             elif kind == "lbrack":
                 self.pos += 1
                 targ = self.type_()
                 self.expect("rbrack", "']'")
-                t = TApp(t, targ, span=self.span_from(start))
+                t = TApp(t, targ, self.span_from(start))
             else:
                 return t
 
@@ -419,7 +423,7 @@ class _Parser:
         kind, name, line, col = tok = self.tokens[self.pos]
         if kind == "ident":
             self.pos += 1
-            return Var(name, span=_span(Span, (line, col, line, col + len(name))))
+            return Var(name, _span(Span, (line, col, line, col + len(name))))
         if kind == "lparen":
             self.pos += 1
             t = self.term()
@@ -436,8 +440,9 @@ def _declaration(parser: _Parser, tok: _Token) -> Decl:
             if name in parser.signature or name in parser.scope:
                 raise ParseError(f"duplicate declaration of {name!r}", line, col)
             arity = 0
-            if parser.peek()[0] == "int":
-                arity = int(parser.advance()[1])
+            if (count := parser.tokens[parser.pos])[0] == "int":
+                parser.pos += 1
+                arity = int(count[1])
             parser.signature[name] = arity
             return ConDecl(name, arity, parser.span_from(tok))
         case "assume":
@@ -481,7 +486,8 @@ def parse_program(src: str) -> tuple[Decl, ...]:
             parser.tokens, parser.pos = run, 0
             last = len(run) - 1
             while parser.pos < last:
-                tok = parser.advance()
+                tok = run[parser.pos]
+                parser.pos += 1
                 try:
                     decls.append(_declaration(parser, tok))
                 except RecursionError:

@@ -19,6 +19,7 @@ A scope walk (free variables, well-formedness) keeps one mutable set of
 open binders; alpha equality walks both types at once and stops at their
 first difference, and first-order matching is that one walk with holes;
 substitution returns, shared, every node beneath which it changes nothing.
+So do the engine's elaborations, and ``subst_type_args`` on them.
 
 Meta-variables are ordinary type variables drawn from a reserved
 namespace (``?X0``, ``?X1``, ...) that the surface parser cannot
@@ -664,19 +665,21 @@ def subst_type_args(mapping: Mapping[str, TypeExpr], t: Term) -> Term:
     Partial elaborations keep their meta-variables only there, so this
     is the whole of applying a solution to a term.  The chain is walked
     down and rebuilt by loops, so a spine of any length is substituted
-    at any recursion limit.
+    at any recursion limit.  Only the links it changes are rebuilt: an
+    elaboration shares every node beneath which nothing changes.
     """
     if not mapping:
         return t
     chain: list[App | TApp] = []
-    while isinstance(t, (App, TApp)):
+    while (kind := type(t)) is App or kind is TApp:
         chain.append(t)
         t = t.fun
     for node in reversed(chain):
-        if isinstance(node, App):
-            t = App(t, node.arg, span=node.span)
+        if type(node) is App:
+            t = node if t is node.fun else App(t, node.arg, node.span)
         else:
-            t = TApp(t, substitute(mapping, node.targ), span=node.span)
+            targ = substitute(mapping, node.targ)
+            t = node if t is node.fun and targ is node.targ else TApp(t, targ, node.span)
     return t
 
 

@@ -1044,6 +1044,30 @@ def test_an_accepted_goal_renders_its_type_and_elaboration_once(tmp_path, capsys
         assert sum(x is out.elaboration for x in rendered) == 1
 
 
+def test_a_fully_annotated_goal_renders_its_term_once(tmp_path, capsys, monkeypatch):
+    # its elaboration is the term's own tree, so the term's text serves both
+    import spinel.cli as cli
+
+    render, rendered = cli.pretty_term, []
+
+    def counted(t, *rest):
+        rendered.append(t)
+        return render(t, *rest)
+
+    monkeypatch.setattr(cli, "pretty_term", counted)
+    path = tmp_path / "annotated.spn"
+    term = "\\x : Nat. pair [Nat] [Nat] x (suc x)"
+    path.write_text(
+        "type Nat\ntype Pair 2\nassume suc : Nat -> Nat\n"
+        "assume pair : forall X. forall Y. X -> Y -> Pair X Y\n"
+        f"check {term} : Nat -> Pair Nat Nat\n"
+    )
+    assert main(["run", str(path), "--json", "--elab"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert len(rendered) == 1
+    assert record["term"] == record["elaboration"] == term
+
+
 # ------------------------------------------------------------ interactive
 
 

@@ -286,6 +286,17 @@ def test_a_goal_with_no_spine_makes_no_name_supply(monkeypatch):
     assert len(made) == 1
 
 
+def test_a_diagnostic_of_a_run_with_no_spine_looks_for_no_meta_variables(monkeypatch):
+    # only a spine mints metas, through the run's supply; with none made,
+    # the diagnostic's types are not walked for names to display
+    infer_mod = importlib.import_module("spinel.infer")
+    walks = count_calls(monkeypatch, "free_type_vars", [infer_mod])
+    d = fails(DiagnosticKind.TYPE_MISMATCH, lambda: check(r"\x. x", "Nat"))
+    assert d.display == {} and walks[0] == 0
+    d = fails(DiagnosticKind.TYPE_MISMATCH, lambda: check(r"\x : Nat. x", "B -> Nat"))
+    assert d.display == {} and walks[0] == 0
+
+
 def test_contextual_type_mismatch_at_the_tail():
     d = fails(DiagnosticKind.TYPE_MISMATCH, lambda: check("suc z", "B"))
     assert d.synthesized == ty("Nat")
@@ -407,6 +418,23 @@ def test_spine_infer_solves_a_whole_spine_synthetically():
 def test_engine_invariants_are_separate_from_diagnostics():
     with pytest.raises(EngineInvariantError):
         spine_infer(CTX, Exact(ty("Nat")), tm("z"))
+
+
+def test_an_elaboration_equal_to_its_term_is_its_term():
+    # Criterion 6 by identity: inference shares every node beneath which it
+    # changes nothing, so an elaboration that equals its input is the input.
+    ctx = standard_context()
+    shared = 0
+    for internal, internal_ty in enumerate_internal_terms(ctx, 7):
+        for erased in enumerate_erasures(internal):
+            for mode in (Check(internal_ty), Synthesize()):
+                try:
+                    out = infer(ctx, mode, erased)
+                except Diagnostic:
+                    continue
+                assert (out.elaboration is erased) == (out.elaboration == erased), pretty_term(erased)
+                shared += out.elaboration is erased
+    assert shared > 4000
 
 
 # ---------------------------------------------------------- operation counts
