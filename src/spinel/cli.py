@@ -34,7 +34,6 @@ from .infer import (
     Synthesize,
     infer,
 )
-from .oracle import verify_spec
 from .parser import (
     Assume,
     ConDecl,
@@ -166,6 +165,7 @@ def _spec_report(ctx: Context, expected: TypeExpr | None, term, out: InferOutcom
     """
     if out.spine is None:
         return {"skipped": True}
+    from .oracle import verify_spec  # only a replay loads the oracle
     triple = (strip(out.spine.deco), out.spine.partial, out.spine.solution)
     verdict = verify_spec(ctx, expected, term, triple)
     record = {"accepted": verdict.accepted, "trace": list(verdict.trace)}

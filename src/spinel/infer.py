@@ -38,7 +38,6 @@ changes nothing, so an elaboration equal to its term is that term.
 
 from __future__ import annotations
 
-from dataclasses import field
 from enum import Enum
 from functools import cached_property
 
@@ -70,6 +69,7 @@ from .syntax import (
     TypeExpr,
     Unknown,
     Var,
+    _METADATA,
     _fresh_against,
     _node,
     _well_formed,
@@ -119,7 +119,7 @@ class InferOutcome:
 
     ty: TypeExpr
     elaboration: Term
-    spine: SpineOutcome | None = field(default=None, compare=False, repr=False)
+    spine: SpineOutcome | None = _METADATA
 
 
 # ------------------------------------------------------------ diagnostics

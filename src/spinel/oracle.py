@@ -23,7 +23,6 @@ corpus generators the property suites run on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .infer import Check, Diagnostic, Synthesize, infer, spine_infer
@@ -46,6 +45,7 @@ from .syntax import (
     Unknown,
     Var,
     _TYPE_NODES,
+    _node,
     alpha_equal,
     alpha_equal_term,
     canon_term,
@@ -62,7 +62,7 @@ from .syntax import (
 Triple = tuple[TypeExpr, Term, Solution]
 
 
-@dataclass(frozen=True)
+@_node
 class SpecVerdict:
     accepted: bool
     trace: tuple[str, ...]
@@ -370,7 +370,7 @@ def _candidates(ctx: Context, ctx_ty: TypeExpr | None, term: Term, typed: dict) 
     return pool
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class _Search:
     """What one ``_derivations`` walk reads at every step: the spine's
     items, the guess pool, the argument typings and the meta names."""

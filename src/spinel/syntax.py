@@ -8,7 +8,7 @@ of the package builds on: free variables, well-formedness, alpha
 equality (as equality of canonical keys) and first-order matching,
 capture-avoiding substitution, and meta-variable accounting.
 
-Every syntax node is a frozen dataclass with slots, made by ``_node``:
+Every syntax node is an immutable class with slots, made by ``_node``:
 a run builds them by the hundred thousand, so they are kept small and
 their constructors cheap.  The engine's records are ``_node``s too.
 
@@ -29,7 +29,6 @@ declared in the ambient context.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from operator import is_not
 from typing import Container, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -61,42 +60,82 @@ class Span(NamedTuple):
         }
 
 
-def _span_field():
-    return field(default=None, compare=False, repr=False)
-
-
 # ---------------------------------------------------------------- nodes
 
 
+_METADATA = object()  # a field's default: None, kept but not compared, hashed or shown
+_KEYS: dict[type, object] = {tuple: tuple}  # a node's compared fields (a tuple's items)
+
+
+class _Hash(int):  # a hash value, which ``hash`` gives back unchanged
+    __slots__ = ()
+    __hash__ = int.__int__
+
+
+def _eq(a, b):
+    """Equality of the compared fields, by a stack, left to right."""
+    if type(b) is not type(a):
+        return NotImplemented
+    pairs = [(a, b)]
+    while pairs:
+        x, y = pairs.pop()
+        key = _KEYS.get(type(x)) if type(y) is type(x) else None
+        if x is y or key is None and x == y:
+            continue
+        if key is None or len(x := key(x)) != len(y := key(y)):
+            return False
+        pairs += zip(reversed(x), reversed(y))
+    return True
+
+
+def _hash(node):
+    """``hash`` of the tuple of compared fields, children first, each node
+    or tuple beneath standing in by its hash; walked by a stack."""
+    order, todo, seen = [], [node], set()
+    while todo:  # every node and tuple beneath, each before what it holds
+        order.append(x := todo.pop())
+        for v in _KEYS[type(x)](x):
+            if type(v) in _KEYS and id(v) not in seen:
+                seen.add(id(v))
+                todo.append(v)
+    done: dict[int, _Hash] = {}
+    for x in reversed(order):
+        h = hash(tuple([done.get(id(v), v) for v in _KEYS[type(x)](x)]))
+        done[id(x)] = _Hash(h)
+    return h
+
+
 def _frozen(self, name, *value):
-    # the frozen dataclass's own methods name the class that slots replaced,
-    # so on any name but a field's they raise TypeError, not this
+    from dataclasses import FrozenInstanceError  # loaded only to raise it
     raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
 def _node(cls):
-    """``cls`` as a frozen, slotted dataclass with a cheaper constructor.
-
-    Slots make each node smaller than a ``__dict__`` instance.  The
-    constructor stores each field through its slot's descriptor
-    (``Arrow.dom.__set__``), not through ``object.__setattr__`` as the
-    frozen dataclass's own constructor does, which finds that descriptor
-    again by name for every field.  Its signature is the dataclass's:
-    every field positional or by keyword, in order, with its default.
-    Equality, hashing, ``repr`` and ``__match_args__`` are the dataclass's
-    too, and assigning any attribute raises ``FrozenInstanceError``.  A
-    class with no fields gets a constructor that takes no argument.
-    """
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls.__setattr__ = cls.__delattr__ = _frozen
-    env, params, stores = {}, [], []
-    for f in fields(cls):
-        env[f"set_{f.name}"] = getattr(cls, f.name).__set__
-        env[f"default_{f.name}"] = f.default
-        params.append(f.name if f.default is MISSING else f"{f.name}=default_{f.name}")
-        stores.append(f"set_{f.name}(self, {f.name})")
-    exec(f"def __init__(self, {', '.join(params)}):\n    " + ("\n    ".join(stores) or "pass"), env)
-    cls.__init__ = env["__init__"]
+    """``cls`` rebuilt with a slot per annotated field, in order, its class
+    attribute its default.  The constructor stores through each slot's
+    descriptor (``Arrow.dom.__set__``), which ``object.__setattr__`` would
+    look up by name.  A ``_METADATA`` field takes no part in ``==``,
+    ``hash`` or ``repr``; ``hash`` is that of the other fields' tuple.
+    Assigning or deleting any attribute raises ``FrozenInstanceError``."""
+    ns = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
+    names = tuple(ns.get("__annotations__", ()))
+    defaults = {n: ns.pop(n) for n in names if n in ns}
+    cls = type(cls.__name__, cls.__bases__, {
+        **ns, "__slots__": names, "__qualname__": cls.__qualname__, "__match_args__": names,
+        "__eq__": _eq, "__hash__": _hash, "__setattr__": _frozen, "__delattr__": _frozen})
+    compared = [n for n in names if defaults.get(n) is not _METADATA]
+    env = {f"set_{n}": getattr(cls, n).__set__ for n in names}
+    env |= {f"default_{n}": None if d is _METADATA else d for n, d in defaults.items()}
+    params = ", ".join(f"{n}=default_{n}" if n in defaults else n for n in names)
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in compared)
+    exec(
+        f"def __init__(self, {params}):\n    "
+        + ("\n    ".join(f"set_{n}(self, {n})" for n in names) or "pass")
+        + f"\ndef __repr__(self):\n    return f'{cls.__qualname__}({shown})'"
+        + f"\ndef key(self):\n    return ({''.join(f'self.{n}, ' for n in compared)})",
+        env,
+    )
+    cls.__init__, cls.__repr__, _KEYS[cls] = env["__init__"], env["__repr__"], env["key"]
     return cls
 
 
@@ -108,21 +147,21 @@ class TVar:
     """Type variable reference (possibly a meta-variable)."""
 
     name: str
-    span: Span | None = _span_field()
+    span: Span | None = _METADATA
 
 
 @_node
 class Arrow:
     dom: TypeExpr
     cod: TypeExpr
-    span: Span | None = _span_field()
+    span: Span | None = _METADATA
 
 
 @_node
 class Forall:
     bound: str
     body: TypeExpr
-    span: Span | None = _span_field()
+    span: Span | None = _METADATA
 
 
 @_node
@@ -131,7 +170,7 @@ class Con:
 
     con: str
     args: tuple[TypeExpr, ...] = ()
-    span: Span | None = _span_field()
+    span: Span | None = _METADATA
 
 
 TypeExpr = Union[TVar, Arrow, Forall, Con]
@@ -143,7 +182,7 @@ TypeExpr = Union[TVar, Arrow, Forall, Con]
 @_node
 class Var:
     name: str
-    span: Span | None = _span_field()
+    span: Span | None = _METADATA
 
 
 @_node
@@ -153,28 +192,28 @@ class Lam:
     bound: str
     ann: TypeExpr | None
     body: Term
-    span: Span | None = _span_field()
+    span: Span | None = _METADATA
 
 
 @_node
 class TLam:
     bound: str
     body: Term
-    span: Span | None = _span_field()
+    span: Span | None = _METADATA
 
 
 @_node
 class App:
     fun: Term
     arg: Term
-    span: Span | None = _span_field()
+    span: Span | None = _METADATA
 
 
 @_node
 class TApp:
     fun: Term
     targ: TypeExpr
-    span: Span | None = _span_field()
+    span: Span | None = _METADATA
 
 
 Term = Union[Var, Lam, TLam, App, TApp]
@@ -441,7 +480,7 @@ class DForall:
     bound: str
     deco: TypeExpr | None
     body: DecoratedType
-    deco_origin: Contextual | None = field(default=None, compare=False, repr=False)
+    deco_origin: Contextual | None = _METADATA
 
 
 @_node

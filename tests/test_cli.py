@@ -203,10 +203,9 @@ def test_spec_verify_skips_non_spines(tmp_path, capsys):
 
 
 def test_spec_verify_rejection_exits_three(good_file, capsys, monkeypatch):
-    import spinel.cli as cli
-
+    # the replay reads `verify_spec` from the oracle each time it runs
     monkeypatch.setattr(
-        cli, "verify_spec", lambda *a: SpecVerdict(False, ("PHead",), "forced")
+        "spinel.oracle.verify_spec", lambda *a: SpecVerdict(False, ("PHead",), "forced")
     )
     code, out, _ = run_lines(capsys, "run", good_file, "--spec-verify")
     assert code == 3

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import spinel
@@ -27,10 +30,11 @@ DOCUMENTED = {
 def test_all_is_the_documented_surface():
     assert set(spinel.__all__) == DOCUMENTED
     assert len(spinel.__all__) == len(DOCUMENTED)
+    # `dir`, not `vars`: the oracle's two entry points load on first use
     public = {
         name
-        for name, value in vars(spinel).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
+        for name in dir(spinel)
+        if not name.startswith("_") and not inspect.ismodule(getattr(spinel, name))
     }
     assert public == DOCUMENTED
 
@@ -40,3 +44,21 @@ def test_readme_library_section_names_every_export():
     library = readme.split("## Library", 1)[1]
     for name in DOCUMENTED:
         assert f"`{name}(" in library or f"`{name}`" in library, name
+
+
+def test_a_run_starts_without_the_oracle_or_the_dataclass_machinery():
+    # Only `--spec-verify` replays, so only it loads the oracle; node
+    # classes are built by hand, so nothing loads `dataclasses`.
+    script = """
+import sys
+before = set(sys.modules)
+import spinel.cli
+print(sorted({"dataclasses", "inspect", "spinel.oracle"} & (set(sys.modules) - before)))
+import spinel
+from spinel import infer
+print(type(infer).__name__, infer.__name__, spinel.infer is infer)
+print(spinel.verify_spec is sys.modules["spinel.oracle"].verify_spec)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(spinel.__file__).resolve().parents[1]))
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert child.stdout.splitlines() == ["[]", "function infer True", "True"]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import re
 import sys
@@ -472,8 +471,8 @@ def test_every_copy_of_an_identifier_is_one_string():
 def _with_spans(x):
     """``x`` as nested tuples that hold every node's span, which ``repr``
     and ``==`` of the nodes leave out."""
-    if dataclasses.is_dataclass(x):
-        return (type(x).__name__, *(_with_spans(getattr(x, f.name)) for f in dataclasses.fields(x)))
+    if hasattr(x, "__match_args__") and not isinstance(x, tuple):  # a node, not a Span
+        return (type(x).__name__, *(_with_spans(getattr(x, name)) for name in x.__match_args__))
     if type(x) is tuple:
         return tuple(_with_spans(a) for a in x)
     return x
@@ -577,24 +576,6 @@ def _chain_tree(decl_src):
     return decl.ty if isinstance(decl, Assume) else decl.term
 
 
-def _same_tree(a, b):
-    """Dataclass equality (spans ignored), by a loop instead of recursion."""
-    pairs = [(a, b)]
-    while pairs:
-        a, b = pairs.pop()
-        if dataclasses.is_dataclass(a):
-            if type(a) is not type(b):
-                return False
-            pairs += [(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a) if f.compare]
-        elif isinstance(a, tuple):
-            if not isinstance(b, tuple) or len(a) != len(b):
-                return False
-            pairs += zip(a, b)
-        elif a != b:
-            return False
-    return True
-
-
 @pytest.mark.parametrize("kind", CHAINS)
 def test_long_chains_parse_print_and_reparse(kind):
     # Every link of a chain is a loop iteration, not a Python frame, so
@@ -604,7 +585,7 @@ def test_long_chains_parse_print_and_reparse(kind):
     tree = _chain_tree(keyword + text)
     printed = pretty_type(tree) if keyword.startswith("assume") else pretty_term(tree)
     assert printed == text
-    assert _same_tree(_chain_tree(keyword + printed), tree)
+    assert _chain_tree(keyword + printed) == tree
 
 
 # ------------------------------------------------------------ properties

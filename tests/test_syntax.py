@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from conftest import CTX, count_well_formed_walks, tm, ty
 from spinel.infer import Check, InferOutcome, SpineOutcome, Synthesize
 from spinel.matcher import MatchFailure, MatchResult, match_proto
-from spinel.oracle import enumerate_erasures, enumerate_internal_terms
+from spinel.oracle import SpecVerdict, enumerate_erasures, enumerate_internal_terms
 from spinel.syntax import (
     App,
     Arrow,
@@ -76,9 +76,12 @@ def test_span_to_json_keeps_its_keys_and_order():
 
 @pytest.mark.parametrize("node", [TVar, Arrow, Forall, Con, Var, Lam, TLam, App, TApp])
 def test_node_spans_take_no_part_in_comparison(node):
-    assert dataclasses.is_dataclass(node) and node.__dataclass_params__.frozen
-    span = next(f for f in dataclasses.fields(node) if f.name == "span")
-    assert not span.compare and not span.repr
+    assert node.__match_args__[-1] == "span"
+    values = NODE_FIELDS[node]
+    a, b = node(*values, Span(1, 2, 3, 4)), node(*values, span=Span(5, 6, 7, 8))
+    assert a.span == Span(1, 2, 3, 4) and node(*values).span is None
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b) == repr(node(*values))
+    assert "span" not in repr(a)
 
 
 # Each slotted node class, and each engine record made the same way, with
@@ -111,6 +114,7 @@ NODE_FIELDS = {
     InferOutcome: (Con("Nat"), Var("z")),
     MatchResult: (Solution(), Plain(Con("Nat"))),
     MatchFailure: (Con("Nat"), ArrowTo(Unknown()), True),
+    SpecVerdict: (False, ("PHead",), "forced"),
 }
 METADATA = {
     "span": Span(1, 2, 3, 4),
@@ -130,9 +134,8 @@ def _hash(x):
 @pytest.mark.parametrize("node", list(NODE_FIELDS), ids=lambda node: node.__name__)
 def test_node_contract(node):
     values = NODE_FIELDS[node]
-    assert dataclasses.is_dataclass(node) and node.__dataclass_params__.frozen
-    names = tuple(f.name for f in dataclasses.fields(node))
-    assert node.__match_args__ == names
+    names = node.__match_args__
+    assert names == tuple(node.__annotations__)
     meta = {name: METADATA[name] for name in names if name in METADATA}
     assert names[len(values):] == tuple(meta)
 
@@ -145,12 +148,12 @@ def test_node_contract(node):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(a, name, None)
 
-    # equality, hashing and repr are those of a plain frozen dataclass
-    plain = dataclasses.make_dataclass(node.__name__, [
-        (f.name, f.type, dataclasses.field(default=f.default, compare=f.compare, repr=f.repr))
-        for f in dataclasses.fields(node)
-    ], frozen=True)(*values)
-    assert repr(a) == repr(plain) and _hash(a) == _hash(plain)
+    # repr shows the compared fields, as a frozen dataclass's does
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(a) == f"{node.__name__}({shown})"
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(a, name)
 
     # metadata, given by keyword or in position, is kept but neither compared nor shown
     for c in (node(*values, **meta), node(*values, *meta.values())):
@@ -175,6 +178,84 @@ def test_trees_that_differ_only_in_spans_compare_equal():
     a, b = tm(r"/\X. \x : X. pair [X] x z"), tm(r"/\X.   \x : X.  pair  [X]  x  z")
     assert a.span != b.span and a.body.body.span != b.body.body.span
     assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("node", list(NODE_FIELDS), ids=lambda node: node.__name__)
+def test_node_hash_is_the_hash_of_its_compared_fields(node):
+    # A frozen dataclass's hash, so sets and dicts of nodes keep their
+    # order, and with it the enumerated corpora and their pinned digests.
+    values = NODE_FIELDS[node]
+    assert _hash(node(*values)) == _hash(tuple(values))
+
+
+def test_node_hash_is_a_frozen_dataclass_hash_at_every_depth():
+    # The same values as frozen dataclasses of the same fields, built by
+    # their own recursive hash, on a chain under the recursion limit.
+    mirror = {
+        cls: dataclasses.make_dataclass(cls.__name__, cls.__match_args__[:-1], frozen=True)
+        for cls in (TVar, Arrow, Forall, Con)
+    }
+    ours, theirs = TVar("X"), mirror[TVar]("X")
+    for i in range(150):
+        if i % 3 == 0:
+            ours, theirs = Forall(f"X{i}", ours), mirror[Forall](f"X{i}", theirs)
+        else:
+            ours = Arrow(Con("Pair", (ours, TVar("X"))), TVar(f"X{i}"))
+            theirs = mirror[Arrow](mirror[Con]("Pair", (theirs, mirror[TVar]("X"))), mirror[TVar](f"X{i}"))
+    assert hash(ours) == hash(theirs)
+
+
+def _alternating(n):
+    return "".join(f"forall Y{i}. Y{i} -> " for i in range(n)) + "Nat"
+
+
+def test_equality_of_a_long_alternating_chain_does_not_recurse():
+    # A recursive `__eq__` (a dataclass's) raises RecursionError here.
+    a, b = ty(_alternating(300)), ty(_alternating(300))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != ty(_alternating(300).replace("Y299 -> Nat", "Y299 -> B"))
+
+
+LONG = 64_000
+
+
+def _chain(link, last):
+    """``last`` beneath ``link(i, ...)`` for i from LONG - 1 out to 0."""
+    for i in reversed(range(LONG)):
+        last = link(i, last)
+    return last
+
+
+def _long_trees(shape, leaf):
+    """The trees of CI's long-input ``shape``, with ``leaf`` at the bottom
+    of each: the goal's term and type, or for ``contextual`` (whose goal
+    type is ``lambda``'s) the goal's term and the head's type."""
+    nat = Con("Nat")
+    if shape == "lambda":  # \x0. ... x0 : Nat -> ... -> Nat
+        return [
+            _chain(lambda i, b: Lam(f"x{i}", None, b), Var(leaf)),
+            _chain(lambda i, b: Arrow(nat, b), TVar(leaf)),
+        ]
+    if shape == "quantifier":  # /\X0. ... \x. x : forall Y0. ... Y63999 -> Y63999
+        return [
+            _chain(lambda i, b: TLam(f"X{i}", b), Lam("x", None, Var(leaf))),
+            _chain(lambda i, b: Forall(f"Y{i}", b), Arrow(TVar(f"Y{LONG - 1}"), TVar(leaf))),
+        ]
+    head = Var(leaf)  # g z ... z, with g : forall X0 ... . X0 -> ... -> Nat -> (X0 -> ... -> Nat)
+    for _ in range(LONG):
+        head = App(head, Var("z"))
+    xs = [TVar(f"X{i}") for i in range(LONG)]
+    codomain = _chain(lambda i, b: Arrow(xs[i], b), TVar(leaf))
+    domains = _chain(lambda i, b: Arrow(xs[i], b), Arrow(nat, codomain))
+    return [head, _chain(lambda i, b: Forall(f"X{i}", b), domains)]
+
+
+@pytest.mark.parametrize("shape", ["lambda", "quantifier", "contextual"])
+def test_equality_and_hash_of_long_chains_return(shape):
+    assert LONG > 50 * sys.getrecursionlimit()
+    for a, b, other in zip(_long_trees(shape, "x"), _long_trees(shape, "x"), _long_trees(shape, "y")):
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != other  # only a walk to the bottom tells them apart
 
 
 def test_alpha_equal_renames_binders():
@@ -222,12 +303,16 @@ DECO_PAIRS = {
 }
 
 
+def _copy(x):
+    return type(x)(*(getattr(x, name) for name in x.__match_args__))
+
+
 @pytest.mark.parametrize("pair", DECO_PAIRS.values(), ids=DECO_PAIRS.keys())
 def test_decorated_equality_keeps_decorations_apart(pair):
     # Goldens compare decorated types with ``==``; it must see every
     # difference in the decoration, not only in the stripped type.
     a, b = pair
-    assert a == dataclasses.replace(a) and b == dataclasses.replace(b)
+    assert a == _copy(a) and b == _copy(b) and _copy(a) is not a
     assert a != b and b != a
 
 
