@@ -63,11 +63,10 @@ _RESET = "\x1b[0m"
 
 
 def _use_color() -> bool:
+    """``always`` or ``never``; any other value means auto."""
     env = os.environ.get("SPINEL_COLOR", "").lower()
-    if env in ("1", "always", "on", "yes"):
-        return True
-    if env in ("0", "never", "off", "no"):
-        return False
+    if env in ("always", "never"):
+        return env == "always"
     return sys.stdout.isatty()
 
 

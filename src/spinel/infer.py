@@ -101,7 +101,7 @@ class Check:
 
 
 Mode = Synthesize | Check
-_SYNTHESIZE = Synthesize()  # the one the engine passes itself
+_Expected = TypeExpr | None  # below ``infer``, a checked term's type; None synthesizes
 
 
 @_node
@@ -235,11 +235,14 @@ def infer(
     """Infer or check a term, elaborating it to a fully annotated one.
 
     Raises Diagnostic on user-level failure and EngineInvariantError if
-    an internal consistency check trips.
+    an internal consistency check trips.  The mode is read only here.
     """
-    if type(mode) is Check and not is_well_formed(ctx, mode.expected):
+    expected = mode.expected if type(mode) is Check else None
+    if expected is None and type(mode) is not Synthesize:
+        raise TypeError(mode)
+    if expected is not None and not is_well_formed(ctx, expected):
         raise ValueError("contextual type is not well-formed")
-    return _named(_Run(trace), _infer, ctx, mode, term)
+    return _named(_Run(trace), _infer, ctx, expected, term)
 
 
 def spine_infer(ctx: Context, proto: Prototype, term: Term) -> SpineOutcome:
@@ -250,7 +253,7 @@ def spine_infer(ctx: Context, proto: Prototype, term: Term) -> SpineOutcome:
 # ------------------------------------------------------------- inference
 
 
-def _infer(run: _Run, ctx: Context, mode: Mode, term: Term) -> InferOutcome:
+def _infer(run: _Run, ctx: Context, expected: _Expected, term: Term) -> InferOutcome:
     kind = type(term)
     if kind is Var:
         run.note("var")
@@ -262,20 +265,19 @@ def _infer(run: _Run, ctx: Context, mode: Mode, term: Term) -> InferOutcome:
                 subject=term,
                 detail=f"unbound name {term.name!r}",
             )
-        return _conclude(mode, term, ty, term)
+        return _conclude(expected, term, ty, term)
     if kind is App:
-        if type(mode) is Check:
-            return _app_check(run, ctx, term, mode.expected)
-        if type(mode) is Synthesize:
+        if expected is None:
             return _app_synthesize(run, ctx, term)
-    elif kind is Lam or kind is TLam:
-        return _binder_chain(run, ctx, mode, term)
-    elif kind is TApp:
-        return _type_applications(run, ctx, mode, term)
+        return _app_check(run, ctx, term, expected)
+    if kind is Lam or kind is TLam:
+        return _binder_chain(run, ctx, expected, term)
+    if kind is TApp:
+        return _type_applications(run, ctx, expected, term)
     raise TypeError(term)
 
 
-def _binder_chain(run: _Run, ctx: Context, mode: Mode, term: Lam | TLam) -> InferOutcome:
+def _binder_chain(run: _Run, ctx: Context, expected: _Expected, term: Lam | TLam) -> InferOutcome:
     """Check or synthesize a maximal chain of lambdas and type lambdas in one loop.
 
     In check mode the expected quantifier and arrow chain is walked
@@ -288,7 +290,6 @@ def _binder_chain(run: _Run, ctx: Context, mode: Mode, term: Lam | TLam) -> Infe
     copies.  The whole chain enters the context in one checked extension
     before its body is inferred; a diagnostic builds its link's context.
     """
-    expected = mode.expected if type(mode) is Check else None
     renaming: dict[str, TypeExpr] = {}
     tvs: set[str] = set()
     layers: list[Lam | TLam] = []
@@ -347,8 +348,9 @@ def _binder_chain(run: _Run, ctx: Context, mode: Mode, term: Lam | TLam) -> Infe
         binds.append(bind)
         term = term.body
 
-    body_mode = _SYNTHESIZE if expected is None else Check(substitute(renaming, expected))
-    out = _infer(run, ctx._extend(binds), body_mode, term)
+    if expected is not None:
+        expected = substitute(renaming, expected)
+    out = _infer(run, ctx._extend(binds), expected, term)
     ty, elab = out.ty, out.elaboration
     for layer, bind in zip(reversed(layers), reversed(binds)):
         if type(layer) is TLam:
@@ -360,7 +362,7 @@ def _binder_chain(run: _Run, ctx: Context, mode: Mode, term: Lam | TLam) -> Infe
     return InferOutcome(ty, elab)
 
 
-def _type_applications(run: _Run, ctx: Context, mode: Mode, term: TApp) -> InferOutcome:
+def _type_applications(run: _Run, ctx: Context, expected: _Expected, term: TApp) -> InferOutcome:
     """Infer a maximal chain of type applications outside a spine.
 
     The applicand's quantifiers are walked unsubstituted; ``inst`` maps
@@ -375,7 +377,7 @@ def _type_applications(run: _Run, ctx: Context, mode: Mode, term: TApp) -> Infer
         _check_type_arg(ctx, term)
         chain.append(term)
         term = term.fun
-    fout = _infer(run, ctx, _SYNTHESIZE, term)
+    fout = _infer(run, ctx, None, term)
     ty, elab = fout.ty, fout.elaboration
     inst: dict[str, TypeExpr] = {}
     for app in reversed(chain):
@@ -391,15 +393,15 @@ def _type_applications(run: _Run, ctx: Context, mode: Mode, term: TApp) -> Infer
         inst[ty.bound] = app.targ
         ty = ty.body
         elab = app if elab is app.fun else TApp(elab, app.targ, app.span)
-    return _conclude(mode, outer, substitute(inst, ty), elab)
+    return _conclude(expected, outer, substitute(inst, ty), elab)
 
 
-def _conclude(mode: Mode, term: Term, ty: TypeExpr, elab: Term) -> InferOutcome:
-    if type(mode) is Check and not alpha_equal(ty, mode.expected):
+def _conclude(expected: _Expected, term: Term, ty: TypeExpr, elab: Term) -> InferOutcome:
+    if expected is not None and not alpha_equal(ty, expected):
         raise Diagnostic(
             DiagnosticKind.TYPE_MISMATCH,
             span=term.span,
-            expected=mode.expected,
+            expected=expected,
             synthesized=ty,
             subject=term,
         )
@@ -408,7 +410,7 @@ def _conclude(mode: Mode, term: Term, ty: TypeExpr, elab: Term) -> InferOutcome:
 
 def _try_synthesize(ctx: Context, term: Term) -> TypeExpr | None:
     try:
-        return _infer(_Run(), ctx, _SYNTHESIZE, term).ty
+        return _infer(_Run(), ctx, None, term).ty
     except Diagnostic:
         return None
 
@@ -497,7 +499,7 @@ def _spine(run: _Run, ctx: Context, proto: Prototype, term: Term) -> SpineOutcom
     run.note("spine-head")
     if type(proto) is not ArrowTo:
         raise EngineInvariantError("spine heads are only matched against arrow prototypes")
-    head = _infer(run, ctx, _SYNTHESIZE, term)
+    head = _infer(run, ctx, None, term)
     matched = _match(frozenset(), head.ty, proto, run.supply)
     if type(matched) is MatchFailure:
         raise _head_failure(term, head.ty, matched)
@@ -685,7 +687,7 @@ def _consume_arrow(
     if not unsolved:
         run.note("arg-check")
         try:
-            out = _infer(run, ctx, Check(expected), arg)
+            out = _infer(run, ctx, expected, arg)
         except Diagnostic as d:
             _attach_solution_origin(d, dom, expected, fixed, arg)
             raise
@@ -693,7 +695,7 @@ def _consume_arrow(
 
     run.note("arg-synth")
     try:
-        out = _infer(run, ctx, _SYNTHESIZE, arg)
+        out = _infer(run, ctx, None, arg)
     except Diagnostic as d:
         if d.subject is arg and d.expected is None:
             d.expected = expected

@@ -13,7 +13,9 @@ prototype-matching engine they audit.  ``search_spec`` and the
 completeness conditions share one spine walk, ``_derivations`` (the
 conditions take its single derivation over an empty pool, every guess
 declined); ``verify_spec`` keeps its own, because it follows a claim
-rather than enumerating.
+rather than enumerating.  The completeness conditions use that
+derivation only: they run no spine of the engine, and reach it only
+through ``infer``, which types the head and the arguments.
 
 The module also hosts the erasure enumerator, the conditions under
 which synthesis is complete for an erasure, and the deterministic
@@ -25,7 +27,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Mapping, Sequence
 
-from .infer import Check, Diagnostic, Synthesize, infer, spine_infer
+from .infer import Check, Diagnostic, Synthesize, infer
 from .syntax import (
     App,
     Arrow,
@@ -42,7 +44,6 @@ from .syntax import (
     Term,
     TermBind,
     TypeExpr,
-    Unknown,
     Var,
     _TYPE_NODES,
     _node,
@@ -452,13 +453,9 @@ def _apply(search: _Search, i: int, ty, partial, guesses, arg) -> Iterator[Tripl
         )
 
 
-def search_spec(
-    ctx: Context,
-    ctx_ty: TypeExpr | None,
-    term: Term,
-    candidates: list[TypeExpr] | None = None,
-) -> list[Triple]:
-    """Enumerate every declarative spine derivation over the guess pool.
+def search_spec(ctx: Context, ctx_ty: TypeExpr | None, term: Term) -> list[Triple]:
+    """Enumerate every declarative spine derivation over the guess pool
+    ``default_candidates`` gives.
 
     Returns raw derivation triples, before the shim and mode side
     conditions; ``passes_side_conditions`` filters them.
@@ -466,11 +463,9 @@ def search_spec(
     if not isinstance(term, App):
         raise ValueError("only term applications have spine derivations")
     typed: dict = {}  # each argument's typings, shared with the guess pool
-    if candidates is None:
-        candidates = _candidates(ctx, ctx_ty, term, typed)
     out: list[Triple] = []
     seen: set = set()
-    for triple in _derivations(ctx, term, candidates, typed):
+    for triple in _derivations(ctx, term, _candidates(ctx, ctx_ty, term, typed), typed):
         key = canonical_triple_key(triple)
         if key not in seen:
             seen.add(key)
@@ -601,7 +596,8 @@ def check_weak_completeness_conditions(ctx: Context, internal: Term, erased: Ter
     """Sufficient conditions for synthesis to recover ``internal`` from
     its erasure ``erased``: annotations survive, no maximal application
     is left with unsolved meta-variables, and every applicand's partial
-    type reveals the structure its arguments need."""
+    type reveals the structure its arguments need.  The last two are read
+    off ``_partial_synth``, the oracle's own derivation."""
 
     def walk(ctx: Context, e: Term, t: Term, applicand: bool) -> bool:
         match e:
@@ -619,11 +615,8 @@ def check_weak_completeness_conditions(ctx: Context, internal: Term, erased: Ter
                 if not isinstance(t, App):
                     return False
                 if not applicand:
-                    try:
-                        out = spine_infer(ctx, Unknown(), t)
-                    except Diagnostic:
-                        out = None
-                    if out is not None and meta_vars_of_term(ctx, out.partial):
+                    ps = _partial_synth(ctx, t)
+                    if ps is not None and meta_vars_of_term(ctx, ps[1]):
                         return False
                 ps = _partial_synth(ctx, t.fun)
                 if ps is not None and not _reveals_arrow_under_quantifiers(ps[0]):

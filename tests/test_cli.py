@@ -240,6 +240,17 @@ def test_color_env_switch(bad_file, capsys, monkeypatch):
     assert not any("\x1b[" in line for line in out)
 
 
+@pytest.mark.parametrize("value", ["yes", "1", "on", "auto"])
+def test_color_values_other_than_always_and_never_mean_auto(bad_file, monkeypatch, value):
+    # Only `always` and `never` are read; anything else colors a terminal
+    # only, so a pipe gets plain text.
+    monkeypatch.setenv("SPINEL_COLOR", value)
+    proc = run_child(bad_file)
+    assert proc.returncode == 1
+    assert "    error: type mismatch at " in proc.stdout
+    assert "\x1b[" not in proc.stdout
+
+
 # ---------------------------------------------------- golden diagnostics
 
 # One goal per way a spine fails: a contextual solution that its argument

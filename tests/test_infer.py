@@ -415,6 +415,13 @@ def test_spine_infer_solves_a_whole_spine_synthetically():
     assert alpha_equal_term(out.partial, tm("pair [Nat] [B] z tt"))
 
 
+@pytest.mark.parametrize("src", ["z", r"\x : Nat. x", r"/\X. z", "ident [Nat]", "suc z"])
+@pytest.mark.parametrize("mode", [Exact(ty("Nat")), None], ids=["prototype", "none"])
+def test_infer_refuses_a_mode_that_is_neither_check_nor_synthesize(src, mode):
+    with pytest.raises(TypeError):
+        infer(CTX, mode, tm(src))
+
+
 def test_engine_invariants_are_separate_from_diagnostics():
     with pytest.raises(EngineInvariantError):
         spine_infer(CTX, Exact(ty("Nat")), tm("z"))

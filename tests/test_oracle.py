@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import gc
 import importlib
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -616,6 +618,25 @@ def test_conditions_accept_the_identity_erasure():
     assert check_weak_completeness_conditions(CTX, internal, internal)
 
 
+# The cases above, as (internal, erasure, verdict).
+CONDITION_CASES = [
+    (r"pair [B -> B] [Nat] (\x : B. x) z", r"pair [B -> B] [Nat] (\x. x) z", False),
+    ("pair [Nat] [B] z tt", "pair z tt", True),
+    ("right [B] [Nat] z", "right z", False),
+    ("bot [Nat -> Nat] z", "bot z", False),
+    ("pair [Nat] [B] z tt", "pair [Nat] [B] z tt", True),
+]
+
+
+def test_the_conditions_run_no_engine_spine(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the completeness conditions ran the engine's spine")
+
+    monkeypatch.setattr(importlib.import_module("spinel.infer"), "_spine", refuse)
+    for internal, erased, verdict in CONDITION_CASES:
+        assert check_weak_completeness_conditions(CTX, tm(internal), tm(erased)) is verdict
+
+
 def test_partial_synthesis_declines_every_guess():
     got = _partial_synth(CTX, tm("pair z"))
     assert got is not None
@@ -629,6 +650,47 @@ def test_partial_synthesis_declines_every_guess():
 def test_partial_synthesis_fails_where_the_algorithm_would():
     assert _partial_synth(CTX, tm("suc tt")) is None
     assert _partial_synth(CTX, tm("bot z")) is None
+
+
+# ------------------------------------------------------------- independence
+
+ENGINE_WALKS = {"match_type", "_match", "match_proto", "spine_infer", "_spine"}
+FROM_INFER = {"Check", "Diagnostic", "Synthesize", "infer"}
+
+
+def engine_reaches(source: str) -> set[str]:
+    """Each way ``source`` reaches the matcher or the engine's spine: an
+    import of the matcher, a name of their walks, or a name from
+    ``infer`` other than the four that type sub-terms."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name for a in node.names if a.name.startswith("spinel.matcher")}
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names = {a.name for a in node.names}
+            matcher = module in (".matcher", "spinel.matcher")
+            if matcher or (module in (".", "spinel") and "matcher" in names):
+                found.add(f"from {module} import")
+            if module in (".infer", "spinel.infer"):
+                found |= names - FROM_INFER
+            found |= names & ENGINE_WALKS
+        elif isinstance(node, ast.Name) and node.id in ENGINE_WALKS:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in ENGINE_WALKS | {"matcher"}:
+            found.add(node.attr)
+    return found
+
+
+def test_the_oracle_reaches_neither_the_matcher_nor_the_engine_spine():
+    source = Path(importlib.import_module("spinel.oracle").__file__).read_text(encoding="utf-8")
+    assert engine_reaches(source) == set()
+    imports = "from .infer import Check, Diagnostic, Synthesize, infer\n"
+    assert imports in source
+    matcher = source.replace(imports, imports + "from .matcher import match_proto\n")
+    spine = source.replace(imports, imports.replace("infer\n", "infer, spine_infer\n"))
+    assert engine_reaches(matcher) == {"from .matcher import", "match_proto"}
+    assert engine_reaches(spine) == {"spine_infer"}
 
 
 # ------------------------------------------------------------------ corpora
