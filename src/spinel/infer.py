@@ -29,7 +29,7 @@ accumulated renaming or instantiation applied where a type is used.
 Meta-variables never leave the spine that minted them: synthesis
 demands an empty solution, and checking demands that the contextual
 type solved every meta the partial elaboration mentions.
-Terms, modes, prototypes and decorated types are never subclassed, so
+Terms, modes, prototypes and match leaves are never subclassed, so
 the engine dispatches on ``type(x) is X``, as the walks of ``syntax``
 do, and its records are ``syntax._node``s, cheap to build at every node.
 An elaboration shares every node of its term beneath which inference
@@ -49,7 +49,6 @@ from .syntax import (
     Binding,
     Context,
     Contextual,
-    DecoratedType,
     Exact,
     Forall,
     Lam,
@@ -106,7 +105,7 @@ _Expected = TypeExpr | None  # below ``infer``, a checked term's type; None synt
 
 @_node
 class SpineOutcome:
-    deco: DecoratedType
+    deco: Plain
     partial: Term
     solution: Solution
 
@@ -246,7 +245,15 @@ def infer(
 
 
 def spine_infer(ctx: Context, proto: Prototype, term: Term) -> SpineOutcome:
-    """Run the spine judgment directly (mainly for tests and audits)."""
+    """Run the spine judgment directly (mainly for tests and audits).
+
+    Raises ValueError unless ``term`` is an application and ``proto`` is
+    ``Unknown`` or ``Exact``.
+    """
+    if type(term) is not App:
+        raise ValueError("only term applications have spine derivations")
+    if type(proto) is not Unknown and type(proto) is not Exact:
+        raise ValueError("a spine is matched against an unknown or exact prototype")
     return _named(_Run(), _spine, ctx, proto, term)
 
 
@@ -452,8 +459,6 @@ def _app_synthesize(run: _Run, ctx: Context, term: App) -> InferOutcome:
             unsolved=unsolved,
             subject=term,
         )
-    if type(out.deco) is not Plain:
-        raise EngineInvariantError("synthesis finished on a decorated result")
     return InferOutcome(ty, out.partial, out)
 
 
@@ -480,8 +485,10 @@ def _app_check(run: _Run, ctx: Context, term: App, expected: TypeExpr) -> InferO
     return InferOutcome(expected, elab, out)
 
 
-def _spine(run: _Run, ctx: Context, proto: Prototype, term: Term) -> SpineOutcome:
-    """Infer a maximal application spine: its head, then its items in order."""
+def _spine(run: _Run, ctx: Context, proto: Unknown | Exact, term: App) -> SpineOutcome:
+    """Infer a maximal application spine: its head, then its items in order.
+    The outermost item is a term argument, so every item and the head
+    meet an arrow prototype."""
     # First pass, outermost item first: build the prototype the head meets.
     items: list[App | TApp] = []
     while (kind := type(term)) is App or kind is TApp:
@@ -490,15 +497,11 @@ def _spine(run: _Run, ctx: Context, proto: Prototype, term: Term) -> SpineOutcom
             proto = ArrowTo(proto)
         else:
             run.note("spine-tyarg")
-            if type(proto) is not ArrowTo:
-                raise EngineInvariantError("type argument reached a spine without a pending arrow")
             _check_type_arg(ctx, term)
         items.append(term)
         term = term.fun
 
     run.note("spine-head")
-    if type(proto) is not ArrowTo:
-        raise EngineInvariantError("spine heads are only matched against arrow prototypes")
     head = _infer(run, ctx, None, term)
     matched = _match(frozenset(), head.ty, proto, run.supply)
     if type(matched) is MatchFailure:

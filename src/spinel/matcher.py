@@ -15,10 +15,11 @@ solvable variables as holes.
 ``_match`` returns the chain as the spine reads it: its links,
 outermost first (a peeled meta-variable or a renamed domain), the
 ``Plain`` or ``Stuck`` leaf that ends them, and the solution, which
-decorates each peeled meta-variable it solves.  The spine re-matches a
-stuck leaf by one more ``_match`` against the leaf's pending prototype,
-and appends the links it reveals.  Only ``match_proto`` nests the links
-into a decorated type, and restricts the solution to the caller's metas.
+binds the caller's metas it solved and decorates each peeled
+meta-variable it solved; or the ``MatchFailure`` that says where
+matching gave up.  The spine re-matches a stuck leaf by one more
+``_match`` against the leaf's pending prototype, and appends the links
+it reveals.  ``match_proto``, the public entry, returns the same result.
 Types and prototypes are never subclassed, so the walk dispatches on
 ``type(x) is X``, as ``syntax`` does; results are ``_node``s.
 """
@@ -30,9 +31,6 @@ from .syntax import (
     ArrowTo,
     Binding,
     Contextual,
-    DArrow,
-    DForall,
-    DecoratedType,
     Exact,
     Forall,
     NameSupply,
@@ -48,12 +46,6 @@ from .syntax import (
     match_type,
     substitute,
 )
-
-
-@_node
-class MatchResult:
-    solution: Solution
-    decorated: DecoratedType
 
 
 @_node
@@ -130,35 +122,12 @@ def match_proto(
     ty: TypeExpr,
     proto: Prototype,
     supply: NameSupply | None = None,
-) -> MatchResult | None:
-    """Match a type against a prototype.
+) -> tuple[list[str | TypeExpr], Plain | Stuck, Solution] | MatchFailure:
+    """Match a type against a prototype: ``_match``, with a fresh
+    ``NameSupply`` when none is given.
 
-    On success the solution instantiates a subset of ``metas`` and the
-    decorated type records, per leading quantifier, what the exact part
-    of the prototype determined for it.  Each peeled quantifier becomes
-    a solvable variable named by ``supply.fresh_meta``, a reserved
-    ``?`` name; without a ``supply`` a fresh ``NameSupply`` mints them,
-    so such a caller's own ``metas`` must not be reserved ``?`` names.
-    The renaming from binders to those names is carried along the chain
-    and applied only to the types the result holds.  This is the only
-    place that nests links into a decorated type.
+    Each peeled quantifier becomes a solvable variable named by
+    ``supply.fresh_meta``, a reserved ``?`` name, so a caller without a
+    ``supply`` must not use reserved ``?`` names among its own ``metas``.
     """
-    metas = frozenset(metas)
-    out = _match(metas, ty, proto, supply if supply is not None else NameSupply())
-    if type(out) is MatchFailure:
-        return None
-    frames, deco, solution = out
-    for frame in reversed(frames):
-        if type(frame) is str:
-            binding = solution.binding(frame)
-            deco = DForall(
-                frame,
-                binding.ty if binding else None,
-                deco,
-                deco_origin=binding.origin if binding else None,
-            )
-        else:
-            deco = DArrow(frame, deco)
-    if not solution.domain() <= metas:
-        solution = Solution({m: b for m, b in solution.bindings.items() if m in metas})
-    return MatchResult(solution, deco)
+    return _match(metas, ty, proto, supply if supply is not None else NameSupply())

@@ -43,6 +43,7 @@ from .syntax import (
     TVar,
     Term,
     TermBind,
+    TyVarDecl,
     TypeExpr,
     Var,
     _TYPE_NODES,
@@ -597,20 +598,22 @@ def check_weak_completeness_conditions(ctx: Context, internal: Term, erased: Ter
     its erasure ``erased``: annotations survive, no maximal application
     is left with unsolved meta-variables, and every applicand's partial
     type reveals the structure its arguments need.  The last two are read
-    off ``_partial_synth``, the oracle's own derivation."""
+    off ``_partial_synth``, the oracle's own derivation.  A chain of
+    lambdas and type lambdas is walked by a loop and enters the context
+    in one extension."""
 
     def walk(ctx: Context, e: Term, t: Term, applicand: bool) -> bool:
         match e:
             case Var():
                 return True
-            case Lam(bound=x, ann=ann, body=eb):
-                if not isinstance(t, Lam) or t.ann is None:
-                    return False
-                return walk(ctx.with_term(x, ann), eb, t.body, False)
-            case TLam(bound=x, body=eb):
-                if not isinstance(t, TLam):
-                    return False
-                return walk(ctx.with_type_var(x), eb, t.body, False)
+            case Lam() | TLam():
+                binds: list[TermBind | TyVarDecl] = []
+                while (kind := type(e)) is Lam or kind is TLam:
+                    if type(t) is not kind or (kind is Lam and t.ann is None):
+                        return False
+                    binds.append(TermBind(e.bound, e.ann) if kind is Lam else TyVarDecl(e.bound))
+                    e, t = e.body, t.body
+                return walk(ctx._extend(binds), e, t, False)
             case App(fun=e1, arg=e2):
                 if not isinstance(t, App):
                     return False

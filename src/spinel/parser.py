@@ -543,25 +543,25 @@ def parse_declaration(keyword: str, src: str, ctx: Context) -> Decl:
 _Rename = dict[str, str] | None
 
 
-def pretty_type(ty: TypeExpr, rename: _Rename = None, prec: int = 0) -> str:
+def pretty_type(ty: TypeExpr, rename: _Rename = None) -> str:
     """Render a type; precedence levels are forall(0) < arrow(1) < app(2).
 
     ``rename`` maps type variables and binders to the names shown.  The
     text is written into one list by ``_type_into`` and joined once.
     """
     out: list[str] = []
-    _type_into(out, ty, rename, prec)
+    _type_into(out, ty, rename, 0)
     return "".join(out)
 
 
-def pretty_term(t: Term, rename: _Rename = None, prec: int = 0) -> str:
+def pretty_term(t: Term, rename: _Rename = None) -> str:
     """Render a term; lambdas bind loosest, application tightest.
 
     ``rename`` applies to type variables and type-lambda binders only.
     The text is written into one list by ``_term_into`` and joined once.
     """
     out: list[str] = []
-    _term_into(out, t, rename, prec)
+    _term_into(out, t, rename, 0)
     return "".join(out)
 
 

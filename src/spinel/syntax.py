@@ -1,8 +1,8 @@
 """Core syntax for a System F elaborator with spine-local type inference.
 
 Defines types, terms, typing contexts, prototypes (partially known
-contextual types), decorated types (the shapes produced by prototype
-matching), and solutions (meta-variable instantiations tagged with the
+contextual types), the leaves that end a prototype match (``Plain`` or
+``Stuck``), and solutions (meta-variable instantiations tagged with the
 evidence that produced them), plus the structural operations the rest
 of the package builds on: free variables, well-formedness, alpha
 equality (as equality of canonical keys) and first-order matching,
@@ -438,9 +438,6 @@ class Solution:
     def domain(self) -> frozenset[str]:
         return frozenset(self.bindings)
 
-    def binding(self, name: str) -> Binding | None:
-        return self.bindings.get(name)
-
     def types(self) -> dict[str, TypeExpr]:
         return {k: v.ty for k, v in self.bindings.items()}
 
@@ -453,7 +450,7 @@ class Solution:
         )
 
 
-# -------------------------------------------------------- decorated types
+# ----------------------------------------------------------- match leaves
 
 
 @_node
@@ -464,26 +461,6 @@ class Plain:
 
 
 @_node
-class DArrow:
-    dom: TypeExpr
-    cod: DecoratedType
-
-
-@_node
-class DForall:
-    """Quantifier with an optional contextual instantiation recorded for it.
-
-    ``deco_origin`` remembers the match that produced an informative
-    decoration; it is diagnostic metadata and takes no part in equality.
-    """
-
-    bound: str
-    deco: TypeExpr | None
-    body: DecoratedType
-    deco_origin: Contextual | None = _METADATA
-
-
-@_node
 class Stuck:
     """A meta-variable that must later reveal the arrows ``proto`` demands."""
 
@@ -491,23 +468,17 @@ class Stuck:
     proto: Prototype  # always of ArrowTo shape
 
 
-DecoratedType = Union[Plain, DArrow, DForall, Stuck]
+DecoratedType = Union[Plain, Stuck]  # the leaf that ends a prototype match's links
 
 
 def strip(w: DecoratedType) -> TypeExpr:
-    """Forget decorations, recovering the underlying (partial) type.  The
-    chain is walked and rebuilt by loops, so any length strips at any
-    recursion limit."""
-    links: list[DArrow | DForall] = []
-    while type(w) is DArrow or type(w) is DForall:
-        links.append(w)
-        w = w.cod if type(w) is DArrow else w.body
-    if type(w) is not Plain and type(w) is not Stuck:
-        raise TypeError(w)
-    ty = w.ty if type(w) is Plain else TVar(w.meta)
-    for w in reversed(links):
-        ty = Arrow(w.dom, ty) if type(w) is DArrow else Forall(w.bound, ty)
-    return ty
+    """Forget a leaf's decoration: a plain leaf's type, or a stuck leaf's
+    meta-variable."""
+    if type(w) is Plain:
+        return w.ty
+    if type(w) is Stuck:
+        return TVar(w.meta)
+    raise TypeError(w)
 
 
 # ------------------------------------------------------- free variables

@@ -6,7 +6,7 @@ from __future__ import annotations
 import importlib
 
 from spinel import parse_term, parse_type
-from spinel.oracle import standard_context
+from spinel.oracle import DEFAULT_TYPE_POOL, enumerate_internal_terms, standard_context
 
 CTX = standard_context()
 
@@ -19,6 +19,20 @@ def ty(src, ctx=None):
 def tm(src, ctx=None):
     """Parse a term in the standard context."""
     return parse_term(src, ctx if ctx is not None else CTX)
+
+
+SEED_INTERNALS = [
+    r"rapp [Nat] [Nat] z (\y : Nat. y)",
+    r"pair [Nat -> Nat] [Nat] (\x : Nat. x) z",
+    r"pair [B] [Nat] tt (ident [Nat] z)",
+    r"bot [forall Y. Y -> Y] [Nat] z",
+]
+
+
+def criterion_9_internals():
+    """Criterion 9's corpus: the internal terms of size 7 or less, then the seeds."""
+    pool = enumerate_internal_terms(CTX, 7, DEFAULT_TYPE_POOL)
+    return [t for t, _ in pool] + [tm(src) for src in SEED_INTERNALS]
 
 
 def contextual_spine(n):

@@ -38,8 +38,6 @@ from spinel.syntax import (
     ArrowTo,
     Con,
     Context,
-    DArrow,
-    DForall,
     Exact,
     Forall,
     NameSupply,
@@ -53,7 +51,7 @@ from spinel.syntax import (
     subst_type_args,
 )
 
-from conftest import CTX, tm, ty
+from conftest import CTX, criterion_9_internals, tm, ty
 
 
 def report(n: int, ok: bool, detail: str) -> None:
@@ -166,19 +164,18 @@ def test_criterion_4_matcher_goldens():
         ArrowTo(ArrowTo(Exact(nat))),
         NameSupply(),
     )
-    want = DForall(
-        "?X0", nat, DForall("?Y1", None, DArrow(mx, DArrow(my, Plain(mx))))
-    )
-    if got is None or got.decorated != want:
+    # The solution decorates the peeled ``?X0`` with ``Nat`` and binds
+    # nothing else.
+    if type(got) is MatchFailure or got[:2] != (["?X0", "?Y1", mx, my], Plain(mx)):
         problems.append("two-quantifier decoration")
-    elif got.solution.domain():
-        problems.append("solution is not the identity")
+    elif got[2].types() != {"?X0": nat}:
+        problems.append("solution is not the decoration alone")
 
     got = match_proto(
         frozenset(), Forall("X", Arrow(x, x)), ArrowTo(ArrowTo(Exact(nat))), NameSupply()
     )
-    stuck = DForall("?X0", None, DArrow(mx, Stuck("?X0", ArrowTo(Exact(nat)))))
-    if got is None or got.decorated != stuck:
+    stuck = (["?X0", mx], Stuck("?X0", ArrowTo(Exact(nat))))
+    if type(got) is MatchFailure or got[:2] != stuck or got[2].domain():
         problems.append("over-applied quantifier sticks")
 
     # ``X -> X`` stuck on ``X``: the spine solves ``X`` and re-matches the
@@ -293,32 +290,28 @@ def test_criterion_7_exhaustive_matcher_audit():
     for t, p in pairs:
         first = match_proto(metas, t, p, NameSupply())
         second = match_proto(metas, t, p, NameSupply())
-        if (first is None) != (second is None):
+        failed = type(first) is MatchFailure
+        if failed != (type(second) is MatchFailure):
             problems.append(f"nondeterministic outcome on {pretty_type(t)}")
             continue
         rules = _applicable_rules(metas, t, p)
         if len(rules) > 1:
             problems.append(f"overlapping rules {rules} on {pretty_type(t)}")
-        if first is None:
+        if failed:
             continue
         matched += 1
         if not rules:
             problems.append(f"match succeeded with no applicable rule on {pretty_type(t)}")
-        arrows, w = 0, first.decorated
-        while type(w) is DArrow or type(w) is DForall:
-            arrows += type(w) is DArrow
-            w = w.cod if type(w) is DArrow else w.body
+        links, leaf, solution = first
+        arrows = sum(type(link) is not str for link in links)
         arity, q = 0, p
         while type(q) is ArrowTo:
             arity, q = arity + 1, q.rest
         if arrows > arity:
             problems.append(f"decoration arity overrun on {pretty_type(t)}")
-        if not first.solution.domain() <= metas:
+        if not solution.domain() <= metas | {link for link in links if type(link) is str}:
             problems.append(f"solution escapes the meta set on {pretty_type(t)}")
-        if not (
-            first.decorated == second.decorated
-            and first.solution.equivalent(second.solution)
-        ):
+        if not ((links, leaf) == second[:2] and solution.equivalent(second[2])):
             problems.append(f"nondeterministic result on {pretty_type(t)}")
     ok = not problems
     report(
@@ -377,17 +370,8 @@ def test_criterion_8_algorithm_agrees_with_declarative_rules():
     )
 
 
-SEED_INTERNALS = [
-    r"rapp [Nat] [Nat] z (\y : Nat. y)",
-    r"pair [Nat -> Nat] [Nat] (\x : Nat. x) z",
-    r"pair [B] [Nat] tt (ident [Nat] z)",
-    r"bot [forall Y. Y -> Y] [Nat] z",
-]
-
-
 def test_criterion_9_erasure_conditions_imply_round_trips():
-    pool = enumerate_internal_terms(CTX, 7, DEFAULT_TYPE_POOL)
-    internals = [t for t, _ in pool] + [tm(src) for src in SEED_INTERNALS]
+    internals = criterion_9_internals()
     violations = []
     passing = over_approximations = 0
     for internal in internals:

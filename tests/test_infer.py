@@ -18,7 +18,7 @@ from conftest import (
 )
 from spinel import Check, Diagnostic, Synthesize, check_internal, infer, spine_infer
 from spinel.cli import main as cli_main
-from spinel.infer import DiagnosticKind, EngineInvariantError
+from spinel.infer import DiagnosticKind
 from spinel.oracle import enumerate_erasures, enumerate_internal_terms, standard_context
 from spinel.parser import Assume, ConDecl, Goal, parse_program, parse_term, pretty_term, pretty_type
 from spinel.syntax import (
@@ -422,9 +422,20 @@ def test_infer_refuses_a_mode_that_is_neither_check_nor_synthesize(src, mode):
         infer(CTX, mode, tm(src))
 
 
-def test_engine_invariants_are_separate_from_diagnostics():
-    with pytest.raises(EngineInvariantError):
-        spine_infer(CTX, Exact(ty("Nat")), tm("z"))
+@pytest.mark.parametrize(
+    "proto, src, message",
+    [
+        (Unknown(), "z", "only term applications have spine derivations"),
+        (Unknown(), "ident [Nat]", "only term applications have spine derivations"),
+        (ArrowTo(Unknown()), "pair z", "a spine is matched against an unknown or exact prototype"),
+    ],
+    ids=["variable", "type-application", "arrow-prototype"],
+)
+def test_spine_infer_rejects_caller_errors_as_caller_errors(proto, src, message):
+    # A term that is no application, or an arrow prototype, is the
+    # caller's error, not an engine bug.
+    with pytest.raises(ValueError, match=message):
+        spine_infer(CTX, proto, tm(src))
 
 
 def test_an_elaboration_equal_to_its_term_is_its_term():
@@ -756,31 +767,3 @@ def test_decorated_substitution_never_needs_capture_avoidance(monkeypatch):
         infer(stuck_ctx, Synthesize(), tm("ident z z", stuck_ctx))
     assert err.value.kind is DiagnosticKind.SOLUTION_CONFLICT
     assert calls[0] == 9, calls
-
-
-def test_the_engine_builds_no_nested_decorated_type(monkeypatch):
-    # The matcher hands the spine its links; only ``match_proto`` nests them.
-    matcher_mod = importlib.import_module("spinel.matcher")
-    built = [0]
-    for name in ("DArrow", "DForall"):
-        node = getattr(matcher_mod, name)
-
-        def counted(*args, node=node, **kwargs):
-            built[0] += 1
-            return node(*args, **kwargs)
-
-        monkeypatch.setattr(matcher_mod, name, counted)
-    ctx = standard_context()
-    for internal, internal_ty in enumerate_internal_terms(ctx, 5):
-        for erased in enumerate_erasures(internal):
-            for mode in (Check(internal_ty), Synthesize()):
-                try:
-                    infer(ctx, mode, erased)
-                except Diagnostic:
-                    pass
-    wide_ctx, term = _wide_spine(16)
-    infer(wide_ctx, Synthesize(), term)
-    infer(wide_ctx, Check(ty("Nat", wide_ctx)), term)
-    contextual_ctx, term, expected = contextual_spine(48)
-    assert infer(contextual_ctx, Check(expected), term).ty == expected
-    assert built[0] == 0

@@ -12,8 +12,6 @@ from spinel.syntax import (
     ArrowTo,
     Con,
     Contextual,
-    DArrow,
-    DForall,
     Exact,
     Forall,
     NameSupply,
@@ -23,7 +21,6 @@ from spinel.syntax import (
     TVar,
     Unknown,
     is_meta_name,
-    strip,
 )
 
 NAT = Con("Nat")
@@ -37,39 +34,60 @@ def arrow_to(*protos, tail=None):
 
 
 def test_unknown_prototype_decorates_nothing():
-    out = match_proto(frozenset(), ty("forall X. X -> X"), Unknown())
-    assert out.solution.is_identity
-    assert out.decorated == Plain(ty("forall X. X -> X"))
+    links, leaf, solution = match_proto(frozenset(), ty("forall X. X -> X"), Unknown())
+    assert solution.is_identity
+    assert (links, leaf) == ([], Plain(ty("forall X. X -> X")))
 
 
 def test_exact_prototype_is_first_order_matching():
-    out = match_proto({"M"}, Arrow(TVar("M"), NAT), Exact(ty("B -> Nat")))
-    assert out.solution.types() == {"M": Con("B")}
-    assert out.decorated == Plain(Arrow(TVar("M"), NAT))
+    links, leaf, solution = match_proto({"M"}, Arrow(TVar("M"), NAT), Exact(ty("B -> Nat")))
+    assert solution.types() == {"M": Con("B")}
+    assert (links, leaf) == ([], Plain(Arrow(TVar("M"), NAT)))
 
 
 def test_exact_prototype_does_not_instantiate_quantifiers():
-    assert match_proto(frozenset(), ty("forall X. X -> X"), Exact(ty("Nat -> Nat"))) is None
+    got = match_proto(frozenset(), ty("forall X. X -> X"), Exact(ty("Nat -> Nat")))
+    assert type(got) is MatchFailure and not got.arity_overrun
 
 
 def test_contextual_solution_lands_in_the_decoration():
-    got = match_proto(
+    links, leaf, solution = match_proto(
         frozenset(),
         ty("forall X. forall Y. X -> Y -> X"),
         arrow_to(1, 2, tail=Exact(NAT)),
     )
-    assert got.solution.is_identity
     x, y = TVar("?X0"), TVar("?Y1")
-    expected = DForall("?X0", NAT, DForall("?Y1", None, DArrow(x, DArrow(y, Plain(x)))))
-    assert got.decorated == expected
-    assert got.decorated.deco_origin == Contextual(x, NAT)
+    assert links == ["?X0", "?Y1", x, y]
+    assert leaf == Plain(x)
+    # The solution decorates the peeled ``?X0`` alone: ``?Y1`` stays open.
+    assert solution.types() == {"?X0": NAT}
+    assert solution.bindings["?X0"].origin == Contextual(x, NAT)
 
 
 def test_meta_head_gets_stuck_instead_of_failing():
-    got = match_proto(frozenset(), ty("forall X. X -> X"), arrow_to(1, 2, tail=Exact(NAT)))
-    assert got.solution.is_identity
-    expected = DForall("?X0", None, DArrow(TVar("?X0"), Stuck("?X0", ArrowTo(Exact(NAT)))))
-    assert got.decorated == expected
+    links, leaf, solution = match_proto(
+        frozenset(), ty("forall X. X -> X"), arrow_to(1, 2, tail=Exact(NAT))
+    )
+    assert solution.is_identity
+    assert links == ["?X0", TVar("?X0")]
+    assert leaf == Stuck("?X0", ArrowTo(Exact(NAT)))
+
+
+@pytest.mark.parametrize(
+    "metas, t, proto",
+    [
+        (frozenset(), ty("forall X. forall Y. X -> Y -> X"), arrow_to(1, 2, tail=Exact(NAT))),
+        (frozenset(), ty("forall X. X -> X"), arrow_to(1, 2, tail=Exact(NAT))),
+        (frozenset(), ty("forall X. X -> X"), Exact(ty("Nat -> Nat"))),
+        (frozenset(), NAT, arrow_to(1)),
+        (frozenset({"M"}), Con("Pair", (TVar("M"), TVar("M"))), Exact(ty("Pair Nat B"))),
+    ],
+    ids=["decorated", "stuck", "exact-disagreement", "arity-overrun", "conflict"],
+)
+def test_match_proto_returns_what_the_engine_reads(metas, t, proto):
+    # The public entry and the spine's head match give one result, a
+    # failure included.
+    assert match_proto(metas, t, proto) == _match(metas, t, proto, NameSupply())
 
 
 def test_arity_overrun_is_reported_as_such():
@@ -126,35 +144,33 @@ def test_a_fresh_supply_makes_decorated_types_comparable_with_eq():
     # the same names, so equal inputs give equal decorated types.
     t, p = ty("forall X. forall Y. X -> Y -> X"), arrow_to(1, 2, tail=Exact(NAT))
     first, second = match_proto(frozenset(), t, p), match_proto(frozenset(), t, p)
-    assert first.decorated == second.decorated
-    assert first.solution.types() == second.solution.types() == {}
+    assert first[:2] == second[:2]
+    assert first[2].types() == second[2].types() == {"?X0": NAT}
 
 
 def test_first_order_match_solves_uniquely():
     pattern = Con("Pair", (TVar("M"), TVar("M")))
-    got = match_proto({"M"}, pattern, Exact(ty("Pair Nat Nat")))
-    assert got.solution.types() == {"M": NAT}
-    assert got.solution.binding("M").origin == Contextual(pattern, ty("Pair Nat Nat"))
-    assert got.decorated == Plain(pattern)
+    links, leaf, solution = match_proto({"M"}, pattern, Exact(ty("Pair Nat Nat")))
+    assert solution.types() == {"M": NAT}
+    assert solution.bindings["M"].origin == Contextual(pattern, ty("Pair Nat Nat"))
+    assert (links, leaf) == ([], Plain(pattern))
 
 
 def test_first_order_match_rejects_conflicts():
-    assert (
-        match_proto({"M"}, Con("Pair", (TVar("M"), TVar("M"))), Exact(ty("Pair Nat B")))
-        is None
-    )
+    got = match_proto({"M"}, Con("Pair", (TVar("M"), TVar("M"))), Exact(ty("Pair Nat B")))
+    assert type(got) is MatchFailure
 
 
 def test_first_order_match_rejects_scope_escape():
     pat = Forall("Y", Arrow(TVar("M"), TVar("Y")))
     tgt = ty("forall Y. Y -> Y")
-    assert match_proto({"M"}, pat, Exact(tgt)) is None
+    assert type(match_proto({"M"}, pat, Exact(tgt))) is MatchFailure
 
 
 def test_first_order_match_handles_quantified_patterns():
     pat = Forall("Y", Arrow(TVar("Y"), TVar("M")))
-    got = match_proto({"M"}, pat, Exact(ty("forall C. C -> Nat")))
-    assert got.solution.types() == {"M": NAT}
+    _, _, solution = match_proto({"M"}, pat, Exact(ty("forall C. C -> Nat")))
+    assert solution.types() == {"M": NAT}
 
 
 def test_first_order_match_precondition_on_target():
@@ -169,31 +185,23 @@ def test_first_order_match_rejects_a_pattern_quantifier_binding_a_solvable_varia
 
 def test_supply_backed_binders_are_run_unique_metas():
     supply = NameSupply()
-    got = match_proto(
+    links, _, _ = match_proto(
         frozenset(), ty("forall X. forall Y. X -> Y -> Pair X Y"), arrow_to(1), supply
     )
-    assert isinstance(got.decorated, DForall)
-    outer = got.decorated
-    assert outer.bound.startswith("?X")
-    assert isinstance(outer.body, DForall)
-    assert outer.body.bound.startswith("?Y")
+    outer, inner = links[:2]
+    assert type(outer) is str and outer.startswith("?X")
+    assert type(inner) is str and inner.startswith("?Y")
 
 
 def test_without_a_supply_every_peeled_binder_is_a_reserved_meta():
     # One naming path: a fresh supply mints the names, even where the
     # binder's own name clashes with nothing.
-    got = match_proto(
+    links, leaf, _ = match_proto(
         frozenset({"M"}), ty("forall X. forall Y. X -> Y -> Pair X Y"), arrow_to(1, 2)
     )
-    outer = got.decorated
-    inner = outer.body
-    assert is_meta_name(outer.bound) and outer.bound.startswith("?X")
-    assert is_meta_name(inner.bound) and inner.bound.startswith("?Y")
-    assert outer.bound != inner.bound
-    assert strip(got.decorated) == Forall(
-        outer.bound,
-        Forall(
-            inner.bound,
-            Arrow(TVar(outer.bound), Arrow(TVar(inner.bound), Con("Pair", (TVar(outer.bound), TVar(inner.bound))))),
-        ),
-    )
+    outer, inner = links[:2]
+    assert is_meta_name(outer) and outer.startswith("?X")
+    assert is_meta_name(inner) and inner.startswith("?Y")
+    assert outer != inner
+    assert links[2:] == [TVar(outer), TVar(inner)]
+    assert leaf == Plain(Con("Pair", (TVar(outer), TVar(inner))))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import gc
+import hashlib
 import importlib
 import sys
 from pathlib import Path
@@ -11,7 +12,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import CTX, contextual_spine, count_calls, count_solution_copies, tm, ty
+from conftest import (
+    CTX,
+    contextual_spine,
+    count_calls,
+    count_solution_copies,
+    criterion_9_internals,
+    tm,
+    ty,
+)
 from spinel import (
     Check,
     Diagnostic,
@@ -47,6 +56,7 @@ from spinel.syntax import (
     Contextual,
     Exact,
     Forall,
+    Lam,
     Solution,
     TApp,
     TermBind,
@@ -626,6 +636,45 @@ CONDITION_CASES = [
     ("bot [Nat -> Nat] z", "bot z", False),
     ("pair [Nat] [B] z tt", "pair [Nat] [B] z tt", True),
 ]
+
+
+# The conditions' verdicts on criterion 9's corpus, one bit per erasure in
+# enumeration order, as the per-binder recursion gave them before binder
+# chains were walked by a loop.
+CONDITION_VERDICTS_SHA256 = "cefa99d0e792ae826d1348c30e776faeabcbe3ed9ffc0acaf2c81e49db39b13f"
+
+
+def test_the_conditions_verdicts_on_criterion_9s_corpus_are_pinned():
+    internals = criterion_9_internals()
+    bits = "".join(
+        "1" if check_weak_completeness_conditions(CTX, internal, erased) else "0"
+        for internal in internals
+        for erased in enumerate_erasures(internal)
+    )
+    assert (len(internals), len(bits), bits.count("1")) == (2292, 5767, 2323)
+    assert hashlib.sha256(bits.encode()).hexdigest() == CONDITION_VERDICTS_SHA256
+
+
+def test_the_conditions_walk_a_long_binder_chain_by_a_loop(monkeypatch):
+    # CI's 64,000-binder annotated chain, \x0 : Nat. ... \x63999 : Nat. x0,
+    # enters the context in one extension.
+    n, nat = 64_000, Con("Nat")
+    assert n > 50 * sys.getrecursionlimit()
+
+    def chain(bare=None):
+        t = Var("x0")
+        for i in reversed(range(n)):
+            t = Lam(f"x{i}", None if i == bare else nat, t)
+        return t
+
+    ctx, internal = Context.empty({"Nat": 0}), chain()
+    extend, extended = Context._extend, []
+    monkeypatch.setattr(
+        Context, "_extend", lambda self, binds: extended.append(len(binds)) or extend(self, binds)
+    )
+    assert check_weak_completeness_conditions(ctx, internal, internal)
+    assert extended == [n]
+    assert not check_weak_completeness_conditions(ctx, internal, chain(bare=n // 2))
 
 
 def test_the_conditions_run_no_engine_spine(monkeypatch):

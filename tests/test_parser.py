@@ -18,6 +18,8 @@ from spinel.parser import (
     ConDecl,
     ParseError,
     _runs,
+    _term_into,
+    _type_into,
     parse_declaration,
     parse_program,
     tokenize,
@@ -698,6 +700,13 @@ def _reference_pretty_term(t, rename=None, prec=0):
     return "".join(parts) + ")" * opened
 
 
+def _printed(into, tree, rename, prec):
+    """The text the printer's ``into`` walk writes for ``tree`` at ``prec``."""
+    out = []
+    into(out, tree, rename, prec)
+    return "".join(out)
+
+
 # Names shared by type variables, binders of both levels and term
 # variables, so that a renaming reaches each kind of name.
 _NAMES = st.sampled_from(["X", "Y", "x", "f"])
@@ -732,7 +741,8 @@ _X, _Y, _NAT = TVar("X"), TVar("Y"), Con("Nat")
 @example(Con("Pair", (Arrow(_X, _NAT), Arrow(_NAT, _Y))), {"Y": "B'"}, 2)
 @example(Arrow(Arrow(_X, _Y), Forall("Y", Con("Pair", (_X, _Y)))), None, 1)
 def test_the_type_printer_agrees_with_the_reference_printer(t, rename, prec):
-    assert pretty_type(t, rename, prec) == _reference_pretty_type(t, rename, prec)
+    assert _printed(_type_into, t, rename, prec) == _reference_pretty_type(t, rename, prec)
+    assert pretty_type(t, rename) == _reference_pretty_type(t, rename)
 
 
 @settings(max_examples=300)
@@ -742,7 +752,8 @@ def test_the_type_printer_agrees_with_the_reference_printer(t, rename, prec):
 @example(TApp(App(Var("f"), TApp(Var("f"), Arrow(_X, _NAT))), _X), {"X": "A"}, 1)
 @example(Lam("x", Arrow(Forall("X", _X), _NAT), App(Var("f"), Lam("f", None, Var("x")))), None, 3)
 def test_the_term_printer_agrees_with_the_reference_printer(t, rename, prec):
-    assert pretty_term(t, rename, prec) == _reference_pretty_term(t, rename, prec)
+    assert _printed(_term_into, t, rename, prec) == _reference_pretty_term(t, rename, prec)
+    assert pretty_term(t, rename) == _reference_pretty_term(t, rename)
 
 
 def test_a_renaming_reaches_type_variables_and_type_lambda_binders_only():

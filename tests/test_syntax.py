@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from conftest import CTX, count_well_formed_walks, tm, ty
 from spinel.infer import Check, InferOutcome, SpineOutcome, Synthesize
-from spinel.matcher import MatchFailure, MatchResult, match_proto
+from spinel.matcher import MatchFailure
 from spinel.oracle import SpecVerdict, enumerate_erasures, enumerate_internal_terms
 from spinel.syntax import (
     App,
@@ -21,8 +21,6 @@ from spinel.syntax import (
     Con,
     Context,
     Contextual,
-    DArrow,
-    DForall,
     Exact,
     Forall,
     Lam,
@@ -101,8 +99,6 @@ NODE_FIELDS = {
     Exact: (Con("Nat"),),
     ArrowTo: (Unknown(),),
     Plain: (Con("Nat"),),
-    DArrow: (Con("Nat"), Plain(Con("B"))),
-    DForall: ("X", Con("Nat"), Plain(TVar("X"))),
     Stuck: ("?X0", ArrowTo(Unknown())),
     Unknown: (),
     Contextual: (TVar("?X0"), Con("Nat")),
@@ -112,13 +108,11 @@ NODE_FIELDS = {
     Check: (Con("Nat"),),
     SpineOutcome: (Plain(Con("Nat")), Var("z"), Solution()),
     InferOutcome: (Con("Nat"), Var("z")),
-    MatchResult: (Solution(), Plain(Con("Nat"))),
     MatchFailure: (Con("Nat"), ArrowTo(Unknown()), True),
     SpecVerdict: (False, ("PHead",), "forced"),
 }
 METADATA = {
     "span": Span(1, 2, 3, 4),
-    "deco_origin": Contextual(TVar("?X0"), Con("Nat")),
     "spine": SpineOutcome(Plain(Con("Nat")), Var("z"), Solution()),
 }
 
@@ -171,7 +165,6 @@ def test_records_match_by_class_pattern():
 
 def test_node_defaults():
     assert Con("Nat") == Con("Nat", ()) and Con("Nat").args == () and Con("Nat").span is None
-    assert DForall("X", None, Plain(TVar("X"))).deco_origin is None
 
 
 def test_trees_that_differ_only_in_spans_compare_equal():
@@ -281,21 +274,9 @@ def test_alpha_equal_term_tracks_both_binder_kinds():
 NAT = Con("Nat")
 NAT_TO_NAT = Arrow(NAT, NAT)
 
-# Pairs of decorated types that differ only in what the decoration says.
+# Pairs of match leaves that differ only in what the decoration says.
 DECO_PAIRS = {
-    "plain arrow vs decorated arrow": (Plain(NAT_TO_NAT), DArrow(NAT, Plain(NAT))),
-    "plain forall vs decorated forall": (
-        Plain(Forall("X", TVar("X"))),
-        DForall("X", None, Plain(TVar("X"))),
-    ),
-    "no decoration vs a decoration": (
-        DForall("X", None, Plain(TVar("X"))),
-        DForall("X", NAT, Plain(TVar("X"))),
-    ),
-    "bound stuck head vs free one": (
-        DForall("X", None, Stuck("X", ArrowTo(Unknown()))),
-        DForall("Y", None, Stuck("X", ArrowTo(Unknown()))),
-    ),
+    "plain meta vs stuck meta": (Plain(TVar("?M")), Stuck("?M", ArrowTo(Unknown()))),
     "exact arrow vs arrow prototype": (
         Stuck("?M", ArrowTo(Exact(NAT_TO_NAT))),
         Stuck("?M", ArrowTo(ArrowTo(Exact(NAT)))),
@@ -309,20 +290,11 @@ def _copy(x):
 
 @pytest.mark.parametrize("pair", DECO_PAIRS.values(), ids=DECO_PAIRS.keys())
 def test_decorated_equality_keeps_decorations_apart(pair):
-    # Goldens compare decorated types with ``==``; it must see every
+    # Goldens compare match leaves with ``==``; it must see every
     # difference in the decoration, not only in the stripped type.
     a, b = pair
     assert a == _copy(a) and b == _copy(b) and _copy(a) is not a
     assert a != b and b != a
-
-
-def test_decorated_equality_is_strict_on_binder_names():
-    # ``==`` is at least as strict as alpha equality: renamed binders and
-    # stuck heads differ, though the stripped types are alpha-equal.
-    a = DForall("X", NAT, DArrow(TVar("X"), Stuck("X", ArrowTo(Exact(TVar("X"))))))
-    b = DForall("Y", NAT, DArrow(TVar("Y"), Stuck("Y", ArrowTo(Exact(TVar("Y"))))))
-    assert a != b
-    assert alpha_equal(strip(a), strip(b))
 
 
 def test_substitute_is_capture_avoiding():
@@ -445,24 +417,9 @@ def test_context_extension_checks_only_the_new_entry(monkeypatch):
 
 def test_strip_restores_plain_types():
     assert strip(Plain(ty("Nat -> Nat"))) == ty("Nat -> Nat")
-
-
-def test_strip_walks_a_long_decorated_type_by_a_loop():
-    # a 3,000-arrow chain matched against a 3,000-deep prototype, under
-    # Python's default recursion limit
-    n = 3000
-    chain, proto = Con("Nat"), Exact(Con("Nat"))
-    for i in range(n):
-        chain = Arrow(Con("B") if i % 2 else Con("Nat"), chain)
-        proto = ArrowTo(proto)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        out = strip(match_proto(frozenset(), chain, proto).decorated)
-        assert alpha_equal(out, chain)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert strip(DForall("?X0", None, Stuck("?X0", ArrowTo(Unknown())))) == Forall("?X0", TVar("?X0"))
+    assert strip(Stuck("?X0", ArrowTo(Unknown()))) == TVar("?X0")
+    with pytest.raises(TypeError):
+        strip(ty("Nat -> Nat"))
 
 
 def test_name_supply_display_names():
