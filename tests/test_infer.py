@@ -18,7 +18,7 @@ from conftest import (
 )
 from spinel import Check, Diagnostic, Synthesize, check_internal, infer, spine_infer
 from spinel.cli import main as cli_main
-from spinel.infer import DiagnosticKind
+from spinel.infer import DiagnosticKind, EngineInvariantError
 from spinel.oracle import enumerate_erasures, enumerate_internal_terms, standard_context
 from spinel.parser import Assume, ConDecl, Goal, parse_program, parse_term, pretty_term, pretty_type
 from spinel.syntax import (
@@ -420,6 +420,22 @@ def test_spine_infer_solves_a_whole_spine_synthetically():
 def test_infer_refuses_a_mode_that_is_neither_check_nor_synthesize(src, mode):
     with pytest.raises(TypeError):
         infer(CTX, mode, tm(src))
+
+
+def test_engine_invariants_are_separate_from_diagnostics(monkeypatch):
+    # A matcher that hands the spine one link too many breaks an engine
+    # invariant: that is an engine bug, not a diagnostic for the user.
+    infer_mod = importlib.import_module("spinel.infer")
+    real = infer_mod._match
+
+    def one_link_too_many(*args):
+        links, leaf, solution = real(*args)
+        return [*links, Con("Nat")], leaf, solution
+
+    monkeypatch.setattr(infer_mod, "_match", one_link_too_many)
+    with pytest.raises(EngineInvariantError, match="a spine ended before its decorated type"):
+        spine_infer(CTX, Unknown(), tm("suc z"))
+    assert not issubclass(EngineInvariantError, Diagnostic)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from conftest import ty
@@ -88,6 +90,24 @@ def test_match_proto_returns_what_the_engine_reads(metas, t, proto):
     # The public entry and the spine's head match give one result, a
     # failure included.
     assert match_proto(metas, t, proto) == _match(metas, t, proto, NameSupply())
+
+
+def test_a_long_arrow_chain_is_matched_by_a_loop():
+    # a 3,000-arrow chain matched against a 3,000-deep prototype, under
+    # Python's default recursion limit
+    n = 3000
+    chain, proto, domains = NAT, Exact(NAT), []
+    for i in range(n):
+        domain = Con("B") if i % 2 else NAT
+        chain, proto = Arrow(domain, chain), ArrowTo(proto)
+        domains.append(domain)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        out = match_proto(frozenset(), chain, proto)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out == (domains[::-1], Plain(NAT), Solution())
 
 
 def test_arity_overrun_is_reported_as_such():

@@ -297,6 +297,20 @@ def test_decorated_equality_keeps_decorations_apart(pair):
     assert a != b and b != a
 
 
+def test_decorated_equality_is_strict_on_binder_names():
+    # ``==`` is at least as strict as alpha equality: renamed binders and
+    # stuck heads differ, though the stripped types are alpha-equal.
+    a = Plain(Forall("X", Arrow(TVar("X"), TVar("X"))))
+    b = Plain(Forall("Y", Arrow(TVar("Y"), TVar("Y"))))
+    assert a != b
+    assert alpha_equal(strip(a), strip(b))
+    c = Stuck("?M", ArrowTo(Exact(Forall("X", TVar("X")))))
+    d = Stuck("?M", ArrowTo(Exact(Forall("Y", TVar("Y")))))
+    assert c != d
+    assert strip(c) == strip(d)
+    assert Stuck("?M", ArrowTo(Unknown())) != Stuck("?N", ArrowTo(Unknown()))
+
+
 def test_substitute_is_capture_avoiding():
     out = substitute({"A": TVar("X")}, Forall("X", Arrow(TVar("X"), TVar("A"))))
     assert isinstance(out, Forall)
