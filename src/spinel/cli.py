@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -257,44 +258,52 @@ def _resource_limit(goal: Goal, count: int, args) -> tuple[int, str]:
 
 
 def run_file(args: argparse.Namespace) -> int:
+    # The trees a run builds are acyclic, so a cyclic collection would walk
+    # them and free nothing: pause the collector, and restore it as found.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        with open(args.file, encoding="utf-8") as handle:
-            src = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        program = parse_program(src)
-    except ParseError as exc:
-        if args.json:
-            print(json.dumps({"status": "parse-error", "line": exc.line, "col": exc.col, "message": exc.message}))
-        else:
-            print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-
-    color = _use_color() and not args.json
-    ctx = Context.empty()
-    assumed: list[TermBind] = []  # the run of assumes since the last goal
-    code = 0
-    count = 0
-    for decl in program:
-        match decl:
-            case ConDecl(name=name, arity=arity):
-                ctx = ctx.with_con(name, arity)
-                continue
-            case Assume(name=name, ty=ty):
-                assumed.append(TermBind(name, ty))
-                continue
-        if assumed:
-            ctx, assumed = ctx._extend(assumed), []
-        count += 1
         try:
-            goal_code, report = _run_goal(ctx, decl, count, args, color)
-        except RecursionError:
-            goal_code, report = _resource_limit(decl, count, args)
-        code = max(code, goal_code)
-        print(report)
-    return code
+            with open(args.file, encoding="utf-8") as handle:
+                src = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        try:
+            program = parse_program(src)
+        except ParseError as exc:
+            if args.json:
+                print(json.dumps({"status": "parse-error", "line": exc.line, "col": exc.col, "message": exc.message}))
+            else:
+                print(f"parse error: {exc}", file=sys.stderr)
+            return 2
+
+        color = _use_color() and not args.json
+        ctx = Context.empty()
+        assumed: list[TermBind] = []  # the run of assumes since the last goal
+        code = 0
+        count = 0
+        for decl in program:
+            match decl:
+                case ConDecl(name=name, arity=arity):
+                    ctx = ctx.with_con(name, arity)
+                    continue
+                case Assume(name=name, ty=ty):
+                    assumed.append(TermBind(name, ty))
+                    continue
+            if assumed:
+                ctx, assumed = ctx._extend(assumed), []
+            count += 1
+            try:
+                goal_code, report = _run_goal(ctx, decl, count, args, color)
+            except RecursionError:
+                goal_code, report = _resource_limit(decl, count, args)
+            code = max(code, goal_code)
+            print(report)
+        return code
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ------------------------------------------------------------- interactive

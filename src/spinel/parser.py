@@ -286,7 +286,7 @@ class _Parser:
         if start[0] == "forall":
             links: list[tuple] = []
         else:
-            ty = self.ty_app()
+            ty = self.ty_app(start)
             if toks[self.pos][0] != "arrow":
                 return ty
             self.pos += 1
@@ -304,7 +304,7 @@ class _Parser:
                 opened.append(name)
                 links.append((start, Forall, name))
                 continue
-            ty = self.ty_app()
+            ty = self.ty_app(start)
             if toks[self.pos][0] != "arrow":
                 break
             self.pos += 1
@@ -313,11 +313,11 @@ class _Parser:
             self.tyvars.difference_update(opened)
         return self.close(links, ty)
 
-    def ty_app(self, arg: bool = False) -> TypeExpr:
-        """A type variable, a constructor and its arguments, or a
-        parenthesized type: one read of the token decides which.  As a
-        constructor's ``arg``, a constructor that takes arguments is an error."""
-        kind, name, line, col = tok = self.tokens[self.pos]
+    def ty_app(self, tok: _Token, arg: bool = False) -> TypeExpr:
+        """A type variable, a constructor and its arguments, or a parenthesized
+        type, as ``tok``, the current token, decides.  As a constructor's
+        ``arg``, a constructor that takes arguments is an error."""
+        kind, name, line, col = tok
         if kind == "ident":
             self.pos += 1
             if name in self.tyvars:
@@ -329,7 +329,7 @@ class _Parser:
                 raise ParseError(f"unbound type variable {name!r}", line, col)
             if arg:
                 raise ParseError(f"constructor {name!r} expects {arity} argument(s)", line, col)
-            args = tuple([self.ty_app(True) for _ in range(arity)])
+            args = tuple([self.ty_app(self.tokens[self.pos], True) for _ in range(arity)])
             return Con(name, args, self.span_from(tok))
         if kind == "lparen":
             self.pos += 1
@@ -354,7 +354,7 @@ class _Parser:
         if tok[0] in ("lam", "tylam"):
             links: list[tuple] = []
         else:
-            t = self.app()
+            t = self.app(tok)
             if toks[self.pos][0] not in ("lam", "tylam"):
                 return t
             links = [(tok, App, t)]
@@ -386,7 +386,7 @@ class _Parser:
                 opened.append(name)
                 links.append((tok, TLam, name))
             else:
-                t = self.app()
+                t = self.app(tok)
                 if toks[self.pos][0] not in ("lam", "tylam"):
                     break
                 links.append((tok, App, t))
@@ -396,20 +396,19 @@ class _Parser:
             self.tyvars.difference_update(opened)
         return self.close(links, t)
 
-    def app(self) -> Term:
-        """An atom applied to atoms and ``[T]`` type arguments, left to right."""
+    def app(self, start: _Token) -> Term:
+        """The atom at ``start`` applied to atoms and ``[T]`` type arguments, left to right."""
         toks = self.tokens
-        start = toks[self.pos]
-        t = self.atom()
+        t = self.atom(start)
         while True:
-            kind, name, line, col = toks[self.pos]
+            kind, name, line, col = tok = toks[self.pos]
             if kind == "ident":  # its Var is read here, not by ``atom``
                 self.pos += 1
                 end = col + len(name)
                 arg = Var(name, _span(Span, (line, col, line, end)))
                 t = App(t, arg, _span(Span, (start[2], start[3], line, end)))
             elif kind == "lparen":
-                arg = self.atom()
+                arg = self.atom(tok)
                 t = App(t, arg, self.span_from(start))
             elif kind == "lbrack":
                 self.pos += 1
@@ -419,8 +418,9 @@ class _Parser:
             else:
                 return t
 
-    def atom(self) -> Term:
-        kind, name, line, col = tok = self.tokens[self.pos]
+    def atom(self, tok: _Token) -> Term:
+        """A variable or a parenthesized term, from ``tok``, the current token."""
+        kind, name, line, col = tok
         if kind == "ident":
             self.pos += 1
             return Var(name, _span(Span, (line, col, line, col + len(name))))

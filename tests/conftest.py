@@ -3,10 +3,14 @@ contextually solved spine and work counters."""
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import importlib
+import sys
 
-from spinel import parse_term, parse_type
-from spinel.oracle import DEFAULT_TYPE_POOL, enumerate_internal_terms, standard_context
+from spinel import parse_term, parse_type, pretty_term, pretty_type
+from spinel.oracle import DEFAULT_TYPE_POOL, enumerate_erasures, enumerate_internal_terms, standard_context
+from spinel.syntax import TermBind, alpha_equal
 
 CTX = standard_context()
 
@@ -33,6 +37,43 @@ def criterion_9_internals():
     """Criterion 9's corpus: the internal terms of size 7 or less, then the seeds."""
     pool = enumerate_internal_terms(CTX, 7, DEFAULT_TYPE_POOL)
     return [t for t, _ in pool] + [tm(src) for src in SEED_INTERNALS]
+
+
+@functools.cache
+def erasure_source(size, wrong=False):
+    """CI's erasure file: the standard context's declarations, then every
+    erasure of each internal term up to ``size`` as ``check`` against its
+    type and as ``synth``.  With ``wrong``, like the benchmark's
+    ``rejects`` goals, each erasure is only checked, against the first type
+    of the sorted pool that is not alpha-equal to its own."""
+    lines = [f"type {c} {a}" if a else f"type {c}" for c, a in CTX.signature.items()]
+    lines += [f"assume {e.name} : {pretty_type(e.ty)}" for e in CTX.entries if isinstance(e, TermBind)]
+    terms = enumerate_internal_terms(CTX, size)
+    pool = sorted({pretty_type(t): t for _, t in terms}.items())
+    for internal, t in terms:
+        expected = pretty_type(t)
+        if wrong:
+            expected = next(text for text, other in pool if not alpha_equal(other, t))
+        for erased in enumerate_erasures(internal):
+            text = pretty_term(erased)
+            lines += [f"check {text} : {expected}"] if wrong else [f"check {text} : {expected}", f"synth {text}"]
+    return "\n".join(lines) + "\n"
+
+
+@contextlib.contextmanager
+def recursion_headroom(frames):
+    """Set the recursion limit ``frames`` above the current stack depth, so
+    that code in the block nests as deeply as a fresh interpreter's script
+    does at the default limit, however deep the test runner's stack is."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def contextual_spine(n):

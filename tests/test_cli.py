@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import importlib
+import io
 import json
 import os
 import shutil
@@ -14,9 +16,12 @@ from pathlib import Path
 import pytest
 
 import spinel
-from conftest import count_calls
+from conftest import CTX, count_calls, erasure_source, recursion_headroom, tm
+from spinel import Synthesize, infer, verify_spec
 from spinel.cli import main
 from spinel.oracle import SpecVerdict
+from spinel.parser import parse_program
+from spinel.syntax import strip
 
 GOOD = """\
 type Nat
@@ -1288,3 +1293,106 @@ def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path, json_flag):
     assert proc.wait(timeout=60) == 2
     assert stderr == ""
     assert (json.loads(first)["goal"] == 1) if json_flag else (first == "[1] synth suc z\n")
+
+
+# ------------------------------------------------------ the cyclic collector
+
+
+@pytest.fixture
+def collector_state():
+    """Put the cyclic collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_spinel_run_starts_no_collection(tmp_path, capsys, collector_state):
+    # The trees a run builds are acyclic, so `spinel run` answers with the
+    # collector paused.  With it running, this file starts hundreds of
+    # collections, each walking live trees and freeing nothing.
+    path = tmp_path / "erasures.spn"
+    path.write_text(erasure_source(7))
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.enable()
+    gc.collect()  # so that the argument parsing before the run starts none
+    gc.callbacks.append(hook)
+    try:
+        code = main(["run", str(path), "--json", "--elab"])
+    finally:
+        gc.callbacks.remove(hook)
+    assert code == 1 and len(capsys.readouterr().out.splitlines()) == 11_492
+    assert started == []
+    assert gc.isenabled()
+
+
+class _ClosedStdout(io.TextIOBase):
+    """A standard output whose reader is gone: every write is a broken
+    pipe.  Its descriptor is a file the test owns, which ``main`` points at
+    devnull."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+EXIT_PATHS = {
+    "ok": (GOOD, 0),
+    "diagnostic": (BAD, 1),
+    "parse-error": ("synth )\n", 2),
+    "unreadable": (None, 2),
+    "resource-limit": (HEAD + f"synth {deep_suc(300)}\nsynth z\n", 3),
+    "closed-stdout": (GOOD, 2),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("exit_path", EXIT_PATHS)
+def test_spinel_run_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, capsys, collector_state,
+                                                         exit_path, enabled):
+    source, expected_code = EXIT_PATHS[exit_path]
+    path = tmp_path / "goals.spn"
+    if source is not None:
+        path.write_text(source)
+    if exit_path == "closed-stdout":
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout(fd))
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        with recursion_headroom(1000):
+            code = main(["run", str(path), "--json"])
+    finally:
+        if exit_path == "closed-stdout":
+            os.close(fd)
+    assert code == expected_code
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_library_calls_leave_the_collector_alone(collector_state, enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    parse_program(GOOD)
+    assert gc.isenabled() is enabled
+    term = tm("ident suc z")
+    out = infer(CTX, Synthesize(), term)
+    assert gc.isenabled() is enabled
+    verdict = verify_spec(CTX, None, term, (strip(out.spine.deco), out.spine.partial, out.spine.solution))
+    assert verdict.accepted and gc.isenabled() is enabled

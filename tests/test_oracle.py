@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import gc
 import hashlib
 import importlib
+import io
 import sys
 from pathlib import Path
 
@@ -18,6 +20,8 @@ from conftest import (
     count_calls,
     count_solution_copies,
     criterion_9_internals,
+    erasure_source,
+    recursion_headroom,
     tm,
     ty,
 )
@@ -32,6 +36,7 @@ from spinel import (
     spine_infer,
     verify_spec,
 )
+from spinel.cli import main
 from spinel.oracle import (
     _partial_synth,
     _solve_instantiation,
@@ -428,6 +433,39 @@ def test_the_oracle_leaves_no_reference_cycles():
         for term, expected, triple in goals:
             verify_spec(CTX, expected, term, triple)
             search_spec(CTX, expected, term)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+SPINEL_RUNS = {
+    "erasures-json-elab": (lambda: erasure_source(7), ["--json", "--elab"]),
+    "erasures-elab-trace-spec-verify": (lambda: erasure_source(7), ["--elab", "--trace", "--spec-verify"]),
+    "wrong-types": (lambda: erasure_source(7, wrong=True), []),
+    "resource-limit": (lambda: "type Nat\nassume z : Nat\nassume suc : Nat -> Nat\n"
+                       + "synth " + "suc (" * 300 + "z" + ")" * 300 + "\n", ["--json"]),
+}
+
+
+@pytest.mark.parametrize("case", SPINEL_RUNS)
+def test_spinel_run_leaves_no_reference_cycles(tmp_path, case):
+    # `spinel run` answers with the cyclic collector paused, which frees
+    # nothing only if a run makes no cyclic garbage.  A first run's lazy
+    # imports (json's encoder, the oracle) leave some, so one run warms up.
+    source, flags = SPINEL_RUNS[case]
+    path = tmp_path / "goals.spn"
+    path.write_text(source())
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()), recursion_headroom(1000):
+            return main(["run", str(path), *flags])
+
+    code = run()
+    assert code == (3 if case == "resource-limit" else 1)
+    gc.collect()
+    gc.disable()
+    try:
+        assert run() == code
         assert gc.collect() == 0
     finally:
         gc.enable()

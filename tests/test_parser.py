@@ -39,7 +39,7 @@ from spinel.syntax import (
     alpha_equal_term,
 )
 
-from conftest import CTX, tm, ty
+from conftest import CTX, erasure_source, tm, ty
 
 
 # ------------------------------------------------------------ types
@@ -488,12 +488,7 @@ def test_the_parse_of_the_erasure_corpus_is_pinned():
     # Every node, field and span that `parse_program` builds, and every
     # token `tokenize` reads, held byte for byte: a change that means to
     # make the front end faster, not different, leaves the digest as it is.
-    lines = [f"type {c} {a}" if a else f"type {c}" for c, a in CTX.signature.items()]
-    lines += [f"assume {e.name} : {pretty_type(e.ty)}" for e in CTX.entries if isinstance(e, TermBind)]
-    for internal, t in enumerate_internal_terms(CTX, 7):
-        for erased in enumerate_erasures(internal):
-            lines += [f"check {pretty_term(erased)} : {pretty_type(t)}", f"synth {pretty_term(erased)}"]
-    src = "\n".join(lines) + "\n"
+    src = erasure_source(7)
     digest = hashlib.sha256(repr(_with_spans(parse_program(src))).encode())
     digest.update(repr(tokenize(src)).encode())
     assert digest.hexdigest() == PINNED_PARSE
