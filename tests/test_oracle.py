@@ -32,6 +32,7 @@ from spinel import (
     check_internal,
     infer,
     pretty_term,
+    pretty_type,
     search_spec,
     spine_infer,
     verify_spec,
@@ -691,6 +692,37 @@ def test_the_conditions_verdicts_on_criterion_9s_corpus_are_pinned():
     )
     assert (len(internals), len(bits), bits.count("1")) == (2292, 5767, 2323)
     assert hashlib.sha256(bits.encode()).hexdigest() == CONDITION_VERDICTS_SHA256
+
+
+# ``search_spec``'s derivations on the size-7 corpus's 918 application
+# goals (each application erasure checked against its type and
+# synthesized), in order, with their ``?gN`` names and sorted solutions,
+# each goal followed by its derivation with every guess declined; as the
+# recursive spine walk gave them before it became one loop.
+SEARCH_SHA256 = "da948e02073529faa5a6970fa0e11260769caab76c73dfb7d0ea7ad5acf5d9d4"
+
+
+def test_the_search_on_criterion_9s_application_goals_is_pinned(monkeypatch):
+    def printed(triple):
+        ty_, partial, sol = triple
+        solved = ", ".join(f"{m} := {pretty_type(sol.bindings[m].ty)}" for m in sorted(sol.domain()))
+        return f"{pretty_type(ty_)} | {pretty_term(partial)} | {solved}"
+
+    goals = [
+        (erased, expected)
+        for internal, ity in enumerate_internal_terms(CTX, 7)
+        for erased in enumerate_erasures(internal)
+        if isinstance(erased, App)
+        for expected in (ity, None)
+    ]
+    lines = [[printed(t) for t in search_spec(CTX, expected, term)] for term, expected in goals]
+    # with an empty guess pool, a search follows the one declined derivation
+    monkeypatch.setattr(importlib.import_module("spinel.oracle"), "_candidates", lambda *args: [])
+    for out, (term, expected) in zip(lines, goals):
+        out += ["declined:"] + [printed(t) for t in search_spec(CTX, expected, term)]
+    text = "\n".join(line for out in lines for line in out)
+    assert len(goals) == 918
+    assert hashlib.sha256(text.encode()).hexdigest() == SEARCH_SHA256
 
 
 def test_the_conditions_walk_a_long_binder_chain_by_a_loop(monkeypatch):
