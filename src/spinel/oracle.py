@@ -10,12 +10,15 @@ well-formed sub-types of the context's bindings) is computed once per
 bidirectional rules but keep their own spine bookkeeping and their own
 instantiation solver, so they stay an independent route from the
 prototype-matching engine they audit.  ``search_spec`` and the
-completeness conditions share one spine walk, ``_derivations`` (the
-conditions take its single derivation over an empty pool, every guess
-declined); ``verify_spec`` keeps its own, because it follows a claim
-rather than enumerating.  The completeness conditions use that
-derivation only: they run no spine of the engine, and reach it only
-through ``infer``, which types the head and the arguments.
+completeness conditions share one spine walk, ``_derivations``: a loop
+over a stack of states, depth first, that declines each guess before it
+tries the candidates.  The conditions run it once per maximal
+application over an empty pool, so it follows the one derivation that
+declines every guess, and read each prefix of the spine where that
+derivation reached it.  They run no spine of the engine, and reach it
+only through ``infer``, which types the head and the arguments.
+``verify_spec`` keeps a replay of its own, because it follows a claim
+rather than enumerating.
 
 The module also hosts the erasure enumerator, the conditions under
 which synthesis is complete for an erasure, and the deterministic
@@ -372,86 +375,48 @@ def _candidates(ctx: Context, ctx_ty: TypeExpr | None, term: Term, typed: dict) 
     return pool
 
 
-@_node
-class _Search:
-    """What one ``_derivations`` walk reads at every step: the spine's
-    items, the guess pool, the argument typings and the meta names."""
-
-    ctx: Context
-    items: list
-    candidates: Sequence[TypeExpr]
-    typed: dict
-    fresh: Iterator[int]
-
-
 def _derivations(
-    ctx: Context, term: Term, candidates: Sequence[TypeExpr], typed: dict
-) -> Iterator[Triple]:
-    """Every declarative spine derivation for ``term`` over the guess pool,
-    declining each guess before trying the candidates in order.  Each
-    argument is typed through ``typed``, as in ``_typed``."""
-    head, items = spine_parts(term)
+    ctx: Context, head: Term, items: list, candidates: Sequence[TypeExpr], typed: dict
+) -> Iterator[tuple[int, TypeExpr, Term, dict[str, TypeExpr]]]:
+    """The states ``(i, ty, partial, guesses)`` of every declarative spine
+    derivation for ``head`` applied to ``items``, depth first, each after
+    ``i`` items at head type ``ty``.  One loop over a stack of states: at
+    a quantifier a term argument meets, it declines the guess first, then
+    guesses each candidate in order.  Each argument is typed through
+    ``typed``, as in ``_typed``."""
     try:
         hout = infer(ctx, Synthesize(), head)
     except Diagnostic:
         return
-    search = _Search(ctx, items, candidates, typed, itertools.count())
-    yield from _walk(search, 0, hout.ty, hout.elaboration, {})
-
-
-def _walk(search: _Search, i: int, ty, partial, guesses) -> Iterator[Triple]:
-    """The derivations from spine item ``i`` on, at head type ``ty``."""
-    if i == len(search.items):
-        yield ty, partial, Solution(
-            {meta: Binding(cand, Contextual(TVar(meta), cand)) for meta, cand in guesses.items()}
-        )
-        return
-    item = search.items[i]
-    if _is_type(item):
-        if isinstance(ty, Forall) and is_well_formed(search.ctx, item):
-            yield from _walk(
-                search,
-                i + 1,
-                substitute({ty.bound: item}, ty.body),
-                TApp(partial, item),
-                guesses,
-            )
-        return
-    yield from _apply(search, i, ty, partial, guesses, item)
-
-
-def _apply(search: _Search, i: int, ty, partial, guesses, arg) -> Iterator[Triple]:
-    """The derivations that apply ``ty`` to term argument ``arg``, item ``i``:
-    at each quantifier first declined, then guessed as each candidate."""
-    if isinstance(ty, Forall):
-        meta = f"?g{next(search.fresh)}"
-        opened = substitute({ty.bound: TVar(meta)}, ty.body)
-        applied = TApp(partial, TVar(meta))
-        yield from _apply(search, i, opened, applied, guesses, arg)
-        for cand in search.candidates:
-            yield from _apply(search, i, opened, applied, {**guesses, meta: cand}, arg)
-        return
-    if not isinstance(ty, Arrow):
-        return
-    ctx = search.ctx
-    dom = substitute(guesses, ty.dom)
-    unsolved = meta_vars_of_type(ctx, dom)
-    aout = _typed(ctx, search.typed, i, arg, None if unsolved else dom)
-    if aout is None:
-        return
-    if not unsolved:
-        yield from _walk(search, i + 1, ty.cod, App(partial, aout.elaboration), guesses)
-    else:
-        inst = _solve_instantiation(unsolved, dom, aout.ty)
-        if inst is None:
-            return
-        yield from _walk(
-            search,
-            i + 1,
-            substitute(inst, ty.cod),
-            App(subst_type_args(inst, partial), aout.elaboration),
-            guesses,
-        )
+    fresh = itertools.count()
+    stack = [(0, hout.ty, hout.elaboration, {})]
+    while stack:
+        state = stack.pop()
+        yield state
+        i, ty, partial, guesses = state
+        if i == len(items):
+            continue
+        item = items[i]
+        if _is_type(item):
+            if isinstance(ty, Forall) and is_well_formed(ctx, item):
+                stack.append((i + 1, substitute({ty.bound: item}, ty.body), TApp(partial, item), guesses))
+        elif isinstance(ty, Forall):
+            meta = f"?g{next(fresh)}"
+            opened = substitute({ty.bound: TVar(meta)}, ty.body)
+            applied = TApp(partial, TVar(meta))
+            stack += [(i, opened, applied, {**guesses, meta: cand}) for cand in reversed(candidates)]
+            stack.append((i, opened, applied, guesses))
+        elif isinstance(ty, Arrow):
+            dom = substitute(guesses, ty.dom)
+            unsolved = meta_vars_of_type(ctx, dom)
+            aout = _typed(ctx, typed, i, item, None if unsolved else dom)
+            if aout is None:
+                continue
+            if not unsolved:
+                stack.append((i + 1, ty.cod, App(partial, aout.elaboration), guesses))
+            elif (inst := _solve_instantiation(unsolved, dom, aout.ty)) is not None:
+                partial = App(subst_type_args(inst, partial), aout.elaboration)
+                stack.append((i + 1, substitute(inst, ty.cod), partial, guesses))
 
 
 def search_spec(ctx: Context, ctx_ty: TypeExpr | None, term: Term) -> list[Triple]:
@@ -464,14 +429,16 @@ def search_spec(ctx: Context, ctx_ty: TypeExpr | None, term: Term) -> list[Tripl
     if not isinstance(term, App):
         raise ValueError("only term applications have spine derivations")
     typed: dict = {}  # each argument's typings, shared with the guess pool
-    out: list[Triple] = []
-    seen: set = set()
-    for triple in _derivations(ctx, term, _candidates(ctx, ctx_ty, term, typed), typed):
-        key = canonical_triple_key(triple)
-        if key not in seen:
-            seen.add(key)
-            out.append(triple)
-    return out
+    candidates = _candidates(ctx, ctx_ty, term, typed)
+    head, items = spine_parts(term)
+    found: dict = {}  # the first derivation of each canonical key
+    for i, ty, partial, guesses in _derivations(ctx, head, items, candidates, typed):
+        if i == len(items):
+            triple = ty, partial, Solution(
+                {meta: Binding(cand, Contextual(TVar(meta), cand)) for meta, cand in guesses.items()}
+            )
+            found.setdefault(canonical_triple_key(triple), triple)
+    return list(found.values())
 
 
 def _side_condition_failure(ctx: Context, ctx_ty: TypeExpr | None, triple: Triple) -> str | None:
@@ -580,17 +547,22 @@ def enumerate_erasures(term: Term) -> list[Term]:
 # ----------------------------------------- completeness side conditions
 
 
-def _partial_synth(ctx: Context, term: Term) -> tuple[TypeExpr, Term] | None:
-    """Declarative spine synthesis with every guess declined."""
-    for ty, partial, _ in _derivations(ctx, term, (), {}):
-        return ty, partial
-    return None
-
-
 def _reveals_arrow_under_quantifiers(ty: TypeExpr) -> bool:
     while isinstance(ty, Forall):
         ty = ty.body
     return isinstance(ty, Arrow)
+
+
+def _declined(ctx: Context, term: Term) -> tuple[list[tuple[TypeExpr, Term]], int]:
+    """The oracle's derivation of the spine ``term`` with every guess
+    declined, one path: its first type and partial elaboration after each
+    count of items it reaches, and the spine's number of items."""
+    head, items = spine_parts(term)
+    reached: list[tuple[TypeExpr, Term]] = []
+    for i, ty, partial, _ in _derivations(ctx, head, items, (), {}):
+        if i == len(reached):
+            reached.append((ty, partial))
+    return reached, len(items)
 
 
 def check_weak_completeness_conditions(ctx: Context, internal: Term, erased: Term) -> bool:
@@ -598,43 +570,55 @@ def check_weak_completeness_conditions(ctx: Context, internal: Term, erased: Ter
     its erasure ``erased``: annotations survive, no maximal application
     is left with unsolved meta-variables, and every applicand's partial
     type reveals the structure its arguments need.  The last two are read
-    off ``_partial_synth``, the oracle's own derivation.  A chain of
-    lambdas and type lambdas is walked by a loop and enters the context
-    in one extension."""
+    off ``_declined``, the oracle's own derivation, taken once for each
+    maximal application: a prefix of a spine is read where the derivation
+    of the whole reached it.  Chains of lambdas and type lambdas, and
+    applicand chains, are walked by loops; a binder chain enters the
+    context in one extension."""
 
-    def walk(ctx: Context, e: Term, t: Term, applicand: bool) -> bool:
-        match e:
-            case Var():
-                return True
-            case Lam() | TLam():
-                binds: list[TermBind | TyVarDecl] = []
-                while (kind := type(e)) is Lam or kind is TLam:
-                    if type(t) is not kind or (kind is Lam and t.ann is None):
-                        return False
-                    binds.append(TermBind(e.bound, e.ann) if kind is Lam else TyVarDecl(e.bound))
-                    e, t = e.body, t.body
-                return walk(ctx._extend(binds), e, t, False)
-            case App(fun=e1, arg=e2):
-                if not isinstance(t, App):
+    def walk(ctx: Context, e: Term, t: Term) -> bool:
+        kind = type(e)
+        if kind is Var:
+            return True
+        if kind is Lam or kind is TLam:
+            binds: list[TermBind | TyVarDecl] = []
+            while (kind := type(e)) is Lam or kind is TLam:
+                if type(t) is not kind or (kind is Lam and t.ann is None):
                     return False
-                if not applicand:
-                    ps = _partial_synth(ctx, t)
-                    if ps is not None and meta_vars_of_term(ctx, ps[1]):
-                        return False
-                ps = _partial_synth(ctx, t.fun)
-                if ps is not None and not _reveals_arrow_under_quantifiers(ps[0]):
+                binds.append(TermBind(e.bound, e.ann) if kind is Lam else TyVarDecl(e.bound))
+                e, t = e.body, t.body
+            return walk(ctx._extend(binds), e, t)
+        if kind is not App and kind is not TApp:
+            raise TypeError(e)
+        # A maximal application, its applicand chain paired with the erased
+        # one.  ``reached`` is derived where it is first read, so a chain that
+        # reads no prefix runs no derivation; ``k`` counts the items of ``t.fun``.
+        reached: list[tuple[TypeExpr, Term]] | None = None
+        if kind is App and type(t) is App:
+            reached, k = _declined(ctx, t)
+            if k < len(reached) and meta_vars_of_term(ctx, reached[k][1]):
+                return False
+            k -= 1
+        args: list[tuple[Term, Term]] = []
+        while (kind := type(e)) is App or kind is TApp:
+            if kind is App:
+                if type(t) is not App:
                     return False
-                return walk(ctx, e1, t.fun, True) and walk(ctx, e2, t.arg, False)
-            case TApp(fun=e1, targ=s):
-                if isinstance(t, TApp) and alpha_equal(t.targ, s):
-                    ps = _partial_synth(ctx, t.fun)
-                    if ps is not None and not isinstance(ps[0], Forall):
-                        return False
-                    return walk(ctx, e1, t.fun, True)
-                return walk(ctx, e1, t, True)
-        raise TypeError(e)
+            elif not (type(t) is TApp and alpha_equal(t.targ, e.targ)):
+                e = e.fun  # a type argument the erasure drops
+                continue
+            if reached is None:
+                reached, k = _declined(ctx, t.fun)
+            if k < len(reached):
+                ty = reached[k][0]
+                if not (_reveals_arrow_under_quantifiers(ty) if kind is App else isinstance(ty, Forall)):
+                    return False
+            if kind is App:
+                args.append((e.arg, t.arg))
+            e, t, k = e.fun, t.fun, k - 1
+        return walk(ctx, e, t) and all(walk(ctx, e2, t2) for e2, t2 in reversed(args))
 
-    return walk(ctx, internal, erased, False)
+    return walk(ctx, internal, erased)
 
 
 # ------------------------------------------------------ corpus generation

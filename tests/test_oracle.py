@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     CTX,
@@ -39,7 +39,8 @@ from spinel import (
 )
 from spinel.cli import main
 from spinel.oracle import (
-    _partial_synth,
+    DEFAULT_TYPE_POOL,
+    _declined,
     _solve_instantiation,
     canonical_triple_key,
     check_weak_completeness_conditions,
@@ -756,8 +757,15 @@ def test_the_conditions_run_no_engine_spine(monkeypatch):
         assert check_weak_completeness_conditions(CTX, tm(internal), tm(erased)) is verdict
 
 
+def declined_derivation(term):
+    """The oracle's derivation of the whole spine ``term`` with every guess
+    declined, as (type, partial elaboration), or None if it fails."""
+    reached, n = _declined(CTX, term)
+    return reached[n] if n < len(reached) else None
+
+
 def test_partial_synthesis_declines_every_guess():
-    got = _partial_synth(CTX, tm("pair z"))
+    got = declined_derivation(tm("pair z"))
     assert got is not None
     final_ty, partial = got
     from spinel.syntax import Arrow, meta_vars_of_term
@@ -767,8 +775,75 @@ def test_partial_synthesis_declines_every_guess():
 
 
 def test_partial_synthesis_fails_where_the_algorithm_would():
-    assert _partial_synth(CTX, tm("suc tt")) is None
-    assert _partial_synth(CTX, tm("bot z")) is None
+    assert declined_derivation(tm("suc tt")) is None
+    assert declined_derivation(tm("bot z")) is None
+
+
+def test_the_conditions_walk_a_long_spine_by_a_loop_once(monkeypatch):
+    # One derivation of the erased spine serves every prefix of it, so the
+    # walk runs once per maximal application, and no step recurses per item:
+    # g [Nat] z ... z, with g : forall X. X -> Nat -> ... -> Nat, and its erasure.
+    n = 4000
+    ctx = CTX.with_term("g", ty("forall X. X -> " + "Nat -> " * (n - 1) + "Nat"))
+    internal, erased = tm("g [Nat]" + " z" * n, ctx), tm("g" + " z" * n, ctx)
+    walks = count_calls(monkeypatch, "_derivations", [importlib.import_module("spinel.oracle")])
+    for t in (internal, erased):
+        walks[0] = 0
+        with recursion_headroom(1000):
+            assert check_weak_completeness_conditions(ctx, internal, t)
+        assert walks[0] == 1
+    for t in ("pair [Nat] [Nat] (suc z) (suc z)", "pair (suc z) (suc z)"):
+        walks[0] = 0
+        assert check_weak_completeness_conditions(CTX, tm("pair [Nat] [Nat] (suc z) (suc z)"), tm(t))
+        assert walks[0] == 3
+
+
+def test_the_search_walks_a_long_spine_by_a_loop():
+    # 301 arguments, each taking stack frames in a recursive walk; the loop
+    # finds the declined derivation and the one that guesses X := Nat.
+    ctx = CTX.with_term("g", ty("forall X. X -> " + "Nat -> " * 300 + "Nat"))
+    term = tm("g" + " z" * 301, ctx)
+    with recursion_headroom(100):
+        found = search_spec(ctx, None, term)
+    assert [(pretty_type(t), sorted(sol.domain())) for t, _, sol in found] == [("Nat", []), ("Nat", ["?g0"])]
+
+
+@st.composite
+def _grown_internal_terms(draw):
+    """A well-typed internal term of size 8 or more, grown from the size-3
+    corpus: each step builds a spine, a term of the corpus applied to a
+    type for each quantifier and then to terms of its domains, or closes a
+    term under an annotated lambda, and adds it to the corpus."""
+    built = enumerate_internal_terms(CTX, 3)[::-1]  # newest first
+    step, size = 0, 0
+    while size < 8 or (step < 6 and draw(st.booleans())):
+        step += 1
+        term, t = draw(st.sampled_from(built))
+        if not draw(st.booleans()):  # the simplest step, to which Hypothesis shrinks
+            ann = draw(st.sampled_from(DEFAULT_TYPE_POOL))
+            term, t = Lam(f"w{step}", ann, term), Arrow(ann, t)
+        else:
+            while isinstance(t, Forall):
+                targ = draw(st.sampled_from(DEFAULT_TYPE_POOL))
+                term, t = TApp(term, targ), substitute({t.bound: targ}, t.body)
+            while isinstance(t, Arrow) and (args := [a for a, at in built if alpha_equal(at, t.dom)]):
+                term, t = App(term, draw(st.sampled_from(args))), t.cod
+                if draw(st.booleans()):
+                    break
+        built.insert(0, (term, t))
+        size = term_size(term)
+    return term, t
+
+
+@settings(max_examples=50, deadline=None)
+@given(_grown_internal_terms())
+def test_erasures_that_meet_the_conditions_synthesize_back_past_size_7(drawn):
+    # Criterion 9 beyond its size-7 corpus.
+    internal, t = drawn
+    assert term_size(internal) >= 8 and alpha_equal(check_internal(CTX, internal), t)
+    for erased in enumerate_erasures(internal):
+        if check_weak_completeness_conditions(CTX, internal, erased):
+            assert alpha_equal_term(infer(CTX, Synthesize(), erased).elaboration, internal)
 
 
 # ------------------------------------------------------------- independence
