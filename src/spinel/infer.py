@@ -153,7 +153,6 @@ class Diagnostic(Exception):
         self,
         kind: DiagnosticKind,
         *,
-        span: Span | None = None,
         expected: TypeExpr | None = None,
         resolved: TypeExpr | None = None,
         bindings: dict[str, TypeExpr] | None = None,
@@ -166,7 +165,6 @@ class Diagnostic(Exception):
     ):
         super().__init__(kind.value)
         self.kind = kind
-        self.span = span
         self.expected = expected
         self.resolved = resolved
         self.bindings = bindings or {}
@@ -177,6 +175,11 @@ class Diagnostic(Exception):
         self.display: dict[str, str] = {}
         self.subject = subject
         self.detail = detail
+
+    @property
+    def span(self) -> Span | None:
+        """Where the diagnostic points: its subject's span."""
+        return None if self.subject is None else self.subject.span
 
 
 class EngineInvariantError(Exception):
@@ -268,7 +271,6 @@ def _infer(run: _Run, ctx: Context, expected: _Expected, term: Term) -> InferOut
         if ty is None:
             raise Diagnostic(
                 DiagnosticKind.UNBOUND_NAME,
-                span=term.span,
                 subject=term,
                 detail=f"unbound name {term.name!r}",
             )
@@ -311,14 +313,12 @@ def _binder_chain(run: _Run, ctx: Context, expected: _Expected, term: Lam | TLam
             if expected is None:
                 raise Diagnostic(
                     DiagnosticKind.UNANNOTATED_LAMBDA,
-                    span=term.span,
                     subject=term,
                     detail=f"no contextual type here, so binder {x!r} needs an annotation",
                 )
             if type(expected) is not Arrow:
                 raise Diagnostic(
                     DiagnosticKind.TYPE_MISMATCH,
-                    span=term.span,
                     expected=substitute(renaming, expected),
                     subject=term,
                     detail="an unannotated function only checks against an arrow type",
@@ -331,7 +331,6 @@ def _binder_chain(run: _Run, ctx: Context, expected: _Expected, term: Lam | TLam
             if not _well_formed(ctx.dtv, ctx.signature, dom, tvs):
                 raise Diagnostic(
                     DiagnosticKind.UNBOUND_NAME,
-                    span=term.span,
                     subject=term,
                     detail=_illformed_detail(ctx._extend(binds), dom, f"annotation on {x!r}"),
                 )
@@ -341,7 +340,6 @@ def _binder_chain(run: _Run, ctx: Context, expected: _Expected, term: Lam | TLam
             if not fits:
                 raise Diagnostic(
                     DiagnosticKind.TYPE_MISMATCH,
-                    span=term.span,
                     expected=substitute(renaming, expected),
                     synthesized=_try_synthesize(ctx._extend(binds), term),
                     subject=term,
@@ -393,7 +391,6 @@ def _type_applications(run: _Run, ctx: Context, expected: _Expected, term: TApp)
             if type(ty) is not Forall:
                 raise Diagnostic(
                     DiagnosticKind.APPLICAND_NOT_FORALL,
-                    span=app.span,
                     synthesized=ty,
                     subject=app,
                 )
@@ -407,7 +404,6 @@ def _conclude(expected: _Expected, term: Term, ty: TypeExpr, elab: Term) -> Infe
     if expected is not None and not alpha_equal(ty, expected):
         raise Diagnostic(
             DiagnosticKind.TYPE_MISMATCH,
-            span=term.span,
             expected=expected,
             synthesized=ty,
             subject=term,
@@ -426,7 +422,6 @@ def _check_type_arg(ctx: Context, term: TApp) -> None:
     if not is_well_formed(ctx, term.targ):
         raise Diagnostic(
             DiagnosticKind.UNBOUND_NAME,
-            span=term.span,
             subject=term,
             detail=_illformed_detail(ctx, term.targ, "type argument"),
         )
@@ -454,7 +449,6 @@ def _app_synthesize(run: _Run, ctx: Context, term: App) -> InferOutcome:
     if unsolved:
         raise Diagnostic(
             DiagnosticKind.UNSOLVED_META_VARIABLES,
-            span=term.span,
             synthesized=ty,
             unsolved=unsolved,
             subject=term,
@@ -471,7 +465,6 @@ def _app_check(run: _Run, ctx: Context, term: App, expected: TypeExpr) -> InferO
     if mv_partial != solved.keys():
         raise Diagnostic(
             DiagnosticKind.UNSOLVED_META_VARIABLES,
-            span=term.span,
             expected=expected,
             synthesized=final,
             unsolved=mv_partial - out.solution.domain(),
@@ -528,7 +521,6 @@ def _spine(run: _Run, ctx: Context, proto: Unknown | Exact, term: App) -> SpineO
         if link is None:
             raise Diagnostic(
                 DiagnosticKind.APPLICAND_NOT_ARROW,
-                span=item.arg.span,
                 synthesized=rest.shown(contextual),
                 subject=item.arg,
             )
@@ -620,14 +612,12 @@ def _head_failure(head: Term, head_ty: TypeExpr, failure: MatchFailure) -> Diagn
     if failure.arity_overrun:
         return Diagnostic(
             DiagnosticKind.APPLICAND_NOT_ARROW,
-            span=head.span,
             synthesized=head_ty,
             subject=head,
         )
     against = failure.proto.ty if type(failure.proto) is Exact else None
     return Diagnostic(
         DiagnosticKind.TYPE_MISMATCH,
-        span=head.span,
         expected=against,
         synthesized=failure.ty,
         contextual_match=Contextual(failure.ty, against) if against is not None else None,
@@ -641,7 +631,6 @@ def _take_type_arg(rest: _Remaining, contextual: dict[str, Binding], term: TApp)
     if type(meta) is not str:
         raise Diagnostic(
             DiagnosticKind.APPLICAND_NOT_FORALL,
-            span=term.span,
             synthesized=rest.shown(contextual),
             subject=term,
         )
@@ -649,7 +638,6 @@ def _take_type_arg(rest: _Remaining, contextual: dict[str, Binding], term: TApp)
     if binding is not None and not alpha_equal(binding.ty, s):
         raise Diagnostic(
             DiagnosticKind.EXPLICIT_ARG_CONFLICT,
-            span=term.span,
             expected=binding.ty,
             synthesized=s,
             contextual_match=rest.origin(binding.origin),
@@ -659,7 +647,6 @@ def _take_type_arg(rest: _Remaining, contextual: dict[str, Binding], term: TApp)
     if not rest.solve({meta: s}):
         raise Diagnostic(
             DiagnosticKind.SOLUTION_CONFLICT,
-            span=term.span,
             synthesized=s,
             subject=term,
             detail="explicit type argument cannot reveal the arrows this spine needs",
@@ -707,7 +694,6 @@ def _consume_arrow(
     if found is None:
         raise Diagnostic(
             DiagnosticKind.TYPE_MISMATCH,
-            span=arg.span,
             expected=expected,
             synthesized=out.ty,
             synthetic_match=Synthetic(expected, out.ty, arg_index),
@@ -716,7 +702,6 @@ def _consume_arrow(
     if not rest.solve(found):
         raise Diagnostic(
             DiagnosticKind.SOLUTION_CONFLICT,
-            span=arg.span,
             expected=expected,
             bindings=found,
             synthesized=out.ty,

@@ -12,16 +12,16 @@ instantiation solver, so they stay an independent route from the
 prototype-matching engine they audit.  ``search_spec`` and the
 completeness conditions share one spine walk, ``_derivations``: a loop
 over a stack of states, depth first, that declines each guess before it
-tries the candidates.  The conditions run it once per maximal
-application over an empty pool, so it follows the one derivation that
-declines every guess, and read each prefix of the spine where that
-derivation reached it.  They run no spine of the engine, and reach it
-only through ``infer``, which types the head and the arguments.
-``verify_spec`` keeps a replay of its own, because it follows a claim
-rather than enumerating.
+tries the candidates.  The conditions read an erased term alone.  They
+run the walk once per maximal application over an empty pool, so it
+follows the one derivation that declines every guess, and read each
+prefix of the spine where that derivation reached it.  They run no spine
+of the engine, and reach it only through ``infer``, which types the head
+and the arguments.  ``verify_spec`` keeps a replay of its own, because it
+follows a claim rather than enumerating.
 
 The module also hosts the erasure enumerator, the conditions under
-which synthesis is complete for an erasure, and the deterministic
+which synthesis recovers a term from its erasure, and the deterministic
 corpus generators the property suites run on.
 """
 
@@ -565,60 +565,48 @@ def _declined(ctx: Context, term: Term) -> tuple[list[tuple[TypeExpr, Term]], in
     return reached, len(items)
 
 
-def check_weak_completeness_conditions(ctx: Context, internal: Term, erased: Term) -> bool:
-    """Sufficient conditions for synthesis to recover ``internal`` from
-    its erasure ``erased``: annotations survive, no maximal application
-    is left with unsolved meta-variables, and every applicand's partial
-    type reveals the structure its arguments need.  The last two are read
-    off ``_declined``, the oracle's own derivation, taken once for each
-    maximal application: a prefix of a spine is read where the derivation
-    of the whole reached it.  Chains of lambdas and type lambdas, and
-    applicand chains, are walked by loops; a binder chain enters the
-    context in one extension."""
+def check_weak_completeness_conditions(ctx: Context, erased: Term) -> bool:
+    """Sufficient conditions for synthesis to recover, from ``erased``, the
+    internal term it erases: every lambda keeps its annotation, no maximal
+    application is left with unsolved meta-variables, and every applicand's
+    partial type reveals the structure its arguments need.  They read
+    ``erased`` alone, which must be well-scoped in ``ctx``.  The last two
+    are read off ``_declined``, the oracle's own derivation, once per
+    maximal application: each prefix of a spine where the derivation of
+    the whole reached it.  Binder chains and applicand chains are walked
+    by loops; a binder chain enters the context in one extension."""
 
-    def walk(ctx: Context, e: Term, t: Term) -> bool:
-        kind = type(e)
+    def walk(ctx: Context, t: Term) -> bool:
+        kind = type(t)
         if kind is Var:
             return True
         if kind is Lam or kind is TLam:
             binds: list[TermBind | TyVarDecl] = []
-            while (kind := type(e)) is Lam or kind is TLam:
-                if type(t) is not kind or (kind is Lam and t.ann is None):
+            while (kind := type(t)) is Lam or kind is TLam:
+                if kind is Lam and t.ann is None:
                     return False
-                binds.append(TermBind(e.bound, e.ann) if kind is Lam else TyVarDecl(e.bound))
-                e, t = e.body, t.body
-            return walk(ctx._extend(binds), e, t)
+                binds.append(TermBind(t.bound, t.ann) if kind is Lam else TyVarDecl(t.bound))
+                t = t.body
+            return walk(ctx._extend(binds), t)
         if kind is not App and kind is not TApp:
-            raise TypeError(e)
-        # A maximal application, its applicand chain paired with the erased
-        # one.  ``reached`` is derived where it is first read, so a chain that
-        # reads no prefix runs no derivation; ``k`` counts the items of ``t.fun``.
-        reached: list[tuple[TypeExpr, Term]] | None = None
-        if kind is App and type(t) is App:
-            reached, k = _declined(ctx, t)
-            if k < len(reached) and meta_vars_of_term(ctx, reached[k][1]):
-                return False
-            k -= 1
-        args: list[tuple[Term, Term]] = []
-        while (kind := type(e)) is App or kind is TApp:
-            if kind is App:
-                if type(t) is not App:
-                    return False
-            elif not (type(t) is TApp and alpha_equal(t.targ, e.targ)):
-                e = e.fun  # a type argument the erasure drops
-                continue
-            if reached is None:
-                reached, k = _declined(ctx, t.fun)
+            raise TypeError(t)
+        # A maximal application; ``k`` counts the items of ``t.fun``.
+        reached, k = _declined(ctx, t)
+        if kind is App and k < len(reached) and meta_vars_of_term(ctx, reached[k][1]):
+            return False
+        k -= 1
+        args: list[Term] = []
+        while (kind := type(t)) is App or kind is TApp:
             if k < len(reached):
                 ty = reached[k][0]
                 if not (_reveals_arrow_under_quantifiers(ty) if kind is App else isinstance(ty, Forall)):
                     return False
             if kind is App:
-                args.append((e.arg, t.arg))
-            e, t, k = e.fun, t.fun, k - 1
-        return walk(ctx, e, t) and all(walk(ctx, e2, t2) for e2, t2 in reversed(args))
+                args.append(t.arg)
+            t, k = t.fun, k - 1
+        return walk(ctx, t) and all(walk(ctx, arg) for arg in reversed(args))
 
-    return walk(ctx, internal, erased)
+    return walk(ctx, erased)
 
 
 # ------------------------------------------------------ corpus generation
@@ -685,12 +673,9 @@ DEFAULT_TYPE_POOL: tuple[TypeExpr, ...] = (
 )
 
 
-def enumerate_internal_terms(
-    ctx: Context,
-    max_size: int,
-    type_pool: tuple[TypeExpr, ...] = DEFAULT_TYPE_POOL,
-) -> list[tuple[Term, TypeExpr]]:
-    """Every well-typed internal term of the given size or less.
+def enumerate_internal_terms(ctx: Context, max_size: int) -> list[tuple[Term, TypeExpr]]:
+    """Every well-typed internal term of the given size or less, with
+    annotations and type arguments drawn from ``DEFAULT_TYPE_POOL``.
 
     Deterministic bottom-up enumeration; binder names are minted from
     the context depth so no term shadows anything.
@@ -711,7 +696,7 @@ def enumerate_internal_terms(
             tv = f"X{depth}"
             for body, bty in terms(ctx.with_type_var(tv), size - 1):
                 out.append((TLam(tv, body), Forall(tv, bty)))
-            for ann in type_pool:
+            for ann in DEFAULT_TYPE_POOL:
                 budget = size - 1 - type_size(ann)
                 if budget < 1 or not is_well_formed(ctx, ann):
                     continue
@@ -721,7 +706,7 @@ def enumerate_internal_terms(
             for fsize in range(1, size - 1):
                 for fun, fty in terms(ctx, fsize):
                     if isinstance(fty, Forall):
-                        for targ in type_pool:
+                        for targ in DEFAULT_TYPE_POOL:
                             if type_size(targ) <= size - 1 - fsize and is_well_formed(
                                 ctx, targ
                             ):

@@ -9,7 +9,7 @@ import importlib
 import sys
 
 from spinel import parse_term, parse_type, pretty_term, pretty_type
-from spinel.oracle import DEFAULT_TYPE_POOL, enumerate_erasures, enumerate_internal_terms, standard_context
+from spinel.oracle import enumerate_erasures, enumerate_internal_terms, standard_context
 from spinel.syntax import TermBind, alpha_equal
 
 CTX = standard_context()
@@ -35,7 +35,7 @@ SEED_INTERNALS = [
 
 def criterion_9_internals():
     """Criterion 9's corpus: the internal terms of size 7 or less, then the seeds."""
-    pool = enumerate_internal_terms(CTX, 7, DEFAULT_TYPE_POOL)
+    pool = enumerate_internal_terms(CTX, 7)
     return [t for t, _ in pool] + [tm(src) for src in SEED_INTERNALS]
 
 

@@ -24,7 +24,6 @@ from spinel.cli import render_diagnostic
 from spinel.infer import DiagnosticKind
 from spinel.matcher import MatchFailure, _match
 from spinel.oracle import (
-    DEFAULT_TYPE_POOL,
     check_weak_completeness_conditions,
     enumerate_erasures,
     enumerate_internal_terms,
@@ -69,7 +68,7 @@ def fails_with(kind: DiagnosticKind, thunk):
 
 @pytest.fixture(scope="module")
 def corpus():
-    return enumerate_internal_terms(CTX, 8, DEFAULT_TYPE_POOL)
+    return enumerate_internal_terms(CTX, 8)
 
 
 # --------------------------------------------------------------- criteria
@@ -324,7 +323,7 @@ def test_criterion_7_exhaustive_matcher_audit():
 
 
 def test_criterion_8_algorithm_agrees_with_declarative_rules():
-    corpus = enumerate_internal_terms(CTX, 7, DEFAULT_TYPE_POOL)
+    corpus = enumerate_internal_terms(CTX, 7)
     rejected = []
     unmatched = []
     accepted = search_hits = 0
@@ -376,7 +375,7 @@ def test_criterion_9_erasure_conditions_imply_round_trips():
     passing = over_approximations = 0
     for internal in internals:
         for erased in enumerate_erasures(internal):
-            conditions = check_weak_completeness_conditions(CTX, internal, erased)
+            conditions = check_weak_completeness_conditions(CTX, erased)
             try:
                 out = infer(CTX, Synthesize(), erased)
                 round_trips = alpha_equal_term(out.elaboration, internal)

@@ -29,6 +29,7 @@ from spinel.syntax import (
     Exact,
     Forall,
     Lam,
+    Span,
     Synthetic,
     TermBind,
     TLam,
@@ -198,6 +199,12 @@ def test_check_mode_requires_a_well_formed_expected_type():
 def test_synthesizing_a_bare_lambda_argument_fails():
     d = fails(DiagnosticKind.UNANNOTATED_LAMBDA, lambda: synth(r"pair (\x. x) z"))
     assert d.span is not None
+
+
+def test_a_diagnostic_points_at_its_subject():
+    d = fails(DiagnosticKind.UNANNOTATED_LAMBDA, lambda: synth(r"pair (\x. x) z"))
+    assert d.span == d.subject.span == Span(1, 7, 1, 12)
+    assert Diagnostic(DiagnosticKind.TYPE_MISMATCH).span is None
 
 
 def test_unsolved_meta_variables_name_the_leftovers():

@@ -10,7 +10,7 @@ from conftest import CTX, count_well_formed_walks, tm, ty
 from spinel import check_internal
 from spinel.infer import Synthesize, infer
 from spinel.internal import InternalTypeError
-from spinel.syntax import Con, Lam, TLam, TVar, Var, alpha_equal
+from spinel.syntax import Con, Lam, TApp, TLam, TVar, Var, alpha_equal
 
 
 def test_checks_a_fully_annotated_application():
@@ -41,6 +41,16 @@ def test_rejects_type_application_of_non_quantified_terms():
 def test_rejects_unbound_variables():
     with pytest.raises(InternalTypeError):
         check_internal(CTX, tm("pair missing"))
+
+
+def test_rejects_a_variable_the_context_does_not_bind():
+    with pytest.raises(InternalTypeError, match="unbound variable 'nope'"):
+        check_internal(CTX, Var("nope"))
+
+
+def test_rejects_an_ill_formed_type_argument():
+    with pytest.raises(InternalTypeError, match="type argument is not well-formed"):
+        check_internal(CTX, TApp(Var("ident"), TVar("A")))
 
 
 def test_rejects_illformed_annotations():

@@ -640,13 +640,13 @@ def test_type_arguments_outside_applicand_position_never_erase():
 def test_conditions_reject_erased_annotations():
     internal = tm(r"pair [B -> B] [Nat] (\x : B. x) z")
     erased = tm(r"pair [B -> B] [Nat] (\x. x) z")
-    assert not check_weak_completeness_conditions(CTX, internal, erased)
+    assert not check_weak_completeness_conditions(CTX, erased)
 
 
 def test_conditions_accept_recoverable_erasures():
     internal = tm("pair [Nat] [B] z tt")
     erased = tm("pair z tt")
-    assert check_weak_completeness_conditions(CTX, internal, erased)
+    assert check_weak_completeness_conditions(CTX, erased)
     out = infer(CTX, Synthesize(), erased)
     assert alpha_equal_term(out.elaboration, internal)
 
@@ -654,18 +654,18 @@ def test_conditions_accept_recoverable_erasures():
 def test_conditions_reject_unsolvable_type_arguments():
     internal = tm("right [B] [Nat] z")
     erased = tm("right z")
-    assert not check_weak_completeness_conditions(CTX, internal, erased)
+    assert not check_weak_completeness_conditions(CTX, erased)
 
 
 def test_conditions_reject_spines_that_lose_their_arrows():
     internal = tm("bot [Nat -> Nat] z")
     erased = tm("bot z")
-    assert not check_weak_completeness_conditions(CTX, internal, erased)
+    assert not check_weak_completeness_conditions(CTX, erased)
 
 
 def test_conditions_accept_the_identity_erasure():
     internal = tm("pair [Nat] [B] z tt")
-    assert check_weak_completeness_conditions(CTX, internal, internal)
+    assert check_weak_completeness_conditions(CTX, internal)
 
 
 # The cases above, as (internal, erasure, verdict).
@@ -687,7 +687,7 @@ CONDITION_VERDICTS_SHA256 = "cefa99d0e792ae826d1348c30e776faeabcbe3ed9ffc0acaf2c
 def test_the_conditions_verdicts_on_criterion_9s_corpus_are_pinned():
     internals = criterion_9_internals()
     bits = "".join(
-        "1" if check_weak_completeness_conditions(CTX, internal, erased) else "0"
+        "1" if check_weak_completeness_conditions(CTX, erased) else "0"
         for internal in internals
         for erased in enumerate_erasures(internal)
     )
@@ -743,9 +743,9 @@ def test_the_conditions_walk_a_long_binder_chain_by_a_loop(monkeypatch):
     monkeypatch.setattr(
         Context, "_extend", lambda self, binds: extended.append(len(binds)) or extend(self, binds)
     )
-    assert check_weak_completeness_conditions(ctx, internal, internal)
+    assert check_weak_completeness_conditions(ctx, internal)
     assert extended == [n]
-    assert not check_weak_completeness_conditions(ctx, internal, chain(bare=n // 2))
+    assert not check_weak_completeness_conditions(ctx, chain(bare=n // 2))
 
 
 def test_the_conditions_run_no_engine_spine(monkeypatch):
@@ -754,7 +754,20 @@ def test_the_conditions_run_no_engine_spine(monkeypatch):
 
     monkeypatch.setattr(importlib.import_module("spinel.infer"), "_spine", refuse)
     for internal, erased, verdict in CONDITION_CASES:
-        assert check_weak_completeness_conditions(CTX, tm(internal), tm(erased)) is verdict
+        assert check_weak_completeness_conditions(CTX, tm(erased)) is verdict
+
+
+def test_conditions_read_the_erased_term_alone():
+    # An application whose head is a binder chain and whose argument is a
+    # type application, read in a context of this term's own binders.
+    erased = tm(r"\w : B. (\x8 : Nat. /\X9. pair) ((/\X8. z) [Nat])")
+    assert check_weak_completeness_conditions(CTX, erased) is True
+
+
+def test_the_conditions_take_a_well_scoped_term():
+    # A binder that reuses a declared name, which the parser never builds.
+    with pytest.raises(ValueError, match="duplicate declaration of 'z'"):
+        check_weak_completeness_conditions(CTX, Lam("z", Con("Nat"), Var("z")))
 
 
 def declined_derivation(term):
@@ -790,12 +803,17 @@ def test_the_conditions_walk_a_long_spine_by_a_loop_once(monkeypatch):
     for t in (internal, erased):
         walks[0] = 0
         with recursion_headroom(1000):
-            assert check_weak_completeness_conditions(ctx, internal, t)
+            assert check_weak_completeness_conditions(ctx, t)
         assert walks[0] == 1
     for t in ("pair [Nat] [Nat] (suc z) (suc z)", "pair (suc z) (suc z)"):
         walks[0] = 0
-        assert check_weak_completeness_conditions(CTX, tm("pair [Nat] [Nat] (suc z) (suc z)"), tm(t))
+        assert check_weak_completeness_conditions(CTX, tm(t))
         assert walks[0] == 3
+
+
+def test_the_search_derives_only_applications():
+    with pytest.raises(ValueError, match="only term applications have spine derivations"):
+        search_spec(CTX, None, tm("z"))
 
 
 def test_the_search_walks_a_long_spine_by_a_loop():
@@ -842,7 +860,7 @@ def test_erasures_that_meet_the_conditions_synthesize_back_past_size_7(drawn):
     internal, t = drawn
     assert term_size(internal) >= 8 and alpha_equal(check_internal(CTX, internal), t)
     for erased in enumerate_erasures(internal):
-        if check_weak_completeness_conditions(CTX, internal, erased):
+        if check_weak_completeness_conditions(CTX, erased):
             assert alpha_equal_term(infer(CTX, Synthesize(), erased).elaboration, internal)
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spinel import parse_term, parse_type, pretty_term, pretty_type
+from spinel.infer import Check, infer
 from spinel.oracle import enumerate_erasures, enumerate_internal_terms
 from spinel.parser import (
     KEYWORDS,
@@ -30,6 +31,7 @@ from spinel.syntax import (
     Con,
     Forall,
     Lam,
+    Span,
     TApp,
     TLam,
     TermBind,
@@ -136,6 +138,16 @@ def test_trailing_lambda_swallows_the_rest_of_the_spine():
     got = tm("suc \\x. suc x")
     want = App(Var("suc"), Lam("x", None, App(Var("suc"), Var("x"))))
     assert alpha_equal_term(got, want)
+
+
+def test_an_application_then_a_lambda_inside_a_binder_chain():
+    # The binder chain's body is a spine that ends in a trailing lambda.
+    got = tm(r"\x : Nat. rapp x \y. suc y")
+    want = Lam("x", Con("Nat"), App(App(Var("rapp"), Var("x")), Lam("y", None, App(Var("suc"), Var("y")))))
+    assert alpha_equal_term(got, want)
+    assert got.body.span == Span(1, 11, 1, 27)
+    elaborated = infer(CTX, Check(ty("Nat -> Nat")), got).elaboration
+    assert pretty_term(elaborated) == r"\x : Nat. rapp [Nat] [Nat] x (\y : Nat. suc y)"
 
 
 def test_lambda_binder_may_not_shadow():

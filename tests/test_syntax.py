@@ -396,6 +396,11 @@ def test_context_rejects_shadowing_and_bad_bindings():
         CTX.with_term("loose", TVar("A"))
 
 
+def test_a_constructor_declared_twice_is_rejected():
+    with pytest.raises(ValueError, match="duplicate constructor 'Nat'"):
+        CTX.with_con("Nat", 0)
+
+
 def test_context_constructor_respects_ordered_scope():
     with pytest.raises(ValueError, match="type bound to 'x' is not well-formed"):
         Context((TermBind("x", TVar("A")), TyVarDecl("A")))
