@@ -2,19 +2,22 @@
 
 ``spinel run file`` type-checks every goal in a source file, printing
 human-readable reports or NDJSON (one object per goal) with ``--json``.
-``spinel repl`` offers the same engine interactively.  Exit codes: 0
-all goals succeed, 1 some goal fails with a diagnostic, 2 the input
-cannot be read or does not parse, or standard output was closed before
-the report was written, 3 an internal invariant or a declarative replay
-fails, or some goal hits the resource limit.
+It answers a block of goals at a time, so its memory is bounded by a
+block, not the file.  A declaration that does not parse ends only
+itself, reported after the goals before it.  ``spinel repl`` offers
+the same engine interactively.  Exit codes, the largest over the
+declarations: 0 a goal succeeds, 1 it fails with a diagnostic, 2 it
+does not parse, 3 an internal invariant or a declarative replay fails,
+or it hits the resource limit; 2 also if the input cannot be read, or
+standard output is closed before the reports are written.
 
 Chains of any length parse and print; only argument and parenthesis
 nesting is bounded by Python's recursion limit there.  A declaration
-nested too deeply to parse is a parse error at its first token (exit 2).
-A goal nested or chained too deeply to type-check, print or replay
-reports status ``resource-limit`` (exit 3), and the goals after it still
-run.  The interactive loop prints an ``error:`` line for either and
-keeps going.
+nested too deeply to parse is a parse error at its first token, and a
+goal nested or chained too deeply to type-check, print or replay
+reports status ``resource-limit``; the goals after either still run.
+The interactive loop prints an ``error:`` line for either and keeps
+going.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from .parser import (
     ConDecl,
     Goal,
     ParseError,
+    _declarations,
     parse_declaration,
-    parse_program,
     pretty_term,
     pretty_type,
 )
@@ -61,6 +64,7 @@ _HEADLINES = {
 _RED = "\x1b[31m"
 _BOLD = "\x1b[1m"
 _RESET = "\x1b[0m"
+_BLOCK = 256  # goals per block of ``spinel run``: one block's trees at most are alive at once
 
 
 def _use_color() -> bool:
@@ -196,35 +200,33 @@ def _report(args, record: dict, lines) -> str:
     return "\n".join([header, *lines]) + "\n"
 
 
-def _run_goal(ctx: Context, goal: Goal, count: int, args, color: bool) -> tuple[int, str]:
-    """Run one goal: its exit code and its report, NDJSON or text.
+def _run_goal(ctx: Context, goal: Goal, count: int, out, trace, args, color: bool) -> tuple[int, str]:
+    """One goal's exit code and report, NDJSON or text, from ``out``: what
+    ``infer`` returned or raised, or None if the goal nests too deeply.
 
     Each part of the report is rendered once, into ``record``; only the
     form that is printed is assembled from it, and a text line or a JSON
     field that the other form alone shows is not rendered at all.
     """
     term, expected = goal.term, goal.expected
-    mode = Synthesize() if expected is None else Check(expected)
-    trace: list[str] | None = [] if args.trace else None
-    record: dict = {
-        "goal": count,
-        "mode": "synth" if expected is None else "check",
-        "term": pretty_term(term),
-    }
+    mode = "synth" if expected is None else "check"
+    if out is None:
+        message = f"goal at {goal.span.line}:{goal.span.col} is nested too deeply"
+        record = {"goal": count, "mode": mode, "status": "resource-limit", "message": message}
+        return 3, _report(args, record, [f"    resource limit: {message}"])
+    record: dict = {"goal": count, "mode": mode, "term": pretty_term(term)}
     if expected is not None:
         record["expected"] = pretty_type(expected)
 
-    try:
-        out = infer(ctx, mode, term, trace=trace)
-    except Diagnostic as d:
+    if isinstance(out, Diagnostic):
         record["status"] = "error"
         if args.json:
-            record["diagnostic"] = diagnostic_json(d)
+            record["diagnostic"] = diagnostic_json(out)
             return 1, _report(args, record, ())
-        return 1, _report(args, record, ("    " + line for line in render_diagnostic(d, color).splitlines()))
-    except EngineInvariantError as exc:
-        record.update(status="internal-error", message=str(exc))
-        return 3, _report(args, record, [f"    internal error: {exc}"])
+        return 1, _report(args, record, ("    " + line for line in render_diagnostic(out, color).splitlines()))
+    if isinstance(out, EngineInvariantError):
+        record.update(status="internal-error", message=str(out))
+        return 3, _report(args, record, [f"    internal error: {out}"])
 
     code = 0
     record.update(status="ok", type=pretty_type(out.ty))
@@ -249,12 +251,52 @@ def _run_goal(ctx: Context, goal: Goal, count: int, args, color: bool) -> tuple[
     return code, _report(args, record, lines)
 
 
-def _resource_limit(goal: Goal, count: int, args) -> tuple[int, str]:
-    """The report of a goal nested deeper than Python's recursion limit."""
-    mode = "synth" if goal.expected is None else "check"
-    message = f"goal at {goal.span.line}:{goal.span.col} is nested too deeply"
-    record = {"goal": count, "mode": mode, "status": "resource-limit", "message": message}
-    return 3, _report(args, record, [f"    resource limit: {message}"])
+def _blocks(decls):
+    """Yield the goals of ``decls``, each with its context, in blocks of at most ``_BLOCK``,
+    each with the ParseError that ended it or None; a block is emptied once answered."""
+    ctx = Context.empty()
+    assumed: list[TermBind] = []  # the run of assumes since the last goal
+    block: list[tuple[Context, Goal]] = []
+    for decl in decls:
+        kind = type(decl)
+        if kind is Assume:
+            assumed.append(TermBind(decl.name, decl.ty))
+        elif kind is Goal:
+            if assumed:
+                ctx, assumed = ctx._extend(assumed), []
+            block.append((ctx, decl))
+            if len(block) == _BLOCK:
+                yield block, None
+                block.clear()
+        elif kind is ConDecl:
+            ctx = ctx.with_con(decl.name, decl.arity)
+        else:  # a ParseError
+            yield block, decl
+            block.clear()
+    yield block, None
+
+
+def _answer(block: list[tuple[Context, Goal]], count: int, args, color: bool) -> int:
+    """Answer a block of goals numbered from ``count + 1``: infer each, keeping no
+    traceback, render each report, write them all at once; the largest exit code."""
+    answered = []
+    for ctx, goal in block:
+        trace = [] if args.trace else None
+        try:
+            out = infer(ctx, Synthesize() if goal.expected is None else Check(goal.expected), goal.term, trace=trace)
+        except (Diagnostic, EngineInvariantError) as exc:
+            out = exc.with_traceback(None)
+        except RecursionError:
+            out = None
+        answered.append((ctx, goal, out, trace))
+    results = []
+    for count, (ctx, goal, out, trace) in enumerate(answered, count + 1):
+        try:
+            results.append(_run_goal(ctx, goal, count, out, trace, args, color))
+        except RecursionError:  # too deep to print or to replay
+            results.append(_run_goal(ctx, goal, count, None, trace, args, color))
+    sys.stdout.write("".join(f"{report}\n" for _, report in results))
+    return max((code for code, _ in results), default=0)
 
 
 def run_file(args: argparse.Namespace) -> int:
@@ -264,42 +306,27 @@ def run_file(args: argparse.Namespace) -> int:
     gc.disable()
     try:
         try:
-            with open(args.file, encoding="utf-8") as handle:
-                src = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
+            handle = open(args.file, encoding="utf-8")
+        except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        try:
-            program = parse_program(src)
-        except ParseError as exc:
-            if args.json:
-                print(json.dumps({"status": "parse-error", "line": exc.line, "col": exc.col, "message": exc.message}))
-            else:
-                print(f"parse error: {exc}", file=sys.stderr)
-            return 2
-
         color = _use_color() and not args.json
-        ctx = Context.empty()
-        assumed: list[TermBind] = []  # the run of assumes since the last goal
-        code = 0
-        count = 0
-        for decl in program:
-            match decl:
-                case ConDecl(name=name, arity=arity):
-                    ctx = ctx.with_con(name, arity)
-                    continue
-                case Assume(name=name, ty=ty):
-                    assumed.append(TermBind(name, ty))
-                    continue
-            if assumed:
-                ctx, assumed = ctx._extend(assumed), []
-            count += 1
+        code = count = 0
+        with handle:
             try:
-                goal_code, report = _run_goal(ctx, decl, count, args, color)
-            except RecursionError:
-                goal_code, report = _resource_limit(decl, count, args)
-            code = max(code, goal_code)
-            print(report)
+                for block, error in _blocks(_declarations(handle)):
+                    code = max(code, _answer(block, count, args, color), 2 if error else 0)
+                    count += len(block)
+                    if error and args.json:
+                        print(json.dumps({"status": "parse-error", "line": error.line, "col": error.col,
+                                          "message": error.message}))
+                    elif error:
+                        sys.stdout.flush()  # so that the reports before it come first
+                        print(f"parse error: {error}", file=sys.stderr)
+            except UnicodeDecodeError as exc:
+                sys.stdout.flush()
+                print(f"error: {exc}", file=sys.stderr)
+                code = max(code, 2)
         return code
     finally:
         if enabled:

@@ -9,13 +9,15 @@ and ``t [T]`` for type application; ``--`` starts a line comment.
 The parser is scope-aware: unbound type variables, binder shadowing,
 and constructor arity violations are rejected here with positions, so
 everything downstream works with well-scoped trees.  One lexer loop,
-``_runs``, reads every source: one pattern match per token, blanks
-included, and it hands the parser one declaration's tokens at a time,
-so the tokens of at most one declaration are alive at once, and every
-copy of an identifier in the trees is one shared string.  Each parse
-step reads its token once, and each node gets its span positionally.
-A type or term with no chain builds no link list.  The printers append
-each piece of text to one list and join it once per call.
+``_runs``, reads every source by lines: one pattern match per token,
+blanks included, and it hands the parser one declaration's tokens at
+a time, so every copy of an identifier in the trees is one shared
+string.  ``_declarations`` yields each declaration as it is parsed, or
+the ParseError that ends only it: ``spinel run`` reads a file through
+it, and ``parse_program`` collects it.  Each parse step reads its token
+once, and each node gets its span positionally.  A type or term with
+no chain builds no link list.  The printers append each piece of text
+to one list and join it once per call.
 """
 
 from __future__ import annotations
@@ -88,17 +90,20 @@ def tokenize(src: str) -> list[_Token]:
 
     A keyword's kind is the keyword itself.  The tokens are those of
     ``_runs``, the one lexer, each run's without its last token: the
-    next run's keyword, or "eof".
+    next run's keyword, or "eof".  Its first ParseError is raised.
     """
     tokens: list[_Token] = []
-    for run in _runs(src):
+    for run in _runs(src.split("\n")):
+        if type(run) is ParseError:
+            raise run
         tokens += run
         tokens.pop()
     return tokens
 
 
-def _runs(src: str):
-    """Yield the tokens of ``src`` one run at a time, each as a list.
+def _runs(lines):
+    """Yield the tokens of ``lines`` (with or without line ends) one run
+    at a time, each as a list.
 
     A run starts at a ``type``, ``assume``, ``check`` or ``synth``
     keyword (the first run at the first token) and ends before the
@@ -109,8 +114,9 @@ def _runs(src: str):
     A punctuation or keyword token takes its kind from ``_FIXED``, and
     any other is classified by its first character: an identifier, an
     integer (ASCII digits only), a comment (skipped with the rest of its
-    line), or a character no token can start with, which is a ParseError
-    at its position.  Every copy of an identifier is one string, shared
+    line), or a character no token can start with.  A run holding such a
+    character is yielded as the ParseError of the first one, at its
+    position.  Every copy of an identifier is one string, shared
     through one dict per call, so the trees parsed from the tokens hold
     each name once.
     """
@@ -121,9 +127,10 @@ def _runs(src: str):
     fixed = _FIXED.get
     findall = _TOKEN_RE.findall
     run: list[_Token] = []
-    for line, text in enumerate(src.split("\n"), 1):
+    error = None
+    for line, text in enumerate(lines, 1):
         col = 1
-        for blanks, piece in findall(text):
+        for blanks, piece in findall(text.rstrip("\n")):  # cheaper than a regex that skips it
             col += len(blanks)
             kind = fixed(piece)
             if kind is None:
@@ -135,16 +142,16 @@ def _runs(src: str):
                     kind = "int"
                 elif piece[:2] == "--":
                     break
-                else:
-                    raise ParseError(f"unexpected character {piece!r}", line, col)
+                elif error is None:
+                    error = ParseError(f"unexpected character {piece!r}", line, col)
             elif kind in _DECLARES and run:
                 run.append((kind, piece, line, col))  # the run's last token
-                yield run
-                run = []
+                yield run if error is None else error
+                run, error = [], None
             run.append((kind, piece, line, col))
             col += len(piece)
     run.append(_eof(run))
-    yield run
+    yield run if error is None else error
 
 
 def _eof(tokens: list[_Token]) -> _Token:
@@ -196,7 +203,7 @@ class _Parser:
 
     The list ends with the token after the text it covers: "eof", or,
     for one run of a source file, the next run's keyword, which no rule
-    consumes.  ``parse_program`` hands the one parser each run in turn.
+    consumes.  ``_declarations`` hands the one parser each run in turn.
     Only parentheses, brackets and constructor arguments recurse, so a
     chain of any length parses at any recursion limit.
 
@@ -464,38 +471,43 @@ def _declaration(parser: _Parser, tok: _Token) -> Decl:
     raise ParseError(f"expected a declaration, found {tok[1]!r}", tok[2], tok[3])
 
 
-def parse_program(src: str) -> tuple[Decl, ...]:
-    """Parse a whole source file into its declarations, in order.
-
-    The source is lexed and parsed one run of ``_runs`` at a time.  The
-    lexer's error comes first, as if the whole file were lexed before
-    any of it is parsed: after a ParseError, the rest of the source is
-    lexed, and an unexpected character there is the error raised.
-
-    Chains of any length parse: arrows, ``forall``s, lambdas, type
-    lambdas and applications are loops.  Only parentheses, brackets and
-    constructor arguments nest by recursion, and a declaration nested
-    deeper than the recursion limit allows is a ParseError at its first
-    token, not a RecursionError.
+def _declarations(lines):
+    """Yield the declarations of ``lines``, one run of ``_runs`` at a time,
+    or in place of one the ParseError, without traceback, that ends it:
+    the rest of its run is skipped, its open binders are closed, and
+    parsing goes on.  Only parentheses, brackets and constructor
+    arguments nest by recursion, and a declaration nested too deeply for
+    the recursion limit is a ParseError at its first token.
     """
     parser = _Parser([], {}, frozenset())
-    decls: list[Decl] = []
-    runs = _runs(src)
-    try:
-        for run in runs:
-            parser.tokens, parser.pos = run, 0
-            last = len(run) - 1
-            while parser.pos < last:
-                tok = run[parser.pos]
-                parser.pos += 1
-                try:
-                    decls.append(_declaration(parser, tok))
-                except RecursionError:
-                    raise ParseError("declaration is nested too deeply", tok[2], tok[3]) from None
-    except ParseError:
-        for _ in runs:
-            pass
-        raise
+    for run in _runs(lines):
+        if type(run) is ParseError:
+            yield run
+            continue
+        parser.tokens, parser.pos = run, 0
+        last = len(run) - 1
+        while parser.pos < last:
+            tok = run[parser.pos]
+            parser.pos += 1
+            try:
+                decl = _declaration(parser, tok)
+            except ParseError as exc:
+                decl = exc.with_traceback(None)
+            except RecursionError:
+                decl = ParseError("declaration is nested too deeply", tok[2], tok[3])
+            if type(decl) is ParseError:
+                parser.pos, parser.tyvars, parser.bound = last, set(), set()
+            yield decl
+
+
+def parse_program(src: str) -> tuple[Decl, ...]:
+    """Parse a whole source file into its declarations, those of
+    ``_declarations``.  The lexer's error comes first, as if the whole
+    file were lexed before any of it is parsed: the first unexpected
+    character anywhere is the ParseError raised, else the first error."""
+    decls = list(_declarations(src.split("\n")))
+    if errors := [d for d in decls if type(d) is ParseError]:
+        raise next((e for e in errors if e.message.startswith("unexpected character")), errors[0])
     return tuple(decls)
 
 

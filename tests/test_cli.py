@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ import pytest
 import spinel
 from conftest import CTX, count_calls, erasure_source, recursion_headroom, tm
 from spinel import Synthesize, infer, verify_spec
-from spinel.cli import main
+from spinel.cli import _BLOCK, main
 from spinel.oracle import SpecVerdict
 from spinel.parser import parse_program
 from spinel.syntax import strip
@@ -862,19 +863,128 @@ def test_too_deep_goal_is_a_resource_limit_and_later_goals_run(tmp_path, json_fl
 
 
 def test_too_deep_declaration_is_a_parse_error_at_its_first_token(tmp_path):
-    # Chains parse by loops at any length; parentheses still nest by recursion.
+    # Chains parse by loops at any length; parentheses still nest by
+    # recursion.  The error ends only its declaration: the goal after it runs.
     n = 2000
     path = tmp_path / "deep.spn"
     path.write_text(HEAD + f"assume g : {'(' * n}Nat{')' * n}\nsynth z\n")
     proc = run_child(path, "--json")
     assert proc.returncode == 2
     assert proc.stderr == ""
-    assert json.loads(proc.stdout) == {
-        "status": "parse-error", "line": 4, "col": 1, "message": "declaration is nested too deeply"
-    }
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+        {"status": "parse-error", "line": 4, "col": 1, "message": "declaration is nested too deeply"},
+        {"goal": 1, "mode": "synth", "term": "z", "status": "ok", "type": "Nat"},
+    ]
     proc = run_child(path)
     assert proc.returncode == 2
     assert proc.stderr == "parse error: 4:1: declaration is nested too deeply\n"
+    assert proc.stdout == "[1] synth z\n    type: Nat\n\n"
+
+
+def test_a_declaration_400_deep_is_a_parse_error_and_the_goal_after_it_answers(tmp_path):
+    path = tmp_path / "deep.spn"
+    path.write_text(HEAD + f"synth {deep_suc(400)}\nsynth z\n")
+    proc = run_child(path, "--json")
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+        {"status": "parse-error", "line": 4, "col": 1, "message": "declaration is nested too deeply"},
+        {"goal": 1, "mode": "synth", "term": "z", "status": "ok", "type": "Nat"},
+    ]
+
+
+# Three bad declarations, each ending only itself: an unexpected character
+# (which comes before the grammar error at its '(') at the start, a grammar
+# error in the middle, whose name a later goal then finds unbound, and a
+# declaration too deep to parse at the end.
+RECOVERY = (
+    "check ( $ : Nat\n" + HEAD + "synth suc z\nassume f : Nat -> -> Nat\nsynth f z\n"
+    "check suc (suc z) : Nat\n" + f"synth {deep_suc(400)}\n"
+)
+
+RECOVERY_JSON = [
+    {"status": "parse-error", "line": 1, "col": 9, "message": "unexpected character '$'"},
+    {"goal": 1, "mode": "synth", "term": "suc z", "status": "ok", "type": "Nat"},
+    {"status": "parse-error", "line": 6, "col": 19, "message": "expected a type, found '->'"},
+    {"goal": 2, "mode": "synth", "term": "f z", "status": "error", "diagnostic": {
+        "kind": "unbound-name", "message": "unbound name",
+        "span": {"line": 7, "col": 7, "end_line": 7, "end_col": 8}, "detail": "unbound name 'f'",
+    }},
+    {"goal": 3, "mode": "check", "term": "suc (suc z)", "expected": "Nat", "status": "ok", "type": "Nat"},
+    {"status": "parse-error", "line": 9, "col": 1, "message": "declaration is nested too deeply"},
+]
+
+# The text form, standard error merged into standard output in the order written.
+RECOVERY_TEXT = """\
+parse error: 1:9: unexpected character '$'
+[1] synth suc z
+    type: Nat
+
+parse error: 6:19: expected a type, found '->'
+[2] synth f z
+    error: unbound name at 7:7
+      note: unbound name 'f'
+
+[3] check suc (suc z) : Nat
+    type: Nat
+
+parse error: 9:1: declaration is nested too deeply
+"""
+
+
+def test_golden_recovery_after_bad_declarations(tmp_path):
+    path = tmp_path / "recovery.spn"
+    path.write_text(RECOVERY)
+    proc = run_child(path, "--json")
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == RECOVERY_JSON
+    env = dict(os.environ, PYTHONPATH=str(Path(spinel.__file__).resolve().parents[1]), SPINEL_COLOR="never")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from spinel.cli import main; sys.exit(main())", "run", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, RECOVERY_TEXT)
+
+
+def test_parse_errors_at_block_boundaries_keep_declaration_order(tmp_path, capsys):
+    # Each grammar error comes right after a full block, so it ends an empty one.
+    goals = [f"check {'suc ' * i}z : Nat" for i in range(2 * _BLOCK + 1)]
+    lines = goals[:_BLOCK] + ["synth )"] + goals[_BLOCK:-1] + ["check : Nat"] + goals[-1:]
+    path = tmp_path / "blocks.spn"
+    path.write_text(HEAD + "\n".join(lines) + "\n")
+    code, out, err = run_lines(capsys, "run", str(path), "--json")
+    assert (code, err) == (2, "")
+    records = [json.loads(line) for line in out]
+    errors = [4 + _BLOCK, 4 + 2 * _BLOCK + 1]
+    assert [r.get("goal", r.get("line")) for r in records] == [
+        *range(1, _BLOCK + 1), errors[0], *range(_BLOCK + 1, 2 * _BLOCK + 1), errors[1], 2 * _BLOCK + 1
+    ]
+    assert [r["term"] for r in records if "goal" in r] == [g[len("check "):-len(" : Nat")] for g in goals]
+
+
+def _erasure_goals_repeated(path, size, times):
+    """CI's erasure file of ``size``, its goal lines repeated ``times`` times."""
+    lines = erasure_source(size).splitlines()
+    prelude = [line for line in lines if not line.startswith(("check ", "synth "))]
+    path.write_text("\n".join(prelude + lines[len(prelude):] * times) + "\n")
+    return (len(lines) - len(prelude)) * times
+
+
+def test_a_run_holds_one_block_of_trees_not_the_file(tmp_path, monkeypatch):
+    # tracemalloc counts deterministically.  Reading the whole file, and
+    # parsing it before answering, made the 10x file's peak 9.7x the 1x one.
+    peaks = []
+    for times in (1, 10):
+        path = tmp_path / f"erasures-{times}.spn"
+        assert _erasure_goals_repeated(path, 6, times) == 3514 * times
+        with open(os.devnull, "w") as devnull:
+            monkeypatch.setattr(sys, "stdout", devnull)
+            tracemalloc.start()
+            try:
+                assert main(["run", str(path), "--json", "--elab"]) == 1
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_long_chain_declaration_is_checked_and_its_goals_end_in_an_outcome(tmp_path):

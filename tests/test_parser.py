@@ -381,7 +381,8 @@ def test_the_lexer_agrees_with_the_reference_lexer(src):
         assert (got.value.message, got.value.line, got.value.col) == (exc.message, exc.line, exc.col)
     else:
         assert tokenize(src) == expected
-        runs = list(_runs(src))
+        runs = list(_runs(src.split("\n")))
+        assert list(_runs(line + "\n" for line in src.split("\n"))) == runs  # a file's lines keep their ends
         assert [tok for run in runs for tok in run[:-1]] == expected
         assert [run[-1] for run in runs[:-1]] == [run[0] for run in runs[1:]]
         declares = {"type", "assume", "check", "synth"}
