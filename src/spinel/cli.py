@@ -306,27 +306,24 @@ def run_file(args: argparse.Namespace) -> int:
     gc.disable()
     try:
         try:
-            handle = open(args.file, encoding="utf-8")
+            # a byte that is not UTF-8 reaches the lexer as a lone surrogate,
+            # an unexpected character of its own declaration
+            handle = open(args.file, encoding="utf-8", errors="surrogateescape")
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         color = _use_color() and not args.json
         code = count = 0
         with handle:
-            try:
-                for block, error in _blocks(_declarations(handle)):
-                    code = max(code, _answer(block, count, args, color), 2 if error else 0)
-                    count += len(block)
-                    if error and args.json:
-                        print(json.dumps({"status": "parse-error", "line": error.line, "col": error.col,
-                                          "message": error.message}))
-                    elif error:
-                        sys.stdout.flush()  # so that the reports before it come first
-                        print(f"parse error: {error}", file=sys.stderr)
-            except UnicodeDecodeError as exc:
-                sys.stdout.flush()
-                print(f"error: {exc}", file=sys.stderr)
-                code = max(code, 2)
+            for block, error in _blocks(_declarations(handle)):
+                code = max(code, _answer(block, count, args, color), 2 if error else 0)
+                count += len(block)
+                if error and args.json:
+                    print(json.dumps({"status": "parse-error", "line": error.line, "col": error.col,
+                                      "message": error.message}))
+                elif error:
+                    sys.stdout.flush()  # so that the reports before it come first
+                    print(f"parse error: {error}", file=sys.stderr)
         return code
     finally:
         if enabled:

@@ -449,7 +449,10 @@ def _declaration(parser: _Parser, tok: _Token) -> Decl:
             arity = 0
             if (count := parser.tokens[parser.pos])[0] == "int":
                 parser.pos += 1
-                arity = int(count[1])
+                try:
+                    arity = int(count[1])
+                except ValueError:  # more digits than int() reads
+                    raise ParseError("arity is too large", count[2], count[3]) from None
             parser.signature[name] = arity
             return ConDecl(name, arity, parser.span_from(tok))
         case "assume":

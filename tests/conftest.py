@@ -8,8 +8,8 @@ import functools
 import importlib
 import sys
 
-from spinel import parse_term, parse_type, pretty_term, pretty_type
 from spinel.oracle import enumerate_erasures, enumerate_internal_terms, standard_context
+from spinel.parser import parse_term, parse_type, pretty_term, pretty_type
 from spinel.syntax import TermBind, alpha_equal
 
 CTX = standard_context()

@@ -7,30 +7,21 @@ from __future__ import annotations
 
 import pytest
 
-from spinel import (
-    Check,
-    Diagnostic,
-    Synthesize,
-    check_internal,
-    infer,
-    match_proto,
-    pretty_term,
-    pretty_type,
-    search_spec,
-    spine_infer,
-    verify_spec,
-)
 from spinel.cli import render_diagnostic
-from spinel.infer import DiagnosticKind
-from spinel.matcher import MatchFailure, _match
+from spinel.infer import Check, Diagnostic, DiagnosticKind, Synthesize, infer, spine_infer
+from spinel.internal import check_internal
+from spinel.matcher import MatchFailure, _match, match_proto
 from spinel.oracle import (
     check_weak_completeness_conditions,
     enumerate_erasures,
     enumerate_internal_terms,
     enumerate_matcher_types,
     passes_side_conditions,
+    search_spec,
     type_size,
+    verify_spec,
 )
+from spinel.parser import pretty_term, pretty_type
 from spinel.syntax import (
     App,
     Arrow,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import importlib
 import io
 import json
 import os
@@ -18,9 +17,10 @@ import pytest
 
 import spinel
 from conftest import CTX, count_calls, erasure_source, recursion_headroom, tm
-from spinel import Synthesize, infer, verify_spec
+import spinel.infer as infer_mod
 from spinel.cli import _BLOCK, main
-from spinel.oracle import SpecVerdict
+from spinel.infer import Synthesize, infer
+from spinel.oracle import SpecVerdict, verify_spec
 from spinel.parser import parse_program
 from spinel.syntax import strip
 
@@ -166,14 +166,45 @@ def test_run_missing_file_exits_two(tmp_path, capsys):
     assert "error:" in err
 
 
-def test_run_undecodable_file_exits_two(tmp_path):
+def test_run_skips_a_byte_that_is_not_utf8_with_its_comment(tmp_path):
     path = tmp_path / "latin1.spn"
     path.write_bytes(b"type Nat\nsynth z -- caf\xe9\n")
+    proc = run_child(path, "--json")
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert [json.loads(line)["diagnostic"]["detail"] for line in proc.stdout.splitlines()] == ["unbound name 'z'"]
+
+
+def test_a_byte_that_is_not_utf8_ends_only_its_declaration(tmp_path):
+    # Read far past the first 8 KiB the file decodes at a time: every goal
+    # around the byte answers, and the byte is an unexpected character at
+    # its own line and column.
+    path = tmp_path / "latin1.spn"
+    path.write_bytes(b"type Nat\nassume z : Nat\n" + b"synth z\n" * 3000 + b"synth z \xe9\nsynth z\n")
+    proc = run_child(path, "--json")
+    assert (proc.returncode, proc.stderr) == (2, "")
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    error = {"status": "parse-error", "line": 3003, "col": 9, "message": "unexpected character '\\udce9'"}
+    ok = {"mode": "synth", "term": "z", "status": "ok", "type": "Nat"}
+    assert records == [{"goal": n, **ok} for n in range(1, 3001)] + [error, {"goal": 3001, **ok}]
     proc = run_child(path)
     assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ")
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "parse error: 3003:9: unexpected character '\\udce9'\n"
+    assert proc.stdout.count("    type: Nat\n") == 3001
+
+
+def test_an_arity_with_too_many_digits_is_a_parse_error_at_its_count(tmp_path):
+    # int() reads at most 4,300 digits; the declaration, not the run, ends.
+    path = tmp_path / "arity.spn"
+    path.write_text(f"type Big {'9' * 5000}\ntype Nat\nassume z : Nat\nsynth z\n")
+    proc = run_child(path, "--json")
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+        {"status": "parse-error", "line": 1, "col": 10, "message": "arity is too large"},
+        {"goal": 1, "mode": "synth", "term": "z", "status": "ok", "type": "Nat"},
+    ]
+    proc = run_child(path)
+    assert (proc.returncode, proc.stderr) == (2, "parse error: 1:10: arity is too large\n")
+    assert proc.stdout == "[1] synth z\n    type: Nat\n\n"
 
 
 def test_spec_verify_accepts_solved_spines(good_file, capsys):
@@ -229,7 +260,7 @@ def test_spec_verify_replays_the_spine_the_goal_already_ran(tmp_path, capsys, mo
         "check pair (\\x. x) z : Pair (Nat -> Nat) Nat\nsynth ident suc z\n"
         "check \\x. pair x x : Nat -> Pair Nat Nat\nsynth z\n"
     )
-    calls = count_calls(monkeypatch, "_spine", [importlib.import_module("spinel.infer")])
+    calls = count_calls(monkeypatch, "_spine", [infer_mod])
     assert main(["run", str(path)]) == 0
     plain = calls[0]
     assert main(["run", str(path), "--spec-verify"]) == 0
@@ -1271,6 +1302,12 @@ def test_repl_reports_too_deep_input_and_keeps_going(monkeypatch, capsys):
     assert code == 0
     assert "error: input is nested too deeply" in out
     assert "elaboration: suc z" in out
+
+
+def test_repl_reports_an_arity_with_too_many_digits_as_a_parse_error(monkeypatch, capsys):
+    code, out = feed_repl(monkeypatch, capsys, [f":type Big {'9' * 5000}", ":q"])
+    assert code == 0
+    assert out.splitlines()[-1] == "parse error: 1:5: arity is too large"
 
 
 def test_repl_exits_on_end_of_input(monkeypatch, capsys):

@@ -16,9 +16,10 @@ from conftest import (
     tm,
     ty,
 )
-from spinel import Check, Diagnostic, Synthesize, check_internal, infer, spine_infer
+import spinel.infer as infer_mod
 from spinel.cli import main as cli_main
-from spinel.infer import DiagnosticKind, EngineInvariantError
+from spinel.infer import Check, Diagnostic, DiagnosticKind, EngineInvariantError, Synthesize, infer, spine_infer
+from spinel.internal import check_internal
 from spinel.oracle import enumerate_erasures, enumerate_internal_terms, standard_context
 from spinel.parser import Assume, ConDecl, Goal, parse_program, parse_term, pretty_term, pretty_type
 from spinel.syntax import (
@@ -229,8 +230,6 @@ def test_mismatched_lambda_annotation_carries_the_contextual_match():
     )
     assert isinstance(d.contextual_match, Contextual)
     disp = d.display
-    from spinel import pretty_type
-
     assert pretty_type(d.contextual_match.partial, disp) == "Pair ?X ?Y"
     assert d.contextual_match.against == ty("Pair (Nat -> Nat) Nat")
     assert d.resolved == ty("Nat -> Nat")
@@ -276,7 +275,6 @@ def test_display_names_are_computed_once_per_diagnostic(monkeypatch):
 
 def test_a_goal_with_no_spine_makes_no_name_supply(monkeypatch):
     # the run's supply is made the first time a spine's match reads it
-    infer_mod = importlib.import_module("spinel.infer")
     made = []
 
     class Counted(infer_mod.NameSupply):
@@ -296,7 +294,6 @@ def test_a_goal_with_no_spine_makes_no_name_supply(monkeypatch):
 def test_a_diagnostic_of_a_run_with_no_spine_looks_for_no_meta_variables(monkeypatch):
     # only a spine mints metas, through the run's supply; with none made,
     # the diagnostic's types are not walked for names to display
-    infer_mod = importlib.import_module("spinel.infer")
     walks = count_calls(monkeypatch, "free_type_vars", [infer_mod])
     d = fails(DiagnosticKind.TYPE_MISMATCH, lambda: check(r"\x. x", "Nat"))
     assert d.display == {} and walks[0] == 0
@@ -337,8 +334,6 @@ def test_solution_conflict_when_a_stuck_meta_cannot_reveal_arrows():
 
 def test_solution_conflict_from_a_synthesized_instantiation():
     d = fails(DiagnosticKind.SOLUTION_CONFLICT, lambda: synth("rapp z suc tt"))
-    from spinel import pretty_type
-
     assert isinstance(d.synthetic_match, Synthetic)
     assert pretty_type(d.synthetic_match.partial, d.display) == "Nat -> ?Y"
     assert d.synthetic_match.against == ty("Nat -> Nat")
@@ -432,7 +427,6 @@ def test_infer_refuses_a_mode_that_is_neither_check_nor_synthesize(src, mode):
 def test_engine_invariants_are_separate_from_diagnostics(monkeypatch):
     # A matcher that hands the spine one link too many breaks an engine
     # invariant: that is an engine bug, not a diagnostic for the user.
-    infer_mod = importlib.import_module("spinel.infer")
     real = infer_mod._match
 
     def one_link_too_many(*args):
@@ -491,7 +485,6 @@ def _wide_spine(n):
 
 @pytest.mark.parametrize("mode", ["synth", "check"])
 def test_spine_work_grows_linearly_with_its_length(monkeypatch, mode):
-    infer_mod = importlib.import_module("spinel.infer")
     syntax_mod = importlib.import_module("spinel.syntax")
     substs = count_calls(monkeypatch, "subst_type_args", [syntax_mod, infer_mod])
     counts = {}
@@ -741,7 +734,6 @@ def test_decorated_substitution_never_needs_capture_avoidance(monkeypatch):
     """The spine reads its head's type link by link and re-matches only a
     solved stuck leaf: the leaf's meta-free solution against its pending
     prototype, so no binder of a decorated type is ever crossed."""
-    infer_mod = importlib.import_module("spinel.infer")
     original, solve = infer_mod._match, infer_mod._Remaining.solve.__code__
     calls = [0]
 

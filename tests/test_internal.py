@@ -7,9 +7,8 @@ import sys
 import pytest
 
 from conftest import CTX, count_well_formed_walks, tm, ty
-from spinel import check_internal
 from spinel.infer import Synthesize, infer
-from spinel.internal import InternalTypeError
+from spinel.internal import InternalTypeError, check_internal
 from spinel.syntax import Con, Lam, TApp, TLam, TVar, Var, alpha_equal
 
 

@@ -7,8 +7,7 @@ import sys
 import pytest
 
 from conftest import ty
-from spinel import match_proto
-from spinel.matcher import MatchFailure, _match
+from spinel.matcher import MatchFailure, _match, match_proto
 from spinel.syntax import (
     Arrow,
     ArrowTo,

@@ -25,19 +25,10 @@ from conftest import (
     tm,
     ty,
 )
-from spinel import (
-    Check,
-    Diagnostic,
-    Synthesize,
-    check_internal,
-    infer,
-    pretty_term,
-    pretty_type,
-    search_spec,
-    spine_infer,
-    verify_spec,
-)
+import spinel.infer as infer_mod
 from spinel.cli import main
+from spinel.infer import Check, Diagnostic, Synthesize, infer, spine_infer
+from spinel.internal import check_internal
 from spinel.oracle import (
     DEFAULT_TYPE_POOL,
     _declined,
@@ -49,11 +40,14 @@ from spinel.oracle import (
     enumerate_internal_terms,
     enumerate_matcher_types,
     passes_side_conditions,
+    search_spec,
     standard_context,
     subtypes,
     term_size,
     type_size,
+    verify_spec,
 )
+from spinel.parser import pretty_term, pretty_type
 from spinel.syntax import (
     App,
     Arrow,
@@ -749,7 +743,7 @@ def test_the_conditions_run_no_engine_spine(monkeypatch):
     def refuse(*args):
         raise AssertionError("the completeness conditions ran the engine's spine")
 
-    monkeypatch.setattr(importlib.import_module("spinel.infer"), "_spine", refuse)
+    monkeypatch.setattr(infer_mod, "_spine", refuse)
     for erased, verdict in CONDITION_CASES:
         assert check_weak_completeness_conditions(CTX, tm(erased)) is verdict
 

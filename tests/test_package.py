@@ -1,43 +1,25 @@
-"""The public surface: ``spinel`` exports exactly what the README documents."""
+"""The public surface: each name the README documents is imported from its module."""
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import spinel
+import spinel.infer as infer_mod
 
 DOCUMENTED = {
-    "infer",
-    "Check",
-    "Synthesize",
-    "Diagnostic",
-    "spine_infer",
-    "check_internal",
-    "match_proto",
-    "verify_spec",
-    "search_spec",
-    "parse_term",
-    "parse_type",
-    "pretty_term",
-    "pretty_type",
+    "spinel.infer": {"infer", "Check", "Synthesize", "Diagnostic", "spine_infer"},
+    "spinel.parser": {"parse_term", "parse_type", "pretty_term", "pretty_type"},
+    "spinel.internal": {"check_internal"},
+    "spinel.matcher": {"match_proto"},
+    "spinel.oracle": {"verify_spec", "search_spec"},
 }
-
-
-def test_all_is_the_documented_surface():
-    assert set(spinel.__all__) == DOCUMENTED
-    assert len(spinel.__all__) == len(DOCUMENTED)
-    # `dir`, not `vars`: the oracle's two entry points load on first use
-    public = {
-        name
-        for name in dir(spinel)
-        if not name.startswith("_") and not inspect.ismodule(getattr(spinel, name))
-    }
-    assert public == DOCUMENTED
-
 
 SRC = Path(spinel.__file__).resolve().parents[1]
 
@@ -47,33 +29,62 @@ def _readme_library():
     return readme.split("## Library", 1)[1]
 
 
-def test_readme_library_section_names_every_export():
-    library = _readme_library()
-    for name in DOCUMENTED:
-        assert f"`{name}(" in library or f"`{name}`" in library, name
+def _child(script: str, *argv: str) -> list[str]:
+    """The lines ``script`` prints in a fresh interpreter, which has imported nothing of spinel."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    child = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, check=True)
+    return child.stdout.splitlines()
+
+
+def test_the_package_root_exports_nothing():
+    assert [name for name, value in vars(spinel).items()
+            if not name.startswith("_") and not inspect.ismodule(value)] == []
+    assert not hasattr(spinel, "__all__") and not hasattr(spinel, "__getattr__")
+
+
+def test_import_spinel_infer_binds_the_module():
+    assert inspect.ismodule(infer_mod) and infer_mod.__name__ == "spinel.infer"
+    assert infer_mod.infer.__module__ == "spinel.infer"
+
+
+def test_every_documented_name_imports_from_the_module_the_readme_names():
+    # The Library section lists each name in a bullet under a "`spinel.X`:" line.
+    listed: dict[str, set[str]] = {}
+    module = None
+    for line in _readme_library().splitlines():
+        if heading := re.fullmatch(r"`(spinel\.\w+)`:", line):
+            module = heading[1]
+        elif line.startswith("- `") and module:
+            listed.setdefault(module, set()).update(re.findall(r"`(\w+)[(`]", line))
+        elif line.startswith("#"):
+            break
+    assert listed == DOCUMENTED
+    for module, names in DOCUMENTED.items():
+        for name in names:
+            assert getattr(importlib.import_module(module), name).__module__ == module, (module, name)
 
 
 def test_the_readme_library_example_prints_what_its_comments_say():
     example = _readme_library().split("```python\n", 1)[1].split("```", 1)[0]
     shown = [line.rpartition("# ")[2] for line in example.splitlines() if line.startswith("print(")]
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    child = subprocess.run([sys.executable, "-c", example], capture_output=True, text=True, env=env, check=True)
-    assert shown and child.stdout.splitlines() == shown
+    assert shown and _child(example) == shown
 
 
-def test_a_run_starts_without_the_oracle_or_the_dataclass_machinery():
-    # Only `--spec-verify` replays, so only it loads the oracle; node
+def test_a_run_imports_neither_the_oracle_the_internal_checker_nor_dataclasses(tmp_path):
+    # Only `--spec-verify` replays, so only it loads the oracle; the run
+    # checks no elaboration, so nothing loads the internal checker; node
     # classes are built by hand, so nothing loads `dataclasses`.
+    path = tmp_path / "goals.spn"
+    path.write_text("type Nat\nassume z : Nat\nassume f : forall X. X -> X\nsynth f z\ncheck \\x. f x : Nat -> Nat\n")
     script = """
 import sys
-before = set(sys.modules)
-import spinel.cli
-print(sorted({"dataclasses", "inspect", "spinel.oracle"} & (set(sys.modules) - before)))
-import spinel
-from spinel import infer
-print(type(infer).__name__, infer.__name__, spinel.infer is infer)
-print(spinel.verify_spec is sys.modules["spinel.oracle"].verify_spec)
+from spinel.cli import main
+assert main(["run", sys.argv[1], "--elab", "--trace"]) == 0
+print(sorted({"dataclasses", "spinel.internal", "spinel.oracle"} & set(sys.modules)))
 """
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    assert child.stdout.splitlines() == ["[]", "function infer True", "True"]
+    assert _child(script, str(path))[-1] == "[]"
+
+
+def test_the_oracle_imports_neither_the_parser_nor_the_internal_checker():
+    script = "import sys, spinel.oracle; print(sorted({'spinel.internal', 'spinel.parser'} & set(sys.modules)))"
+    assert _child(script) == ["[]"]

@@ -10,7 +10,6 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spinel import parse_term, parse_type, pretty_term, pretty_type
 from spinel.infer import Check, infer
 from spinel.oracle import enumerate_erasures, enumerate_internal_terms
 from spinel.parser import (
@@ -23,6 +22,10 @@ from spinel.parser import (
     _type_into,
     parse_declaration,
     parse_program,
+    parse_term,
+    parse_type,
+    pretty_term,
+    pretty_type,
     tokenize,
 )
 from spinel.syntax import (
