@@ -70,17 +70,17 @@ def test_the_readme_library_example_prints_what_its_comments_say():
     assert shown and _child(example) == shown
 
 
-def test_a_run_imports_neither_the_oracle_the_internal_checker_nor_dataclasses(tmp_path):
+def test_a_run_imports_neither_the_oracle_the_internal_checker_nor_dataclasses_or_inspect(tmp_path):
     # Only `--spec-verify` replays, so only it loads the oracle; the run
     # checks no elaboration, so nothing loads the internal checker; node
-    # classes are built by hand, so nothing loads `dataclasses`.
+    # classes are built by hand, so nothing loads `dataclasses` or `inspect`.
     path = tmp_path / "goals.spn"
     path.write_text("type Nat\nassume z : Nat\nassume f : forall X. X -> X\nsynth f z\ncheck \\x. f x : Nat -> Nat\n")
     script = """
 import sys
 from spinel.cli import main
 assert main(["run", sys.argv[1], "--elab", "--trace"]) == 0
-print(sorted({"dataclasses", "spinel.internal", "spinel.oracle"} & set(sys.modules)))
+print(sorted({"dataclasses", "inspect", "spinel.internal", "spinel.oracle"} & set(sys.modules)))
 """
     assert _child(script, str(path))[-1] == "[]"
 
