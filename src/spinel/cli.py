@@ -48,7 +48,7 @@ from .parser import (
     pretty_term,
     pretty_type,
 )
-from .syntax import Context, TermBind, TypeExpr, strip
+from .syntax import Context, TermBind, TypeExpr
 
 _HEADLINES = {
     DiagnosticKind.UNANNOTATED_LAMBDA: "cannot synthesize a type for an unannotated function",
@@ -170,7 +170,7 @@ def _spec_report(ctx: Context, expected: TypeExpr | None, term, out: InferOutcom
     if out.spine is None:
         return {"skipped": True}
     from .oracle import verify_spec  # only a replay loads the oracle
-    triple = (strip(out.spine.deco), out.spine.partial, out.spine.solution)
+    triple = (out.spine.deco, out.spine.partial, out.spine.solution)
     verdict = verify_spec(ctx, expected, term, triple)
     record = {"accepted": verdict.accepted, "trace": list(verdict.trace)}
     if not verdict.accepted:

@@ -53,7 +53,6 @@ from .syntax import (
     Forall,
     Lam,
     NameSupply,
-    Plain,
     Prototype,
     Solution,
     Span,
@@ -105,7 +104,9 @@ _Expected = TypeExpr | None  # below ``infer``, a checked term's type; None synt
 
 @_node
 class SpineOutcome:
-    deco: Plain
+    """A spine's type (``deco``), partial elaboration and solution."""
+
+    deco: TypeExpr
     partial: Term
     solution: Solution
 
@@ -440,10 +441,10 @@ def _illformed_detail(ctx: Context, ty: TypeExpr, what: str) -> str:
 def _app_synthesize(run: _Run, ctx: Context, term: App) -> InferOutcome:
     run.note("app-synth")
     out = _spine(run, ctx, Unknown(), term)
-    ty = strip(out.deco)
+    ty = out.deco
     if __debug__ and not meta_vars_of_type(ctx, ty) <= meta_vars_of_term(ctx, out.partial):
         raise EngineInvariantError("spine type mentions metas the elaboration lost")
-    if not out.solution.is_identity:
+    if out.solution:
         raise EngineInvariantError("synthesis produced contextual bindings")
     unsolved = meta_vars_of_term(ctx, out.partial)
     if unsolved:
@@ -461,13 +462,13 @@ def _app_check(run: _Run, ctx: Context, term: App, expected: TypeExpr) -> InferO
     out = _spine(run, ctx, Exact(expected), term)
     mv_partial = meta_vars_of_term(ctx, out.partial)
     solved = out.solution.types()
-    final = substitute(solved, strip(out.deco))
+    final = substitute(solved, out.deco)
     if mv_partial != solved.keys():
         raise Diagnostic(
             DiagnosticKind.UNSOLVED_META_VARIABLES,
             expected=expected,
             synthesized=final,
-            unsolved=mv_partial - out.solution.domain(),
+            unsolved=mv_partial.difference(out.solution),
             subject=term,
         )
     if not alpha_equal(final, expected):
@@ -503,7 +504,7 @@ def _spine(run: _Run, ctx: Context, proto: Unknown | Exact, term: App) -> SpineO
     # Second pass, innermost item first.  Each quantifier link is the
     # meta-variable: the matcher minted it fresh for this run.
     rest = _Remaining(*matched, run.supply)
-    partial, contextual = head.elaboration, {}
+    partial, contextual = head.elaboration, Solution()
     arg_index = 0
     for item in reversed(items):
         if type(item) is TApp:
@@ -526,10 +527,9 @@ def _spine(run: _Run, ctx: Context, proto: Unknown | Exact, term: App) -> SpineO
             )
         elab = _consume_arrow(run, ctx, rest, contextual, item.arg, arg_index)
         partial = item if partial is item.fun and elab is item.arg else App(partial, elab, item.span)
-    if rest.next() is not None or type(rest.leaf) is not Plain:
+    if rest.next() is not None or type(rest.leaf) is Stuck:
         raise EngineInvariantError("a spine ended before its decorated type")
-    deco = Plain(rest.apply(rest.leaf.ty))
-    return SpineOutcome(deco, subst_type_args(rest.pending, partial), Solution(contextual))
+    return SpineOutcome(rest.apply(rest.leaf), subst_type_args(rest.pending, partial), contextual)
 
 
 class _Remaining:
@@ -537,29 +537,30 @@ class _Remaining:
 
     ``links`` holds the links the matcher handed over, outermost first:
     a quantifier as its meta-variable (a ``str``), an arrow as its
-    domain (a type).  ``leaf`` is the ``Plain`` or ``Stuck`` type that
-    ends them, and ``at`` the next link the spine reads.  ``decos``
-    holds the matches' solutions, the contextual decoration of each
-    quantifier they solved, by meta-variable.  ``pending`` is the
-    spine's one map of solutions found along it: the synthetic
-    instantiations and the explicit type arguments.  ``apply`` brings a
-    domain or an origin up to date as the spine reads it, so nothing is
-    substituted twice.  When a solution reaches the stuck leaf's
-    meta-variable, ``solve`` re-matches that leaf alone, its solved type
-    against its pending prototype, and appends the links and decorations
-    that match reveals, so a conflict is reported at the argument that
-    solved it.  Every pending value is well-formed in the spine's
-    context, so none mentions a meta-variable and no link's binder can
-    capture one.  ``shown`` is the unread type as a diagnostic prints it.
+    domain (a type).  ``leaf`` ends them: the residual type itself, or
+    the ``Stuck`` meta-variable that must still reveal arrows.  ``at`` is
+    the next link the spine reads.  ``decos`` holds the matches'
+    solutions, the contextual decoration of each quantifier they solved,
+    by meta-variable.  ``pending`` is the spine's one map of solutions
+    found along it: the synthetic instantiations and the explicit type
+    arguments.  ``apply`` brings a domain or an origin up to date as the
+    spine reads it, so nothing is substituted twice.  When a solution
+    reaches the stuck leaf's meta-variable, ``solve`` re-matches that
+    leaf alone, its solved type against its pending prototype, and
+    appends the links and decorations that match reveals, so a conflict
+    is reported at the argument that solved it.  Every pending value is
+    well-formed in the spine's context, so none mentions a meta-variable
+    and no link's binder can capture one.  ``shown`` is the unread type
+    as a diagnostic prints it.
     """
 
     def __init__(
-        self, links: list[str | TypeExpr], leaf: Plain | Stuck, decos: Solution, supply: NameSupply
+        self, links: list[str | TypeExpr], leaf: TypeExpr | Stuck, decos: Solution, supply: NameSupply
     ):
         self.links = links
         self.at = 0
         self.leaf = leaf
-        self.decos = decos.bindings
+        self.decos = decos
         self.supply = supply
         self.pending: dict[str, TypeExpr] = {}
 
@@ -586,7 +587,7 @@ class _Remaining:
             return False
         links, self.leaf, decos = out
         self.links += links
-        self.decos.update(decos.bindings)
+        self.decos.update(decos)
         return True
 
     def shown(self, contextual: dict[str, Binding]) -> TypeExpr:

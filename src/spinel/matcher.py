@@ -14,12 +14,12 @@ binding tagged with the contextual match that found it.  That walk is
 solvable variables as holes.
 ``_match`` returns the chain as the spine reads it: its links,
 outermost first (a peeled meta-variable or a renamed domain), the
-``Plain`` or ``Stuck`` leaf that ends them, and the solution, which
-binds the caller's metas it solved and decorates each peeled
-meta-variable it solved; or the ``MatchFailure`` that says where
-matching gave up.  The spine re-matches a stuck leaf by one more
-``_match`` against the leaf's pending prototype, and appends the links
-it reveals.  ``match_proto``, the public entry, returns the same result.
+leaf that ends them (the residual type, or a ``Stuck`` meta-variable),
+and the solution, which binds the caller's metas it solved and
+decorates each peeled meta-variable it solved; or the ``MatchFailure``
+that says where matching gave up.  The spine re-matches a stuck leaf
+by one more ``_match`` against the leaf's pending prototype, and
+appends the links it reveals.  ``match_proto``, the public entry, returns the same result.
 Types and prototypes are never subclassed, so the walk dispatches on
 ``type(x) is X``, as ``syntax`` does; results are ``_node``s.
 """
@@ -34,7 +34,6 @@ from .syntax import (
     Exact,
     Forall,
     NameSupply,
-    Plain,
     Prototype,
     Solution,
     Stuck,
@@ -67,7 +66,7 @@ def _match(
     ty: TypeExpr,
     proto: Prototype,
     supply: NameSupply,
-) -> tuple[list[str | TypeExpr], Plain | Stuck, Solution] | MatchFailure:
+) -> tuple[list[str | TypeExpr], TypeExpr | Stuck, Solution] | MatchFailure:
     # One pass down the arrow and quantifier chain.  ``env`` renames each
     # peeled binder to its meta-variable (a later binder of the same name
     # overwrites an earlier one) and is applied only where a type is
@@ -82,7 +81,7 @@ def _match(
     while True:
         kind = type(proto)
         if kind is Unknown:
-            return frames, Plain(substitute(env, ty)), Solution()
+            return frames, substitute(env, ty), Solution()
         if kind is Exact:
             # First-order matching of the residual type against the
             # prototype's.  Raises ``ValueError`` here if the target
@@ -98,7 +97,7 @@ def _match(
             if found is None:
                 return MatchFailure(residual, proto, arity_overrun=False)
             tag = Contextual(residual, target)
-            return frames, Plain(residual), Solution({m: Binding(t, tag) for m, t in found.items()})
+            return frames, residual, Solution({m: Binding(t, tag) for m, t in found.items()})
         if kind is not ArrowTo:
             raise TypeError(proto)
         kind = type(ty)
@@ -122,7 +121,7 @@ def match_proto(
     ty: TypeExpr,
     proto: Prototype,
     supply: NameSupply | None = None,
-) -> tuple[list[str | TypeExpr], Plain | Stuck, Solution] | MatchFailure:
+) -> tuple[list[str | TypeExpr], TypeExpr | Stuck, Solution] | MatchFailure:
     """Match a type against a prototype: ``_match``, with a fresh
     ``NameSupply`` when none is given.
 

@@ -228,7 +228,7 @@ def verify_spec(
                 if meta in claimed_sol:
                     if meta in guessed:
                         return reject("claimed solution reuses a meta-variable name")
-                    guessed[meta] = claimed_sol.bindings[meta].ty
+                    guessed[meta] = claimed_sol[meta].ty
                 # an unbound meta-variable stands for declining the guess
             else:
                 # solved later by a synthesizing argument; no run mints a
@@ -278,7 +278,7 @@ def verify_spec(
     ty = read(ty)
 
     trace.append("shim")
-    sol = Solution({meta: claimed_sol.bindings[meta] for meta in guessed})
+    sol = Solution({meta: claimed_sol[meta] for meta in guessed})
     if not alpha_equal(ty, claimed_ty):
         return reject("claimed type differs from the replayed type")
     if not alpha_equal_term(rebuilt, claimed_partial):
@@ -445,15 +445,15 @@ def _side_condition_failure(ctx: Context, ctx_ty: TypeExpr | None, triple: Tripl
     """The first of the shim and the mode's discharge conditions that
     ``triple`` fails, as a rejection reason; None if it passes them all."""
     ty, partial, sol = triple
-    if meta_vars_of_type(ctx, ty) != sol.domain():
+    if meta_vars_of_type(ctx, ty) != sol.keys():
         return "type meta-variables do not line up with the solution domain"
     if ctx_ty is None:
-        if not sol.is_identity:
+        if sol:
             return "synthesis must not keep contextual bindings"
         if meta_vars_of_term(ctx, partial):
             return "synthesis left unsolved meta-variables in the elaboration"
     else:
-        if meta_vars_of_term(ctx, partial) != sol.domain():
+        if meta_vars_of_term(ctx, partial) != sol.keys():
             return "checking left meta-variables the solution does not cover"
         if not alpha_equal(substitute(sol.types(), ty), ctx_ty):
             return "solved type does not restore the contextual type"
@@ -481,13 +481,13 @@ def canonical_triple_key(triple: Triple):
                 note(v)
     for v in sorted(free_type_vars(ty)):
         note(v)
-    for v in sorted(sol.domain()):
+    for v in sorted(sol):
         note(v)
     rename = {name: TVar(f"?c{i}") for i, name in enumerate(order)}
     renamed_sol = tuple(
         sorted(
             (rename[k].name if k in rename else k, canon_type(substitute(rename, b.ty)))
-            for k, b in sol.bindings.items()
+            for k, b in sol.items()
         )
     )
     return (

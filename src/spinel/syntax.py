@@ -1,12 +1,13 @@
 """Core syntax for a System F elaborator with spine-local type inference.
 
 Defines types, terms, typing contexts, prototypes (partially known
-contextual types), the leaves that end a prototype match (``Plain`` or
-``Stuck``), and solutions (meta-variable instantiations tagged with the
-evidence that produced them), plus the structural operations the rest
-of the package builds on: free variables, well-formedness, alpha
-equality (as equality of canonical keys) and first-order matching,
-capture-avoiding substitution, and meta-variable accounting.
+contextual types), the leaf that ends a prototype match (the residual
+type itself, or a ``Stuck`` meta-variable), and solutions (dicts of
+meta-variable instantiations tagged with the evidence that produced
+them), plus the structural operations the rest of the package builds
+on: free variables, well-formedness, alpha equality (as equality of
+canonical keys) and first-order matching, capture-avoiding
+substitution, and meta-variable accounting.
 
 Every syntax node is an immutable class with slots, made by ``_node``:
 a run builds them by the hundred thousand, so they are kept small and
@@ -30,7 +31,7 @@ declared in the ambient context.
 from __future__ import annotations
 
 from operator import is_not
-from typing import Container, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Container, Mapping, NamedTuple, Sequence, Union
 
 
 # ---------------------------------------------------------------- spans
@@ -327,9 +328,6 @@ class Context:
     def lookup(self, name: str) -> TypeExpr | None:
         return self._types.get(name)
 
-    def arity(self, con: str) -> int | None:
-        return self.signature.get(con)
-
     @property
     def dtv(self) -> frozenset[str]:
         return self._dtv
@@ -402,62 +400,23 @@ class Binding:
     origin: Provenance
 
 
-class Solution:
-    """Finite map from meta-variable names to bindings.
+class Solution(dict):
+    """Finite map from meta-variable names to bindings: a ``dict``, which
+    a spine grows in place and hands over as it is once it is done."""
 
-    Immutable by discipline.  Constructing one copies its bindings, so a
-    spine or a replay grows a plain dict in place and wraps it once, when
-    it is done.
-    """
-
-    __slots__ = ("bindings",)
-
-    def __init__(self, bindings: Mapping[str, Binding] | None = None):
-        self.bindings = dict(bindings) if bindings else {}
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.bindings
-
-    def __len__(self) -> int:
-        return len(self.bindings)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.bindings)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Solution) and self.bindings == other.bindings
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}: {v.ty!r}" for k, v in self.bindings.items())
-        return f"Solution({{{inner}}})"
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.bindings
-
-    def domain(self) -> frozenset[str]:
-        return frozenset(self.bindings)
+    __slots__ = ()
 
     def types(self) -> dict[str, TypeExpr]:
-        return {k: v.ty for k, v in self.bindings.items()}
+        return {k: v.ty for k, v in self.items()}
 
     def equivalent(self, other: Solution) -> bool:
         """Same domain and alpha-equal solved types (provenance ignored)."""
-        if self.domain() != other.domain():
+        if self.keys() != other.keys():
             return False
-        return all(
-            alpha_equal(b.ty, other.bindings[k].ty) for k, b in self.bindings.items()
-        )
+        return all(alpha_equal(b.ty, other[k].ty) for k, b in self.items())
 
 
 # ----------------------------------------------------------- match leaves
-
-
-@_node
-class Plain:
-    """An undecorated type: no contextual information was usable."""
-
-    ty: TypeExpr
 
 
 @_node
@@ -468,17 +427,10 @@ class Stuck:
     proto: Prototype  # always of ArrowTo shape
 
 
-DecoratedType = Union[Plain, Stuck]  # the leaf that ends a prototype match's links
-
-
-def strip(w: DecoratedType) -> TypeExpr:
-    """Forget a leaf's decoration: a plain leaf's type, or a stuck leaf's
-    meta-variable."""
-    if type(w) is Plain:
-        return w.ty
-    if type(w) is Stuck:
-        return TVar(w.meta)
-    raise TypeError(w)
+def strip(w: TypeExpr | Stuck) -> TypeExpr:
+    """Forget a match leaf's decoration: a stuck leaf's meta-variable, or
+    the residual type itself."""
+    return TVar(w.meta) if type(w) is Stuck else w
 
 
 # ------------------------------------------------------- free variables

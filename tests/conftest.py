@@ -13,6 +13,9 @@ from spinel.parser import parse_term, parse_type, pretty_term, pretty_type
 from spinel.syntax import TermBind, alpha_equal
 
 CTX = standard_context()
+# The standard context as source declarations.
+STANDARD_DECLS = [f"type {c} {a}" if a else f"type {c}" for c, a in CTX.signature.items()]
+STANDARD_DECLS += [f"assume {e.name} : {pretty_type(e.ty)}" for e in CTX.entries if isinstance(e, TermBind)]
 
 
 def ty(src, ctx=None):
@@ -46,8 +49,7 @@ def erasure_source(size, wrong=False):
     type and as ``synth``.  With ``wrong``, like the benchmark's
     ``rejects`` goals, each erasure is only checked, against the first type
     of the sorted pool that is not alpha-equal to its own."""
-    lines = [f"type {c} {a}" if a else f"type {c}" for c, a in CTX.signature.items()]
-    lines += [f"assume {e.name} : {pretty_type(e.ty)}" for e in CTX.entries if isinstance(e, TermBind)]
+    lines = list(STANDARD_DECLS)
     terms = enumerate_internal_terms(CTX, size)
     pool = sorted({pretty_type(t): t for _, t in terms}.items())
     for internal, t in terms:
@@ -143,7 +145,7 @@ def count_solution_copies(monkeypatch):
 
     def counted_init(sol, bindings=None):
         copied[0] += len(bindings) if bindings else 0
-        init(sol, bindings)
+        init(sol, bindings or ())
 
     def counted_types(sol):
         copied[0] += len(sol)

@@ -31,13 +31,11 @@ from spinel.syntax import (
     Exact,
     Forall,
     NameSupply,
-    Plain,
     Stuck,
     TVar,
     Unknown,
     alpha_equal,
     alpha_equal_term,
-    strip,
     subst_type_args,
 )
 
@@ -156,7 +154,7 @@ def test_criterion_4_matcher_goldens():
     )
     # The solution decorates the peeled ``?X0`` with ``Nat`` and binds
     # nothing else.
-    if type(got) is MatchFailure or got[:2] != (["?X0", "?Y1", mx, my], Plain(mx)):
+    if type(got) is MatchFailure or got[:2] != (["?X0", "?Y1", mx, my], mx):
         problems.append("two-quantifier decoration")
     elif got[2].types() != {"?X0": nat}:
         problems.append("solution is not the decoration alone")
@@ -165,7 +163,7 @@ def test_criterion_4_matcher_goldens():
         frozenset(), Forall("X", Arrow(x, x)), ArrowTo(ArrowTo(Exact(nat))), NameSupply()
     )
     stuck = (["?X0", mx], Stuck("?X0", ArrowTo(Exact(nat))))
-    if type(got) is MatchFailure or got[:2] != stuck or got[2].domain():
+    if type(got) is MatchFailure or got[:2] != stuck or got[2]:
         problems.append("over-applied quantifier sticks")
 
     # ``X -> X`` stuck on ``X``: the spine solves ``X`` and re-matches the
@@ -174,7 +172,7 @@ def test_criterion_4_matcher_goldens():
     # ``(Nat -> Nat) -> Nat -> Nat``; ``Nat`` reveals none.
     leaf = Stuck("X", ArrowTo(Exact(nat)))
     solved = _match(frozenset(), ty("Nat -> Nat"), leaf.proto, NameSupply())
-    if type(solved) is MatchFailure or solved[:2] != ([nat], Plain(nat)):
+    if type(solved) is MatchFailure or solved[:2] != ([nat], nat):
         problems.append("solving a stuck decoration with an arrow")
     if type(_match(frozenset(), nat, leaf.proto, NameSupply())) is not MatchFailure:
         problems.append("solving a stuck decoration with a non-arrow")
@@ -299,7 +297,7 @@ def test_criterion_7_exhaustive_matcher_audit():
             arity, q = arity + 1, q.rest
         if arrows > arity:
             problems.append(f"decoration arity overrun on {pretty_type(t)}")
-        if not solution.domain() <= metas | {link for link in links if type(link) is str}:
+        if not solution.keys() <= metas | {link for link in links if type(link) is str}:
             problems.append(f"solution escapes the meta set on {pretty_type(t)}")
         if not ((links, leaf) == second[:2] and solution.equivalent(second[2])):
             problems.append(f"nondeterministic result on {pretty_type(t)}")
@@ -338,7 +336,7 @@ def test_criterion_8_algorithm_agrees_with_declarative_rules():
                     got = None
                 if got is not None:
                     out = spine_infer(CTX, proto, erased)
-                    triple = (strip(out.deco), out.partial, out.solution)
+                    triple = (out.deco, out.partial, out.solution)
                     verdict = verify_spec(CTX, expected, erased, triple)
                     accepted += 1
                     if not verdict.accepted:

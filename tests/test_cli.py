@@ -22,7 +22,6 @@ from spinel.cli import _BLOCK, main
 from spinel.infer import Synthesize, infer
 from spinel.oracle import SpecVerdict, verify_spec
 from spinel.parser import parse_program
-from spinel.syntax import strip
 
 GOOD = """\
 type Nat
@@ -1541,5 +1540,5 @@ def test_library_calls_leave_the_collector_alone(collector_state, enabled):
     term = tm("ident suc z")
     out = infer(CTX, Synthesize(), term)
     assert gc.isenabled() is enabled
-    verdict = verify_spec(CTX, None, term, (strip(out.spine.deco), out.spine.partial, out.spine.solution))
+    verdict = verify_spec(CTX, None, term, (out.spine.deco, out.spine.partial, out.spine.solution))
     assert verdict.accepted and gc.isenabled() is enabled

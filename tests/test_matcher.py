@@ -16,7 +16,6 @@ from spinel.syntax import (
     Exact,
     Forall,
     NameSupply,
-    Plain,
     Solution,
     Stuck,
     TVar,
@@ -36,14 +35,14 @@ def arrow_to(*protos, tail=None):
 
 def test_unknown_prototype_decorates_nothing():
     links, leaf, solution = match_proto(frozenset(), ty("forall X. X -> X"), Unknown())
-    assert solution.is_identity
-    assert (links, leaf) == ([], Plain(ty("forall X. X -> X")))
+    assert not solution
+    assert (links, leaf) == ([], ty("forall X. X -> X"))
 
 
 def test_exact_prototype_is_first_order_matching():
     links, leaf, solution = match_proto({"M"}, Arrow(TVar("M"), NAT), Exact(ty("B -> Nat")))
     assert solution.types() == {"M": Con("B")}
-    assert (links, leaf) == ([], Plain(Arrow(TVar("M"), NAT)))
+    assert (links, leaf) == ([], Arrow(TVar("M"), NAT))
 
 
 def test_exact_prototype_does_not_instantiate_quantifiers():
@@ -59,17 +58,17 @@ def test_contextual_solution_lands_in_the_decoration():
     )
     x, y = TVar("?X0"), TVar("?Y1")
     assert links == ["?X0", "?Y1", x, y]
-    assert leaf == Plain(x)
+    assert leaf == x
     # The solution decorates the peeled ``?X0`` alone: ``?Y1`` stays open.
     assert solution.types() == {"?X0": NAT}
-    assert solution.bindings["?X0"].origin == Contextual(x, NAT)
+    assert solution["?X0"].origin == Contextual(x, NAT)
 
 
 def test_meta_head_gets_stuck_instead_of_failing():
     links, leaf, solution = match_proto(
         frozenset(), ty("forall X. X -> X"), arrow_to(1, 2, tail=Exact(NAT))
     )
-    assert solution.is_identity
+    assert not solution
     assert links == ["?X0", TVar("?X0")]
     assert leaf == Stuck("?X0", ArrowTo(Exact(NAT)))
 
@@ -106,7 +105,7 @@ def test_a_long_arrow_chain_is_matched_by_a_loop():
         out = match_proto(frozenset(), chain, proto)
     finally:
         sys.setrecursionlimit(limit)
-    assert out == (domains[::-1], Plain(NAT), Solution())
+    assert out == (domains[::-1], NAT, Solution())
 
 
 def test_arity_overrun_is_reported_as_such():
@@ -126,7 +125,7 @@ def test_a_solved_stuck_leaf_rematches_against_its_pending_prototype():
     # The spine's re-match: the leaf's solved type against its prototype.
     leaf = Stuck("X", ArrowTo(Exact(NAT)))
     links, rest, solution = _match(frozenset(), ty("Nat -> Nat"), leaf.proto, NameSupply())
-    assert (links, rest, solution) == ([NAT], Plain(NAT), Solution())
+    assert (links, rest, solution) == ([NAT], NAT, Solution())
 
 
 def test_a_solved_stuck_leaf_fails_on_arity_conflicts():
@@ -143,7 +142,7 @@ def test_a_rematch_hands_over_its_links_and_decorations():
         frozenset(), ty("forall X. forall Y. Y -> X"), ArrowTo(Exact(NAT)), NameSupply()
     )
     assert links == ["?X0", "?Y1", TVar("?Y1")]
-    assert leaf == Plain(TVar("?X0"))
+    assert leaf == TVar("?X0")
     assert solution.types() == {"?X0": NAT}
 
 
@@ -154,8 +153,8 @@ def test_a_match_reads_one_link_per_demanded_arrow_and_peeled_quantifier():
     )
     assert links == ["?X0", TVar("?X0"), NAT]
     assert sum(type(link) is not str for link in links) == 2
-    assert leaf == Plain(TVar("?X0"))
-    assert _match(frozenset(), NAT, Exact(NAT), NameSupply()) == ([], Plain(NAT), Solution())
+    assert leaf == TVar("?X0")
+    assert _match(frozenset(), NAT, Exact(NAT), NameSupply()) == ([], NAT, Solution())
 
 
 def test_a_fresh_supply_makes_decorated_types_comparable_with_eq():
@@ -171,8 +170,8 @@ def test_first_order_match_solves_uniquely():
     pattern = Con("Pair", (TVar("M"), TVar("M")))
     links, leaf, solution = match_proto({"M"}, pattern, Exact(ty("Pair Nat Nat")))
     assert solution.types() == {"M": NAT}
-    assert solution.bindings["M"].origin == Contextual(pattern, ty("Pair Nat Nat"))
-    assert (links, leaf) == ([], Plain(pattern))
+    assert solution["M"].origin == Contextual(pattern, ty("Pair Nat Nat"))
+    assert (links, leaf) == ([], pattern)
 
 
 def test_first_order_match_rejects_conflicts():
@@ -223,4 +222,4 @@ def test_without_a_supply_every_peeled_binder_is_a_reserved_meta():
     assert is_meta_name(inner) and inner.startswith("?Y")
     assert outer != inner
     assert links[2:] == [TVar(outer), TVar(inner)]
-    assert leaf == Plain(Con("Pair", (TVar(outer), TVar(inner))))
+    assert leaf == Con("Pair", (TVar(outer), TVar(inner)))

@@ -72,7 +72,6 @@ from spinel.syntax import (
     is_well_formed,
     match_type,
     spine_parts,
-    strip,
     substitute,
 )
 
@@ -80,7 +79,7 @@ from spinel.syntax import (
 def triple_for(term, expected=None, ctx=CTX):
     proto = Unknown() if expected is None else Exact(expected)
     out = spine_infer(ctx, proto, term)
-    return (strip(out.deco), out.partial, out.solution)
+    return (out.deco, out.partial, out.solution)
 
 
 # ------------------------------------------------------------ verification
@@ -129,7 +128,7 @@ def test_replay_rejects_padding_in_the_solution():
     term = tm(r"pair (\x. x) z")
     expected = ty("Pair (B -> B) Nat")
     t, p, sol = triple_for(term, expected)
-    padded = Solution({**sol.bindings, "?Z9": Binding(Con("Nat"), Contextual(Con("Nat"), Con("Nat")))})
+    padded = Solution({**sol, "?Z9": Binding(Con("Nat"), Contextual(Con("Nat"), Con("Nat")))})
     verdict = verify_spec(CTX, expected, term, (t, p, padded))
     assert not verdict.accepted
 
@@ -138,7 +137,7 @@ def test_replay_rejects_junk_guesses_through_the_shim():
     term = tm("suc z")
     t, p, sol = triple_for(term)
     assert verify_spec(CTX, None, term, (t, p, sol)).accepted
-    junk = Solution({**sol.bindings, "?J0": Binding(Con("B"), Contextual(Con("B"), Con("B")))})
+    junk = Solution({**sol, "?J0": Binding(Con("B"), Contextual(Con("B"), Con("B")))})
     assert not verify_spec(CTX, None, term, (t, p, junk)).accepted
 
 
@@ -697,7 +696,7 @@ SEARCH_SHA256 = "da948e02073529faa5a6970fa0e11260769caab76c73dfb7d0ea7ad5acf5d9d
 def test_the_search_on_criterion_9s_application_goals_is_pinned(monkeypatch):
     def printed(triple):
         ty_, partial, sol = triple
-        solved = ", ".join(f"{m} := {pretty_type(sol.bindings[m].ty)}" for m in sorted(sol.domain()))
+        solved = ", ".join(f"{m} := {pretty_type(sol[m].ty)}" for m in sorted(sol))
         return f"{pretty_type(ty_)} | {pretty_term(partial)} | {solved}"
 
     goals = [
@@ -814,7 +813,7 @@ def test_the_search_walks_a_long_spine_by_a_loop():
     term = tm("g" + " z" * 301, ctx)
     with recursion_headroom(100):
         found = search_spec(ctx, None, term)
-    assert [(pretty_type(t), sorted(sol.domain())) for t, _, sol in found] == [("Nat", []), ("Nat", ["?g0"])]
+    assert [(pretty_type(t), sorted(sol)) for t, _, sol in found] == [("Nat", []), ("Nat", ["?g0"])]
 
 
 @st.composite

@@ -1,5 +1,5 @@
-"""Smoke run of the benchmark's scaling ladder, and the names its tracer
-wraps, so the harness cannot rot."""
+"""Smoke run of the benchmark's scaling ladder, its library-only audit,
+and the names its tracer wraps, so the harness cannot rot."""
 
 from __future__ import annotations
 
@@ -9,10 +9,13 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from conftest import CTX, tm, ty
 from spinel.cli import main
+from spinel.infer import Diagnostic
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -96,3 +99,52 @@ def test_every_traced_name_resolves_but_the_known_stale_ones():
     assert STALE <= names
     assert [n for n in sorted(names - STALE) if not _resolves(n)] == []
     assert [n for n in sorted(STALE) if _resolves(n)] == []
+
+
+@pytest.fixture(scope="module")
+def harness():
+    """``drive``, ``checks`` and ``workloads`` as ``perfbench/run.py``
+    imports them: by plain name, with ``perfbench/`` on ``sys.path``."""
+    names = ("checks", "drive", "workloads")
+    sys.path.insert(0, str(_PERFBENCH))
+    try:
+        yield SimpleNamespace(**{name: importlib.import_module(name) for name in names})
+    finally:
+        sys.path.remove(str(_PERFBENCH))
+        for name in names:
+            sys.modules.pop(name, None)
+
+
+# The audit's goals: (mode, term, expected type, accepted).
+AUDIT_GOALS = [
+    ("check", r"pair (\x. x) z", "Pair (Nat -> Nat) Nat", True),
+    ("synth", "ident suc z", None, True),
+    ("synth", r"pair (\x. x) z", None, False),
+    ("check", r"rapp z (\y. y)", "Nat", True),
+    ("synth", "bot [Nat -> Nat] z", None, True),
+    ("check", "z", "B", False),
+]
+
+
+@pytest.mark.parametrize(
+    "mode, term, expected, accepted", AUDIT_GOALS, ids=[f"{m} {t}" for m, t, _, _ in AUDIT_GOALS]
+)
+def test_the_benchmark_audit_runs_on_the_library_it_calls(harness, mode, term, expected, accepted):
+    # ``audit_goal`` reads the spine's type, partial elaboration and
+    # solution, replays them with ``verify_spec`` and keeps the
+    # ``search_spec`` triples that pass the side conditions;
+    # ``judge_audit`` reads each kept triple's solved types.
+    goal = harness.workloads.Goal(
+        0,
+        mode,
+        term,
+        expected=expected,
+        must_accept=accepted,
+        term_obj=tm(term),
+        expected_obj=None if expected is None else ty(expected),
+    )
+    raw = harness.drive.audit_goal(CTX, goal)
+    assert harness.checks.judge_audit(goal, raw, CTX) is None
+    assert isinstance(raw.out, Diagnostic) is not accepted
+    if accepted and raw.hits is not None:
+        assert raw.verdict.accepted and raw.hits

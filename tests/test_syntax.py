@@ -25,7 +25,6 @@ from spinel.syntax import (
     Forall,
     Lam,
     NameSupply,
-    Plain,
     Solution,
     Span,
     Stuck,
@@ -98,7 +97,6 @@ NODE_FIELDS = {
     TermBind: ("x", Con("Nat")),
     Exact: (Con("Nat"),),
     ArrowTo: (Unknown(),),
-    Plain: (Con("Nat"),),
     Stuck: ("?X0", ArrowTo(Unknown())),
     Unknown: (),
     Contextual: (TVar("?X0"), Con("Nat")),
@@ -106,14 +104,14 @@ NODE_FIELDS = {
     Binding: (Con("Nat"), Contextual(TVar("?X0"), Con("Nat"))),
     Synthesize: (),
     Check: (Con("Nat"),),
-    SpineOutcome: (Plain(Con("Nat")), Var("z"), Solution()),
+    SpineOutcome: (Con("Nat"), Var("z"), Solution()),
     InferOutcome: (Con("Nat"), Var("z")),
     MatchFailure: (Con("Nat"), ArrowTo(Unknown()), True),
     SpecVerdict: (False, ("PHead",), "forced"),
 }
 METADATA = {
     "span": Span(1, 2, 3, 4),
-    "spine": SpineOutcome(Plain(Con("Nat")), Var("z"), Solution()),
+    "spine": SpineOutcome(Con("Nat"), Var("z"), Solution()),
 }
 
 
@@ -276,7 +274,7 @@ NAT_TO_NAT = Arrow(NAT, NAT)
 
 # Pairs of match leaves that differ only in what the decoration says.
 DECO_PAIRS = {
-    "plain meta vs stuck meta": (Plain(TVar("?M")), Stuck("?M", ArrowTo(Unknown()))),
+    "plain meta vs stuck meta": (TVar("?M"), Stuck("?M", ArrowTo(Unknown()))),
     "exact arrow vs arrow prototype": (
         Stuck("?M", ArrowTo(Exact(NAT_TO_NAT))),
         Stuck("?M", ArrowTo(ArrowTo(Exact(NAT)))),
@@ -300,10 +298,10 @@ def test_decorated_equality_keeps_decorations_apart(pair):
 def test_decorated_equality_is_strict_on_binder_names():
     # ``==`` is at least as strict as alpha equality: renamed binders and
     # stuck heads differ, though the stripped types are alpha-equal.
-    a = Plain(Forall("X", Arrow(TVar("X"), TVar("X"))))
-    b = Plain(Forall("Y", Arrow(TVar("Y"), TVar("Y"))))
+    a = Forall("X", Arrow(TVar("X"), TVar("X")))
+    b = Forall("Y", Arrow(TVar("Y"), TVar("Y")))
     assert a != b
-    assert alpha_equal(strip(a), strip(b))
+    assert alpha_equal(a, b)
     c = Stuck("?M", ArrowTo(Exact(Forall("X", TVar("X")))))
     d = Stuck("?M", ArrowTo(Exact(Forall("Y", TVar("Y")))))
     assert c != d
@@ -429,16 +427,15 @@ def test_context_extension_checks_only_the_new_entry(monkeypatch):
         ext = ctx.with_term("fresh", fresh)
         ext = ext.with_type_var("C")
         ext = ext.with_con("Fresh", 1)
-        assert ext.lookup("fresh") is not None and "C" in ext.dtv and ext.arity("Fresh") == 1
+        assert ext.lookup("fresh") is not None and "C" in ext.dtv and ext.signature["Fresh"] == 1
         counts[len(ctx.entries)] = walks["walks"]
     assert counts[len(small.entries)] == counts[len(large.entries)] == 1
 
 
 def test_strip_restores_plain_types():
-    assert strip(Plain(ty("Nat -> Nat"))) == ty("Nat -> Nat")
+    t = ty("Nat -> Nat")
+    assert strip(t) is t
     assert strip(Stuck("?X0", ArrowTo(Unknown()))) == TVar("?X0")
-    with pytest.raises(TypeError):
-        strip(ty("Nat -> Nat"))
 
 
 def test_name_supply_display_names():
@@ -686,7 +683,7 @@ def _reference_well_formed(ctx, t, scope):
         case Forall(bound=x, body=b):
             return _reference_well_formed(ctx, b, scope | {x})
         case Con(con=c, args=args):
-            return ctx.arity(c) == len(args) and all(_reference_well_formed(ctx, a, scope) for a in args)
+            return ctx.signature.get(c) == len(args) and all(_reference_well_formed(ctx, a, scope) for a in args)
     raise TypeError(t)
 
 
