@@ -285,6 +285,8 @@ def _answer(block: list[tuple[Context, Goal]], count: int, args, color: bool) ->
         try:
             out = infer(ctx, Synthesize() if goal.expected is None else Check(goal.expected), goal.term, trace=trace)
         except (Diagnostic, EngineInvariantError) as exc:
+            # Drops this frame, whose ``answered`` keeps the error, so that no cycle
+            # forms; from an engine error, which keeps them, the engine's frames too.
             out = exc.with_traceback(None)
         except RecursionError:
             out = None

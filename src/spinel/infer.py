@@ -34,12 +34,17 @@ the engine dispatches on ``type(x) is X``, as the walks of ``syntax``
 do, and its records are ``syntax._node``s, cheap to build at every node.
 An elaboration shares every node of its term beneath which inference
 changes nothing, so an elaboration equal to its term is that term.
+A raised ``Diagnostic`` is plain data: its traceback starts at the
+entry, ``infer`` or ``spine_infer``, and pins none of the engine's
+frames, runs or name supplies; an ``EngineInvariantError`` keeps them.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 from .matcher import MatchFailure, _match
 from .syntax import (
@@ -148,34 +153,30 @@ class Diagnostic(Exception):
     whether or not its synthesized type mentions them.  ``display`` maps
     reserved meta-variable names to their source-keyed rendering; it is
     filled in once, as the diagnostic leaves ``infer`` or ``spine_infer``.
+    An instance stores only the fields it is given; any other reads its
+    class default: None, an empty frozenset or an empty read-only mapping.
+
+    A raised diagnostic is plain data: its traceback starts at the entry
+    that raised it, ``infer`` or ``spine_infer``, and pins no engine state.
     """
 
-    def __init__(
-        self,
-        kind: DiagnosticKind,
-        *,
-        expected: TypeExpr | None = None,
-        resolved: TypeExpr | None = None,
-        bindings: dict[str, TypeExpr] | None = None,
-        synthesized: TypeExpr | None = None,
-        contextual_match: Contextual | None = None,
-        synthetic_match: Synthetic | None = None,
-        unsolved: frozenset[str] = frozenset(),
-        subject: Term | None = None,
-        detail: str | None = None,
-    ):
+    expected: TypeExpr | None = None
+    resolved: TypeExpr | None = None
+    bindings: Mapping[str, TypeExpr] = MappingProxyType({})
+    synthesized: TypeExpr | None = None
+    contextual_match: Contextual | None = None
+    synthetic_match: Synthetic | None = None
+    unsolved: frozenset[str] = frozenset()
+    display: Mapping[str, str] = MappingProxyType({})
+    subject: Term | None = None
+    detail: str | None = None
+
+    def __init__(self, kind: DiagnosticKind, **fields):
+        if unknown := fields.keys() - Diagnostic.__annotations__.keys():
+            raise TypeError(f"not a diagnostic field: {', '.join(sorted(unknown))}")
         super().__init__(kind.value)
         self.kind = kind
-        self.expected = expected
-        self.resolved = resolved
-        self.bindings = bindings or {}
-        self.synthesized = synthesized
-        self.contextual_match = contextual_match
-        self.synthetic_match = synthetic_match
-        self.unsolved = unsolved
-        self.display: dict[str, str] = {}
-        self.subject = subject
-        self.detail = detail
+        vars(self).update(fields)
 
     @property
     def span(self) -> Span | None:
@@ -208,25 +209,27 @@ class _Run:
 def _named(run: _Run, step, *args):
     """Run ``step``; a diagnostic that leaves it gets its display names here.
     Only the run's supply mints metas, and ``_try_synthesize`` returns no
-    type that holds one, so a run that made no supply has none to name."""
+    type that holds one, so a run that made no supply has none to name.
+    The diagnostic leaves without ``step``'s frames, and this frame, the
+    last its traceback holds, keeps neither the run nor the arguments."""
     try:
         return step(run, *args)
     except Diagnostic as d:
-        if "supply" not in vars(run):
-            raise
-        metas = set(d.unsolved)
-        for ty in (
-            d.expected,
-            d.resolved,
-            d.synthesized,
-            d.contextual_match.partial if d.contextual_match else None,
-            d.synthetic_match.partial if d.synthetic_match else None,
-        ):
-            if ty is not None:
-                metas |= {v for v in free_type_vars(ty) if is_meta_name(v)}
-        if metas:
-            d.display = run.supply.display_names(metas)
-        raise
+        if "supply" in vars(run):
+            metas = set(d.unsolved)
+            for ty in (
+                d.expected,
+                d.resolved,
+                d.synthesized,
+                d.contextual_match.partial if d.contextual_match else None,
+                d.synthetic_match.partial if d.synthetic_match else None,
+            ):
+                if ty is not None:
+                    metas |= {v for v in free_type_vars(ty) if is_meta_name(v)}
+            if metas:
+                d.display = run.supply.display_names(metas)
+        del run, args
+        raise d.with_traceback(None)
 
 
 # ---------------------------------------------------------- entry points

@@ -44,6 +44,9 @@ from .syntax import (
 
 
 class ParseError(Exception):
+    """A syntax or scope error at ``line`` and ``col``.  Raised by an entry,
+    it is plain data: its traceback starts there, and pins no parser state."""
+
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
         self.message = message
@@ -452,7 +455,9 @@ def _declaration(parser: _Parser, tok: _Token) -> Decl:
                 try:
                     arity = int(count[1])
                 except ValueError:  # more digits than int() reads
-                    raise ParseError("arity is too large", count[2], count[3]) from None
+                    arity = -1  # raised below: as its context, the ValueError would pin the parser
+                if arity < 0:
+                    raise ParseError("arity is too large", count[2], count[3])
             parser.signature[name] = arity
             return ConDecl(name, arity, parser.span_from(tok))
         case "assume":
@@ -508,35 +513,45 @@ def parse_program(src: str) -> tuple[Decl, ...]:
     ``_declarations``.  The lexer's error comes first, as if the whole
     file were lexed before any of it is parsed: the first unexpected
     character anywhere is the ParseError raised, else the first error."""
-    decls = list(_declarations(src.split("\n")))
+    try:
+        return _program(_declarations(src.split("\n")))
+    except ParseError as exc:  # raised again from here, it pins no parsed declaration
+        raise exc.with_traceback(None)
+
+
+def _program(decls) -> tuple[Decl, ...]:
+    decls = tuple(decls)
     if errors := [d for d in decls if type(d) is ParseError]:
         raise next((e for e in errors if e.message.startswith("unexpected character")), errors[0])
-    return tuple(decls)
+    return decls
 
 
-def _in_scope(src: str, ctx: Context) -> _Parser:
-    """A parser over every token of ``src`` and "eof", in the scope of ``ctx``."""
+def _parse_all(src: str, ctx: Context, tyvars: frozenset[str], read, what: str):
+    """What ``read`` parses from every token of ``src`` in the scope of
+    ``ctx``, with ``tyvars`` open; trailing input is an error about ``what``."""
     tokens = tokenize(src)
     tokens.append(_eof(tokens))
-    return _Parser(tokens, dict(ctx.signature), ctx.names)
+    parser = _Parser(tokens, dict(ctx.signature), ctx.names)
+    parser.tyvars.update(tyvars)
+    out = read(parser)
+    parser.finish(what)
+    return out
 
 
 def parse_type(src: str, ctx: Context) -> TypeExpr:
     """Parse a single type in the scope of a context."""
-    parser = _in_scope(src, ctx)
-    parser.tyvars.update(ctx.dtv)
-    ty = parser.type_()
-    parser.finish("type")
-    return ty
+    try:
+        return _parse_all(src, ctx, ctx.dtv, _Parser.type_, "type")
+    except ParseError as exc:  # raised again from here, it pins no parser state
+        raise exc.with_traceback(None)
 
 
 def parse_term(src: str, ctx: Context) -> Term:
     """Parse a single term in the scope of a context."""
-    parser = _in_scope(src, ctx)
-    parser.tyvars.update(ctx.dtv)
-    term = parser.term()
-    parser.finish("term")
-    return term
+    try:
+        return _parse_all(src, ctx, ctx.dtv, _Parser.term, "term")
+    except ParseError as exc:  # raised again from here, it pins no parser state
+        raise exc.with_traceback(None)
 
 
 def parse_declaration(keyword: str, src: str, ctx: Context) -> Decl:
@@ -547,10 +562,10 @@ def parse_declaration(keyword: str, src: str, ctx: Context) -> Decl:
     file's top level, ``ctx`` has no type variables in scope.  Positions
     are those within ``src``.
     """
-    parser = _in_scope(src, ctx)
-    decl = _declaration(parser, (keyword, keyword, 1, 1))
-    parser.finish("declaration")
-    return decl
+    try:
+        return _parse_all(src, ctx, frozenset(), lambda p: _declaration(p, (keyword, keyword, 1, 1)), "declaration")
+    except ParseError as exc:  # raised again from here, it pins no parser state
+        raise exc.with_traceback(None)
 
 
 # ------------------------------------------------------- pretty-printing

@@ -1,12 +1,14 @@
 """Shared test helpers: a standard context, parser-backed builders, a long
-contextually solved spine and work counters."""
+contextually solved spine, work counters and a walk of what an object keeps."""
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import importlib
 import sys
+import types
 
 from spinel.oracle import enumerate_erasures, enumerate_internal_terms, standard_context
 from spinel.parser import parse_term, parse_type, pretty_term, pretty_type
@@ -154,3 +156,30 @@ def count_solution_copies(monkeypatch):
     monkeypatch.setattr(solution, "__init__", counted_init)
     monkeypatch.setattr(solution, "types", counted_types)
     return copied
+
+
+def traceback_frames(exc):
+    """The names of the functions whose frames ``exc``'s traceback holds, outermost first."""
+    names, tb = [], exc.__traceback__
+    while tb is not None:
+        names.append(tb.tb_frame.f_code.co_name)
+        tb = tb.tb_next
+    return names
+
+
+_PROGRAM = (types.ModuleType, type, types.FunctionType, types.BuiltinFunctionType, types.CodeType)
+
+
+def reachable(roots):
+    """The objects ``roots`` keep alive, by ``id``: those reachable through
+    ``gc.get_referents``, entering a frame through its locals only (not
+    the caller it returned to) and no module, class or function, which
+    are the program's, not the data's."""
+    seen, stack = {}, list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _PROGRAM):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(obj.f_locals.values() if isinstance(obj, types.FrameType) else gc.get_referents(obj))
+    return seen

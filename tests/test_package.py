@@ -15,7 +15,7 @@ import spinel.infer as infer_mod
 
 DOCUMENTED = {
     "spinel.infer": {"infer", "Check", "Synthesize", "Diagnostic", "spine_infer"},
-    "spinel.parser": {"parse_term", "parse_type", "pretty_term", "pretty_type"},
+    "spinel.parser": {"parse_term", "parse_type", "ParseError", "pretty_term", "pretty_type"},
     "spinel.internal": {"check_internal"},
     "spinel.matcher": {"match_proto"},
     "spinel.oracle": {"verify_spec", "search_spec"},

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import re
 import sys
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -44,7 +46,7 @@ from spinel.syntax import (
     alpha_equal_term,
 )
 
-from conftest import CTX, erasure_source, tm, ty
+from conftest import CTX, erasure_source, reachable, tm, traceback_frames, ty
 
 
 # ------------------------------------------------------------ types
@@ -478,6 +480,59 @@ def test_parsing_holds_one_declarations_tokens_at_a_time():
     assert len(decls) == len(header) + 2000
     tree = kept - before
     assert peak - kept <= 0.25 * tree, (peak - kept) / tree
+
+
+def test_a_kept_parse_error_pins_no_parsed_declaration():
+    # A few thousand goals and a bad last line.  The error kept from
+    # parse_program holds its message and position and a traceback of this
+    # frame and the entry's, not the declarations parsed before it: 4.7 MB
+    # of them while the error kept the frame that collected them, in a
+    # cycle.  What it pins is what dropping it and collecting frees,
+    # measured by tracemalloc, which counts deterministically.
+    src = erasure_source(6) + "synth )\n"
+    tracemalloc.start()
+    try:
+        try:
+            parse_program(src)
+        except ParseError as exc:
+            error = exc
+        frames, where = traceback_frames(error), (error.message, error.line, error.col)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del error
+        gc.collect()
+        pinned = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert where == ("expected a term, found ')'", src.count("\n"), 7)
+    assert frames == ["test_a_kept_parse_error_pins_no_parsed_declaration", "parse_program"]
+    assert pinned <= 4096, pinned
+
+
+@pytest.mark.parametrize(
+    "entry, args, message",
+    [
+        (parse_program, ("synth z\nsynth $\n",), "2:7: unexpected character '$'"),
+        (parse_type, ("Nat -> (Nat", CTX), "1:12: expected ')'"),
+        (parse_term, ("pair (z (z", CTX), "1:11: expected ')'"),
+        (parse_declaration, ("type", "T " + "9" * 5000, CTX), "1:3: arity is too large"),
+    ],
+    ids=["program", "type", "term", "declaration"],
+)
+def test_a_parse_error_holds_no_parser_state(entry, args, message):
+    # Raised from the parser's recursive frames, or from a conversion the
+    # parser tried first, the error leaves each entry with a traceback of
+    # this frame and the entry's, and no context: no parser, token list or
+    # parsed tree is reachable from it but the inputs.
+    try:
+        entry(*args)
+    except ParseError as exc:
+        error = exc
+    assert str(error) == message and error.__context__ is None
+    assert traceback_frames(error) == ["test_a_parse_error_holds_no_parser_state", entry.__name__]
+    inputs = reachable([args])
+    held = {type(obj) for key, obj in reachable([error]).items() if key not in inputs}
+    assert held <= {ParseError, types.TracebackType, types.FrameType, dict, tuple, str, int, type(None)}, held
 
 
 def test_every_copy_of_an_identifier_is_one_string():
