@@ -16,8 +16,9 @@ nesting is bounded by Python's recursion limit there.  A declaration
 nested too deeply to parse is a parse error at its first token, and a
 goal nested or chained too deeply to type-check, print or replay
 reports status ``resource-limit``; the goals after either still run.
-The interactive loop prints an ``error:`` line for either and keeps
-going.
+The interactive loop reads each command as a line of a source file,
+through the same reader, so it prints a ``parse error:`` line for the
+first and an ``error:`` line for the second, and keeps going.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .parser import (
     Goal,
     ParseError,
     _declarations,
-    parse_declaration,
+    _Parser,
     pretty_term,
     pretty_type,
 )
@@ -301,7 +302,7 @@ def _answer(block: list[tuple[Context, Goal]], count: int, args, color: bool) ->
     return max((code for code, _ in results), default=0)
 
 
-def run_file(args: argparse.Namespace) -> int:
+def _run_file(args: argparse.Namespace) -> int:
     # The trees a run builds are acyclic, so a cyclic collection would walk
     # them and free nothing: pause the collector, and restore it as found.
     enabled = gc.isenabled()
@@ -317,7 +318,7 @@ def run_file(args: argparse.Namespace) -> int:
         color = _use_color() and not args.json
         code = count = 0
         with handle:
-            for block, error in _blocks(_declarations(handle)):
+            for block, error in _blocks(_declarations(handle, _Parser())):
                 code = max(code, _answer(block, count, args, color), 2 if error else 0)
                 count += len(block)
                 if error and args.json:
@@ -346,56 +347,61 @@ def repl() -> int:
     color = _use_color()
     print("spinel interactive loop; :quit to leave, :help for commands")
     ctx = Context.empty()
+    parser = _Parser()  # the session's: it knows every name declared so far, as ``ctx`` does
     while True:
         try:
             line = input("spinel> ")
         except (EOFError, KeyboardInterrupt):
             print()
             return 0
-        line = line.strip()
-        if not line:
+        cmd = line.strip().partition(" ")[0]
+        if not cmd:
             continue
-        cmd, _, rest = line.partition(" ")
-        try:
-            match cmd:
-                case ":quit" | ":q":
-                    return 0
-                case ":help":
-                    print(_REPL_HELP)
-                case ":type" | ":assume" | ":check" | ":synth":
-                    match parse_declaration(cmd[1:], rest, ctx):
-                        case ConDecl(name=name, arity=arity):
-                            ctx = ctx.with_con(name, arity)
-                            print(f"type {name}" + (f" {arity}" if arity else ""))
-                        case Assume(name=name, ty=ty):
-                            ctx = ctx.with_term(name, ty)
-                            print(f"{name} : {pretty_type(ty)}")
-                        case Goal(term=term, expected=None):
-                            out = infer(ctx, Synthesize(), term)
-                            print(f"type: {pretty_type(out.ty)}")
-                            print(f"elaboration: {pretty_term(out.elaboration)}")
-                        case Goal(term=term, expected=expected):
-                            out = infer(ctx, Check(expected), term)
-                            print(f"ok: {pretty_type(out.ty)}")
-                            print(f"elaboration: {pretty_term(out.elaboration)}")
-                case _:
-                    print(f"unknown command {cmd!r}; :help lists commands")
-        except ParseError as exc:
-            print(f"parse error: {exc}")
-        except ValueError as exc:
-            print(f"error: {exc}")
-        except Diagnostic as d:
-            print(render_diagnostic(d, color))
-        except EngineInvariantError as exc:
-            print(f"internal error: {exc}")
-        except RecursionError:
-            print("error: input is nested too deeply")
+        if cmd in (":quit", ":q"):
+            return 0
+        if cmd == ":help":
+            print(_REPL_HELP)
+        elif cmd in (":type", ":assume", ":check", ":synth"):
+            # read as a line of a source file, its ``:`` a blank so that columns are as typed
+            for decl in _declarations([line.replace(":", " ", 1)], parser):
+                ctx = _command(ctx, decl, color)
+        else:
+            print(f"unknown command {cmd!r}; :help lists commands")
+
+
+def _command(ctx: Context, decl, color: bool) -> Context:
+    """Carry out one declaration the interactive loop read, or report the
+    ParseError read in its place; the context it leaves."""
+    kind = type(decl)
+    try:
+        if kind is ParseError:
+            print(f"parse error: {decl}")
+        elif kind is ConDecl:
+            ctx = ctx.with_con(decl.name, decl.arity)
+            print(f"type {decl.name}" + (f" {decl.arity}" if decl.arity else ""))
+        elif kind is Assume:
+            ctx = ctx.with_term(decl.name, decl.ty)
+            print(f"{decl.name} : {pretty_type(decl.ty)}")
+        else:
+            synth = decl.expected is None
+            out = infer(ctx, Synthesize() if synth else Check(decl.expected), decl.term)
+            print(f"{'type' if synth else 'ok'}: {pretty_type(out.ty)}")
+            print(f"elaboration: {pretty_term(out.elaboration)}")
+    except Diagnostic as d:
+        print(render_diagnostic(d, color))
+    except EngineInvariantError as exc:
+        print(f"internal error: {exc}")
+    except RecursionError:
+        print("error: input is nested too deeply")
+    return ctx
 
 
 # ------------------------------------------------------------- entry point
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
+# built once per process: building costs several times what one parse does
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="spinel",
         description="Spine-local type inference for System F",
@@ -416,14 +422,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# built once per process: building costs several times what one parse does
-_arg_parser = functools.cache(build_arg_parser)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _arg_parser().parse_args(argv)
     try:
-        code = run_file(args) if args.command == "run" else repl()
+        code = _run_file(args) if args.command == "run" else repl()
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed standard output, as ``spinel run f | head -1``

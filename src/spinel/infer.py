@@ -103,7 +103,6 @@ class Check:
     expected: TypeExpr
 
 
-Mode = Synthesize | Check
 _Expected = TypeExpr | None  # below ``infer``, a checked term's type; None synthesizes
 
 
@@ -236,7 +235,7 @@ def _named(run: _Run, step, *args):
 
 
 def infer(
-    ctx: Context, mode: Mode, term: Term, trace: list[str] | None = None
+    ctx: Context, mode: Synthesize | Check, term: Term, trace: list[str] | None = None
 ) -> InferOutcome:
     """Infer or check a term, elaborating it to a fully annotated one.
 

@@ -117,16 +117,12 @@ def _match(
 
 
 def match_proto(
-    metas: frozenset[str] | set[str],
-    ty: TypeExpr,
-    proto: Prototype,
-    supply: NameSupply | None = None,
+    metas: frozenset[str] | set[str], ty: TypeExpr, proto: Prototype
 ) -> tuple[list[str | TypeExpr], TypeExpr | Stuck, Solution] | MatchFailure:
-    """Match a type against a prototype: ``_match``, with a fresh
-    ``NameSupply`` when none is given.
+    """Match a type against a prototype: ``_match``, with a fresh ``NameSupply``.
 
-    Each peeled quantifier becomes a solvable variable named by
-    ``supply.fresh_meta``, a reserved ``?`` name, so a caller without a
-    ``supply`` must not use reserved ``?`` names among its own ``metas``.
+    Each peeled quantifier becomes a solvable variable named by the
+    supply, a reserved ``?`` name, so ``metas`` must hold no reserved
+    ``?`` name of its own.
     """
-    return _match(metas, ty, proto, supply if supply is not None else NameSupply())
+    return _match(metas, ty, proto, NameSupply())

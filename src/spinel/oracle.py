@@ -28,7 +28,7 @@ corpus generators the property suites run on.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .infer import Check, Diagnostic, Synthesize, infer
 from .syntax import (
@@ -64,7 +64,7 @@ from .syntax import (
     substitute,
 )
 
-Triple = tuple[TypeExpr, Term, Solution]
+_Triple = tuple[TypeExpr, Term, Solution]
 
 
 @_node
@@ -139,7 +139,7 @@ def _solve_into(metas, out: dict[str, TypeExpr], p, t, envp, envt, depth) -> boo
 
 
 def verify_spec(
-    ctx: Context, ctx_ty: TypeExpr | None, term: Term, claimed: Triple
+    ctx: Context, ctx_ty: TypeExpr | None, term: Term, claimed: _Triple
 ) -> SpecVerdict:
     """Deterministically replay the declarative rules against a claim.
 
@@ -294,7 +294,7 @@ def verify_spec(
 # --------------------------------------------------------------- search
 
 
-def subtypes(ty: TypeExpr) -> Iterator[TypeExpr]:
+def _subtypes(ty: TypeExpr) -> Iterator[TypeExpr]:
     """Every sub-type of ``ty``, itself first, in pre-order."""
     stack = [ty]
     while stack:
@@ -330,7 +330,7 @@ def _context_part(ctx: Context) -> tuple[tuple[TypeExpr, str], ...]:
     global _context_pool
     held, part = _context_pool
     if held is not ctx:
-        bound = (ty for e in ctx.entries if isinstance(e, TermBind) for ty in subtypes(e.ty))
+        bound = (ty for e in ctx.entries if isinstance(e, TermBind) for ty in _subtypes(e.ty))
         part = tuple(_new_keyed(ctx, bound, set()))
         _context_pool = (ctx, part)
     return part
@@ -361,7 +361,7 @@ def _typed(ctx: Context, typed: dict, index: int, arg: Term, expected: TypeExpr 
 def _candidates(ctx: Context, ctx_ty: TypeExpr | None, term: Term, typed: dict) -> list[TypeExpr]:
     """``default_candidates``, typing the arguments through ``typed``."""
     seen: set[str] = set()
-    pool = [] if ctx_ty is None else [ty for ty, _ in _new_keyed(ctx, subtypes(ctx_ty), seen)]
+    pool = [] if ctx_ty is None else [ty for ty, _ in _new_keyed(ctx, _subtypes(ctx_ty), seen)]
     for ty, key in _context_part(ctx):
         if key not in seen:
             seen.add(key)
@@ -371,7 +371,7 @@ def _candidates(ctx: Context, ctx_ty: TypeExpr | None, term: Term, typed: dict) 
         if not _is_type(item):
             out = _typed(ctx, typed, i, item, None)
             if out is not None:
-                pool.extend(ty for ty, _ in _new_keyed(ctx, subtypes(out.ty), seen))
+                pool.extend(ty for ty, _ in _new_keyed(ctx, _subtypes(out.ty), seen))
     return pool
 
 
@@ -419,7 +419,7 @@ def _derivations(
                 stack.append((i + 1, substitute(inst, ty.cod), partial, guesses))
 
 
-def search_spec(ctx: Context, ctx_ty: TypeExpr | None, term: Term) -> list[Triple]:
+def search_spec(ctx: Context, ctx_ty: TypeExpr | None, term: Term) -> list[_Triple]:
     """Enumerate every declarative spine derivation over the guess pool
     ``default_candidates`` gives.
 
@@ -441,7 +441,7 @@ def search_spec(ctx: Context, ctx_ty: TypeExpr | None, term: Term) -> list[Tripl
     return list(found.values())
 
 
-def _side_condition_failure(ctx: Context, ctx_ty: TypeExpr | None, triple: Triple) -> str | None:
+def _side_condition_failure(ctx: Context, ctx_ty: TypeExpr | None, triple: _Triple) -> str | None:
     """The first of the shim and the mode's discharge conditions that
     ``triple`` fails, as a rejection reason; None if it passes them all."""
     ty, partial, sol = triple
@@ -460,13 +460,13 @@ def _side_condition_failure(ctx: Context, ctx_ty: TypeExpr | None, triple: Tripl
     return None
 
 
-def passes_side_conditions(ctx: Context, ctx_ty: TypeExpr | None, triple: Triple) -> bool:
+def passes_side_conditions(ctx: Context, ctx_ty: TypeExpr | None, triple: _Triple) -> bool:
     """The shim plus the synthesis/checking discharge conditions: the
     same checks ``verify_spec`` makes once a claim is replayed."""
     return _side_condition_failure(ctx, ctx_ty, triple) is None
 
 
-def canonical_triple_key(triple: Triple):
+def canonical_triple_key(triple: _Triple):
     """Hashable key identifying triples up to meta-variable renaming."""
     ty, partial, sol = triple
     order: list[str] = []
@@ -611,14 +611,11 @@ def check_weak_completeness_conditions(ctx: Context, erased: Term) -> bool:
 
 # ------------------------------------------------------ corpus generation
 
-STANDARD_SIGNATURE: Mapping[str, int] = {"Nat": 0, "B": 0, "Pair": 2, "Sum": 2}
-
-
 def standard_context() -> Context:
     """The small well-known context the corpora and examples run in."""
     nat = Con("Nat")
     b = Con("B")
-    ctx = Context.empty(STANDARD_SIGNATURE)
+    ctx = Context.empty({"Nat": 0, "B": 0, "Pair": 2, "Sum": 2})
     x, y = TVar("X"), TVar("Y")
     ctx = ctx.with_term("z", nat)
     ctx = ctx.with_term("suc", Arrow(nat, nat))
@@ -637,35 +634,35 @@ def standard_context() -> Context:
     return ctx
 
 
-def type_size(ty: TypeExpr) -> int:
+def _type_size(ty: TypeExpr) -> int:
     match ty:
         case TVar():
             return 1
         case Arrow(dom=d, cod=c):
-            return 1 + type_size(d) + type_size(c)
+            return 1 + _type_size(d) + _type_size(c)
         case Forall(body=b):
-            return 1 + type_size(b)
+            return 1 + _type_size(b)
         case Con(args=args):
-            return 1 + sum(type_size(a) for a in args)
+            return 1 + sum(_type_size(a) for a in args)
     raise TypeError(ty)
 
 
-def term_size(t: Term) -> int:
+def _term_size(t: Term) -> int:
     match t:
         case Var():
             return 1
         case Lam(ann=ann, body=b):
-            return 1 + (type_size(ann) if ann is not None else 0) + term_size(b)
+            return 1 + (_type_size(ann) if ann is not None else 0) + _term_size(b)
         case TLam(body=b):
-            return 1 + term_size(b)
+            return 1 + _term_size(b)
         case App(fun=f, arg=a):
-            return 1 + term_size(f) + term_size(a)
+            return 1 + _term_size(f) + _term_size(a)
         case TApp(fun=f, targ=s):
-            return 1 + term_size(f) + type_size(s)
+            return 1 + _term_size(f) + _type_size(s)
     raise TypeError(t)
 
 
-DEFAULT_TYPE_POOL: tuple[TypeExpr, ...] = (
+_TYPE_POOL: tuple[TypeExpr, ...] = (
     Con("Nat"),
     Con("B"),
     Arrow(Con("Nat"), Con("Nat")),
@@ -675,7 +672,7 @@ DEFAULT_TYPE_POOL: tuple[TypeExpr, ...] = (
 
 def enumerate_internal_terms(ctx: Context, max_size: int) -> list[tuple[Term, TypeExpr]]:
     """Every well-typed internal term of the given size or less, with
-    annotations and type arguments drawn from ``DEFAULT_TYPE_POOL``.
+    annotations and type arguments drawn from ``_TYPE_POOL``.
 
     Deterministic bottom-up enumeration; binder names are minted from
     the context depth so no term shadows anything.
@@ -696,8 +693,8 @@ def enumerate_internal_terms(ctx: Context, max_size: int) -> list[tuple[Term, Ty
             tv = f"X{depth}"
             for body, bty in terms(ctx.with_type_var(tv), size - 1):
                 out.append((TLam(tv, body), Forall(tv, bty)))
-            for ann in DEFAULT_TYPE_POOL:
-                budget = size - 1 - type_size(ann)
+            for ann in _TYPE_POOL:
+                budget = size - 1 - _type_size(ann)
                 if budget < 1 or not is_well_formed(ctx, ann):
                     continue
                 name = f"x{depth}"
@@ -706,8 +703,8 @@ def enumerate_internal_terms(ctx: Context, max_size: int) -> list[tuple[Term, Ty
             for fsize in range(1, size - 1):
                 for fun, fty in terms(ctx, fsize):
                     if isinstance(fty, Forall):
-                        for targ in DEFAULT_TYPE_POOL:
-                            if type_size(targ) <= size - 1 - fsize and is_well_formed(
+                        for targ in _TYPE_POOL:
+                            if _type_size(targ) <= size - 1 - fsize and is_well_formed(
                                 ctx, targ
                             ):
                                 out.append(
@@ -728,7 +725,7 @@ def enumerate_internal_terms(ctx: Context, max_size: int) -> list[tuple[Term, Ty
     seen: set[str] = set()
     for s in range(1, max_size + 1):
         for term, ty in terms(ctx, s):
-            if term_size(term) == s:
+            if _term_size(term) == s:
                 key = canon_term(term)
                 if key not in seen:
                     seen.add(key)

@@ -13,8 +13,10 @@ everything downstream works with well-scoped trees.  One lexer loop,
 blanks included, and it hands the parser one declaration's tokens at
 a time, so every copy of an identifier in the trees is one shared
 string.  ``_declarations`` yields each declaration as it is parsed, or
-the ParseError that ends only it: ``spinel run`` reads a file through
-it, and ``parse_program`` collects it.  Each parse step reads its token
+the ParseError that ends only it.  It is the one reader of
+declarations: ``spinel run`` reads a file through it, ``parse_program``
+collects it, and ``spinel repl`` reads each command through it, with
+one parser for the whole session.  Each parse step reads its token
 once, and each node gets its span positionally.  A type or term with
 no chain builds no link list.  The printers append each piece of text
 to one list and join it once per call.
@@ -68,7 +70,7 @@ _Token = tuple[str, str, int, int]
 
 _TOKEN_RE = re.compile(r"([ \t\r]*)([A-Za-z_][A-Za-z0-9_']*|/\\|->|--.*|[0-9]+|[^ \t\r])")
 
-KEYWORDS = frozenset({"type", "assume", "check", "synth", "forall"})
+_KEYWORDS = frozenset({"type", "assume", "check", "synth", "forall"})
 
 # The kind of each token text that is always the same: punctuation and keywords.
 _FIXED = {
@@ -81,7 +83,7 @@ _FIXED = {
     ")": "rparen",
     "[": "lbrack",
     "]": "rbrack",
-    **{word: word for word in KEYWORDS},
+    **{word: word for word in _KEYWORDS},
 }
 _DECLARES = frozenset({"type", "assume", "check", "synth"})
 _IDENT_START = frozenset(string.ascii_letters + "_")
@@ -95,8 +97,15 @@ def tokenize(src: str) -> list[_Token]:
     ``_runs``, the one lexer, each run's without its last token: the
     next run's keyword, or "eof".  Its first ParseError is raised.
     """
+    try:
+        return _tokens(_runs(src.split("\n")))
+    except ParseError as exc:  # raised again from here, it pins no token list
+        raise exc.with_traceback(None)
+
+
+def _tokens(runs) -> list[_Token]:
     tokens: list[_Token] = []
-    for run in _runs(src.split("\n")):
+    for run in runs:
         if type(run) is ParseError:
             raise run
         tokens += run
@@ -189,9 +198,6 @@ class Goal:
     span: Span
 
 
-Decl = ConDecl | Assume | Goal
-
-
 _span = tuple.__new__  # _span(Span, fields) costs half of Span(*fields)
 
 
@@ -206,25 +212,25 @@ class _Parser:
 
     The list ends with the token after the text it covers: "eof", or,
     for one run of a source file, the next run's keyword, which no rule
-    consumes.  ``_declarations`` hands the one parser each run in turn.
+    consumes.  ``_declarations`` hands its parser each run in turn.
     Only parentheses, brackets and constructor arguments recurse, so a
     chain of any length parses at any recursion limit.
 
-    ``scope`` holds the declared names: a copy of those it is given,
-    which each ``assume`` adds to.  Two more mutable sets hold the
-    binders open at the current token: ``tyvars`` the type variables,
-    ``bound`` the names of lambdas and type lambdas.  Each ``type_`` or
-    ``term`` run adds its binders as it reads them and removes them when
-    it closes; no binder shadows a name, so that restores the scope
-    exactly.
+    ``signature`` and ``scope`` hold the declared constructors and names:
+    a copy of those it is given, which each ``type`` and ``assume`` adds
+    to.  Two more mutable sets hold the binders open at the current
+    token: ``tyvars`` the type variables, ``bound`` the names of lambdas
+    and type lambdas.  Each ``type_`` or ``term`` run adds its binders as
+    it reads them and removes them when it closes; no binder shadows a
+    name, so that restores the scope exactly.
     """
 
     __slots__ = ("tokens", "pos", "signature", "scope", "tyvars", "bound")
 
-    def __init__(self, tokens: list[_Token], signature: dict[str, int], scope: frozenset[str]):
-        self.tokens = tokens
+    def __init__(self, signature: dict[str, int] | None = None, scope: frozenset[str] = frozenset()):
+        self.tokens: list[_Token] = []
         self.pos = 0
-        self.signature = signature
+        self.signature = dict(signature or {})
         self.scope = set(scope)
         self.tyvars: set[str] = set()
         self.bound: set[str] = set()
@@ -442,7 +448,7 @@ class _Parser:
         raise _expected(tok, "a term")
 
 
-def _declaration(parser: _Parser, tok: _Token) -> Decl:
+def _declaration(parser: _Parser, tok: _Token) -> ConDecl | Assume | Goal:
     """The rest of the declaration that starts with keyword ``tok``."""
     match tok[0]:
         case "type":
@@ -479,15 +485,15 @@ def _declaration(parser: _Parser, tok: _Token) -> Decl:
     raise ParseError(f"expected a declaration, found {tok[1]!r}", tok[2], tok[3])
 
 
-def _declarations(lines):
+def _declarations(lines, parser: _Parser):
     """Yield the declarations of ``lines``, one run of ``_runs`` at a time,
-    or in place of one the ParseError, without traceback, that ends it:
-    the rest of its run is skipped, its open binders are closed, and
-    parsing goes on.  Only parentheses, brackets and constructor
-    arguments nest by recursion, and a declaration nested too deeply for
-    the recursion limit is a ParseError at its first token.
+    read by ``parser`` in the scope of what it has read before, or in
+    place of one the ParseError, without traceback, that ends it: the
+    rest of its run is skipped, its open binders are closed, and parsing
+    goes on.  Only parentheses, brackets and constructor arguments nest
+    by recursion, and a declaration nested too deeply for the recursion
+    limit is a ParseError at its first token.
     """
-    parser = _Parser([], {}, frozenset())
     for run in _runs(lines):
         if type(run) is ParseError:
             yield run
@@ -508,31 +514,31 @@ def _declarations(lines):
             yield decl
 
 
-def parse_program(src: str) -> tuple[Decl, ...]:
+def parse_program(src: str) -> tuple[ConDecl | Assume | Goal, ...]:
     """Parse a whole source file into its declarations, those of
     ``_declarations``.  The lexer's error comes first, as if the whole
     file were lexed before any of it is parsed: the first unexpected
     character anywhere is the ParseError raised, else the first error."""
     try:
-        return _program(_declarations(src.split("\n")))
+        return _program(_declarations(src.split("\n"), _Parser()))
     except ParseError as exc:  # raised again from here, it pins no parsed declaration
         raise exc.with_traceback(None)
 
 
-def _program(decls) -> tuple[Decl, ...]:
+def _program(decls) -> tuple[ConDecl | Assume | Goal, ...]:
     decls = tuple(decls)
     if errors := [d for d in decls if type(d) is ParseError]:
         raise next((e for e in errors if e.message.startswith("unexpected character")), errors[0])
     return decls
 
 
-def _parse_all(src: str, ctx: Context, tyvars: frozenset[str], read, what: str):
+def _parse_all(src: str, ctx: Context, read, what: str):
     """What ``read`` parses from every token of ``src`` in the scope of
-    ``ctx``, with ``tyvars`` open; trailing input is an error about ``what``."""
-    tokens = tokenize(src)
-    tokens.append(_eof(tokens))
-    parser = _Parser(tokens, dict(ctx.signature), ctx.names)
-    parser.tyvars.update(tyvars)
+    ``ctx``, its type variables open; trailing input is an error about ``what``."""
+    parser = _Parser(ctx.signature, ctx.names)
+    parser.tokens = tokenize(src)
+    parser.tokens.append(_eof(parser.tokens))
+    parser.tyvars.update(ctx.dtv)
     out = read(parser)
     parser.finish(what)
     return out
@@ -541,7 +547,7 @@ def _parse_all(src: str, ctx: Context, tyvars: frozenset[str], read, what: str):
 def parse_type(src: str, ctx: Context) -> TypeExpr:
     """Parse a single type in the scope of a context."""
     try:
-        return _parse_all(src, ctx, ctx.dtv, _Parser.type_, "type")
+        return _parse_all(src, ctx, _Parser.type_, "type")
     except ParseError as exc:  # raised again from here, it pins no parser state
         raise exc.with_traceback(None)
 
@@ -549,21 +555,7 @@ def parse_type(src: str, ctx: Context) -> TypeExpr:
 def parse_term(src: str, ctx: Context) -> Term:
     """Parse a single term in the scope of a context."""
     try:
-        return _parse_all(src, ctx, ctx.dtv, _Parser.term, "term")
-    except ParseError as exc:  # raised again from here, it pins no parser state
-        raise exc.with_traceback(None)
-
-
-def parse_declaration(keyword: str, src: str, ctx: Context) -> Decl:
-    """Parse one declaration in the scope of a context, its keyword given apart.
-
-    ``parse_declaration("assume", "f : Nat -> Nat", ctx)`` reads what
-    ``assume f : Nat -> Nat`` declares in a source file: like a source
-    file's top level, ``ctx`` has no type variables in scope.  Positions
-    are those within ``src``.
-    """
-    try:
-        return _parse_all(src, ctx, frozenset(), lambda p: _declaration(p, (keyword, keyword, 1, 1)), "declaration")
+        return _parse_all(src, ctx, _Parser.term, "term")
     except ParseError as exc:  # raised again from here, it pins no parser state
         raise exc.with_traceback(None)
 
@@ -584,14 +576,13 @@ def pretty_type(ty: TypeExpr, rename: _Rename = None) -> str:
     return "".join(out)
 
 
-def pretty_term(t: Term, rename: _Rename = None) -> str:
+def pretty_term(t: Term) -> str:
     """Render a term; lambdas bind loosest, application tightest.
 
-    ``rename`` applies to type variables and type-lambda binders only.
     The text is written into one list by ``_term_into`` and joined once.
     """
     out: list[str] = []
-    _term_into(out, t, rename, 0)
+    _term_into(out, t, 0)
     return "".join(out)
 
 
@@ -638,7 +629,7 @@ def _type_into(out: list[str], ty: TypeExpr, rename: _Rename, prec: int) -> None
         append(")" * opened)
 
 
-def _term_into(out: list[str], t: Term, rename: _Rename, prec: int) -> None:
+def _term_into(out: list[str], t: Term, prec: int) -> None:
     """Append the text of ``t`` at precedence ``prec`` to ``out``.
 
     A chain of lambdas and type lambdas is one loop, like a type's
@@ -655,12 +646,12 @@ def _term_into(out: list[str], t: Term, rename: _Rename, prec: int) -> None:
                 opened += 1
             x = t.bound
             if kind is TLam:
-                append("/\\" + (rename.get(x, x) if rename else x))
+                append("/\\" + x)
             elif t.ann is None:
                 append("\\" + x)
             else:
                 append(f"\\{x} : ")
-                _type_into(out, t.ann, rename, 1)
+                _type_into(out, t.ann, None, 1)
             append(". ")
             t, prec = t.body, 0
         elif kind is App or kind is TApp:
@@ -672,14 +663,14 @@ def _term_into(out: list[str], t: Term, rename: _Rename, prec: int) -> None:
             if prec > 1:
                 append("(")
                 opened += 1
-            _term_into(out, t, rename, 1)
+            _term_into(out, t, 1)
             for node in reversed(spine):
                 if type(node) is App:
                     append(" ")
-                    _term_into(out, node.arg, rename, 2)
+                    _term_into(out, node.arg, 2)
                 else:
                     append(" [")
-                    _type_into(out, node.targ, rename, 0)
+                    _type_into(out, node.targ, None, 0)
                     append("]")
             break
         elif kind is Var:

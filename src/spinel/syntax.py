@@ -391,13 +391,10 @@ class Synthetic:
     arg_index: int
 
 
-Provenance = Union[Contextual, Synthetic]
-
-
 @_node
 class Binding:
     ty: TypeExpr
-    origin: Provenance
+    origin: Contextual | Synthetic
 
 
 class Solution(dict):

@@ -12,13 +12,13 @@ from spinel.infer import Check, Diagnostic, DiagnosticKind, Synthesize, infer, s
 from spinel.internal import check_internal
 from spinel.matcher import MatchFailure, _match, match_proto
 from spinel.oracle import (
+    _type_size,
     check_weak_completeness_conditions,
     enumerate_erasures,
     enumerate_internal_terms,
     enumerate_matcher_types,
     passes_side_conditions,
     search_spec,
-    type_size,
     verify_spec,
 )
 from spinel.parser import pretty_term, pretty_type
@@ -150,7 +150,6 @@ def test_criterion_4_matcher_goldens():
         frozenset(),
         Forall("X", Forall("Y", Arrow(x, Arrow(y, x)))),
         ArrowTo(ArrowTo(Exact(nat))),
-        NameSupply(),
     )
     # The solution decorates the peeled ``?X0`` with ``Nat`` and binds
     # nothing else.
@@ -159,9 +158,7 @@ def test_criterion_4_matcher_goldens():
     elif got[2].types() != {"?X0": nat}:
         problems.append("solution is not the decoration alone")
 
-    got = match_proto(
-        frozenset(), Forall("X", Arrow(x, x)), ArrowTo(ArrowTo(Exact(nat))), NameSupply()
-    )
+    got = match_proto(frozenset(), Forall("X", Arrow(x, x)), ArrowTo(ArrowTo(Exact(nat))))
     stuck = (["?X0", mx], Stuck("?X0", ArrowTo(Exact(nat))))
     if type(got) is MatchFailure or got[:2] != stuck or got[2]:
         problems.append("over-applied quantifier sticks")
@@ -237,7 +234,7 @@ def _proto_size(p) -> int:
         case Unknown():
             return 1
         case Exact(ty=t):
-            return type_size(t)
+            return _type_size(t)
         case ArrowTo(rest=r):
             return 1 + _proto_size(r)
     raise TypeError(p)
@@ -269,15 +266,15 @@ def test_criterion_7_exhaustive_matcher_audit():
         while _proto_size(p) <= 6:
             protos.append(p)
             p = ArrowTo(p)
-    type_sizes = [(t, type_size(t)) for t in types]
+    type_sizes = [(t, _type_size(t)) for t in types]
     proto_sizes = [(p, _proto_size(p)) for p in protos]
     pairs = [(t, p) for t, ts in type_sizes for p, ps in proto_sizes if ts + ps <= 7]
 
     problems = []
     matched = 0
     for t, p in pairs:
-        first = match_proto(metas, t, p, NameSupply())
-        second = match_proto(metas, t, p, NameSupply())
+        first = match_proto(metas, t, p)
+        second = match_proto(metas, t, p)
         failed = type(first) is MatchFailure
         if failed != (type(second) is MatchFailure):
             problems.append(f"nondeterministic outcome on {pretty_type(t)}")

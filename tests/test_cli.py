@@ -1002,19 +1002,22 @@ def _erasure_goals_repeated(path, size, times):
 def test_a_run_holds_one_block_of_trees_not_the_file(tmp_path, monkeypatch):
     # tracemalloc counts deterministically.  Reading the whole file, and
     # parsing it before answering, made the 10x file's peak 9.7x the 1x one.
+    # Blocks of 16 goals make the size-4 erasure file 23 blocks long, so the
+    # test is cheap; a first, untraced run makes what any run makes once.
+    monkeypatch.setattr("spinel.cli._BLOCK", 16)
     peaks = []
-    for times in (1, 10):
-        path = tmp_path / f"erasures-{times}.spn"
-        assert _erasure_goals_repeated(path, 6, times) == 3514 * times
-        with open(os.devnull, "w") as devnull:
-            monkeypatch.setattr(sys, "stdout", devnull)
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        for times in (1, 1, 10):
+            path = tmp_path / f"erasures-{times}.spn"
+            assert _erasure_goals_repeated(path, 4, times) == 356 * times
             tracemalloc.start()
             try:
                 assert main(["run", str(path), "--json", "--elab"]) == 1
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-    assert peaks[1] <= 1.1 * peaks[0], peaks
+    assert peaks[2] <= 1.1 * peaks[1], peaks
 
 
 def test_long_chain_declaration_is_checked_and_its_goals_end_in_an_outcome(tmp_path):
@@ -1292,21 +1295,28 @@ def test_repl_diagnoses_bad_goals(monkeypatch, capsys):
 
 
 def test_repl_reports_too_deep_input_and_keeps_going(monkeypatch, capsys):
-    code, out = feed_repl(
-        monkeypatch,
-        capsys,
-        [":type Nat", ":assume z : Nat", ":assume suc : Nat -> Nat",
-         f":synth {deep_suc(2000)}", ":synth suc z", ":q"],
-    )
+    # Too deep to parse is the reader's parse error at the declaration's
+    # first token; parsed, but too deep to type-check, an ``error:`` line.
+    with recursion_headroom(1000):
+        code, out = feed_repl(
+            monkeypatch,
+            capsys,
+            [":type Nat", ":assume z : Nat", ":assume suc : Nat -> Nat",
+             f":synth {deep_suc(2000)}", f":synth {deep_suc(250)}", ":synth suc z", ":q"],
+        )
     assert code == 0
-    assert "error: input is nested too deeply" in out
-    assert "elaboration: suc z" in out
+    assert out.splitlines()[4:] == [
+        "parse error: 1:2: declaration is nested too deeply",
+        "error: input is nested too deeply",
+        "type: Nat",
+        "elaboration: suc z",
+    ]
 
 
 def test_repl_reports_an_arity_with_too_many_digits_as_a_parse_error(monkeypatch, capsys):
     code, out = feed_repl(monkeypatch, capsys, [f":type Big {'9' * 5000}", ":q"])
     assert code == 0
-    assert out.splitlines()[-1] == "parse error: 1:5: arity is too large"
+    assert out.splitlines()[-1] == "parse error: 1:11: arity is too large"
 
 
 def test_repl_exits_on_end_of_input(monkeypatch, capsys):
@@ -1316,25 +1326,26 @@ def test_repl_exits_on_end_of_input(monkeypatch, capsys):
 
 REPL_PRELUDE = [":type Nat", ":type B", ":assume z : Nat", ":assume ident : forall X. X -> X"]
 
-# A malformed command and the parse error the REPL prints for it.  Columns
-# count from the first character after the command word.
+# A malformed command and the parse error the REPL prints for it.  A
+# command is read as a line of a source file, its ``:`` a blank, so
+# columns count in the command as typed.
 REPL_PARSE_ERRORS = [
-    (":type Nat", "1:1: duplicate declaration of 'Nat'"),
-    (":type z", "1:1: duplicate declaration of 'z'"),
-    (":type", "1:1: expected a constructor name"),
-    (":assume z : B", "1:1: duplicate declaration of 'z'"),
-    (":assume Nat : B", "1:1: duplicate declaration of 'Nat'"),
-    (":assume w : Undeclared", "1:5: unbound type variable 'Undeclared'"),
-    (":assume w Nat", "1:3: expected ':', found 'Nat'"),
-    (":assume", "1:1: expected a name"),
-    (":check \\z. z : Nat -> Nat", "1:2: 'z' shadows an existing binding"),
-    (":check z : Undeclared", "1:5: unbound type variable 'Undeclared'"),
-    (":check ident z", "1:8: expected ':'"),
-    (":check", "1:1: expected a term"),
-    (":synth \\z : Nat. z", "1:2: 'z' shadows an existing binding"),
-    (":synth \\x : Undeclared. x", "1:6: unbound type variable 'Undeclared'"),
-    (":synth ident [Undeclared] z", "1:8: unbound type variable 'Undeclared'"),
-    (":synth", "1:1: expected a term"),
+    (":type Nat", "1:7: duplicate declaration of 'Nat'"),
+    (":type z", "1:7: duplicate declaration of 'z'"),
+    (":type", "1:6: expected a constructor name"),
+    (":assume z : B", "1:9: duplicate declaration of 'z'"),
+    (":assume Nat : B", "1:9: duplicate declaration of 'Nat'"),
+    (":assume w : Undeclared", "1:13: unbound type variable 'Undeclared'"),
+    (":assume w Nat", "1:11: expected ':', found 'Nat'"),
+    (":assume", "1:8: expected a name"),
+    (":check \\z. z : Nat -> Nat", "1:9: 'z' shadows an existing binding"),
+    (":check z : Undeclared", "1:12: unbound type variable 'Undeclared'"),
+    (":check ident z", "1:15: expected ':'"),
+    (":check", "1:7: expected a term"),
+    (":synth \\z : Nat. z", "1:9: 'z' shadows an existing binding"),
+    (":synth \\x : Undeclared. x", "1:13: unbound type variable 'Undeclared'"),
+    (":synth ident [Undeclared] z", "1:15: unbound type variable 'Undeclared'"),
+    (":synth", "1:7: expected a term"),
 ]
 
 
@@ -1345,23 +1356,22 @@ def test_repl_parse_error_message_and_position(monkeypatch, capsys, line, error)
     assert out.splitlines()[-1] == f"parse error: {error}"
 
 
-# Trailing input is pinned by position only.  Its wording is the one
-# thing allowed to differ between commands' earlier parsers and the
-# shared one: every command now says "trailing input after declaration"
-# (tests/test_parser.py pins that).
+# A command with a token after its declaration, and what the REPL prints
+# for it: as a line of a source file does, the declaration is carried
+# out, and the stray token is a parse error of its own.
 REPL_TRAILING_INPUT = [
-    (":type Tree 2 3", "1:8"),
-    (":assume w : Nat B", "1:9"),
-    (":check z : Nat B", "1:9"),
-    (":synth z : Nat", "1:3"),
+    (":type Tree 2 3", ["type Tree 2", "parse error: 1:14: expected a declaration, found '3'"]),
+    (":assume w : Nat B", ["w : Nat", "parse error: 1:17: expected a declaration, found 'B'"]),
+    (":check z : Nat B", ["ok: Nat", "elaboration: z", "parse error: 1:16: expected a declaration, found 'B'"]),
+    (":synth z : Nat", ["type: Nat", "elaboration: z", "parse error: 1:10: expected a declaration, found ':'"]),
 ]
 
 
-@pytest.mark.parametrize("line, where", REPL_TRAILING_INPUT, ids=[line for line, _ in REPL_TRAILING_INPUT])
-def test_repl_trailing_input_position(monkeypatch, capsys, line, where):
+@pytest.mark.parametrize("line, lines", REPL_TRAILING_INPUT, ids=[line for line, _ in REPL_TRAILING_INPUT])
+def test_repl_trailing_input_position(monkeypatch, capsys, line, lines):
     code, out = feed_repl(monkeypatch, capsys, REPL_PRELUDE + [line, ":q"])
     assert code == 0
-    assert out.splitlines()[-1].startswith(f"parse error: {where}: trailing input after ")
+    assert out.splitlines()[1 + len(REPL_PRELUDE):] == lines
 
 
 # ------------------------------------------------------------ entry point

@@ -17,7 +17,7 @@ from conftest import CTX, STANDARD_DECLS
 from spinel.cli import main
 from spinel.infer import Check, Diagnostic, Synthesize, infer
 from spinel.internal import check_internal
-from spinel.oracle import DEFAULT_TYPE_POOL, verify_spec
+from spinel.oracle import _TYPE_POOL, verify_spec
 from spinel.parser import parse_term, parse_type, pretty_term, pretty_type
 from spinel.syntax import (
     App,
@@ -89,7 +89,7 @@ def goals(draw):
     the common ones, or ``synth``."""
     term = pretty_term(draw(terms()))
     if draw(st.booleans()):
-        expected = draw(st.sampled_from(DEFAULT_TYPE_POOL) | types())
+        expected = draw(st.sampled_from(_TYPE_POOL) | types())
         return f"check {term} : {pretty_type(expected)}"
     return f"synth {term}"
 

@@ -37,6 +37,11 @@ def test_rejects_type_application_of_non_quantified_terms():
         check_internal(CTX, tm("z [Nat]"))
 
 
+def test_rejects_application_of_a_non_function():
+    with pytest.raises(InternalTypeError, match="^applicand is not a function$"):
+        check_internal(CTX, tm("z z"))
+
+
 def test_rejects_unbound_variables():
     # an argument of an arrow-typed head, so the check reaches it
     with pytest.raises(InternalTypeError, match="unbound variable 'missing'"):

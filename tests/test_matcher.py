@@ -203,7 +203,7 @@ def test_first_order_match_rejects_a_pattern_quantifier_binding_a_solvable_varia
 
 def test_supply_backed_binders_are_run_unique_metas():
     supply = NameSupply()
-    links, _, _ = match_proto(
+    links, _, _ = _match(
         frozenset(), ty("forall X. forall Y. X -> Y -> Pair X Y"), arrow_to(1), supply
     )
     outer, inner = links[:2]

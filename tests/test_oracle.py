@@ -30,9 +30,12 @@ from spinel.cli import main
 from spinel.infer import Check, Diagnostic, Synthesize, infer, spine_infer
 from spinel.internal import check_internal
 from spinel.oracle import (
-    DEFAULT_TYPE_POOL,
+    _TYPE_POOL,
     _declined,
     _solve_instantiation,
+    _subtypes,
+    _term_size,
+    _type_size,
     canonical_triple_key,
     check_weak_completeness_conditions,
     default_candidates,
@@ -42,9 +45,6 @@ from spinel.oracle import (
     passes_side_conditions,
     search_spec,
     standard_context,
-    subtypes,
-    term_size,
-    type_size,
     verify_spec,
 )
 from spinel.parser import pretty_term, pretty_type
@@ -475,13 +475,13 @@ def test_default_candidates_cover_context_and_arguments():
 
 
 def test_subtypes_enumerates_all_subterms():
-    got = list(subtypes(ty("Pair Nat (B -> B)")))
+    got = list(_subtypes(ty("Pair Nat (B -> B)")))
     assert ty("Pair Nat (B -> B)") in got
     assert Con("Nat") in got
     assert ty("B -> B") in got
     assert Con("B") in got
     for src in ("Pair Nat (B -> B)", "forall X. (X -> Nat) -> Sum X (Pair B X)", "Nat"):
-        assert list(subtypes(ty(src))) == list(_reference_subtypes(ty(src)))
+        assert list(_subtypes(ty(src))) == list(_reference_subtypes(ty(src)))
 
 
 def _reference_subtypes(ty_):
@@ -548,7 +548,7 @@ def test_default_candidates_agree_with_the_reference_across_contexts():
 def test_the_context_part_of_the_pool_is_checked_once_per_context(monkeypatch):
     oracle = importlib.import_module("spinel.oracle")
     ctx = Context(CTX.entries, CTX.signature)  # equal to CTX, but a new object
-    sub_types = sum(len(list(subtypes(e.ty))) for e in ctx.entries if isinstance(e, TermBind))
+    sub_types = sum(len(list(_subtypes(e.ty))) for e in ctx.entries if isinstance(e, TermBind))
     calls = count_calls(monkeypatch, "is_well_formed", [oracle])
     first = default_candidates(ctx, None, Var("z"))
     assert calls[0] == sub_types
@@ -828,18 +828,18 @@ def _grown_internal_terms(draw):
         step += 1
         term, t = draw(st.sampled_from(built))
         if not draw(st.booleans()):  # the simplest step, to which Hypothesis shrinks
-            ann = draw(st.sampled_from(DEFAULT_TYPE_POOL))
+            ann = draw(st.sampled_from(_TYPE_POOL))
             term, t = Lam(f"w{step}", ann, term), Arrow(ann, t)
         else:
             while isinstance(t, Forall):
-                targ = draw(st.sampled_from(DEFAULT_TYPE_POOL))
+                targ = draw(st.sampled_from(_TYPE_POOL))
                 term, t = TApp(term, targ), substitute({t.bound: targ}, t.body)
             while isinstance(t, Arrow) and (args := [a for a, at in built if alpha_equal(at, t.dom)]):
                 term, t = App(term, draw(st.sampled_from(args))), t.cod
                 if draw(st.booleans()):
                     break
         built.insert(0, (term, t))
-        size = term_size(term)
+        size = _term_size(term)
     return term, t
 
 
@@ -848,7 +848,7 @@ def _grown_internal_terms(draw):
 def test_erasures_that_meet_the_conditions_synthesize_back_past_size_7(drawn):
     # Criterion 9 beyond its size-7 corpus.
     internal, t = drawn
-    assert term_size(internal) >= 8 and alpha_equal(check_internal(CTX, internal), t)
+    assert _term_size(internal) >= 8 and alpha_equal(check_internal(CTX, internal), t)
     for erased in enumerate_erasures(internal):
         if check_weak_completeness_conditions(CTX, erased):
             assert alpha_equal_term(infer(CTX, Synthesize(), erased).elaboration, internal)
@@ -905,13 +905,13 @@ def test_internal_term_enumeration_is_well_typed_and_deterministic():
     assert [pretty_term(t) for t, _ in first] == [pretty_term(t) for t, _ in second]
     assert len(first) > 50
     for term, claimed in first:
-        assert term_size(term) <= 5
+        assert _term_size(term) <= 5
         assert alpha_equal(check_internal(ctx, term), claimed)
 
 
 def test_matcher_type_enumeration_is_size_bounded():
     types = enumerate_matcher_types(4)
-    assert all(type_size(t) <= 4 for t in types)
+    assert all(_type_size(t) <= 4 for t in types)
     assert len(types) == len({repr(t) for t in types}) or len(types) > 0
     from spinel.syntax import Forall
 

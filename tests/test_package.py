@@ -1,7 +1,8 @@
-"""The public surface: each name the README documents is imported from its module."""
+"""The public surface: each module's public names are the README's list for it."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import os
@@ -10,16 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import spinel
 import spinel.infer as infer_mod
 
-DOCUMENTED = {
-    "spinel.infer": {"infer", "Check", "Synthesize", "Diagnostic", "spine_infer"},
-    "spinel.parser": {"parse_term", "parse_type", "ParseError", "pretty_term", "pretty_type"},
-    "spinel.internal": {"check_internal"},
-    "spinel.matcher": {"match_proto"},
-    "spinel.oracle": {"verify_spec", "search_spec"},
-}
+MODULES = ("syntax", "parser", "infer", "matcher", "internal", "oracle", "cli")
 
 SRC = Path(spinel.__file__).resolve().parents[1]
 
@@ -47,21 +44,54 @@ def test_import_spinel_infer_binds_the_module():
     assert infer_mod.infer.__module__ == "spinel.infer"
 
 
-def test_every_documented_name_imports_from_the_module_the_readme_names():
-    # The Library section lists each name in a bullet under a "`spinel.X`:" line.
+def _readme_listed() -> dict[str, set[str]]:
+    """The names the Library section lists, by module: under a "`spinel.X`:"
+    line, the names a bullet starts with, such as ``infer`` and ``Check``
+    in "- `infer(ctx, mode, term)` and `Check`: ..."; and each
+    `spinel.X.name` of the paragraph on the names the benchmark uses."""
     listed: dict[str, set[str]] = {}
     module = None
-    for line in _readme_library().splitlines():
-        if heading := re.fullmatch(r"`(spinel\.\w+)`:", line):
+    for paragraph in _readme_library().split("\n\n"):
+        if heading := re.fullmatch(r"`spinel\.(\w+)`:", paragraph):
             module = heading[1]
-        elif line.startswith("- `") and module:
-            listed.setdefault(module, set()).update(re.findall(r"`(\w+)[(`]", line))
-        elif line.startswith("#"):
-            break
-    assert listed == DOCUMENTED
-    for module, names in DOCUMENTED.items():
-        for name in names:
-            assert getattr(importlib.import_module(module), name).__module__ == module, (module, name)
+        elif paragraph.startswith("Used by the benchmark"):
+            for used, name in re.findall(r"`spinel\.(\w+)\.(\w+)`", paragraph):
+                listed.setdefault(used, set()).add(name)
+        elif module and paragraph.startswith("- "):
+            for bullet in re.split(r"\n(?=- )", paragraph):
+                lead = re.match(r"- ((?:`\w+(?:\([^`]*\))?`(?:, and |, | and )?)+)", " ".join(bullet.split()))
+                listed.setdefault(module, set()).update(re.findall(r"`(\w+)", lead[1]) if lead else ())
+    return listed
+
+
+def _defined(module: str) -> set[str]:
+    """The public names ``module`` defines at its top level: by ``def``,
+    ``class`` or assignment, not by import."""
+    tree = ast.parse(Path(importlib.import_module(f"spinel.{module}").__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_the_readme_lists_the_seven_modules_and_no_other():
+    assert sorted(_readme_listed()) == sorted(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_a_module_defines_exactly_the_public_names_the_readme_lists_for_it(module):
+    # Both ways: a public name the README does not list is a helper to make
+    # private, and a listed name the module does not define is stale.
+    assert _defined(module) == _readme_listed().get(module, set())
+    mod = importlib.import_module(f"spinel.{module}")
+    for name in _defined(module):
+        value = getattr(mod, name)
+        if inspect.isfunction(value) or inspect.isclass(value):
+            assert value.__module__ == mod.__name__, name
 
 
 def test_the_readme_library_example_prints_what_its_comments_say():

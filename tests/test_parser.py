@@ -15,14 +15,13 @@ from hypothesis import example, given, settings, strategies as st
 from spinel.infer import Check, infer
 from spinel.oracle import enumerate_erasures, enumerate_internal_terms
 from spinel.parser import (
-    KEYWORDS,
     Assume,
     ConDecl,
     ParseError,
+    _KEYWORDS,
     _runs,
     _term_into,
     _type_into,
-    parse_declaration,
     parse_program,
     parse_term,
     parse_type,
@@ -198,7 +197,7 @@ def test_parse_error_at_end_of_input():
 
 def test_goal_requires_a_colon_when_checking():
     with pytest.raises(ParseError, match="':'"):
-        parse_declaration("check", "suc z", CTX)
+        parse_program("check suc z")
 
 
 # Every malformed source's exact message and position, pinned from the
@@ -344,7 +343,7 @@ def _reference_tokenize(src):
                 continue
             word = m.group()
             if kind == "ident":
-                if word in KEYWORDS:
+                if word in _KEYWORDS:
                     kind = word
             elif kind == "bad":
                 raise ParseError(f"unexpected character {word!r}", line, m.start() + 1)
@@ -359,7 +358,7 @@ _FRAGMENTS = st.one_of(
     st.sampled_from([
         "/\\", "->", "\\", ".", ":", "(", ")", "[", "]", "-", "/", "--", "-- x -> y",
         " ", "  ", "\t", "\r", "\f", "\n", "'", "_", "x", "X1", "x'", "Nat",
-        "0", "42", "٣", "²", "é", "$", *sorted(KEYWORDS),
+        "0", "42", "٣", "²", "é", "$", *sorted(_KEYWORDS),
     ]),
     st.text(alphabet="ab_'09٣é -/\\>.", max_size=4),
 )
@@ -482,18 +481,24 @@ def test_parsing_holds_one_declarations_tokens_at_a_time():
     assert peak - kept <= 0.25 * tree, (peak - kept) / tree
 
 
-def test_a_kept_parse_error_pins_no_parsed_declaration():
+@pytest.mark.parametrize(
+    "entry, bad, message",
+    [(parse_program, "synth )", "expected a term, found ')'"), (tokenize, "synth $", "unexpected character '$'")],
+    ids=["parse_program", "tokenize"],
+)
+def test_a_kept_parse_error_pins_no_parsed_declaration(entry, bad, message):
     # A few thousand goals and a bad last line.  The error kept from
     # parse_program holds its message and position and a traceback of this
     # frame and the entry's, not the declarations parsed before it: 4.7 MB
     # of them while the error kept the frame that collected them, in a
-    # cycle.  What it pins is what dropping it and collecting frees,
-    # measured by tracemalloc, which counts deterministically.
-    src = erasure_source(6) + "synth )\n"
+    # cycle.  The one kept from tokenize holds no token lexed before it.
+    # What it pins is what dropping it and collecting frees, measured by
+    # tracemalloc, which counts deterministically.
+    src = erasure_source(6) + bad + "\n"
     tracemalloc.start()
     try:
         try:
-            parse_program(src)
+            entry(src)
         except ParseError as exc:
             error = exc
         frames, where = traceback_frames(error), (error.message, error.line, error.col)
@@ -504,8 +509,8 @@ def test_a_kept_parse_error_pins_no_parsed_declaration():
         pinned = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert where == ("expected a term, found ')'", src.count("\n"), 7)
-    assert frames == ["test_a_kept_parse_error_pins_no_parsed_declaration", "parse_program"]
+    assert where == (message, src.count("\n"), 7)
+    assert frames == ["test_a_kept_parse_error_pins_no_parsed_declaration", entry.__name__]
     assert pinned <= 4096, pinned
 
 
@@ -515,9 +520,10 @@ def test_a_kept_parse_error_pins_no_parsed_declaration():
         (parse_program, ("synth z\nsynth $\n",), "2:7: unexpected character '$'"),
         (parse_type, ("Nat -> (Nat", CTX), "1:12: expected ')'"),
         (parse_term, ("pair (z (z", CTX), "1:11: expected ')'"),
-        (parse_declaration, ("type", "T " + "9" * 5000, CTX), "1:3: arity is too large"),
+        (parse_program, ("type T " + "9" * 5000,), "1:8: arity is too large"),
+        (tokenize, ("synth z\nsynth $\n",), "2:7: unexpected character '$'"),
     ],
-    ids=["program", "type", "term", "declaration"],
+    ids=["program", "type", "term", "arity", "tokenize"],
 )
 def test_a_parse_error_holds_no_parser_state(entry, args, message):
     # Raised from the parser's recursive frames, or from a conversion the
@@ -570,23 +576,22 @@ def test_parse_program_rejects_stray_tokens():
         parse_program("typo Nat")
 
 
-def test_parse_assume_and_con_decl_helpers():
-    got = parse_declaration("assume", "w : Pair Nat B", CTX)
-    assert isinstance(got, Assume) and got.name == "w"
-    assert alpha_equal(got.ty, ty("Pair Nat B"))
-    got = parse_declaration("type", "Tree 2", CTX)
-    assert isinstance(got, ConDecl) and (got.name, got.arity) == ("Tree", 2)
+def test_parse_assume_and_con_decl():
+    decls = "type Nat\ntype B\ntype Pair 2\n"
+    *_, tree, w = parse_program(decls + "type Tree 2\nassume w : Pair Nat B\n")
+    assert isinstance(w, Assume) and w.name == "w"
+    assert alpha_equal(w.ty, ty("Pair Nat B"))
+    assert isinstance(tree, ConDecl) and (tree.name, tree.arity) == ("Tree", 2)
     with pytest.raises(ParseError, match="duplicate"):
-        parse_declaration("assume", "z : Nat", CTX)
+        parse_program(P + "assume z : Nat\n")
 
 
 @pytest.mark.parametrize(
-    "keyword, src, col", [("type", "Tree 2 3", 8), ("assume", "w : Nat B", 9), ("synth", "z : Nat", 3)]
+    "src, col, found", [("type Tree 2 3", 13, "'3'"), ("assume w : Nat B", 16, "'B'"), ("synth z : Nat", 9, "':'")]
 )
-def test_parse_declaration_rejects_trailing_input(keyword, src, col):
-    with pytest.raises(ParseError, match="trailing input after declaration") as exc:
-        parse_declaration(keyword, src, CTX)
-    assert (exc.value.line, exc.value.col) == (1, col)
+def test_a_stray_token_after_a_declaration_is_a_parse_error(src, col, found):
+    with pytest.raises(ParseError, match=f"^3:{col}: expected a declaration, found {found}$"):
+        parse_program(P + src)
 
 
 # ------------------------------------------------------------ printing
@@ -721,7 +726,7 @@ def _reference_pretty_type(ty, rename=None, prec=0):
     return "".join(parts) + ")" * opened
 
 
-def _reference_pretty_term(t, rename=None, prec=0):
+def _reference_pretty_term(t, prec=0):
     """Reference term printer, written like ``_reference_pretty_type``."""
     parts = []
     opened = 0
@@ -734,26 +739,26 @@ def _reference_pretty_term(t, rename=None, prec=0):
                 if ann is None:
                     parts.append(f"\\{x}. ")
                 else:
-                    parts.append(f"\\{x} : " + _reference_pretty_type(ann, rename, 1) + ". ")
+                    parts.append(f"\\{x} : " + _reference_pretty_type(ann, None, 1) + ". ")
                 t, prec = b, 0
             case TLam(bound=x, body=b):
                 if prec > 0:
                     parts.append("(")
                     opened += 1
-                parts.append(f"/\\{_nm(x, rename)}. ")
+                parts.append(f"/\\{x}. ")
                 t, prec = b, 0
             case App() | TApp():
                 args = []
                 while True:
                     match t:
                         case App(fun=f, arg=a):
-                            args.append(_reference_pretty_term(a, rename, 2))
+                            args.append(_reference_pretty_term(a, 2))
                         case TApp(fun=f, targ=s):
-                            args.append("[" + _reference_pretty_type(s, rename, 0) + "]")
+                            args.append("[" + _reference_pretty_type(s, None, 0) + "]")
                         case _:
                             break
                     t = f
-                args.append(_reference_pretty_term(t, rename, 1))
+                args.append(_reference_pretty_term(t, 1))
                 args.reverse()
                 body = " ".join(args)
                 parts.append(f"({body})" if prec > 1 else body)
@@ -766,15 +771,15 @@ def _reference_pretty_term(t, rename=None, prec=0):
     return "".join(parts) + ")" * opened
 
 
-def _printed(into, tree, rename, prec):
-    """The text the printer's ``into`` walk writes for ``tree`` at ``prec``."""
+def _printed(into, tree, *args):
+    """The text the printer's ``into`` walk writes for ``tree`` with ``args``."""
     out = []
-    into(out, tree, rename, prec)
+    into(out, tree, *args)
     return "".join(out)
 
 
 # Names shared by type variables, binders of both levels and term
-# variables, so that a renaming reaches each kind of name.
+# variables, so that a type's renaming reaches each kind of name.
 _NAMES = st.sampled_from(["X", "Y", "x", "f"])
 _RENAMES = st.none() | st.dictionaries(_NAMES, st.sampled_from(["A", "B'", "X"]), min_size=1)
 _TYPES = st.recursive(
@@ -812,19 +817,14 @@ def test_the_type_printer_agrees_with_the_reference_printer(t, rename, prec):
 
 
 @settings(max_examples=300)
-@given(_TERMS, _RENAMES, st.integers(0, 3))
-@example(App(Lam("x", _X, Var("x")), TLam("X", Var("f"))), {"X": "A", "x": "B'"}, 0)
-@example(App(Var("f"), TApp(TLam("X", Lam("x", None, Var("x"))), Forall("Y", _Y))), None, 2)
-@example(TApp(App(Var("f"), TApp(Var("f"), Arrow(_X, _NAT))), _X), {"X": "A"}, 1)
-@example(Lam("x", Arrow(Forall("X", _X), _NAT), App(Var("f"), Lam("f", None, Var("x")))), None, 3)
-def test_the_term_printer_agrees_with_the_reference_printer(t, rename, prec):
-    assert _printed(_term_into, t, rename, prec) == _reference_pretty_term(t, rename, prec)
-    assert pretty_term(t, rename) == _reference_pretty_term(t, rename)
-
-
-def test_a_renaming_reaches_type_variables_and_type_lambda_binders_only():
-    t = Lam("x", _X, TLam("X", TApp(Var("x"), Forall("X", _X))))
-    assert pretty_term(t, {"x": "y", "X": "A"}) == "\\x : A. /\\A. x [forall A. A]"
+@given(_TERMS, st.integers(0, 3))
+@example(App(Lam("x", _X, Var("x")), TLam("X", Var("f"))), 0)
+@example(App(Var("f"), TApp(TLam("X", Lam("x", None, Var("x"))), Forall("Y", _Y))), 2)
+@example(TApp(App(Var("f"), TApp(Var("f"), Arrow(_X, _NAT))), _X), 1)
+@example(Lam("x", Arrow(Forall("X", _X), _NAT), App(Var("f"), Lam("f", None, Var("x")))), 3)
+def test_the_term_printer_agrees_with_the_reference_printer(t, prec):
+    assert _printed(_term_into, t, prec) == _reference_pretty_term(t, prec)
+    assert pretty_term(t) == _reference_pretty_term(t)
 
 
 # ------------------------------------------------------------------ scopes
