@@ -240,7 +240,11 @@ def infer(
     """Infer or check a term, elaborating it to a fully annotated one.
 
     Raises Diagnostic on user-level failure and EngineInvariantError if
-    an internal consistency check trips.  The mode is read only here.
+    an internal consistency check trips.  Raises ValueError, a caller's
+    error, if a ``Check`` type is not well-formed in ``ctx``, or if a
+    binder of ``term`` reuses a name of ``ctx`` or of an enclosing binder
+    or gives a type variable a reserved ``?`` name; a parsed term has no
+    such binder.  The mode is read only here.
     """
     expected = mode.expected if type(mode) is Check else None
     if expected is None and type(mode) is not Synthesize:

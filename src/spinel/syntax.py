@@ -257,8 +257,9 @@ class Context:
     """Ordered typing context plus a constructor signature.
 
     Immutable: the ``with_*`` methods return extended copies.  Declared
-    names must be distinct; extension raises ValueError on shadowing or
-    on binding a term to an ill-formed type.
+    names must be distinct; extension raises ValueError on shadowing, on
+    a type variable with a reserved ``?`` name, or on binding a term to an
+    ill-formed type.
 
     Scope is ordered: a bound type may mention only the type variables
     declared before it.  Every extension is one step, ``_extend``, which
@@ -300,6 +301,8 @@ class Context:
                 if not _well_formed(dtv, signature, entry.ty, tvs):
                     raise ValueError(f"type bound to {name!r} is not well-formed")
                 binds[name] = entry.ty
+            elif is_meta_name(name):
+                raise ValueError(f"type variable {name!r} has a reserved meta-variable name")
             else:
                 tvs.add(name)
         ctx = object.__new__(Context)

@@ -1,5 +1,7 @@
-"""Shared test helpers: a standard context, parser-backed builders, a long
-contextually solved spine, work counters and a walk of what an object keeps."""
+"""Shared test helpers: a standard context, parser-backed builders, the one
+walk of the erasure corpus and the goal files and long inputs built from
+it (which CI writes too), a long contextually solved spine, work counters
+and a walk of what an object keeps."""
 
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import types
 
 from spinel.oracle import enumerate_erasures, enumerate_internal_terms, standard_context
 from spinel.parser import parse_term, parse_type, pretty_term, pretty_type
-from spinel.syntax import TermBind, alpha_equal
+from spinel.syntax import App, TermBind, alpha_equal
 
 CTX = standard_context()
 # The standard context as source declarations.
@@ -38,30 +40,83 @@ SEED_INTERNALS = [
 ]
 
 
-def criterion_9_internals():
-    """Criterion 9's corpus: the internal terms of size 7 or less, then the seeds."""
-    pool = enumerate_internal_terms(CTX, 7)
-    return [t for t, _ in pool] + [tm(src) for src in SEED_INTERNALS]
+@functools.cache
+def erasure_walk(size):
+    """The standard context's corpus up to ``size``, walked once per session
+    and size: each internal term, its type and the tuple of its erasures,
+    in enumeration order."""
+    terms = enumerate_internal_terms(CTX, size)
+    return tuple((internal, t, tuple(enumerate_erasures(internal))) for internal, t in terms)
+
+
+def erasures(size):
+    """Each erasure of the size-``size`` corpus, with its internal term's type."""
+    return [(erased, t) for _, t, erased_terms in erasure_walk(size) for erased in erased_terms]
+
+
+def application_goals(size):
+    """Each application erasure of the size-``size`` corpus checked against
+    its type, then synthesized (``None``), as ``(erased, expected)``."""
+    return [(erased, expected) for erased, t in erasures(size) if isinstance(erased, App) for expected in (t, None)]
+
+
+def criterion_9_corpus():
+    """Criterion 9's corpus: the internal terms of size 7 or less, then the
+    seeds, each with the tuple of its erasures."""
+    corpus = [(internal, erased) for internal, _, erased in erasure_walk(7)]
+    return corpus + [(seed, tuple(enumerate_erasures(seed))) for seed in map(tm, SEED_INTERNALS)]
 
 
 @functools.cache
-def erasure_source(size, wrong=False):
-    """CI's erasure file: the standard context's declarations, then every
-    erasure of each internal term up to ``size`` as ``check`` against its
-    type and as ``synth``.  With ``wrong``, like the benchmark's
-    ``rejects`` goals, each erasure is only checked, against the first type
-    of the sorted pool that is not alpha-equal to its own."""
-    lines = list(STANDARD_DECLS)
-    terms = enumerate_internal_terms(CTX, size)
-    pool = sorted({pretty_type(t): t for _, t in terms}.items())
-    for internal, t in terms:
-        expected = pretty_type(t)
-        if wrong:
-            expected = next(text for text, other in pool if not alpha_equal(other, t))
-        for erased in enumerate_erasures(internal):
-            text = pretty_term(erased)
-            lines += [f"check {text} : {expected}"] if wrong else [f"check {text} : {expected}", f"synth {text}"]
-    return "\n".join(lines) + "\n"
+def erasure_source(size, goals="check synth", times=1, first=None):
+    """An erasure file: the standard context's declarations, then for each
+    erasure of each internal term up to ``size`` one goal line per word of
+    ``goals``: ``check`` against its type, ``synth``, or ``wrong``, a check
+    against the first type of the sorted pool that is not alpha-equal to
+    its own, like the benchmark's ``rejects`` goals.  Of the goal lines it
+    keeps the ``first``, and writes them ``times`` times over."""
+    walk = erasure_walk(size)
+    pool = sorted({pretty_type(t): t for _, t, _ in walk}.items())
+    lines = []
+    for _, t, erased_terms in walk:
+        texts = {"check": pretty_type(t)}
+        if "wrong" in goals:
+            texts["wrong"] = next(text for text, other in pool if not alpha_equal(other, t))
+        for erased in erased_terms:
+            term = pretty_term(erased)
+            lines += [f"synth {term}" if goal == "synth" else f"check {term} : {texts[goal]}" for goal in goals.split()]
+    return "\n".join(STANDARD_DECLS + lines[:first] * times) + "\n"
+
+
+def _chain(link, n):
+    """``link`` formatted with each index below ``n``, joined."""
+    return "".join(link.format(i) for i in range(n))
+
+
+# Each long input's declarations and goals, ``n`` links long.
+_LONG_GOALS = {
+    "lambda": lambda n: "check " + _chain("\\x{}. ", n) + "x0 : " + "Nat -> " * n + "Nat",
+    "type-lambda": lambda n: "check " + _chain("/\\X{}. ", n) + "z : " + _chain("forall Y{}. ", n) + "Nat",
+    "alternating": lambda n: "check " + _chain("/\\X{0}. \\x{0} : X{0}. ", n) + "z : "
+    + _chain("forall Y{0}. Y{0} -> ", n) + "Nat",
+    "quantifier": lambda n: "check " + _chain("/\\X{}. ", n) + "\\x. x : " + _chain("forall Y{}. ", n)
+    + f"Y{n - 1} -> Y{n - 1}",
+    "annotated": lambda n: "synth {0}\ncheck {0} : ".format(_chain("\\x{} : Nat. ", n) + "x0") + "Nat -> " * n + "Nat",
+    "assumes": lambda n: _chain("assume a{} : Nat -> Nat\n", n) + f"synth a{n - 1} z",
+    "stuck": lambda n: "assume suc : Nat -> Nat\nassume h : forall X. X -> " + "Nat -> " * n + "X\n"
+    + "synth h suc" + " z" * (n + 1),
+    "contextual": lambda n: "assume g : " + _chain("forall X{}. ", n) + _chain("X{} -> ", n) + "Nat -> ("
+    + _chain("X{} -> ", n) + "Nat)\ncheck g" + " z" * n + " : " + "Nat -> " * (n + 1) + "Nat",
+}
+LONG_SHAPES = [*_LONG_GOALS, "assumes-crlf"]
+
+
+def long_source(shape, n):
+    """A long-input file of ``shape`` (one of ``LONG_SHAPES``), ``n`` links
+    long, after ``type Nat`` and ``assume z : Nat``.  ``assumes-crlf`` is
+    ``assumes`` with CRLF line ends and tabs between tokens."""
+    src = "type Nat\nassume z : Nat\n" + _LONG_GOALS[shape.removesuffix("-crlf")](n) + "\n"
+    return src.replace(" ", "\t").replace("\n", "\r\n") if shape.endswith("-crlf") else src
 
 
 @contextlib.contextmanager
@@ -88,6 +143,14 @@ def contextual_spine(n):
     quantifiers = "".join(f"forall {x}. " for x in xs)
     ctx = CTX.with_term("g", ty(f"{quantifiers}{' -> '.join(xs)} -> Nat -> ({' -> '.join(xs + ['Nat'])})"))
     return ctx, tm("g" + " z" * n, ctx), ty(" -> ".join(["Nat"] * (n + 2)))
+
+
+def polymorphic_spine(n):
+    """``g : forall X. X -> Nat -> ... -> Nat``, n arrows long, with the
+    spine ``g [Nat] z ... z`` of n term arguments and its erasure
+    ``g z ... z``, each of which meets the completeness conditions."""
+    ctx = CTX.with_term("g", ty("forall X. X -> " + "Nat -> " * (n - 1) + "Nat"))
+    return ctx, tm("g [Nat]" + " z" * n, ctx), tm("g" + " z" * n, ctx)
 
 
 def count_calls(monkeypatch, name, modules):

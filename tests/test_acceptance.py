@@ -5,8 +5,6 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the lines.
 
 from __future__ import annotations
 
-import pytest
-
 from spinel.cli import render_diagnostic
 from spinel.infer import Check, Diagnostic, DiagnosticKind, Synthesize, infer, spine_infer
 from spinel.internal import check_internal
@@ -14,8 +12,6 @@ from spinel.matcher import MatchFailure, _match, match_proto
 from spinel.oracle import (
     _type_size,
     check_weak_completeness_conditions,
-    enumerate_erasures,
-    enumerate_internal_terms,
     enumerate_matcher_types,
     passes_side_conditions,
     search_spec,
@@ -39,7 +35,7 @@ from spinel.syntax import (
     subst_type_args,
 )
 
-from conftest import CTX, criterion_9_internals, tm, ty
+from conftest import CTX, criterion_9_corpus, erasure_walk, erasures, tm, ty
 
 
 def report(n: int, ok: bool, detail: str) -> None:
@@ -53,11 +49,6 @@ def fails_with(kind: DiagnosticKind, thunk):
     except Diagnostic as d:
         return d if d.kind is kind else None
     return None
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    return enumerate_internal_terms(CTX, 8)
 
 
 # --------------------------------------------------------------- criteria
@@ -178,24 +169,23 @@ def test_criterion_4_matcher_goldens():
     report(4, ok, "all matcher goldens hold" if ok else "; ".join(problems))
 
 
-def test_criterion_5_elaborations_typecheck_internally(corpus):
+def test_criterion_5_elaborations_typecheck_internally():
     successes = 0
     violations = []
     seen = set()
-    for internal, ity in corpus:
-        for erased in enumerate_erasures(internal):
-            key = pretty_term(erased)
-            if key in seen:
+    for erased, ity in erasures(8):
+        key = pretty_term(erased)
+        if key in seen:
+            continue
+        seen.add(key)
+        for mode in (Synthesize(), Check(ity)):
+            try:
+                out = infer(CTX, mode, erased)
+            except Diagnostic:
                 continue
-            seen.add(key)
-            for mode in (Synthesize(), Check(ity)):
-                try:
-                    out = infer(CTX, mode, erased)
-                except Diagnostic:
-                    continue
-                successes += 1
-                if not alpha_equal(check_internal(CTX, out.elaboration), out.ty):
-                    violations.append(key)
+            successes += 1
+            if not alpha_equal(check_internal(CTX, out.elaboration), out.ty):
+                violations.append(key)
     ok = successes >= 10_000 and not violations
     report(
         5,
@@ -204,9 +194,10 @@ def test_criterion_5_elaborations_typecheck_internally(corpus):
     )
 
 
-def test_criterion_6_internal_terms_are_inference_fixed_points(corpus):
+def test_criterion_6_internal_terms_are_inference_fixed_points():
+    corpus = erasure_walk(8)
     violations = []
-    for internal, ity in corpus:
+    for internal, ity, _ in corpus:
         try:
             out = infer(CTX, Synthesize(), internal)
             again = infer(CTX, Check(out.ty), internal)
@@ -309,15 +300,14 @@ def test_criterion_7_exhaustive_matcher_audit():
 
 
 def test_criterion_8_algorithm_agrees_with_declarative_rules():
-    corpus = enumerate_internal_terms(CTX, 7)
     rejected = []
     unmatched = []
     accepted = search_hits = 0
     seen = set()
-    for internal, ity in corpus:
+    for internal, ity, erased_terms in erasure_walk(7):
         if not isinstance(internal, App):
             continue
-        for erased in enumerate_erasures(internal):
+        for erased in erased_terms:
             if not isinstance(erased, App):
                 continue
             for expected in (ity, None):
@@ -356,11 +346,11 @@ def test_criterion_8_algorithm_agrees_with_declarative_rules():
 
 
 def test_criterion_9_erasure_conditions_imply_round_trips():
-    internals = criterion_9_internals()
+    corpus = criterion_9_corpus()
     violations = []
     passing = over_approximations = 0
-    for internal in internals:
-        for erased in enumerate_erasures(internal):
+    for internal, erased_terms in corpus:
+        for erased in erased_terms:
             conditions = check_weak_completeness_conditions(CTX, erased)
             try:
                 out = infer(CTX, Synthesize(), erased)
@@ -373,11 +363,11 @@ def test_criterion_9_erasure_conditions_imply_round_trips():
                     violations.append(pretty_term(erased))
             elif round_trips:
                 over_approximations += 1
-    ok = len(internals) >= 1_000 and not violations
+    ok = len(corpus) >= 1_000 and not violations
     report(
         9,
         ok,
-        f"{passing} condition-passing erasures over {len(internals)} terms round-trip; "
+        f"{passing} condition-passing erasures over {len(corpus)} terms round-trip; "
         f"{over_approximations} succeeded despite failing the conditions (reported, not failed)"
         if ok
         else f"{len(violations)} round-trip failures, first: {violations[0]}",

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import spinel
-from conftest import CTX, count_calls, erasure_source, recursion_headroom, tm
+from conftest import CTX, STANDARD_DECLS, count_calls, erasure_source, recursion_headroom, tm
 import spinel.infer as infer_mod
 from spinel.cli import _BLOCK, main
 from spinel.infer import Synthesize, infer
@@ -800,31 +800,6 @@ def test_golden_unsolved_names_metas_only_in_the_elaboration(tmp_path, capsys, m
 # ------------------------------------------------------- pinned output bytes
 
 
-def _erasure_file(path, size):
-    """The standard context, then every erasure of every internal term up to
-    ``size`` as ``check`` against its type, as ``synth``, and as ``check``
-    against the first type of the sorted pool that is not alpha-equal to it."""
-    from spinel.oracle import enumerate_erasures, enumerate_internal_terms, standard_context
-    from spinel.parser import pretty_term, pretty_type
-    from spinel.syntax import TermBind, alpha_equal
-
-    ctx = standard_context()
-    lines = [f"type {c} {a}" if a else f"type {c}" for c, a in ctx.signature.items()]
-    lines += [f"assume {e.name} : {pretty_type(e.ty)}" for e in ctx.entries if isinstance(e, TermBind)]
-    terms = enumerate_internal_terms(ctx, size)
-    pool = sorted({pretty_type(ty): ty for _, ty in terms}.items())
-    erasures = 0
-    for internal, ty in terms:
-        expected = pretty_type(ty)
-        wrong = next(text for text, other in pool if not alpha_equal(other, ty))
-        for erased in enumerate_erasures(internal):
-            text = pretty_term(erased)
-            lines += [f"check {text} : {expected}", f"synth {text}", f"check {text} : {wrong}"]
-            erasures += 1
-    path.write_text("\n".join(lines) + "\n")
-    return erasures
-
-
 # Exit code and SHA-256 of stdout of `spinel run` on the size-6 erasure file.
 PINNED_OUTPUT = {
     ("--json", "--elab", "--trace", "--spec-verify"):
@@ -839,8 +814,12 @@ def test_erasure_corpus_output_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     # and replay verdict, held byte for byte: a change that means to make the
     # program faster, not different, must leave both digests as they are.
     monkeypatch.delenv("SPINEL_COLOR", raising=False)
+    # The size-6 erasure file, each erasure checked, synthesized and then
+    # checked against a wrong type: 1,757 erasures.
+    src = erasure_source(6, "check synth wrong")
+    assert src.count("\n") - len(STANDARD_DECLS) == 3 * 1757
     path = tmp_path / "erasures.spn"
-    assert _erasure_file(path, 6) == 1757
+    path.write_text(src)
     for flags, pinned in PINNED_OUTPUT.items():
         code = main(["run", str(path), *flags])
         out = capsys.readouterr().out
@@ -991,14 +970,6 @@ def test_parse_errors_at_block_boundaries_keep_declaration_order(tmp_path, capsy
     assert [r["term"] for r in records if "goal" in r] == [g[len("check "):-len(" : Nat")] for g in goals]
 
 
-def _erasure_goals_repeated(path, size, times):
-    """CI's erasure file of ``size``, its goal lines repeated ``times`` times."""
-    lines = erasure_source(size).splitlines()
-    prelude = [line for line in lines if not line.startswith(("check ", "synth "))]
-    path.write_text("\n".join(prelude + lines[len(prelude):] * times) + "\n")
-    return (len(lines) - len(prelude)) * times
-
-
 def test_a_run_holds_one_block_of_trees_not_the_file(tmp_path, monkeypatch):
     # tracemalloc counts deterministically.  Reading the whole file, and
     # parsing it before answering, made the 10x file's peak 9.7x the 1x one.
@@ -1009,8 +980,10 @@ def test_a_run_holds_one_block_of_trees_not_the_file(tmp_path, monkeypatch):
     with open(os.devnull, "w") as devnull:
         monkeypatch.setattr(sys, "stdout", devnull)
         for times in (1, 1, 10):
+            src = erasure_source(4, times=times)
+            assert src.count("\n") - len(STANDARD_DECLS) == 356 * times
             path = tmp_path / f"erasures-{times}.spn"
-            assert _erasure_goals_repeated(path, 4, times) == 356 * times
+            path.write_text(src)
             tracemalloc.start()
             try:
                 assert main(["run", str(path), "--json", "--elab"]) == 1

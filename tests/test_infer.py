@@ -15,6 +15,8 @@ from conftest import (
     count_solution_copies,
     count_well_formed_walks,
     erasure_source,
+    erasures,
+    long_source,
     reachable,
     tm,
     traceback_frames,
@@ -24,7 +26,6 @@ import spinel.infer as infer_mod
 from spinel.cli import main as cli_main
 from spinel.infer import Check, Diagnostic, DiagnosticKind, EngineInvariantError, Synthesize, infer, spine_infer
 from spinel.internal import check_internal
-from spinel.oracle import enumerate_erasures, enumerate_internal_terms, standard_context
 from spinel.parser import Assume, ConDecl, Goal, parse_program, parse_term, pretty_term, pretty_type
 from spinel.syntax import (
     ArrowTo,
@@ -496,7 +497,7 @@ def test_kept_diagnostics_keep_little_and_no_cycle():
     # the diagnostic, its arguments and fields, and the types it reports.
     # They numbered 23.6 while a diagnostic kept the engine's frames.  The
     # collector stays paused, so that no collection untracks a tuple.
-    goals = [decl for decl in parse_program(erasure_source(6, wrong=True)) if type(decl) is Goal]
+    goals = [decl for decl in parse_program(erasure_source(6, "wrong")) if type(decl) is Goal]
     gc.collect()
     gc.disable()
     try:
@@ -583,17 +584,15 @@ def test_spine_infer_rejects_caller_errors_as_caller_errors(proto, src, message)
 def test_an_elaboration_equal_to_its_term_is_its_term():
     # Criterion 6 by identity: inference shares every node beneath which it
     # changes nothing, so an elaboration that equals its input is the input.
-    ctx = standard_context()
     shared = 0
-    for internal, internal_ty in enumerate_internal_terms(ctx, 7):
-        for erased in enumerate_erasures(internal):
-            for mode in (Check(internal_ty), Synthesize()):
-                try:
-                    out = infer(ctx, mode, erased)
-                except Diagnostic:
-                    continue
-                assert (out.elaboration is erased) == (out.elaboration == erased), pretty_term(erased)
-                shared += out.elaboration is erased
+    for erased, internal_ty in erasures(7):
+        for mode in (Check(internal_ty), Synthesize()):
+            try:
+                out = infer(CTX, mode, erased)
+            except Diagnostic:
+                continue
+            assert (out.elaboration is erased) == (out.elaboration == erased), pretty_term(erased)
+            shared += out.elaboration is erased
     assert shared > 4000
 
 
@@ -787,27 +786,10 @@ def test_context_extension_work_grows_linearly(monkeypatch, tmp_path, capsys, ca
 LONG = 20_000
 
 
-def _long_check(binder, body, link, result):
-    """A ``check`` goal: LONG binders, then ``body``, against LONG links, then
-    ``result``; each binder and link is formatted with its index."""
-    binders = "".join(binder.format(i) for i in range(LONG))
-    links = "".join(link.format(i) for i in range(LONG))
-    return f"check {binders}{body} : {links}{result}"
-
-
-LONG_GOALS = {
-    "lambda": _long_check("\\x{}. ", "x0", "Nat -> ", "Nat"),
-    "type-lambda": _long_check("/\\X{}. ", "z", "forall Y{}. ", "Nat"),
-    "alternating": _long_check("/\\X{0}. \\x{0} : X{0}. ", "z", "forall Y{0}. Y{0} -> ", "Nat"),
-    "quantifier": _long_check("/\\X{}. ", "\\x. x", "forall Y{}. ", f"Y{LONG - 1} -> Y{LONG - 1}"),
-    "assumes": "".join(f"assume a{i} : Nat -> Nat\n" for i in range(LONG)) + f"synth a{LONG - 1} z",
-}
-
-
-@pytest.mark.parametrize("kind", LONG_GOALS)
+@pytest.mark.parametrize("kind", ["lambda", "type-lambda", "alternating", "quantifier", "assumes"])
 def test_long_inputs_check_print_and_recheck_at_the_default_recursion_limit(kind):
     assert LONG > sys.getrecursionlimit()
-    program = parse_program("type Nat\nassume z : Nat\n" + LONG_GOALS[kind] + "\n")
+    program = parse_program(long_source(kind, LONG))
     ctx = Context(
         tuple(TermBind(d.name, d.ty) for d in program if isinstance(d, Assume)),
         {d.name: d.arity for d in program if isinstance(d, ConDecl)},
@@ -843,13 +825,22 @@ def test_an_illformed_annotation_is_reported_before_its_binder_is_bound(ann, det
         (Check(ty("Nat -> Nat")), Lam("z", None, Var("z")), "z"),
         (Check(ty("Nat -> Nat -> Nat")), Lam("x", None, Lam("z", None, Var("x"))), "z"),
         (Check(ty("forall X. X -> X")), TLam("X", Lam("X", None, Var("X"))), "X"),
+        (Synthesize(), TLam("X", TLam("X", Var("z"))), "X"),
+        (Synthesize(), Lam("x", Con("Nat"), Lam("x", Con("Nat"), Var("x"))), "x"),
     ],
-    ids=["annotated", "bare", "second-link", "after-a-type-lambda"],
+    ids=["annotated", "bare", "second-link", "after-a-type-lambda", "type-lambdas", "annotated-lambdas"],
 )
 def test_a_binder_that_shadows_a_declared_name_is_still_rejected(mode, term, name):
-    # Library-built terms may reuse a declared name; the parser never does.
-    with pytest.raises(ValueError, match=f"duplicate declaration of '{name}'"):
+    # Library-built terms may reuse a name of the context or of an
+    # enclosing binder; the parser never does.
+    with pytest.raises(ValueError, match=f"^duplicate declaration of '{name}'$"):
         infer(CTX, mode, term)
+
+
+@pytest.mark.parametrize("expected", [TVar("A"), Con("Pair", (Con("Nat"),))], ids=["unbound", "arity"])
+def test_a_check_type_that_is_not_well_formed_is_a_caller_error(expected):
+    with pytest.raises(ValueError, match="^contextual type is not well-formed$"):
+        infer(CTX, Check(expected), Var("z"))
 
 
 # ------------------------------------------- decorated substitution invariant
@@ -870,21 +861,19 @@ def test_decorated_substitution_never_needs_capture_avoidance(monkeypatch):
         return original(metas, ty, proto, supply)
 
     monkeypatch.setattr(infer_mod, "_match", checked)
-    ctx = standard_context()
-    for internal, internal_ty in enumerate_internal_terms(ctx, 5):
-        for erased in enumerate_erasures(internal):
-            for mode in (Check(internal_ty), Synthesize()):
-                try:
-                    infer(ctx, mode, erased)
-                except Diagnostic:
-                    pass
+    for erased, internal_ty in erasures(5):
+        for mode in (Check(internal_ty), Synthesize()):
+            try:
+                infer(CTX, mode, erased)
+            except Diagnostic:
+                pass
     for n in (1, 2, 4, 8, 16):
         wide_ctx, term = _wide_spine(n)
         infer(wide_ctx, Synthesize(), term)
         infer(wide_ctx, Check(ty("Nat", wide_ctx)), term)
     # Quantifiers left under an arrow or after an explicit type argument
     # are links the spine reads; none reaches the substitution.
-    inner_ctx = ctx.with_term("h", ty("forall X. X -> forall Y. Y -> Pair X Y"))
+    inner_ctx = CTX.with_term("h", ty("forall X. X -> forall Y. Y -> Pair X Y"))
     for src in ("h z tt", "h [Nat] z [B] tt", "h z [B] tt", "pair [Nat] z tt"):
         term = tm(src, inner_ctx)
         infer(inner_ctx, Synthesize(), term)
@@ -892,7 +881,7 @@ def test_decorated_substitution_never_needs_capture_avoidance(monkeypatch):
     # A stuck leaf solved by a synthesized argument, past a quantifier
     # (`k3` owes the arrow `forall H. H -> G`), and by an explicit type
     # argument; and one whose solution cannot reveal the arrow it owes.
-    stuck_ctx = ctx.with_term("k3", ty("forall G. G -> forall H. H -> G"))
+    stuck_ctx = CTX.with_term("k3", ty("forall G. G -> forall H. H -> G"))
     for src, result in (
         ("k3 suc tt z", "Nat"),
         ("k3 suc tt", "Nat -> Nat"),

@@ -16,11 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     CTX,
+    application_goals,
     contextual_spine,
     count_calls,
     count_solution_copies,
-    criterion_9_internals,
+    criterion_9_corpus,
     erasure_source,
+    polymorphic_spine,
     recursion_headroom,
     tm,
     ty,
@@ -413,14 +415,11 @@ def test_the_oracle_leaves_no_reference_cycles():
     # A nested function that calls itself through its closure cell makes a
     # cycle per call that only the garbage collector frees.
     goals = []
-    for internal, ity in enumerate_internal_terms(CTX, 6):
-        for term in enumerate_erasures(internal):
-            if isinstance(term, App):
-                for expected in (ity, None):
-                    try:
-                        goals.append((term, expected, triple_for(term, expected)))
-                    except Diagnostic:
-                        pass
+    for term, expected in application_goals(6):
+        try:
+            goals.append((term, expected, triple_for(term, expected)))
+        except Diagnostic:
+            pass
     assert goals
     gc.collect()
     gc.disable()
@@ -436,7 +435,7 @@ def test_the_oracle_leaves_no_reference_cycles():
 SPINEL_RUNS = {
     "erasures-json-elab": (lambda: erasure_source(7), ["--json", "--elab"]),
     "erasures-elab-trace-spec-verify": (lambda: erasure_source(7), ["--elab", "--trace", "--spec-verify"]),
-    "wrong-types": (lambda: erasure_source(7, wrong=True), []),
+    "wrong-types": (lambda: erasure_source(7, "wrong"), []),
     "resource-limit": (lambda: "type Nat\nassume z : Nat\nassume suc : Nat -> Nat\n"
                        + "synth " + "suc (" * 300 + "z" + ")" * 300 + "\n", ["--json"]),
 }
@@ -529,13 +528,7 @@ def test_default_candidates_agree_with_the_reference_across_contexts():
     # A pool kept for a stale context would miss the new binding's sub-types.
     bound = ty("forall X. (Nat -> B) -> X -> Pair X (Nat -> B)")
     wider = CTX.with_term("kk", bound)
-    goals = [
-        (erased, expected)
-        for internal, ity in enumerate_internal_terms(CTX, 6)
-        for erased in enumerate_erasures(internal)
-        if isinstance(erased, App)
-        for expected in (ity, None)
-    ]
+    goals = application_goals(6)
     assert goals
     for i, (term, expected) in enumerate(goals):
         ctx = wider if i % 2 else CTX
@@ -675,13 +668,13 @@ CONDITION_VERDICTS_SHA256 = "cefa99d0e792ae826d1348c30e776faeabcbe3ed9ffc0acaf2c
 
 
 def test_the_conditions_verdicts_on_criterion_9s_corpus_are_pinned():
-    internals = criterion_9_internals()
+    corpus = criterion_9_corpus()
     bits = "".join(
         "1" if check_weak_completeness_conditions(CTX, erased) else "0"
-        for internal in internals
-        for erased in enumerate_erasures(internal)
+        for _, erased_terms in corpus
+        for erased in erased_terms
     )
-    assert (len(internals), len(bits), bits.count("1")) == (2292, 5767, 2323)
+    assert (len(corpus), len(bits), bits.count("1")) == (2292, 5767, 2323)
     assert hashlib.sha256(bits.encode()).hexdigest() == CONDITION_VERDICTS_SHA256
 
 
@@ -699,13 +692,7 @@ def test_the_search_on_criterion_9s_application_goals_is_pinned(monkeypatch):
         solved = ", ".join(f"{m} := {pretty_type(sol[m].ty)}" for m in sorted(sol))
         return f"{pretty_type(ty_)} | {pretty_term(partial)} | {solved}"
 
-    goals = [
-        (erased, expected)
-        for internal, ity in enumerate_internal_terms(CTX, 7)
-        for erased in enumerate_erasures(internal)
-        if isinstance(erased, App)
-        for expected in (ity, None)
-    ]
+    goals = application_goals(7)
     lines = [[printed(t) for t in search_spec(CTX, expected, term)] for term, expected in goals]
     # with an empty guess pool, a search follows the one declined derivation
     monkeypatch.setattr(importlib.import_module("spinel.oracle"), "_candidates", lambda *args: [])
@@ -786,9 +773,7 @@ def test_the_conditions_walk_a_long_spine_by_a_loop_once(monkeypatch):
     # One derivation of the erased spine serves every prefix of it, so the
     # walk runs once per maximal application, and no step recurses per item:
     # g [Nat] z ... z, with g : forall X. X -> Nat -> ... -> Nat, and its erasure.
-    n = 4000
-    ctx = CTX.with_term("g", ty("forall X. X -> " + "Nat -> " * (n - 1) + "Nat"))
-    internal, erased = tm("g [Nat]" + " z" * n, ctx), tm("g" + " z" * n, ctx)
+    ctx, internal, erased = polymorphic_spine(4000)
     walks = count_calls(monkeypatch, "_derivations", [importlib.import_module("spinel.oracle")])
     for t in (internal, erased):
         walks[0] = 0
@@ -809,8 +794,7 @@ def test_the_search_derives_only_applications():
 def test_the_search_walks_a_long_spine_by_a_loop():
     # 301 arguments, each taking stack frames in a recursive walk; the loop
     # finds the declined derivation and the one that guesses X := Nat.
-    ctx = CTX.with_term("g", ty("forall X. X -> " + "Nat -> " * 300 + "Nat"))
-    term = tm("g" + " z" * 301, ctx)
+    ctx, _, term = polymorphic_spine(301)
     with recursion_headroom(100):
         found = search_spec(ctx, None, term)
     assert [(pretty_type(t), sorted(sol)) for t, _, sol in found] == [("Nat", []), ("Nat", ["?g0"])]

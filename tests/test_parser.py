@@ -13,7 +13,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spinel.infer import Check, infer
-from spinel.oracle import enumerate_erasures, enumerate_internal_terms
 from spinel.parser import (
     Assume,
     ConDecl,
@@ -38,14 +37,13 @@ from spinel.syntax import (
     Span,
     TApp,
     TLam,
-    TermBind,
     TVar,
     Var,
     alpha_equal,
     alpha_equal_term,
 )
 
-from conftest import CTX, erasure_source, reachable, tm, traceback_frames, ty
+from conftest import CTX, STANDARD_DECLS, erasure_source, reachable, tm, traceback_frames, ty
 
 
 # ------------------------------------------------------------ types
@@ -461,13 +459,7 @@ def test_parsing_holds_one_declarations_tokens_at_a_time():
     # which counts deterministically: at its peak, the parse holds at most a
     # quarter of the trees it returns on top of them.  Lexing the whole file
     # before parsing it held about 0.9 of them, in the token list.
-    header = [f"type {c} {a}" if a else f"type {c}" for c, a in CTX.signature.items()]
-    header += [f"assume {e.name} : {pretty_type(e.ty)}" for e in CTX.entries if isinstance(e, TermBind)]
-    goals = []
-    for internal, t in enumerate_internal_terms(CTX, 6):
-        for erased in enumerate_erasures(internal):
-            goals += [f"check {pretty_term(erased)} : {pretty_type(t)}", f"synth {pretty_term(erased)}"]
-    src = "\n".join(header + goals[:2000]) + "\n"
+    src = erasure_source(6, first=2000)
     parse_program(src)
     tracemalloc.start()
     try:
@@ -476,7 +468,7 @@ def test_parsing_holds_one_declarations_tokens_at_a_time():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(decls) == len(header) + 2000
+    assert len(decls) == len(STANDARD_DECLS) + 2000
     tree = kept - before
     assert peak - kept <= 0.25 * tree, (peak - kept) / tree
 

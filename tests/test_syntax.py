@@ -9,10 +9,10 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import CTX, count_well_formed_walks, tm, ty
-from spinel.infer import Check, InferOutcome, SpineOutcome, Synthesize
+from conftest import CTX, count_well_formed_walks, erasures, recursion_headroom, tm, ty
+from spinel.infer import Check, Diagnostic, DiagnosticKind, InferOutcome, SpineOutcome, Synthesize, infer
 from spinel.matcher import MatchFailure
-from spinel.oracle import SpecVerdict, enumerate_erasures, enumerate_internal_terms
+from spinel.oracle import SpecVerdict
 from spinel.syntax import (
     App,
     Arrow,
@@ -207,7 +207,9 @@ def test_equality_of_a_long_alternating_chain_does_not_recurse():
     assert a != ty(_alternating(300).replace("Y299 -> Nat", "Y299 -> B"))
 
 
-LONG = 64_000
+# Twice the frames the long-chain test allows: a recursive `==` or `hash`
+# takes at least one frame per link, two before Python 3.13.
+LONG = 2_000
 
 
 def _chain(link, last):
@@ -218,16 +220,17 @@ def _chain(link, last):
 
 
 def _long_trees(shape, leaf):
-    """The trees of CI's long-input ``shape``, with ``leaf`` at the bottom
-    of each: the goal's term and type, or for ``contextual`` (whose goal
-    type is ``lambda``'s) the goal's term and the head's type."""
+    """The trees of CI's long-input ``shape``, LONG links long, with
+    ``leaf`` at the bottom of each: the goal's term and type, or for
+    ``contextual`` (whose goal type is ``lambda``'s) the goal's term and
+    the head's type."""
     nat = Con("Nat")
     if shape == "lambda":  # \x0. ... x0 : Nat -> ... -> Nat
         return [
             _chain(lambda i, b: Lam(f"x{i}", None, b), Var(leaf)),
             _chain(lambda i, b: Arrow(nat, b), TVar(leaf)),
         ]
-    if shape == "quantifier":  # /\X0. ... \x. x : forall Y0. ... Y63999 -> Y63999
+    if shape == "quantifier":  # /\X0. ... \x. x : forall Y0. ... Y1999 -> Y1999
         return [
             _chain(lambda i, b: TLam(f"X{i}", b), Lam("x", None, Var(leaf))),
             _chain(lambda i, b: Forall(f"Y{i}", b), Arrow(TVar(f"Y{LONG - 1}"), TVar(leaf))),
@@ -243,10 +246,13 @@ def _long_trees(shape, leaf):
 
 @pytest.mark.parametrize("shape", ["lambda", "quantifier", "contextual"])
 def test_equality_and_hash_of_long_chains_return(shape):
-    assert LONG > 50 * sys.getrecursionlimit()
-    for a, b, other in zip(_long_trees(shape, "x"), _long_trees(shape, "x"), _long_trees(shape, "y")):
-        assert a is not b and a == b and hash(a) == hash(b)
-        assert a != other  # only a walk to the bottom tells them apart
+    # Under 1,000 frames of headroom, a dataclass's recursive `==` and
+    # `hash` raise RecursionError on every one of these trees.
+    trees = zip(_long_trees(shape, "x"), _long_trees(shape, "x"), _long_trees(shape, "y"))
+    with recursion_headroom(1000):
+        for a, b, other in trees:
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert a != other  # only a walk to the bottom tells them apart
 
 
 def test_alpha_equal_renames_binders():
@@ -397,6 +403,20 @@ def test_context_rejects_shadowing_and_bad_bindings():
 def test_a_constructor_declared_twice_is_rejected():
     with pytest.raises(ValueError, match="duplicate constructor 'Nat'"):
         CTX.with_con("Nat", 0)
+
+
+def test_a_type_variable_with_a_reserved_meta_name_is_rejected():
+    # Declared, `?X0` was taken for a meta of the run: `synth right tt`
+    # answered `Sum ?X0 B`, an unsolved meta left in its spine, and
+    # `synth ident z` failed with a type mismatch.
+    with pytest.raises(ValueError, match=r"^type variable '\?X0' has a reserved meta-variable name$"):
+        CTX.with_type_var("?X0")
+    with pytest.raises(ValueError, match=r"^type variable '\?X0' has a reserved meta-variable name$"):
+        infer(CTX, Synthesize(), TLam("?X0", Var("z")))
+    with pytest.raises(Diagnostic) as err:
+        infer(CTX, Synthesize(), tm("right tt"))
+    assert err.value.kind is DiagnosticKind.UNSOLVED_META_VARIABLES
+    assert infer(CTX, Synthesize(), tm("ident z")).ty == Con("Nat")
 
 
 def test_context_constructor_respects_ordered_scope():
@@ -572,7 +592,7 @@ def _recursive_term_key(t, env=None, depth=0):
 
 def test_term_keys_are_those_of_the_recursive_definition():
     # every internal term up to size 6 and every erasure of each
-    terms = [t for internal, _ in enumerate_internal_terms(CTX, 6) for t in enumerate_erasures(internal)]
+    terms = [erased for erased, _ in erasures(6)]
     assert len(terms) == 1757
     for t in terms:
         assert canon_term(t) == _recursive_term_key(t)
