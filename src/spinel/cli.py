@@ -66,6 +66,7 @@ _RED = "\x1b[31m"
 _BOLD = "\x1b[1m"
 _RESET = "\x1b[0m"
 _BLOCK = 256  # goals per block of ``spinel run``: one block's trees at most are alive at once
+_json_str = json.encoder.encode_basestring_ascii  # a str as ``json.dumps`` writes it
 
 
 def _use_color() -> bool:
@@ -188,68 +189,67 @@ def _spec_line(spec: dict) -> str:
     return f"spec: rejected: {spec['reason']}"
 
 
-def _report(args, record: dict, lines) -> str:
-    """The one report that is printed: ``record`` as NDJSON under
-    ``--json``, otherwise a header line built from it and then ``lines``."""
-    if args.json:
-        return json.dumps(record)
-    header = f"[{record['goal']}] {record['mode']}"
-    if "term" in record:
-        header += f" {record['term']}"
-    if "expected" in record:
-        header += f" : {record['expected']}"
-    return "\n".join([header, *lines]) + "\n"
-
-
 def _run_goal(ctx: Context, goal: Goal, count: int, out, trace, args, color: bool) -> tuple[int, str]:
     """One goal's exit code and report, NDJSON or text, from ``out``: what
     ``infer`` returned or raised, or None if the goal nests too deeply.
 
-    Each part of the report is rendered once, into ``record``; only the
-    form that is printed is assembled from it, and a text line or a JSON
-    field that the other form alone shows is not rendered at all.
+    Each part of the report is rendered once, and only into the form that
+    is printed.  An NDJSON line is written with its keys as literal text,
+    each string through ``_json_str`` and each int through ``str``, so it
+    is byte for byte what ``json.dumps`` writes for the record; only the
+    nested ``diagnostic``, ``trace`` and ``spec`` values go through
+    ``json.dumps``.  A text report is its header line and then its lines.
     """
     term, expected = goal.term, goal.expected
     mode = "synth" if expected is None else "check"
     if out is None:
         message = f"goal at {goal.span.line}:{goal.span.col} is nested too deeply"
-        record = {"goal": count, "mode": mode, "status": "resource-limit", "message": message}
-        return 3, _report(args, record, [f"    resource limit: {message}"])
-    record: dict = {"goal": count, "mode": mode, "term": pretty_term(term)}
-    if expected is not None:
-        record["expected"] = pretty_type(expected)
+        if args.json:
+            return 3, (f'{{"goal": {count}, "mode": "{mode}", "status": "resource-limit", '
+                       f'"message": {_json_str(message)}}}')
+        return 3, f"[{count}] {mode}\n    resource limit: {message}\n"
+    term_text = pretty_term(term)
+    if args.json:
+        head = f'{{"goal": {count}, "mode": "{mode}", "term": {_json_str(term_text)}'
+        if expected is not None:
+            head += f', "expected": {_json_str(pretty_type(expected))}'
+    else:
+        head = f"[{count}] {mode} {term_text}"
+        if expected is not None:
+            head += f" : {pretty_type(expected)}"
 
     if isinstance(out, Diagnostic):
-        record["status"] = "error"
         if args.json:
-            record["diagnostic"] = diagnostic_json(out)
-            return 1, _report(args, record, ())
-        return 1, _report(args, record, ("    " + line for line in render_diagnostic(out, color).splitlines()))
+            return 1, f'{head}, "status": "error", "diagnostic": {json.dumps(diagnostic_json(out))}}}'
+        return 1, head + "".join(f"\n    {line}" for line in render_diagnostic(out, color).splitlines()) + "\n"
     if isinstance(out, EngineInvariantError):
-        record.update(status="internal-error", message=str(out))
-        return 3, _report(args, record, [f"    internal error: {out}"])
+        if args.json:
+            return 3, f'{head}, "status": "internal-error", "message": {_json_str(str(out))}}}'
+        return 3, f"{head}\n    internal error: {out}\n"
 
-    code = 0
-    record.update(status="ok", type=pretty_type(out.ty))
-    if args.elab:
-        # an elaboration that is its term's own tree has its text already
-        record["elaboration"] = record["term"] if out.elaboration is term else pretty_term(out.elaboration)
-    if trace is not None:
-        record["trace"] = trace
-    if args.spec_verify:
-        record["spec"] = _spec_report(ctx, expected, term, out)
-        if record["spec"].get("accepted") is False:
-            code = 3
+    type_text = pretty_type(out.ty)
+    elaboration = None
+    if args.elab:  # an elaboration that is its term's own tree has its text already
+        elaboration = term_text if out.elaboration is term else pretty_term(out.elaboration)
+    spec = _spec_report(ctx, expected, term, out) if args.spec_verify else None
+    code = 3 if spec is not None and spec.get("accepted") is False else 0
     if args.json:
-        return code, _report(args, record, ())
-    lines = [f"    type: {record['type']}"]
-    if args.elab:
-        lines.append(f"    elaboration: {record['elaboration']}")
+        line = f'{head}, "status": "ok", "type": {_json_str(type_text)}'
+        if elaboration is not None:
+            line += f', "elaboration": {_json_str(elaboration)}'
+        if trace is not None:
+            line += f', "trace": {json.dumps(trace)}'
+        if spec is not None:
+            line += f', "spec": {json.dumps(spec)}'
+        return code, line + "}"
+    lines = [head, f"    type: {type_text}"]
+    if elaboration is not None:
+        lines.append(f"    elaboration: {elaboration}")
     if trace is not None:
         lines.append("    trace: " + " ".join(trace))
-    if args.spec_verify:
-        lines.append("    " + _spec_line(record["spec"]))
-    return code, _report(args, record, lines)
+    if spec is not None:
+        lines.append("    " + _spec_line(spec))
+    return code, "\n".join(lines) + "\n"
 
 
 def _blocks(decls):
@@ -322,8 +322,8 @@ def _run_file(args: argparse.Namespace) -> int:
                 code = max(code, _answer(block, count, args, color), 2 if error else 0)
                 count += len(block)
                 if error and args.json:
-                    print(json.dumps({"status": "parse-error", "line": error.line, "col": error.col,
-                                      "message": error.message}))
+                    print(f'{{"status": "parse-error", "line": {error.line}, "col": {error.col}, '
+                          f'"message": {_json_str(error.message)}}}')
                 elif error:
                     sys.stdout.flush()  # so that the reports before it come first
                     print(f"parse error: {error}", file=sys.stderr)
@@ -344,29 +344,38 @@ _REPL_HELP = """commands:
 
 
 def repl() -> int:
-    color = _use_color()
-    print("spinel interactive loop; :quit to leave, :help for commands")
-    ctx = Context.empty()
-    parser = _Parser()  # the session's: it knows every name declared so far, as ``ctx`` does
-    while True:
-        try:
-            line = input("spinel> ")
-        except (EOFError, KeyboardInterrupt):
-            print()
-            return 0
-        cmd = line.strip().partition(" ")[0]
-        if not cmd:
-            continue
-        if cmd in (":quit", ":q"):
-            return 0
-        if cmd == ":help":
-            print(_REPL_HELP)
-        elif cmd in (":type", ":assume", ":check", ":synth"):
-            # read as a line of a source file, its ``:`` a blank so that columns are as typed
-            for decl in _declarations([line.replace(":", " ", 1)], parser):
-                ctx = _command(ctx, decl, color)
-        else:
-            print(f"unknown command {cmd!r}; :help lists commands")
+    # A session's trees are acyclic, as a run's are: pause the collector as
+    # ``_run_file`` does, and restore it as found on every way out.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        color = _use_color()
+        print("spinel interactive loop; :quit to leave, :help for commands")
+        ctx = Context.empty()
+        parser = _Parser()  # the session's: it knows every name declared so far, as ``ctx`` does
+        while True:
+            try:
+                line = input("spinel> ")
+            except (EOFError, KeyboardInterrupt):
+                print()
+                return 0
+            words = line.split(None, 1)  # the command word ends at any whitespace, a tab too
+            if not words:
+                continue
+            cmd = words[0]
+            if cmd in (":quit", ":q"):
+                return 0
+            if cmd == ":help":
+                print(_REPL_HELP)
+            elif cmd in (":type", ":assume", ":check", ":synth"):
+                # read as a line of a source file, its ``:`` a blank so that columns are as typed
+                for decl in _declarations([line.replace(":", " ", 1)], parser):
+                    ctx = _command(ctx, decl, color)
+            else:
+                print(f"unknown command {cmd!r}; :help lists commands")
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _command(ctx: Context, decl, color: bool) -> Context:

@@ -135,13 +135,18 @@ def recursion_headroom(frames):
         sys.setrecursionlimit(limit)
 
 
+def quantifier_chain(n, nat=True):
+    """``forall X1. ... forall Xn. X1 -> ... -> Xn``, followed by ``-> Nat`` if ``nat``."""
+    xs = [f"X{i}" for i in range(1, n + 1)]
+    return "".join(f"forall {x}. " for x in xs) + " -> ".join(xs + ["Nat"] * nat)
+
+
 def contextual_spine(n):
     """``g : forall X1..Xn. X1 -> ... -> Xn -> Nat -> (X1 -> ... -> Xn -> Nat)``
     applied to n arguments and checked, so the head match solves every Xi
     contextually and each argument is checked against a solved domain."""
-    xs = [f"X{i}" for i in range(1, n + 1)]
-    quantifiers = "".join(f"forall {x}. " for x in xs)
-    ctx = CTX.with_term("g", ty(f"{quantifiers}{' -> '.join(xs)} -> Nat -> ({' -> '.join(xs + ['Nat'])})"))
+    chain = quantifier_chain(n, nat=False)
+    ctx = CTX.with_term("g", ty(f"{chain} -> Nat -> ({chain.rpartition('. ')[2]} -> Nat)"))
     return ctx, tm("g" + " z" * n, ctx), ty(" -> ".join(["Nat"] * (n + 2)))
 
 

@@ -16,10 +16,19 @@ from pathlib import Path
 import pytest
 
 import spinel
-from conftest import CTX, STANDARD_DECLS, count_calls, erasure_source, recursion_headroom, tm
+from conftest import (
+    CTX,
+    STANDARD_DECLS,
+    count_calls,
+    erasure_source,
+    long_source,
+    quantifier_chain,
+    recursion_headroom,
+    tm,
+)
 import spinel.infer as infer_mod
 from spinel.cli import _BLOCK, main
-from spinel.infer import Synthesize, infer
+from spinel.infer import EngineInvariantError, Synthesize, infer
 from spinel.oracle import SpecVerdict, verify_spec
 from spinel.parser import parse_program
 
@@ -806,6 +815,8 @@ PINNED_OUTPUT = {
         (1, "463a44e4968350e06b84f428cb4c20b7b3ba24c200a1ad83dc3e29c67b661286"),
     ("--elab", "--trace"):
         (1, "76df3ca367070c09b1d324ec234f729c80f5ec42825fa1bc3e1b7e4e5eb7aa70"),
+    ("--json", "--elab"):
+        (1, "bf64a1408c5d699e40114f75b2d1e4b8c694071a6631fe639633616dc280058d"),
 }
 
 
@@ -824,6 +835,69 @@ def test_erasure_corpus_output_bytes_are_pinned(tmp_path, capsys, monkeypatch):
         code = main(["run", str(path), *flags])
         out = capsys.readouterr().out
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == pinned, flags
+
+
+def _failing_infer(monkeypatch):
+    """Make a goal whose term is the name ``broken`` end in an engine
+    invariant error whose message holds a quote, a backslash and a
+    non-ASCII character."""
+    import spinel.cli as cli
+
+    engine = cli.infer
+
+    def infer_or_fail(ctx, mode, term, trace=None):
+        if getattr(term, "name", None) == "broken":
+            raise EngineInvariantError('a "broken" \\ invariant \u00e9')
+        return engine(ctx, mode, term, trace=trace)
+
+    monkeypatch.setattr(cli, "infer", infer_or_fail)
+
+
+@pytest.mark.parametrize(
+    "flags", [("--json",), ("--json", "--elab"), ("--json", "--elab", "--trace", "--spec-verify")]
+)
+def test_every_json_line_is_what_json_dumps_writes_for_its_record(tmp_path, capsys, monkeypatch, flags):
+    # `--json` writes each record with its keys as literal text, not through
+    # `json.dumps`, and is held to that function's bytes: ASCII only, ", "
+    # and ": " separators, keys in record order.  The file has ok and error
+    # records (with a trace and a replay under the last flags), a
+    # resource-limit and an internal-error record, and parse errors whose
+    # message holds a non-ASCII character and an undecodable byte.
+    _failing_infer(monkeypatch)
+    src = erasure_source(5, "check synth wrong") + (
+        f"assume broken : Nat\nsynth broken\nsynth {deep_suc(300)}\nsynth z \u00e9\nsynth suc z\n"
+    )
+    path = tmp_path / "records.spn"
+    path.write_bytes(src.encode() + b"synth \xff z\ncheck suc z : Nat\n")
+    with recursion_headroom(1000):
+        assert main(["run", str(path), *flags]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line == json.dumps(json.loads(line)) for line in lines)
+    records = [json.loads(line) for line in lines]
+    assert {r["status"] for r in records} == {"ok", "error", "resource-limit", "internal-error", "parse-error"}
+    messages = [r["message"] for r in records if r["status"] == "parse-error"]
+    assert messages == ["unexpected character '\u00e9'", "unexpected character '\\udcff'"]
+    assert [r["message"] for r in records if r["status"] == "internal-error"] == ['a "broken" \\ invariant \u00e9']
+    if "--trace" in flags:
+        assert all("trace" in r and "spec" in r for r in records if r["status"] == "ok")
+
+
+@pytest.mark.parametrize("json_flag", [False, True], ids=["text", "json"])
+def test_an_engine_invariant_error_is_reported_and_later_goals_run(tmp_path, capsys, monkeypatch, json_flag):
+    _failing_infer(monkeypatch)
+    path = tmp_path / "broken.spn"
+    path.write_text(HEAD + "assume broken : Nat\ncheck broken : Nat\nsynth z\n")
+    assert main(["run", str(path), *(["--json"] if json_flag else [])]) == 3
+    out = capsys.readouterr().out
+    message = 'a "broken" \\ invariant \u00e9'
+    if json_flag:
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"goal": 1, "mode": "check", "term": "broken", "expected": "Nat", "status": "internal-error",
+             "message": message},
+            {"goal": 2, "mode": "synth", "term": "z", "status": "ok", "type": "Nat"},
+        ]
+    else:
+        assert out == f"[1] check broken : Nat\n    internal error: {message}\n\n[2] synth z\n    type: Nat\n\n"
 
 
 # ----------------------------------------------------------- deep input
@@ -998,10 +1072,8 @@ def test_long_chain_declaration_is_checked_and_its_goals_end_in_an_outcome(tmp_p
     # context; a goal using it answers or reports a resource limit, never
     # a traceback, and the goals after it still run.
     n = 2000
-    quantifiers = "".join(f"forall X{i}. " for i in range(1, n + 1))
-    arrows = " -> ".join(f"X{i}" for i in range(1, n + 1))
     path = tmp_path / "long.spn"
-    path.write_text(HEAD + f"assume g : {quantifiers}{arrows} -> Nat\nsynth g{' z' * n}\nsynth z\n")
+    path.write_text(HEAD + f"assume g : {quantifier_chain(n)}\nsynth g{' z' * n}\nsynth z\n")
     proc = run_child(path, "--json")
     assert proc.stderr == ""
     records = [json.loads(line) for line in proc.stdout.splitlines()]
@@ -1014,12 +1086,10 @@ def test_long_chain_declaration_is_checked_and_its_goals_end_in_an_outcome(tmp_p
 def _long_spine_file(tmp_path, n):
     """``g : forall X1..Xn. X1 -> ... -> Xn -> Nat`` applied to n arguments,
     synthesized and checked, then one more goal."""
-    qs = "".join(f"forall X{i}. " for i in range(1, n + 1))
-    arrows = " -> ".join(f"X{i}" for i in range(1, n + 1))
     args = " ".join("z" if i % 2 else "tt" for i in range(1, n + 1))
     path = tmp_path / "spine.spn"
     path.write_text(
-        HEAD + f"type B\nassume tt : B\nassume g : {qs}{arrows} -> Nat\n"
+        HEAD + f"type B\nassume tt : B\nassume g : {quantifier_chain(n)}\n"
         f"synth g {args}\ncheck g {args} : Nat\nsynth z\n"
     )
     targs = " ".join("[Nat]" if i % 2 else "[B]" for i in range(1, n + 1))
@@ -1067,13 +1137,11 @@ def test_long_type_application_chain_answers_and_later_goals_run(tmp_path):
     # Substitution and canonical keys follow arrow chains by loops, so 2,000
     # explicit type arguments answer at the default recursion limit.
     n = 2000
-    qs = "".join(f"forall X{i}. " for i in range(1, n + 1))
-    arrows = " -> ".join(f"X{i}" for i in range(1, n + 1))
     targs = " ".join("[Nat]" if i % 2 else "[B]" for i in range(1, n + 1))
     instance = " -> ".join("Nat" if i % 2 else "B" for i in range(1, n + 1)) + " -> Nat"
     path = tmp_path / "tyapps.spn"
     path.write_text(
-        HEAD + f"type B\nassume g : {qs}{arrows} -> Nat\n"
+        HEAD + f"type B\nassume g : {quantifier_chain(n)}\n"
         f"synth g {targs}\ncheck g {targs} : {instance}\nsynth z\n"
     )
     proc = run_child(path, "--json")
@@ -1297,6 +1365,16 @@ def test_repl_exits_on_end_of_input(monkeypatch, capsys):
     assert code == 0
 
 
+def test_repl_command_word_ends_at_a_tab(monkeypatch, capsys):
+    code, out = feed_repl(
+        monkeypatch, capsys,
+        [":type\tNat", ":assume\tz : Nat", ":check\tz : Nat", ":synth\tz", " :synth\t\tz\t"],
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == ["type Nat", "z : Nat", "ok: Nat", "elaboration: z",
+                                    "type: Nat", "elaboration: z", "type: Nat", "elaboration: z", ""]
+
+
 REPL_PRELUDE = [":type Nat", ":type B", ":assume z : Nat", ":assume ident : forall X. X -> X"]
 
 # A malformed command and the parse error the REPL prints for it.  A
@@ -1462,6 +1540,38 @@ def test_spinel_run_starts_no_collection(tmp_path, capsys, collector_state):
     assert gc.isenabled()
 
 
+def test_spinel_repl_starts_no_collection(monkeypatch, capsys, collector_state):
+    # A session's trees are acyclic too, so `spinel repl` answers with the
+    # collector paused.  With it running, this session of one 300-argument
+    # spine starts about 20 collections, each walking live trees and
+    # freeing nothing.
+    feed = iter(":" + line for line in long_source("contextual", 300).splitlines())
+    started, during = [], []
+
+    def fake_input(_=""):
+        line = next(feed, None)
+        if line is None:
+            during.extend(started)  # what the session started, not its end's clean-up
+            raise EOFError
+        return line
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    monkeypatch.setattr("builtins.input", fake_input)
+    gc.enable()
+    gc.collect()  # so that the argument parsing before the session starts none
+    gc.callbacks.append(hook)
+    try:
+        code = main(["repl"])
+    finally:
+        gc.callbacks.remove(hook)
+    assert code == 0 and f"\nok: {'Nat -> ' * 301}Nat\n" in capsys.readouterr().out
+    assert during == []
+    assert gc.isenabled()
+
+
 class _ClosedStdout(io.TextIOBase):
     """A standard output whose reader is gone: every write is a broken
     pipe.  Its descriptor is a file the test owns, which ``main`` points at
@@ -1509,6 +1619,39 @@ def test_spinel_run_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, c
         if exit_path == "closed-stdout":
             os.close(fd)
     assert code == expected_code
+    assert gc.isenabled() is enabled
+
+
+def _interrupt(_=""):
+    raise KeyboardInterrupt
+
+
+# Each session answers one goal and then ends, before its last line if it has one.
+REPL_EXITS = {
+    "end-of-input": [*REPL_PRELUDE, ":synth z"],
+    "quit": [*REPL_PRELUDE, ":synth z", ":quit", ":synth z"],
+    "ctrl-c": [*REPL_PRELUDE, ":synth z", _interrupt, ":synth z"],
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("exit_path", REPL_EXITS)
+def test_spinel_repl_leaves_the_collector_as_it_found_it(monkeypatch, capsys, collector_state, exit_path, enabled):
+    feed = iter(REPL_EXITS[exit_path])
+
+    def fake_input(_=""):
+        line = next(feed, None)
+        if line is None:
+            raise EOFError
+        return line() if callable(line) else line
+
+    monkeypatch.setattr("builtins.input", fake_input)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    assert main(["repl"]) == 0
+    assert capsys.readouterr().out.count("type: Nat") == 1
     assert gc.isenabled() is enabled
 
 

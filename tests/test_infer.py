@@ -17,6 +17,7 @@ from conftest import (
     erasure_source,
     erasures,
     long_source,
+    quantifier_chain,
     reachable,
     tm,
     traceback_frames,
@@ -600,9 +601,7 @@ def test_an_elaboration_equal_to_its_term_is_its_term():
 
 
 def _wide_spine(n):
-    xs = [f"X{i}" for i in range(1, n + 1)]
-    g = ty("".join(f"forall {x}. " for x in xs) + " -> ".join(xs + ["Nat"]))
-    ctx = CTX.with_term("g", g)
+    ctx = CTX.with_term("g", ty(quantifier_chain(n)))
     args = " ".join("z" if i % 2 else "tt" for i in range(1, n + 1))
     return ctx, tm(f"g {args}", ctx)
 
