@@ -130,7 +130,7 @@ def diagnostic_json(d: Diagnostic) -> dict:
     rn = d.display
     out: dict = {"kind": d.kind.value, "message": _HEADLINES[d.kind]}
     if d.span is not None:
-        out["span"] = d.span.to_json()
+        out["span"] = d.span._asdict()
     if d.expected is not None:
         out["expected"] = pretty_type(d.expected, rn)
     if d.resolved is not None:
@@ -277,21 +277,26 @@ def _blocks(decls):
     yield block, None
 
 
+def _outcome(ctx: Context, goal: Goal, trace: list[str] | None = None):
+    """What ``infer`` returns for ``goal`` in ``ctx``, the Diagnostic or
+    EngineInvariantError it raises, or None if the goal nests too deeply."""
+    try:
+        return infer(ctx, Synthesize() if goal.expected is None else Check(goal.expected), goal.term, trace=trace)
+    except (Diagnostic, EngineInvariantError) as exc:
+        # Kept without its traceback, so that it pins no frame: not this
+        # one, nor the engine's frames that an engine error keeps.
+        return exc.with_traceback(None)
+    except RecursionError:
+        return None
+
+
 def _answer(block: list[tuple[Context, Goal]], count: int, args, color: bool) -> int:
-    """Answer a block of goals numbered from ``count + 1``: infer each, keeping no
-    traceback, render each report, write them all at once; the largest exit code."""
+    """Answer a block of goals numbered from ``count + 1``: infer each, render
+    each report, write them all at once; the largest exit code."""
     answered = []
     for ctx, goal in block:
         trace = [] if args.trace else None
-        try:
-            out = infer(ctx, Synthesize() if goal.expected is None else Check(goal.expected), goal.term, trace=trace)
-        except (Diagnostic, EngineInvariantError) as exc:
-            # Drops this frame, whose ``answered`` keeps the error, so that no cycle
-            # forms; from an engine error, which keeps them, the engine's frames too.
-            out = exc.with_traceback(None)
-        except RecursionError:
-            out = None
-        answered.append((ctx, goal, out, trace))
+        answered.append((ctx, goal, _outcome(ctx, goal, trace), trace))
     results = []
     for count, (ctx, goal, out, trace) in enumerate(answered, count + 1):
         try:
@@ -302,35 +307,41 @@ def _answer(block: list[tuple[Context, Goal]], count: int, args, color: bool) ->
     return max((code for code, _ in results), default=0)
 
 
-def _run_file(args: argparse.Namespace) -> int:
-    # The trees a run builds are acyclic, so a cyclic collection would walk
-    # them and free nothing: pause the collector, and restore it as found.
+def _paused(command, *args) -> int:
+    """``command(*args)`` with the cyclic collector paused, and the collector
+    restored as found on every way out.  The trees that ``spinel run`` and
+    ``spinel repl`` build are acyclic, so a cyclic collection would walk
+    them and free nothing."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        try:
-            # a byte that is not UTF-8 reaches the lexer as a lone surrogate,
-            # an unexpected character of its own declaration
-            handle = open(args.file, encoding="utf-8", errors="surrogateescape")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        color = _use_color() and not args.json
-        code = count = 0
-        with handle:
-            for block, error in _blocks(_declarations(handle, _Parser())):
-                code = max(code, _answer(block, count, args, color), 2 if error else 0)
-                count += len(block)
-                if error and args.json:
-                    print(f'{{"status": "parse-error", "line": {error.line}, "col": {error.col}, '
-                          f'"message": {_json_str(error.message)}}}')
-                elif error:
-                    sys.stdout.flush()  # so that the reports before it come first
-                    print(f"parse error: {error}", file=sys.stderr)
-        return code
+        return command(*args)
     finally:
         if enabled:
             gc.enable()
+
+
+def _run_file(args: argparse.Namespace) -> int:
+    try:
+        # a byte that is not UTF-8 reaches the lexer as a lone surrogate,
+        # an unexpected character of its own declaration
+        handle = open(args.file, encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    color = _use_color() and not args.json
+    code = count = 0
+    with handle:
+        for block, error in _blocks(_declarations(handle, _Parser())):
+            code = max(code, _answer(block, count, args, color), 2 if error else 0)
+            count += len(block)
+            if error and args.json:
+                print(f'{{"status": "parse-error", "line": {error.line}, "col": {error.col}, '
+                      f'"message": {_json_str(error.message)}}}')
+            elif error:
+                sys.stdout.flush()  # so that the reports before it come first
+                print(f"parse error: {error}", file=sys.stderr)
+    return code
 
 
 # ------------------------------------------------------------- interactive
@@ -344,38 +355,35 @@ _REPL_HELP = """commands:
 
 
 def repl() -> int:
-    # A session's trees are acyclic, as a run's are: pause the collector as
-    # ``_run_file`` does, and restore it as found on every way out.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        color = _use_color()
-        print("spinel interactive loop; :quit to leave, :help for commands")
-        ctx = Context.empty()
-        parser = _Parser()  # the session's: it knows every name declared so far, as ``ctx`` does
-        while True:
-            try:
-                line = input("spinel> ")
-            except (EOFError, KeyboardInterrupt):
-                print()
-                return 0
-            words = line.split(None, 1)  # the command word ends at any whitespace, a tab too
-            if not words:
-                continue
-            cmd = words[0]
-            if cmd in (":quit", ":q"):
-                return 0
-            if cmd == ":help":
-                print(_REPL_HELP)
-            elif cmd in (":type", ":assume", ":check", ":synth"):
-                # read as a line of a source file, its ``:`` a blank so that columns are as typed
-                for decl in _declarations([line.replace(":", " ", 1)], parser):
-                    ctx = _command(ctx, decl, color)
-            else:
-                print(f"unknown command {cmd!r}; :help lists commands")
-    finally:
-        if enabled:
-            gc.enable()
+    """The interactive loop, with the collector paused as ``spinel run`` has it."""
+    return _paused(_session)
+
+
+def _session() -> int:
+    color = _use_color()
+    print("spinel interactive loop; :quit to leave, :help for commands")
+    ctx = Context.empty()
+    parser = _Parser()  # the session's: it knows every name declared so far, as ``ctx`` does
+    while True:
+        try:
+            line = input("spinel> ")
+        except (EOFError, KeyboardInterrupt):
+            print()
+            return 0
+        words = line.split(None, 1)  # the command word ends at any whitespace, a tab too
+        if not words:
+            continue
+        cmd = words[0]
+        if cmd in (":quit", ":q"):
+            return 0
+        if cmd == ":help":
+            print(_REPL_HELP)
+        elif cmd in (":type", ":assume", ":check", ":synth"):
+            # read as a line of a source file, its ``:`` a blank so that columns are as typed
+            for decl in _declarations([line.replace(":", " ", 1)], parser):
+                ctx = _command(ctx, decl, color)
+        else:
+            print(f"unknown command {cmd!r}; :help lists commands")
 
 
 def _command(ctx: Context, decl, color: bool) -> Context:
@@ -391,16 +399,16 @@ def _command(ctx: Context, decl, color: bool) -> Context:
         elif kind is Assume:
             ctx = ctx.with_term(decl.name, decl.ty)
             print(f"{decl.name} : {pretty_type(decl.ty)}")
+        elif (out := _outcome(ctx, decl)) is None:
+            raise RecursionError  # reported as one raised while printing is
+        elif isinstance(out, Diagnostic):
+            print(render_diagnostic(out, color))
+        elif isinstance(out, EngineInvariantError):
+            print(f"internal error: {out}")
         else:
-            synth = decl.expected is None
-            out = infer(ctx, Synthesize() if synth else Check(decl.expected), decl.term)
-            print(f"{'type' if synth else 'ok'}: {pretty_type(out.ty)}")
+            print(f"{'type' if decl.expected is None else 'ok'}: {pretty_type(out.ty)}")
             print(f"elaboration: {pretty_term(out.elaboration)}")
-    except Diagnostic as d:
-        print(render_diagnostic(d, color))
-    except EngineInvariantError as exc:
-        print(f"internal error: {exc}")
-    except RecursionError:
+    except RecursionError:  # too deep to answer or to print
         print("error: input is nested too deeply")
     return ctx
 
@@ -420,7 +428,7 @@ def _arg_parser() -> argparse.ArgumentParser:
     run.add_argument("file", help="source file of declarations and goals")
     run.add_argument("--elab", action="store_true", help="print elaborated terms")
     run.add_argument("--json", action="store_true", help="emit one JSON object per goal")
-    run.add_argument("--trace", action="store_true", help="print the rule trace per goal")
+    run.add_argument("--trace", action="store_true", help="print the rule trace of each goal that elaborates")
     run.add_argument(
         "--spec-verify",
         action="store_true",
@@ -434,7 +442,7 @@ def _arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _arg_parser().parse_args(argv)
     try:
-        code = _run_file(args) if args.command == "run" else repl()
+        code = _paused(_run_file, args) if args.command == "run" else repl()
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed standard output, as ``spinel run f | head -1``

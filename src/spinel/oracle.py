@@ -157,7 +157,7 @@ def verify_spec(
     at the shim, so the replay's work grows linearly with the spine.  The
     shim and the mode's side conditions are ``passes_side_conditions``'s.
     """
-    if not isinstance(term, App):
+    if type(term) is not App:
         raise ValueError("only term applications have spine derivations")
     claimed_ty, claimed_partial, claimed_sol = claimed
     trace: list[str] = []
@@ -191,7 +191,7 @@ def verify_spec(
         """Resolve a variable at the root of ``ty``, which may stand for a
         quantifier or an arrow; the result needs neither map any more."""
         nonlocal ty, opened, solved
-        if isinstance(ty, TVar):
+        if type(ty) is TVar:
             ty, opened, solved = read(ty), {}, {}
 
     def take_claimed_type() -> TypeExpr | None:
@@ -206,7 +206,7 @@ def verify_spec(
         if _is_type(item):
             trace.append("PTApp")
             reveal()
-            if not isinstance(ty, Forall):
+            if type(ty) is not Forall:
                 return reject("explicit type argument but no quantifier to consume")
             got = take_claimed_type()
             if got is None or not alpha_equal(got, item):
@@ -218,12 +218,12 @@ def verify_spec(
 
         trace.append("PApp")
         reveal()
-        while isinstance(ty, Forall):
+        while type(ty) is Forall:
             trace.append("PForall")
             got = take_claimed_type()
             if got is None:
                 return reject("claimed elaboration is missing an inserted type argument")
-            if isinstance(got, TVar) and got.name not in ctx.dtv:
+            if type(got) is TVar and got.name not in ctx.dtv:
                 meta = got.name
                 if meta in claimed_sol:
                     if meta in guessed:
@@ -238,7 +238,7 @@ def verify_spec(
             ty = ty.body
             rebuilt = TApp(rebuilt, TVar(meta))
             reveal()
-        if not isinstance(ty, Arrow):
+        if type(ty) is not Arrow:
             return reject("argument applied but the type reveals no arrow")
 
         dom = substitute(guessed, read(ty.dom))
@@ -330,7 +330,7 @@ def _context_part(ctx: Context) -> tuple[tuple[TypeExpr, str], ...]:
     global _context_pool
     held, part = _context_pool
     if held is not ctx:
-        bound = (ty for e in ctx.entries if isinstance(e, TermBind) for ty in _subtypes(e.ty))
+        bound = (ty for e in ctx.entries if type(e) is TermBind for ty in _subtypes(e.ty))
         part = tuple(_new_keyed(ctx, bound, set()))
         _context_pool = (ctx, part)
     return part
@@ -398,15 +398,15 @@ def _derivations(
             continue
         item = items[i]
         if _is_type(item):
-            if isinstance(ty, Forall) and is_well_formed(ctx, item):
+            if type(ty) is Forall and is_well_formed(ctx, item):
                 stack.append((i + 1, substitute({ty.bound: item}, ty.body), TApp(partial, item), guesses))
-        elif isinstance(ty, Forall):
+        elif type(ty) is Forall:
             meta = f"?g{next(fresh)}"
             opened = substitute({ty.bound: TVar(meta)}, ty.body)
             applied = TApp(partial, TVar(meta))
             stack += [(i, opened, applied, {**guesses, meta: cand}) for cand in reversed(candidates)]
             stack.append((i, opened, applied, guesses))
-        elif isinstance(ty, Arrow):
+        elif type(ty) is Arrow:
             dom = substitute(guesses, ty.dom)
             unsolved = meta_vars_of_type(ctx, dom)
             aout = _typed(ctx, typed, i, item, None if unsolved else dom)
@@ -426,7 +426,7 @@ def search_spec(ctx: Context, ctx_ty: TypeExpr | None, term: Term) -> list[_Trip
     Returns raw derivation triples, before the shim and mode side
     conditions; ``passes_side_conditions`` filters them.
     """
-    if not isinstance(term, App):
+    if type(term) is not App:
         raise ValueError("only term applications have spine derivations")
     typed: dict = {}  # each argument's typings, shared with the guess pool
     candidates = _candidates(ctx, ctx_ty, term, typed)
@@ -509,28 +509,26 @@ def enumerate_erasures(term: Term) -> list[Term]:
     """
 
     def norm(t: Term) -> list[Term]:
-        match t:
-            case Var():
-                return [t]
-            case Lam(bound=x, ann=ann, body=b):
-                out = []
-                for body in norm(b):
-                    out.append(Lam(x, ann, body))
-                    if ann is not None:
-                        out.append(Lam(x, None, body))
-                return out
-            case TLam(bound=x, body=b):
-                return [TLam(x, body) for body in norm(b)]
-            case App(fun=f, arg=a):
-                return [
-                    App(fun, arg) for fun in norm_applicand(f) for arg in norm(a)
-                ]
-            case TApp(fun=f, targ=s):
-                return [TApp(fun, s) for fun in norm(f)]
+        kind = type(t)
+        if kind is Var:
+            return [t]
+        if kind is Lam:
+            out = []
+            for body in norm(t.body):
+                out.append(Lam(t.bound, t.ann, body))
+                if t.ann is not None:
+                    out.append(Lam(t.bound, None, body))
+            return out
+        if kind is TLam:
+            return [TLam(t.bound, body) for body in norm(t.body)]
+        if kind is App:
+            return [App(fun, arg) for fun in norm_applicand(t.fun) for arg in norm(t.arg)]
+        if kind is TApp:
+            return [TApp(fun, t.targ) for fun in norm(t.fun)]
         raise TypeError(t)
 
     def norm_applicand(t: Term) -> list[Term]:
-        if isinstance(t, TApp):
+        if type(t) is TApp:
             return norm_applicand(t.fun) + [TApp(fun, t.targ) for fun in norm(t.fun)]
         return norm(t)
 
@@ -548,9 +546,9 @@ def enumerate_erasures(term: Term) -> list[Term]:
 
 
 def _reveals_arrow_under_quantifiers(ty: TypeExpr) -> bool:
-    while isinstance(ty, Forall):
+    while type(ty) is Forall:
         ty = ty.body
-    return isinstance(ty, Arrow)
+    return type(ty) is Arrow
 
 
 def _declined(ctx: Context, term: Term) -> tuple[list[tuple[TypeExpr, Term]], int]:
@@ -599,7 +597,7 @@ def check_weak_completeness_conditions(ctx: Context, erased: Term) -> bool:
         while (kind := type(t)) is App or kind is TApp:
             if k < len(reached):
                 ty = reached[k][0]
-                if not (_reveals_arrow_under_quantifiers(ty) if kind is App else isinstance(ty, Forall)):
+                if not (_reveals_arrow_under_quantifiers(ty) if kind is App else type(ty) is Forall):
                     return False
             if kind is App:
                 args.append(t.arg)
@@ -635,30 +633,21 @@ def standard_context() -> Context:
 
 
 def _type_size(ty: TypeExpr) -> int:
-    match ty:
-        case TVar():
-            return 1
-        case Arrow(dom=d, cod=c):
-            return 1 + _type_size(d) + _type_size(c)
-        case Forall(body=b):
-            return 1 + _type_size(b)
-        case Con(args=args):
-            return 1 + sum(_type_size(a) for a in args)
-    raise TypeError(ty)
+    return sum(1 for _ in _subtypes(ty))
 
 
 def _term_size(t: Term) -> int:
-    match t:
-        case Var():
-            return 1
-        case Lam(ann=ann, body=b):
-            return 1 + (_type_size(ann) if ann is not None else 0) + _term_size(b)
-        case TLam(body=b):
-            return 1 + _term_size(b)
-        case App(fun=f, arg=a):
-            return 1 + _term_size(f) + _term_size(a)
-        case TApp(fun=f, targ=s):
-            return 1 + _term_size(f) + _type_size(s)
+    kind = type(t)
+    if kind is Var:
+        return 1
+    if kind is Lam:
+        return 1 + (_type_size(t.ann) if t.ann is not None else 0) + _term_size(t.body)
+    if kind is TLam:
+        return 1 + _term_size(t.body)
+    if kind is App:
+        return 1 + _term_size(t.fun) + _term_size(t.arg)
+    if kind is TApp:
+        return 1 + _term_size(t.fun) + _type_size(t.targ)
     raise TypeError(t)
 
 
@@ -686,7 +675,7 @@ def enumerate_internal_terms(ctx: Context, max_size: int) -> list[tuple[Term, Ty
         out: list[tuple[Term, TypeExpr]] = []
         if size >= 1:
             for entry in ctx.entries:
-                if isinstance(entry, TermBind):
+                if type(entry) is TermBind:
                     out.append((Var(entry.name), entry.ty))
         if size >= 2:
             depth = len(ctx.entries)
@@ -702,7 +691,7 @@ def enumerate_internal_terms(ctx: Context, max_size: int) -> list[tuple[Term, Ty
                     out.append((Lam(name, ann, body), Arrow(ann, bty)))
             for fsize in range(1, size - 1):
                 for fun, fty in terms(ctx, fsize):
-                    if isinstance(fty, Forall):
+                    if type(fty) is Forall:
                         for targ in _TYPE_POOL:
                             if _type_size(targ) <= size - 1 - fsize and is_well_formed(
                                 ctx, targ
@@ -713,7 +702,7 @@ def enumerate_internal_terms(ctx: Context, max_size: int) -> list[tuple[Term, Ty
                                         substitute({fty.bound: targ}, fty.body),
                                     )
                                 )
-                    if isinstance(fty, Arrow):
+                    if type(fty) is Arrow:
                         want = canon_type(fty.dom)
                         for arg, aty in terms(ctx, size - 1 - fsize):
                             if canon_type(aty) == want:

@@ -52,14 +52,6 @@ class Span(NamedTuple):
     end_line: int
     end_col: int
 
-    def to_json(self) -> dict:
-        return {
-            "line": self.line,
-            "col": self.col,
-            "end_line": self.end_line,
-            "end_col": self.end_col,
-        }
-
 
 # ---------------------------------------------------------------- nodes
 

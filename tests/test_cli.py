@@ -27,7 +27,7 @@ from conftest import (
     tm,
 )
 import spinel.infer as infer_mod
-from spinel.cli import _BLOCK, main
+from spinel.cli import _BLOCK, main, repl
 from spinel.infer import EngineInvariantError, Synthesize, infer
 from spinel.oracle import SpecVerdict, verify_spec
 from spinel.parser import parse_program
@@ -837,6 +837,29 @@ def test_erasure_corpus_output_bytes_are_pinned(tmp_path, capsys, monkeypatch):
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == pinned, flags
 
 
+# Lines in, exit code, lines out and SHA-256 of stdout of `spinel repl` fed
+# the size-6 erasure file, each line a command.
+PINNED_REPL_OUTPUT = (5_283, 0, 11_895, "1bddd18a68a8770bb5c6aa187828265966f8fd5958028e854c9e56229f0f9baa")
+
+
+def test_erasure_corpus_repl_bytes_are_pinned(monkeypatch, capsys):
+    # The interactive loop's reports of the same goals, held byte for byte.
+    monkeypatch.delenv("SPINEL_COLOR", raising=False)
+    lines = [":" + line for line in erasure_source(6, "check synth wrong").splitlines()]
+    feed = iter(lines)
+
+    def fake_input(_=""):
+        line = next(feed, None)
+        if line is None:
+            raise EOFError
+        return line
+
+    monkeypatch.setattr("builtins.input", fake_input)
+    code = main(["repl"])
+    out = capsys.readouterr().out
+    assert (len(lines), code, len(out.splitlines()), hashlib.sha256(out.encode()).hexdigest()) == PINNED_REPL_OUTPUT
+
+
 def _failing_infer(monkeypatch):
     """Make a goal whose term is the name ``broken`` end in an engine
     invariant error whose message holds a quote, a backslash and a
@@ -1516,13 +1539,20 @@ def collector_state():
         gc.disable()
 
 
-def test_spinel_run_starts_no_collection(tmp_path, capsys, collector_state):
+def test_spinel_run_starts_no_collection(tmp_path, monkeypatch, capsys, collector_state):
     # The trees a run builds are acyclic, so `spinel run` answers with the
     # collector paused.  With it running, this file starts hundreds of
     # collections, each walking live trees and freeing nothing.
     path = tmp_path / "erasures.spn"
     path.write_text(erasure_source(7))
-    started = []
+    started, during = [], []
+    enable = gc.enable
+
+    def enable_after_the_run():
+        # What the run started, not what the first allocation once the
+        # collector is back on starts: the paused collector still counts them.
+        during.append(list(started))
+        enable()
 
     def hook(phase, info):
         if phase == "start":
@@ -1530,13 +1560,14 @@ def test_spinel_run_starts_no_collection(tmp_path, capsys, collector_state):
 
     gc.enable()
     gc.collect()  # so that the argument parsing before the run starts none
+    monkeypatch.setattr(gc, "enable", enable_after_the_run)
     gc.callbacks.append(hook)
     try:
         code = main(["run", str(path), "--json", "--elab"])
     finally:
         gc.callbacks.remove(hook)
     assert code == 1 and len(capsys.readouterr().out.splitlines()) == 11_492
-    assert started == []
+    assert during == [[]]  # paused, and re-enabled once, when the run was over
     assert gc.isenabled()
 
 
@@ -1652,6 +1683,32 @@ def test_spinel_repl_leaves_the_collector_as_it_found_it(monkeypatch, capsys, co
         gc.disable()
     assert main(["repl"]) == 0
     assert capsys.readouterr().out.count("type: Nat") == 1
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_repl_called_directly_is_paused_and_leaves_the_collector_as_it_found_it(monkeypatch, capsys,
+                                                                                 collector_state, enabled):
+    # The benchmark times sessions through `repl()`, not `main`, and hands
+    # it each line through a module attribute `input`.
+    feed = iter([*REPL_PRELUDE, ":synth z"])
+    paused = []
+
+    def fake_input(_=""):
+        paused.append(not gc.isenabled())
+        line = next(feed, None)
+        if line is None:
+            raise EOFError
+        return line
+
+    monkeypatch.setattr(spinel.cli, "input", fake_input, raising=False)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    assert repl() == 0
+    assert capsys.readouterr().out.count("type: Nat") == 1
+    assert paused == [True] * 6
     assert gc.isenabled() is enabled
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CTX, count_well_formed_walks, erasures, recursion_headroom, tm, ty
+from spinel.cli import diagnostic_json
 from spinel.infer import Check, Diagnostic, DiagnosticKind, InferOutcome, SpineOutcome, Synthesize, infer
 from spinel.matcher import MatchFailure
 from spinel.oracle import SpecVerdict
@@ -65,8 +66,9 @@ def test_span_is_immutable_hashable_and_reads_by_name():
     assert {sp: "here"}[Span(1, 2, 3, 4)] == "here"
 
 
-def test_span_to_json_keeps_its_keys_and_order():
-    assert list(Span(1, 2, 3, 4).to_json().items()) == [
+def test_a_span_in_a_diagnostic_record_keeps_its_keys_and_order():
+    d = Diagnostic(DiagnosticKind.UNBOUND_NAME, subject=Var("x", Span(1, 2, 3, 4)))
+    assert list(diagnostic_json(d)["span"].items()) == [
         ("line", 1), ("col", 2), ("end_line", 3), ("end_col", 4)
     ]
 
