@@ -49,7 +49,7 @@ from .parser import (
     pretty_term,
     pretty_type,
 )
-from .syntax import Context, TermBind, TypeExpr
+from .syntax import Context, TypeExpr
 
 _HEADLINES = {
     DiagnosticKind.UNANNOTATED_LAMBDA: "cannot synthesize a type for an unannotated function",
@@ -66,6 +66,7 @@ _RED = "\x1b[31m"
 _BOLD = "\x1b[1m"
 _RESET = "\x1b[0m"
 _BLOCK = 256  # goals per block of ``spinel run``: one block's trees at most are alive at once
+_SYNTHESIZE = Synthesize()  # the mode of every synth goal
 _json_str = json.encoder.encode_basestring_ascii  # a str as ``json.dumps`` writes it
 
 
@@ -256,15 +257,15 @@ def _blocks(decls):
     """Yield the goals of ``decls``, each with its context, in blocks of at most ``_BLOCK``,
     each with the ParseError that ended it or None; a block is emptied once answered."""
     ctx = Context.empty()
-    assumed: list[TermBind] = []  # the run of assumes since the last goal
+    assumed: list[Assume] = []  # the run of assumes since the last goal
     block: list[tuple[Context, Goal]] = []
     for decl in decls:
         kind = type(decl)
         if kind is Assume:
-            assumed.append(TermBind(decl.name, decl.ty))
+            assumed.append(decl)
         elif kind is Goal:
             if assumed:
-                ctx, assumed = ctx._extend(assumed), []
+                ctx, assumed = ctx._extend([a.name for a in assumed], [a.ty for a in assumed]), []
             block.append((ctx, decl))
             if len(block) == _BLOCK:
                 yield block, None
@@ -281,7 +282,7 @@ def _outcome(ctx: Context, goal: Goal, trace: list[str] | None = None):
     """What ``infer`` returns for ``goal`` in ``ctx``, the Diagnostic or
     EngineInvariantError it raises, or None if the goal nests too deeply."""
     try:
-        return infer(ctx, Synthesize() if goal.expected is None else Check(goal.expected), goal.term, trace=trace)
+        return infer(ctx, _SYNTHESIZE if goal.expected is None else Check(goal.expected), goal.term, trace=trace)
     except (Diagnostic, EngineInvariantError) as exc:
         # Kept without its traceback, so that it pins no frame: not this
         # one, nor the engine's frames that an engine error keeps.

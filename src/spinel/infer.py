@@ -64,11 +64,9 @@ from .syntax import (
     Stuck,
     Synthetic,
     TApp,
-    TermBind,
     TLam,
     TVar,
     Term,
-    TyVarDecl,
     TypeExpr,
     Unknown,
     Var,
@@ -104,6 +102,7 @@ class Check:
 
 
 _Expected = TypeExpr | None  # below ``infer``, a checked term's type; None synthesizes
+_UNKNOWN = Unknown()  # the prototype every synthesized spine meets
 
 
 @_node
@@ -251,7 +250,7 @@ def infer(
         raise TypeError(mode)
     if expected is not None and not is_well_formed(ctx, expected):
         raise ValueError("contextual type is not well-formed")
-    return _named(_Run(trace), _infer, ctx, expected, term)
+    return InferOutcome(*_named(_Run(trace), _infer, ctx, expected, term))
 
 
 def spine_infer(ctx: Context, proto: Prototype, term: Term) -> SpineOutcome:
@@ -269,8 +268,10 @@ def spine_infer(ctx: Context, proto: Prototype, term: Term) -> SpineOutcome:
 
 # ------------------------------------------------------------- inference
 
+_Outcome = tuple[TypeExpr, Term, SpineOutcome | None]  # below ``infer``, an ``InferOutcome``'s fields
 
-def _infer(run: _Run, ctx: Context, expected: _Expected, term: Term) -> InferOutcome:
+
+def _infer(run: _Run, ctx: Context, expected: _Expected, term: Term) -> _Outcome:
     kind = type(term)
     if kind is Var:
         run.note("var")
@@ -293,29 +294,33 @@ def _infer(run: _Run, ctx: Context, expected: _Expected, term: Term) -> InferOut
     raise TypeError(term)
 
 
-def _binder_chain(run: _Run, ctx: Context, expected: _Expected, term: Lam | TLam) -> InferOutcome:
+def _binder_chain(run: _Run, ctx: Context, expected: _Expected, term: Lam | TLam) -> _Outcome:
     """Check or synthesize a maximal chain of lambdas and type lambdas in one loop.
 
     In check mode the expected quantifier and arrow chain is walked
     unsubstituted.  ``renaming`` maps each expected quantifier's binder
-    to its type lambda's variable (a later binder of the same name
-    overwrites an earlier one) and is applied only where a type is used:
-    to a domain, to a mismatched expected type, and once to the expected
-    type of the chain's body.  Annotations are checked against ``ctx``
-    plus ``tvs``, one set of the chain's type variables that no link
-    copies.  The whole chain enters the context in one checked extension
-    before its body is inferred; a diagnostic builds its link's context.
+    to its type lambda's variable, or drops the name where the two agree
+    (a later binder of the same name overrides an earlier one), and is
+    applied only where a type is used: to a domain, to a mismatched
+    expected type, and once to the expected type of the chain's body.
+    Annotations are walked once, against ``ctx`` plus ``tvs``, one set of
+    the chain's type variables that no link copies; a bare lambda's
+    domain, the expected one under the renaming, is well-formed by
+    construction.  The whole chain enters the context in one extension,
+    which checks only its names, before its body is inferred; a
+    diagnostic builds its link's context the same way.
     """
     renaming: dict[str, TypeExpr] = {}
     tvs: set[str] = set()
     layers: list[Lam | TLam] = []
-    binds: list[TyVarDecl | TermBind] = []  # one per layer
+    names, doms = [], []  # each layer's binder and a lambda's domain, None for a type lambda
+    dtv, signature = ctx.dtv, ctx.signature
     while (kind := type(term)) is TLam or kind is Lam:
         x = term.bound
         if kind is TLam:
             run.note("tylam")
             tvs.add(x)
-            bind, fits = TyVarDecl(x), type(expected) is Forall
+            dom, fits = None, type(expected) is Forall
         elif term.ann is None:
             if expected is None:
                 raise Diagnostic(
@@ -331,50 +336,53 @@ def _binder_chain(run: _Run, ctx: Context, expected: _Expected, term: Lam | TLam
                     detail="an unannotated function only checks against an arrow type",
                 )
             run.note("lam-bare")
-            bind, fits = TermBind(x, substitute(renaming, expected.dom)), True
+            dom, fits = substitute(renaming, expected.dom), True
         else:
             dom = term.ann
             run.note("lam")
-            if not _well_formed(ctx.dtv, ctx.signature, dom, tvs):
+            if not _well_formed(dtv, signature, dom, tvs):
+                declared = ctx._extend(names, doms, False).dtv  # raises first if a name is at fault
                 raise Diagnostic(
                     DiagnosticKind.UNBOUND_NAME,
                     subject=term,
-                    detail=_illformed_detail(ctx._extend(binds), dom, f"annotation on {x!r}"),
+                    detail=_illformed_detail(declared, dom, f"annotation on {x!r}"),
                 )
-            bind = TermBind(x, dom)
             fits = type(expected) is Arrow and alpha_equal(substitute(renaming, expected.dom), dom)
         if expected is not None:
             if not fits:
                 raise Diagnostic(
                     DiagnosticKind.TYPE_MISMATCH,
                     expected=substitute(renaming, expected),
-                    synthesized=_try_synthesize(ctx._extend(binds), term),
+                    synthesized=_try_synthesize(ctx._extend(names, doms, False), term),
                     subject=term,
                 )
             if kind is TLam:
-                renaming[expected.bound] = TVar(x)
+                if expected.bound == x:
+                    renaming.pop(x, None)
+                else:
+                    renaming[expected.bound] = TVar(x)
                 expected = expected.body
             else:
                 expected = expected.cod
         layers.append(term)
-        binds.append(bind)
+        names.append(x)
+        doms.append(dom)
         term = term.body
 
     if expected is not None:
         expected = substitute(renaming, expected)
-    out = _infer(run, ctx._extend(binds), expected, term)
-    ty, elab = out.ty, out.elaboration
-    for layer, bind in zip(reversed(layers), reversed(binds)):
-        if type(layer) is TLam:
+    ty, elab, _ = _infer(run, ctx._extend(names, doms, False), expected, term)
+    for layer, dom in zip(reversed(layers), reversed(doms)):
+        if dom is None:
             ty = Forall(layer.bound, ty)
             elab = layer if elab is layer.body else TLam(layer.bound, elab, layer.span)
         else:
-            ty, same = Arrow(bind.ty, ty), elab is layer.body and bind.ty is layer.ann
-            elab = layer if same else Lam(layer.bound, bind.ty, elab, layer.span)
-    return InferOutcome(ty, elab)
+            ty, same = Arrow(dom, ty), elab is layer.body and dom is layer.ann
+            elab = layer if same else Lam(layer.bound, dom, elab, layer.span)
+    return ty, elab, None
 
 
-def _type_applications(run: _Run, ctx: Context, expected: _Expected, term: TApp) -> InferOutcome:
+def _type_applications(run: _Run, ctx: Context, expected: _Expected, term: TApp) -> _Outcome:
     """Infer a maximal chain of type applications outside a spine.
 
     The applicand's quantifiers are walked unsubstituted; ``inst`` maps
@@ -389,8 +397,7 @@ def _type_applications(run: _Run, ctx: Context, expected: _Expected, term: TApp)
         _check_type_arg(ctx, term)
         chain.append(term)
         term = term.fun
-    fout = _infer(run, ctx, None, term)
-    ty, elab = fout.ty, fout.elaboration
+    ty, elab, _ = _infer(run, ctx, None, term)
     inst: dict[str, TypeExpr] = {}
     for app in reversed(chain):
         if type(ty) is not Forall:
@@ -407,7 +414,7 @@ def _type_applications(run: _Run, ctx: Context, expected: _Expected, term: TApp)
     return _conclude(expected, outer, substitute(inst, ty), elab)
 
 
-def _conclude(expected: _Expected, term: Term, ty: TypeExpr, elab: Term) -> InferOutcome:
+def _conclude(expected: _Expected, term: Term, ty: TypeExpr, elab: Term) -> _Outcome:
     if expected is not None and not alpha_equal(ty, expected):
         raise Diagnostic(
             DiagnosticKind.TYPE_MISMATCH,
@@ -415,12 +422,12 @@ def _conclude(expected: _Expected, term: Term, ty: TypeExpr, elab: Term) -> Infe
             synthesized=ty,
             subject=term,
         )
-    return InferOutcome(ty, elab)
+    return ty, elab, None
 
 
 def _try_synthesize(ctx: Context, term: Term) -> TypeExpr | None:
     try:
-        return _infer(_Run(), ctx, None, term).ty
+        return _infer(_Run(), ctx, None, term)[0]
     except Diagnostic:
         return None
 
@@ -430,12 +437,12 @@ def _check_type_arg(ctx: Context, term: TApp) -> None:
         raise Diagnostic(
             DiagnosticKind.UNBOUND_NAME,
             subject=term,
-            detail=_illformed_detail(ctx, term.targ, "type argument"),
+            detail=_illformed_detail(ctx.dtv, term.targ, "type argument"),
         )
 
 
-def _illformed_detail(ctx: Context, ty: TypeExpr, what: str) -> str:
-    loose = sorted(free_type_vars(ty) - ctx.dtv)
+def _illformed_detail(dtv: frozenset[str], ty: TypeExpr, what: str) -> str:
+    loose = sorted(free_type_vars(ty) - dtv)
     if loose:
         return f"{what} mentions unbound type variable {loose[0]!r}"
     return f"{what} uses a constructor at the wrong arity"
@@ -444,15 +451,15 @@ def _illformed_detail(ctx: Context, ty: TypeExpr, what: str) -> str:
 # --------------------------------------------- maximal application spines
 
 
-def _app_synthesize(run: _Run, ctx: Context, term: App) -> InferOutcome:
+def _app_synthesize(run: _Run, ctx: Context, term: App) -> _Outcome:
     run.note("app-synth")
-    out = _spine(run, ctx, Unknown(), term)
+    out = _spine(run, ctx, _UNKNOWN, term)
     ty = out.deco
-    if __debug__ and not meta_vars_of_type(ctx, ty) <= meta_vars_of_term(ctx, out.partial):
+    unsolved = meta_vars_of_term(ctx, out.partial)
+    if __debug__ and not meta_vars_of_type(ctx, ty) <= unsolved:
         raise EngineInvariantError("spine type mentions metas the elaboration lost")
     if out.solution:
         raise EngineInvariantError("synthesis produced contextual bindings")
-    unsolved = meta_vars_of_term(ctx, out.partial)
     if unsolved:
         raise Diagnostic(
             DiagnosticKind.UNSOLVED_META_VARIABLES,
@@ -460,10 +467,10 @@ def _app_synthesize(run: _Run, ctx: Context, term: App) -> InferOutcome:
             unsolved=unsolved,
             subject=term,
         )
-    return InferOutcome(ty, out.partial, out)
+    return ty, out.partial, out
 
 
-def _app_check(run: _Run, ctx: Context, term: App, expected: TypeExpr) -> InferOutcome:
+def _app_check(run: _Run, ctx: Context, term: App, expected: TypeExpr) -> _Outcome:
     run.note("app-check")
     out = _spine(run, ctx, Exact(expected), term)
     mv_partial = meta_vars_of_term(ctx, out.partial)
@@ -482,7 +489,7 @@ def _app_check(run: _Run, ctx: Context, term: App, expected: TypeExpr) -> InferO
     elab = subst_type_args(solved, out.partial)
     if __debug__ and meta_vars_of_term(ctx, elab):
         raise EngineInvariantError("checked elaboration still mentions meta-variables")
-    return InferOutcome(expected, elab, out)
+    return expected, elab, out
 
 
 def _spine(run: _Run, ctx: Context, proto: Unknown | Exact, term: App) -> SpineOutcome:
@@ -502,15 +509,15 @@ def _spine(run: _Run, ctx: Context, proto: Unknown | Exact, term: App) -> SpineO
         term = term.fun
 
     run.note("spine-head")
-    head = _infer(run, ctx, None, term)
-    matched = _match(frozenset(), head.ty, proto, run.supply)
+    head_ty, partial, _ = _infer(run, ctx, None, term)
+    matched = _match(frozenset(), head_ty, proto, run.supply)
     if type(matched) is MatchFailure:
-        raise _head_failure(term, head.ty, matched)
+        raise _head_failure(term, head_ty, matched)
 
     # Second pass, innermost item first.  Each quantifier link is the
     # meta-variable: the matcher minted it fresh for this run.
     rest = _Remaining(*matched, run.supply)
-    partial, contextual = head.elaboration, Solution()
+    contextual = Solution()
     arg_index = 0
     for item in reversed(items):
         if type(item) is TApp:
@@ -684,26 +691,25 @@ def _consume_arrow(
     if not unsolved:
         run.note("arg-check")
         try:
-            out = _infer(run, ctx, expected, arg)
+            return _infer(run, ctx, expected, arg)[1]
         except Diagnostic as d:
             _attach_solution_origin(d, dom, expected, fixed, arg)
             raise
-        return out.elaboration
 
     run.note("arg-synth")
     try:
-        out = _infer(run, ctx, None, arg)
+        ty, elab, _ = _infer(run, ctx, None, arg)
     except Diagnostic as d:
         if d.subject is arg and d.expected is None:
             d.expected = expected
         raise
-    found = match_type(unsolved, expected, out.ty)
+    found = match_type(unsolved, expected, ty)
     if found is None:
         raise Diagnostic(
             DiagnosticKind.TYPE_MISMATCH,
             expected=expected,
-            synthesized=out.ty,
-            synthetic_match=Synthetic(expected, out.ty, arg_index),
+            synthesized=ty,
+            synthetic_match=Synthetic(expected, ty, arg_index),
             subject=arg,
         )
     if not rest.solve(found):
@@ -711,12 +717,12 @@ def _consume_arrow(
             DiagnosticKind.SOLUTION_CONFLICT,
             expected=expected,
             bindings=found,
-            synthesized=out.ty,
-            synthetic_match=Synthetic(expected, out.ty, arg_index),
+            synthesized=ty,
+            synthetic_match=Synthetic(expected, ty, arg_index),
             subject=arg,
             detail="the synthesized instantiation cannot reveal the arrows this spine needs",
         )
-    return out.elaboration
+    return elab
 
 
 def _attach_solution_origin(

@@ -17,9 +17,7 @@ from .syntax import (
     TApp,
     TLam,
     Term,
-    TermBind,
     TVar,
-    TyVarDecl,
     TypeExpr,
     Var,
     alpha_equal,
@@ -43,22 +41,20 @@ def check_internal(ctx: Context, term: Term) -> TypeExpr:
     if kind is Lam or kind is TLam:
         # One loop per binder chain, and one checked extension, which
         # walks each annotation once.
-        binds: list[TyVarDecl | TermBind] = []
+        names, doms = [], []  # each binder and its annotation, None for a type lambda
         while (kind := type(term)) is TLam or kind is Lam:
-            if kind is TLam:
-                binds.append(TyVarDecl(term.bound))
-            elif term.ann is None:
+            if kind is Lam and term.ann is None:
                 raise InternalTypeError(f"binder {term.bound!r} lacks an annotation")
-            else:
-                binds.append(TermBind(term.bound, term.ann))
+            names.append(term.bound)
+            doms.append(term.ann if kind is Lam else None)
             term = term.body
         try:
-            ctx = ctx._extend(binds)
+            ctx = ctx._extend(names, doms)
         except ValueError as err:
             raise InternalTypeError(str(err)) from None
         ty = check_internal(ctx, term)
-        for bind in reversed(binds):
-            ty = Arrow(bind.ty, ty) if type(bind) is TermBind else Forall(bind.name, ty)
+        for x, dom in zip(reversed(names), reversed(doms)):
+            ty = Forall(x, ty) if dom is None else Arrow(dom, ty)
         return ty
     if kind is App or kind is TApp:
         # One loop per applicand chain.  Going down, each type argument

@@ -46,7 +46,6 @@ from .syntax import (
     TVar,
     Term,
     TermBind,
-    TyVarDecl,
     TypeExpr,
     Var,
     _TYPE_NODES,
@@ -579,13 +578,14 @@ def check_weak_completeness_conditions(ctx: Context, erased: Term) -> bool:
         if kind is Var:
             return True
         if kind is Lam or kind is TLam:
-            binds: list[TermBind | TyVarDecl] = []
+            names, anns = [], []  # each binder and its annotation, None for a type lambda
             while (kind := type(t)) is Lam or kind is TLam:
                 if kind is Lam and t.ann is None:
                     return False
-                binds.append(TermBind(t.bound, t.ann) if kind is Lam else TyVarDecl(t.bound))
+                names.append(t.bound)
+                anns.append(t.ann if kind is Lam else None)
                 t = t.body
-            return walk(ctx._extend(binds), t)
+            return walk(ctx._extend(names, anns), t)
         if kind is not App and kind is not TApp:
             raise TypeError(t)
         # A maximal application; ``k`` counts the items of ``t.fun``.

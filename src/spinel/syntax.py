@@ -254,74 +254,79 @@ class Context:
     ill-formed type.
 
     Scope is ordered: a bound type may mention only the type variables
-    declared before it.  Every extension is one step, ``_extend``, which
-    takes a batch of entries: ``with_*`` pass one, the constructor
-    ``Context(entries, signature)`` passes its entries, and the engine
-    passes a whole binder chain or a run of ``assume``s.  It checks only
-    the new entries, each against the prefix and the batch's earlier
-    type variables, and copies the prefix's state once per batch, not
-    once per entry: whatever was well-formed in the prefix stays
+    declared before it.  The declarations are one insertion-ordered map
+    from each name to its type, None for a type variable, beside the set
+    of type variables; ``entries`` is read off the map once asked for.
+    Every extension is one step, ``_extend``: ``with_*`` pass one name,
+    the constructor its entries, and the engine a whole binder chain or a
+    run of ``assume``s.  It checks only the new names, each type against
+    the prefix and the batch's earlier type variables, and copies the map
+    once per batch: whatever was well-formed in the prefix stays
     well-formed once a name or a constructor is added.
     """
 
-    __slots__ = ("entries", "signature", "_dtv", "_types")
+    __slots__ = ("signature", "_scope", "_dtv", "_entries")
 
     def __new__(
         cls,
-        entries: tuple[TyVarDecl | TermBind, ...] = (),
+        entries: Sequence[TyVarDecl | TermBind] = (),
         signature: Mapping[str, int] | None = None,
     ) -> Context:
         ctx = object.__new__(cls)
-        ctx.entries, ctx._dtv, ctx._types = (), frozenset(), {}
+        ctx._scope, ctx._dtv, ctx._entries = {}, frozenset(), ()
         ctx.signature = dict(signature) if signature else {}
-        return ctx._extend(entries)
+        return ctx._extend([e.name for e in entries], [e.ty if type(e) is TermBind else None for e in entries])
 
     @classmethod
     def empty(cls, signature: Mapping[str, int] | None = None) -> Context:
         return cls((), signature)
 
-    def _extend(self, entries: Sequence[TyVarDecl | TermBind]) -> Context:
-        """This context plus ``entries``, each checked against those before it."""
-        dtv, types, signature = self._dtv, self._types, self.signature
+    def _extend(self, names: Sequence[str], types: Sequence[TypeExpr | None], walk=True) -> Context:
+        """This context plus each of ``names`` with its type in ``types``, None for a
+        type variable, each checked against those before it; with ``walk``
+        False the types are well-formed already and only the names are checked."""
+        scope, dtv, signature = self._scope, self._dtv, self.signature
+        new: dict[str, TypeExpr | None] = {}
         tvs: set[str] = set()
-        binds: dict[str, TypeExpr] = {}
-        for entry in entries:
-            name = entry.name
-            if name in dtv or name in types or name in tvs or name in binds:
+        for name, ty in zip(names, types):
+            if name in scope or name in new:
                 raise ValueError(f"duplicate declaration of {name!r}")
-            if type(entry) is TermBind:
-                if not _well_formed(dtv, signature, entry.ty, tvs):
-                    raise ValueError(f"type bound to {name!r} is not well-formed")
-                binds[name] = entry.ty
-            elif is_meta_name(name):
-                raise ValueError(f"type variable {name!r} has a reserved meta-variable name")
-            else:
+            if ty is None:
+                if is_meta_name(name):
+                    raise ValueError(f"type variable {name!r} has a reserved meta-variable name")
                 tvs.add(name)
+            elif walk and not _well_formed(dtv, signature, ty, tvs):
+                raise ValueError(f"type bound to {name!r} is not well-formed")
+            new[name] = ty
         ctx = object.__new__(Context)
-        ctx.entries = self.entries + tuple(entries)
         ctx.signature = signature
+        ctx._scope = {**scope, **new} if new else scope
         ctx._dtv = dtv | tvs if tvs else dtv
-        ctx._types = {**types, **binds} if binds else types
+        ctx._entries = None if new else self._entries
         return ctx
 
     def with_type_var(self, name: str) -> Context:
-        return self._extend((TyVarDecl(name),))
+        return self._extend((name,), (None,))
 
     def with_term(self, name: str, ty: TypeExpr) -> Context:
-        return self._extend((TermBind(name, ty),))
+        return self._extend((name,), (ty,))
 
     def with_con(self, name: str, arity: int) -> Context:
         if name in self.signature:
             raise ValueError(f"duplicate constructor {name!r}")
         ctx = object.__new__(Context)
-        ctx.entries = self.entries
         ctx.signature = {**self.signature, name: arity}
-        ctx._dtv = self._dtv
-        ctx._types = self._types
+        ctx._scope, ctx._dtv, ctx._entries = self._scope, self._dtv, self._entries
         return ctx
 
+    @property
+    def entries(self) -> tuple[TyVarDecl | TermBind, ...]:
+        if self._entries is None:
+            self._entries = tuple([TyVarDecl(x) if t is None else TermBind(x, t) for x, t in self._scope.items()])
+        return self._entries
+
     def lookup(self, name: str) -> TypeExpr | None:
-        return self._types.get(name)
+        return self._scope.get(name)
 
     @property
     def dtv(self) -> frozenset[str]:
@@ -329,7 +334,7 @@ class Context:
 
     @property
     def names(self) -> frozenset[str]:
-        return self._dtv.union(self._types)
+        return frozenset(self._scope)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -29,6 +29,8 @@ from spinel.infer import Check, Diagnostic, DiagnosticKind, EngineInvariantError
 from spinel.internal import check_internal
 from spinel.parser import Assume, ConDecl, Goal, parse_program, parse_term, pretty_term, pretty_type
 from spinel.syntax import (
+    App,
+    Arrow,
     ArrowTo,
     Con,
     Context,
@@ -177,8 +179,6 @@ def test_trace_of_a_spine_with_an_explicit_quantified_argument():
 
 def test_type_lambdas_check_against_shadowed_quantifiers():
     # The parser rejects a shadowing binder, so the expected type is built directly.
-    from spinel.syntax import Arrow, Forall
-
     inner = Forall("Y", Arrow(TVar("Y"), TVar("Y")))
     trace: list[str] = []
     out = infer(CTX, Check(Forall("Y", inner)), tm(r"/\A. /\C. \x. x"), trace=trace)
@@ -193,6 +193,50 @@ def test_type_lambdas_check_against_shadowed_quantifiers():
         lambda: infer(CTX, Check(mixed), tm(r"/\A. \a. /\C. \x. a")),
     )
     assert (d.expected, d.synthesized) == (TVar("C"), TVar("A"))
+
+
+_REPEATED = Forall("A", Forall("A", Arrow(TVar("A"), TVar("A"))))  # the parser rejects it
+
+
+@pytest.mark.parametrize(
+    "term, expected, golden",
+    [
+        (r"/\C. /\A. \x. x", _REPEATED, ("forall C. forall A. A -> A", r"/\C. /\A. \x : A. x")),
+        (
+            r"/\X. \x. /\Z. \y. x",
+            "forall X. X -> forall Y. Y -> X",
+            ("forall X. X -> (forall Z. Z -> X)", r"/\X. \x : X. /\Z. \y : Z. x"),
+        ),
+        (
+            r"/\X. /\Z. \x. \y. y",
+            "forall X. forall Y. X -> Y -> Y",
+            ("forall X. forall Z. X -> Z -> Z", r"/\X. /\Z. \x : X. \y : Z. y"),
+        ),
+        (
+            r"/\Y. /\X. \x. \y. y",
+            "forall X. forall Y. X -> Y -> Y",
+            ("forall Y. forall X. Y -> X -> X", r"/\Y. /\X. \x : Y. \y : X. y"),
+        ),
+        (
+            r"/\Z. \x. x",
+            "forall X. (forall Z. Z -> X) -> forall Z. Z -> X",
+            ("forall Z. (forall Z'. Z' -> Z) -> (forall Z'. Z' -> Z)", r"/\Z. \x : (forall Z'. Z' -> Z). x"),
+        ),
+    ],
+    ids=["repeated-quantifier", "kept-then-renamed", "kept-and-renamed", "swapped", "inner-reuses-a-renamed-name"],
+)
+def test_type_lambda_chains_rename_only_the_quantifiers_named_otherwise(term, expected, golden):
+    # A quantifier named like its type lambda renames nothing; the others
+    # rename their variable in each domain and in the body's expected type.
+    out = infer(CTX, Check(ty(expected) if isinstance(expected, str) else expected), tm(term))
+    assert (pretty_type(out.ty), pretty_term(out.elaboration)) == golden
+    assert alpha_equal(check_internal(CTX, out.elaboration), out.ty)
+
+
+def test_a_mismatch_under_a_renamed_quantifier_renames_a_reused_name_apart():
+    term = tm(r"/\Z. \x. x")
+    d = fails(DiagnosticKind.TYPE_MISMATCH, lambda: infer(CTX, Check(ty("forall X. forall Z. Z -> X -> X")), term))
+    assert pretty_type(d.expected) == "forall Z'. Z' -> Z -> Z" and d.subject is term.body
 
 
 def test_check_mode_requires_a_well_formed_expected_type():
@@ -685,6 +729,58 @@ def test_type_lambda_substitutions_grow_linearly_with_the_chain(monkeypatch):
     assert counts[80] <= 2.2 * counts[40], counts
 
 
+def _count_builds(monkeypatch, cls):
+    """Count the instances of ``cls`` built, by its ``__init__``."""
+    init, built = cls.__init__, [0]
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+def test_infer_builds_one_outcome_per_call(monkeypatch):
+    # The engine passes each term's type and elaboration below ``infer`` as
+    # a plain triple; a call that raises builds none.
+    built, answered = _count_builds(monkeypatch, infer_mod.InferOutcome), 0
+    for erased, t in erasures(5):
+        for mode in (Check(t), Synthesize()):
+            try:
+                out = infer(CTX, mode, erased)
+            except Diagnostic:
+                continue
+            answered += 1
+            assert (out.spine is not None) is (type(erased) is App)
+    assert built[0] == answered > 0
+
+
+@pytest.mark.parametrize("chain", [r"\x{0} : Nat. ", r"/\X{0}. \x{0} : X{0}. "], ids=["lambda", "alternating"])
+def test_each_annotation_of_a_binder_chain_is_walked_once(monkeypatch, chain):
+    # A chain's annotations are walked as its links are read, and the
+    # chain enters the context with only its names checked.
+    walks = count_well_formed_walks(monkeypatch)
+    for n in (1, 8, 64):
+        term = tm("".join(chain.format(i) for i in range(n)) + "z")
+        walks["walks"] = 0
+        out = infer(CTX, Synthesize(), term)
+        assert walks["walks"] == n
+        walks["walks"] = 0
+        infer(CTX, Check(out.ty), term)
+        assert walks["walks"] == n + 1  # and ``infer``'s check of the expected type
+
+
+def test_type_lambdas_named_like_their_quantifiers_build_no_type_variable(monkeypatch):
+    n = 40
+    term = tm("".join(f"/\\X{i}. " for i in range(1, n + 1)) + "\\x. x")
+    expected = ty("".join(f"forall X{i}. " for i in range(1, n + 1)) + f"X{n} -> X{n}")
+    built = _count_builds(monkeypatch, TVar)
+    out = infer(CTX, Check(expected), term)
+    assert built[0] == 0
+    assert out.ty == expected and pretty_term(out.elaboration) == pretty_term(term).replace("\\x.", f"\\x : X{n}.")
+
+
 def test_type_application_substitutions_grow_linearly_with_the_chain(monkeypatch):
     def run(n):
         ctx, _ = _wide_spine(n)
@@ -750,10 +846,12 @@ def _run_assumes(tmp_path, capsys):
 @pytest.mark.parametrize("case", ["lambda", "type-lambda", "alternating", "context", "assumes"])
 def test_context_extension_work_grows_linearly(monkeypatch, tmp_path, capsys, case):
     """Each binder chain, and each run of ``assume``s, enters the context in
-    one extension; what the extensions copy grows linearly with its length.
-    ``copied`` counts the entries each call copies; ``walks["copied"]`` the
-    type variables copied into well-formedness walks, which a per-link copy
-    of a chain's type variables would make quadratic."""
+    one extension, ``Context._extend``, which copies the declarations once;
+    what the extensions copy grows linearly with its length.  ``copied``
+    counts the declarations each call copies, the context's and the new
+    ones; ``walks["copied"]`` the type variables copied into
+    well-formedness walks, which a per-link copy of a chain's type
+    variables would make quadratic."""
     run = {
         "lambda": _chain_goal(_lambda_chain),
         "type-lambda": _chain_goal(_type_lambda_chain),
@@ -764,10 +862,10 @@ def test_context_extension_work_grows_linearly(monkeypatch, tmp_path, capsys, ca
     original = Context._extend
     spy = {"calls": 0, "copied": 0}
 
-    def counted(self, entries):
+    def counted(self, names, types, walk=True):
         spy["calls"] += 1
-        spy["copied"] += len(self.entries) + len(entries)
-        return original(self, entries)
+        spy["copied"] += len(self._scope) + len(names)
+        return original(self, names, types, walk)
 
     monkeypatch.setattr(Context, "_extend", counted)
     walks = count_well_formed_walks(monkeypatch)
@@ -807,8 +905,10 @@ def test_long_inputs_check_print_and_recheck_at_the_default_recursion_limit(kind
     [
         (TVar("A"), "annotation on 'y' mentions unbound type variable 'A'"),
         (Con("Pair", (Con("Nat"),)), "annotation on 'y' uses a constructor at the wrong arity"),
+        # the failed walk had opened ``A``, which is still unbound outside its quantifier
+        (Arrow(Forall("A", TVar("C")), TVar("A")), "annotation on 'y' mentions unbound type variable 'A'"),
     ],
-    ids=["unbound", "arity"],
+    ids=["unbound", "arity", "after-a-quantifier"],
 )
 def test_an_illformed_annotation_is_reported_before_its_binder_is_bound(ann, detail):
     # Only library-built terms can carry one: the parser scopes annotations.
@@ -826,8 +926,15 @@ def test_an_illformed_annotation_is_reported_before_its_binder_is_bound(ann, det
         (Check(ty("forall X. X -> X")), TLam("X", Lam("X", None, Var("X"))), "X"),
         (Synthesize(), TLam("X", TLam("X", Var("z"))), "X"),
         (Synthesize(), Lam("x", Con("Nat"), Lam("x", Con("Nat"), Var("x"))), "x"),
+        (Check(Forall("X", Forall("X", Arrow(TVar("X"), TVar("X"))))), TLam("X", TLam("X", Lam("x", None, Var("x")))), "X"),
+        # a repeated name is rejected before a later link's diagnostic
+        (Synthesize(), Lam("x", Con("Nat"), Lam("x", Con("Nat"), Lam("y", TVar("Q"), Var("y")))), "x"),
+        (Check(ty("forall X. forall Y. B -> B")), TLam("X", TLam("X", Lam("y", Con("Nat"), Var("y")))), "X"),
     ],
-    ids=["annotated", "bare", "second-link", "after-a-type-lambda", "type-lambdas", "annotated-lambdas"],
+    ids=[
+        "annotated", "bare", "second-link", "after-a-type-lambda", "type-lambdas", "annotated-lambdas",
+        "type-lambdas-named-like-their-quantifiers", "before-an-ill-formed-annotation", "before-a-mismatch",
+    ],
 )
 def test_a_binder_that_shadows_a_declared_name_is_still_rejected(mode, term, name):
     # Library-built terms may reuse a name of the context or of an

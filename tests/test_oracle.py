@@ -718,7 +718,9 @@ def test_the_conditions_walk_a_long_binder_chain_by_a_loop(monkeypatch):
     ctx, internal = Context.empty({"Nat": 0}), chain()
     extend, extended = Context._extend, []
     monkeypatch.setattr(
-        Context, "_extend", lambda self, binds: extended.append(len(binds)) or extend(self, binds)
+        Context,
+        "_extend",
+        lambda self, names, types, walk=True: extended.append(len(names)) or extend(self, names, types, walk),
     )
     assert check_weak_completeness_conditions(ctx, internal)
     assert extended == [n]
