@@ -17,9 +17,11 @@ the ParseError that ends only it.  It is the one reader of
 declarations: ``spinel run`` reads a file through it, ``parse_program``
 collects it, and ``spinel repl`` reads each command through it, with
 one parser for the whole session.  Each parse step reads its token
-once, and each node gets its span positionally.  A type or term with
-no chain builds no link list.  The printers append each piece of text
-to one list and join it once per call.
+once, and each node gets its span positionally, as a plain tuple that
+reading ``span`` makes a ``Span``.  A type or term with no chain builds
+no link list.  The printers append each piece of text to one list and
+join it once per call; a leaf in an arrow's domain or a constructor's
+argument is appended without a call.
 """
 
 from __future__ import annotations
@@ -198,9 +200,6 @@ class Goal:
     span: Span
 
 
-_span = tuple.__new__  # _span(Span, fields) costs half of Span(*fields)
-
-
 def _expected(tok: _Token, what: str) -> ParseError:
     if tok[0] == "eof":
         return ParseError(f"expected {what}", tok[2], tok[3])
@@ -249,9 +248,9 @@ class _Parser:
         if tok[0] != "eof":
             raise ParseError(f"trailing input after {what}", line, col)
 
-    def span_from(self, start: _Token) -> Span:
+    def span_from(self, start: _Token) -> tuple[int, int, int, int]:
         _, text, line, col = self.tokens[self.pos - 1]
-        return _span(Span, (start[2], start[3], line, col + len(text)))
+        return (start[2], start[3], line, col + len(text))
 
     def close(self, links: list[tuple], last):
         """Build a run's nodes bottom-up around its ``last`` tree.
@@ -264,7 +263,7 @@ class _Parser:
         end_col += len(text)
         for link in reversed(links):
             start = link[0]
-            span = _span(Span, (start[2], start[3], line, end_col))
+            span = (start[2], start[3], line, end_col)
             if len(link) == 3:
                 last = link[1](link[2], last, span)
             else:
@@ -337,10 +336,10 @@ class _Parser:
         if kind == "ident":
             self.pos += 1
             if name in self.tyvars:
-                return TVar(name, _span(Span, (line, col, line, col + len(name))))
+                return TVar(name, (line, col, line, col + len(name)))
             arity = self.signature.get(name)
             if arity == 0:
-                return Con(name, (), _span(Span, (line, col, line, col + len(name))))
+                return Con(name, (), (line, col, line, col + len(name)))
             if arity is None:
                 raise ParseError(f"unbound type variable {name!r}", line, col)
             if arg:
@@ -421,8 +420,8 @@ class _Parser:
             if kind == "ident":  # its Var is read here, not by ``atom``
                 self.pos += 1
                 end = col + len(name)
-                arg = Var(name, _span(Span, (line, col, line, end)))
-                t = App(t, arg, _span(Span, (start[2], start[3], line, end)))
+                arg = Var(name, (line, col, line, end))
+                t = App(t, arg, (start[2], start[3], line, end))
             elif kind == "lparen":
                 arg = self.atom(tok)
                 t = App(t, arg, self.span_from(start))
@@ -439,7 +438,7 @@ class _Parser:
         kind, name, line, col = tok
         if kind == "ident":
             self.pos += 1
-            return Var(name, _span(Span, (line, col, line, col + len(name))))
+            return Var(name, (line, col, line, col + len(name)))
         if kind == "lparen":
             self.pos += 1
             t = self.term()
@@ -600,7 +599,12 @@ def _type_into(out: list[str], ty: TypeExpr, rename: _Rename, prec: int) -> None
             if prec > 1:
                 append("(")
                 opened += 1
-            _type_into(out, ty.dom, rename, 2)
+            if (kind := type(dom := ty.dom)) is TVar:  # a leaf: appended here, at less than a call's cost
+                append(rename.get(dom.name, dom.name) if rename else dom.name)
+            elif kind is Con and not dom.args:
+                append(dom.con)
+            else:
+                _type_into(out, dom, rename, 2)
             append(" -> ")
             ty, prec = ty.cod, 1
         elif kind is Forall:
@@ -621,7 +625,12 @@ def _type_into(out: list[str], ty: TypeExpr, rename: _Rename, prec: int) -> None
             append(ty.con)
             for arg in ty.args:
                 append(" ")
-                _type_into(out, arg, rename, 3)
+                if (kind := type(arg)) is TVar:
+                    append(rename.get(arg.name, arg.name) if rename else arg.name)
+                elif kind is Con and not arg.args:
+                    append(arg.con)
+                else:
+                    _type_into(out, arg, rename, 3)
             break
         else:
             raise TypeError(ty)

@@ -40,11 +40,11 @@ from typing import Container, Mapping, NamedTuple, Sequence, Union
 class Span(NamedTuple):
     """Source extent as 1-based (line, col) .. (end_line, end_col).
 
-    A named tuple, so that the parser makes the one per node by a single
-    ``tuple.__new__`` call, with no per-field store.  It is immutable and
-    hashable and its fields read by name.  A node keeps its span in a
-    slot of its own that takes no part in comparing, hashing or printing
-    nodes.
+    A named tuple: immutable and hashable, its fields read by name.  A
+    node keeps its span in a slot of its own, ``_span``, that takes no
+    part in comparing, hashing or printing nodes.  The parser stores a
+    plain tuple there, which reading ``span`` makes a new ``Span``: only
+    a diagnostic reads one, so an accepted goal's parse makes none.
     """
 
     line: int
@@ -58,6 +58,7 @@ class Span(NamedTuple):
 
 _METADATA = object()  # a field's default: None, kept but not compared, hashed or shown
 _KEYS: dict[type, object] = {tuple: tuple}  # a node's compared fields (a tuple's items)
+_SPAN = property(lambda node: tuple.__new__(Span, s) if type(s := node._span) is tuple else s)  # a node's span
 
 
 class _Hash(int):  # a hash value, which ``hash`` gives back unchanged
@@ -107,17 +108,19 @@ def _node(cls):
     """``cls`` rebuilt with a slot per annotated field, in order, its class
     attribute its default.  The constructor stores through each slot's
     descriptor (``Arrow.dom.__set__``), which ``object.__setattr__`` would
-    look up by name.  A ``_METADATA`` field takes no part in ``==``,
-    ``hash`` or ``repr``; ``hash`` is that of the other fields' tuple.
-    Assigning or deleting any attribute raises ``FrozenInstanceError``."""
+    look up by name; a ``span`` field's slot is ``_span``, read by ``_SPAN``.
+    A ``_METADATA`` field takes no part in ``==``, ``hash`` or ``repr``;
+    ``hash`` is that of the other fields' tuple.  Assigning or deleting
+    any attribute raises ``FrozenInstanceError``."""
     ns = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
     names = tuple(ns.get("__annotations__", ()))
     defaults = {n: ns.pop(n) for n in names if n in ns}
     cls = type(cls.__name__, cls.__bases__, {
-        **ns, "__slots__": names, "__qualname__": cls.__qualname__, "__match_args__": names,
-        "__eq__": _eq, "__hash__": _hash, "__setattr__": _frozen, "__delattr__": _frozen})
+        **ns, "__slots__": tuple("_span" if n == "span" else n for n in names), "__match_args__": names,
+        "__qualname__": cls.__qualname__, "__eq__": _eq, "__hash__": _hash, "__setattr__": _frozen,
+        "__delattr__": _frozen, **({"span": _SPAN} if "span" in names else {})})
     compared = [n for n in names if defaults.get(n) is not _METADATA]
-    env = {f"set_{n}": getattr(cls, n).__set__ for n in names}
+    env = {f"set_{n}": getattr(cls, slot).__set__ for n, slot in zip(names, cls.__slots__)}
     env |= {f"default_{n}": None if d is _METADATA else d for n, d in defaults.items()}
     params = ", ".join(f"{n}=default_{n}" if n in defaults else n for n in names)
     shown = ", ".join(f"{n}={{self.{n}!r}}" for n in compared)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import gc
-import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -31,6 +31,7 @@ from spinel.cli import _BLOCK, main, repl
 from spinel.infer import EngineInvariantError, Synthesize, infer
 from spinel.oracle import SpecVerdict, verify_spec
 from spinel.parser import parse_program
+from pinned import PINNED_OUTPUT, PINNED_PARSE, PINNED_REPL_OUTPUT, parse_digest, repl_output, run_output
 
 GOOD = """\
 type Nat
@@ -491,6 +492,56 @@ def test_golden_diagnostics_json(golden_file, capsys):
         assert record["diagnostic"] == diagnostic
 
 
+# Diagnostics whose display names stand in arrow domains and constructor
+# arguments, leaves the type printer writes in place: in an expected type,
+# a synthetic match, and the contextual matches of README's goal 3 and of
+# a spine inside a lambda.
+DISPLAY_NAMES_GOLDEN = """\
+type Nat
+type B
+type Pair 2
+assume z : Nat
+assume tt : B
+assume pair : forall X. forall Y. X -> Y -> Pair X Y
+assume app : forall X. forall Y. (X -> Y) -> X -> Y
+assume twice : forall X. forall Y. (X -> Pair Y X) -> Pair X Y
+check app (\\x : B. x) z : Nat
+check twice (\\x : Nat. pair tt tt) : Pair Nat B
+check pair (\\x : B. x) z : Pair (Nat -> Nat) Nat
+"""
+
+DISPLAY_NAMES_GOLDEN_TEXT = """\
+[1] check app (\\x : B. x) z : Nat
+    error: type mismatch at 9:12
+      expected type: ?X -> Nat
+      synthesized type: B -> B
+      synthetic match (argument 1): ?X -> Nat := B -> B
+
+[2] check twice (\\x : Nat. pair tt tt) : Pair Nat B
+    error: type mismatch at 10:32
+      expected type: ?Y
+        ?Y := Nat
+      synthesized type: B
+      contextual match: Pair ?X ?Y := Pair B Nat
+
+[3] check pair (\\x : B. x) z : Pair (Nat -> Nat) Nat
+    error: type mismatch at 11:13
+      expected type: ?X
+        ?X := Nat -> Nat
+      synthesized type: B -> B
+      contextual match: Pair ?X ?Y := Pair (Nat -> Nat) Nat
+
+"""
+
+
+def test_golden_display_names_in_arrow_domains_and_constructor_arguments(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SPINEL_COLOR", "never")
+    path = tmp_path / "display.spn"
+    path.write_text(DISPLAY_NAMES_GOLDEN)
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().out == DISPLAY_NAMES_GOLDEN_TEXT
+
+
 # ----------------------------------------------------- golden binder chains
 
 # Type-lambda and lambda chains checked against quantifier and arrow
@@ -809,18 +860,7 @@ def test_golden_unsolved_names_metas_only_in_the_elaboration(tmp_path, capsys, m
 # ------------------------------------------------------- pinned output bytes
 
 
-# Exit code and SHA-256 of stdout of `spinel run` on the size-6 erasure file.
-PINNED_OUTPUT = {
-    ("--json", "--elab", "--trace", "--spec-verify"):
-        (1, "463a44e4968350e06b84f428cb4c20b7b3ba24c200a1ad83dc3e29c67b661286"),
-    ("--elab", "--trace"):
-        (1, "76df3ca367070c09b1d324ec234f729c80f5ec42825fa1bc3e1b7e4e5eb7aa70"),
-    ("--json", "--elab"):
-        (1, "bf64a1408c5d699e40114f75b2d1e4b8c694071a6631fe639633616dc280058d"),
-}
-
-
-def test_erasure_corpus_output_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+def test_erasure_corpus_output_bytes_are_pinned(monkeypatch):
     # Every accepted and rejected goal's type, elaboration, trace, diagnostic
     # and replay verdict, held byte for byte: a change that means to make the
     # program faster, not different, must leave both digests as they are.
@@ -829,35 +869,30 @@ def test_erasure_corpus_output_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     # checked against a wrong type: 1,757 erasures.
     src = erasure_source(6, "check synth wrong")
     assert src.count("\n") - len(STANDARD_DECLS) == 3 * 1757
-    path = tmp_path / "erasures.spn"
-    path.write_text(src)
     for flags, pinned in PINNED_OUTPUT.items():
-        code = main(["run", str(path), *flags])
-        out = capsys.readouterr().out
-        assert (code, hashlib.sha256(out.encode()).hexdigest()) == pinned, flags
+        assert run_output(src, flags) == pinned, flags
 
 
-# Lines in, exit code, lines out and SHA-256 of stdout of `spinel repl` fed
-# the size-6 erasure file, each line a command.
-PINNED_REPL_OUTPUT = (5_283, 0, 11_895, "1bddd18a68a8770bb5c6aa187828265966f8fd5958028e854c9e56229f0f9baa")
-
-
-def test_erasure_corpus_repl_bytes_are_pinned(monkeypatch, capsys):
+def test_erasure_corpus_repl_bytes_are_pinned(monkeypatch):
     # The interactive loop's reports of the same goals, held byte for byte.
     monkeypatch.delenv("SPINEL_COLOR", raising=False)
-    lines = [":" + line for line in erasure_source(6, "check synth wrong").splitlines()]
-    feed = iter(lines)
+    assert repl_output(erasure_source(6, "check synth wrong")) == PINNED_REPL_OUTPUT
 
-    def fake_input(_=""):
-        line = next(feed, None)
-        if line is None:
-            raise EOFError
-        return line
 
-    monkeypatch.setattr("builtins.input", fake_input)
-    code = main(["repl"])
-    out = capsys.readouterr().out
-    assert (len(lines), code, len(out.splitlines()), hashlib.sha256(out.encode()).hexdigest()) == PINNED_REPL_OUTPUT
+def test_the_pin_tool_checks_the_tests_pins():
+    # tools/pins.py checks the pins on an interpreter without the test
+    # dependencies; loaded here, not started, it lists each pin the tests
+    # hold, at the tests' value, and computes it by the tests' run.
+    spec = importlib.util.spec_from_file_location("pins_tool", Path(__file__).resolve().parents[1] / "tools" / "pins.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    checked = {name: (value, compute.func, compute.args) for name, value, compute in tool.pins()}
+    src = erasure_source(6, "check synth wrong")
+    assert checked == {
+        **{f"spinel run {' '.join(flags)}": (pinned, run_output, (src, flags)) for flags, pinned in PINNED_OUTPUT.items()},
+        "spinel repl": (PINNED_REPL_OUTPUT, repl_output, (src,)),
+        "parse": (PINNED_PARSE, parse_digest, (erasure_source(7),)),
+    }
 
 
 def _failing_infer(monkeypatch):

@@ -77,8 +77,9 @@ def test_a_span_in_a_diagnostic_record_keeps_its_keys_and_order():
 def test_node_spans_take_no_part_in_comparison(node):
     assert node.__match_args__[-1] == "span"
     values = NODE_FIELDS[node]
-    a, b = node(*values, Span(1, 2, 3, 4)), node(*values, span=Span(5, 6, 7, 8))
-    assert a.span == Span(1, 2, 3, 4) and node(*values).span is None
+    span = Span(1, 2, 3, 4)
+    a, b = node(*values, span), node(*values, span=Span(5, 6, 7, 8))
+    assert a.span is span and node(*values).span is None  # a Span given is read back as it is
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b) == repr(node(*values))
     assert "span" not in repr(a)
 
