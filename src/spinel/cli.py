@@ -2,14 +2,17 @@
 
 ``spinel run file`` type-checks every goal in a source file, printing
 human-readable reports or NDJSON (one object per goal) with ``--json``.
-It answers a block of goals at a time, so its memory is bounded by a
-block, not the file.  A declaration that does not parse ends only
-itself, reported after the goals before it.  ``spinel repl`` offers
-the same engine interactively.  Exit codes, the largest over the
-declarations: 0 a goal succeeds, 1 it fails with a diagnostic, 2 it
-does not parse, 3 an internal invariant or a declarative replay fails,
-or it hits the resource limit; 2 also if the input cannot be read, or
-standard output is closed before the reports are written.
+It answers a block at a time, at most 256 goals that share one
+context: it parses the block, infers every goal, renders every report
+and writes them at once (in process, answering goal by goal ran 25-45%
+slower), and holds one block's trees and one context, not the file's.  A declaration
+that does not parse ends only itself, reported after the goals before
+it.  ``spinel repl`` offers the same engine interactively.  Exit codes,
+the largest over the declarations: 0 a goal succeeds, 1 it fails with a
+diagnostic, 2 it does not parse, 3 an internal invariant or a
+declarative replay fails, or it hits the resource limit; 2 also if the
+input cannot be read, or standard output is closed before the reports
+are written.
 
 Chains of any length parse and print; only argument and parenthesis
 nesting is bounded by Python's recursion limit there.  A declaration
@@ -65,7 +68,7 @@ _HEADLINES = {
 _RED = "\x1b[31m"
 _BOLD = "\x1b[1m"
 _RESET = "\x1b[0m"
-_BLOCK = 256  # goals per block of ``spinel run``: one block's trees at most are alive at once
+_BLOCK = 256  # goals per block of ``spinel run``, all in one context; one block's trees at most are alive
 _SYNTHESIZE = Synthesize()  # the mode of every synth goal
 _json_str = json.encoder.encode_basestring_ascii  # a str as ``json.dumps`` writes it
 
@@ -253,31 +256,6 @@ def _run_goal(ctx: Context, goal: Goal, count: int, out, trace, args, color: boo
     return code, "\n".join(lines) + "\n"
 
 
-def _blocks(decls):
-    """Yield the goals of ``decls``, each with its context, in blocks of at most ``_BLOCK``,
-    each with the ParseError that ended it or None; a block is emptied once answered."""
-    ctx = Context.empty()
-    assumed: list[Assume] = []  # the run of assumes since the last goal
-    block: list[tuple[Context, Goal]] = []
-    for decl in decls:
-        kind = type(decl)
-        if kind is Assume:
-            assumed.append(decl)
-        elif kind is Goal:
-            if assumed:
-                ctx, assumed = ctx._extend([a.name for a in assumed], [a.ty for a in assumed]), []
-            block.append((ctx, decl))
-            if len(block) == _BLOCK:
-                yield block, None
-                block.clear()
-        elif kind is ConDecl:
-            ctx = ctx.with_con(decl.name, decl.arity)
-        else:  # a ParseError
-            yield block, decl
-            block.clear()
-    yield block, None
-
-
 def _outcome(ctx: Context, goal: Goal, trace: list[str] | None = None):
     """What ``infer`` returns for ``goal`` in ``ctx``, the Diagnostic or
     EngineInvariantError it raises, or None if the goal nests too deeply."""
@@ -291,15 +269,15 @@ def _outcome(ctx: Context, goal: Goal, trace: list[str] | None = None):
         return None
 
 
-def _answer(block: list[tuple[Context, Goal]], count: int, args, color: bool) -> int:
-    """Answer a block of goals numbered from ``count + 1``: infer each, render
-    each report, write them all at once; the largest exit code."""
+def _answer(ctx: Context, goals: list[Goal], count: int, args, color: bool) -> int:
+    """Answer a block of goals in ``ctx``, numbered from ``count + 1``: infer
+    each, render each report, write them all at once; the largest exit code."""
     answered = []
-    for ctx, goal in block:
+    for goal in goals:
         trace = [] if args.trace else None
-        answered.append((ctx, goal, _outcome(ctx, goal, trace), trace))
+        answered.append((goal, _outcome(ctx, goal, trace), trace))
     results = []
-    for count, (ctx, goal, out, trace) in enumerate(answered, count + 1):
+    for count, (goal, out, trace) in enumerate(answered, count + 1):
         try:
             results.append(_run_goal(ctx, goal, count, out, trace, args, color))
         except RecursionError:  # too deep to print or to replay
@@ -332,17 +310,35 @@ def _run_file(args: argparse.Namespace) -> int:
         return 2
     color = _use_color() and not args.json
     code = count = 0
+    ctx = Context.empty()
+    assumed: list[Assume] = []  # the run of assumes since the last goal
+    goals: list[Goal] = []  # the block: goals that share ``ctx``
     with handle:
-        for block, error in _blocks(_declarations(handle, _Parser())):
-            code = max(code, _answer(block, count, args, color), 2 if error else 0)
-            count += len(block)
-            if error and args.json:
-                print(f'{{"status": "parse-error", "line": {error.line}, "col": {error.col}, '
-                      f'"message": {_json_str(error.message)}}}')
-            elif error:
-                sys.stdout.flush()  # so that the reports before it come first
-                print(f"parse error: {error}", file=sys.stderr)
-    return code
+        for decl in _declarations(handle, _Parser()):
+            kind = type(decl)
+            if kind is Goal:
+                if assumed:  # the block is empty: the assume before it ended one
+                    ctx, assumed = ctx._extend([a.name for a in assumed], [a.ty for a in assumed]), []
+                goals.append(decl)
+                if len(goals) < _BLOCK:
+                    continue
+            if goals:  # a full block, or one that any other declaration ends
+                code = max(code, _answer(ctx, goals, count, args, color))
+                count += len(goals)
+                goals.clear()
+            if kind is Assume:
+                assumed.append(decl)
+            elif kind is ConDecl:
+                ctx = ctx.with_con(decl.name, decl.arity)
+            elif kind is ParseError:
+                code = max(code, 2)
+                if args.json:
+                    print(f'{{"status": "parse-error", "line": {decl.line}, "col": {decl.col}, '
+                          f'"message": {_json_str(decl.message)}}}')
+                else:
+                    sys.stdout.flush()  # so that the reports before it come first
+                    print(f"parse error: {decl}", file=sys.stderr)
+        return max(code, _answer(ctx, goals, count, args, color))  # the file's last block
 
 
 # ------------------------------------------------------------- interactive

@@ -375,10 +375,10 @@ def _binder_chain(run: _Run, ctx: Context, expected: _Expected, term: Lam | TLam
     for layer, dom in zip(reversed(layers), reversed(doms)):
         if dom is None:
             ty = Forall(layer.bound, ty)
-            elab = layer if elab is layer.body else TLam(layer.bound, elab, layer.span)
+            elab = layer if elab is layer.body else TLam(layer.bound, elab, layer._span)
         else:
             ty, same = Arrow(dom, ty), elab is layer.body and dom is layer.ann
-            elab = layer if same else Lam(layer.bound, dom, elab, layer.span)
+            elab = layer if same else Lam(layer.bound, dom, elab, layer._span)
     return ty, elab, None
 
 
@@ -410,7 +410,7 @@ def _type_applications(run: _Run, ctx: Context, expected: _Expected, term: TApp)
                 )
         inst[ty.bound] = app.targ
         ty = ty.body
-        elab = app if elab is app.fun else TApp(elab, app.targ, app.span)
+        elab = app if elab is app.fun else TApp(elab, app.targ, app._span)
     return _conclude(expected, outer, substitute(inst, ty), elab)
 
 
@@ -522,7 +522,7 @@ def _spine(run: _Run, ctx: Context, proto: Unknown | Exact, term: App) -> SpineO
     for item in reversed(items):
         if type(item) is TApp:
             _take_type_arg(rest, contextual, item)
-            partial = item if partial is item.fun else TApp(partial, item.targ, item.span)
+            partial = item if partial is item.fun else TApp(partial, item.targ, item._span)
             continue
         arg_index += 1
         while type(link := rest.next()) is str:
@@ -539,7 +539,7 @@ def _spine(run: _Run, ctx: Context, proto: Unknown | Exact, term: App) -> SpineO
                 subject=item.arg,
             )
         elab = _consume_arrow(run, ctx, rest, contextual, item.arg, arg_index)
-        partial = item if partial is item.fun and elab is item.arg else App(partial, elab, item.span)
+        partial = item if partial is item.fun and elab is item.arg else App(partial, elab, item._span)
     if rest.next() is not None or type(rest.leaf) is Stuck:
         raise EngineInvariantError("a spine ended before its decorated type")
     return SpineOutcome(rest.apply(rest.leaf), subst_type_args(rest.pending, partial), contextual)

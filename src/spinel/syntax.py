@@ -43,8 +43,9 @@ class Span(NamedTuple):
     A named tuple: immutable and hashable, its fields read by name.  A
     node keeps its span in a slot of its own, ``_span``, that takes no
     part in comparing, hashing or printing nodes.  The parser stores a
-    plain tuple there, which reading ``span`` makes a new ``Span``: only
-    a diagnostic reads one, so an accepted goal's parse makes none.
+    plain tuple there, and the engine copies the slot into each node it
+    rebuilds.  Reading ``span`` makes a new ``Span`` of a tuple: only a
+    diagnostic reads one, so an accepted goal makes none.
     """
 
     line: int
@@ -638,10 +639,10 @@ def subst_type_args(mapping: Mapping[str, TypeExpr], t: Term) -> Term:
         t = t.fun
     for node in reversed(chain):
         if type(node) is App:
-            t = node if t is node.fun else App(t, node.arg, node.span)
+            t = node if t is node.fun else App(t, node.arg, node._span)
         else:
             targ = substitute(mapping, node.targ)
-            t = node if t is node.fun and targ is node.targ else TApp(t, targ, node.span)
+            t = node if t is node.fun and targ is node.targ else TApp(t, targ, node._span)
     return t
 
 

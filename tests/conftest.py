@@ -1,7 +1,8 @@
 """Shared test helpers: a standard context, parser-backed builders, the one
 walk of the erasure corpus and the goal files and long inputs built from
-it (which CI writes too), a long contextually solved spine, work counters
-and a walk of what an object keeps."""
+it, and the interleaved assume-and-goal files (which CI writes too), a
+long contextually solved spine, work counters and a walk of what an
+object keeps."""
 
 from __future__ import annotations
 
@@ -71,17 +72,23 @@ def criterion_9_corpus():
 def erasure_source(size, goals="check synth", times=1, first=None):
     """An erasure file: the standard context's declarations, then for each
     erasure of each internal term up to ``size`` one goal line per word of
-    ``goals``: ``check`` against its type, ``synth``, or ``wrong``, a check
+    ``goals``: ``check`` against its type, ``synth``, ``wrong``, a check
     against the first type of the sorted pool that is not alpha-equal to
-    its own, like the benchmark's ``rejects`` goals.  Of the goal lines it
-    keeps the ``first``, and writes them ``times`` times over."""
+    its own, like the benchmark's ``rejects`` goals, or ``next``, a check
+    against the first type after its own in the pool, read cyclically,
+    that is not alpha-equal to it.  Of the goal lines it keeps the
+    ``first``, and writes them ``times`` times over."""
     walk = erasure_walk(size)
     pool = sorted({pretty_type(t): t for _, t, _ in walk}.items())
+    place = {text: i for i, (text, _) in enumerate(pool)}
     lines = []
     for _, t, erased_terms in walk:
         texts = {"check": pretty_type(t)}
         if "wrong" in goals:
             texts["wrong"] = next(text for text, other in pool if not alpha_equal(other, t))
+        if "next" in goals:
+            at = place[texts["check"]]
+            texts["next"] = next(text for text, other in pool[at + 1:] + pool[:at] if not alpha_equal(other, t))
         for erased in erased_terms:
             term = pretty_term(erased)
             lines += [f"synth {term}" if goal == "synth" else f"check {term} : {texts[goal]}" for goal in goals.split()]
@@ -117,6 +124,16 @@ def long_source(shape, n):
     ``assumes`` with CRLF line ends and tabs between tokens."""
     src = "type Nat\nassume z : Nat\n" + _LONG_GOALS[shape.removesuffix("-crlf")](n) + "\n"
     return src.replace(" ", "\t").replace("\n", "\r\n") if shape.endswith("-crlf") else src
+
+
+def interleaved_source(n, separated=False):
+    """``n`` pairs of ``assume aI : Nat -> Nat`` and ``synth aI z`` after
+    ``type Nat`` and ``assume z : Nat``, each goal right after its assume,
+    or with ``separated`` every assume before the first goal."""
+    assumes = [f"assume a{i} : Nat -> Nat\n" for i in range(n)]
+    goals = [f"synth a{i} z\n" for i in range(n)]
+    lines = assumes + goals if separated else [line for pair in zip(assumes, goals) for line in pair]
+    return "type Nat\nassume z : Nat\n" + "".join(lines)
 
 
 @contextlib.contextmanager

@@ -1,5 +1,5 @@
 """The pinned bytes of the erasure corpus: what ``spinel run`` and ``spinel
-repl`` print for the size-6 erasure file and how the size-7 one parses,
+repl`` print for the size-6 erasure files and how the size-7 one parses,
 each as a digest, and the in-process runs that compute them.  The tests
 and ``tools/pins.py``, which checks them with the standard library
 alone, read the pins and the runs from here."""
@@ -27,6 +27,12 @@ PINNED_OUTPUT = {
     ("--json", "--elab"):
         (1, "bf64a1408c5d699e40114f75b2d1e4b8c694071a6631fe639633616dc280058d"),
 }
+
+# Exit code and SHA-256 of stdout of text `spinel run`, no flags, on the
+# size-6 erasure file with each erasure checked against the next type of
+# the sorted pool after its own that is not alpha-equal to it: 451 wrong
+# types up to alpha-equality, where the file above draws 2.
+PINNED_NEXT_OUTPUT = (1, "34f04182790d524fe2470ee06d422aa5e3a2396488a7e1a8ca79af2119cf54ff")
 
 # Lines in, exit code, lines out and SHA-256 of stdout of `spinel repl` fed
 # the same file, each line a command.

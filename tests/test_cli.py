@@ -21,17 +21,28 @@ from conftest import (
     STANDARD_DECLS,
     count_calls,
     erasure_source,
+    interleaved_source,
     long_source,
     quantifier_chain,
     recursion_headroom,
     tm,
+    ty,
 )
 import spinel.infer as infer_mod
 from spinel.cli import _BLOCK, main, repl
 from spinel.infer import EngineInvariantError, Synthesize, infer
 from spinel.oracle import SpecVerdict, verify_spec
 from spinel.parser import parse_program
-from pinned import PINNED_OUTPUT, PINNED_PARSE, PINNED_REPL_OUTPUT, parse_digest, repl_output, run_output
+from spinel.syntax import alpha_equal
+from pinned import (
+    PINNED_NEXT_OUTPUT,
+    PINNED_OUTPUT,
+    PINNED_PARSE,
+    PINNED_REPL_OUTPUT,
+    parse_digest,
+    repl_output,
+    run_output,
+)
 
 GOOD = """\
 type Nat
@@ -873,6 +884,21 @@ def test_erasure_corpus_output_bytes_are_pinned(monkeypatch):
         assert run_output(src, flags) == pinned, flags
 
 
+def test_wrong_types_drawn_across_the_pool_are_pinned(monkeypatch):
+    # Each size-6 erasure checked against the next type of the sorted pool
+    # after its own, cyclically: 451 wrong types up to alpha-equality, so
+    # the diagnostics' printed types cover the pool, not one or two types.
+    monkeypatch.delenv("SPINEL_COLOR", raising=False)
+    src = erasure_source(6, "next")
+    wrong = [ty(line.rpartition(" : ")[2]) for line in src.splitlines()[len(STANDARD_DECLS):]]
+    distinct = []
+    for t in wrong:
+        if not any(alpha_equal(t, d) for d in distinct):
+            distinct.append(t)
+    assert (len(wrong), len(distinct)) == (1757, 451)
+    assert run_output(src, ()) == PINNED_NEXT_OUTPUT
+
+
 def test_erasure_corpus_repl_bytes_are_pinned(monkeypatch):
     # The interactive loop's reports of the same goals, held byte for byte.
     monkeypatch.delenv("SPINEL_COLOR", raising=False)
@@ -890,6 +916,7 @@ def test_the_pin_tool_checks_the_tests_pins():
     src = erasure_source(6, "check synth wrong")
     assert checked == {
         **{f"spinel run {' '.join(flags)}": (pinned, run_output, (src, flags)) for flags, pinned in PINNED_OUTPUT.items()},
+        "spinel run (next wrong types)": (PINNED_NEXT_OUTPUT, run_output, (erasure_source(6, "next"), ())),
         "spinel repl": (PINNED_REPL_OUTPUT, repl_output, (src,)),
         "parse": (PINNED_PARSE, parse_digest, (erasure_source(7),)),
     }
@@ -1123,6 +1150,27 @@ def test_a_run_holds_one_block_of_trees_not_the_file(tmp_path, monkeypatch):
             finally:
                 tracemalloc.stop()
     assert peaks[2] <= 1.1 * peaks[1], peaks
+
+
+def test_an_interleaved_file_holds_one_context_at_a_time(tmp_path, monkeypatch):
+    # A block is the goals that share one context, so a file that alternates
+    # assume and goal lines keeps one context alive, not one per goal of a
+    # block: its peak is within 10% of the file with every assume first.
+    # Blocks that paired each goal with its own context made it 9.4 times.
+    # The first run makes what any run makes once; the second is kept.
+    peaks = {}
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        for separated in (True, True, False):
+            path = tmp_path / f"pairs-{separated}.spn"
+            path.write_text(interleaved_source(1000, separated))
+            tracemalloc.start()
+            try:
+                assert main(["run", str(path), "--json"]) == 0
+                peaks[separated] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peaks[False] <= 1.1 * peaks[True], peaks
 
 
 def test_long_chain_declaration_is_checked_and_its_goals_end_in_an_outcome(tmp_path):

@@ -12,7 +12,7 @@ import types
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spinel.infer import Check, Synthesize, infer
+from spinel.infer import Check, Diagnostic, Synthesize, infer
 from spinel.parser import (
     Assume,
     ConDecl,
@@ -44,7 +44,7 @@ from spinel.syntax import (
     subst_type_args,
 )
 
-from conftest import CTX, STANDARD_DECLS, erasure_source, reachable, tm, traceback_frames, ty
+from conftest import CTX, STANDARD_DECLS, erasure_source, erasures, reachable, tm, traceback_frames, ty
 from pinned import PINNED_PARSE, parse_digest
 
 
@@ -611,7 +611,7 @@ def test_a_parsed_span_takes_no_part_in_comparing_and_stays_frozen():
         assert type(node.span) is Span
 
 
-def test_the_engine_copies_a_span_by_reading_it():
+def test_the_engine_copies_a_span_into_the_nodes_it_rebuilds():
     ctx = CTX.with_term("f", ty("forall X. (X -> Nat) -> Pair X Nat"))
     lam = parse_term(r"/\X. \x. \y : X. y", ctx)
     elab = infer(ctx, Check(ty("forall X. Nat -> X -> X")), lam).elaboration
@@ -627,6 +627,27 @@ def test_the_engine_copies_a_span_by_reading_it():
     assert pretty_term(out) == "f [Nat] (g [X])" and out.arg is spine.arg
     assert [type(n.span) for n in (out, out.fun)] == [Span, Span]
     assert (out.span, out.fun.span) == (spine.span, spine.fun.span) == ((1, 1, 1, 14), (1, 1, 1, 6))
+
+
+def test_every_rebuilt_node_of_an_accepted_parsed_goal_holds_a_plain_tuple():
+    # The engine copies the stored span, so an accepted goal's elaboration
+    # makes no Span: checking \x. x against Nat -> Nat rebuilt its Lam with
+    # a Span, as did every rebuilt binder, type application and spine link.
+    goals = [(r"\x. x", ty("Nat -> Nat"))] + [(pretty_term(e), t) for e, t in erasures(5)]
+    rebuilt = 0
+    for text, expected in goals:
+        term = tm(text)
+        parsed = {id(node) for node in _nodes(term)}
+        for mode in (Check(expected), Synthesize()):
+            try:
+                elab = infer(CTX, mode, term).elaboration
+            except Diagnostic:
+                continue
+            for node in _nodes(elab):
+                if id(node) not in parsed and getattr(node, "_span", None) is not None:
+                    assert type(node._span) is tuple, (text, node)
+                    rebuilt += 1
+    assert rebuilt > 400, rebuilt  # 418
 
 
 def _spans_alive():

@@ -433,6 +433,23 @@ def test_context_constructor_respects_ordered_scope():
     assert Context(CTX.entries, CTX.signature) == CTX
 
 
+def test_context_repr_and_equality_read_its_declarations_in_order():
+    # Held as they are, for a context that shares one map between versions
+    # (ROADMAP Direction 17): the entries in order, then the signature.
+    decls = (TyVarDecl("A"), TermBind("x", Arrow(TVar("A"), Con("Nat"))))
+    built = Context.empty().with_con("Nat", 0).with_type_var("A").with_term("x", decls[1].ty)
+    assert repr(built) == (
+        "Context((TyVarDecl(name='A'), TermBind(name='x', ty=Arrow(dom=TVar(name='A'), "
+        "cod=Con(con='Nat', args=())))), {'Nat': 0})"
+    )
+    assert built == Context(decls, {"Nat": 0}) != Context(decls, {"Nat": 0, "B": 0})
+    assert built != repr(built)
+    nat = Con("Nat")
+    first, second = Context.empty({"Nat": 0}), Context.empty({"Nat": 0})
+    assert first.with_term("y", nat).with_term("z", nat) != second.with_term("z", nat).with_term("y", nat)
+    assert first.with_term("y", nat).with_term("z", nat) == second.with_term("y", nat).with_term("z", nat)
+
+
 def _assumptions(n):
     ctx = CTX.with_type_var("A")
     for i in range(n):

@@ -7,7 +7,8 @@ dependency is installed.  It runs ``spinel.cli.main`` in process on the
 size-6 erasure file from ``tests/conftest.py``, each erasure checked,
 synthesized and then checked against a wrong type: ``spinel run`` under
 each set of flags of ``PINNED_OUTPUT``, and ``spinel repl`` fed the
-file's lines as commands.  It also digests the parse of the size-7
+file's lines as commands.  It runs text ``spinel run`` on the size-6
+file of ``next`` wrong types too, and digests the parse of the size-7
 erasure file.  The pins and the runs are those of ``tests/pinned.py``,
 which the tests read too.  It prints one line per pin and exits 1 if
 any differs.
@@ -27,11 +28,20 @@ ROOT = Path(__file__).resolve().parents[1]
 def pins():
     """Each pin as (name, pinned value, the call that computes it)."""
     from conftest import erasure_source
-    from pinned import PINNED_OUTPUT, PINNED_PARSE, PINNED_REPL_OUTPUT, parse_digest, repl_output, run_output
+    from pinned import (
+        PINNED_NEXT_OUTPUT,
+        PINNED_OUTPUT,
+        PINNED_PARSE,
+        PINNED_REPL_OUTPUT,
+        parse_digest,
+        repl_output,
+        run_output,
+    )
 
     src = erasure_source(6, "check synth wrong")
     for flags, pinned in PINNED_OUTPUT.items():
         yield f"spinel run {' '.join(flags)}", pinned, functools.partial(run_output, src, flags)
+    yield "spinel run (next wrong types)", PINNED_NEXT_OUTPUT, functools.partial(run_output, erasure_source(6, "next"), ())
     yield "spinel repl", PINNED_REPL_OUTPUT, functools.partial(repl_output, src)
     yield "parse", PINNED_PARSE, functools.partial(parse_digest, erasure_source(7))
 
