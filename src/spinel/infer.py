@@ -314,7 +314,7 @@ def _binder_chain(run: _Run, ctx: Context, expected: _Expected, term: Lam | TLam
     tvs: set[str] = set()
     layers: list[Lam | TLam] = []
     names, doms = [], []  # each layer's binder and a lambda's domain, None for a type lambda
-    dtv, signature = ctx.dtv, ctx.signature
+    declared, signature = ctx._scope, ctx.signature
     while (kind := type(term)) is TLam or kind is Lam:
         x = term.bound
         if kind is TLam:
@@ -340,12 +340,12 @@ def _binder_chain(run: _Run, ctx: Context, expected: _Expected, term: Lam | TLam
         else:
             dom = term.ann
             run.note("lam")
-            if not _well_formed(dtv, signature, dom, tvs):
-                declared = ctx._extend(names, doms, False).dtv  # raises first if a name is at fault
+            if not _well_formed(declared, signature, dom, tvs):
+                prefix = ctx._extend(names, doms, False)  # raises first if a name is at fault
                 raise Diagnostic(
                     DiagnosticKind.UNBOUND_NAME,
                     subject=term,
-                    detail=_illformed_detail(declared, dom, f"annotation on {x!r}"),
+                    detail=_illformed_detail(prefix, dom, f"annotation on {x!r}"),
                 )
             fits = type(expected) is Arrow and alpha_equal(substitute(renaming, expected.dom), dom)
         if expected is not None:
@@ -437,12 +437,12 @@ def _check_type_arg(ctx: Context, term: TApp) -> None:
         raise Diagnostic(
             DiagnosticKind.UNBOUND_NAME,
             subject=term,
-            detail=_illformed_detail(ctx.dtv, term.targ, "type argument"),
+            detail=_illformed_detail(ctx, term.targ, "type argument"),
         )
 
 
-def _illformed_detail(dtv: frozenset[str], ty: TypeExpr, what: str) -> str:
-    loose = sorted(free_type_vars(ty) - dtv)
+def _illformed_detail(ctx: Context, ty: TypeExpr, what: str) -> str:
+    loose = sorted(meta_vars_of_type(ctx, ty))
     if loose:
         return f"{what} mentions unbound type variable {loose[0]!r}"
     return f"{what} uses a constructor at the wrong arity"

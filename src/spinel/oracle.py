@@ -222,7 +222,7 @@ def verify_spec(
             got = take_claimed_type()
             if got is None:
                 return reject("claimed elaboration is missing an inserted type argument")
-            if type(got) is TVar and got.name not in ctx.dtv:
+            if type(got) is TVar and not is_well_formed(ctx, got):
                 meta = got.name
                 if meta in claimed_sol:
                     if meta in guessed:

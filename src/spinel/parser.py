@@ -532,13 +532,18 @@ def _program(decls) -> tuple[ConDecl | Assume | Goal, ...]:
 
 
 def _parse_all(src: str, ctx: Context, read, what: str):
-    """What ``read`` parses from every token of ``src`` in the scope of
-    ``ctx``, its type variables open; trailing input is an error about ``what``."""
+    """What ``read`` parses from every token of ``src`` in the scope of ``ctx``, its type
+    variables open; trailing input, or input nested too deeply, is an error about ``what``."""
     parser = _Parser(ctx.signature, ctx.names)
     parser.tokens = tokenize(src)
     parser.tokens.append(_eof(parser.tokens))
     parser.tyvars.update(ctx.dtv)
-    out = read(parser)
+    try:
+        out = read(parser)
+    except RecursionError:
+        out = None  # raised below, outside this block, so that it pins no frame
+    if out is None:  # at the first token, as in ``_declarations``
+        raise ParseError(f"{what} is nested too deeply", *parser.tokens[0][2:])
     parser.finish(what)
     return out
 

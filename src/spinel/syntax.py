@@ -252,34 +252,39 @@ class TermBind:
 class Context:
     """Ordered typing context plus a constructor signature.
 
-    Immutable: the ``with_*`` methods return extended copies.  Declared
-    names must be distinct; extension raises ValueError on shadowing, on
-    a type variable with a reserved ``?`` name, or on binding a term to an
-    ill-formed type.
+    Immutable: the ``with_*`` methods return extended copies.  Constructors,
+    type variables and terms share one namespace: extension raises
+    ValueError on a name already declared in either, on a type variable
+    with a reserved ``?`` name, or on binding a term to an ill-formed type.
 
     Scope is ordered: a bound type may mention only the type variables
-    declared before it.  The declarations are one insertion-ordered map
-    from each name to its type, None for a type variable, beside the set
-    of type variables; ``entries`` is read off the map once asked for.
-    Every extension is one step, ``_extend``: ``with_*`` pass one name,
-    the constructor its entries, and the engine a whole binder chain or a
-    run of ``assume``s.  It checks only the new names, each type against
-    the prefix and the batch's earlier type variables, and copies the map
-    once per batch: whatever was well-formed in the prefix stays
-    well-formed once a name or a constructor is added.
+    declared before it.  A context is one insertion-ordered map from each
+    declared name to its type, None for a type variable, and the
+    signature; ``entries``, ``dtv`` and ``names`` are derived from the map
+    on each read, and every other reader asks the map.  Every extension is
+    one step, ``_extend``: ``with_*`` pass one name, the constructor its
+    entries, and the engine a whole binder chain or a run of ``assume``s.
+    It copies the map once per batch and checks only the new names, each
+    type against the growing copy: whatever was well-formed in the prefix
+    stays well-formed once a name or a constructor is added.
     """
 
-    __slots__ = ("signature", "_scope", "_dtv", "_entries")
+    __slots__ = ("signature", "_scope")
 
     def __new__(
         cls,
         entries: Sequence[TyVarDecl | TermBind] = (),
         signature: Mapping[str, int] | None = None,
     ) -> Context:
-        ctx = object.__new__(cls)
-        ctx._scope, ctx._dtv, ctx._entries = {}, frozenset(), ()
-        ctx.signature = dict(signature) if signature else {}
+        ctx = Context._of({}, dict(signature) if signature else {})
         return ctx._extend([e.name for e in entries], [e.ty if type(e) is TermBind else None for e in entries])
+
+    @staticmethod
+    def _of(scope: dict[str, TypeExpr | None], signature: dict[str, int]) -> Context:
+        """The context of ``scope`` and ``signature``, taken as they are."""
+        ctx = object.__new__(Context)
+        ctx._scope, ctx.signature = scope, signature
+        return ctx
 
     @classmethod
     def empty(cls, signature: Mapping[str, int] | None = None) -> Context:
@@ -289,25 +294,17 @@ class Context:
         """This context plus each of ``names`` with its type in ``types``, None for a
         type variable, each checked against those before it; with ``walk``
         False the types are well-formed already and only the names are checked."""
-        scope, dtv, signature = self._scope, self._dtv, self.signature
-        new: dict[str, TypeExpr | None] = {}
-        tvs: set[str] = set()
+        scope, signature = dict(self._scope), self.signature
         for name, ty in zip(names, types):
-            if name in scope or name in new:
+            if name in scope or name in signature:
                 raise ValueError(f"duplicate declaration of {name!r}")
             if ty is None:
                 if is_meta_name(name):
                     raise ValueError(f"type variable {name!r} has a reserved meta-variable name")
-                tvs.add(name)
-            elif walk and not _well_formed(dtv, signature, ty, tvs):
+            elif walk and not _well_formed(scope, signature, ty, set()):
                 raise ValueError(f"type bound to {name!r} is not well-formed")
-            new[name] = ty
-        ctx = object.__new__(Context)
-        ctx.signature = signature
-        ctx._scope = {**scope, **new} if new else scope
-        ctx._dtv = dtv | tvs if tvs else dtv
-        ctx._entries = None if new else self._entries
-        return ctx
+            scope[name] = ty
+        return Context._of(scope, signature)
 
     def with_type_var(self, name: str) -> Context:
         return self._extend((name,), (None,))
@@ -316,25 +313,20 @@ class Context:
         return self._extend((name,), (ty,))
 
     def with_con(self, name: str, arity: int) -> Context:
-        if name in self.signature:
+        if name in self.signature or name in self._scope:
             raise ValueError(f"duplicate constructor {name!r}")
-        ctx = object.__new__(Context)
-        ctx.signature = {**self.signature, name: arity}
-        ctx._scope, ctx._dtv, ctx._entries = self._scope, self._dtv, self._entries
-        return ctx
+        return Context._of(self._scope, {**self.signature, name: arity})
 
     @property
     def entries(self) -> tuple[TyVarDecl | TermBind, ...]:
-        if self._entries is None:
-            self._entries = tuple([TyVarDecl(x) if t is None else TermBind(x, t) for x, t in self._scope.items()])
-        return self._entries
+        return tuple([TyVarDecl(x) if t is None else TermBind(x, t) for x, t in self._scope.items()])
 
     def lookup(self, name: str) -> TypeExpr | None:
         return self._scope.get(name)
 
     @property
     def dtv(self) -> frozenset[str]:
-        return self._dtv
+        return frozenset([x for x, t in self._scope.items() if t is None])
 
     @property
     def names(self) -> frozenset[str]:
@@ -483,11 +475,14 @@ def is_well_formed(ctx: Context, ty: TypeExpr) -> bool:
     Arrow codomains and quantifier bodies are followed by a loop, so a
     chain of any length is checked at any recursion limit.
     """
-    return _well_formed(ctx._dtv, ctx.signature, ty, set())
+    return _well_formed(ctx._scope, ctx.signature, ty, set())
 
 
-def _well_formed(dtv: frozenset[str], signature: Mapping[str, int], ty: TypeExpr, scope: set[str]) -> bool:
-    """``is_well_formed`` with ``scope``, the binders open around ``ty``.
+def _well_formed(
+    declared: Mapping[str, TypeExpr | None], signature: Mapping[str, int], ty: TypeExpr, scope: set[str],
+) -> bool:
+    """``is_well_formed`` in a context's map ``declared``, which binds
+    each type variable to None, with ``scope``, the binders open around ``ty``.
 
     A chain adds to ``scope`` only the binders it does not find there and,
     once it is well-formed, removes exactly those; a False answer is final,
@@ -497,11 +492,11 @@ def _well_formed(dtv: frozenset[str], signature: Mapping[str, int], ty: TypeExpr
     while True:
         kind = type(ty)
         if kind is TVar:
-            if ty.name not in dtv and ty.name not in scope:
+            if ty.name not in scope and declared.get(ty.name, ty) is not None:
                 return False
             break
         if kind is Arrow:
-            if not _well_formed(dtv, signature, ty.dom, scope):
+            if not _well_formed(declared, signature, ty.dom, scope):
                 return False
             ty = ty.cod
         elif kind is Forall:
@@ -514,7 +509,7 @@ def _well_formed(dtv: frozenset[str], signature: Mapping[str, int], ty: TypeExpr
             if signature.get(ty.con) != len(args):
                 return False
             for a in args:
-                if not _well_formed(dtv, signature, a, scope):
+                if not _well_formed(declared, signature, a, scope):
                     return False
             break
         else:
@@ -525,7 +520,7 @@ def _well_formed(dtv: frozenset[str], signature: Mapping[str, int], ty: TypeExpr
 
 def meta_vars_of_type(ctx: Context, ty: TypeExpr) -> frozenset[str]:
     """Free variables of the type that the context does not declare."""
-    return free_type_vars(ty) - ctx.dtv
+    return frozenset([x for x in free_type_vars(ty) if ctx._scope.get(x, x) is not None])
 
 
 def meta_vars_of_term(ctx: Context, t: Term) -> frozenset[str]:
@@ -541,10 +536,10 @@ def meta_vars_of_term(ctx: Context, t: Term) -> frozenset[str]:
         kind = type(t)
         if kind is TApp:
             s = t.targ
-            if type(s) is TVar and s.name not in ctx.dtv:
+            if not is_well_formed(ctx, s):
+                if type(s) is not TVar:
+                    raise ValueError("type argument is neither a meta-variable nor well-formed")
                 metas.add(s.name)
-            elif not is_well_formed(ctx, s):
-                raise ValueError("type argument is neither a meta-variable nor well-formed")
         elif kind is not App:
             return frozenset(metas)
         t = t.fun

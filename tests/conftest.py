@@ -205,7 +205,7 @@ def count_well_formed_walks(monkeypatch):
     depth = [0]
     seen = {}  # id -> scope, kept alive so that no id is reused
 
-    def counted(dtv, signature, ty, scope):
+    def counted(declared, signature, ty, scope):
         if depth[0] == 0:
             counts["walks"] += 1
             if id(scope) not in seen:
@@ -213,7 +213,7 @@ def count_well_formed_walks(monkeypatch):
                 counts["copied"] += len(scope)
         depth[0] += 1
         try:
-            return original(dtv, signature, ty, scope)
+            return original(declared, signature, ty, scope)
         finally:
             depth[0] -= 1
 

@@ -535,6 +535,29 @@ def test_a_parse_error_holds_no_parser_state(entry, args, message):
     assert held <= {ParseError, types.TracebackType, types.FrameType, dict, tuple, str, int, type(None)}, held
 
 
+@pytest.mark.parametrize(
+    "entry, src, what, shallow, parsed",
+    [
+        (parse_type, "(" * 5000 + "Nat" + ")" * 5000, "type", "(Nat)", Con("Nat")),
+        (parse_term, "suc (" * 3000 + "z" + ")" * 3000, "term", "suc (z)", App(Var("suc"), Var("z"))),
+    ],
+    ids=["type", "term"],
+)
+def test_a_parse_entry_reports_input_nested_too_deeply_at_its_first_token(entry, src, what, shallow, parsed):
+    # As parse_program does for a declaration: a ParseError at 1:1 with no
+    # context, whose traceback holds this frame and the entry's; the next
+    # parse starts afresh.
+    try:
+        entry(src, CTX)
+    except ParseError as exc:
+        error = exc
+    assert (error.message, error.line, error.col) == (f"{what} is nested too deeply", 1, 1)
+    assert error.__context__ is None
+    assert traceback_frames(error) == ["test_a_parse_entry_reports_input_nested_too_deeply_at_its_first_token",
+                                       entry.__name__]
+    assert entry(shallow, CTX) == parsed
+
+
 def test_every_copy_of_an_identifier_is_one_string():
     nat, suc, goal = parse_program("type Nat\nassume suc : Nat -> Nat\nsynth suc suc\n")
     assert nat.name is suc.ty.dom.con is suc.ty.cod.con
@@ -771,12 +794,23 @@ def _chain_tree(decl_src):
     return decl.ty if isinstance(decl, Assume) else decl.term
 
 
-@pytest.mark.parametrize("kind", CHAINS)
+ALTERNATING = ("assume g : ", "".join(f"forall X{i}. X{i} -> " for i in range(CHAIN)) + "Nat")
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        *CHAINS,
+        pytest.param("alternating", marks=pytest.mark.xfail(strict=True, reason=(
+            "pretty_type puts parentheses around a forall in an arrow codomain (CHANGES.md's FOUND "
+            "line on pretty_type, ROADMAP Direction 14), so the printed chain is not its source"))),
+    ],
+)
 def test_long_chains_parse_print_and_reparse(kind):
     # Every link of a chain is a loop iteration, not a Python frame, so
     # a chain longer than the recursion limit parses and prints.
     assert CHAIN > sys.getrecursionlimit()
-    keyword, text = CHAINS[kind]
+    keyword, text = CHAINS.get(kind, ALTERNATING)
     tree = _chain_tree(keyword + text)
     printed = pretty_type(tree) if keyword.startswith("assume") else pretty_term(tree)
     assert printed == text

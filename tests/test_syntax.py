@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import sys
+import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -406,6 +407,26 @@ def test_context_rejects_shadowing_and_bad_bindings():
 def test_a_constructor_declared_twice_is_rejected():
     with pytest.raises(ValueError, match="duplicate constructor 'Nat'"):
         CTX.with_con("Nat", 0)
+
+
+def test_constructors_type_variables_and_terms_share_one_namespace():
+    # One namespace, as in the parser: in a context that declared `A` both
+    # ways, `pretty_type(Con("A"))` parsed back as `TVar("A")`.
+    with pytest.raises(ValueError, match="^duplicate declaration of 'A'$"):
+        Context.empty({"A": 0}).with_type_var("A")
+    with pytest.raises(ValueError, match="^duplicate declaration of 'Nat'$"):
+        CTX.with_term("Nat", Con("Nat"))
+    with pytest.raises(ValueError, match="^duplicate declaration of 'Nat'$"):
+        Context((TyVarDecl("Nat"),), {"Nat": 0})
+    with pytest.raises(ValueError, match="^duplicate constructor 'z'$"):
+        CTX.with_con("z", 0)
+    with pytest.raises(ValueError, match="^duplicate constructor 'A'$"):
+        CTX.with_type_var("A").with_con("A", 0)
+    # So a binder that reuses a constructor's name is a caller error.
+    with pytest.raises(ValueError, match="^duplicate declaration of 'Nat'$"):
+        infer(CTX, Synthesize(), TLam("Nat", Var("z")))
+    with pytest.raises(ValueError, match="^duplicate declaration of 'B'$"):
+        infer(CTX, Synthesize(), Lam("B", Con("Nat"), Var("z")))
 
 
 def test_a_type_variable_with_a_reserved_meta_name_is_rejected():
@@ -831,8 +852,88 @@ def test_alpha_equal_stops_before_a_non_type_past_the_first_difference(a, b):
 
 @given(_scoped_types(), st.frozensets(_tyvars))
 def test_well_formedness_is_that_of_the_recursive_definition(t, extra):
-    assert _well_formed(_SCOPE._dtv, _SCOPE.signature, t, set(extra)) == _reference_well_formed(_SCOPE, t, extra)
+    assert _well_formed(_SCOPE._scope, _SCOPE.signature, t, set(extra)) == _reference_well_formed(_SCOPE, t, extra)
     assert is_well_formed(_SCOPE, t) == _reference_well_formed(_SCOPE, t, frozenset())
+
+
+_POOL = ("A", "B1", "x", "y", "?X0", "Nat", "Pair")  # with a `?` name and the constructors'
+_NAMES = st.sampled_from(_POOL)
+_BATCHES = st.lists(st.tuples(_NAMES, st.one_of(st.none(), _scoped_types())), max_size=3)
+_STEPS = st.one_of(  # each a method of Context, or the constructor, and its arguments
+    st.tuples(st.just("with_type_var"), _NAMES),
+    st.tuples(st.just("with_term"), _NAMES, _scoped_types()),
+    st.tuples(st.just("with_con"), _NAMES, st.sampled_from([0, 2])),
+    st.tuples(st.just("Context"), _BATCHES, st.dictionaries(_NAMES, st.sampled_from([0, 2]), max_size=2)),
+    st.tuples(st.just("_extend"), _BATCHES),
+)
+
+
+def _model_extend(decls, signature, batch):
+    """The declarations after ``batch``, or the message of the ValueError
+    that refuses it: each name against all before it, in order."""
+    decls = list(decls)
+    for name, t in batch:
+        if name in signature or name in dict(decls):
+            return f"duplicate declaration of {name!r}"
+        if t is None and name.startswith("?"):
+            return f"type variable {name!r} has a reserved meta-variable name"
+        model = types.SimpleNamespace(dtv={n for n, d in decls if d is None}, signature=signature)
+        if t is not None and not _reference_well_formed(model, t, set()):
+            return f"type bound to {name!r} is not well-formed"
+        decls.append((name, t))
+    return decls
+
+
+def _model_step(decls, signature, step):
+    """The declarations, or the refusal's message, and the signature after ``step``."""
+    kind, *args = step
+    if kind == "with_con":
+        name, arity = args
+        if name in signature or name in dict(decls):
+            return f"duplicate constructor {name!r}", signature
+        return decls, {**signature, name: arity}
+    if kind == "Context":
+        return _model_extend([], args[1], args[0]), args[1]
+    if kind == "with_type_var":
+        return _model_extend(decls, signature, [(args[0], None)]), signature
+    if kind == "with_term":
+        return _model_extend(decls, signature, [tuple(args)]), signature
+    return _model_extend(decls, signature, args[0]), signature
+
+
+def _apply(ctx, step):
+    kind, *args = step
+    if kind == "Context":
+        return Context([TyVarDecl(n) if t is None else TermBind(n, t) for n, t in args[0]], args[1])
+    if kind == "_extend":
+        return ctx._extend([n for n, _ in args[0]], [t for _, t in args[0]])
+    return getattr(ctx, kind)(*args)
+
+
+@given(st.lists(_STEPS, max_size=6), st.lists(_scoped_types(), min_size=2, max_size=2))
+def test_a_context_is_its_list_of_declarations_and_its_signature(steps, probes):
+    # Each step against a model, a list of (name, type or None) and a dict:
+    # a refused step raises the model's message and leaves the context as it was.
+    ctx, decls, signature = Context.empty({"Nat": 0, "Pair": 2}), [], {"Nat": 0, "Pair": 2}
+    for step in steps:
+        want, want_signature = _model_step(decls, signature, step)
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as err:
+                _apply(ctx, step)
+            assert str(err.value) == want
+        else:
+            ctx, decls, signature = _apply(ctx, step), want, want_signature
+        entries = tuple(TyVarDecl(n) if t is None else TermBind(n, t) for n, t in decls)
+        dtv = frozenset(n for n, t in decls if t is None)
+        assert ctx.entries == entries and ctx.signature == signature
+        assert ctx.dtv == dtv and ctx.names == frozenset(dict(decls))
+        assert all(ctx.lookup(n) == dict(decls).get(n) for n in _POOL)
+        assert repr(ctx) == f"Context({entries!r}, {signature!r})"
+        assert ctx == Context(ctx.entries, ctx.signature)
+        model = types.SimpleNamespace(dtv=dtv, signature=signature)
+        for t in probes:
+            assert is_well_formed(ctx, t) == _reference_well_formed(model, t, frozenset())
+            assert meta_vars_of_type(ctx, t) == free_type_vars(t) - dtv
 
 
 @given(_scoped_types())
@@ -846,7 +947,7 @@ def test_a_repeated_binder_stays_in_scope_until_its_outer_quantifier_closes():
     assert is_well_formed(_SCOPE, Forall("B1", Arrow(inner, TVar("B1"))))
     assert not is_well_formed(_SCOPE, Arrow(inner, TVar("B1")))
     assert not is_well_formed(_SCOPE, Con("Pair", (inner, TVar("B1"))))
-    assert _well_formed(_SCOPE._dtv, _SCOPE.signature, Arrow(inner, TVar("B1")), {"B1"})
+    assert _well_formed(_SCOPE._scope, _SCOPE.signature, Arrow(inner, TVar("B1")), {"B1"})
     assert free_type_vars(Arrow(Forall("C", Arrow(inner, TVar("C"))), TVar("B1"))) == {"B1"}
 
 
@@ -865,7 +966,7 @@ def test_type_walks_follow_a_chain_of_20000_links_by_loops():
         assert not is_well_formed(_SCOPE.with_type_var("X3"), Forall("A", TVar("B1")))
         assert is_well_formed(_SCOPE, t)
         assert not is_well_formed(CTX, t)
-        assert _well_formed(CTX._dtv, CTX.signature, t, {"A"})
+        assert _well_formed(CTX._scope, CTX.signature, t, {"A"})
         assert free_type_vars(t) == {"A"}
         assert alpha_equal(t, renamed) and alpha_equal(renamed, t)
         assert not alpha_equal(t, other)
