@@ -5,14 +5,15 @@ human-readable reports or NDJSON (one object per goal) with ``--json``.
 It answers a block at a time, at most 256 goals that share one
 context: it parses the block, infers every goal, renders every report
 and writes them at once (in process, answering goal by goal ran 25-45%
-slower), and holds one block's trees and one context, not the file's.  A declaration
-that does not parse ends only itself, reported after the goals before
-it.  ``spinel repl`` offers the same engine interactively.  Exit codes,
-the largest over the declarations: 0 a goal succeeds, 1 it fails with a
-diagnostic, 2 it does not parse, 3 an internal invariant or a
-declarative replay fails, or it hits the resource limit; 2 also if the
-input cannot be read, or standard output is closed before the reports
-are written.
+slower), and holds one block's trees and one context, not the file's.
+A diagnostic's report is written once, from its fields, straight into
+the text or NDJSON that is printed.  A declaration that does not parse
+ends only itself, reported after the goals before it.  ``spinel repl``
+offers the same engine interactively.  Exit codes, the largest over the
+declarations: 0 a goal succeeds, 1 it fails with a diagnostic, 2 it
+does not parse, 3 an internal invariant or a declarative replay fails,
+or it hits the resource limit; 2 also if the input cannot be read, or
+standard output is closed before the reports are written.
 
 Chains of any length parse and print; only argument and parenthesis
 nesting is bounded by Python's recursion limit there.  A declaration
@@ -84,82 +85,97 @@ def _use_color() -> bool:
 # ----------------------------------------------------- diagnostic output
 
 
-def _field_labels(kind: DiagnosticKind) -> tuple[str, str]:
-    if kind is DiagnosticKind.EXPLICIT_ARG_CONFLICT:
-        return "inferred type argument", "explicit type argument"
-    if kind in (DiagnosticKind.APPLICAND_NOT_ARROW, DiagnosticKind.APPLICAND_NOT_FORALL):
-        return "expected type", "applicand type"
-    return "expected type", "synthesized type"
+# the labels of the expected and synthesized lines where they are not "expected type" and "synthesized type"
+_KIND_LABELS = {
+    DiagnosticKind.EXPLICIT_ARG_CONFLICT: ("inferred type argument", "explicit type argument"),
+    DiagnosticKind.APPLICAND_NOT_ARROW: ("expected type", "applicand type"),
+    DiagnosticKind.APPLICAND_NOT_FORALL: ("expected type", "applicand type"),
+}
+# the fields of a diagnostic's record that ``_shown`` gives, in record order
+_SHOWN = ("expected", "resolved", "bindings", "synthesized", "unsolved", "contextual_match", "synthetic_match", "detail")
+
+
+def _shown(d: Diagnostic, expected: str | None = None) -> tuple:
+    """The value in ``diagnostic_json(d)`` of each field of ``_SHOWN``, or
+    None where it has none, each type printed once with ``d.display``.
+    ``expected`` is the text of ``d.expected`` if the caller has it already."""
+    rn = d.display
+    cm, sm = d.contextual_match, d.synthetic_match
+    return (
+        pretty_type(d.expected, rn) if expected is None and d.expected is not None else expected,
+        None if d.resolved is None else pretty_type(d.resolved, rn),
+        {rn.get(name, name): pretty_type(d.bindings[name], rn) for name in sorted(d.bindings)} if d.bindings else None,
+        None if d.synthesized is None else pretty_type(d.synthesized, rn),
+        [rn.get(m, m) for m in sorted(d.unsolved)] if d.unsolved else None,
+        None if cm is None else {"partial": pretty_type(cm.partial, rn), "against": pretty_type(cm.against, rn)},
+        None if sm is None else {"partial": pretty_type(sm.partial, rn), "against": pretty_type(sm.against, rn),
+                                 "arg_index": sm.arg_index},
+        d.detail,
+    )
+
+
+def _text(d: Diagnostic, shown: tuple, color: bool, indent: str) -> str:
+    """The text report of ``d`` from its ``_shown`` values, each line after
+    ``indent``; ``bindings`` show under ``expected``, ``unsolved`` under
+    ``synthesized``, and ``resolved`` in NDJSON only."""
+    expected, _, bindings, synthesized, unsolved, cm, sm, detail = shown
+    span = d.span
+    head = f"error: {_HEADLINES[d.kind]}" + ("" if span is None else f" at {span.line}:{span.col}")
+    bold, reset = (_BOLD, _RESET) if color else ("", "")
+    lines = [f"{indent}{_RED}{head}{_RESET}" if color else indent + head]
+    expected_label, synthesized_label = _KIND_LABELS.get(d.kind, ("expected type", "synthesized type"))
+    if expected is not None:
+        lines.append(f"{indent}  {bold}{expected_label}:{reset} {expected}")
+        if bindings:
+            lines += [f"{indent}    {name} := {text}" for name, text in bindings.items()]
+    if synthesized is not None:
+        lines.append(f"{indent}  {bold}{synthesized_label}:{reset} {synthesized}")
+        if unsolved:
+            lines.append(f"{indent}  {bold}unsolved:{reset} {', '.join(unsolved)}")
+    if cm is not None:
+        lines.append(f"{indent}  {bold}contextual match:{reset} {cm['partial']} := {cm['against']}")
+    if sm is not None:
+        label = f"synthetic match (argument {sm['arg_index']})"
+        lines.append(f"{indent}  {bold}{label}:{reset} {sm['partial']} := {sm['against']}")
+    if detail is not None:
+        lines.append(f"{indent}  {bold}note:{reset} {detail}")
+    return "\n".join(lines)
+
+
+def _ndjson(d: Diagnostic, shown: tuple) -> str:
+    """``diagnostic_json(d)`` byte for byte as ``json.dumps`` writes it, from
+    its ``_shown`` values, with its keys as literal text."""
+    out = [f'{{"kind": {_json_str(d.kind.value)}, "message": {_json_str(_HEADLINES[d.kind])}']
+    if (span := d.span) is not None:
+        out.append(f', "span": {{"line": {span.line}, "col": {span.col}, '
+                   f'"end_line": {span.end_line}, "end_col": {span.end_col}}}')
+    for key, value in zip(_SHOWN, shown):
+        if value is None:
+            continue
+        if type(value) is str:
+            text = _json_str(value)
+        elif type(value) is list:
+            text = "[" + ", ".join(map(_json_str, value)) + "]"
+        else:  # bindings or a match: strings, and a synthetic match's int argument index
+            text = "{" + ", ".join(f"{_json_str(k)}: {_json_str(v) if type(v) is str else v}" for k, v in value.items()) + "}"
+        out.append(f', "{key}": {text}')
+    return "".join(out) + "}"
 
 
 def render_diagnostic(d: Diagnostic, color: bool = False) -> str:
-    """The text form of ``diagnostic_json(d)``, built from that record and
-    labelled by ``_field_labels``; ``resolved`` is shown in NDJSON only."""
-    record = diagnostic_json(d)
-    span = record.get("span")
-    where = f" at {span['line']}:{span['col']}" if span is not None else ""
-    head = f"error: {record['message']}{where}"
-    if color:
-        head = f"{_RED}{head}{_RESET}"
-    lines = [head]
-    expected_label, synthesized_label = _field_labels(d.kind)
-
-    def emit(label: str, text: str) -> None:
-        shown = f"{_BOLD}{label}:{_RESET}" if color else f"{label}:"
-        lines.append(f"  {shown} {text}")
-
-    if "expected" in record:
-        emit(expected_label, record["expected"])
-        for name, ty in record.get("bindings", {}).items():
-            lines.append(f"    {name} := {ty}")
-    if "synthesized" in record:
-        emit(synthesized_label, record["synthesized"])
-        if "unsolved" in record:
-            emit("unsolved", ", ".join(record["unsolved"]))
-    if "contextual_match" in record:
-        m = record["contextual_match"]
-        emit("contextual match", f"{m['partial']} := {m['against']}")
-    if "synthetic_match" in record:
-        m = record["synthetic_match"]
-        emit(f"synthetic match (argument {m['arg_index']})", f"{m['partial']} := {m['against']}")
-    if "detail" in record:
-        emit("note", record["detail"])
-    return "\n".join(lines)
+    """The text form of ``diagnostic_json(d)``: a head line, then a labelled
+    line per field; ``resolved`` is shown in NDJSON only."""
+    return _text(d, _shown(d), color, "")
 
 
 def diagnostic_json(d: Diagnostic) -> dict:
     """The one record of a diagnostic, its types rendered with its display
     names; ``unsolved`` lists the metas an unsolved-meta-variables
     diagnostic leaves open in the elaboration, in name order."""
-    rn = d.display
     out: dict = {"kind": d.kind.value, "message": _HEADLINES[d.kind]}
     if d.span is not None:
         out["span"] = d.span._asdict()
-    if d.expected is not None:
-        out["expected"] = pretty_type(d.expected, rn)
-    if d.resolved is not None:
-        out["resolved"] = pretty_type(d.resolved, rn)
-    if d.bindings:
-        out["bindings"] = {
-            rn.get(name, name): pretty_type(d.bindings[name], rn) for name in sorted(d.bindings)
-        }
-    if d.synthesized is not None:
-        out["synthesized"] = pretty_type(d.synthesized, rn)
-    if d.unsolved:
-        out["unsolved"] = [rn.get(m, m) for m in sorted(d.unsolved)]
-    if d.contextual_match is not None:
-        out["contextual_match"] = {
-            "partial": pretty_type(d.contextual_match.partial, rn),
-            "against": pretty_type(d.contextual_match.against, rn),
-        }
-    if d.synthetic_match is not None:
-        out["synthetic_match"] = {
-            "partial": pretty_type(d.synthetic_match.partial, rn),
-            "against": pretty_type(d.synthetic_match.against, rn),
-            "arg_index": d.synthetic_match.arg_index,
-        }
-    if d.detail is not None:
-        out["detail"] = d.detail
+    out.update((key, value) for key, value in zip(_SHOWN, _shown(d)) if value is not None)
     return out
 
 
@@ -201,8 +217,8 @@ def _run_goal(ctx: Context, goal: Goal, count: int, out, trace, args, color: boo
     is printed.  An NDJSON line is written with its keys as literal text,
     each string through ``_json_str`` and each int through ``str``, so it
     is byte for byte what ``json.dumps`` writes for the record; only the
-    nested ``diagnostic``, ``trace`` and ``spec`` values go through
-    ``json.dumps``.  A text report is its header line and then its lines.
+    nested ``trace`` and ``spec`` values go through ``json.dumps``.  A
+    text report is its header line and then its lines.
     """
     term, expected = goal.term, goal.expected
     mode = "synth" if expected is None else "check"
@@ -213,19 +229,24 @@ def _run_goal(ctx: Context, goal: Goal, count: int, out, trace, args, color: boo
                        f'"message": {_json_str(message)}}}')
         return 3, f"[{count}] {mode}\n    resource limit: {message}\n"
     term_text = pretty_term(term)
+    expected_text = None if expected is None else pretty_type(expected)
     if args.json:
         head = f'{{"goal": {count}, "mode": "{mode}", "term": {_json_str(term_text)}'
-        if expected is not None:
-            head += f', "expected": {_json_str(pretty_type(expected))}'
+        if expected_text is not None:
+            head += f', "expected": {_json_str(expected_text)}'
     else:
         head = f"[{count}] {mode} {term_text}"
-        if expected is not None:
-            head += f" : {pretty_type(expected)}"
+        if expected_text is not None:
+            head += f" : {expected_text}"
 
     if isinstance(out, Diagnostic):
+        # A goal's parsed type holds no reserved ``?`` name, so the display
+        # names rename nothing in it: where the diagnostic expects the goal's
+        # own type, its text is the head's.
+        shown = _shown(out, expected_text if out.expected is expected else None)
         if args.json:
-            return 1, f'{head}, "status": "error", "diagnostic": {json.dumps(diagnostic_json(out))}}}'
-        return 1, head + "".join(f"\n    {line}" for line in render_diagnostic(out, color).splitlines()) + "\n"
+            return 1, f'{head}, "status": "error", "diagnostic": {_ndjson(out, shown)}}}'
+        return 1, f"{head}\n{_text(out, shown, color, '    ')}\n"
     if isinstance(out, EngineInvariantError):
         if args.json:
             return 3, f'{head}, "status": "internal-error", "message": {_json_str(str(out))}}}'

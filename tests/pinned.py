@@ -34,6 +34,11 @@ PINNED_OUTPUT = {
 # types up to alpha-equality, where the file above draws 2.
 PINNED_NEXT_OUTPUT = (1, "34f04182790d524fe2470ee06d422aa5e3a2396488a7e1a8ca79af2119cf54ff")
 
+# The same file's NDJSON, `spinel run --json --elab`: its diagnostics carry
+# bindings, resolved types and contextual matches over the pool's wrong
+# types.
+PINNED_NEXT_JSON_OUTPUT = (1, "41d9f292dd1f8205e58e039149fd560699a85cb481eae4f2a2181569b5b95b61")
+
 # Lines in, exit code, lines out and SHA-256 of stdout of `spinel repl` fed
 # the same file, each line a command.
 PINNED_REPL_OUTPUT = (5_283, 0, 11_895, "1bddd18a68a8770bb5c6aa187828265966f8fd5958028e854c9e56229f0f9baa")

@@ -35,6 +35,7 @@ from spinel.oracle import SpecVerdict, verify_spec
 from spinel.parser import parse_program
 from spinel.syntax import alpha_equal
 from pinned import (
+    PINNED_NEXT_JSON_OUTPUT,
     PINNED_NEXT_OUTPUT,
     PINNED_OUTPUT,
     PINNED_PARSE,
@@ -553,6 +554,87 @@ def test_golden_display_names_in_arrow_domains_and_constructor_arguments(tmp_pat
     assert capsys.readouterr().out == DISPLAY_NAMES_GOLDEN_TEXT
 
 
+# ------------------------------------- one diagnostic, three printed forms
+
+
+def _record_text(d, color):
+    """The text of a diagnostic as derived from its record, the derivation
+    ``render_diagnostic`` made before it wrote the text straight from the
+    diagnostic's fields; kept here as the oracle of that function."""
+    from spinel.cli import _BOLD, _RED, _RESET, diagnostic_json
+    from spinel.infer import DiagnosticKind
+
+    record = diagnostic_json(d)
+    span = record.get("span")
+    where = f" at {span['line']}:{span['col']}" if span is not None else ""
+    head = f"error: {record['message']}{where}"
+    if color:
+        head = f"{_RED}{head}{_RESET}"
+    lines = [head]
+    if d.kind is DiagnosticKind.EXPLICIT_ARG_CONFLICT:
+        expected_label, synthesized_label = "inferred type argument", "explicit type argument"
+    elif d.kind in (DiagnosticKind.APPLICAND_NOT_ARROW, DiagnosticKind.APPLICAND_NOT_FORALL):
+        expected_label, synthesized_label = "expected type", "applicand type"
+    else:
+        expected_label, synthesized_label = "expected type", "synthesized type"
+
+    def emit(label, text):
+        shown = f"{_BOLD}{label}:{_RESET}" if color else f"{label}:"
+        lines.append(f"  {shown} {text}")
+
+    if "expected" in record:
+        emit(expected_label, record["expected"])
+        for name, t in record.get("bindings", {}).items():
+            lines.append(f"    {name} := {t}")
+    if "synthesized" in record:
+        emit(synthesized_label, record["synthesized"])
+        if "unsolved" in record:
+            emit("unsolved", ", ".join(record["unsolved"]))
+    if "contextual_match" in record:
+        m = record["contextual_match"]
+        emit("contextual match", f"{m['partial']} := {m['against']}")
+    if "synthetic_match" in record:
+        m = record["synthetic_match"]
+        emit(f"synthetic match (argument {m['arg_index']})", f"{m['partial']} := {m['against']}")
+    if "detail" in record:
+        emit("note", record["detail"])
+    return "\n".join(lines)
+
+
+def test_a_diagnostic_prints_one_report_in_text_ndjson_and_its_record(tmp_path, capsys, monkeypatch):
+    # Every diagnostic of the size-6 erasures checked, synthesized, checked
+    # against a wrong type and against the pool's next type: its text is
+    # the one its record derives, its NDJSON line holds its record, and
+    # `spinel run` prints its text indented under the goal's head.  A run
+    # prints the goal's expected type once and reuses that text for the
+    # diagnostic only where the diagnostic expects the goal's own type.
+    from spinel.cli import _outcome, diagnostic_json, render_diagnostic
+    from spinel.infer import Diagnostic
+    from spinel.parser import Goal
+
+    monkeypatch.delenv("SPINEL_COLOR", raising=False)
+    src = erasure_source(6, "check synth wrong next")
+    decls = parse_program(src)
+    goals = [decl for decl in decls if type(decl) is Goal]
+    assert len(decls) - len(goals) == len(STANDARD_DECLS)
+    diagnostics = {n: d for n, goal in enumerate(goals, 1) if type(d := _outcome(CTX, goal)) is Diagnostic}
+    path = tmp_path / "erasures.spn"
+    path.write_text(src)
+    assert main(["run", str(path)]) == 1
+    reports = capsys.readouterr().out.split("\n\n")
+    assert main(["run", str(path), "--json"]) == 1
+    records = capsys.readouterr().out.splitlines()
+    assert len(diagnostics) == 4487 and len(reports) == len(records) + 1 == len(goals) + 1
+    for n, d in diagnostics.items():
+        text = render_diagnostic(d)
+        assert text == _record_text(d, False), n
+        assert render_diagnostic(d, True) == _record_text(d, True), n
+        record = json.loads(records[n - 1])
+        assert record["goal"] == n and record["diagnostic"] == diagnostic_json(d), n
+        head, _, report = reports[n - 1].partition("\n")
+        assert head.startswith(f"[{n}] ") and report == "\n".join(f"    {line}" for line in text.splitlines()), n
+
+
 # ----------------------------------------------------- golden binder chains
 
 # Type-lambda and lambda chains checked against quantifier and arrow
@@ -899,6 +981,14 @@ def test_wrong_types_drawn_across_the_pool_are_pinned(monkeypatch):
     assert run_output(src, ()) == PINNED_NEXT_OUTPUT
 
 
+def test_wrong_types_drawn_across_the_pool_are_pinned_in_ndjson(monkeypatch):
+    # The same goals' NDJSON records: their diagnostics carry bindings,
+    # resolved types and contextual matches, over 451 wrong types where the
+    # other NDJSON pins draw 2.
+    monkeypatch.delenv("SPINEL_COLOR", raising=False)
+    assert run_output(erasure_source(6, "next"), ("--json", "--elab")) == PINNED_NEXT_JSON_OUTPUT
+
+
 def test_erasure_corpus_repl_bytes_are_pinned(monkeypatch):
     # The interactive loop's reports of the same goals, held byte for byte.
     monkeypatch.delenv("SPINEL_COLOR", raising=False)
@@ -917,6 +1007,8 @@ def test_the_pin_tool_checks_the_tests_pins():
     assert checked == {
         **{f"spinel run {' '.join(flags)}": (pinned, run_output, (src, flags)) for flags, pinned in PINNED_OUTPUT.items()},
         "spinel run (next wrong types)": (PINNED_NEXT_OUTPUT, run_output, (erasure_source(6, "next"), ())),
+        "spinel run --json --elab (next wrong types)": (
+            PINNED_NEXT_JSON_OUTPUT, run_output, (erasure_source(6, "next"), ("--json", "--elab"))),
         "spinel repl": (PINNED_REPL_OUTPUT, repl_output, (src,)),
         "parse": (PINNED_PARSE, parse_digest, (erasure_source(7),)),
     }
