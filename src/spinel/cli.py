@@ -6,9 +6,9 @@ It answers a block at a time, at most 256 goals that share one
 context: it parses the block, infers every goal, renders every report
 and writes them at once (in process, answering goal by goal ran 25-45%
 slower), and holds one block's trees and one context, not the file's.
-A diagnostic's report is written once, from its fields, straight into
-the text or NDJSON that is printed.  A declaration that does not parse
-ends only itself, reported after the goals before it.  ``spinel repl``
+Each type in a diagnostic is printed once, straight into the text
+lines or the NDJSON record that is written.  A declaration that does
+not parse ends only itself, reported after the goals before it.  ``spinel repl``
 offers the same engine interactively.  Exit codes, the largest over the
 declarations: 0 a goal succeeds, 1 it fails with a diagnostic, 2 it
 does not parse, 3 an internal invariant or a declarative replay fails,
@@ -142,26 +142,6 @@ def _text(d: Diagnostic, shown: tuple, color: bool, indent: str) -> str:
     return "\n".join(lines)
 
 
-def _ndjson(d: Diagnostic, shown: tuple) -> str:
-    """``diagnostic_json(d)`` byte for byte as ``json.dumps`` writes it, from
-    its ``_shown`` values, with its keys as literal text."""
-    out = [f'{{"kind": {_json_str(d.kind.value)}, "message": {_json_str(_HEADLINES[d.kind])}']
-    if (span := d.span) is not None:
-        out.append(f', "span": {{"line": {span.line}, "col": {span.col}, '
-                   f'"end_line": {span.end_line}, "end_col": {span.end_col}}}')
-    for key, value in zip(_SHOWN, shown):
-        if value is None:
-            continue
-        if type(value) is str:
-            text = _json_str(value)
-        elif type(value) is list:
-            text = "[" + ", ".join(map(_json_str, value)) + "]"
-        else:  # bindings or a match: strings, and a synthetic match's int argument index
-            text = "{" + ", ".join(f"{_json_str(k)}: {_json_str(v) if type(v) is str else v}" for k, v in value.items()) + "}"
-        out.append(f', "{key}": {text}')
-    return "".join(out) + "}"
-
-
 def render_diagnostic(d: Diagnostic, color: bool = False) -> str:
     """The text form of ``diagnostic_json(d)``: a head line, then a labelled
     line per field; ``resolved`` is shown in NDJSON only."""
@@ -172,10 +152,16 @@ def diagnostic_json(d: Diagnostic) -> dict:
     """The one record of a diagnostic, its types rendered with its display
     names; ``unsolved`` lists the metas an unsolved-meta-variables
     diagnostic leaves open in the elaboration, in name order."""
+    return _record(d, _shown(d))
+
+
+def _record(d: Diagnostic, shown: tuple) -> dict:
+    """``diagnostic_json(d)`` from its ``_shown`` values: the kind, message
+    and span, then each shown field that is not None."""
     out: dict = {"kind": d.kind.value, "message": _HEADLINES[d.kind]}
     if d.span is not None:
         out["span"] = d.span._asdict()
-    out.update((key, value) for key, value in zip(_SHOWN, _shown(d)) if value is not None)
+    out.update((key, value) for key, value in zip(_SHOWN, shown) if value is not None)
     return out
 
 
@@ -217,8 +203,8 @@ def _run_goal(ctx: Context, goal: Goal, count: int, out, trace, args, color: boo
     is printed.  An NDJSON line is written with its keys as literal text,
     each string through ``_json_str`` and each int through ``str``, so it
     is byte for byte what ``json.dumps`` writes for the record; only the
-    nested ``trace`` and ``spec`` values go through ``json.dumps``.  A
-    text report is its header line and then its lines.
+    nested ``diagnostic``, ``trace`` and ``spec`` values go through
+    ``json.dumps``.  A text report is its header line and then its lines.
     """
     term, expected = goal.term, goal.expected
     mode = "synth" if expected is None else "check"
@@ -245,7 +231,7 @@ def _run_goal(ctx: Context, goal: Goal, count: int, out, trace, args, color: boo
         # own type, its text is the head's.
         shown = _shown(out, expected_text if out.expected is expected else None)
         if args.json:
-            return 1, f'{head}, "status": "error", "diagnostic": {_ndjson(out, shown)}}}'
+            return 1, f'{head}, "status": "error", "diagnostic": {json.dumps(_record(out, shown))}}}'
         return 1, f"{head}\n{_text(out, shown, color, '    ')}\n"
     if isinstance(out, EngineInvariantError):
         if args.json:

@@ -42,6 +42,7 @@ frames, runs or name supplies; an ``EngineInvariantError`` keeps them.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -190,22 +191,15 @@ class EngineInvariantError(Exception):
 # ------------------------------------------------------------- run state
 
 
-class _SupplyOnRead:
-    """``_Run.supply``: the first read stores a new NameSupply in the run,
-    where later reads find it; unlike ``functools.cached_property``, no lock."""
-
-    def __get__(self, run: _Run, owner=None) -> NameSupply:
-        run.supply = supply = NameSupply()
-        return supply
-
-
 class _Run:
     """One call's trace, and its name supply, made when a spine first reads it."""
 
-    supply = _SupplyOnRead()
-
     def __init__(self, trace: list[str] | None = None):
         self.trace = trace
+
+    @cached_property
+    def supply(self) -> NameSupply:
+        return NameSupply()
 
     def note(self, rule: str) -> None:
         if self.trace is not None:

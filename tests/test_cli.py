@@ -504,6 +504,16 @@ def test_golden_diagnostics_json(golden_file, capsys):
         assert record["diagnostic"] == diagnostic
 
 
+def test_golden_diagnostics_json_lines_are_what_json_dumps_writes(golden_file, capsys):
+    # Byte for byte, not only after parsing: the golden goals hold every
+    # diagnostic field, the synthetic matches' int argument index too.
+    code, out, _ = run_lines(capsys, "run", golden_file, "--json")
+    assert code == 1 and len(out) == 9
+    assert sum("synthetic_match" in line for line in out) == 3
+    for line in out:
+        assert line == json.dumps(json.loads(line))
+
+
 # Diagnostics whose display names stand in arrow domains and constructor
 # arguments, leaves the type printer writes in place: in an expected type,
 # a synthetic match, and the contextual matches of README's goal 3 and of
@@ -625,6 +635,7 @@ def test_a_diagnostic_prints_one_report_in_text_ndjson_and_its_record(tmp_path, 
     assert main(["run", str(path), "--json"]) == 1
     records = capsys.readouterr().out.splitlines()
     assert len(diagnostics) == 4487 and len(reports) == len(records) + 1 == len(goals) + 1
+    assert all(line == json.dumps(json.loads(line)) for line in records)
     for n, d in diagnostics.items():
         text = render_diagnostic(d)
         assert text == _record_text(d, False), n
